@@ -246,31 +246,35 @@ impl EventTable {
     /// Decode a table from a snapshot payload. Interned ids are copied
     /// verbatim: they resolve against the interner snapshotted alongside
     /// the table, whose insertion-order ids round-trip exactly.
+    ///
+    /// The five fixed-width columns are each read as one bounds-checked
+    /// run ([`SnapReader::get_column`]); the tagged `observed` column is
+    /// decoded row by row. Each column is allocated only after its bytes
+    /// are known to be present, so a corrupt row count fails before it
+    /// can reserve memory.
     pub fn snap_read(r: &mut SnapReader<'_>) -> Result<EventTable, SnapError> {
         let n = r.get_count()?;
         let mut t = EventTable {
-            times: Vec::with_capacity(n),
-            srcs: Vec::with_capacity(n),
-            src_asns: Vec::with_capacity(n),
-            dsts: Vec::with_capacity(n),
-            dst_ports: Vec::with_capacity(n),
+            times: r
+                .get_column(n)?
+                .map(|b| SimTime(u64::from_le_bytes(b)))
+                .collect(),
+            srcs: r
+                .get_column(n)?
+                .map(|b| Ipv4Addr::from(u32::from_le_bytes(b)))
+                .collect(),
+            src_asns: r
+                .get_column(n)?
+                .map(|b| Asn(u32::from_le_bytes(b)))
+                .collect(),
+            dsts: r
+                .get_column(n)?
+                .map(|b| Ipv4Addr::from(u32::from_le_bytes(b)))
+                .collect(),
+            dst_ports: r.get_column(n)?.map(u16::from_le_bytes).collect(),
+            // The times column alone took 8n bytes, so n is bounded here.
             observed: Vec::with_capacity(n),
         };
-        for _ in 0..n {
-            t.times.push(SimTime(r.get_u64()?));
-        }
-        for _ in 0..n {
-            t.srcs.push(Ipv4Addr::from(r.get_u32()?));
-        }
-        for _ in 0..n {
-            t.src_asns.push(Asn(r.get_u32()?));
-        }
-        for _ in 0..n {
-            t.dsts.push(Ipv4Addr::from(r.get_u32()?));
-        }
-        for _ in 0..n {
-            t.dst_ports.push(r.get_u16()?);
-        }
         for _ in 0..n {
             let o = match r.get_u8()? {
                 0 => Observed::Syn,
@@ -574,6 +578,20 @@ mod tests {
         let bytes = w.into_bytes();
         let err = EventTable::snap_read(&mut SnapReader::new(&bytes)).unwrap_err();
         assert!(matches!(err, SnapError::Malformed(_)));
+    }
+
+    #[test]
+    fn table_snapshot_rejects_a_row_count_beyond_the_payload() {
+        let mut t = EventTable::new();
+        t.push(ev(Ipv4Addr::new(10, 0, 0, 1), 22, Observed::Syn));
+        let mut w = SnapWriter::new();
+        t.snap_write(&mut w);
+        let mut bytes = w.into_bytes();
+        // Rewrite the row count to remaining() + 1: the bytes after it.
+        let remaining = bytes.len() - 8;
+        bytes[..8].copy_from_slice(&(remaining as u64 + 1).to_le_bytes());
+        let err = EventTable::snap_read(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert_eq!(err, SnapError::Truncated);
     }
 
     #[test]

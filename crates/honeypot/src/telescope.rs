@@ -267,10 +267,7 @@ impl Telescope {
         for _ in 0..r.get_count()? {
             let port = r.get_u16()?;
             let n = r.get_count()?;
-            let mut counts = Vec::with_capacity(n);
-            for _ in 0..n {
-                counts.push(r.get_u32()?);
-            }
+            let counts = r.get_column(n)?.map(u32::from_le_bytes).collect();
             per_ip_counts.insert(port, counts);
             seen_src_dst.insert(port, BTreeSet::new());
         }

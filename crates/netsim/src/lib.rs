@@ -29,7 +29,9 @@
 //!   flow loss, per-vantage outage schedules, capture truncation, and
 //!   telescope sampling, all pure functions of the scenario seed;
 //! - [`sha256`] — a from-scratch FIPS 180-4 SHA-256 shared by the
-//!   snapshot cache and the golden-exhibit manifest in `cw-verify`;
+//!   snapshot cache and the golden-exhibit manifest in `cw-verify`, with a
+//!   portable block function and, on x86-64 CPUs that have them, one on
+//!   the SHA extensions (chosen at run time, same digests);
 //! - [`snap`] — the little-endian binary snapshot codec plus the sealed
 //!   container format (magic, format version, payload, SHA-256 trailer)
 //!   that backs the simulate-once artifact cache.
@@ -43,7 +45,9 @@
 //! threads with per-run seeds split via [`rng::fork_seed`] — see
 //! `docs/ARCHITECTURE.md` for the determinism contract.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the SHA-extension block function in
+// `sha256::shani` is the one module allowed `unsafe`.
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod asn;

@@ -9,6 +9,27 @@
 //! vectors below; the golden-manifest gate additionally fails closed (any
 //! implementation drift changes every digest and trips the gate
 //! immediately).
+//!
+//! # Two block functions
+//!
+//! [`sha256`] hashes the input's whole 64-byte blocks in place and pads
+//! only the tail, in a stack buffer, so hashing a ~52 MB snapshot payload
+//! copies nothing. The blocks go through one of two block functions that
+//! compute the same compression function:
+//!
+//! - a portable scalar one, the only path on CPUs without the SHA
+//!   extensions and the reference the tests compare against;
+//! - on x86-64, one built on the SHA extensions (`sha256rnds2`,
+//!   `sha256msg1`, `sha256msg2`), several times faster.
+//!
+//! The choice is made at run time, per call, from
+//! `is_x86_feature_detected!` (`sha`, `ssse3` and `sse4.1`); there is no
+//! setting to force either path. Both produce the same digest, so cache
+//! keys, snapshot trailers and the golden manifest do not depend on the
+//! CPU. The SHA-extension path needs `unsafe`: its intrinsics may only
+//! execute on a CPU that has the features, and its 128-bit loads and
+//! stores take raw pointers. That code is confined to one private module,
+//! the only place this crate allows `unsafe`.
 
 /// Round constants: the first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
@@ -29,20 +50,50 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// A block function: folds `blocks` (a whole number of 64-byte blocks,
+/// possibly none) into the hash state.
+type BlockFn = fn(&mut [u32; 8], &[u8]);
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod shani;
+
 /// SHA-256 digest of `data` as 32 raw bytes.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    // Pad: 0x80, zeros, 64-bit big-endian bit length, to a 64-byte boundary.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    #[cfg(target_arch = "x86_64")]
+    if shani::is_supported() {
+        return digest(data, shani::compress);
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
+    digest(data, compress_scalar)
+}
 
+/// SHA-256 of `data` with the given block function: the whole blocks are
+/// hashed in place, then the tail is padded (0x80, zeros, the 64-bit
+/// big-endian bit length) to one or two blocks in a stack buffer.
+fn digest(data: &[u8], compress: BlockFn) -> [u8; 32] {
+    let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
     let mut h = H0;
+    compress(&mut h, blocks);
+
+    let mut pad = [0u8; 128];
+    pad[..tail.len()].copy_from_slice(tail);
+    pad[tail.len()] = 0x80;
+    let pad_len = if tail.len() < 56 { 64 } else { 128 };
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    pad[pad_len - 8..pad_len].copy_from_slice(&bit_len.to_be_bytes());
+    compress(&mut h, &pad[..pad_len]);
+
+    let mut out = [0u8; 32];
+    for (i, word) in h.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The portable block function: FIPS 180-4 §6.2.2, one block at a time.
+fn compress_scalar(h: &mut [u32; 8], blocks: &[u8]) {
     let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
+    for block in blocks.chunks_exact(64) {
         for (t, word) in w.iter_mut().take(16).enumerate() {
             *word = u32::from_be_bytes(block[4 * t..4 * t + 4].try_into().unwrap());
         }
@@ -54,7 +105,7 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
                 .wrapping_add(w[t - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
         for t in 0..64 {
             let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -79,12 +130,6 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
             *state = state.wrapping_add(v);
         }
     }
-
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
 }
 
 /// SHA-256 digest of `data` as a lowercase hex string.
@@ -102,38 +147,75 @@ pub fn sha256_hex(data: &[u8]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fips_vector_empty() {
-        assert_eq!(
-            sha256_hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    fn hex(digest: [u8; 32]) -> String {
+        digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// FIPS 180-4 example vectors, plus the long-message vector.
+    fn fips_vectors() -> Vec<(Vec<u8>, &'static str)> {
+        vec![
+            (
+                b"".to_vec(),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc".to_vec(),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq".to_vec(),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                vec![b'a'; 1_000_000],
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ]
+    }
+
+    /// Deterministic pseudo-random bytes.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = crate::rng::SimRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
     }
 
     #[test]
-    fn fips_vector_abc() {
-        assert_eq!(
-            sha256_hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+    fn fips_vectors_through_the_scalar_block_function() {
+        for (msg, want) in fips_vectors() {
+            assert_eq!(
+                hex(digest(&msg, compress_scalar)),
+                want,
+                "len {}",
+                msg.len()
+            );
+        }
     }
 
     #[test]
-    fn fips_vector_two_blocks() {
-        assert_eq!(
-            sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+    fn fips_vectors_through_the_dispatched_hash() {
+        for (msg, want) in fips_vectors() {
+            assert_eq!(sha256_hex(&msg), want, "len {}", msg.len());
+        }
     }
 
     #[test]
-    fn million_a_vector() {
-        // FIPS long-message vector: 1,000,000 repetitions of 'a'.
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256_hex(&data),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    fn dispatched_hash_matches_scalar_on_every_short_length() {
+        // 0..=300 covers empty input, every tail length, the 55/56-byte
+        // padding edge, and one to four whole blocks ahead of the tail.
+        let data = noise(300, 1);
+        for len in 0..=300 {
+            let msg = &data[..len];
+            assert_eq!(sha256(msg), digest(msg, compress_scalar), "len {len}");
+        }
+    }
+
+    #[test]
+    fn dispatched_hash_matches_scalar_on_long_inputs() {
+        let data = noise(3 << 20, 2);
+        for len in [4095, 4096, 4097, data.len()] {
+            let msg = &data[..len];
+            assert_eq!(sha256(msg), digest(msg, compress_scalar), "len {len}");
+        }
     }
 
     #[test]

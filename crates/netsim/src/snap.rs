@@ -31,6 +31,18 @@
 //! pattern. There is no alignment, padding, or backward compatibility:
 //! the format version is part of the cache key, so readers only ever see
 //! bytes their own writer produced.
+//!
+//! A column of fixed-width values (an event table's times, addresses,
+//! ASNs and ports) is written value by value but read in bulk:
+//! [`SnapReader::get_column`] bounds-checks the whole `n × width` run once
+//! and decodes it with `from_le_bytes`, instead of one checked read per
+//! value. Both readers see the same bytes, so reading in bulk is not a
+//! format change: the format is version 2 either way.
+//!
+//! Counts come from disk, so they are checked before anything is
+//! allocated for them: [`SnapReader::get_count`] rejects a count larger
+//! than the bytes left, and [`SnapReader::get_column`] one larger than the
+//! bytes left divided by the value width.
 
 use crate::sha256::sha256;
 
@@ -227,14 +239,31 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a `u64` count and sanity-cap it: a count implying more than
-    /// `remaining()` single bytes is corruption, not a huge snapshot.
+    /// `remaining()` single bytes is corruption, not a huge snapshot. Room
+    /// reserved for the `n` items is then bounded by the payload's size.
     pub fn get_count(&mut self) -> Result<usize, SnapError> {
         let n = self.get_u64()?;
         let n = usize::try_from(n).map_err(|_| SnapError::Truncated)?;
-        if n > self.data.len() {
+        if n > self.remaining() {
             return Err(SnapError::Truncated);
         }
         Ok(n)
+    }
+
+    /// Read a column of `n` fixed-width `W`-byte values as one
+    /// bounds-checked `n × W` slice, yielding each value's bytes in order
+    /// (decode them with `from_le_bytes`). Fails with
+    /// [`SnapError::Truncated`], before anything is allocated, when
+    /// `n × W` overflows or exceeds `remaining()`.
+    pub fn get_column<const W: usize>(
+        &mut self,
+        n: usize,
+    ) -> Result<impl ExactSizeIterator<Item = [u8; W]> + 'a, SnapError> {
+        let len = n.checked_mul(W).ok_or(SnapError::Truncated)?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(W)
+            .map(|value| value.try_into().expect("chunks_exact yields W-byte chunks")))
     }
 }
 
@@ -331,6 +360,45 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.get_bytes(), Err(SnapError::Truncated));
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_remaining_bytes() {
+        // After the count is read, 3 bytes remain: 3 items of at least one
+        // byte each can fit, 4 cannot.
+        for (count, want) in [(3u64, Ok(3)), (4, Err(SnapError::Truncated))] {
+            let mut bytes = count.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 3]);
+            let mut r = SnapReader::new(&bytes);
+            assert_eq!(r.get_count(), want, "count {count}");
+        }
+    }
+
+    #[test]
+    fn columns_decode_in_order_and_bound_their_length() {
+        let mut w = SnapWriter::new();
+        for v in [1u32, 0xDEAD_BEEF, 7] {
+            w.put_u32(v);
+        }
+        w.put_u8(0xAA);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let col: Vec<u32> = r
+            .get_column::<4>(3)
+            .unwrap()
+            .map(u32::from_le_bytes)
+            .collect();
+        assert_eq!(col, [1, 0xDEAD_BEEF, 7]);
+        assert_eq!(r.get_u8(), Ok(0xAA));
+        assert!(r.is_exhausted());
+        // One value more than remaining() / W, and an n × W that overflows.
+        let mut r = SnapReader::new(&bytes);
+        assert!(matches!(r.get_column::<4>(4), Err(SnapError::Truncated)));
+        assert!(matches!(
+            r.get_column::<8>(usize::MAX / 4),
+            Err(SnapError::Truncated)
+        ));
+        assert_eq!(r.remaining(), bytes.len());
     }
 
     #[test]

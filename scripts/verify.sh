@@ -36,6 +36,9 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --release (the SHA-extension block function and bulk snapshot decoders, optimised)"
+cargo test --release -q -p cw-netsim -p cw-honeypot -p cw-core
+
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
