@@ -37,9 +37,9 @@ use cw_bench::{parse_args, phase1b_shards, run_config};
 use cw_core::dataset::Dataset;
 use cw_core::exhibit::{self, ExhibitCx, ExhibitOptions};
 use cw_core::fleet;
-use cw_core::overlap::{cloud_ips, edu_ips, TABLE9_PORTS};
+use cw_core::overlap::{cloud_ips, edu_ips, table8_and_9_plans, TABLE9_PORTS};
 use cw_core::scenario::ScenarioConfig;
-use cw_core::{snapshot, Plan, PlanSet, SimBundle};
+use cw_core::{snapshot, Plan, PlanSet, ScanExec, SimBundle};
 use cw_detection::Verdict;
 use cw_honeypot::deployment::Deployment;
 use cw_protocols::iana::POPULAR_PORTS;
@@ -186,28 +186,16 @@ fn main() {
     // layer's fused scan versus hand-rolled independent sweeps. The
     // [`PlanSet`] sweeps each fleet once for both plans (all-sources and
     // attackers-only); the baseline runs one full column scan per
-    // (fleet, plan), the shape the retired `port_source_sets` sweeps had.
-    // Outputs are asserted identical; rows/sec divides the event rows the
-    // fused path enumerates (fleet-destined rows, each visited once) by
-    // each implementation's wall time, so the two throughputs compare the
-    // same job directly.
+    // (fleet, plan). Outputs are asserted identical; rows/sec divides the
+    // event rows the fused path enumerates (fleet-destined rows, each
+    // visited once) by each implementation's wall time, so the two
+    // throughputs compare the same job directly.
     let cloud = cloud_ips(&s.deployment);
     let edu = edu_ips(&s.deployment);
-    let run_query = || -> Vec<BTreeMap<u16, BTreeSet<Ipv4Addr>>> {
+    let run_plans = || -> Vec<BTreeMap<u16, BTreeSet<Ipv4Addr>>> {
         let mut set = PlanSet::over(&s.dataset);
-        for plan in [
-            Plan::at(&cloud).grouped_by_port(&POPULAR_PORTS).distinct_srcs(),
-            Plan::at(&cloud)
-                .malicious()
-                .grouped_by_port(&TABLE9_PORTS)
-                .distinct_srcs(),
-            Plan::at(&edu).grouped_by_port(&POPULAR_PORTS).distinct_srcs(),
-            Plan::at(&edu)
-                .malicious()
-                .grouped_by_port(&[80, 8080])
-                .distinct_srcs(),
-        ] {
-            set.submit(plan).expect("grouped distinct-srcs plans validate");
+        for plan in table8_and_9_plans(&s.deployment) {
+            set.submit(plan);
         }
         set.execute()
             .into_iter()
@@ -244,14 +232,15 @@ fn main() {
             hand_rolled(&edu, &[80, 8080], true),
         ]
     };
-    assert_eq!(run_query(), run_hand_rolled(), "query layer drifted");
-    let job_rows = (s.dataset.query().at(&cloud).count()
-        + s.dataset.query().at(&edu).count()) as f64;
+    assert_eq!(run_plans(), run_hand_rolled(), "plan execution drifted");
+    let exec = ScanExec::unplanned(&s.dataset);
+    let job_rows = (exec.run(&Plan::at(&cloud).count()).into_count()
+        + exec.run(&Plan::at(&edu).count()).into_count()) as f64;
     let mut query_secs = f64::INFINITY;
     let mut hand_secs = f64::INFINITY;
     for _ in 0..QUERY_REPS {
         let t = Instant::now();
-        std::hint::black_box(run_query());
+        std::hint::black_box(run_plans());
         query_secs = query_secs.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
         std::hint::black_box(run_hand_rolled());

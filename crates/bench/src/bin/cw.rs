@@ -39,7 +39,7 @@
 //! with: rerunning after the abort resumes from the snapshot cache without
 //! recomputing completed cells.
 
-use cw_bench::{parse_from, threads, RunOptions, USAGE};
+use cw_bench::{parse_from, parse_scale, threads, RunOptions, USAGE};
 use cw_core::exhibit::{self, Exhibit, ExhibitCx, ExhibitOptions};
 use cw_core::fleet::{self, JobError};
 use cw_core::scenario::ScenarioConfig;
@@ -318,10 +318,7 @@ fn parse_sweep_args(raw: Vec<String>) -> (cw_core::sweep::SweepGrid, RunOptions)
             "--scales" => {
                 scales = value("--scales")
                     .split(',')
-                    .map(|s| match s.trim().parse::<f64>() {
-                        Ok(m) if m > 0.0 => m,
-                        _ => grid_usage_exit("--scales expects positive numbers"),
-                    })
+                    .map(|s| parse_scale("--scales", s))
                     .collect();
             }
             "--years" => {

@@ -78,6 +78,22 @@ fn usage_exit(problem: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Parse the value of `--scale` or one entry of `--scales`. Only finite
+/// positive numbers are scales: anything else (`0`, `-1`, `NaN`, `inf`,
+/// or `1e999`, which parses to `inf`) prints a usage message and exits
+/// with status 2.
+pub fn parse_scale(flag: &str, raw: &str) -> f64 {
+    scale_value(raw).unwrap_or_else(|problem| usage_exit(&format!("{flag} {problem}")))
+}
+
+fn scale_value(raw: &str) -> Result<f64, &'static str> {
+    match raw.trim().parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        Ok(_) => Err("must be a finite positive number"),
+        Err(_) => Err("expects a number"),
+    }
+}
+
 /// Parse flag arguments from an explicit iterator (everything after the
 /// subcommand). Malformed arguments print a usage message and exit with
 /// status 2.
@@ -91,12 +107,7 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> RunOptions {
         };
         match arg.as_str() {
             "--scale" => {
-                opts.scale = value("--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("--scale expects a number"));
-                if opts.scale.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                    usage_exit("--scale must be positive");
-                }
+                opts.scale = parse_scale("--scale", &value("--scale"));
             }
             "--seed" => {
                 opts.seed = value("--seed")
@@ -290,6 +301,15 @@ mod tests {
         assert_eq!(o.shards, Some(4));
         assert!(o.no_cache);
         assert!(o.trace_scans);
+    }
+
+    #[test]
+    fn scales_must_be_finite_and_positive() {
+        for bad in ["inf", "-inf", "NaN", "1e999", "0", "-1", "x"] {
+            assert!(scale_value(bad).is_err(), "{bad} must be rejected");
+        }
+        assert_eq!(scale_value("0.25"), Ok(0.25));
+        assert_eq!(parse_scale("--scale", "2"), 2.0);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! stripped) — are resolved once per *distinct* id when the final map is
 //! assembled. These extractors sit on the render side of the id↔string
 //! boundary documented in `docs/QUERY.md`; when the event group is
-//! expressible as a query, [`crate::query::Query::char_freqs`] reaches
-//! them without materializing the intermediate event vector.
+//! expressible as a plan, [`crate::query::Plan::char_freqs`] reaches
+//! them after a fusable scan.
 
 use crate::dataset::ClassifiedEvent;
 use cw_detection::Verdict;

@@ -43,10 +43,10 @@ impl CharKind {
 
     /// Extract this characteristic's frequency map from one group.
     ///
-    /// When the group is definable as a query, prefer
-    /// [`crate::query::Query::char_freqs`], which folds over the interned
-    /// ID columns without materializing `ClassifiedEvent`s and resolves
-    /// each distinct ID to its string exactly once.
+    /// When the group is definable as a plan, prefer
+    /// [`crate::query::Plan::char_freqs`], which gathers the group in a
+    /// fusable scan over the interned ID columns and resolves strings only
+    /// after the scan.
     pub fn freqs(&self, events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
         match self {
             CharKind::TopAs => axes::as_freqs(events),

@@ -3,9 +3,8 @@
 //! A [`Dataset`] flattens all honeypot captures into one columnar
 //! [`EventTable`], attaches vantage metadata, pre-classifies every event
 //! with the vetted ruleset (§3.2), and exposes the §3.3 traffic slices.
-//! It also writes the released dataset as CSV/JSONL/pcap. Analyses sweep
-//! it through the typed query layer ([`Dataset::query`], [`crate::query`]):
-//! the sweep shorthands on this type are thin query expressions.
+//! It also writes the released dataset as CSV/JSONL/pcap. Analyses scan
+//! it through the typed plans of [`crate::query`].
 //!
 //! # Interned, memoized classification
 //!
@@ -424,18 +423,9 @@ impl Dataset {
     }
 
     /// Row indices destined to `ip`, in capture order — the pushdown index
-    /// behind [`crate::query::Query::at`].
+    /// behind [`crate::query::Plan::at`].
     pub(crate) fn dst_index(&self, ip: Ipv4Addr) -> Option<&[usize]> {
         self.by_dst.get(&ip).map(|v| v.as_slice())
-    }
-
-    /// Start a typed query over this dataset (see [`crate::query`]).
-    ///
-    /// The sweep helpers below ([`Dataset::events_at_in`],
-    /// [`Dataset::sources_on_port`], [`Dataset::port_source_sets`], …) are
-    /// retained as shorthands and are themselves thin query expressions.
-    pub fn query(&self) -> crate::query::Query<'_> {
-        crate::query::Query::over(self)
     }
 
     /// Event `i` with its classification.
@@ -453,69 +443,9 @@ impl Dataset {
         (0..self.len()).map(move |i| self.event(i))
     }
 
-    /// Events destined to one vantage IP.
-    pub fn events_at(&self, ip: Ipv4Addr) -> Vec<ClassifiedEvent<'_>> {
-        self.query().at(&[ip]).classified()
-    }
-
-    /// Events at one vantage IP within a slice.
-    pub fn events_at_in(&self, ip: Ipv4Addr, slice: TrafficSlice) -> Vec<ClassifiedEvent<'_>> {
-        self.query().at(&[ip]).slice(slice).classified()
-    }
-
-    /// Events pooled across a set of vantage IPs within a slice
-    /// (enumerated per IP, in the order given).
-    pub fn events_at_group(
-        &self,
-        ips: &[Ipv4Addr],
-        slice: TrafficSlice,
-    ) -> Vec<ClassifiedEvent<'_>> {
-        self.query().at(ips).slice(slice).classified()
-    }
-
     /// Vantage metadata for an observed IP.
     pub fn vantage(&self, ip: Ipv4Addr) -> Option<&VantagePoint> {
         self.vantage_by_ip.get(&ip)
-    }
-
-    /// Distinct source IPs seen on one port across a set of vantages.
-    pub fn sources_on_port(&self, ips: &[Ipv4Addr], port: u16) -> std::collections::BTreeSet<Ipv4Addr> {
-        self.query().at(ips).port(port).distinct_srcs()
-    }
-
-    /// Distinct *attacker* source IPs (≥1 malicious event) on one port.
-    pub fn malicious_sources_on_port(
-        &self,
-        ips: &[Ipv4Addr],
-        port: u16,
-    ) -> std::collections::BTreeSet<Ipv4Addr> {
-        self.query().at(ips).port(port).malicious().distinct_srcs()
-    }
-
-    /// Distinct source IPs per destination port across a vantage set, for
-    /// a fixed port list, in one sweep. Tables 8/9 ask for ~10 ports over
-    /// the same 440-vantage fleet; per-port [`Self::sources_on_port`]
-    /// calls would rescan the same rows once per port. (Tables that also
-    /// coincide on the vantage set share one scan via a fused
-    /// [`crate::query::PlanSet`].)
-    pub fn port_source_sets(
-        &self,
-        ips: &[Ipv4Addr],
-        ports: &[u16],
-        malicious_only: bool,
-    ) -> std::collections::BTreeMap<u16, std::collections::BTreeSet<Ipv4Addr>> {
-        let q = if malicious_only {
-            self.query().malicious()
-        } else {
-            self.query()
-        };
-        q.at(ips).group_by_port().keys(ports).distinct_srcs()
-    }
-
-    /// Distinct (source IP, source AS) pairs across a set of vantages —
-    /// Table 1's unique-scanner columns.
-    pub fn unique_sources(&self, ips: &[Ipv4Addr]) -> (usize, usize) {
-        self.query().at(ips).unique_src_and_asn()
     }
 
     /// Encode the dataset into a snapshot payload: the interner, the
@@ -852,6 +782,7 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{Plan, ScanExec};
     use cw_netsim::asn::Asn;
     use cw_netsim::time::SimTime;
 
@@ -956,30 +887,17 @@ mod tests {
             Raw::Payload(cw_protocols::tls::build_client_hello(1, None)),
         );
         let ds = b.build();
-        let ip = Ipv4Addr::new(20, 10, 0, 0);
-        assert_eq!(ds.events_at_in(ip, TrafficSlice::SshPort22).len(), 1);
-        assert_eq!(ds.events_at_in(ip, TrafficSlice::TelnetPort23).len(), 1);
-        assert_eq!(ds.events_at_in(ip, TrafficSlice::HttpPort80).len(), 0);
+        let exec = ScanExec::unplanned(&ds);
+        let n = |slice| {
+            exec.run(&Plan::at(&[Ipv4Addr::new(20, 10, 0, 0)]).slice(slice).count())
+                .into_count()
+        };
+        assert_eq!(n(TrafficSlice::SshPort22), 1);
+        assert_eq!(n(TrafficSlice::TelnetPort23), 1);
+        assert_eq!(n(TrafficSlice::HttpPort80), 0);
         // HTTP/All catches the HTTP payload on 8080 but not the TLS one.
-        assert_eq!(ds.events_at_in(ip, TrafficSlice::HttpAllPorts).len(), 1);
-        assert_eq!(ds.events_at_in(ip, TrafficSlice::AnyAll).len(), 4);
-    }
-
-    #[test]
-    fn source_sets_and_unique_counts() {
-        let mut b = Builder::new();
-        b.push_from(Ipv4Addr::new(100, 0, 0, 1), Asn(4134), 22, Raw::Handshake);
-        b.push_from(
-            Ipv4Addr::new(100, 0, 0, 2),
-            Asn(174),
-            22,
-            Raw::Creds(LoginService::Ssh, "root", "root"),
-        );
-        let ds = b.build();
-        let ip = Ipv4Addr::new(20, 10, 0, 0);
-        assert_eq!(ds.sources_on_port(&[ip], 22).len(), 2);
-        assert_eq!(ds.malicious_sources_on_port(&[ip], 22).len(), 1);
-        assert_eq!(ds.unique_sources(&[ip]), (2, 2));
+        assert_eq!(n(TrafficSlice::HttpAllPorts), 1);
+        assert_eq!(n(TrafficSlice::AnyAll), 4);
     }
 
     #[test]
@@ -1085,7 +1003,7 @@ mod tests {
         }
         // Derived indexes are rebuilt, not deserialized.
         let ip = Ipv4Addr::new(20, 10, 0, 0);
-        assert_eq!(back.events_at(ip).len(), ds.events_at(ip).len());
+        assert_eq!(back.dst_index(ip), ds.dst_index(ip));
         assert!(back.vantage(ip).is_some());
     }
 

@@ -23,6 +23,7 @@
 
 use crate::bundle::SimBundle;
 use crate::leak::{LeakConfig, LeakGroup, LeakOutcome, LeakService};
+use crate::query::{Plan, ScanExec};
 use crate::report::{header_str, TextTable};
 use crate::scenario::ScenarioConfig;
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
@@ -113,7 +114,9 @@ pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
             .filter(|v| v.provider == Provider::Aws && v.collector == CollectorKind::GreyNoise)
             .map(|v| v.ip)
             .collect();
-        let (aws_srcs, _) = bundle.dataset.query().at(&aws_ips).unique_src_and_asn();
+        let (aws_srcs, _) = ScanExec::unplanned(&bundle.dataset)
+            .run(&Plan::at(&aws_ips).unique_src_and_asn())
+            .into_unique_src_and_asn();
         let tel_srcs = bundle.telescope.unique_source_count();
         let ratio = tel_srcs as f64 / (aws_srcs as f64).max(1.0);
         out.push(FindingEval {

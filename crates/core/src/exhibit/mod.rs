@@ -176,8 +176,7 @@ impl<'a> ExhibitCx<'a> {
         let mut stats = Vec::new();
         for (year, plans) in per_year {
             let bundle = &self.bundles[&year];
-            let store = PlanStore::build(&bundle.dataset, &plans)
-                .expect("exhibit-declared plans validate");
+            let store = PlanStore::build(&bundle.dataset, &plans);
             stats.push(PrefetchStats {
                 year,
                 plans: store.plans(),

@@ -221,8 +221,7 @@ pub fn table4_with(exec: &ScanExec<'_>, deployment: &Deployment) -> Vec<MostDiff
 /// The full Table 4 grid without prefetched plans: a local [`PlanStore`]
 /// fuses the grid's per-honeypot scans to one pass per honeypot.
 pub fn table4(dataset: &Dataset, deployment: &Deployment) -> Vec<MostDifferentRegion> {
-    let store =
-        PlanStore::build(dataset, &table4_plans(deployment)).expect("table4 plans validate");
+    let store = PlanStore::build(dataset, &table4_plans(deployment));
     table4_with(&ScanExec::with_store(dataset, &store), deployment)
 }
 
@@ -339,8 +338,7 @@ pub fn table5(
     slice: TrafficSlice,
     kind: CharKind,
 ) -> Vec<SimilarityCell> {
-    let store = PlanStore::build(dataset, &table5_plans(deployment, slice, kind))
-        .expect("table5 plans validate");
+    let store = PlanStore::build(dataset, &table5_plans(deployment, slice, kind));
     table5_with(&ScanExec::with_store(dataset, &store), deployment, slice, kind)
 }
 
@@ -398,13 +396,11 @@ mod tests {
             .1
             .iter()
             .map(|&ip| {
-                *s.dataset
-                    .query()
-                    .at(&[ip])
+                let plan = Plan::at(&[ip])
                     .slice(TrafficSlice::SshPort22)
-                    .char_freqs(CharKind::TopAs)
-                    .get("AS6503")
-                    .unwrap_or(&0)
+                    .char_freqs(CharKind::TopAs);
+                let freqs = ScanExec::unplanned(&s.dataset).run(&plan).into_char_freqs();
+                freqs.get("AS6503").copied().unwrap_or(0)
             })
             .max()
             .unwrap();

@@ -457,9 +457,8 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
             let all = hourly
                 .entry((fleet.group, svc))
                 .or_insert_with(|| vec![0.0; hours]);
-            // Raw (unclassified) query over the fleet capture: port
-            // pushdown on the id columns, table-order rows.
-            for e in crate::query::Query::events(cap.table()).port(svc.port()).rows() {
+            // The raw (unclassified) fleet capture, in table order.
+            for e in cap.events_on_port(svc.port()) {
                 if excluded.contains(&e.src) {
                     continue;
                 }
@@ -479,7 +478,7 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
             let mal = hourly_malicious
                 .entry((fleet.group, svc))
                 .or_insert_with(|| vec![0.0; hours]);
-            for e in crate::query::Query::events(cap.table()).port(svc.port()).rows() {
+            for e in cap.events_on_port(svc.port()) {
                 if excluded.contains(&e.src) {
                     continue;
                 }
@@ -508,13 +507,9 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
         }
         // Unique SSH passwords per group.
         let set = ssh_passwords.entry(fleet.group).or_default();
-        // Kind pushdown: only credential rows are materialized, and the
-        // CredId → string resolution happens here at the render boundary.
-        for e in crate::query::Query::events(cap.table())
-            .port(22)
-            .kind(crate::query::ObsKind::Credentials)
-            .rows()
-        {
+        // The CredId → string resolution happens here, at the render
+        // boundary, for credential rows only.
+        for e in cap.events_on_port(22) {
             if let Observed::Credentials { password, .. } = e.observed {
                 set.insert(interner.cred(password).to_string());
             }

@@ -9,9 +9,9 @@
 //! - [`dataset`] — the queryable event store, traffic slices
 //!   (SSH/22, Telnet/23, HTTP/80, HTTP/All-Ports), and CSV/JSONL export
 //!   (the "released dataset");
-//! - [`query`] — the typed filter → group → aggregate builder over the
-//!   columnar store: predicates push down onto the `Copy` ID columns and
-//!   string resolution stays at the render boundary (`docs/QUERY.md`);
+//! - [`query`] — typed, fusable scan plans over the columnar store:
+//!   predicates push down onto the `Copy` ID columns and string
+//!   resolution stays at the render boundary (`docs/QUERY.md`);
 //! - [`axes`] — who / what / why extraction: top ASes, top usernames and
 //!   passwords, top normalized payloads, fraction malicious;
 //! - [`compare`] — the §3.3 comparison procedure: top-3 union contingency
@@ -70,7 +70,7 @@ pub mod temporal;
 pub use bundle::SimBundle;
 pub use compare::{CharKind, GroupComparison};
 pub use dataset::{Dataset, TrafficSlice};
-pub use query::{Plan, PlanError, PlanResult, PlanSet, PlanStore, Query, ScanExec};
+pub use query::{Plan, PlanResult, PlanSet, PlanStore, ScanExec};
 pub use scenario::{Scenario, ScenarioConfig};
 
 /// `docs/QUERY.md` compiled as doctests: every `rust` block in the query

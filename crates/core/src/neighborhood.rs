@@ -96,10 +96,7 @@ pub fn cell_plans(deployment: &Deployment, slice: TrafficSlice) -> Vec<Plan> {
         if ips.len() < 2 {
             continue;
         }
-        plans.extend(
-            ips.iter()
-                .map(|&ip| Plan::at(&[ip]).slice(slice).classified()),
-        );
+        plans.extend(ips.iter().map(|&ip| Plan::at(&[ip]).slice(slice).rows()));
     }
     plans
 }
@@ -126,7 +123,7 @@ pub fn analyze_cell_with(
         let groups: Vec<Vec<crate::dataset::ClassifiedEvent<'_>>> = ips
             .iter()
             .map(|&ip| {
-                exec.run(&Plan::at(&[ip]).slice(slice).classified())
+                exec.run(&Plan::at(&[ip]).slice(slice).rows())
                     .into_rows()
                     .into_iter()
                     .map(|i| dataset.event(i))
@@ -173,8 +170,7 @@ pub fn analyze_cell(
     characteristic: CharKind,
     alpha: f64,
 ) -> NeighborhoodRow {
-    let store =
-        PlanStore::build(dataset, &cell_plans(deployment, slice)).expect("cell plans validate");
+    let store = PlanStore::build(dataset, &cell_plans(deployment, slice));
     analyze_cell_with(
         &ScanExec::with_store(dataset, &store),
         deployment,
@@ -223,8 +219,7 @@ pub fn table2_with(exec: &ScanExec<'_>, deployment: &Deployment) -> Vec<Neighbor
 /// The full Table 2 without prefetched plans: one local [`PlanStore`]
 /// fuses the grid's scans to one pass per (slice-observing honeypot).
 pub fn table2(dataset: &Dataset, deployment: &Deployment) -> Vec<NeighborhoodRow> {
-    let store =
-        PlanStore::build(dataset, &table2_plans(deployment)).expect("table2 plans validate");
+    let store = PlanStore::build(dataset, &table2_plans(deployment));
     table2_with(&ScanExec::with_store(dataset, &store), deployment)
 }
 

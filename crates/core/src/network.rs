@@ -13,6 +13,7 @@
 use crate::compare::{compare_freqs, CharKind, GroupComparison};
 use crate::dataset::{Dataset, TrafficSlice};
 use crate::geography::region_freqs;
+use crate::query::{Plan, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
 use cw_honeypot::telescope::Telescope;
 use std::collections::BTreeMap;
@@ -158,18 +159,14 @@ pub fn honeytrap_pair(
     if matches!(kind, CharKind::TopUsername | CharKind::TopPassword) {
         return None; // Honeytrap never observes credentials.
     }
-    // One query per fleet: push the fleet down, slice, fold by interned id.
-    let fa = dataset
-        .query()
-        .at(&honeytrap_fleet_ips(deployment, fleet_a))
-        .slice(slice)
-        .char_freqs(kind);
-    let fb = dataset
-        .query()
-        .at(&honeytrap_fleet_ips(deployment, fleet_b))
-        .slice(slice)
-        .char_freqs(kind);
-    compare_freqs(kind, &[fa, fb], alpha, family)
+    // One plan per fleet: push the fleet down, slice, fold by interned id.
+    let freqs = |fleet| {
+        let plan = Plan::at(&honeytrap_fleet_ips(deployment, fleet))
+            .slice(slice)
+            .char_freqs(kind);
+        ScanExec::unplanned(dataset).run(&plan).into_char_freqs()
+    };
+    compare_freqs(kind, &[freqs(fleet_a), freqs(fleet_b)], alpha, family)
 }
 
 /// The cloud–EDU pair list (geographically matched, §5.2 methodology).
@@ -252,7 +249,8 @@ pub fn telescope_vs_fleet(
     } else {
         ips
     };
-    let fleet_freqs = dataset.query().at(&ips).slice(slice).char_freqs(CharKind::TopAs);
+    let plan = Plan::at(&ips).slice(slice).char_freqs(CharKind::TopAs);
+    let fleet_freqs = ScanExec::unplanned(dataset).run(&plan).into_char_freqs();
     compare_freqs(CharKind::TopAs, &[tel_freqs, fleet_freqs], alpha, family)
 }
 

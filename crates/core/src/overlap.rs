@@ -95,18 +95,12 @@ pub fn table8_and_9_plans(deployment: &Deployment) -> Vec<Plan> {
     let cloud = cloud_ips(deployment);
     let edu = edu_ips(deployment);
     vec![
-        Plan::at(&cloud).grouped_by_port(&POPULAR_PORTS).distinct_srcs(),
-        Plan::at(&cloud)
-            .malicious()
-            .grouped_by_port(&TABLE9_PORTS)
-            .distinct_srcs(),
+        Plan::at(&cloud).srcs_by_port(&POPULAR_PORTS),
+        Plan::at(&cloud).malicious().srcs_by_port(&TABLE9_PORTS),
         // Honeytrap can only verify maliciousness from payloads: on the
         // credential ports the Table 9 EDU column is the paper's ×.
-        Plan::at(&edu).grouped_by_port(&POPULAR_PORTS).distinct_srcs(),
-        Plan::at(&edu)
-            .malicious()
-            .grouped_by_port(&[80, 8080])
-            .distinct_srcs(),
+        Plan::at(&edu).srcs_by_port(&POPULAR_PORTS),
+        Plan::at(&edu).malicious().srcs_by_port(&[80, 8080]),
     ]
 }
 
@@ -161,8 +155,7 @@ pub fn table8_and_9(
     deployment: &Deployment,
     telescope: &Telescope,
 ) -> (Vec<OverlapRow>, Vec<MaliciousOverlapRow>) {
-    let store = PlanStore::build(dataset, &table8_and_9_plans(deployment))
-        .expect("overlap plans validate");
+    let store = PlanStore::build(dataset, &table8_and_9_plans(deployment));
     table8_and_9_with(&ScanExec::with_store(dataset, &store), deployment, telescope)
 }
 

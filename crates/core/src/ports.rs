@@ -62,10 +62,7 @@ pub fn section6_fleets(deployment: &Deployment) -> Vec<Ipv4Addr> {
 /// fleet domain, so prefetching both costs one pass instead of two.
 pub fn protocol_breakdown_plans(deployment: &Deployment, port: u16) -> Vec<Plan> {
     let ips = section6_fleets(deployment);
-    vec![Plan::at(&ips)
-        .port(port)
-        .grouped_by_fingerprint()
-        .distinct_srcs()]
+    vec![Plan::at(&ips).port(port).srcs_by_fingerprint()]
 }
 
 /// Table 11 (and Table 17's left column) for one port, through a
@@ -265,8 +262,7 @@ pub fn composition_stats_with(exec: &ScanExec<'_>, deployment: &Deployment) -> C
 /// Compute the §3.2 statistics without prefetched plans: a local
 /// [`PlanStore`] fuses the seven plans into two passes.
 pub fn composition_stats(dataset: &Dataset, deployment: &Deployment) -> CompositionStats {
-    let store = PlanStore::build(dataset, &composition_stats_plans(deployment))
-        .expect("composition plans validate");
+    let store = PlanStore::build(dataset, &composition_stats_plans(deployment));
     composition_stats_with(&ScanExec::with_store(dataset, &store), deployment)
 }
 

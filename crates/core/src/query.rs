@@ -1,48 +1,39 @@
-//! Typed queries over the columnar event store.
+//! Typed scans over the columnar event store.
 //!
-//! Every exhibit used to hand-roll its sweep: a `for` loop over
-//! [`Dataset::events_at`] with inline `if` filters, re-materializing
-//! row-shaped [`ClassifiedEvent`]s even when the analysis only touched one
-//! column. This module replaces those loops with a small
-//! filter → group → aggregate builder whose predicates **push down onto the
-//! `Copy` ID columns** ([`PayloadId`]/port/verdict/fingerprint) of the
-//! struct-of-arrays [`EventTable`]. String resolution through the interner
-//! never happens inside a query — aggregates count by ID, and only render
-//! code resolves IDs to strings (see `docs/QUERY.md` for the full contract).
+//! Every exhibit is a filter → aggregate scan over the classified
+//! [`Dataset`]. A [`Plan`] describes one such scan as an owned value: a
+//! destination domain ([`Plan::at`], or [`Plan::scan`] for table order),
+//! predicates that **push down onto the `Copy` ID columns**
+//! (port/verdict/fingerprint/observation kind) of the struct-of-arrays
+//! [`EventTable`](cw_honeypot::capture::EventTable), and one terminal
+//! aggregate. String resolution through the interner never happens inside
+//! a scan — aggregates count by ID, and only render code resolves IDs to
+//! strings (see `docs/QUERY.md` for the full contract).
 //!
-//! Two entry points:
+//! Plans run through a [`PlanSet`]: the executor partitions the submitted
+//! plans by row-enumeration domain (identical destination pushdown),
+//! evaluates each partition in **one pass** over the interned columns, and
+//! returns typed [`PlanResult`]s in submission order. Tables 8 and 9 (same
+//! fleets, different residual filters) cost two fleet scans instead of
+//! four; across the exhibit registry, the driver prefetches every declared
+//! plan per bundle into a [`PlanStore`] so coinciding scans fuse
+//! registry-wide (see `docs/QUERY.md` and `Exhibit::plans`). [`ScanExec`]
+//! serves a plan from a store or runs it standalone.
 //!
-//! - [`Query::events`] — a *raw* query over a bare [`EventTable`] (the leak
-//!   harness queries its [`cw_honeypot::capture::Capture`] this way, before
-//!   any dataset exists). Rows are enumerated in table order.
-//! - [`Dataset::query`] — a *dataset-backed* query that can additionally
-//!   filter on the classification columns (§3.2 verdict, LZR fingerprint,
-//!   the §3.3 traffic slices) and push destination predicates down onto the
-//!   dataset's per-destination row index via [`Query::at`]. Rows are
-//!   enumerated per destination IP, in the order the IPs were given —
-//!   exactly the order of the hand-rolled sweeps this layer retired.
+//! Every domain, predicate and terminal combines with every other, so
+//! every plan that can be built can run: there is no validation step and
+//! no error path.
 //!
-//! Analyses over the same snapshot that want to share a row scan build
-//! [`Plan`] values — an owned, declarative description of a scan (pushdown
-//! predicates + group key + terminal) that can be constructed before any
-//! dataset exists — and submit them to a [`PlanSet`]. The executor
-//! partitions the submitted plans by row-enumeration domain (identical
-//! destination pushdown), evaluates each partition in **one pass** over the
-//! interned columns, and returns typed [`PlanResult`]s in submission order.
-//! Tables 8 and 9 (same fleets, different residual filters) cost two fleet
-//! scans instead of four; across the exhibit registry, the driver prefetches
-//! every declared plan per bundle into a [`PlanStore`] so coinciding scans
-//! fuse registry-wide (see `docs/QUERY.md` and `Exhibit::plans`).
-//!
-//! Scan-count observability: every column pass (a [`Query`] terminal or a
-//! `PlanSet` partition) bumps process-wide counters, readable via
-//! [`scan_counters`]. The `cw all --trace-scans` flag and
-//! `BENCH_scenario.json` report fused vs planned scan counts from them.
+//! Scan-count observability: every `PlanSet` partition pass bumps
+//! process-wide counters, readable via [`scan_counters`]. The `cw all
+//! --trace-scans` flag and `BENCH_scenario.json` report fused vs planned
+//! scan counts from them.
 //!
 //! # Example
 //!
 //! ```
 //! use cw_core::dataset::Dataset;
+//! use cw_core::{Plan, ScanExec};
 //! use cw_honeypot::capture::{Capture, Observed, ScanEvent};
 //! use cw_honeypot::deployment::Deployment;
 //! use cw_netsim::asn::Asn;
@@ -65,26 +56,26 @@
 //! let ds = Dataset::from_captures(&[&cap], &deployment);
 //!
 //! // Distinct Telnet-port scanners at this vantage: 2 (sources .1 and .2).
-//! let telnet = ds.query().at(&[dst]).port_in(&[23, 2323]).distinct_srcs();
+//! let plan = Plan::at(&[dst]).port_in(&[23, 2323]).distinct_srcs();
+//! let telnet = ScanExec::unplanned(&ds).run(&plan).into_distinct_srcs();
 //! assert_eq!(telnet.len(), 2);
 //! ```
 
 use crate::compare::CharKind;
 use crate::dataset::{ClassifiedEvent, Dataset, TrafficSlice};
 use cw_detection::Verdict;
-use cw_honeypot::capture::{EventTable, Observed, ScanEvent};
-use cw_netsim::intern::PayloadId;
+use cw_honeypot::capture::Observed;
 use cw_protocols::ProtocolId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide column passes actually executed (each [`Query`] terminal
-/// scan and each fused [`PlanSet`] partition counts one).
+/// Process-wide column passes actually executed (each fused [`PlanSet`]
+/// partition counts one).
 static FUSED_PASSES: AtomicU64 = AtomicU64::new(0);
-/// Process-wide plan evaluations requested (each [`Query`] terminal counts
-/// one; each plan submitted to an executed [`PlanSet`] counts one). The gap
-/// between this and [`FUSED_PASSES`] is the fusion win.
+/// Process-wide plan evaluations requested (each plan submitted to an
+/// executed [`PlanSet`] counts one). The gap between this and
+/// [`FUSED_PASSES`] is the fusion win.
 static PLANNED_SCANS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide candidate rows enumerated across all passes.
 static SCANNED_ROWS: AtomicU64 = AtomicU64::new(0);
@@ -127,7 +118,7 @@ pub fn scan_counters() -> ScanCounters {
     }
 }
 
-/// The observation kinds a [`Query::kind`] / [`Query::not_kind`] predicate
+/// The observation kinds a [`Plan::kind`] / [`Plan::not_kind`] predicate
 /// selects on (the discriminant of [`Observed`], without its payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObsKind {
@@ -153,9 +144,8 @@ impl ObsKind {
     }
 }
 
-/// A residual row predicate. Column-only variants evaluate against the
-/// [`EventTable`]; classification variants read the dataset's verdict or
-/// fingerprint column and therefore require a dataset-backed query.
+/// A residual row predicate, evaluated against the dataset's event table
+/// and classification columns.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Pred {
     Port(u16),
@@ -168,14 +158,8 @@ enum Pred {
     NotKind(ObsKind),
 }
 
-fn class_of(class: Option<&Dataset>) -> &Dataset {
-    class.expect(
-        "classification predicate (verdict/fingerprint/HTTP-all slice) on a raw \
-         event-table query; build the query with Dataset::query instead",
-    )
-}
-
-fn admits(preds: &[Pred], table: &EventTable, class: Option<&Dataset>, i: usize) -> bool {
+fn admits(preds: &[Pred], ds: &Dataset, i: usize) -> bool {
+    let table = ds.table();
     preds.iter().all(|p| match p {
         Pred::Port(port) => table.dst_ports()[i] == *port,
         Pred::PortIn(ports) => ports.contains(&table.dst_ports()[i]),
@@ -183,364 +167,27 @@ fn admits(preds: &[Pred], table: &EventTable, class: Option<&Dataset>, i: usize)
             TrafficSlice::SshPort22 => table.dst_ports()[i] == 22,
             TrafficSlice::TelnetPort23 => table.dst_ports()[i] == 23,
             TrafficSlice::HttpPort80 => table.dst_ports()[i] == 80,
-            TrafficSlice::HttpAllPorts => {
-                class_of(class).fingerprints()[i] == Some(ProtocolId::Http)
-            }
+            TrafficSlice::HttpAllPorts => ds.fingerprints()[i] == Some(ProtocolId::Http),
             TrafficSlice::AnyAll => true,
         },
-        Pred::Verdict(v) => class_of(class).verdicts()[i] == *v,
-        Pred::Fingerprint(proto) => class_of(class).fingerprints()[i] == Some(*proto),
-        Pred::Fingerprinted => class_of(class).fingerprints()[i].is_some(),
+        Pred::Verdict(v) => ds.verdicts()[i] == *v,
+        Pred::Fingerprint(proto) => ds.fingerprints()[i] == Some(*proto),
+        Pred::Fingerprinted => ds.fingerprints()[i].is_some(),
         Pred::Kind(k) => k.matches(&table.observed()[i]),
         Pred::NotKind(k) => !k.matches(&table.observed()[i]),
     })
 }
 
-/// A lazily built filter → group → aggregate plan over the event columns.
-///
-/// Builder methods add predicates; terminal methods
-/// ([`Query::count`], [`Query::distinct_srcs`], [`Query::classified`], …)
-/// run the scan. Nothing is evaluated until a terminal runs, and a query
-/// can be run more than once.
-#[derive(Clone)]
-pub struct Query<'a> {
-    table: &'a EventTable,
-    class: Option<&'a Dataset>,
-    dsts: Option<Vec<Ipv4Addr>>,
-    preds: Vec<Pred>,
-}
-
-impl<'a> Query<'a> {
-    /// A raw query over a bare event table (no classification columns).
-    ///
-    /// Rows are enumerated in table order. Classification predicates
-    /// ([`Query::verdict`], [`Query::fingerprint`],
-    /// `slice(TrafficSlice::HttpAllPorts)`) and the [`Query::at`] pushdown
-    /// panic on a raw query — they need a [`Dataset`].
-    pub fn events(table: &'a EventTable) -> Self {
-        Query {
-            table,
-            class: None,
-            dsts: None,
-            preds: Vec::new(),
-        }
-    }
-
-    /// A dataset-backed query (all predicates available). Equivalent to
-    /// [`Dataset::query`].
-    pub fn over(dataset: &'a Dataset) -> Self {
-        Query {
-            table: dataset.table(),
-            class: Some(dataset),
-            dsts: None,
-            preds: Vec::new(),
-        }
-    }
-
-    /// Push destination filtering down onto the dataset's per-destination
-    /// row index: only rows destined to `ips` are visited, without scanning
-    /// the destination column. Rows are enumerated per IP **in the order
-    /// given** (then in capture order within an IP), which is the
-    /// concatenation order of the retired hand-rolled sweeps.
-    ///
-    /// # Panics
-    /// Panics on a raw [`Query::events`] query — the index lives on the
-    /// [`Dataset`].
-    pub fn at(mut self, ips: &[Ipv4Addr]) -> Self {
-        assert!(
-            self.class.is_some(),
-            "destination pushdown on a raw event-table query; build the query \
-             with Dataset::query instead"
-        );
-        self.dsts = Some(ips.to_vec());
-        self
-    }
-
-    /// Keep rows whose destination port is `port`.
-    pub fn port(mut self, port: u16) -> Self {
-        self.preds.push(Pred::Port(port));
-        self
-    }
-
-    /// Keep rows whose destination port is one of `ports`.
-    pub fn port_in(mut self, ports: &[u16]) -> Self {
-        self.preds.push(Pred::PortIn(ports.to_vec()));
-        self
-    }
-
-    /// Keep rows inside a §3.3 traffic slice. `HttpAllPorts` reads the
-    /// fingerprint column and needs a dataset-backed query.
-    pub fn slice(mut self, slice: TrafficSlice) -> Self {
-        self.preds.push(Pred::Slice(slice));
-        self
-    }
-
-    /// Keep rows with the given §3.2 verdict (dataset-backed only).
-    pub fn verdict(mut self, v: Verdict) -> Self {
-        self.preds.push(Pred::Verdict(v));
-        self
-    }
-
-    /// Keep rows classified as attacker traffic — shorthand for
-    /// `verdict(Verdict::Attacker)`.
-    pub fn malicious(self) -> Self {
-        self.verdict(Verdict::Attacker)
-    }
-
-    /// Keep rows whose payload fingerprinted as `proto` (dataset-backed).
-    pub fn fingerprint(mut self, proto: ProtocolId) -> Self {
-        self.preds.push(Pred::Fingerprint(proto));
-        self
-    }
-
-    /// Keep rows that fingerprinted as *some* protocol (dataset-backed).
-    pub fn fingerprinted(mut self) -> Self {
-        self.preds.push(Pred::Fingerprinted);
-        self
-    }
-
-    /// Keep rows whose observation is of `kind`.
-    pub fn kind(mut self, kind: ObsKind) -> Self {
-        self.preds.push(Pred::Kind(kind));
-        self
-    }
-
-    /// Keep rows whose observation is *not* of `kind`.
-    pub fn not_kind(mut self, kind: ObsKind) -> Self {
-        self.preds.push(Pred::NotKind(kind));
-        self
-    }
-
-    /// Run the scan, calling `f` with each admitted row index.
-    fn for_each(&self, mut f: impl FnMut(usize)) {
-        FUSED_PASSES.fetch_add(1, Ordering::Relaxed);
-        PLANNED_SCANS.fetch_add(1, Ordering::Relaxed);
-        let mut rows = 0u64;
-        match &self.dsts {
-            Some(ips) => {
-                let ds = class_of(self.class);
-                for &ip in ips {
-                    let Some(idxs) = ds.dst_index(ip) else { continue };
-                    rows += idxs.len() as u64;
-                    for &i in idxs {
-                        if admits(&self.preds, self.table, self.class, i) {
-                            f(i);
-                        }
-                    }
-                }
-            }
-            None => {
-                rows = self.table.len() as u64;
-                for i in 0..self.table.len() {
-                    if admits(&self.preds, self.table, self.class, i) {
-                        f(i);
-                    }
-                }
-            }
-        }
-        SCANNED_ROWS.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Number of admitted rows.
-    pub fn count(&self) -> usize {
-        let mut n = 0;
-        self.for_each(|_| n += 1);
-        n
-    }
-
-    /// Admitted row indices, in enumeration order.
-    pub fn indices(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each(|i| out.push(i));
-        out
-    }
-
-    /// Admitted rows as row views, in enumeration order.
-    pub fn rows(&self) -> Vec<ScanEvent> {
-        let mut out = Vec::new();
-        self.for_each(|i| out.push(self.table.get(i)));
-        out
-    }
-
-    /// Admitted rows as [`ClassifiedEvent`]s (dataset-backed only), in
-    /// enumeration order — the drop-in replacement for the retired
-    /// `events_at_group`-style sweeps.
-    pub fn classified(&self) -> Vec<ClassifiedEvent<'a>> {
-        let ds = class_of(self.class);
-        let mut out = Vec::new();
-        self.for_each(|i| out.push(ds.event(i)));
-        out
-    }
-
-    /// Distinct source IPs among admitted rows.
-    pub fn distinct_srcs(&self) -> BTreeSet<Ipv4Addr> {
-        let mut out = BTreeSet::new();
-        self.for_each(|i| {
-            out.insert(self.table.srcs()[i]);
-        });
-        out
-    }
-
-    /// Distinct source IP and source AS counts among admitted rows —
-    /// Table 1's unique-scanner columns in one pass.
-    pub fn unique_src_and_asn(&self) -> (usize, usize) {
-        let mut srcs = BTreeSet::new();
-        let mut asns = BTreeSet::new();
-        self.for_each(|i| {
-            srcs.insert(self.table.srcs()[i]);
-            asns.insert(self.table.src_asns()[i].0);
-        });
-        (srcs.len(), asns.len())
-    }
-
-    /// The §3.3 characteristic frequencies of the admitted rows
-    /// (dataset-backed only) — `kind.freqs(...)` over the matching events.
-    /// Counting happens by interned ID; `CharKind` resolves strings once
-    /// per distinct ID at the render boundary.
-    pub fn char_freqs(&self, kind: CharKind) -> BTreeMap<String, u64> {
-        kind.freqs(&self.classified())
-    }
-
-    /// Group admitted rows by destination port.
-    pub fn group_by_port(self) -> Grouped<'a, u16> {
-        let ports = self.table.dst_ports();
-        Grouped {
-            q: self,
-            restrict: None,
-            key: Box::new(move |i| Some(ports[i])),
-        }
-    }
-
-    /// Group admitted rows by source IP.
-    pub fn group_by_src(self) -> Grouped<'a, Ipv4Addr> {
-        let srcs = self.table.srcs();
-        Grouped {
-            q: self,
-            restrict: None,
-            key: Box::new(move |i| Some(srcs[i])),
-        }
-    }
-
-    /// Group admitted rows by source AS number.
-    pub fn group_by_asn(self) -> Grouped<'a, u32> {
-        let asns = self.table.src_asns();
-        Grouped {
-            q: self,
-            restrict: None,
-            key: Box::new(move |i| Some(asns[i].0)),
-        }
-    }
-
-    /// Group admitted rows by LZR fingerprint (dataset-backed only). Rows
-    /// without a fingerprint fall outside every group.
-    pub fn group_by_fingerprint(self) -> Grouped<'a, ProtocolId> {
-        let fps = class_of(self.class).fingerprints();
-        Grouped {
-            q: self,
-            restrict: None,
-            key: Box::new(move |i| fps[i]),
-        }
-    }
-}
-
-/// A grouped query: a [`Query`] plus a group key drawn from one of the
-/// `Copy` ID columns. Aggregate terminals run the underlying scan once.
-pub struct Grouped<'a, K> {
-    q: Query<'a>,
-    restrict: Option<Vec<K>>,
-    key: Box<dyn Fn(usize) -> Option<K> + 'a>,
-}
-
-impl<'a, K: Ord + Copy> Grouped<'a, K> {
-    /// Restrict the grouping to a fixed key list: only listed keys are
-    /// aggregated, and every listed key appears in the result even when no
-    /// row matched it (the Tables 8/9 fixed-port-list contract).
-    pub fn keys(mut self, keys: &[K]) -> Self {
-        self.restrict = Some(keys.to_vec());
-        self
-    }
-
-    fn seeded<V: Default>(&self) -> BTreeMap<K, V> {
-        self.restrict
-            .as_ref()
-            .map(|keys| keys.iter().map(|&k| (k, V::default())).collect())
-            .unwrap_or_default()
-    }
-
-    /// Fold admitted rows into per-group accumulators in one scan.
-    fn fold<V: Default>(&self, mut push: impl FnMut(&mut V, usize)) -> BTreeMap<K, V> {
-        let mut out = self.seeded::<V>();
-        let restricted = self.restrict.is_some();
-        self.q.for_each(|i| {
-            if let Some(k) = (self.key)(i) {
-                if restricted {
-                    if let Some(v) = out.get_mut(&k) {
-                        push(v, i);
-                    }
-                } else {
-                    push(out.entry(k).or_default(), i);
-                }
-            }
-        });
-        out
-    }
-
-    /// Rows per group.
-    pub fn counts(&self) -> BTreeMap<K, u64> {
-        self.fold(|n: &mut u64, _| *n += 1)
-    }
-
-    /// Distinct source IPs per group — the backbone of Tables 8/9.
-    pub fn distinct_srcs(&self) -> BTreeMap<K, BTreeSet<Ipv4Addr>> {
-        let srcs = self.q.table.srcs();
-        self.fold(|set: &mut BTreeSet<Ipv4Addr>, i| {
-            set.insert(srcs[i]);
-        })
-    }
-
-    /// Distinct payload IDs per group (rows without a payload don't count)
-    /// — `count_distinct(PayloadId)` in the query-plan sketch.
-    pub fn count_distinct_payloads(&self) -> BTreeMap<K, usize> {
-        let observed = self.q.table.observed();
-        self.fold(|set: &mut BTreeSet<PayloadId>, i| {
-            if let Some(p) = observed[i].payload() {
-                set.insert(p);
-            }
-        })
-        .into_iter()
-        .map(|(k, set)| (k, set.len()))
-        .collect()
-    }
-}
-
-/// The group key of a [`Plan`]: how admitted rows are bucketed before the
-/// terminal aggregates them.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum GroupKey {
-    /// No grouping: the terminal aggregates every admitted row.
-    None,
-    /// Group by destination port over a fixed, seeded key list: only listed
-    /// ports are aggregated and every listed port appears in the result,
-    /// even empty — the Tables 8/9 contract of [`Grouped::keys`].
-    Ports(Vec<u16>),
-    /// Group by LZR fingerprint; rows without a fingerprint fall outside
-    /// every group (matches [`Query::group_by_fingerprint`]).
-    Fingerprint,
-}
-
 /// The terminal aggregate of a [`Plan`] — what one pass folds the admitted
 /// rows into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Terminal {
     /// Admitted-row count → [`PlanResult::Count`].
     Count,
-    /// Admitted row indices in enumeration order → [`PlanResult::Rows`].
+    /// Admitted row indices in enumeration order → [`PlanResult::Rows`]
+    /// (resolve to [`ClassifiedEvent`]s through [`Dataset::event`]).
     Rows,
-    /// Admitted row indices, for resolution to
-    /// [`ClassifiedEvent`]s via [`Dataset::event`] → [`PlanResult::Rows`].
-    Classified,
-    /// Distinct source IPs → [`PlanResult::DistinctSrcs`] (or the per-group
-    /// map variants under a [`GroupKey`]).
+    /// Distinct source IPs → [`PlanResult::DistinctSrcs`].
     DistinctSrcs,
     /// Distinct source-IP and source-AS counts → Table 1's columns,
     /// [`PlanResult::UniqueSrcAndAsn`].
@@ -549,50 +196,30 @@ pub enum Terminal {
     /// [`PlanResult::CharFreqs`]. Strings resolve once per distinct ID when
     /// the partition finishes, never inside the scan.
     CharFreqs(CharKind),
+    /// Distinct source IPs per destination port over a fixed key list:
+    /// only listed ports are aggregated and every listed port appears in
+    /// the result, even empty — the Tables 8/9 contract →
+    /// [`PlanResult::PortSrcs`].
+    SrcsByPort(Vec<u16>),
+    /// Distinct source IPs per LZR fingerprint; rows without a fingerprint
+    /// fall outside every group → [`PlanResult::FingerprintSrcs`].
+    SrcsByFingerprint,
 }
 
-/// A [`Plan`] that cannot execute. Returned by [`PlanSet::submit`] instead
-/// of panicking at scan time, so a misdeclared exhibit plan fails loudly at
-/// submission with the offending combination attached.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanError {
-    /// The group key × terminal combination has no defined aggregate (only
-    /// `DistinctSrcs` folds under a group key today).
-    Unsupported {
-        /// The plan's group key.
-        group: GroupKey,
-        /// The plan's terminal.
-        terminal: Terminal,
-    },
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanError::Unsupported { group, terminal } => write!(
-                f,
-                "unsupported plan: terminal {terminal:?} under group key {group:?} \
-                 (grouped plans support DistinctSrcs only)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
-
-/// A declarative scan: pushdown predicates + group key + terminal, as an
-/// **owned value** — no dataset borrow, so exhibits can declare the plans
-/// they will need before any world is simulated (`Exhibit::plans`), and
-/// identical plans deduplicate structurally ([`Plan`] is `Eq + Hash`).
+/// A declarative scan: destination domain + pushdown predicates +
+/// terminal, as an **owned value** — no dataset borrow, so exhibits can
+/// declare the plans they will need before any world is simulated
+/// (`Exhibit::plans`), and identical plans deduplicate structurally
+/// ([`Plan`] is `Eq + Hash`).
 ///
-/// Builders mirror [`Query`]'s: [`Plan::at`] fixes the enumeration domain
-/// (or [`Plan::scan`] for table order), predicate methods push filters
-/// down, [`Plan::grouped_by_port`] / [`Plan::grouped_by_fingerprint`] set
-/// the group key, and the terminal methods ([`Plan::count`],
-/// [`Plan::distinct_srcs`], …) pick the aggregate. Unlike the retired
-/// `Batch`, a conflicting destination pushdown is unrepresentable: the
-/// plan owns its single domain, and the executor groups plans *by* domain
-/// instead of asserting they already agree.
+/// [`Plan::at`] fixes the enumeration domain (or [`Plan::scan`] for table
+/// order), predicate methods push filters down, and the terminal methods
+/// ([`Plan::count`], [`Plan::rows`], [`Plan::distinct_srcs`],
+/// [`Plan::unique_src_and_asn`], [`Plan::char_freqs`],
+/// [`Plan::srcs_by_port`], [`Plan::srcs_by_fingerprint`]) pick the
+/// aggregate; the last one called wins. A conflicting destination pushdown
+/// is unrepresentable: the plan owns its single domain, and the executor
+/// groups plans *by* domain.
 ///
 /// Execute through [`PlanSet`] (fused with other plans), [`PlanStore`]
 /// (prefetched and memoized), or [`ScanExec::run`] (store hit or
@@ -601,7 +228,6 @@ impl std::error::Error for PlanError {}
 pub struct Plan {
     dsts: Option<Vec<Ipv4Addr>>,
     preds: Vec<Pred>,
-    group: GroupKey,
     terminal: Terminal,
 }
 
@@ -611,13 +237,14 @@ impl Plan {
         Plan {
             dsts: None,
             preds: Vec::new(),
-            group: GroupKey::None,
             terminal: Terminal::Count,
         }
     }
 
-    /// A plan over the rows destined to `ips`, enumerated per IP in the
-    /// order given — the same domain and order as [`Query::at`].
+    /// A plan over the rows destined to `ips`: only those rows are
+    /// visited, through the dataset's per-destination row index, without
+    /// scanning the destination column. Rows are enumerated per IP **in
+    /// the order given**, then in capture order within an IP.
     pub fn at(ips: &[Ipv4Addr]) -> Self {
         Plan {
             dsts: Some(ips.to_vec()),
@@ -679,19 +306,6 @@ impl Plan {
         self
     }
 
-    /// Group by destination port over the fixed `ports` key list (every
-    /// listed port appears in the result, even empty).
-    pub fn grouped_by_port(mut self, ports: &[u16]) -> Self {
-        self.group = GroupKey::Ports(ports.to_vec());
-        self
-    }
-
-    /// Group by LZR fingerprint.
-    pub fn grouped_by_fingerprint(mut self) -> Self {
-        self.group = GroupKey::Fingerprint;
-        self
-    }
-
     /// Terminal: count admitted rows.
     pub fn count(mut self) -> Self {
         self.terminal = Terminal::Count;
@@ -704,14 +318,7 @@ impl Plan {
         self
     }
 
-    /// Terminal: admitted row indices, declared for resolution to
-    /// [`ClassifiedEvent`]s through [`Dataset::event`] after the scan.
-    pub fn classified(mut self) -> Self {
-        self.terminal = Terminal::Classified;
-        self
-    }
-
-    /// Terminal: distinct source IPs (per group under a group key).
+    /// Terminal: distinct source IPs.
     pub fn distinct_srcs(mut self) -> Self {
         self.terminal = Terminal::DistinctSrcs;
         self
@@ -729,16 +336,18 @@ impl Plan {
         self
     }
 
-    /// Check the group key × terminal combination is executable.
-    pub fn validate(&self) -> Result<(), PlanError> {
-        match (&self.group, self.terminal) {
-            (GroupKey::None, _) => Ok(()),
-            (GroupKey::Ports(_) | GroupKey::Fingerprint, Terminal::DistinctSrcs) => Ok(()),
-            (group, terminal) => Err(PlanError::Unsupported {
-                group: group.clone(),
-                terminal,
-            }),
-        }
+    /// Terminal: distinct source IPs per destination port, over the fixed
+    /// `ports` key list (every listed port appears in the result, even
+    /// empty).
+    pub fn srcs_by_port(mut self, ports: &[u16]) -> Self {
+        self.terminal = Terminal::SrcsByPort(ports.to_vec());
+        self
+    }
+
+    /// Terminal: distinct source IPs per LZR fingerprint.
+    pub fn srcs_by_fingerprint(mut self) -> Self {
+        self.terminal = Terminal::SrcsByFingerprint;
+        self
     }
 }
 
@@ -748,18 +357,18 @@ impl Plan {
 pub enum PlanResult {
     /// [`Terminal::Count`].
     Count(usize),
-    /// [`Terminal::Rows`] / [`Terminal::Classified`]: admitted row indices
-    /// in enumeration order (resolve via [`Dataset::event`] as needed).
+    /// [`Terminal::Rows`]: admitted row indices in enumeration order
+    /// (resolve via [`Dataset::event`] as needed).
     Rows(Vec<usize>),
-    /// Ungrouped [`Terminal::DistinctSrcs`].
+    /// [`Terminal::DistinctSrcs`].
     DistinctSrcs(BTreeSet<Ipv4Addr>),
     /// [`Terminal::UniqueSrcAndAsn`]: (distinct sources, distinct ASes).
     UniqueSrcAndAsn(usize, usize),
     /// [`Terminal::CharFreqs`].
     CharFreqs(BTreeMap<String, u64>),
-    /// [`Terminal::DistinctSrcs`] under [`GroupKey::Ports`].
+    /// [`Terminal::SrcsByPort`].
     PortSrcs(BTreeMap<u16, BTreeSet<Ipv4Addr>>),
-    /// [`Terminal::DistinctSrcs`] under [`GroupKey::Fingerprint`].
+    /// [`Terminal::SrcsByFingerprint`].
     FingerprintSrcs(BTreeMap<ProtocolId, BTreeSet<Ipv4Addr>>),
 }
 
@@ -790,7 +399,7 @@ impl PlanResult {
         }
     }
 
-    /// Unwrap an ungrouped [`PlanResult::DistinctSrcs`].
+    /// Unwrap a [`PlanResult::DistinctSrcs`].
     ///
     /// # Panics
     /// Panics if the result is another variant.
@@ -859,28 +468,24 @@ enum Acc {
 
 impl Acc {
     fn for_plan(plan: &Plan) -> Acc {
-        match (&plan.group, plan.terminal) {
-            (GroupKey::Ports(ports), Terminal::DistinctSrcs) => {
+        match &plan.terminal {
+            Terminal::Count => Acc::Count(0),
+            Terminal::Rows => Acc::Rows(Vec::new()),
+            Terminal::DistinctSrcs => Acc::DistinctSrcs(BTreeSet::new()),
+            Terminal::UniqueSrcAndAsn => Acc::SrcAsn(BTreeSet::new(), BTreeSet::new()),
+            Terminal::CharFreqs(kind) => Acc::CharFreqs(*kind, Vec::new()),
+            Terminal::SrcsByPort(ports) => {
                 Acc::PortSrcs(ports.iter().map(|&p| (p, BTreeSet::new())).collect())
             }
-            (GroupKey::Fingerprint, Terminal::DistinctSrcs) => {
-                Acc::FingerprintSrcs(BTreeMap::new())
-            }
-            (GroupKey::None, t) => match t {
-                Terminal::Count => Acc::Count(0),
-                Terminal::Rows | Terminal::Classified => Acc::Rows(Vec::new()),
-                Terminal::DistinctSrcs => Acc::DistinctSrcs(BTreeSet::new()),
-                Terminal::UniqueSrcAndAsn => Acc::SrcAsn(BTreeSet::new(), BTreeSet::new()),
-                Terminal::CharFreqs(kind) => Acc::CharFreqs(kind, Vec::new()),
-            },
-            _ => unreachable!("plan validated at submission"),
+            Terminal::SrcsByFingerprint => Acc::FingerprintSrcs(BTreeMap::new()),
         }
     }
 
-    fn update(&mut self, plan: &Plan, ds: &Dataset, table: &EventTable, i: usize) {
-        if !admits(&plan.preds, table, Some(ds), i) {
+    fn update(&mut self, plan: &Plan, ds: &Dataset, i: usize) {
+        if !admits(&plan.preds, ds, i) {
             return;
         }
+        let table = ds.table();
         match self {
             Acc::Count(n) => *n += 1,
             Acc::Rows(v) => v.push(i),
@@ -913,9 +518,8 @@ impl Acc {
             Acc::SrcAsn(srcs, asns) => PlanResult::UniqueSrcAndAsn(srcs.len(), asns.len()),
             Acc::CharFreqs(kind, v) => {
                 // The one resolution point: IDs → strings per distinct ID,
-                // after the scan, exactly like `Query::char_freqs`.
-                let events: Vec<ClassifiedEvent<'_>> =
-                    v.into_iter().map(|i| ds.event(i)).collect();
+                // after the scan.
+                let events: Vec<ClassifiedEvent<'_>> = v.into_iter().map(|i| ds.event(i)).collect();
                 PlanResult::CharFreqs(kind.freqs(&events))
             }
             Acc::PortSrcs(m) => PlanResult::PortSrcs(m),
@@ -939,10 +543,10 @@ impl PlanId {
 /// The fusing executor: submitted [`Plan`]s are partitioned by identical
 /// row-enumeration domain (the `dsts` pushdown, compared structurally) and
 /// each partition runs in **one pass** over the interned columns, every
-/// plan's accumulator seeing exactly the rows — in exactly the order — a
-/// standalone [`Query`] would have fed it. Results come back in submission
-/// order regardless of how plans were grouped into passes; partitions
-/// execute in first-submission order.
+/// plan's accumulator seeing exactly the rows — in exactly the order — it
+/// would have seen running alone. Results come back in submission order
+/// regardless of how plans were grouped into passes; partitions execute in
+/// first-submission order.
 pub struct PlanSet<'a> {
     dataset: &'a Dataset,
     plans: Vec<Plan>,
@@ -957,20 +561,17 @@ impl<'a> PlanSet<'a> {
         }
     }
 
-    /// Submit a plan, validating it first — the typed replacement for the
-    /// retired `Batch::plan` `assert!`. The returned [`PlanId`] indexes
+    /// Submit a plan. The returned [`PlanId`] indexes
     /// [`PlanSet::execute`]'s result vector.
-    pub fn submit(&mut self, plan: Plan) -> Result<PlanId, PlanError> {
-        plan.validate()?;
+    pub fn submit(&mut self, plan: Plan) -> PlanId {
         self.plans.push(plan);
-        Ok(PlanId(self.plans.len() - 1))
+        PlanId(self.plans.len() - 1)
     }
 
     /// Execute every submitted plan, one fused pass per enumeration
     /// domain, returning results in submission order.
     pub fn execute(self) -> Vec<PlanResult> {
         let ds = self.dataset;
-        let table = ds.table();
         let mut results: Vec<Option<PlanResult>> = (0..self.plans.len()).map(|_| None).collect();
         // Partition by identical destination domain, first-submission order.
         let mut partitions: Vec<(&Option<Vec<Ipv4Addr>>, Vec<usize>)> = Vec::new();
@@ -990,13 +591,15 @@ impl<'a> PlanSet<'a> {
             let mut rows = 0u64;
             let visit = |accs: &mut Vec<Acc>, i: usize| {
                 for (acc, &p) in accs.iter_mut().zip(&members) {
-                    acc.update(&self.plans[p], ds, table, i);
+                    acc.update(&self.plans[p], ds, i);
                 }
             };
             match dsts {
                 Some(ips) => {
                     for &ip in ips {
-                        let Some(idxs) = ds.dst_index(ip) else { continue };
+                        let Some(idxs) = ds.dst_index(ip) else {
+                            continue;
+                        };
                         rows += idxs.len() as u64;
                         for &i in idxs {
                             visit(&mut accs, i);
@@ -1004,8 +607,8 @@ impl<'a> PlanSet<'a> {
                     }
                 }
                 None => {
-                    rows = table.len() as u64;
-                    for i in 0..table.len() {
+                    rows = ds.len() as u64;
+                    for i in 0..ds.len() {
                         visit(&mut accs, i);
                     }
                 }
@@ -1017,7 +620,7 @@ impl<'a> PlanSet<'a> {
         }
         results
             .into_iter()
-            .map(|r| r.expect("every partition finishes its members"))
+            .map(|r| r.expect("every plan belongs to exactly one partition"))
             .collect()
     }
 }
@@ -1036,24 +639,14 @@ pub struct PlanStore {
 }
 
 impl PlanStore {
-    /// A store with no prefetched results (every [`ScanExec::run`] misses —
-    /// the legacy, unprefetched path).
-    pub fn empty() -> Self {
-        PlanStore {
-            results: HashMap::new(),
-            passes: 0,
-        }
-    }
-
     /// Deduplicate `plans`, execute the distinct ones in one fused
-    /// [`PlanSet`], and memoize the results. Fails on the first invalid
-    /// plan without scanning anything.
-    pub fn build(dataset: &Dataset, plans: &[Plan]) -> Result<PlanStore, PlanError> {
+    /// [`PlanSet`], and memoize the results.
+    pub fn build(dataset: &Dataset, plans: &[Plan]) -> PlanStore {
         let mut set = PlanSet::over(dataset);
         let mut distinct: Vec<Plan> = Vec::new();
         for plan in plans {
             if !distinct.contains(plan) {
-                set.submit(plan.clone())?;
+                set.submit(plan.clone());
                 distinct.push(plan.clone());
             }
         }
@@ -1065,10 +658,10 @@ impl PlanStore {
         }
         let passes = domains.len();
         let results = set.execute();
-        Ok(PlanStore {
+        PlanStore {
             results: distinct.into_iter().zip(results).collect(),
             passes,
-        })
+        }
     }
 
     /// The memoized result for `plan`, if it was prefetched.
@@ -1125,19 +718,12 @@ impl<'a> ScanExec<'a> {
 
     /// Run one plan: store hit → cloned memoized result, miss → standalone
     /// execution (one pass).
-    ///
-    /// # Panics
-    /// Panics if the plan fails [`Plan::validate`] — callers constructing
-    /// plans dynamically should validate at submission via
-    /// [`PlanSet::submit`] instead.
     pub fn run(&self, plan: &Plan) -> PlanResult {
         if let Some(hit) = self.store.and_then(|s| s.get(plan)) {
             return hit.clone();
         }
         let mut set = PlanSet::over(self.dataset);
-        let id = set
-            .submit(plan.clone())
-            .expect("statically-declared plans validate");
+        let id = set.submit(plan.clone());
         set.execute().swap_remove(id.index())
     }
 }
@@ -1145,7 +731,7 @@ impl<'a> ScanExec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cw_honeypot::capture::Capture;
+    use cw_honeypot::capture::{Capture, ScanEvent};
     use cw_honeypot::deployment::Deployment;
     use cw_netsim::asn::Asn;
     use cw_netsim::flow::LoginService;
@@ -1153,8 +739,7 @@ mod tests {
 
     const DST: Ipv4Addr = Ipv4Addr::new(20, 10, 0, 0);
 
-    fn event(cap: &Capture, src: u8, port: u16, observed: Observed) -> ScanEvent {
-        let _ = cap;
+    fn event(src: u8, port: u16, observed: Observed) -> ScanEvent {
         ScanEvent {
             time: SimTime(60),
             src: Ipv4Addr::new(100, 0, 0, src),
@@ -1175,13 +760,13 @@ mod tests {
             password: cap.intern_cred("123456"),
         };
         let rows = [
-            event(&cap, 1, 23, Observed::Syn),
-            event(&cap, 2, 23, Observed::Handshake),
-            event(&cap, 2, 2323, Observed::Syn),
-            event(&cap, 3, 22, creds),
-            event(&cap, 4, 80, get),
-            event(&cap, 4, 80, exploit),
-            event(&cap, 5, 8080, get),
+            event(1, 23, Observed::Syn),
+            event(2, 23, Observed::Handshake),
+            event(2, 2323, Observed::Syn),
+            event(3, 22, creds),
+            event(4, 80, get),
+            event(4, 80, exploit),
+            event(5, 8080, get),
         ];
         for e in rows {
             cap.record(e);
@@ -1189,168 +774,154 @@ mod tests {
         Dataset::from_captures(&[&cap], &Deployment::standard())
     }
 
+    fn run(ds: &Dataset, plan: Plan) -> PlanResult {
+        ScanExec::unplanned(ds).run(&plan)
+    }
+
+    /// The rows `keep` admits, in table order: the hand-rolled column loop
+    /// every plan is checked against.
+    fn hand_rolled(ds: &Dataset, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+        (0..ds.len()).filter(|&i| keep(i)).collect()
+    }
+
     #[test]
     fn predicates_match_hand_rolled_filters() {
         let ds = dataset();
-        assert_eq!(ds.query().port(23).count(), 2);
-        assert_eq!(ds.query().port_in(&[23, 2323]).count(), 3);
-        assert_eq!(ds.query().at(&[DST]).port(80).count(), 2);
-        assert_eq!(ds.query().malicious().count(), 2); // creds + log4shell
-        assert_eq!(ds.query().fingerprint(ProtocolId::Http).count(), 3);
-        assert_eq!(ds.query().kind(ObsKind::Credentials).count(), 1);
-        assert_eq!(ds.query().not_kind(ObsKind::Credentials).count(), 6);
-        assert_eq!(ds.query().slice(TrafficSlice::HttpAllPorts).count(), 3);
-        assert_eq!(ds.query().slice(TrafficSlice::AnyAll).count(), 7);
+        let t = ds.table();
+        let port = |i: usize| t.dst_ports()[i];
+        let fp = |i: usize| ds.fingerprints()[i];
+        let creds = |i: usize| ObsKind::Credentials.matches(&t.observed()[i]);
+        // (plan, hand-rolled rows, pinned count on the fixture)
+        let check = |plan: Plan, expected: Vec<usize>, n: usize| {
+            assert_eq!(expected.len(), n, "{plan:?}");
+            assert_eq!(run(&ds, plan.clone().count()).into_count(), n, "{plan:?}");
+            assert_eq!(
+                run(&ds, plan.clone().rows()).into_rows(),
+                expected,
+                "{plan:?}"
+            );
+        };
+        check(
+            Plan::scan().port(23),
+            hand_rolled(&ds, |i| port(i) == 23),
+            2,
+        );
+        let telnet = |i| [23, 2323].contains(&port(i));
+        check(
+            Plan::scan().port_in(&[23, 2323]),
+            hand_rolled(&ds, telnet),
+            3,
+        );
+        check(
+            Plan::at(&[DST]).port(80),
+            hand_rolled(&ds, |i| port(i) == 80),
+            2,
+        );
+        // creds + log4shell
+        let attacker = |i| ds.verdicts()[i] == Verdict::Attacker;
+        check(Plan::scan().malicious(), hand_rolled(&ds, attacker), 2);
+        let http = |i| fp(i) == Some(ProtocolId::Http);
+        check(
+            Plan::scan().fingerprint(ProtocolId::Http),
+            hand_rolled(&ds, http),
+            3,
+        );
+        check(
+            Plan::scan().fingerprinted(),
+            hand_rolled(&ds, |i| fp(i).is_some()),
+            4,
+        );
+        check(
+            Plan::scan().kind(ObsKind::Credentials),
+            hand_rolled(&ds, creds),
+            1,
+        );
+        check(
+            Plan::scan().not_kind(ObsKind::Credentials),
+            hand_rolled(&ds, |i| !creds(i)),
+            6,
+        );
+        check(
+            Plan::scan().slice(TrafficSlice::HttpAllPorts),
+            hand_rolled(&ds, http),
+            3,
+        );
+        check(
+            Plan::scan().slice(TrafficSlice::AnyAll),
+            hand_rolled(&ds, |_| true),
+            7,
+        );
     }
 
     #[test]
-    fn enumeration_order_matches_the_retired_sweeps() {
+    fn every_terminal_matches_a_hand_rolled_column_loop() {
         let ds = dataset();
-        let manual: Vec<usize> = (0..ds.len())
-            .filter(|&i| ds.table().dst_ports()[i] == 80)
-            .collect();
-        assert_eq!(ds.query().port(80).indices(), manual);
-        // Dataset-backed pushdown enumerates via the destination index.
-        assert_eq!(ds.query().at(&[DST]).indices(), (0..7).collect::<Vec<_>>());
+        let t = ds.table();
+        let on80 = hand_rolled(&ds, |i| t.dst_ports()[i] == 80);
+        let base = Plan::at(&[DST]).port(80);
+
+        let srcs: BTreeSet<Ipv4Addr> = on80.iter().map(|&i| t.srcs()[i]).collect();
+        assert_eq!(
+            run(&ds, base.clone().distinct_srcs()).into_distinct_srcs(),
+            srcs
+        );
+
+        let all_srcs: BTreeSet<Ipv4Addr> = t.srcs().iter().copied().collect();
+        let all_asns: BTreeSet<u32> = t.src_asns().iter().map(|a| a.0).collect();
+        assert_eq!(
+            run(&ds, Plan::at(&[DST]).unique_src_and_asn()).into_unique_src_and_asn(),
+            (all_srcs.len(), all_asns.len())
+        );
+        assert_eq!((all_srcs.len(), all_asns.len()), (5, 1));
+
+        let events: Vec<_> = on80.iter().map(|&i| ds.event(i)).collect();
+        assert_eq!(
+            run(&ds, base.char_freqs(CharKind::TopAs)).into_char_freqs(),
+            CharKind::TopAs.freqs(&events)
+        );
+
+        let mut by_port: BTreeMap<u16, BTreeSet<Ipv4Addr>> =
+            [80, 443].iter().map(|&p| (p, BTreeSet::new())).collect();
+        for i in 0..ds.len() {
+            if let Some(set) = by_port.get_mut(&t.dst_ports()[i]) {
+                set.insert(t.srcs()[i]);
+            }
+        }
+        let got = run(&ds, Plan::at(&[DST]).srcs_by_port(&[80, 443])).into_port_srcs();
+        assert_eq!(got, by_port);
+        assert_eq!(got[&80].len(), 1);
+        assert!(got[&443].is_empty(), "seeded key must be present");
+
+        let mut by_fp: BTreeMap<ProtocolId, BTreeSet<Ipv4Addr>> = BTreeMap::new();
+        for i in 0..ds.len() {
+            if let Some(fp) = ds.fingerprints()[i] {
+                by_fp.entry(fp).or_default().insert(t.srcs()[i]);
+            }
+        }
+        let got = run(&ds, Plan::scan().srcs_by_fingerprint()).into_fingerprint_srcs();
+        assert_eq!(got, by_fp);
+        assert_eq!(got[&ProtocolId::Http].len(), 2);
     }
 
     #[test]
-    fn distinct_aggregates() {
-        let ds = dataset();
-        assert_eq!(ds.query().port_in(&[23, 2323]).distinct_srcs().len(), 2);
-        assert_eq!(ds.query().at(&[DST]).unique_src_and_asn(), (5, 1));
-        let by_port = ds.query().group_by_port().keys(&[80, 443]).distinct_srcs();
-        assert_eq!(by_port[&80].len(), 1);
-        assert!(by_port[&443].is_empty(), "seeded key must be present");
-        let by_fp = ds.query().group_by_fingerprint().distinct_srcs();
-        assert_eq!(by_fp[&ProtocolId::Http].len(), 2);
-        let payloads = ds.query().group_by_src().count_distinct_payloads();
-        assert_eq!(payloads[&Ipv4Addr::new(100, 0, 0, 4)], 2);
-    }
-
-    #[test]
-    fn grouped_counts_without_restriction() {
-        let ds = dataset();
-        let counts = ds.query().group_by_port().counts();
-        assert_eq!(counts[&23], 2);
-        assert_eq!(counts[&80], 2);
-        assert!(!counts.contains_key(&443));
-        let by_asn = ds.query().group_by_asn().counts();
-        assert_eq!(by_asn[&4134], 7);
-    }
-
-    #[test]
-    fn raw_query_over_a_bare_table() {
-        let ds = dataset();
-        let q = Query::events(ds.table());
-        assert_eq!(q.clone().port(23).count(), 2);
-        let rows = q.port(8080).rows();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].dst_port, 8080);
-    }
-
-    #[test]
-    #[should_panic(expected = "classification predicate")]
-    fn raw_query_rejects_classification_predicates() {
-        let ds = dataset();
-        Query::events(ds.table()).malicious().count();
-    }
-
-    #[test]
-    fn fused_plans_match_independent_queries() {
+    fn fused_plans_match_standalone_execution() {
         let ds = dataset();
         let ports = [22, 23, 80, 8080];
+        let plans = [
+            Plan::at(&[DST]).srcs_by_port(&ports),
+            Plan::at(&[DST]).malicious().srcs_by_port(&ports),
+            Plan::at(&[DST]).kind(ObsKind::Payload).rows(),
+            Plan::scan().srcs_by_fingerprint(),
+        ];
         let mut set = PlanSet::over(&ds);
-        let all_id = set
-            .submit(Plan::at(&[DST]).grouped_by_port(&ports).distinct_srcs())
-            .unwrap();
-        let bad_id = set
-            .submit(
-                Plan::at(&[DST])
-                    .malicious()
-                    .grouped_by_port(&ports)
-                    .distinct_srcs(),
-            )
-            .unwrap();
-        let mut results = set.execute();
-        let bad = results.swap_remove(bad_id.index()).into_port_srcs();
-        let all = results.swap_remove(all_id.index()).into_port_srcs();
-        let q_all = ds.query().at(&[DST]).group_by_port().keys(&ports).distinct_srcs();
-        let q_bad = ds
-            .query()
-            .at(&[DST])
-            .malicious()
-            .group_by_port()
-            .keys(&ports)
-            .distinct_srcs();
-        assert_eq!(all, q_all);
-        assert_eq!(bad, q_bad);
+        let ids: Vec<PlanId> = plans.iter().map(|p| set.submit(p.clone())).collect();
+        let fused = set.execute();
+        for (id, plan) in ids.iter().zip(&plans) {
+            assert_eq!(fused[id.index()], run(&ds, plan.clone()), "{plan:?}");
+        }
+        let bad = fused[ids[1].index()].clone().into_port_srcs();
         assert_eq!(bad[&80].len(), 1);
         assert!(bad[&8080].is_empty());
-    }
-
-    #[test]
-    fn every_terminal_matches_its_query_twin() {
-        let ds = dataset();
-        let exec = ScanExec::unplanned(&ds);
-        let base = Plan::at(&[DST]).port(80);
-        assert_eq!(
-            exec.run(&base.clone().count()).into_count(),
-            ds.query().at(&[DST]).port(80).count()
-        );
-        assert_eq!(
-            exec.run(&base.clone().rows()).into_rows(),
-            ds.query().at(&[DST]).port(80).indices()
-        );
-        assert_eq!(
-            exec.run(&base.clone().distinct_srcs()).into_distinct_srcs(),
-            ds.query().at(&[DST]).port(80).distinct_srcs()
-        );
-        assert_eq!(
-            exec.run(&Plan::at(&[DST]).unique_src_and_asn())
-                .into_unique_src_and_asn(),
-            ds.query().at(&[DST]).unique_src_and_asn()
-        );
-        assert_eq!(
-            exec.run(&base.char_freqs(CharKind::TopAs)).into_char_freqs(),
-            ds.query().at(&[DST]).port(80).char_freqs(CharKind::TopAs)
-        );
-        assert_eq!(
-            exec.run(&Plan::scan().fingerprint(ProtocolId::Http).rows())
-                .into_rows(),
-            ds.query().fingerprint(ProtocolId::Http).indices()
-        );
-        assert_eq!(
-            exec.run(
-                &Plan::at(&[DST])
-                    .port(80)
-                    .grouped_by_fingerprint()
-                    .distinct_srcs()
-            )
-            .into_fingerprint_srcs(),
-            ds.query()
-                .at(&[DST])
-                .port(80)
-                .group_by_fingerprint()
-                .distinct_srcs()
-        );
-    }
-
-    #[test]
-    fn invalid_group_terminal_combo_is_a_typed_error() {
-        let ds = dataset();
-        let mut set = PlanSet::over(&ds);
-        let bad = Plan::at(&[DST]).grouped_by_port(&[22]).count();
-        let err = set.submit(bad.clone()).unwrap_err();
-        assert!(matches!(
-            err,
-            PlanError::Unsupported {
-                group: GroupKey::Ports(_),
-                terminal: Terminal::Count,
-            }
-        ));
-        assert!(err.to_string().contains("unsupported plan"));
-        assert_eq!(PlanStore::build(&ds, &[bad]).unwrap_err(), err);
     }
 
     #[test]
@@ -1358,18 +929,18 @@ mod tests {
         let ds = dataset();
         let plan = Plan::at(&[DST]).port(23).distinct_srcs();
         let other = Plan::at(&[DST]).malicious().count();
-        let store =
-            PlanStore::build(&ds, &[plan.clone(), other.clone(), plan.clone()]).unwrap();
+        let store = PlanStore::build(&ds, &[plan.clone(), other.clone(), plan.clone()]);
         assert_eq!(store.plans(), 2, "duplicate plan must collapse");
         assert_eq!(store.passes(), 1, "same domain must fuse into one pass");
         let before = scan_counters();
         let exec = ScanExec::with_store(&ds, &store);
+        let hit = exec.run(&plan).into_distinct_srcs();
         assert_eq!(
-            exec.run(&plan).into_distinct_srcs(),
-            ds.query().at(&[DST]).port(23).distinct_srcs()
+            scan_counters().since(before).fused,
+            0,
+            "a store hit never scans"
         );
-        let after = scan_counters().since(before);
-        assert_eq!(after.fused, 1, "only the comparison query scans");
+        assert_eq!(hit, run(&ds, plan).into_distinct_srcs());
         // A plan outside the store falls back to standalone execution.
         assert_eq!(
             exec.run(&Plan::at(&[DST]).port(2323).count()).into_count(),
@@ -1382,9 +953,9 @@ mod tests {
         let ds = dataset();
         let before = scan_counters();
         let mut set = PlanSet::over(&ds);
-        set.submit(Plan::at(&[DST]).count()).unwrap();
-        set.submit(Plan::at(&[DST]).malicious().count()).unwrap();
-        set.submit(Plan::scan().count()).unwrap();
+        set.submit(Plan::at(&[DST]).count());
+        set.submit(Plan::at(&[DST]).malicious().count());
+        set.submit(Plan::scan().count());
         set.execute();
         let d = scan_counters().since(before);
         assert_eq!(d.planned, 3);

@@ -10,6 +10,7 @@
 use crate::compare::CharKind;
 use crate::dataset::{Dataset, TrafficSlice};
 use crate::overlap;
+use crate::query::{Plan, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment};
 use cw_honeypot::telescope::Telescope;
 use cw_stats::topk::top_k_of;
@@ -86,11 +87,10 @@ pub fn stability_with(
             .map(|v| v.ip)
             .collect();
         let tops = |d: &Dataset| -> BTreeSet<String> {
-            let freqs = d
-                .query()
-                .at(&ips)
+            let plan = Plan::at(&ips)
                 .slice(TrafficSlice::TelnetPort23)
                 .char_freqs(CharKind::TopAs);
+            let freqs = ScanExec::unplanned(d).run(&plan).into_char_freqs();
             top_k_of(&freqs, 3).into_iter().collect()
         };
         let ta = tops(a.dataset);

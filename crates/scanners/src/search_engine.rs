@@ -246,7 +246,7 @@ mod tests {
     use cw_netsim::engine::Engine;
 
     #[test]
-    fn index_publish_and_query() {
+    fn index_publish_and_lookup() {
         let mut idx = SearchIndex::new();
         let ip = Ipv4Addr::new(171, 64, 10, 1);
         idx.seed_historical(ip, 80, "HTTP");

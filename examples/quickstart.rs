@@ -8,6 +8,7 @@
 use cloud_watching::core::compare::CharKind;
 use cloud_watching::core::dataset::TrafficSlice;
 use cloud_watching::core::scenario::{Scenario, ScenarioConfig};
+use cloud_watching::core::{Plan, ScanExec};
 use cloud_watching::scanners::population::ScenarioYear;
 use cloud_watching::stats::topk::top_k_of;
 
@@ -29,15 +30,14 @@ fn main() {
         .filter(|v| v.id.starts_with("greynoise/aws/AP-SG"))
         .map(|v| v.ip)
         .collect();
-    // Questions about the dataset are query expressions (docs/QUERY.md):
+    // Questions about the dataset are scan plans (docs/QUERY.md):
     // predicates run on the interned ID columns, strings appear only in
     // the rendered answer.
-    let sg_ssh = scenario
-        .dataset
-        .query()
-        .at(&sg_ips)
-        .slice(TrafficSlice::SshPort22);
-    let who = sg_ssh.char_freqs(CharKind::TopAs);
+    let exec = ScanExec::unplanned(&scenario.dataset);
+    let sg_ssh = Plan::at(&sg_ips).slice(TrafficSlice::SshPort22);
+    let who = exec
+        .run(&sg_ssh.clone().char_freqs(CharKind::TopAs))
+        .into_char_freqs();
     println!("\nAWS Singapore SSH/22 — top scanning ASes:");
     for asn in top_k_of(&who, 3) {
         println!(
@@ -51,14 +51,21 @@ fn main() {
     }
 
     // 3. What credentials do attackers try there?
-    let usernames = sg_ssh.char_freqs(CharKind::TopUsername);
+    let usernames = exec
+        .run(&sg_ssh.clone().char_freqs(CharKind::TopUsername))
+        .into_char_freqs();
     println!("\nAWS Singapore SSH/22 — top usernames:");
     for u in top_k_of(&usernames, 3) {
         println!("  {:<12} {:>6} attempts", u, usernames[&u]);
     }
 
     // 4. How much of the traffic is verifiably malicious (§3.2)?
-    let events = sg_ssh.classified();
+    let events: Vec<_> = exec
+        .run(&sg_ssh.rows())
+        .into_rows()
+        .into_iter()
+        .map(|i| scenario.dataset.event(i))
+        .collect();
     let (attackers, scanners) = cloud_watching::core::axes::maliciousness_counts(&events);
     println!(
         "\nmaliciousness: {attackers} attacker events vs {scanners} scanner events \
@@ -69,7 +76,9 @@ fn main() {
     // 5. And the headline: how many SSH scanners also touch the telescope?
     let tel = scenario.telescope.borrow();
     let cloud_ips = cloud_watching::core::overlap::cloud_ips(&scenario.deployment);
-    let srcs = scenario.dataset.query().at(&cloud_ips).port(22).distinct_srcs();
+    let srcs = exec
+        .run(&Plan::at(&cloud_ips).port(22).distinct_srcs())
+        .into_distinct_srcs();
     let overlap = srcs
         .iter()
         .filter(|&&s| tel.saw_source_on_port(s, 22))

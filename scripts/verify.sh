@@ -36,8 +36,8 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test --release (the SHA-extension block function and bulk snapshot decoders, optimised)"
-cargo test --release -q -p cw-netsim -p cw-honeypot -p cw-core
+echo "==> cargo test --release (the SHA-extension block function, bulk snapshot decoders and cw CLI parser, optimised)"
+cargo test --release -q -p cw-netsim -p cw-honeypot -p cw-core -p cw-bench
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

@@ -15,13 +15,14 @@
 //! - [`honeypot`] — the instruments and the Table 1 deployment;
 //! - [`scanners`] — the attacker/scanner population;
 //! - [`stats`] — chi², Cramér's V, Bonferroni, Mann–Whitney, KS, top-3;
-//! - [`core`] — scenarios, analyses, the columnar query layer
-//!   ([`core::query`], see `docs/QUERY.md`), and table rendering.
+//! - [`core`] — scenarios, analyses, typed scan plans over the columnar
+//!   store ([`core::query`], see `docs/QUERY.md`), and table rendering.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use cloud_watching::core::scenario::{Scenario, ScenarioConfig};
+//! use cloud_watching::core::{Plan, ScanExec};
 //! use cloud_watching::scanners::population::ScenarioYear;
 //!
 //! // A reduced-scale simulated week of scanning traffic.
@@ -30,9 +31,10 @@
 //! );
 //! assert!(scenario.dataset.len() > 0);
 //!
-//! // Ask questions through the typed query layer: how many distinct
-//! // sources probed SSH anywhere in the fleet?
-//! let ssh_scanners = scenario.dataset.query().port(22).distinct_srcs();
+//! // Ask questions through typed scan plans: how many distinct sources
+//! // probed SSH anywhere in the fleet?
+//! let plan = Plan::scan().port(22).distinct_srcs();
+//! let ssh_scanners = ScanExec::unplanned(&scenario.dataset).run(&plan).into_distinct_srcs();
 //! assert!(ssh_scanners.len() <= scenario.dataset.len());
 //! ```
 

@@ -4,7 +4,9 @@
 use cloud_watching::core::compare::CharKind;
 use cloud_watching::core::dataset::TrafficSlice;
 use cloud_watching::core::scenario::{Scenario, ScenarioConfig};
-use cloud_watching::core::{figure1, geography, neighborhood, network, overlap, ports};
+use cloud_watching::core::{
+    figure1, geography, neighborhood, network, overlap, ports, Plan, ScanExec,
+};
 use cloud_watching::detection::Verdict;
 use cloud_watching::netsim::ip::IpExt;
 use cloud_watching::scanners::population::ScenarioYear;
@@ -38,7 +40,9 @@ fn traffic_reaches_every_network_kind() {
                 .filter(|v| v.id.starts_with(fleet))
                 .map(|v| v.ip)
                 .collect();
-            let (srcs, asns) = s.dataset.unique_sources(&ips);
+            let (srcs, asns) = ScanExec::unplanned(&s.dataset)
+                .run(&Plan::at(&ips).unique_src_and_asn())
+                .into_unique_src_and_asn();
             assert!(srcs > 20, "{fleet}: only {srcs} sources");
             assert!(asns > 5, "{fleet}: only {asns} ASes");
         }

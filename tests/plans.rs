@@ -11,11 +11,10 @@
 use cloud_watching::core::compare::CharKind;
 use cloud_watching::core::dataset::TrafficSlice;
 use cloud_watching::core::exhibit::{Exhibit, ExhibitCx, ExhibitOptions, REGISTRY};
-use cloud_watching::core::query::{scan_counters, GroupKey, ObsKind, Terminal};
+use cloud_watching::core::query::{scan_counters, ObsKind};
 use cloud_watching::core::scenario::ScenarioConfig;
 use cloud_watching::core::{
-    geography, neighborhood, overlap, ports, Plan, PlanError, PlanSet, PlanStore, ScanExec,
-    SimBundle,
+    geography, neighborhood, overlap, ports, Plan, PlanSet, PlanStore, ScanExec, SimBundle,
 };
 use cloud_watching::honeypot::deployment::{CollectorKind, Deployment, NetworkKind};
 use cloud_watching::protocols::iana::POPULAR_PORTS;
@@ -61,8 +60,8 @@ fn edu_ips(d: &Deployment) -> Vec<Ipv4Addr> {
         .collect()
 }
 
-/// A structurally diverse plan pool: every terminal, both group keys,
-/// overlapping and distinct destination domains, stacked predicates.
+/// A structurally diverse plan pool: every terminal, overlapping and
+/// distinct destination domains, stacked predicates.
 fn plan_pool() -> Vec<Plan> {
     let d = Deployment::standard();
     let g = greynoise_ips(&d);
@@ -75,18 +74,15 @@ fn plan_pool() -> Vec<Plan> {
         Plan::at(&g).port(23).distinct_srcs(),
         Plan::at(&g).port_in(&[22, 23, 80]).rows(),
         Plan::at(&g).unique_src_and_asn(),
-        Plan::at(&g).grouped_by_port(&POPULAR_PORTS).distinct_srcs(),
-        Plan::at(&g)
-            .malicious()
-            .grouped_by_port(&[80, 8080])
-            .distinct_srcs(),
+        Plan::at(&g).srcs_by_port(&POPULAR_PORTS),
+        Plan::at(&g).malicious().srcs_by_port(&[80, 8080]),
         Plan::at(&g)
             .slice(TrafficSlice::TelnetPort23)
             .char_freqs(CharKind::TopPassword),
         Plan::at(&e).slice(TrafficSlice::SshPort22).char_freqs(CharKind::TopAs),
         Plan::at(&e).fingerprinted().count(),
-        Plan::at(&e).port(80).grouped_by_fingerprint().distinct_srcs(),
-        Plan::at(&e).not_kind(ObsKind::Syn).classified(),
+        Plan::at(&e).port(80).srcs_by_fingerprint(),
+        Plan::at(&e).not_kind(ObsKind::Syn).rows(),
     ]
 }
 
@@ -106,7 +102,7 @@ proptest! {
         let alone = ScanExec::unplanned(&s.dataset);
         let mut set = PlanSet::over(&s.dataset);
         for &i in &picks {
-            set.submit(pool[i].clone()).expect("pool plans validate");
+            set.submit(pool[i].clone());
         }
         let before = scan_counters();
         let fused = set.execute();
@@ -127,14 +123,14 @@ fn submission_order_permutes_results_and_nothing_else() {
     let forward: Vec<_> = {
         let mut set = PlanSet::over(&s.dataset);
         for p in &pool {
-            set.submit(p.clone()).unwrap();
+            set.submit(p.clone());
         }
         set.execute()
     };
     let reversed: Vec<_> = {
         let mut set = PlanSet::over(&s.dataset);
         for p in pool.iter().rev() {
-            set.submit(p.clone()).unwrap();
+            set.submit(p.clone());
         }
         set.execute()
     };
@@ -166,7 +162,7 @@ fn ported_products_match_unplanned_execution() {
     plans.extend(ports::protocol_breakdown_plans(&d, 8080));
     plans.extend(ports::composition_stats_plans(&d));
 
-    let store = PlanStore::build(&s.dataset, &plans).unwrap();
+    let store = PlanStore::build(&s.dataset, &plans);
     assert!(
         store.passes() < store.plans(),
         "registry-style plan mix must actually fuse ({} plans, {} passes)",
@@ -251,38 +247,4 @@ fn prefetched_registry_renders_are_byte_identical() {
         fused.fused,
         unfused.fused
     );
-}
-
-#[test]
-fn grouped_plans_reject_unsupported_terminals_with_typed_errors() {
-    let _g = counter_lock();
-    let s = bundle();
-    let ips = [Ipv4Addr::new(20, 10, 0, 0)];
-    // Grouped plans support DistinctSrcs only; everything else is a typed
-    // error at validation/submission, never a scan-time panic.
-    let bad = [
-        Plan::at(&ips).grouped_by_port(&[22]).count(),
-        Plan::at(&ips).grouped_by_port(&[22]).rows(),
-        Plan::at(&ips).grouped_by_port(&[22]).unique_src_and_asn(),
-        Plan::at(&ips).grouped_by_fingerprint().char_freqs(CharKind::TopAs),
-        Plan::at(&ips).grouped_by_fingerprint().classified(),
-    ];
-    for plan in &bad {
-        let err = plan.validate().unwrap_err();
-        let PlanError::Unsupported { ref group, terminal } = err;
-        assert!(!matches!(group, GroupKey::None));
-        assert!(!matches!(terminal, Terminal::DistinctSrcs));
-        assert!(err.to_string().contains("unsupported plan"), "{err}");
-        // All three execution doors reject identically.
-        assert_eq!(PlanSet::over(&s.dataset).submit(plan.clone()).unwrap_err(), err);
-        assert_eq!(
-            PlanStore::build(&s.dataset, std::slice::from_ref(plan)).unwrap_err(),
-            err
-        );
-    }
-    // The supported grouped shape and all ungrouped terminals validate.
-    Plan::at(&ips).grouped_by_port(&[22]).distinct_srcs().validate().unwrap();
-    Plan::at(&ips).grouped_by_fingerprint().distinct_srcs().validate().unwrap();
-    Plan::at(&ips).char_freqs(CharKind::TopAs).validate().unwrap();
-    Plan::scan().count().validate().unwrap();
 }
