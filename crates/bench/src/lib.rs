@@ -1,4 +1,4 @@
-//! Shared plumbing for the `cw` multicall CLI and the benchmark harness.
+//! Flag parsing for the `cw` multicall CLI.
 //!
 //! Every command accepts `--scale <f64>`, `--seed <u64>`, `--threads <N>`,
 //! `--shards <K>`, `--no-cache` and (where relevant) `--year
@@ -14,7 +14,7 @@
 //! snapshot cache can never change results either ([`cw_core::snapshot`]),
 //! so `--no-cache` is purely a wall-clock/debugging knob.
 
-use cw_core::scenario::{Scenario, ScenarioConfig, DEFAULT_SEED};
+use cw_core::scenario::DEFAULT_SEED;
 use cw_netsim::fault::FaultPlan;
 use cw_scanners::population::ScenarioYear;
 
@@ -205,70 +205,10 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> RunOptions {
     opts
 }
 
-/// Parse `std::env::args()` (flags only, no subcommand — the benchmark
-/// harness entry point).
-pub fn parse_args() -> RunOptions {
-    parse_from(std::env::args().skip(1))
-}
-
 /// Worker-thread count for these options (flag, then `CW_THREADS`, then
 /// autodetect).
 pub fn threads(opts: RunOptions) -> usize {
     cw_core::fleet::resolve_threads(opts.threads)
-}
-
-/// Shard count for the benchmark's sharded phase (Phase 1b).
-///
-/// An explicit request (`--shards`/`CW_SHARDS`, pre-resolved by
-/// [`cw_core::fleet::resolve_shards`]) is honored as-is. On auto (`0`),
-/// multi-core machines get at least 2 shards so the merge machinery is
-/// always exercised — but a single-core machine gets 1: forcing shards
-/// there benchmarks pure merge overhead on hardware that can never overlap
-/// shard work (the regression recorded as 8.66s sharded vs 2.82s single in
-/// an earlier `BENCH_scenario.json`), and the scenario path itself resolves
-/// auto to the single-engine build on such machines.
-pub fn phase1b_shards(resolved: usize, hardware_threads: usize) -> usize {
-    match resolved {
-        0 if hardware_threads <= 1 => 1,
-        0 => hardware_threads.max(2),
-        k => k,
-    }
-}
-
-/// The scenario configuration these options select for a year. The shard
-/// count resolves flag → `CW_SHARDS` → auto (0, resolved to the machine's
-/// parallelism at run time); any value yields the same bytes.
-pub fn config_for(opts: RunOptions, default_year: ScenarioYear) -> ScenarioConfig {
-    let year = opts.year.unwrap_or(default_year);
-    ScenarioConfig::paper(year)
-        .with_seed(opts.seed)
-        .with_scale(opts.scale)
-        .with_shards(cw_core::fleet::resolve_shards(opts.shards))
-        .with_fault(opts.fault)
-}
-
-/// Run one configured scenario with progress logging on stderr.
-///
-/// Safe to call from fleet workers: progress goes to stderr (unordered
-/// under parallelism), results to the caller.
-pub fn run_config(config: ScenarioConfig) -> Scenario {
-    eprintln!(
-        "[cw] running {} scenario (scale {}, seed {:#x}) ...",
-        config.year.year(),
-        config.scale,
-        config.seed
-    );
-    let start = std::time::Instant::now();
-    let s = Scenario::run(config);
-    eprintln!(
-        "[cw] simulated {} week complete in {:.1?}: {} flows delivered, {} honeypot events, {} telescope packets",
-        config.year.year(),
-        start.elapsed(),
-        s.stats.flows_delivered,
-        s.dataset.len(),
-        s.telescope.borrow().total_packets()
-    );
-    s
 }
 
 #[cfg(test)]
@@ -313,18 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn phase1b_never_forces_shards_on_a_single_core_machine() {
-        // Auto on one hardware thread takes the legacy single-engine path.
-        assert_eq!(phase1b_shards(0, 1), 1);
-        // Auto on multi-core exercises the merge machinery.
-        assert_eq!(phase1b_shards(0, 2), 2);
-        assert_eq!(phase1b_shards(0, 8), 8);
-        // An explicit request is always honored, even on one core.
-        assert_eq!(phase1b_shards(3, 1), 3);
-        assert_eq!(phase1b_shards(1, 8), 1);
-    }
-
-    #[test]
     fn parse_from_fault_flags() {
         assert!(parse_from(strs(&[])).fault.is_none());
         let o = parse_from(strs(&[
@@ -348,8 +276,5 @@ mod tests {
         assert_eq!(o.fault.truncation, 0.25);
         assert_eq!(o.fault.truncate_to, 32);
         assert_eq!(o.fault.telescope_sample, 4);
-        // The parsed plan lands in the scenario config bit-for-bit.
-        let cfg = config_for(o, ScenarioYear::Y2021);
-        assert!(cfg.fault.same_bits(&o.fault));
     }
 }

@@ -157,23 +157,23 @@ type ClassifyMemo = HashMap<(PayloadId, u16), (Verdict, Option<ProtocolId>)>;
 /// [`Dataset::from_captures`].
 ///
 /// The materialized build sees every capture in full at the end of a run;
-/// the streaming scenario path instead drains each capture at every window
-/// boundary ([`Capture::take_rows`]) and feeds the chunks here as they
-/// appear. The builder keeps one accumulation slot per capture so the
-/// finished dataset's row order is exactly the materialized order — all of
-/// capture 0's rows (in recording order), then capture 1's, and so on —
-/// while the dataset interner grows in the shared capture interner's
-/// *insertion* order, which is independent of the drain schedule. The two
-/// builds are therefore byte-identical; `tests/determinism.rs` enforces it
-/// across window sizes and shard counts.
+/// a scenario build instead drains each capture at every window boundary
+/// ([`Capture::take_rows`]) and feeds the chunks here as they appear. The
+/// builder keeps one accumulation slot per capture so the finished
+/// dataset's row order is exactly the materialized order — all of capture
+/// 0's rows (in recording order), then capture 1's, and so on — while the
+/// dataset interner grows in the shared capture interner's *insertion*
+/// order, which is independent of the drain schedule. The result is
+/// therefore byte-identical for every window size; `tests/determinism.rs`
+/// enforces it across window sizes and shard counts.
 ///
-/// Two ingestion paths exist, matching the two scenario paths:
+/// Two ingestion paths exist, matching the two scenario builds:
 ///
 /// - [`DatasetBuilder::absorb_table`] bulk-appends a drained chunk whose
 ///   ids are translated through a [`Remap`] kept current with
-///   [`DatasetBuilder::extend_remap`] (single-engine streaming);
+///   [`DatasetBuilder::extend_remap`] (the K = 1 build);
 /// - [`DatasetBuilder::push_event`] appends one event already in the
-///   builder's id space (the sharded merge interns lazily in global
+///   builder's id space (the K > 1 build's merge interns lazily in global
 ///   `(time, agent, seq)` order via [`DatasetBuilder::intern_payload`] /
 ///   [`DatasetBuilder::intern_cred`]).
 pub struct DatasetBuilder {

@@ -5,7 +5,7 @@
 //! appendix year but follow `--year`; cross-year exhibits (Table 14,
 //! temporal stability) pin their years.
 
-use super::{Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest, SimBundle};
+use super::{BreakdownPort, Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest, SimBundle};
 use crate::compare::CharKind;
 use crate::dataset::TrafficSlice;
 use crate::network::{cloud_cloud_cell, honeytrap_cell, NetworkCell, CLOUD_EDU_PAIRS};
@@ -385,7 +385,7 @@ impl Exhibit for Table17 {
              HTTP/8080 66% vs ~HTTP/8080 34% (no reputation split — the GreyNoise feed ended)",
         ));
         let mut t = TextTable::new(&["Protocol/Port", "Breakdown", "Scanners"]);
-        for port in [80u16, 8080] {
+        for port in BreakdownPort::BOTH {
             let (rows, _) = cx.breakdown(self.needs()[0], port);
             for r in rows {
                 t.row(vec![

@@ -3,7 +3,7 @@
 //! Each render is a byte-exact port of the retired single-purpose binary
 //! of the same name.
 
-use super::{Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest, SimBundle};
+use super::{BreakdownPort, Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest, SimBundle};
 use crate::compare::CharKind;
 use crate::dataset::TrafficSlice;
 use crate::network::{cloud_cloud_cell, honeytrap_cell, NetworkCell, CLOUD_EDU_PAIRS};
@@ -587,7 +587,7 @@ impl Exhibit for Table11 {
             TextTable::new(&["Protocol/Port", "Breakdown", "% Benign", "% Malicious", "Scanners"]);
         // The binary printed the ~HTTP/80 share lines *while* filling the
         // table, so they precede the rendered table in the output stream.
-        for port in [80u16, 8080] {
+        for port in BreakdownPort::BOTH {
             let (rows, shares) = cx.breakdown(NEEDS[0], port);
             for r in rows {
                 t.row(vec![
@@ -598,7 +598,7 @@ impl Exhibit for Table11 {
                     r.scanners.to_string(),
                 ]);
             }
-            if port == 80 {
+            if port == BreakdownPort::P80 {
                 out.push_str("~HTTP/80 per-protocol shares:\n");
                 for sh in shares {
                     out.push_str(&format!("  {:<7} {:.2}%\n", sh.protocol.label(), sh.pct));
@@ -763,7 +763,7 @@ impl Exhibit for Recommendations {
             table4: cx.table4_rows(NEEDS[0]),
             table8: cx.table8_rows(NEEDS[0]),
             table9: cx.table9_rows(NEEDS[0]),
-            breakdown80: &cx.breakdown(NEEDS[0], 80).0,
+            breakdown80: &cx.breakdown(NEEDS[0], BreakdownPort::P80).0,
         };
         for r in crate::recommendations::evaluate_with(
             &s.dataset,

@@ -54,6 +54,36 @@ impl Need {
     }
 }
 
+/// A port whose Table 11/17 protocol breakdown [`ExhibitCx::breakdown`]
+/// memoizes: the paper reports only HTTP's two ports, so no other port can
+/// be asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BreakdownPort {
+    /// TCP/80.
+    P80,
+    /// TCP/8080.
+    P8080,
+}
+
+impl BreakdownPort {
+    /// Both ports, in the paper's row order.
+    pub const BOTH: [BreakdownPort; 2] = [BreakdownPort::P80, BreakdownPort::P8080];
+
+    /// The port number.
+    pub fn number(self) -> u16 {
+        match self {
+            BreakdownPort::P80 => 80,
+            BreakdownPort::P8080 => 8080,
+        }
+    }
+}
+
+impl std::fmt::Display for BreakdownPort {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.number().fmt(f)
+    }
+}
+
 /// The scenario-selection options shared by every exhibit in one
 /// invocation (the `--scale`, `--seed`, `--year` flags of the `cw` CLI).
 #[derive(Debug, Clone, Copy)]
@@ -258,25 +288,24 @@ impl<'a> ExhibitCx<'a> {
         &self.overlap_rows(need).1
     }
 
-    /// `need`'s Table 11 protocol breakdown for `port` (80 or 8080 only —
-    /// the two ports the paper reports), computed once per bundle.
+    /// `need`'s Table 11 protocol breakdown for `port`, computed once per
+    /// bundle.
     pub fn breakdown(
         &self,
         need: Need,
-        port: u16,
+        port: BreakdownPort,
     ) -> &(Vec<ProtocolBreakdownRow>, Vec<UnexpectedShare>) {
         let (s, m) = self.memo(need);
         let cell = match port {
-            80 => &m.breakdown80,
-            8080 => &m.breakdown8080,
-            other => panic!("no memoized breakdown for port {other}"),
+            BreakdownPort::P80 => &m.breakdown80,
+            BreakdownPort::P8080 => &m.breakdown8080,
         };
         cell.get_or_init(|| {
             crate::ports::protocol_breakdown_with(
                 &self.exec(need),
                 &Deployment::standard(),
                 &s.reputation,
-                port,
+                port.number(),
             )
         })
     }

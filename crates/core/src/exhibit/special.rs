@@ -4,7 +4,7 @@
 //! Each render is a byte-exact port of the retired single-purpose binary
 //! of the same name.
 
-use super::{Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest};
+use super::{BreakdownPort, Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest};
 use crate::compare::CharKind;
 use crate::dataset::TrafficSlice;
 use crate::leak::{LeakGroup, LeakService};
@@ -229,7 +229,7 @@ fn render_2021(cx: &ExhibitCx<'_>, need: Need, d: &Deployment) -> Vec<String> {
     sections.push(out);
 
     let mut out = header_str("Table 11 + §3.2 (2021 ports)");
-    for port in [80u16, 8080] {
+    for port in BreakdownPort::BOTH {
         let (rows, _) = cx.breakdown(need, port);
         for r in rows {
             out.push_str(&format!(
@@ -316,7 +316,7 @@ fn render_appendix(cx: &ExhibitCx<'_>, need: Need) -> String {
         rows[0].pct_different, rows[0].n
     ));
     {
-        let port = 80u16;
+        let port = BreakdownPort::P80;
         let (rows, _) = cx.breakdown(need, port);
         if let Some(r) = rows.iter().find(|r| !r.is_http) {
             out.push_str(&format!("  ~HTTP/{port} share: {:.0}%\n", r.pct_of_scanners));

@@ -1,11 +1,17 @@
 //! The parallel scenario fleet runner.
 //!
-//! Every experiment binary ultimately runs a handful of *independent*
-//! scenarios — one per (year, seed) pair, or several replicate seeds of the
-//! same year. Each run is single-threaded by design (the event loop wires
-//! agents with `Rc<RefCell<…>>`, so a [`Scenario`] is not `Send`), but the
-//! runs themselves share nothing: this module spreads them across worker
-//! threads while keeping every result bit-identical to a serial execution.
+//! Every `cw` command ultimately runs a handful of *independent* jobs — one
+//! world per (year, seed) pair, several replicate seeds of the same year,
+//! or one render per exhibit. A world is built on one thread by design (the
+//! event loop wires agents with `Rc<RefCell<…>>`, so a [`Scenario`] is not
+//! `Send`), but the jobs themselves share nothing: this module spreads them
+//! across worker threads while keeping every result bit-identical to a
+//! serial execution. It has four entry points:
+//!
+//! - [`try_map`]: one `Result` per job, so a caller can degrade per job;
+//! - [`try_map_timed`]: [`try_map`] plus per-worker wall clocks;
+//! - [`map`]: the infallible wrapper, for callers that cannot degrade;
+//! - [`run_replicates`]: `n` seed-split replicates of one world, merged.
 //!
 //! # Determinism contract
 //!
@@ -31,8 +37,8 @@
 //! (see [`map`]): requesting 8 workers on a 1-core box used to run ~15%
 //! *slower* than serial from pure oversubscription — context switching and
 //! cache thrash with zero latency to hide — while producing the same bytes.
-//! [`map_timed`] exposes per-worker wall clocks so that kind of contention
-//! is visible in bench output instead of inferred.
+//! [`try_map_timed`] exposes per-worker wall clocks so that kind of
+//! contention is visible in bench output instead of inferred.
 //!
 //! # Panic isolation and graceful degradation
 //!
@@ -43,12 +49,12 @@
 //! both attempts becomes a structured [`JobError`] in that input slot —
 //! the other slots still carry their results. [`try_map`] /
 //! [`try_map_timed`] expose the per-job `Result`s; the infallible [`map`]
-//! / [`map_timed`] wrappers run *every* job first and only then panic
-//! with an aggregate report, so a caller that can't degrade still never
-//! loses sibling diagnostics. The retry happens on the worker that owns
-//! the job (static shards are part of the determinism contract), and
-//! isolation is sound because jobs share nothing mutable — each builds
-//! its world locally and returns owned `Send` data.
+//! wrapper runs *every* job first and only then panics with an aggregate
+//! report, so a caller that can't degrade still never loses sibling
+//! diagnostics. The retry happens on the worker that owns the job (static
+//! shards are part of the determinism contract), and isolation is sound
+//! because jobs share nothing mutable — each builds its world locally and
+//! returns owned `Send` data.
 //!
 //! # Example: thread count never changes results
 //!
@@ -113,8 +119,8 @@ pub fn resolve_shards(explicit: Option<usize>) -> usize {
 }
 
 /// Wall-clock accounting for one fleet worker, as reported by
-/// [`map_timed`]. Timing is observability only — it never feeds back into
-/// scheduling, so recording it cannot perturb results.
+/// [`try_map_timed`]. Timing is observability only — it never feeds back
+/// into scheduling, so recording it cannot perturb results.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerTiming {
     /// Worker (shard) index.
@@ -207,9 +213,9 @@ where
 /// finish any sooner — it only adds context-switch and cache-thrash cost —
 /// and on a single-core box the cap degrades all the way to the serial
 /// loop (an earlier floor of 2 workers made `--threads 8` *slower* than
-/// serial there; see `BENCH_scenario.json` history). The cap is safe
-/// *because* of the contract: results are reassembled by input index, so
-/// the number of workers is unobservable in the output.
+/// serial there). The cap is safe *because* of the contract: results are
+/// reassembled by input index, so the number of workers is unobservable in
+/// the output.
 ///
 /// `job` receives `(index, &spec)` so per-run seeds can be derived from
 /// the stream id; specs stay owned by the fleet so a panicked job can be
@@ -225,19 +231,7 @@ where
     T: Send,
     F: Fn(usize, &S) -> T + Sync,
 {
-    map_timed(specs, threads, job).0
-}
-
-/// [`map`] plus per-worker wall-time accounting, so a bench harness can
-/// see where fleet time actually goes (e.g. oversubscription on a small
-/// machine shows up as every worker being slow, not one straggler).
-pub fn map_timed<S, T, F>(specs: Vec<S>, threads: usize, job: F) -> (Vec<T>, Vec<WorkerTiming>)
-where
-    S: Send + Sync,
-    T: Send,
-    F: Fn(usize, &S) -> T + Sync,
-{
-    let (results, timings) = try_map_timed(specs, threads, job);
+    let results = try_map(specs, threads, job);
     let errors: Vec<&JobError> = results.iter().filter_map(|r| r.as_ref().err()).collect();
     if !errors.is_empty() {
         let report = errors
@@ -247,11 +241,10 @@ where
             .join("; ");
         panic!("{} fleet job(s) failed: {report}", errors.len());
     }
-    let out = results
+    results
         .into_iter()
         .map(|r| r.expect("errors were just reported"))
-        .collect();
-    (out, timings)
+        .collect()
 }
 
 /// Fault-tolerant [`map`]: every spec's slot carries `Ok(result)` or the
@@ -266,8 +259,10 @@ where
     try_map_timed(specs, threads, job).0
 }
 
-/// [`try_map`] plus per-worker wall-time accounting — the primitive every
-/// other fleet entry point is built on.
+/// [`try_map`] plus per-worker wall-time accounting, so a bench harness can
+/// see where fleet time actually goes (e.g. oversubscription on a small
+/// machine shows up as every worker being slow, not one straggler) — the
+/// primitive every other fleet entry point is built on.
 pub fn try_map_timed<S, T, F>(
     specs: Vec<S>,
     threads: usize,
@@ -347,22 +342,6 @@ where
     (out, timings)
 }
 
-/// Run one full scenario per config across `threads` workers and fold each
-/// to a `Send` summary, in input order.
-///
-/// This is the `ScenarioFactory` entry point: each worker thread builds its
-/// scenario's world from the config, runs the collection window, and
-/// applies `fold` locally — the non-`Send` [`Scenario`] (its `Rc<RefCell>`
-/// listeners, telescope, and population handles) never leaves the thread
-/// that built it. Only the folded `T` crosses back.
-pub fn run_scenarios<T, F>(configs: Vec<ScenarioConfig>, threads: usize, fold: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Scenario) -> T + Sync,
-{
-    map(configs, threads, |i, cfg| fold(i, Scenario::run(*cfg)))
-}
-
 /// The merged output of a fleet of replicate runs.
 pub struct Replicates {
     /// Per-replicate seeds, in stream-id order (`fork_seed(master, 0..n)`).
@@ -393,19 +372,9 @@ pub struct Replicates {
 /// assert_eq!(serial.dataset.len(), parallel.dataset.len());
 /// ```
 pub fn run_replicates(base: ScenarioConfig, n: usize, threads: usize) -> Replicates {
-    run_replicates_timed(base, n, threads).0
-}
-
-/// [`run_replicates`] plus the fleet's per-worker wall times, for bench
-/// harnesses that need to see how replicate work spread over workers.
-pub fn run_replicates_timed(
-    base: ScenarioConfig,
-    n: usize,
-    threads: usize,
-) -> (Replicates, Vec<WorkerTiming>) {
     let seeds: Vec<u64> = (0..n as u64).map(|i| fork_seed(base.seed, i)).collect();
     let configs: Vec<ScenarioConfig> = seeds.iter().map(|&s| base.with_seed(s)).collect();
-    let (folded, timings) = map_timed(configs, threads, |_, cfg| {
+    let folded = map(configs, threads, |_, cfg| {
         let s = Scenario::run(*cfg);
         (s.dataset, s.stats)
     });
@@ -415,14 +384,11 @@ pub fn run_replicates_timed(
         dataset.absorb(ds);
         stats.absorb(st);
     }
-    (
-        Replicates {
-            seeds,
-            dataset,
-            stats,
-        },
-        timings,
-    )
+    Replicates {
+        seeds,
+        dataset,
+        stats,
+    }
 }
 
 #[cfg(test)]

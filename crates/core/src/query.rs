@@ -26,8 +26,8 @@
 //!
 //! Scan-count observability: every `PlanSet` partition pass bumps
 //! process-wide counters, readable via [`scan_counters`]. The `cw all
-//! --trace-scans` flag and `BENCH_scenario.json` report fused vs planned
-//! scan counts from them.
+//! --trace-scans` flag and the `cwbench` benchmark's `scan.*` metrics
+//! report fused vs planned scan counts from them.
 //!
 //! # Example
 //!

@@ -2,8 +2,10 @@
 # Full verification gate for the cloud-watching workspace:
 #   build, lints (clippy warnings are errors), tests (including the
 #   statistical oracle, metamorphic, null-calibration, and
-#   registry-completeness suites in tests/), doc build (warnings are
-#   errors), doctests, the determinism check (`cw all` output must be
+#   registry-completeness suites in tests/), a build of the cwbench/
+#   benchmark package (outside the workspace, so an API change that breaks
+#   it would otherwise pass), doc build (warnings are errors), doctests,
+#   the determinism check (`cw all` output must be
 #   byte-identical across shard counts (1, 3, 8) AND thread counts AND
 #   cache states: cold cache, warm cache, --no-cache — sharded rows run
 #   with --no-cache because the cache key deliberately ignores the shard
@@ -36,8 +38,11 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test --release (the SHA-extension block function, bulk snapshot decoders and cw CLI parser, optimised)"
+echo "==> cargo test --release (the SHA-extension block function, bulk snapshot decoders, cw CLI parser and malformed-flag table, optimised)"
 cargo test --release -q -p cw-netsim -p cw-honeypot -p cw-core -p cw-bench
+
+echo "==> cargo build --release cwbench/ (the benchmark builds against this API)"
+cargo build --release --quiet --manifest-path cwbench/Cargo.toml --target-dir target/cwbench
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
