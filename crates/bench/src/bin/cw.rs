@@ -194,12 +194,13 @@ fn cmd_exhibit(e: &'static dyn Exhibit, opts: RunOptions) -> i32 {
     let before = cw_core::query::scan_counters();
     let ex_opts = exhibit_options(opts);
     let configs = exhibit::required_configs(&[e], &ex_opts);
-    let (bundles, world_errors) = obtain_all(configs, threads(opts), !opts.no_cache);
+    let n_threads = threads(opts);
+    let (bundles, world_errors) = obtain_all(configs, n_threads, !opts.no_cache);
     if !world_errors.is_empty() {
         print_failure_summary(&world_errors, &[]);
         return 4;
     }
-    let mut cx = ExhibitCx::new(ex_opts, &bundles);
+    let mut cx = ExhibitCx::new(ex_opts, &bundles).with_threads(n_threads);
     let stats = cx.prefetch(&[e]);
     if opts.trace_scans {
         trace_prefetch(&stats);
@@ -219,9 +220,10 @@ fn cmd_all(opts: RunOptions) -> i32 {
     let configs = exhibit::required_configs(exhibit::REGISTRY, &ex_opts);
     let n_worlds = configs.len();
     let (bundles, world_errors) = obtain_all(configs, n_threads, !opts.no_cache);
-    let mut cx = ExhibitCx::new(ex_opts, &bundles);
+    let mut cx = ExhibitCx::new(ex_opts, &bundles).with_threads(n_threads);
     // The registry-wide fusion step: every declared plan runs now, one
-    // fused pass per destination fleet per bundle; renders hit the store.
+    // fused pass per destination fleet per bundle, all bundles' passes
+    // spread over the fleet workers; renders hit the stores.
     let prefetch_stats = cx.prefetch(exhibit::REGISTRY);
     if opts.trace_scans {
         trace_prefetch(&prefetch_stats);

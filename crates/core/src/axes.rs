@@ -11,65 +11,38 @@
 //! including the §3.3 payload normalization (Date/Host/Content-Length
 //! stripped) — are resolved once per *distinct* id when the final map is
 //! assembled. These extractors sit on the render side of the id↔string
-//! boundary documented in `docs/QUERY.md`; when the event group is
-//! expressible as a plan, [`crate::query::Plan::char_freqs`] reaches
-//! them after a fusable scan.
+//! boundary documented in `docs/QUERY.md`. Each axis has one ID-counting
+//! core, fed either by an event slice (the extractors below, and
+//! [`CharKind::freqs`]) or by the admitted rows of a
+//! [`crate::query::Plan::char_freqs`] scan, read straight off the ID
+//! columns.
 
-use crate::dataset::ClassifiedEvent;
+use crate::compare::CharKind;
+use crate::dataset::{ClassifiedEvent, Dataset};
 use cw_detection::Verdict;
 use cw_honeypot::capture::Observed;
-use cw_netsim::intern::{CredId, PayloadId};
+use cw_netsim::asn::Asn;
+use cw_netsim::intern::{CredId, Interner, PayloadId};
 use cw_netsim::rng::fnv1a;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Frequency of traffic per source AS ("who").
 pub fn as_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
-    let mut by_asn: HashMap<u32, u64> = HashMap::new();
-    for e in events {
-        *by_asn.entry(e.event.src_asn.0).or_insert(0) += 1;
-    }
-    by_asn
-        .into_iter()
-        .map(|(asn, n)| (cw_netsim::asn::Asn(asn).to_string(), n))
-        .collect()
+    count_asns(events.iter().map(|e| e.event.src_asn))
 }
 
 /// Frequency of attempted usernames ("what", SSH/Telnet).
 pub fn username_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
-    cred_freqs(events, |observed| match observed {
-        Observed::Credentials { username, .. } => Some(username),
-        _ => None,
+    with_interner(events, |interner| {
+        count_creds(events.iter().filter_map(|e| username(e.event.observed)), interner)
     })
 }
 
 /// Frequency of attempted passwords ("what", SSH/Telnet).
 pub fn password_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
-    cred_freqs(events, |observed| match observed {
-        Observed::Credentials { password, .. } => Some(password),
-        _ => None,
+    with_interner(events, |interner| {
+        count_creds(events.iter().filter_map(|e| password(e.event.observed)), interner)
     })
-}
-
-/// ID-keyed credential counting; strings resolve once per distinct id.
-/// A `CredId` ↔ string mapping is bijective within one interner, so the
-/// rendered map has exactly one entry per distinct credential.
-fn cred_freqs(
-    events: &[ClassifiedEvent<'_>],
-    select: impl Fn(Observed) -> Option<CredId>,
-) -> BTreeMap<String, u64> {
-    let mut by_id: HashMap<CredId, u64> = HashMap::new();
-    for e in events {
-        if let Some(id) = select(e.event.observed) {
-            *by_id.entry(id).or_insert(0) += 1;
-        }
-    }
-    let Some(interner) = events.first().map(|e| e.interner()) else {
-        return BTreeMap::new();
-    };
-    by_id
-        .into_iter()
-        .map(|(id, n)| (interner.cred(id).to_string(), n))
-        .collect()
 }
 
 /// Frequency of normalized payloads ("what", HTTP and friends).
@@ -80,17 +53,93 @@ fn cred_freqs(
 /// form collides fold into one category (their counts add), exactly as
 /// per-event string keying grouped them.
 pub fn payload_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
-    let mut by_id: HashMap<PayloadId, u64> = HashMap::new();
-    for e in events {
-        if let Observed::Payload(p) = e.event.observed {
-            *by_id.entry(p).or_insert(0) += 1;
+    with_interner(events, |interner| {
+        count_payloads(events.iter().filter_map(|e| e.event.observed.payload()), interner)
+    })
+}
+
+/// `kind`'s frequency map over dataset `rows`, counted straight off the
+/// ID columns — the plan-side feed of the same per-axis cores
+/// [`CharKind::freqs`] feeds from an event slice.
+pub(crate) fn row_freqs(kind: CharKind, ds: &Dataset, rows: &[usize]) -> BTreeMap<String, u64> {
+    let t = ds.table();
+    let observed = || rows.iter().map(|&i| t.observed()[i]);
+    match kind {
+        CharKind::TopAs => count_asns(rows.iter().map(|&i| t.src_asns()[i])),
+        CharKind::FracMalicious => {
+            malicious_map(count_verdicts(rows.iter().map(|&i| ds.verdicts()[i])))
+        }
+        CharKind::TopUsername => count_creds(observed().filter_map(username), ds.interner()),
+        CharKind::TopPassword => count_creds(observed().filter_map(password), ds.interner()),
+        CharKind::TopPayload => {
+            count_payloads(observed().filter_map(|o| o.payload()), ds.interner())
         }
     }
-    let Some(interner) = events.first().map(|e| e.interner()) else {
-        return BTreeMap::new();
-    };
+}
+
+/// The interner of a non-empty event slice; an empty slice has no
+/// categories.
+fn with_interner(
+    events: &[ClassifiedEvent<'_>],
+    f: impl FnOnce(&Interner) -> BTreeMap<String, u64>,
+) -> BTreeMap<String, u64> {
+    events.first().map_or_else(BTreeMap::new, |e| f(e.interner()))
+}
+
+fn username(observed: Observed) -> Option<CredId> {
+    match observed {
+        Observed::Credentials { username, .. } => Some(username),
+        _ => None,
+    }
+}
+
+fn password(observed: Observed) -> Option<CredId> {
+    match observed {
+        Observed::Credentials { password, .. } => Some(password),
+        _ => None,
+    }
+}
+
+/// Each distinct key with its count, in key order: one sort, then runs.
+fn tally<K: Ord + Copy>(keys: impl Iterator<Item = K>) -> Vec<(K, u64)> {
+    let mut keys: Vec<K> = keys.collect();
+    keys.sort_unstable();
+    let mut out: Vec<(K, u64)> = Vec::new();
+    for k in keys {
+        match out.last_mut() {
+            Some((last, n)) if *last == k => *n += 1,
+            _ => out.push((k, 1)),
+        }
+    }
+    out
+}
+
+/// The "who" core: counts per AS number, labelled once per distinct AS.
+fn count_asns(asns: impl Iterator<Item = Asn>) -> BTreeMap<String, u64> {
+    tally(asns.map(|a| a.0))
+        .into_iter()
+        .map(|(asn, n)| (Asn(asn).to_string(), n))
+        .collect()
+}
+
+/// The credential core: counts per [`CredId`]; strings resolve once per
+/// distinct id. A `CredId` ↔ string mapping is bijective within one
+/// interner, so the map has exactly one entry per distinct credential.
+fn count_creds(ids: impl Iterator<Item = CredId>, interner: &Interner) -> BTreeMap<String, u64> {
+    tally(ids)
+        .into_iter()
+        .map(|(id, n)| (interner.cred(id).to_string(), n))
+        .collect()
+}
+
+/// The payload core: counts per [`PayloadId`], then one normalization and
+/// key per distinct id; colliding keys add.
+fn count_payloads(
+    ids: impl Iterator<Item = PayloadId>,
+    interner: &Interner,
+) -> BTreeMap<String, u64> {
     let mut m = BTreeMap::new();
-    for (id, n) in by_id {
+    for (id, n) in tally(ids) {
         let normalized = cw_protocols::http::normalize(interner.payload(id));
         *m.entry(payload_key(&normalized)).or_insert(0) += n;
     }
@@ -116,10 +165,15 @@ pub fn payload_key(normalized: &[u8]) -> String {
 
 /// Malicious/benign event counts ("why"): `(attacker, scanner)`.
 pub fn maliciousness_counts(events: &[ClassifiedEvent<'_>]) -> (u64, u64) {
+    count_verdicts(events.iter().map(|e| e.verdict))
+}
+
+/// The "why" core.
+fn count_verdicts(verdicts: impl Iterator<Item = Verdict>) -> (u64, u64) {
     let mut attacker = 0;
     let mut scanner = 0;
-    for e in events {
-        match e.verdict {
+    for v in verdicts {
+        match v {
             Verdict::Attacker => attacker += 1,
             Verdict::Scanner => scanner += 1,
         }
@@ -129,7 +183,10 @@ pub fn maliciousness_counts(events: &[ClassifiedEvent<'_>]) -> (u64, u64) {
 
 /// The "why" axis as a two-category frequency map for chi-squared testing.
 pub fn maliciousness_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
-    let (attacker, scanner) = maliciousness_counts(events);
+    malicious_map(maliciousness_counts(events))
+}
+
+fn malicious_map((attacker, scanner): (u64, u64)) -> BTreeMap<String, u64> {
     let mut m = BTreeMap::new();
     m.insert("malicious".to_string(), attacker);
     m.insert("not-malicious".to_string(), scanner);

@@ -19,6 +19,8 @@ pub mod main_year;
 pub mod special;
 
 use crate::bundle::SimBundle;
+use crate::dataset::Dataset;
+use crate::fleet;
 use crate::leak::{LeakConfig, LeakOutcome};
 use crate::neighborhood::NeighborhoodRow;
 use crate::overlap::{MaliciousOverlapRow, OverlapRow};
@@ -152,6 +154,8 @@ struct YearMemo {
 pub struct ExhibitCx<'a> {
     /// The invocation's scenario-selection options.
     pub opts: ExhibitOptions,
+    /// Worker threads [`ExhibitCx::prefetch`] spreads passes over.
+    threads: usize,
     bundles: &'a BTreeMap<u16, SimBundle>,
     memo: BTreeMap<u16, YearMemo>,
     stores: BTreeMap<u16, PlanStore>,
@@ -171,11 +175,15 @@ pub struct PrefetchStats {
 }
 
 impl<'a> ExhibitCx<'a> {
-    /// Build a context over pre-resolved bundles.
+    /// Build a context over pre-resolved bundles. [`ExhibitCx::prefetch`]
+    /// runs on [`fleet::resolve_threads`]`(None)` workers (`CW_THREADS` or
+    /// the machine's parallelism); [`ExhibitCx::with_threads`] overrides
+    /// that.
     pub fn new(opts: ExhibitOptions, bundles: &'a BTreeMap<u16, SimBundle>) -> Self {
         let memo = bundles.keys().map(|&y| (y, YearMemo::default())).collect();
         ExhibitCx {
             opts,
+            threads: fleet::resolve_threads(None),
             bundles,
             memo,
             stores: BTreeMap::new(),
@@ -183,12 +191,22 @@ impl<'a> ExhibitCx<'a> {
         }
     }
 
+    /// Spread [`ExhibitCx::prefetch`]'s passes over `threads` fleet
+    /// workers (1 runs them on the calling thread). Purely a wall-clock
+    /// knob: stores, stats and scan counters are the same for any value.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
     /// Collect every plan `exhibits` declare ([`Exhibit::plans`]), group
-    /// them per bundle, and execute each bundle's set as one fused
-    /// [`PlanStore`] — the registry-wide scan fusion step the driver runs
-    /// between resolving worlds and fanning out renders. Renders then hit
-    /// the store through [`ExhibitCx::exec`]; without prefetch every plan
-    /// runs standalone with byte-identical results.
+    /// them per bundle, and build each bundle's [`PlanStore`] — the
+    /// registry-wide scan fusion step `cw` runs between resolving worlds
+    /// and fanning out renders. Every bundle's fused passes join one
+    /// job list on the context's fleet workers
+    /// ([`ExhibitCx::with_threads`]). Renders then hit the stores through
+    /// [`ExhibitCx::exec`]; without prefetch every plan runs standalone
+    /// with byte-identical results.
     ///
     /// Requests whose resolved year has no bundle are skipped (their
     /// exhibit's render will fail its own `bundle` lookup, not the whole
@@ -203,10 +221,13 @@ impl<'a> ExhibitCx<'a> {
                 }
             }
         }
+        let sets: Vec<(&Dataset, &[Plan])> = per_year
+            .iter()
+            .map(|(year, plans)| (&self.bundles[year].dataset, plans.as_slice()))
+            .collect();
+        let stores = PlanStore::build_sets(&sets, self.threads);
         let mut stats = Vec::new();
-        for (year, plans) in per_year {
-            let bundle = &self.bundles[&year];
-            let store = PlanStore::build(&bundle.dataset, &plans);
+        for (&year, store) in per_year.keys().zip(stores) {
             stats.push(PrefetchStats {
                 year,
                 plans: store.plans(),

@@ -2,7 +2,9 @@
 //!
 //! Every `cw` command ultimately runs a handful of *independent* jobs — one
 //! world per (year, seed) pair, several replicate seeds of the same year,
-//! or one render per exhibit. A world is built on one thread by design (the
+//! one bucket of fused scan passes per worker in the plan prefetch
+//! ([`crate::exhibit::ExhibitCx::prefetch`]), or one render per exhibit.
+//! A world is built on one thread by design (the
 //! event loop wires agents with `Rc<RefCell<…>>`, so a [`Scenario`] is not
 //! `Send`), but the jobs themselves share nothing: this module spreads them
 //! across worker threads while keeping every result bit-identical to a

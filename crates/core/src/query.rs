@@ -17,14 +17,15 @@
 //! fleets, different residual filters) cost two fleet scans instead of
 //! four; across the exhibit registry, the driver prefetches every declared
 //! plan per bundle into a [`PlanStore`] so coinciding scans fuse
-//! registry-wide (see `docs/QUERY.md` and `Exhibit::plans`). [`ScanExec`]
+//! registry-wide, with every bundle's passes spread over the fleet
+//! workers (see `docs/QUERY.md` and `Exhibit::plans`). [`ScanExec`]
 //! serves a plan from a store or runs it standalone.
 //!
 //! Every domain, predicate and terminal combines with every other, so
 //! every plan that can be built can run: there is no validation step and
 //! no error path.
 //!
-//! Scan-count observability: every `PlanSet` partition pass bumps
+//! Scan-count observability: every partition pass bumps
 //! process-wide counters, readable via [`scan_counters`]. The `cw all
 //! --trace-scans` flag and the `cwbench` benchmark's `scan.*` metrics
 //! report fused vs planned scan counts from them.
@@ -61,12 +62,14 @@
 //! assert_eq!(telnet.len(), 2);
 //! ```
 
+use crate::axes;
 use crate::compare::CharKind;
-use crate::dataset::{ClassifiedEvent, Dataset, TrafficSlice};
+use crate::dataset::{Dataset, TrafficSlice};
+use crate::fleet;
 use cw_detection::Verdict;
 use cw_honeypot::capture::Observed;
 use cw_protocols::ProtocolId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -185,7 +188,8 @@ pub enum Terminal {
     /// Admitted-row count → [`PlanResult::Count`].
     Count,
     /// Admitted row indices in enumeration order → [`PlanResult::Rows`]
-    /// (resolve to [`ClassifiedEvent`]s through [`Dataset::event`]).
+    /// (resolve to [`ClassifiedEvent`](crate::dataset::ClassifiedEvent)s
+    /// through [`Dataset::event`]).
     Rows,
     /// Distinct source IPs → [`PlanResult::DistinctSrcs`].
     DistinctSrcs,
@@ -456,14 +460,54 @@ impl PlanResult {
 }
 
 /// The in-flight accumulator for one plan inside a fused partition pass.
+///
+/// The distinct-set terminals append `u32` keys (source addresses as
+/// integers, AS numbers) to [`Keys`] lists during the pass;
+/// [`Acc::finish`] sorts and dedups each list. `Ipv4Addr` orders like its
+/// `u32`, so the sets built from the sorted keys are the ones per-row
+/// inserts would have built.
 enum Acc {
     Count(usize),
     Rows(Vec<usize>),
-    DistinctSrcs(BTreeSet<Ipv4Addr>),
-    SrcAsn(BTreeSet<Ipv4Addr>, BTreeSet<u32>),
+    DistinctSrcs(Keys),
+    SrcAsn(Keys, Keys),
     CharFreqs(CharKind, Vec<usize>),
-    PortSrcs(BTreeMap<u16, BTreeSet<Ipv4Addr>>),
-    FingerprintSrcs(BTreeMap<ProtocolId, BTreeSet<Ipv4Addr>>),
+    /// The distinct key ports, in first-listed order, and one key list
+    /// per port.
+    PortSrcs(Vec<u16>, Vec<Keys>),
+    FingerprintSrcs(BTreeMap<ProtocolId, Keys>),
+}
+
+/// A list of `u32` keys that sorts and dedups itself in place once it
+/// holds 2¹⁶ keys, and again whenever it has doubled since, so it holds at
+/// most about twice its distinct keys however many rows push to it.
+#[derive(Clone, Default)]
+struct Keys {
+    keys: Vec<u32>,
+    compact_at: usize,
+}
+
+impl Keys {
+    fn push(&mut self, key: u32) {
+        self.keys.push(key);
+        if self.keys.len() >= self.compact_at.max(1 << 16) {
+            self.keys.sort_unstable();
+            self.keys.dedup();
+            self.compact_at = 2 * self.keys.len();
+        }
+    }
+
+    /// The distinct keys, ascending.
+    fn into_sorted(mut self) -> Vec<u32> {
+        self.keys.sort_unstable();
+        self.keys.dedup();
+        self.keys
+    }
+
+    /// The distinct keys as source addresses.
+    fn into_addrs(self) -> BTreeSet<Ipv4Addr> {
+        self.into_sorted().into_iter().map(Ipv4Addr::from).collect()
+    }
 }
 
 impl Acc {
@@ -471,11 +515,18 @@ impl Acc {
         match &plan.terminal {
             Terminal::Count => Acc::Count(0),
             Terminal::Rows => Acc::Rows(Vec::new()),
-            Terminal::DistinctSrcs => Acc::DistinctSrcs(BTreeSet::new()),
-            Terminal::UniqueSrcAndAsn => Acc::SrcAsn(BTreeSet::new(), BTreeSet::new()),
+            Terminal::DistinctSrcs => Acc::DistinctSrcs(Keys::default()),
+            Terminal::UniqueSrcAndAsn => Acc::SrcAsn(Keys::default(), Keys::default()),
             Terminal::CharFreqs(kind) => Acc::CharFreqs(*kind, Vec::new()),
             Terminal::SrcsByPort(ports) => {
-                Acc::PortSrcs(ports.iter().map(|&p| (p, BTreeSet::new())).collect())
+                let mut keys: Vec<u16> = Vec::with_capacity(ports.len());
+                for &p in ports {
+                    if !keys.contains(&p) {
+                        keys.push(p);
+                    }
+                }
+                let srcs = vec![Keys::default(); keys.len()];
+                Acc::PortSrcs(keys, srcs)
             }
             Terminal::SrcsByFingerprint => Acc::FingerprintSrcs(BTreeMap::new()),
         }
@@ -486,25 +537,24 @@ impl Acc {
             return;
         }
         let table = ds.table();
+        let src = || u32::from(table.srcs()[i]);
         match self {
             Acc::Count(n) => *n += 1,
-            Acc::Rows(v) => v.push(i),
-            Acc::DistinctSrcs(s) => {
-                s.insert(table.srcs()[i]);
-            }
+            Acc::Rows(v) | Acc::CharFreqs(_, v) => v.push(i),
+            Acc::DistinctSrcs(srcs) => srcs.push(src()),
             Acc::SrcAsn(srcs, asns) => {
-                srcs.insert(table.srcs()[i]);
-                asns.insert(table.src_asns()[i].0);
+                srcs.push(src());
+                asns.push(table.src_asns()[i].0);
             }
-            Acc::CharFreqs(_, v) => v.push(i),
-            Acc::PortSrcs(map) => {
-                if let Some(set) = map.get_mut(&table.dst_ports()[i]) {
-                    set.insert(table.srcs()[i]);
+            Acc::PortSrcs(ports, srcs) => {
+                let port = table.dst_ports()[i];
+                if let Some(k) = ports.iter().position(|&p| p == port) {
+                    srcs[k].push(src());
                 }
             }
             Acc::FingerprintSrcs(map) => {
                 if let Some(fp) = ds.fingerprints()[i] {
-                    map.entry(fp).or_default().insert(table.srcs()[i]);
+                    map.entry(fp).or_default().push(src());
                 }
             }
         }
@@ -514,16 +564,20 @@ impl Acc {
         match self {
             Acc::Count(n) => PlanResult::Count(n),
             Acc::Rows(v) => PlanResult::Rows(v),
-            Acc::DistinctSrcs(s) => PlanResult::DistinctSrcs(s),
-            Acc::SrcAsn(srcs, asns) => PlanResult::UniqueSrcAndAsn(srcs.len(), asns.len()),
-            Acc::CharFreqs(kind, v) => {
-                // The one resolution point: IDs → strings per distinct ID,
-                // after the scan.
-                let events: Vec<ClassifiedEvent<'_>> = v.into_iter().map(|i| ds.event(i)).collect();
-                PlanResult::CharFreqs(kind.freqs(&events))
-            }
-            Acc::PortSrcs(m) => PlanResult::PortSrcs(m),
-            Acc::FingerprintSrcs(m) => PlanResult::FingerprintSrcs(m),
+            Acc::DistinctSrcs(srcs) => PlanResult::DistinctSrcs(srcs.into_addrs()),
+            Acc::SrcAsn(srcs, asns) => PlanResult::UniqueSrcAndAsn(
+                srcs.into_sorted().len(),
+                asns.into_sorted().len(),
+            ),
+            // The one resolution point: IDs → strings per distinct ID,
+            // after the scan.
+            Acc::CharFreqs(kind, rows) => PlanResult::CharFreqs(axes::row_freqs(kind, ds, &rows)),
+            Acc::PortSrcs(ports, srcs) => PlanResult::PortSrcs(
+                ports.into_iter().zip(srcs.into_iter().map(Keys::into_addrs)).collect(),
+            ),
+            Acc::FingerprintSrcs(map) => PlanResult::FingerprintSrcs(
+                map.into_iter().map(|(fp, srcs)| (fp, srcs.into_addrs())).collect(),
+            ),
         }
     }
 }
@@ -545,8 +599,7 @@ impl PlanId {
 /// each partition runs in **one pass** over the interned columns, every
 /// plan's accumulator seeing exactly the rows — in exactly the order — it
 /// would have seen running alone. Results come back in submission order
-/// regardless of how plans were grouped into passes; partitions execute in
-/// first-submission order.
+/// regardless of how plans were grouped into passes.
 pub struct PlanSet<'a> {
     dataset: &'a Dataset,
     plans: Vec<Plan>,
@@ -571,67 +624,166 @@ impl<'a> PlanSet<'a> {
     /// Execute every submitted plan, one fused pass per enumeration
     /// domain, returning results in submission order.
     pub fn execute(self) -> Vec<PlanResult> {
-        let ds = self.dataset;
-        let mut results: Vec<Option<PlanResult>> = (0..self.plans.len()).map(|_| None).collect();
-        // Partition by identical destination domain, first-submission order.
-        let mut partitions: Vec<(&Option<Vec<Ipv4Addr>>, Vec<usize>)> = Vec::new();
-        for (idx, plan) in self.plans.iter().enumerate() {
-            match partitions.iter_mut().find(|(d, _)| *d == &plan.dsts) {
-                Some((_, members)) => members.push(idx),
-                None => partitions.push((&plan.dsts, vec![idx])),
-            }
-        }
-        PLANNED_SCANS.fetch_add(self.plans.len() as u64, Ordering::Relaxed);
-        for (dsts, members) in partitions {
-            FUSED_PASSES.fetch_add(1, Ordering::Relaxed);
-            let mut accs: Vec<Acc> = members
-                .iter()
-                .map(|&p| Acc::for_plan(&self.plans[p]))
-                .collect();
-            let mut rows = 0u64;
-            let visit = |accs: &mut Vec<Acc>, i: usize| {
-                for (acc, &p) in accs.iter_mut().zip(&members) {
-                    acc.update(&self.plans[p], ds, i);
-                }
-            };
-            match dsts {
-                Some(ips) => {
-                    for &ip in ips {
-                        let Some(idxs) = ds.dst_index(ip) else {
-                            continue;
-                        };
-                        rows += idxs.len() as u64;
-                        for &i in idxs {
-                            visit(&mut accs, i);
-                        }
-                    }
-                }
-                None => {
-                    rows = ds.len() as u64;
-                    for i in 0..ds.len() {
-                        visit(&mut accs, i);
-                    }
-                }
-            }
-            SCANNED_ROWS.fetch_add(rows, Ordering::Relaxed);
-            for (acc, &p) in accs.into_iter().zip(&members) {
-                results[p] = Some(acc.finish(ds));
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every plan belongs to exactly one partition"))
-            .collect()
+        let mut done = execute_sets(&[(self.dataset, &self.plans)], 1);
+        done.pop().expect("one set in, one result list out").0
     }
+}
+
+/// The plans of one partition: the indices of the plans sharing one
+/// destination domain, in submission order. Partitions come out in
+/// first-submission order.
+fn partitions(plans: &[Plan]) -> Vec<Vec<usize>> {
+    let mut slot: HashMap<&Option<Vec<Ipv4Addr>>, usize> = HashMap::new();
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    for (idx, plan) in plans.iter().enumerate() {
+        let k = *slot.entry(&plan.dsts).or_insert_with(|| {
+            out.push(Vec::new());
+            out.len() - 1
+        });
+        out[k].push(idx);
+    }
+    out
+}
+
+/// One fused pass to run: a partition of one set's plans.
+struct Pass<'a> {
+    set: usize,
+    dataset: &'a Dataset,
+    plans: &'a [Plan],
+    members: Vec<usize>,
+    /// The destination domain every member shares.
+    domain: &'a Option<Vec<Ipv4Addr>>,
+    /// Rows the pass enumerates, read off the destination index.
+    rows: u64,
+}
+
+impl<'a> Pass<'a> {
+    fn new(set: usize, dataset: &'a Dataset, plans: &'a [Plan], members: Vec<usize>) -> Self {
+        let domain = &plans[members[0]].dsts;
+        let rows = match domain {
+            Some(ips) => ips
+                .iter()
+                .filter_map(|&ip| dataset.dst_index(ip))
+                .map(|idxs| idxs.len() as u64)
+                .sum(),
+            None => dataset.len() as u64,
+        };
+        Pass {
+            set,
+            dataset,
+            plans,
+            members,
+            domain,
+            rows,
+        }
+    }
+
+    /// Run the pass: every member plan's accumulator sees the domain's
+    /// rows in enumeration order. Results follow `members`.
+    fn run(&self) -> Vec<PlanResult> {
+        let ds = self.dataset;
+        FUSED_PASSES.fetch_add(1, Ordering::Relaxed);
+        SCANNED_ROWS.fetch_add(self.rows, Ordering::Relaxed);
+        let plans: Vec<&Plan> = self.members.iter().map(|&p| &self.plans[p]).collect();
+        let mut accs: Vec<Acc> = plans.iter().map(|p| Acc::for_plan(p)).collect();
+        let mut visit = |i: usize| {
+            for (acc, plan) in accs.iter_mut().zip(&plans) {
+                acc.update(plan, ds, i);
+            }
+        };
+        match self.domain {
+            Some(ips) => {
+                for idxs in ips.iter().filter_map(|&ip| ds.dst_index(ip)) {
+                    idxs.iter().for_each(|&i| visit(i));
+                }
+            }
+            None => (0..ds.len()).for_each(visit),
+        }
+        accs.into_iter().map(|acc| acc.finish(ds)).collect()
+    }
+}
+
+/// Longest-first static buckets: jobs in descending cost (ties by index)
+/// each join the least-loaded bucket (ties to the lowest). A pure function
+/// of the costs and the bucket count, so the assignment never depends on
+/// timing.
+fn buckets(costs: &[u64], n: usize) -> Vec<Vec<usize>> {
+    let n = n.clamp(1, costs.len().max(1));
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&j| (std::cmp::Reverse(costs[j]), j));
+    let mut load = vec![0u64; n];
+    let mut out = vec![Vec::new(); n];
+    for j in order {
+        let b = (0..n).min_by_key(|&b| (load[b], b)).expect("n >= 1");
+        load[b] += costs[j];
+        out[b].push(j);
+    }
+    out
+}
+
+/// Execute several plan sets, each over its own dataset. Every set's
+/// partitions join one job list; the jobs, costed as candidate rows ×
+/// member plans, go into `threads` longest-first buckets on
+/// [`fleet::map`], and each pass's results land by index. Returns, per
+/// set, its results in submission order and its pass count. `threads = 1`
+/// runs every pass on the calling thread.
+fn execute_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<(Vec<PlanResult>, usize)> {
+    let mut passes: Vec<Pass<'_>> = Vec::new();
+    let mut pass_counts = vec![0; sets.len()];
+    for (set, &(dataset, plans)) in sets.iter().enumerate() {
+        PLANNED_SCANS.fetch_add(plans.len() as u64, Ordering::Relaxed);
+        let parts = partitions(plans);
+        pass_counts[set] = parts.len();
+        passes.extend(
+            parts
+                .into_iter()
+                .map(|members| Pass::new(set, dataset, plans, members)),
+        );
+    }
+    let costs: Vec<u64> = passes
+        .iter()
+        .map(|p| p.rows * p.members.len() as u64)
+        .collect();
+    let run = |bucket: &Vec<usize>| -> Vec<(usize, Vec<PlanResult>)> {
+        bucket.iter().map(|&j| (j, passes[j].run())).collect()
+    };
+    // One bucket runs here, as the fleet would, without its hardware probe
+    // (~20 µs, once per standalone scan).
+    let done = match buckets(&costs, threads) {
+        one if one.len() == 1 => vec![run(&one[0])],
+        many => fleet::map(many, threads, |_, bucket| run(bucket)),
+    };
+    let mut results: Vec<Vec<Option<PlanResult>>> = sets
+        .iter()
+        .map(|(_, plans)| (0..plans.len()).map(|_| None).collect())
+        .collect();
+    for (j, out) in done.into_iter().flatten() {
+        let pass = &passes[j];
+        for (&p, r) in pass.members.iter().zip(out) {
+            results[pass.set][p] = Some(r);
+        }
+    }
+    results
+        .into_iter()
+        .zip(pass_counts)
+        .map(|(rs, passes)| {
+            let rs = rs
+                .into_iter()
+                .map(|r| r.expect("every plan belongs to exactly one partition"))
+                .collect();
+            (rs, passes)
+        })
+        .collect()
 }
 
 /// Prefetched plan results, keyed structurally by [`Plan`].
 ///
 /// [`PlanStore::build`] deduplicates the requested plans, executes the
-/// distinct ones through one fused [`PlanSet`], and memoizes the typed
-/// results; [`ScanExec`] then serves repeated requests as clones without
-/// touching the columns again. This is how the exhibit driver turns the
-/// registry's declared plans into one fused execution per bundle.
+/// distinct ones in fused passes exactly as [`PlanSet::execute`] does,
+/// and memoizes the typed results; [`ScanExec`] then serves repeated
+/// requests as clones without touching the columns again. This is how the
+/// exhibit driver turns the registry's declared plans into one fused
+/// execution per bundle.
 #[derive(Debug)]
 pub struct PlanStore {
     results: HashMap<Plan, PlanResult>,
@@ -639,29 +791,38 @@ pub struct PlanStore {
 }
 
 impl PlanStore {
-    /// Deduplicate `plans`, execute the distinct ones in one fused
-    /// [`PlanSet`], and memoize the results.
+    /// Deduplicate `plans`, execute the distinct ones in fused passes on
+    /// the calling thread, and memoize the results.
     pub fn build(dataset: &Dataset, plans: &[Plan]) -> PlanStore {
-        let mut set = PlanSet::over(dataset);
-        let mut distinct: Vec<Plan> = Vec::new();
-        for plan in plans {
-            if !distinct.contains(plan) {
-                set.submit(plan.clone());
-                distinct.push(plan.clone());
-            }
-        }
-        let mut domains: Vec<&Option<Vec<Ipv4Addr>>> = Vec::new();
-        for plan in &distinct {
-            if !domains.contains(&&plan.dsts) {
-                domains.push(&plan.dsts);
-            }
-        }
-        let passes = domains.len();
-        let results = set.execute();
-        PlanStore {
-            results: distinct.into_iter().zip(results).collect(),
-            passes,
-        }
+        let mut stores = PlanStore::build_sets(&[(dataset, plans)], 1);
+        stores.pop().expect("one set in, one store out")
+    }
+
+    /// One store per `(dataset, plans)` set, as [`PlanStore::build`]
+    /// would build it, with every set's passes sharing one job list on
+    /// `threads` workers.
+    pub(crate) fn build_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<PlanStore> {
+        let distinct: Vec<Vec<Plan>> = sets
+            .iter()
+            .map(|(_, plans)| {
+                let mut seen: HashSet<&Plan> = HashSet::new();
+                plans.iter().filter(|p| seen.insert(p)).cloned().collect()
+            })
+            .collect();
+        let jobs: Vec<(&Dataset, &[Plan])> = sets
+            .iter()
+            .zip(&distinct)
+            .map(|(&(dataset, _), plans)| (dataset, plans.as_slice()))
+            .collect();
+        let done = execute_sets(&jobs, threads);
+        distinct
+            .into_iter()
+            .zip(done)
+            .map(|(plans, (results, passes))| PlanStore {
+                results: plans.into_iter().zip(results).collect(),
+                passes,
+            })
+            .collect()
     }
 
     /// The memoized result for `plan`, if it was prefetched.
@@ -674,7 +835,8 @@ impl PlanStore {
         self.results.len()
     }
 
-    /// Number of fused column passes the build cost.
+    /// Number of fused passes the build ran: one per partition of the
+    /// distinct plans.
     pub fn passes(&self) -> usize {
         self.passes
     }
@@ -946,6 +1108,19 @@ mod tests {
             exec.run(&Plan::at(&[DST]).port(2323).count()).into_count(),
             1
         );
+    }
+
+    #[test]
+    fn buckets_are_longest_first_and_cover_every_job_once() {
+        // Costs 5, 4, 3 go to buckets 0, 1, 1; then 2 to bucket 0 (5 < 7)
+        // and 1 to bucket 0 again (7 = 7, lowest index wins).
+        assert_eq!(buckets(&[5, 1, 4, 2, 3], 2), vec![vec![0, 3, 1], vec![2, 4]]);
+        assert_eq!(buckets(&[2, 2], 8).len(), 2, "no more buckets than jobs");
+        assert_eq!(buckets(&[], 4), vec![Vec::<usize>::new()]);
+        let costs: Vec<u64> = (0..40).map(|j| (j * 7919) % 101).collect();
+        let mut seen: Vec<usize> = buckets(&costs, 3).concat();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..40).collect::<Vec<_>>());
     }
 
     #[test]

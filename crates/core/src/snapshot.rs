@@ -147,8 +147,8 @@ pub fn load_from(dir: &Path, config: &ScenarioConfig, deployment: &Deployment) -
     Some(bundle)
 }
 
-/// Where a bundle came from, with the wall time each path cost — the bench
-/// harness records these as `snapshot_read_secs` / `snapshot_write_secs`.
+/// Where a bundle came from, with the wall time each path cost — `cw`
+/// prints these timings on stderr as it obtains each world.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Provenance {
     /// Deserialized from a valid snapshot.

@@ -9,7 +9,8 @@
 #   byte-identical across shard counts (1, 3, 8) AND thread counts AND
 #   cache states: cold cache, warm cache, --no-cache — sharded rows run
 #   with --no-cache because the cache key deliberately ignores the shard
-#   count), a cold-vs-warm `cw all` timing line,
+#   count), a cold-vs-warm `cw all` timing line, the scan budget (and
+#   scan counts identical at --threads 1 and 8),
 #   and the golden-exhibit gate: all 25 out/*.txt are regenerated by the
 #   single `cw` binary (one link step instead of 27) and must hash-match
 #   the checked-in tests/golden/MANIFEST.sha256. After an intentional
@@ -135,6 +136,17 @@ awk -v budget="$budget" '
     END { if (!summary) { print "    missing scan summary line"; bad = 1 } exit bad }
 ' "$work/ts/stderr.log" || exit 1
 echo "    per-bundle passes within budget ($budget); fused < planned process-wide"
+# The same run at one thread, on the same cache: the prefetch spreads its
+# passes over the fleet workers, so a pass skipped or run twice under
+# threads would change these counts even where the rendered bytes match.
+(cd "$work/ts" && "$cw" all --scale "$scale" --threads 1 --trace-scans 2>"$work/ts/stderr1.log")
+grep -E "plan prefetch:|scan summary:" "$work/ts/stderr.log" >"$work/ts/scans8.log"
+grep -E "plan prefetch:|scan summary:" "$work/ts/stderr1.log" >"$work/ts/scans1.log"
+cmp "$work/ts/scans8.log" "$work/ts/scans1.log" || {
+    echo "    plan prefetch / scan summary lines differ between --threads 8 and --threads 1" >&2
+    exit 1
+}
+echo "    plan prefetch and scan summary lines identical at --threads 1 and --threads 8"
 
 echo "==> fault matrix: explicit zero-rate fault flags leave the golden bytes untouched"
 mkdir -p "$work/f0"

@@ -8,19 +8,23 @@
 //! `COUNTER_LOCK`: the tests in this binary share one process (and one
 //! frozen-seed world) and must not scan concurrently.
 
+use cloud_watching::core::axes;
 use cloud_watching::core::compare::CharKind;
-use cloud_watching::core::dataset::TrafficSlice;
+use cloud_watching::core::dataset::{Dataset, TrafficSlice};
 use cloud_watching::core::exhibit::{Exhibit, ExhibitCx, ExhibitOptions, REGISTRY};
 use cloud_watching::core::query::{scan_counters, ObsKind};
 use cloud_watching::core::scenario::ScenarioConfig;
 use cloud_watching::core::{
     geography, neighborhood, overlap, ports, Plan, PlanSet, PlanStore, ScanExec, SimBundle,
 };
+use cloud_watching::detection::Verdict;
+use cloud_watching::honeypot::capture::Observed;
 use cloud_watching::honeypot::deployment::{CollectorKind, Deployment, NetworkKind};
 use cloud_watching::protocols::iana::POPULAR_PORTS;
+use cloud_watching::protocols::ProtocolId;
 use cloud_watching::scanners::population::ScenarioYear;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::{Mutex, OnceLock};
 
@@ -113,6 +117,131 @@ proptest! {
             prop_assert_eq!(&fused[k], &alone.run(&pool[i]));
         }
     }
+}
+
+/// The rows a domain enumerates, rebuilt from the destination column: per
+/// destination in the order given, then in table order.
+fn domain_rows(ds: &Dataset, dsts: Option<&[Ipv4Addr]>) -> Vec<usize> {
+    let Some(dsts) = dsts else {
+        return (0..ds.len()).collect();
+    };
+    let mut by_dst: BTreeMap<Ipv4Addr, Vec<usize>> = BTreeMap::new();
+    for (i, &dst) in ds.table().dsts().iter().enumerate() {
+        by_dst.entry(dst).or_default().push(i);
+    }
+    dsts.iter()
+        .flat_map(|ip| by_dst.get(ip).into_iter().flatten().copied())
+        .collect()
+}
+
+/// `kind`'s frequencies over `rows` as a string-keyed fold over
+/// `ds.event(i)`, independent of `cw_core::axes`' ID-keyed counting.
+fn reference_freqs(ds: &Dataset, rows: &[usize], kind: CharKind) -> BTreeMap<String, u64> {
+    let mut m: BTreeMap<String, u64> = BTreeMap::new();
+    if kind == CharKind::FracMalicious {
+        m.insert("malicious".into(), 0);
+        m.insert("not-malicious".into(), 0);
+    }
+    for &i in rows {
+        let e = ds.event(i);
+        let key = match kind {
+            CharKind::TopAs => Some(e.event.src_asn.to_string()),
+            CharKind::FracMalicious => Some(match e.verdict {
+                Verdict::Attacker => "malicious".to_string(),
+                Verdict::Scanner => "not-malicious".to_string(),
+            }),
+            CharKind::TopUsername => e.username().map(str::to_string),
+            CharKind::TopPassword => e.password().map(str::to_string),
+            CharKind::TopPayload => e.payload_bytes().map(|p| {
+                axes::payload_key(&cloud_watching::protocols::http::normalize(p))
+            }),
+        };
+        if let Some(key) = key {
+            *m.entry(key).or_insert(0) += 1;
+        }
+    }
+    m
+}
+
+/// The scan kernel against per-row references on a real world: every
+/// terminal, over the GreyNoise fleet, the EDU fleet and the whole table,
+/// with and without a residual predicate, matches `BTreeSet` inserts per
+/// admitted row and string-keyed folds over `ds.event(i)`.
+#[test]
+fn every_terminal_matches_a_per_row_reference_on_a_real_world() {
+    let _g = counter_lock();
+    let ds = &bundle().dataset;
+    let t = ds.table();
+    let exec = ScanExec::unplanned(ds);
+    let d = Deployment::standard();
+    let (g, e) = (greynoise_ips(&d), edu_ips(&d));
+    // A repeated key (22) and a key absent from the data (9).
+    let keys = [23, 22, 80, 22, 9];
+    assert!(!t.dst_ports().contains(&9));
+    // Long enough for the whole-table key lists to compact mid-pass.
+    assert!(ds.len() > 1 << 16, "{} rows", ds.len());
+    let mut nonempty = BTreeSet::new();
+    for (dsts, domain) in [
+        (Some(&g[..]), Plan::at(&g)),
+        (Some(&e[..]), Plan::at(&e)),
+        (None, Plan::scan()),
+    ] {
+        let not_syn = |i: &usize| !matches!(t.observed()[*i], Observed::Syn);
+        for (base, rows) in [
+            (domain.clone(), domain_rows(ds, dsts)),
+            (
+                domain.not_kind(ObsKind::Syn),
+                domain_rows(ds, dsts).into_iter().filter(not_syn).collect(),
+            ),
+        ] {
+            let run = |plan: Plan| exec.run(&plan);
+            assert!(!rows.is_empty(), "{base:?}");
+            assert_eq!(run(base.clone().count()).into_count(), rows.len());
+            assert_eq!(run(base.clone().rows()).into_rows(), rows);
+
+            let mut srcs = BTreeSet::new();
+            let mut asns = BTreeSet::new();
+            let mut by_port: BTreeMap<u16, BTreeSet<Ipv4Addr>> =
+                keys.iter().map(|&p| (p, BTreeSet::new())).collect();
+            let mut by_fp: BTreeMap<ProtocolId, BTreeSet<Ipv4Addr>> = BTreeMap::new();
+            for &i in &rows {
+                srcs.insert(t.srcs()[i]);
+                asns.insert(t.src_asns()[i]);
+                if let Some(set) = by_port.get_mut(&t.dst_ports()[i]) {
+                    set.insert(t.srcs()[i]);
+                }
+                if let Some(fp) = ds.fingerprints()[i] {
+                    by_fp.entry(fp).or_default().insert(t.srcs()[i]);
+                }
+            }
+            assert_eq!(run(base.clone().distinct_srcs()).into_distinct_srcs(), srcs);
+            assert_eq!(
+                run(base.clone().unique_src_and_asn()).into_unique_src_and_asn(),
+                (srcs.len(), asns.len())
+            );
+            assert_eq!(run(base.clone().srcs_by_port(&keys)).into_port_srcs(), by_port);
+            assert!(by_port[&9].is_empty() && !by_port[&22].is_empty());
+            assert_eq!(
+                run(base.clone().srcs_by_fingerprint()).into_fingerprint_srcs(),
+                by_fp
+            );
+            for kind in [
+                CharKind::TopAs,
+                CharKind::FracMalicious,
+                CharKind::TopUsername,
+                CharKind::TopPassword,
+                CharKind::TopPayload,
+            ] {
+                let want = reference_freqs(ds, &rows, kind);
+                if want.values().any(|&n| n > 0) {
+                    nonempty.insert(kind.label());
+                }
+                let got = run(base.clone().char_freqs(kind)).into_char_freqs();
+                assert_eq!(got, want, "{kind:?} over {base:?}");
+            }
+        }
+    }
+    assert_eq!(nonempty.len(), 5, "every axis must see data: {nonempty:?}");
 }
 
 #[test]
@@ -230,21 +359,33 @@ fn prefetched_registry_renders_are_byte_identical() {
     let plain: Vec<String> = singles.iter().map(|e| e.run(&plain_cx)).collect();
     let unfused = scan_counters().since(c0);
 
-    let c1 = scan_counters();
-    let mut cx = ExhibitCx::new(opts, worlds);
-    let stats = cx.prefetch(&singles);
-    assert_eq!(stats.len(), 1, "one bundle, one prefetched store");
-    assert!(stats[0].passes < stats[0].plans, "prefetch must fuse: {stats:?}");
-    let rendered: Vec<String> = singles.iter().map(|e| e.run(&cx)).collect();
-    let fused = scan_counters().since(c1);
+    // The prefetch at any thread count: the same stores, stats and
+    // column passes, so the same bytes.
+    let mut reference = None;
+    for threads in [1, 2, 8] {
+        let c1 = scan_counters();
+        let mut cx = ExhibitCx::new(opts, worlds).with_threads(threads);
+        let stats = cx.prefetch(&singles);
+        assert_eq!(stats.len(), 1, "one bundle, one prefetched store");
+        assert!(stats[0].passes < stats[0].plans, "prefetch must fuse: {stats:?}");
+        let rendered: Vec<String> = singles.iter().map(|e| e.run(&cx)).collect();
+        let fused = scan_counters().since(c1);
 
-    for (i, e) in singles.iter().enumerate() {
-        assert_eq!(plain[i], rendered[i], "{} changed under prefetch", e.name());
+        for (i, e) in singles.iter().enumerate() {
+            assert_eq!(
+                plain[i], rendered[i],
+                "{} changed under prefetch at {threads} threads",
+                e.name()
+            );
+        }
+        assert!(
+            fused.fused < unfused.fused,
+            "prefetched renders must cost fewer passes (fused {} vs unfused {})",
+            fused.fused,
+            unfused.fused
+        );
+        let (stats1, fused1) = reference.get_or_insert((stats.clone(), fused));
+        assert_eq!(&stats, stats1, "prefetch stats at {threads} threads");
+        assert_eq!(&fused, fused1, "scan counters at {threads} threads");
     }
-    assert!(
-        fused.fused < unfused.fused,
-        "prefetched renders must cost fewer passes (fused {} vs unfused {})",
-        fused.fused,
-        unfused.fused
-    );
 }
