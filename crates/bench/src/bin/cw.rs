@@ -7,8 +7,8 @@
 //! cw table1               # render one exhibit to stdout
 //! cw all                  # render all 25 exhibits into out/<name>.txt
 //! cw export               # write the released dataset under out/
-//! cw degrade              # finding stability under injected faults
 //! cw sweep                # finding stability across 10x/100x scales
+//! cw degrade              # the same report over the fault ladder at x1
 //! ```
 //!
 //! The driver resolves the union of simulated worlds the requested
@@ -34,16 +34,17 @@
 //!
 //! Setting `CW_INJECT_PANIC=<exhibit>` makes exactly that render panic —
 //! the hook `scripts/verify.sh` uses to prove the isolation contract.
-//! `CW_INJECT_PANIC=sweep:<i>` instead aborts `cw sweep` on its i-th
-//! (0-based) world-obtain, the hook the sweep-resume contract is tested
-//! with: rerunning after the abort resumes from the snapshot cache without
-//! recomputing completed cells.
+//! `CW_INJECT_PANIC=sweep:<i>` instead aborts the grid driver (`cw sweep`
+//! or `cw degrade`) on its i-th (0-based) world-obtain, the hook the
+//! sweep-resume contract is tested with: rerunning after the abort resumes
+//! from the snapshot cache without recomputing completed cells.
 
 use cw_bench::{parse_from, parse_scale, threads, RunOptions, USAGE};
 use cw_core::exhibit::{self, Exhibit, ExhibitCx, ExhibitOptions};
 use cw_core::fleet::{self, JobError};
 use cw_core::scenario::ScenarioConfig;
 use cw_core::snapshot::{self, Provenance};
+use cw_core::sweep::SweepGrid;
 use cw_core::SimBundle;
 use cw_scanners::population::ScenarioYear;
 use std::collections::BTreeMap;
@@ -284,31 +285,31 @@ fn cmd_all(opts: RunOptions) -> i32 {
     }
 }
 
+/// `cw degrade`: the fault-ladder preset of the `cw sweep` grid.
 fn cmd_degrade(opts: RunOptions) -> i32 {
-    let ex_opts = exhibit_options(opts);
-    let base = ex_opts.config(opts.year.unwrap_or(ScenarioYear::Y2021));
-    let use_cache = !opts.no_cache;
-    let report = cw_core::degrade::report(base, opts.seed ^ 0x1EA4, &|cfg| {
-        obtain(cfg, use_cache)
-    });
-    print!("{report}");
-    0
+    let year = opts.year.unwrap_or(ScenarioYear::Y2021);
+    cmd_grid(&SweepGrid::ladder(year, opts.seed), opts)
+}
+
+fn cmd_sweep(raw: Vec<String>) -> i32 {
+    let (grid, opts) = parse_sweep_args(raw);
+    cmd_grid(&grid, opts)
 }
 
 /// Parse `cw sweep`'s grid flags (`--scales`, `--years`, `--replicates`,
 /// `--variants`) out of the raw argument list, handing everything else to
-/// the shared [`parse_from`]. Exits 2 on malformed grid flags, matching
-/// the shared parser's behavior.
-fn parse_sweep_args(raw: Vec<String>) -> (cw_core::sweep::SweepGrid, RunOptions) {
+/// the shared [`parse_from`], and apply them to [`SweepGrid::standard`].
+/// Exits 2 on malformed grid flags, matching the shared parser's behavior.
+fn parse_sweep_args(raw: Vec<String>) -> (SweepGrid, RunOptions) {
     fn grid_usage_exit(problem: &str) -> ! {
         eprintln!("error: {problem}");
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
-    let mut scales = vec![1.0, 10.0, 100.0];
-    let mut years: Option<Vec<ScenarioYear>> = None;
-    let mut replicates = 1usize;
-    let mut variants: Vec<&'static str> = vec!["none"];
+    let mut scales = None;
+    let mut years = None;
+    let mut replicates = None;
+    let mut variants = None;
     let mut rest = Vec::new();
     let mut it = raw.into_iter();
     while let Some(arg) = it.next() {
@@ -318,10 +319,12 @@ fn parse_sweep_args(raw: Vec<String>) -> (cw_core::sweep::SweepGrid, RunOptions)
         };
         match arg.as_str() {
             "--scales" => {
-                scales = value("--scales")
-                    .split(',')
-                    .map(|s| parse_scale("--scales", s))
-                    .collect();
+                scales = Some(
+                    value("--scales")
+                        .split(',')
+                        .map(|s| parse_scale("--scales", s))
+                        .collect(),
+                );
             }
             "--years" => {
                 years = Some(
@@ -339,50 +342,54 @@ fn parse_sweep_args(raw: Vec<String>) -> (cw_core::sweep::SweepGrid, RunOptions)
                 );
             }
             "--replicates" => {
-                replicates = match value("--replicates").parse() {
-                    Ok(n) if n >= 1 => n,
+                replicates = match value("--replicates").parse::<u64>() {
+                    Ok(n) if n >= 1 => Some(n),
                     _ => grid_usage_exit("--replicates expects an integer >= 1"),
                 };
             }
             "--variants" => {
                 let ladder = cw_core::degrade::ladder();
-                variants = value("--variants")
-                    .split(',')
-                    .map(|v| {
-                        let v = v.trim();
-                        match ladder.iter().find(|r| r.label == v) {
-                            Some(r) => r.label,
-                            None => grid_usage_exit(&format!(
-                                "unknown variant '{v}' (use none, mild, moderate or severe)"
-                            )),
-                        }
-                    })
-                    .collect();
+                variants = Some(
+                    value("--variants")
+                        .split(',')
+                        .map(|v| {
+                            let v = v.trim();
+                            ladder
+                                .iter()
+                                .find(|r| r.label == v)
+                                .copied()
+                                .unwrap_or_else(|| {
+                                    grid_usage_exit(&format!(
+                                    "unknown variant '{v}' (use none, mild, moderate or severe)"
+                                ))
+                                })
+                        })
+                        .collect(),
+                );
             }
             other => rest.push(other.to_string()),
         }
     }
     let opts = parse_from(rest.into_iter());
-    let ladder = cw_core::degrade::ladder();
-    let grid = cw_core::sweep::SweepGrid {
-        years: years.unwrap_or_else(|| vec![opts.year.unwrap_or(ScenarioYear::Y2021)]),
-        seeds: (0..replicates as u64).map(|i| opts.seed.wrapping_add(i)).collect(),
-        variants: variants
-            .iter()
-            .map(|label| {
-                *ladder
-                    .iter()
-                    .find(|r| r.label == *label)
-                    .expect("validated against the ladder above")
-            })
-            .collect(),
-        scales,
-    };
+    let mut grid = SweepGrid::standard(
+        years.unwrap_or_else(|| vec![opts.year.unwrap_or(ScenarioYear::Y2021)]),
+        opts.seed,
+    );
+    if let Some(n) = replicates {
+        grid.seeds = (0..n).map(|i| opts.seed.wrapping_add(i)).collect();
+    }
+    if let Some(variants) = variants {
+        grid.variants = variants;
+    }
+    if let Some(scales) = scales {
+        grid.scales = scales;
+    }
     (grid, opts)
 }
 
-fn cmd_sweep(raw: Vec<String>) -> i32 {
-    let (grid, opts) = parse_sweep_args(raw);
+/// Run a finding-stability grid through [`cw_core::sweep::report`] and
+/// print the report: the one path behind `cw sweep` and `cw degrade`.
+fn cmd_grid(grid: &SweepGrid, opts: RunOptions) -> i32 {
     let ex_opts = exhibit_options(opts);
     let base = ex_opts.config(opts.year.unwrap_or(ScenarioYear::Y2021));
     let use_cache = !opts.no_cache;
@@ -392,7 +399,7 @@ fn cmd_sweep(raw: Vec<String>) -> i32 {
         .ok()
         .and_then(|v| v.strip_prefix("sweep:").and_then(|i| i.parse().ok()));
     let obtained = std::cell::Cell::new(0usize);
-    let report = cw_core::sweep::report(&grid, base, &|cfg| {
+    let report = cw_core::sweep::report(grid, base, &|cfg| {
         let i = obtained.get();
         obtained.set(i + 1);
         if inject == Some(i) {

@@ -1,19 +1,19 @@
-//! `cw degrade` — do the paper's findings survive measurement faults?
+//! Do the paper's findings survive measurement faults? The fault ladder
+//! and the directional finding evaluators.
 //!
 //! The fault-injection subsystem ([`cw_netsim::fault`]) makes degraded
 //! collection a first-class, reproducible world: flows lost in the
 //! network, vantage outages, payload truncation, telescope sampling. This
-//! module sweeps a fixed ladder of fault plans and re-evaluates the
+//! module holds a fixed ladder of fault plans ([`ladder`]) and the
 //! *directional* versions of the headline findings behind Tables 1, 7, 8,
-//! 9 and the Table 3 leak experiment on each rung, reporting per-finding
-//! stability.
+//! 9 and the Table 3 leak experiment ([`evaluate`]). The grid driver in
+//! [`crate::sweep`] runs both: `cw degrade` is its [`SweepGrid::ladder`]
+//! preset, one world per rung at scale ×1.
 //!
 //! Every rung is itself a deterministic world (same seed, same plan →
-//! same bytes, for any thread/shard/cache configuration), so the whole
-//! sweep is reproducible: the report is a pure function of `(base config,
-//! ladder)`. The driver supplies the world-obtain function so rungs flow
-//! through the snapshot cache like any other exhibit world — each plan
-//! has its own cache address (see [`FaultPlan::cache_key_fragment`]).
+//! same bytes, for any thread/shard/cache configuration), and each plan
+//! has its own snapshot-cache address (see
+//! [`FaultPlan::cache_key_fragment`]).
 //!
 //! Findings are checked as *directions*, not magnitudes: under 30% flow
 //! loss every absolute count shrinks, but a robust conclusion (e.g.
@@ -22,13 +22,12 @@
 //! exact collection window.
 
 use crate::bundle::SimBundle;
-use crate::leak::{LeakConfig, LeakGroup, LeakOutcome, LeakService};
+use crate::leak::{LeakGroup, LeakOutcome, LeakService, LEAK_SEED_XOR};
 use crate::query::{Plan, ScanExec};
-use crate::report::{header_str, TextTable};
 use crate::scenario::ScenarioConfig;
+use crate::sweep::{self, SweepGrid};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
 use cw_netsim::fault::FaultPlan;
-use cw_netsim::time::SimDuration;
 
 /// One rung of the degradation ladder: a label and the fault plan it
 /// applies to every world obtained for it.
@@ -218,102 +217,23 @@ pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
     out
 }
 
-/// Run the sweep and render the `cw degrade` report.
+/// The `cw degrade` report for `base`: [`sweep::report`] over the
+/// [`SweepGrid::ladder`] preset, byte for byte what `cw degrade` prints.
 ///
-/// `base` selects the scenario world (year, seed, scale, shards) each rung
-/// re-runs under its plan; `leak_seed` seeds the per-rung leak worlds
-/// (matching the driver's `opts.seed ^ 0x1EA4` convention); `obtain`
-/// supplies each rung's scenario bundle so the driver chooses the cache
-/// policy. The leak worlds are small and always simulate inline.
+/// A thin wrapper kept for callers of this signature (the benchmark's
+/// traced run). `leak_seed` is not a free parameter: the grid driver seeds
+/// every leak world `seed ^ LEAK_SEED_XOR`, and any other value panics.
 pub fn report(
     base: ScenarioConfig,
     leak_seed: u64,
     obtain: &dyn Fn(ScenarioConfig) -> SimBundle,
 ) -> String {
-    let rungs = ladder();
-    let mut out = header_str("Degradation sweep: finding stability under measurement faults");
-    out.push_str(
-        "Each rung re-simulates the main world and the leak experiment under a\n\
-         deterministic fault plan, then re-checks the directional findings behind\n\
-         Tables 1, 7, 8, 9 and the Table 3 leak. STABLE = direction holds on every\n\
-         rung of the ladder.\n\n",
+    assert_eq!(
+        leak_seed,
+        base.seed ^ LEAK_SEED_XOR,
+        "the leak world seed is the scenario seed ^ LEAK_SEED_XOR"
     );
-
-    // Rung summary table, with per-rung world evidence.
-    let mut evals: Vec<(&'static str, Vec<FindingEval>)> = Vec::new();
-    let mut t = TextTable::new(&[
-        "Rung",
-        "Loss",
-        "Outage",
-        "Trunc",
-        "Tel 1/N",
-        "Events",
-        "Flows lost",
-    ]);
-    for rung in &rungs {
-        eprintln!("[cw] degrade rung '{}' ...", rung.label);
-        let bundle = obtain(base.with_fault(rung.plan));
-        let leak = crate::leak::run(&LeakConfig {
-            seed: leak_seed,
-            scale: base.scale,
-            horizon: SimDuration::WEEK,
-            fault: rung.plan,
-        });
-        t.row(vec![
-            rung.label.to_string(),
-            format!("{:.0}%", rung.plan.flow_loss * 100.0),
-            format!(
-                "{:.0}%×{}",
-                rung.plan.outage * 100.0,
-                rung.plan.outage_windows.max(1)
-            ),
-            format!("{:.0}%", rung.plan.truncation * 100.0),
-            format!("1/{}", rung.plan.telescope_sample.max(1)),
-            bundle.dataset.len().to_string(),
-            bundle.stats.flows_lost.to_string(),
-        ]);
-        evals.push((rung.label, evaluate(&bundle, &leak)));
-    }
-    out.push_str(&format!("{}\n", t.render()));
-
-    // Finding × rung grid with the stability verdict.
-    let mut headers: Vec<&str> = vec!["Finding"];
-    headers.extend(rungs.iter().map(|r| r.label));
-    headers.push("Verdict");
-    let mut grid = TextTable::new(&headers);
-    let n_findings = evals[0].1.len();
-    let mut stable_count = 0usize;
-    for f in 0..n_findings {
-        let name = evals[0].1[f].name;
-        let mut row = vec![name.to_string()];
-        let mut all_hold = true;
-        let mut first_break: Option<&'static str> = None;
-        for (label, rung_evals) in &evals {
-            let e = rung_evals[f];
-            row.push(format!(
-                "{:.2}{}",
-                e.metric,
-                if e.holds { "" } else { " !" }
-            ));
-            if !e.holds {
-                all_hold = false;
-                first_break.get_or_insert(label);
-            }
-        }
-        row.push(match first_break {
-            None => "STABLE".to_string(),
-            Some(label) => format!("BREAKS@{label}"),
-        });
-        if all_hold {
-            stable_count += 1;
-        }
-        grid.row(row);
-    }
-    out.push_str(&format!("{}\n", grid.render()));
-    out.push_str(&format!(
-        "{stable_count}/{n_findings} findings stable across the full ladder\n",
-    ));
-    out
+    sweep::report(&SweepGrid::ladder(base.year, base.seed), base, obtain)
 }
 
 #[cfg(test)]
@@ -336,13 +256,15 @@ mod tests {
     #[test]
     fn report_is_deterministic_and_evaluates_every_finding_per_rung() {
         let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.02);
-        let render = || report(base, 0xDE64, &|cfg| SimBundle::run(cfg));
-        let a = render();
-        assert_eq!(a, render());
+        let obtain = |cfg| SimBundle::run(cfg);
+        let a = report(base, base.seed ^ LEAK_SEED_XOR, &obtain);
+        let ladder_grid = SweepGrid::ladder(base.year, base.seed);
+        assert_eq!(a, sweep::report(&ladder_grid, base, &obtain));
         assert!(a.contains("STABLE") || a.contains("BREAKS@"));
+        assert!(a.contains("Cells: 4 (4 distinct worlds"));
         for rung in ladder() {
-            assert!(a.contains(rung.label));
+            assert!(a.contains(&format!("{}\u{d7}1", rung.label)));
         }
-        assert!(a.contains("findings stable across the full ladder"));
+        assert!(a.contains("findings stable across every swept cell"));
     }
 }

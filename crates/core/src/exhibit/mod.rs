@@ -21,7 +21,7 @@ pub mod special;
 use crate::bundle::SimBundle;
 use crate::dataset::Dataset;
 use crate::fleet;
-use crate::leak::{LeakConfig, LeakOutcome};
+use crate::leak::{LeakConfig, LeakOutcome, LEAK_SEED_XOR};
 use crate::neighborhood::NeighborhoodRow;
 use crate::overlap::{MaliciousOverlapRow, OverlapRow};
 use crate::ports::{CompositionStats, ProtocolBreakdownRow, UnexpectedShare};
@@ -351,7 +351,7 @@ impl<'a> ExhibitCx<'a> {
             );
             let started = std::time::Instant::now();
             let outcome = crate::leak::run(&LeakConfig {
-                seed: self.opts.seed ^ 0x1EA4,
+                seed: self.opts.seed ^ LEAK_SEED_XOR,
                 scale: self.opts.scale,
                 horizon: cw_netsim::time::SimDuration::WEEK,
                 fault: self.opts.fault,

@@ -125,6 +125,11 @@ impl LeakOutcome {
     }
 }
 
+/// The leak world's seed is the scenario seed XOR this constant, so the
+/// leak experiment never shares RNG streams with the main world it is
+/// compared against. Every leak world a driver runs is seeded this way.
+pub const LEAK_SEED_XOR: u64 = 0x1EA4;
+
 /// Experiment configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct LeakConfig {
@@ -143,7 +148,7 @@ pub struct LeakConfig {
 impl Default for LeakConfig {
     fn default() -> Self {
         LeakConfig {
-            seed: crate::scenario::DEFAULT_SEED ^ 0x1EA4,
+            seed: crate::scenario::DEFAULT_SEED ^ LEAK_SEED_XOR,
             scale: 1.0,
             horizon: SimDuration::WEEK,
             fault: FaultPlan::none(),

@@ -38,9 +38,12 @@
 //!   `out/.cache`;
 //! - [`exhibit`] — the unified registry of all 25 tables/figures/ablations
 //!   as pure renders over shared [`SimBundle`]s (the `cw` CLI's backend);
-//! - [`degrade`] — the `cw degrade` sweep: re-evaluates the headline
-//!   findings under a ladder of deterministic fault plans
-//!   ([`cw_netsim::fault`]) and reports their stability.
+//! - [`degrade`] — a ladder of deterministic fault plans
+//!   ([`cw_netsim::fault`]) and the directional versions of the headline
+//!   findings;
+//! - [`sweep`] — the finding-stability grid driver: re-evaluates those
+//!   findings across years, seeds, fault variants and scales (`cw sweep`;
+//!   `cw degrade` is its fault-ladder preset).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1,42 +1,40 @@
-//! `cw sweep` — are the paper's findings scale-invariant?
+//! The finding-stability grid behind `cw sweep` and `cw degrade`.
 //!
-//! The paper reports its findings at one observation scale; ROADMAP item 2
-//! asks whether they survive 10× and 100× worlds. This module drives a
-//! grid over (year × seed × deployment variant × scale), obtains each
-//! cell's world through the simulate-once snapshot cache (so every
-//! distinct world is computed exactly once, ever — interrupted sweeps
-//! resume from where they stopped), and re-checks the directional findings
-//! behind Tables 1, 7, 8, 9 and the Table 3 leak experiment at every
-//! scale, reporting per-finding STABLE/DRIFTS verdicts.
+//! The paper reports its findings from one observation scale and perfect
+//! collection. This module asks whether they survive other scales and
+//! degraded collection: it drives a grid over (year × seed × deployment
+//! variant × scale), obtains each cell's world through the simulate-once
+//! snapshot cache (so every distinct world is computed exactly once, ever
+//! — interrupted sweeps resume from where they stopped), and re-checks the
+//! directional findings behind Tables 1, 7, 8, 9 and the Table 3 leak
+//! experiment in every cell ([`crate::degrade::evaluate`]).
 //!
-//! The scale axis is a multiplier on the base configuration's `scale`, so
-//! the same grid shape drives both the real `{×1, ×10, ×100}` question and
-//! cheap test grids over tiny base scales. Deployment variants reuse the
-//! degradation ladder's fault rungs ([`crate::degrade::ladder`]): the
-//! fault-free "none" rung is the paper's deployment, the others ask the
-//! scale question under degraded collection.
+//! Deployment variants are the degradation ladder's fault rungs
+//! ([`crate::degrade::ladder`]); the fault-free "none" rung is the paper's
+//! deployment. The scale axis is a multiplier on the base configuration's
+//! `scale`, so the same grid shape drives both the real `{×1, ×10, ×100}`
+//! question and cheap test grids over tiny base scales. `cw sweep` starts
+//! from [`SweepGrid::standard`]; `cw degrade` is the
+//! [`SweepGrid::ladder`] preset.
 //!
-//! Like `cw degrade`, findings are evaluated as *directions*
-//! ([`crate::degrade::evaluate`]): a scale-stable conclusion keeps its
-//! sign as the world grows, even though every absolute count changes.
+//! Findings are checked as *directions*, not magnitudes: every absolute
+//! count changes with scale and shrinks under flow loss, but a robust
+//! conclusion keeps its sign. A finding is `STABLE` when its direction
+//! holds in every cell of its (year, seed) group; otherwise its verdict
+//! `BREAKS@<cell>` names the first cell where it flips.
 
 use crate::bundle::SimBundle;
 use crate::degrade::{self, FindingEval, Rung};
-use crate::leak::{LeakConfig, LeakOutcome};
+use crate::leak::{LeakConfig, LeakOutcome, LEAK_SEED_XOR};
 use crate::report::{header_str, TextTable};
 use crate::scenario::ScenarioConfig;
 use cw_netsim::time::SimDuration;
 use cw_scanners::population::ScenarioYear;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The seed-splitting convention for a cell's leak world, matching the
-/// `cw degrade` driver: the leak experiment must not share RNG streams
-/// with the main world it is compared against.
-pub const LEAK_SEED_XOR: u64 = 0x1EA4;
-
 /// The sweep grid: the cross product of years × seeds × deployment
-/// variants × scale multipliers. Scales are innermost so each report row
-/// reads across scales.
+/// variants × scale multipliers. The report groups cells by (year, seed);
+/// each group reads across its (variant, scale) cells, scales innermost.
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
     /// Measurement years to sweep.
@@ -47,6 +45,15 @@ pub struct SweepGrid {
     pub variants: Vec<Rung>,
     /// Scale multipliers applied to the base configuration's scale.
     pub scales: Vec<f64>,
+}
+
+/// One distinct (variant, scale) cell of a group: one report column.
+struct Cell {
+    /// Column label, `<variant>×<mult>` ("none×1", "mild×10").
+    label: String,
+    variant: Rung,
+    /// The absolute scale: the base scale times the multiplier.
+    scale: f64,
 }
 
 impl SweepGrid {
@@ -62,6 +69,17 @@ impl SweepGrid {
         }
     }
 
+    /// The fault-ladder preset `cw degrade` runs: one year, one seed, the
+    /// four ladder rungs, scale ×1.
+    pub fn ladder(year: ScenarioYear, seed: u64) -> SweepGrid {
+        SweepGrid {
+            years: vec![year],
+            seeds: vec![seed],
+            variants: degrade::ladder(),
+            scales: vec![1.0],
+        }
+    }
+
     /// Total number of grid cells (including any duplicates the axes name).
     pub fn cell_count(&self) -> usize {
         self.years.len() * self.seeds.len() * self.variants.len() * self.scales.len()
@@ -71,18 +89,42 @@ impl SweepGrid {
     /// simulations a cold sweep performs (and a warm sweep's zero, both
     /// enforced by `tests/sweep.rs` via the simulate-call counter).
     pub fn distinct_configs(&self, base: &ScenarioConfig) -> usize {
-        let mut seen: BTreeSet<(u16, u64, u64, &'static str)> = BTreeSet::new();
+        self.groups().len() * self.cells(base).len()
+    }
+
+    /// The distinct (year, seed) groups, in axis order.
+    fn groups(&self) -> Vec<(ScenarioYear, u64)> {
+        let mut seen = BTreeSet::new();
+        let mut groups = Vec::new();
         for &year in &self.years {
             for &seed in &self.seeds {
-                for variant in &self.variants {
-                    for &mult in &self.scales {
-                        let scale = base.scale * mult;
-                        seen.insert((year.year(), seed, scale.to_bits(), variant.label));
-                    }
+                if seen.insert((year.year(), seed)) {
+                    groups.push((year, seed));
                 }
             }
         }
-        seen.len()
+        groups
+    }
+
+    /// The distinct (variant, scale) cells every group evaluates, in axis
+    /// order with scales innermost. A duplicate entry names the same world
+    /// and is evaluated once.
+    fn cells(&self, base: &ScenarioConfig) -> Vec<Cell> {
+        let mut seen = BTreeSet::new();
+        let mut cells = Vec::new();
+        for variant in &self.variants {
+            for &mult in &self.scales {
+                let scale = base.scale * mult;
+                if seen.insert((variant.label, scale.to_bits())) {
+                    cells.push(Cell {
+                        label: format!("{}{}", variant.label, scale_label(mult)),
+                        variant: *variant,
+                        scale,
+                    });
+                }
+            }
+        }
+        cells
     }
 }
 
@@ -95,7 +137,17 @@ fn scale_label(mult: f64) -> String {
     }
 }
 
-/// Run the sweep and render the `cw sweep` scale-sensitivity report.
+/// A finding's verdict across one group: `STABLE`, or `BREAKS@` and the
+/// label of the first cell where its direction fails.
+fn verdict(first_break: Option<&str>) -> String {
+    match first_break {
+        None => "STABLE".to_string(),
+        Some(cell) => format!("BREAKS@{cell}"),
+    }
+}
+
+/// Run the grid and render the finding-stability report `cw sweep` and
+/// `cw degrade` print.
 ///
 /// `base` supplies everything the grid doesn't override (horizon, shards,
 /// and the scale every multiplier applies to); `obtain` supplies each
@@ -113,138 +165,122 @@ pub fn report(
     base: ScenarioConfig,
     obtain: &dyn Fn(ScenarioConfig) -> SimBundle,
 ) -> String {
-    let mut out = header_str("Scale sensitivity sweep: finding stability across observation scales");
+    let groups = grid.groups();
+    let cells = grid.cells(&base);
+    let mut out =
+        header_str("Finding stability sweep: directional findings across faults and scales");
     out.push_str(
         "Each cell simulates (or cache-loads) one world of the (year, seed, variant,\n\
-         scale) grid via the streaming dataset build, then re-checks the directional\n\
-         findings behind Tables 1, 7, 8, 9 and the Table 3 leak at every scale.\n\
-         STABLE = direction holds at every swept scale of the group.\n\n",
+         scale) grid and the leak experiment under the variant's fault plan, then\n\
+         re-checks the directional findings behind Tables 1, 7, 8, 9 and the Table 3\n\
+         leak. STABLE = direction holds in every cell of the (year, seed) group;\n\
+         BREAKS@<cell> names the first cell where it does not.\n\n",
     );
     out.push_str(&format!(
         "Grid: years={:?} seeds={:?} variants={:?} scales={:?}\n",
         grid.years.iter().map(|y| y.year()).collect::<Vec<_>>(),
-        grid.seeds.iter().map(|s| format!("{s:#x}")).collect::<Vec<_>>(),
+        grid.seeds
+            .iter()
+            .map(|s| format!("{s:#x}"))
+            .collect::<Vec<_>>(),
         grid.variants.iter().map(|v| v.label).collect::<Vec<_>>(),
-        grid.scales.iter().map(|&m| scale_label(m)).collect::<Vec<_>>(),
+        grid.scales
+            .iter()
+            .map(|&m| scale_label(m))
+            .collect::<Vec<_>>(),
     ));
     out.push_str(&format!(
         "Cells: {} ({} distinct worlds; each simulated at most once ever via the cache)\n\n",
         grid.cell_count(),
-        grid.distinct_configs(&base),
+        groups.len() * cells.len(),
     ));
 
-    // Leak worlds memoized per distinct (seed, scale, variant) — reused
-    // across years and duplicate axis entries.
-    let mut leak_memo: BTreeMap<(u64, u64, &'static str), LeakOutcome> = BTreeMap::new();
-    // Per-finding stability across *all* groups, in first-seen order.
-    let mut finding_names: Vec<&'static str> = Vec::new();
-    let mut finding_stable: BTreeMap<&'static str, bool> = BTreeMap::new();
-
-    for &year in &grid.years {
-        for &seed in &grid.seeds {
-            for variant in &grid.variants {
-                out.push_str(&format!(
-                    "== year={} seed={:#x} variant={} ==\n",
-                    year.year(),
-                    seed,
-                    variant.label
-                ));
-                let mut worlds = TextTable::new(&[
-                    "Scale",
-                    "Events",
-                    "Distinct payloads",
-                    "Telescope srcs",
-                    "Flows lost",
-                ]);
-                let mut evals: Vec<(String, Vec<FindingEval>)> = Vec::new();
-                let mut seen_scales: BTreeSet<u64> = BTreeSet::new();
-                for &mult in &grid.scales {
-                    let scale = base.scale * mult;
-                    // A duplicate multiplier names the same world; evaluate
-                    // it once per group.
-                    if !seen_scales.insert(scale.to_bits()) {
-                        continue;
-                    }
-                    let label = scale_label(mult);
-                    eprintln!(
-                        "[cw] sweep cell year={} seed={seed:#x} variant={} scale={label} ...",
-                        year.year(),
-                        variant.label
-                    );
-                    let cfg = ScenarioConfig { year, ..base }
-                        .with_seed(seed)
-                        .with_scale(scale)
-                        .with_fault(variant.plan);
-                    let bundle = obtain(cfg);
-                    let leak = leak_memo
-                        .entry((seed, scale.to_bits(), variant.label))
-                        .or_insert_with(|| {
-                            crate::leak::run(&LeakConfig {
-                                seed: seed ^ LEAK_SEED_XOR,
-                                scale,
-                                horizon: SimDuration::WEEK,
-                                fault: variant.plan,
-                            })
-                        });
-                    worlds.row(vec![
-                        label.clone(),
-                        bundle.dataset.len().to_string(),
-                        bundle.dataset.interner().payload_count().to_string(),
-                        bundle.telescope.unique_source_count().to_string(),
-                        bundle.stats.flows_lost.to_string(),
-                    ]);
-                    evals.push((label, degrade::evaluate(&bundle, leak)));
-                }
-                out.push_str(&format!("{}\n", worlds.render()));
-
-                // Finding × scale grid with the per-group verdict.
-                let headers: Vec<String> = std::iter::once("Finding".to_string())
-                    .chain(evals.iter().map(|(l, _)| l.clone()))
-                    .chain(std::iter::once("Verdict".to_string()))
-                    .collect();
-                let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-                let mut findings = TextTable::new(&header_refs);
-                let n_findings = evals[0].1.len();
-                for f in 0..n_findings {
-                    let name = evals[0].1[f].name;
-                    if !finding_stable.contains_key(name) {
-                        finding_names.push(name);
-                        finding_stable.insert(name, true);
-                    }
-                    let mut row = vec![name.to_string()];
-                    let mut first_drift: Option<&str> = None;
-                    for (label, scale_evals) in &evals {
-                        let e = scale_evals[f];
-                        row.push(format!(
-                            "{:.2}{}",
-                            e.metric,
-                            if e.holds { "" } else { " !" }
-                        ));
-                        if !e.holds && first_drift.is_none() {
-                            first_drift = Some(label);
-                        }
-                    }
-                    row.push(match first_drift {
-                        None => "STABLE".to_string(),
-                        Some(label) => {
-                            *finding_stable.get_mut(name).expect("inserted above") = false;
-                            format!("DRIFTS@{label}")
-                        }
-                    });
-                    findings.row(row);
-                }
-                out.push_str(&format!("{}\n", findings.render()));
-            }
+    let mut leaks: BTreeMap<(u64, u64, &'static str), LeakOutcome> = BTreeMap::new();
+    // Per finding, in evaluation order: its name and whether it has held
+    // in every cell of every group so far.
+    let mut stable: Vec<(&'static str, bool)> = Vec::new();
+    for (year, seed) in groups {
+        out.push_str(&format!("== year={} seed={seed:#x} ==\n", year.year()));
+        let mut worlds = TextTable::new(&[
+            "Cell",
+            "Loss",
+            "Outage",
+            "Trunc",
+            "Tel 1/N",
+            "Events",
+            "Distinct payloads",
+            "Telescope srcs",
+            "Flows lost",
+        ]);
+        let mut evals: Vec<Vec<FindingEval>> = Vec::with_capacity(cells.len());
+        for cell in &cells {
+            eprintln!(
+                "[cw] sweep cell year={} seed={seed:#x} {} ...",
+                year.year(),
+                cell.label
+            );
+            let plan = cell.variant.plan;
+            let bundle = obtain(
+                ScenarioConfig { year, ..base }
+                    .with_seed(seed)
+                    .with_scale(cell.scale)
+                    .with_fault(plan),
+            );
+            let leak = leaks
+                .entry((seed, cell.scale.to_bits(), cell.variant.label))
+                .or_insert_with(|| {
+                    crate::leak::run(&LeakConfig {
+                        seed: seed ^ LEAK_SEED_XOR,
+                        scale: cell.scale,
+                        horizon: SimDuration::WEEK,
+                        fault: plan,
+                    })
+                });
+            worlds.row(vec![
+                cell.label.clone(),
+                format!("{:.0}%", plan.flow_loss * 100.0),
+                format!("{:.0}%×{}", plan.outage * 100.0, plan.outage_windows.max(1)),
+                format!("{:.0}%", plan.truncation * 100.0),
+                format!("1/{}", plan.telescope_sample.max(1)),
+                bundle.dataset.len().to_string(),
+                bundle.dataset.interner().payload_count().to_string(),
+                bundle.telescope.unique_source_count().to_string(),
+                bundle.stats.flows_lost.to_string(),
+            ]);
+            evals.push(degrade::evaluate(&bundle, leak));
         }
+        out.push_str(&format!("{}\n", worlds.render()));
+
+        // Finding × cell grid with the per-group verdict.
+        let headers: Vec<&str> = std::iter::once("Finding")
+            .chain(cells.iter().map(|c| c.label.as_str()))
+            .chain(std::iter::once("Verdict"))
+            .collect();
+        let mut findings = TextTable::new(&headers);
+        let n_findings = evals.first().map_or(0, Vec::len);
+        for f in 0..n_findings {
+            let name = evals[0][f].name;
+            let mut row = vec![name.to_string()];
+            row.extend(
+                evals
+                    .iter()
+                    .map(|e| format!("{:.2}{}", e[f].metric, if e[f].holds { "" } else { " !" })),
+            );
+            let first_break = evals.iter().position(|e| !e[f].holds);
+            row.push(verdict(first_break.map(|i| cells[i].label.as_str())));
+            findings.row(row);
+            if stable.len() == f {
+                stable.push((name, true));
+            }
+            stable[f].1 &= first_break.is_none();
+        }
+        out.push_str(&format!("{}\n", findings.render()));
     }
 
-    let stable = finding_names
-        .iter()
-        .filter(|n| finding_stable[*n])
-        .count();
+    let n_stable = stable.iter().filter(|(_, holds)| *holds).count();
     out.push_str(&format!(
-        "{stable}/{} findings scale-stable across every swept group\n",
-        finding_names.len(),
+        "{n_stable}/{} findings stable across every swept cell\n",
+        stable.len(),
     ));
     out
 }
@@ -252,6 +288,15 @@ pub fn report(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The verdict tokens a report's finding grids end their rows with.
+    fn verdicts(report: &str) -> usize {
+        report
+            .lines()
+            .filter_map(|l| l.split_whitespace().last())
+            .filter(|t| *t == "STABLE" || t.starts_with("BREAKS@"))
+            .count()
+    }
 
     #[test]
     fn standard_grid_shape() {
@@ -295,10 +340,8 @@ mod tests {
         let a = render();
         assert_eq!(a, render());
         // Every tracked finding gets exactly one verdict token per group.
-        let verdicts = a.matches("STABLE").count() + a.matches("DRIFTS@").count();
-        // "STABLE" also appears once inside the preamble text.
-        assert_eq!(verdicts - 1, 5, "one verdict per tracked finding:\n{a}");
-        assert!(a.contains("findings scale-stable"));
-        assert!(a.contains("\u{d7}2"));
+        assert_eq!(verdicts(&a), 5, "one verdict per tracked finding:\n{a}");
+        assert!(a.contains("findings stable across every swept cell"));
+        assert!(a.contains("none\u{d7}2"));
     }
 }

@@ -1,5 +1,5 @@
 //! The golden-exhibit manifest: a content-hashed inventory of the 25
-//! checked-in `out/*.txt` exhibits.
+//! rendered `out/*.txt` exhibits.
 //!
 //! Every empirical claim in EXPERIMENTS.md renders to one of these files,
 //! and a perf or refactor PR must not change a single byte of any of them
@@ -9,43 +9,21 @@
 //! changes are *blessed* by re-running the gate with `CW_BLESS=1`, which
 //! rewrites the manifest from the files on disk ([`bless`]).
 //!
-//! The gate hashes what is checked in; regenerating the exhibits from the
-//! experiment binaries (and therefore proving the *code* still produces
-//! these bytes) is the `scripts/verify.sh` drift step, which rebuilds each
-//! exhibit and byte-compares before this manifest check runs.
+//! The gate hashes what is on disk; regenerating the exhibits with `cw all`
+//! (and therefore proving the *code* still produces these bytes) is the
+//! `scripts/verify.sh` drift step, which runs before this manifest check.
 
 use crate::sha256::sha256_hex;
 use std::path::{Path, PathBuf};
 
-/// The 25 checked-in exhibits, in manifest order. One entry per paper
-/// table/figure/ablation regenerated by the same-named `cw-bench` binary.
-pub const EXHIBITS: [&str; 25] = [
-    "ablation_bonferroni.txt",
-    "ablation_median.txt",
-    "ablation_topk.txt",
-    "all.txt",
-    "figure1.txt",
-    "recommendations.txt",
-    "section3_2.txt",
-    "table1.txt",
-    "table2.txt",
-    "table3.txt",
-    "table4.txt",
-    "table5.txt",
-    "table6.txt",
-    "table7.txt",
-    "table8.txt",
-    "table9.txt",
-    "table10.txt",
-    "table11.txt",
-    "table12.txt",
-    "table13.txt",
-    "table14.txt",
-    "table15.txt",
-    "table16.txt",
-    "table17.txt",
-    "temporal_stability.txt",
-];
+/// The golden exhibit files, `<name>.txt` for every entry of
+/// [`cw_core::exhibit::REGISTRY`], in registry (= manifest) order.
+pub fn exhibit_files() -> Vec<String> {
+    cw_core::exhibit::REGISTRY
+        .iter()
+        .map(|e| format!("{}.txt", e.name()))
+        .collect()
+}
 
 /// Path of the workspace root, from this crate's manifest directory.
 pub fn workspace_root() -> PathBuf {
@@ -78,7 +56,7 @@ pub enum Drift {
         /// Hash of the file on disk.
         actual: String,
     },
-    /// The exhibit is listed in [`EXHIBITS`] but absent on disk.
+    /// The exhibit is listed in [`exhibit_files`] but absent on disk.
     MissingFile {
         /// Exhibit file name.
         name: String,
@@ -105,14 +83,14 @@ impl std::fmt::Display for Drift {
 }
 
 /// Hash every exhibit under `root`, returning `(name, sha256_hex)` pairs in
-/// [`EXHIBITS`] order. Missing files are reported as errors.
+/// [`exhibit_files`] order. Missing files are reported as errors.
 pub fn compute_hashes(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let dir = exhibits_dir(root);
-    EXHIBITS
-        .iter()
+    exhibit_files()
+        .into_iter()
         .map(|name| {
-            let bytes = std::fs::read(dir.join(name))?;
-            Ok((name.to_string(), sha256_hex(&bytes)))
+            let bytes = std::fs::read(dir.join(&name))?;
+            Ok((name, sha256_hex(&bytes)))
         })
         .collect()
 }
@@ -157,24 +135,19 @@ pub fn check(root: &Path) -> std::io::Result<Vec<Drift>> {
         parse_manifest(&manifest_text).into_iter().collect();
     let dir = exhibits_dir(root);
     let mut drifts = Vec::new();
-    for name in EXHIBITS {
-        let path = dir.join(name);
-        let bytes = match std::fs::read(&path) {
+    for name in exhibit_files() {
+        let bytes = match std::fs::read(dir.join(&name)) {
             Ok(b) => b,
             Err(_) => {
-                drifts.push(Drift::MissingFile {
-                    name: name.to_string(),
-                });
+                drifts.push(Drift::MissingFile { name });
                 continue;
             }
         };
         let actual = sha256_hex(&bytes);
-        match manifest.get(name) {
-            None => drifts.push(Drift::MissingEntry {
-                name: name.to_string(),
-            }),
+        match manifest.get(&name) {
+            None => drifts.push(Drift::MissingEntry { name }),
             Some(expected) if *expected != actual => drifts.push(Drift::Changed {
-                name: name.to_string(),
+                name,
                 expected: expected.clone(),
                 actual,
             }),
@@ -221,23 +194,15 @@ mod tests {
 
     #[test]
     fn exhibits_list_matches_checked_in_files() {
-        let dir = exhibits_dir(&workspace_root());
-        // Every listed exhibit exists…
-        for name in EXHIBITS {
-            assert!(dir.join(name).is_file(), "missing exhibit {name}");
-        }
-        // …and every .txt exhibit on disk is listed (no silent gaps).
-        let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| {
-                let name = e.unwrap().file_name().into_string().unwrap();
-                name.ends_with(".txt").then_some(name)
-            })
+        // The committed manifest names exactly the listed exhibits, in the
+        // same order, so a bless rewrites it line for line.
+        let text = std::fs::read_to_string(manifest_path(&workspace_root()))
+            .expect("tests/golden/MANIFEST.sha256 is checked in");
+        let manifest: Vec<String> = parse_manifest(&text)
+            .into_iter()
+            .map(|(name, _)| name)
             .collect();
-        on_disk.sort();
-        let mut listed: Vec<String> = EXHIBITS.iter().map(|s| s.to_string()).collect();
-        listed.sort();
-        assert_eq!(on_disk, listed);
+        assert_eq!(manifest, exhibit_files());
     }
 
     #[test]
@@ -246,8 +211,8 @@ mod tests {
         let tmp = std::env::temp_dir().join(format!("cw-golden-{}", std::process::id()));
         let out = tmp.join("out");
         std::fs::create_dir_all(&out).unwrap();
-        for name in EXHIBITS {
-            std::fs::write(out.join(name), format!("exhibit {name}\n")).unwrap();
+        for name in exhibit_files() {
+            std::fs::write(out.join(&name), format!("exhibit {name}\n")).unwrap();
         }
         bless(&tmp).unwrap();
         assert!(check(&tmp).unwrap().is_empty());

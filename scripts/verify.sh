@@ -18,8 +18,10 @@
 #   and commit the new manifest (see docs/TESTING.md).
 # Plus the fault-injection gates: explicit zero-rate fault flags must leave
 #   the golden bytes untouched, `cw degrade` must be byte-identical cold vs
-#   warm cache, and an injected render panic (CW_INJECT_PANIC) must leave
-#   every other exhibit rendered, with exit code 4 and a failure summary.
+#   warm cache and to `cw sweep --scales 1 --variants none,mild,moderate,severe`
+#   (one grid driver: degrade is the sweep's fault-ladder preset), and an
+#   injected render panic (CW_INJECT_PANIC) must leave every other exhibit
+#   rendered, with exit code 4 and a failure summary.
 # Plus the sweep gates: `cw sweep` must be byte-identical cold vs warm and
 #   an interrupted sweep (CW_INJECT_PANIC=sweep:<i>) must resume from the
 #   snapshot cache. Setting CW_SCALE_TESTS=1 additionally runs the opt-in
@@ -157,13 +159,17 @@ for f in "$work/t1/out"/*.txt; do
 done
 echo "    --loss 0 --outage 0 --truncate 0 --telescope-sample 1 is byte-identical to no flags"
 
-echo "==> degrade sweep: cw degrade is deterministic, cold vs warm cache"
+echo "==> degrade sweep: cw degrade is deterministic, cold vs warm cache, and the sweep's ladder preset"
 mkdir -p "$work/d1" "$work/d2/out"
 (cd "$work/d1" && "$cw" degrade --scale 0.02 --threads 1 >degrade.txt 2>/dev/null)
 cp -r "$work/d1/out/.cache" "$work/d2/out/.cache"
 (cd "$work/d2" && "$cw" degrade --scale 0.02 --threads 8 >degrade.txt 2>/dev/null)
 cmp "$work/d1/degrade.txt" "$work/d2/degrade.txt"
-echo "    degrade report byte-identical cold vs warm (and across thread counts)"
+# One grid driver: `cw degrade` is `cw sweep` over the fault ladder at x1.
+(cd "$work/d2" && "$cw" sweep --scale 0.02 --scales 1 --variants none,mild,moderate,severe \
+    --threads 8 >ladder.txt 2>/dev/null)
+cmp "$work/d2/degrade.txt" "$work/d2/ladder.txt"
+echo "    degrade report byte-identical cold vs warm (and across thread counts) and to the sweep ladder grid"
 
 echo "==> scale sweep: cw sweep is simulate-once — cold == warm bytes, interrupted run resumes"
 mkdir -p "$work/sw"

@@ -17,7 +17,10 @@ fn golden_manifest_gate() {
     // A fresh checkout has no regenerated exhibits yet; there is nothing
     // to compare until an experiment run (or scripts/verify.sh) produces
     // them. Skipping — not failing — keeps `cargo test` usable pre-run.
-    if golden::EXHIBITS.iter().all(|n| !dir.join(n).exists()) {
+    if golden::exhibit_files()
+        .iter()
+        .all(|n| !dir.join(n).exists())
+    {
         eprintln!("golden gate skipped: no exhibits in out/ (run scripts/verify.sh)");
         return;
     }
@@ -49,9 +52,9 @@ fn manifest_is_checked_in_and_covers_every_exhibit() {
     let text = std::fs::read_to_string(golden::manifest_path(&root))
         .expect("tests/golden/MANIFEST.sha256 is checked in");
     let entries = golden::parse_manifest(&text);
-    let mut listed: Vec<&str> = entries.iter().map(|(n, _)| n.as_str()).collect();
+    let mut listed: Vec<String> = entries.into_iter().map(|(n, _)| n).collect();
     listed.sort_unstable();
-    let mut expected: Vec<&str> = golden::EXHIBITS.to_vec();
+    let mut expected = golden::exhibit_files();
     expected.sort_unstable();
     assert_eq!(listed, expected, "manifest must cover all 25 exhibits");
 }

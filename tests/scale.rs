@@ -121,7 +121,7 @@ fn scale_10_sweep_resolves_from_the_snapshot_cache() {
     );
     // A verdict for every tracked finding, and the ×10 column present.
     assert!(report.contains("\u{d7}10"));
-    assert!(report.contains("findings scale-stable"));
+    assert!(report.contains("findings stable across every swept cell"));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -47,33 +47,63 @@ fn tiny_grid() -> (SweepGrid, ScenarioConfig) {
     (grid, base)
 }
 
+/// The verdict tokens a report's finding grids end their rows with.
+fn verdicts(report: &str) -> usize {
+    report
+        .lines()
+        .filter_map(|l| l.split_whitespace().last())
+        .filter(|t| *t == "STABLE" || t.starts_with("BREAKS@"))
+        .count()
+}
+
 #[test]
 fn cold_sweep_simulates_each_distinct_cell_exactly_once_and_warm_none() {
     let _guard = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let dir = scratch_cache("coldwarm");
-    let (grid, base) = tiny_grid();
-    let distinct = grid.distinct_configs(&base) as u64;
-    assert_eq!(distinct, 2, "test grid names two distinct worlds");
-    let run = || {
-        sweep::report(&grid, base, &|cfg| {
-            snapshot::load_or_run_in(&dir, cfg, true).0
-        })
-    };
+    let (tiny, base) = tiny_grid();
+    // 2 variants × 2 scales: still one (year, seed) group, now 4 cells.
+    let mut wide = tiny.clone();
+    wide.variants = degrade::ladder()[..2].to_vec();
+    for (tag, grid, cells) in [("coldwarm", tiny, 2), ("coldwarm-wide", wide, 4)] {
+        let dir = scratch_cache(tag);
+        let distinct = grid.distinct_configs(&base) as u64;
+        assert_eq!(distinct, cells, "test grid names {cells} distinct worlds");
+        let run = || {
+            sweep::report(&grid, base, &|cfg| {
+                snapshot::load_or_run_in(&dir, cfg, true).0
+            })
+        };
 
-    let sims0 = snapshot::simulations_performed();
-    let cold = run();
-    let cold_sims = snapshot::simulations_performed() - sims0;
-    assert_eq!(
-        cold_sims, distinct,
-        "cold sweep must simulate exactly the distinct cells"
-    );
+        let sims0 = snapshot::simulations_performed();
+        let cold = run();
+        let cold_sims = snapshot::simulations_performed() - sims0;
+        assert_eq!(
+            cold_sims, distinct,
+            "cold sweep must simulate exactly the distinct cells"
+        );
 
-    let warm = run();
-    let warm_sims = snapshot::simulations_performed() - sims0 - cold_sims;
-    assert_eq!(warm_sims, 0, "warm sweep must be all snapshot hits");
-    assert_eq!(cold, warm, "sweep report must be cache-invariant, byte for byte");
+        let warm = run();
+        let warm_sims = snapshot::simulations_performed() - sims0 - cold_sims;
+        assert_eq!(warm_sims, 0, "warm sweep must be all snapshot hits");
+        assert_eq!(
+            cold, warm,
+            "sweep report must be cache-invariant, byte for byte"
+        );
 
-    let _ = std::fs::remove_dir_all(&dir);
+        // One group: one verdict per tracked finding, and a finding grid
+        // with one column per cell between "Finding" and "Verdict".
+        assert_eq!(verdicts(&cold), 5, "one verdict per finding:\n{cold}");
+        let header = cold
+            .lines()
+            .find(|l| l.starts_with("Finding"))
+            .expect("finding grid header");
+        assert_eq!(
+            header.split_whitespace().count() as u64,
+            cells + 2,
+            "one column per cell: {header}"
+        );
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -161,5 +191,5 @@ fn leak_worlds_never_touch_the_simulate_counter() {
         0,
         "the counter counts cache-layer simulations only"
     );
-    assert!(report.contains("findings scale-stable"));
+    assert!(report.contains("findings stable across every swept cell"));
 }
