@@ -39,7 +39,7 @@
 //! sweep-resume contract is tested with: rerunning after the abort resumes
 //! from the snapshot cache without recomputing completed cells.
 
-use cw_bench::{parse_from, parse_scale, threads, RunOptions, USAGE};
+use cw_bench::{check_scale, parse_from, parse_scale, threads, RunOptions, USAGE};
 use cw_core::exhibit::{self, Exhibit, ExhibitCx, ExhibitOptions};
 use cw_core::fleet::{self, JobError};
 use cw_core::scenario::ScenarioConfig;
@@ -384,6 +384,9 @@ fn parse_sweep_args(raw: Vec<String>) -> (SweepGrid, RunOptions) {
     if let Some(scales) = scales {
         grid.scales = scales;
     }
+    for &mult in &grid.scales {
+        check_scale("--scale × every --scales entry", opts.scale * mult);
+    }
     (grid, opts)
 }
 
@@ -428,7 +431,7 @@ fn cmd_export(opts: RunOptions) -> i32 {
 /// failures exit 4 without stringly-typed matching at the call site.
 enum ExportError {
     World(JobError),
-    Io(&'static str, std::io::Error),
+    Io(String, std::io::Error),
 }
 
 impl std::fmt::Display for ExportError {
@@ -437,6 +440,16 @@ impl std::fmt::Display for ExportError {
             ExportError::World(e) => write!(f, "obtaining world: {e}"),
             ExportError::Io(what, e) => write!(f, "{what}: {e}"),
         }
+    }
+}
+
+/// Midnight UTC on July 1 of `year`, the first day of the paper's
+/// collection week: the time origin of the exported pcap.
+fn collection_epoch(year: ScenarioYear) -> u32 {
+    match year {
+        ScenarioYear::Y2020 => 1_593_561_600,
+        ScenarioYear::Y2021 => 1_625_097_600,
+        ScenarioYear::Y2022 => 1_656_633_600,
     }
 }
 
@@ -453,30 +466,23 @@ fn export(opts: RunOptions) -> Result<(), ExportError> {
     }
     let (_, bundle) = bundles.iter().next().expect("one world");
     print!("{}", cw_core::report::header_str("Dataset export"));
-    let io = |what: &'static str| move |e: std::io::Error| ExportError::Io(what, e);
-    std::fs::create_dir_all("out").map_err(io("create out/"))?;
-    let csv = std::fs::File::create("out/cloud_watching_2021.csv")
-        .map_err(io("create out/cloud_watching_2021.csv"))?;
-    bundle
-        .dataset
-        .write_csv(BufWriter::new(csv))
-        .map_err(io("write out/cloud_watching_2021.csv"))?;
-    let jsonl = std::fs::File::create("out/cloud_watching_2021.jsonl")
-        .map_err(io("create out/cloud_watching_2021.jsonl"))?;
-    bundle
-        .dataset
-        .write_jsonl(BufWriter::new(jsonl))
-        .map_err(io("write out/cloud_watching_2021.jsonl"))?;
-    let pcap = std::fs::File::create("out/cloud_watching_2021.pcap")
-        .map_err(io("create out/cloud_watching_2021.pcap"))?;
-    // 2021-07-01T00:00:00Z.
-    bundle
-        .dataset
-        .write_pcap(BufWriter::new(pcap), 1_625_097_600)
-        .map_err(io("write out/cloud_watching_2021.pcap"))?;
-    println!(
-        "wrote {} events to out/cloud_watching_2021.{{csv,jsonl,pcap}}",
-        bundle.dataset.len()
-    );
+    let stem = format!("out/cloud_watching_{}", bundle.config.year.year());
+    let create = |ext: &str| {
+        let path = format!("{stem}.{ext}");
+        std::fs::File::create(&path)
+            .map(BufWriter::new)
+            .map_err(|e| ExportError::Io(format!("create {path}"), e))
+    };
+    let written = |ext: &str| {
+        let path = format!("{stem}.{ext}");
+        move |e| ExportError::Io(format!("write {path}"), e)
+    };
+    std::fs::create_dir_all("out").map_err(|e| ExportError::Io("create out/".into(), e))?;
+    let ds = &bundle.dataset;
+    ds.write_csv(create("csv")?).map_err(written("csv"))?;
+    ds.write_jsonl(create("jsonl")?).map_err(written("jsonl"))?;
+    ds.write_pcap(create("pcap")?, collection_epoch(bundle.config.year))
+        .map_err(written("pcap"))?;
+    println!("wrote {} events to {stem}.{{csv,jsonl,pcap}}", ds.len());
     Ok(())
 }

@@ -72,6 +72,21 @@ pub const USAGE: &str = "usage: cw <exhibit|list|all|export|degrade|sweep> [--sc
 sweep only: [--scales <csv of f64, default 1,10,100>] [--years <csv of years>] \
      [--replicates <N>] [--variants <csv of none|mild|moderate|severe>]";
 
+/// The largest scale a world can be built at: `--scale`, and every
+/// `cw sweep` base × multiplier, must stay at or below it.
+///
+/// The population draws every scanner's source addresses from one /8
+/// ([`cw_scanners::SrcAllocator`], 2^24 addresses), linearly in scale, and
+/// each paper year draws fewer than 2^12 of them at scale 1 (2022 draws the
+/// most, 3,950). So a world above 2^24 / 2^12 = 4096 would exhaust the /8.
+/// The pre-sized allocations stay small up to it: the indexers' telescope
+/// sample takes 2,000 addresses per unit of scale (32 MB at 4096), and the
+/// interner reserves 10,000 payload slots per unit, far inside its `u32`
+/// ids. Above the ceiling those sizes grow unchecked: `--scale 1e7` used
+/// to abort the process on one 80 GB allocation. A world below the
+/// ceiling can still need more memory than a given machine has.
+pub const MAX_SCALE: f64 = 4096.0;
+
 fn usage_exit(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!("{USAGE}");
@@ -81,9 +96,19 @@ fn usage_exit(problem: &str) -> ! {
 /// Parse the value of `--scale` or one entry of `--scales`. Only finite
 /// positive numbers are scales: anything else (`0`, `-1`, `NaN`, `inf`,
 /// or `1e999`, which parses to `inf`) prints a usage message and exits
-/// with status 2.
+/// with status 2. A world's scale must also pass [`check_scale`].
 pub fn parse_scale(flag: &str, raw: &str) -> f64 {
     scale_value(raw).unwrap_or_else(|problem| usage_exit(&format!("{flag} {problem}")))
+}
+
+/// Exit with status 2 if a world would be built at `scale`, above
+/// [`MAX_SCALE`]; `what` names the flags that set it. Never clamps.
+pub fn check_scale(what: &str, scale: f64) {
+    if scale > MAX_SCALE {
+        usage_exit(&format!(
+            "{what} must be at most {MAX_SCALE}, the largest scale a world can be built at"
+        ));
+    }
 }
 
 fn scale_value(raw: &str) -> Result<f64, &'static str> {
@@ -108,6 +133,7 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> RunOptions {
         match arg.as_str() {
             "--scale" => {
                 opts.scale = parse_scale("--scale", &value("--scale"));
+                check_scale("--scale", opts.scale);
             }
             "--seed" => {
                 opts.seed = value("--seed")
@@ -250,6 +276,28 @@ mod tests {
         }
         assert_eq!(scale_value("0.25"), Ok(0.25));
         assert_eq!(parse_scale("--scale", "2"), 2.0);
+        // The x100 `cw sweep` grid at scale 1 is buildable.
+        check_scale("--scale", 100.0);
+        check_scale("--scale", MAX_SCALE);
+    }
+
+    #[test]
+    fn max_scale_fits_every_population_in_its_source_space() {
+        // Linear in scale with a fixed part, so fewer than 2^12 draws at
+        // scale 1 bound the draws at MAX_SCALE by 2^24.
+        let d = cw_honeypot::deployment::Deployment::standard();
+        for year in [ScenarioYear::Y2020, ScenarioYear::Y2021, ScenarioYear::Y2022] {
+            let config = cw_scanners::population::PopulationConfig {
+                year,
+                seed: DEFAULT_SEED,
+                scale: 1.0,
+            };
+            let drawn = cw_scanners::population::build(&config, &d).source_addrs;
+            assert!(
+                f64::from(drawn) * MAX_SCALE <= f64::from(1u32 << 24),
+                "{year:?} draws {drawn} source addresses at scale 1"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The §3.3 group-comparison procedure, plus the §4.4 median filter.
 //!
-//! A comparison takes k groups of events (honeypots, regions, or networks),
-//! extracts one characteristic's frequency map per group, builds the top-3
-//! union contingency table, runs chi-squared, applies Bonferroni correction
-//! for the whole comparison family, and reports Cramér's V with its
-//! df-aware magnitude.
+//! A comparison takes one characteristic's frequency map per group of
+//! events (honeypots, regions, or networks — each map one
+//! [`crate::query::Plan::char_freqs`] scan), builds the top-3 union
+//! contingency table, runs chi-squared, applies Bonferroni correction for
+//! the whole comparison family, and reports Cramér's V with its df-aware
+//! magnitude.
 
 use crate::axes;
 use crate::dataset::ClassifiedEvent;
@@ -116,18 +117,6 @@ pub fn compare_freqs(
         effect,
         significant: chi2.p_value < corrected,
     })
-}
-
-/// Convenience: extract each group's frequencies and compare.
-pub fn compare_groups(
-    kind: CharKind,
-    groups: &[Vec<ClassifiedEvent<'_>>],
-    alpha: f64,
-    family_size: usize,
-) -> Option<GroupComparison> {
-    let freqs: Vec<BTreeMap<String, u64>> =
-        groups.iter().map(|g| kind.freqs(g)).collect();
-    compare_freqs(kind, &freqs, alpha, family_size)
 }
 
 /// Null-model hook: split events into `k` equal-size groups by a random

@@ -101,6 +101,9 @@ pub struct FindingEval {
 /// worlds. Pure: same bundles → same evaluations.
 pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
     let deployment = Deployment::standard();
+    // Each rung's world is evaluated once, so there is nothing to prefetch:
+    // every scan runs standalone.
+    let exec = ScanExec::unplanned(&bundle.dataset);
     let mut out = Vec::new();
 
     // Table 1 direction: the telescope sees far more unique scanners than
@@ -113,7 +116,7 @@ pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
             .filter(|v| v.provider == Provider::Aws && v.collector == CollectorKind::GreyNoise)
             .map(|v| v.ip)
             .collect();
-        let (aws_srcs, _) = ScanExec::unplanned(&bundle.dataset)
+        let (aws_srcs, _) = exec
             .run(&Plan::at(&aws_ips).unique_src_and_asn())
             .into_unique_src_and_asn();
         let tel_srcs = bundle.telescope.unique_source_count();
@@ -133,14 +136,14 @@ pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
         use crate::dataset::TrafficSlice;
         use crate::network::{cloud_cloud_cell, honeytrap_cell, CLOUD_EDU_PAIRS};
         let cc = cloud_cloud_cell(
-            &bundle.dataset,
+            &exec,
             &deployment,
             TrafficSlice::SshPort22,
             CharKind::TopAs,
             0.05,
         );
         let ce = honeytrap_cell(
-            &bundle.dataset,
+            &exec,
             &deployment,
             &CLOUD_EDU_PAIRS,
             TrafficSlice::SshPort22,

@@ -1,15 +1,19 @@
 //! The main-paper exhibits: 2021 analyses that follow a `--year` override.
 //!
 //! Each render is a byte-exact port of the retired single-purpose binary
-//! of the same name.
+//! of the same name. The renders and plans of Tables 2, 4, 5, 7 and 10
+//! are also Appendix C's Tables 12, 16, 13, 14 and 15
+//! ([`super::appendix`]).
 
 use super::{BreakdownPort, Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest, SimBundle};
 use crate::compare::CharKind;
 use crate::dataset::TrafficSlice;
+use crate::geography::SimilarityCell;
 use crate::network::{cloud_cloud_cell, honeytrap_cell, NetworkCell, CLOUD_EDU_PAIRS};
-use crate::query::Plan;
+use crate::query::{Plan, ScanExec};
 use crate::report::{header_str, paper_note_str, pct, phi_value, TextTable};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
+use cw_netsim::geo::RegionPairKind;
 use cw_netsim::ip::IpExt;
 use cw_scanners::population::ScenarioYear;
 use std::net::Ipv4Addr;
@@ -146,6 +150,33 @@ impl Exhibit for Table1 {
 /// Table 2: attackers target neighboring services differently.
 pub struct Table2;
 
+/// The Table 2 grid's plans on `need`'s world (Table 12's too).
+pub(super) fn table2_requests(need: Need) -> Vec<PlanRequest> {
+    PlanRequest::all_for(
+        need,
+        crate::neighborhood::table2_plans(&Deployment::standard()),
+    )
+}
+
+/// The Table 2 render on `need`'s world under its own header and paper
+/// note: Table 12 is this render on 2020 data.
+pub(super) fn table2_render(cx: &ExhibitCx<'_>, need: Need, header: &str, note: &str) -> String {
+    let mut out = header_str(header);
+    out.push_str(&paper_note_str(note));
+    let mut t = TextTable::new(&["Slice", "Characteristic", "n", "% dif neighborhoods", "Avg phi"]);
+    for r in cx.table2_rows(need) {
+        t.row(vec![
+            r.slice.label().to_string(),
+            r.characteristic.label().to_string(),
+            r.n.to_string(),
+            format!("{:.0}%", r.pct_different),
+            phi_value(r.avg_phi, 1),
+        ]);
+    }
+    out.push_str(&format!("{}\n", t.render()));
+    out
+}
+
 impl Exhibit for Table2 {
     fn name(&self) -> &'static str {
         "table2"
@@ -157,39 +188,69 @@ impl Exhibit for Table2 {
         NEEDS
     }
     fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
-        PlanRequest::all_for(
-            NEEDS[0],
-            crate::neighborhood::table2_plans(&Deployment::standard()),
-        )
+        table2_requests(NEEDS[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let mut out =
-            header_str("Table 2: % neighborhoods with significantly different traffic (2021)");
-        out.push_str(&paper_note_str(
+        table2_render(
+            cx,
+            NEEDS[0],
+            "Table 2: % neighborhoods with significantly different traffic (2021)",
             "SSH/22: AS 44% (0.31), FracMal 36% (0.12), User 55% (0.22), Pwd 4% (0.13) · \
              Telnet/23: AS 38% (0.43), FracMal 15%, User 21% (0.24), Pwd 19% (0.39) · \
              HTTP/80: AS 31% (0.43), FracMal 0%, Payload 15% (0.39) · \
              HTTP/All: AS 42% (0.23), FracMal 19% (0.04), Payload 77% (0.17)",
-        ));
-        let rows = cx.table2_rows(NEEDS[0]);
-        let mut t =
-            TextTable::new(&["Slice", "Characteristic", "n", "% dif neighborhoods", "Avg phi"]);
-        for r in rows {
-            t.row(vec![
-                r.slice.label().to_string(),
-                r.characteristic.label().to_string(),
-                r.n.to_string(),
-                format!("{:.0}%", r.pct_different),
-                phi_value(r.avg_phi, 1),
-            ]);
-        }
-        out.push_str(&format!("{}\n", t.render()));
-        out
+        )
     }
 }
 
 /// Table 4: geographic regions with the most different traffic patterns.
 pub struct Table4;
+
+/// The Table 4 grid's plans on `need`'s world (Table 16's too).
+pub(super) fn table4_requests(need: Need) -> Vec<PlanRequest> {
+    PlanRequest::all_for(
+        need,
+        crate::geography::table4_plans(&Deployment::standard()),
+    )
+}
+
+/// The Table 4 render on `need`'s world under its own header and paper
+/// note; `ap_share_suffix` ends the Asia-Pacific share line. Table 16 is
+/// this render on 2020 data, with no suffix.
+pub(super) fn table4_render(
+    cx: &ExhibitCx<'_>,
+    need: Need,
+    header: &str,
+    note: &str,
+    ap_share_suffix: &str,
+) -> String {
+    let mut out = header_str(header);
+    out.push_str(&paper_note_str(note));
+    let mut t =
+        TextTable::new(&["Characteristic", "Slice", "Provider", "Most Dif. Region", "Avg phi"]);
+    let mut ap_hits = 0usize;
+    let mut named = 0usize;
+    for r in cx.table4_rows(need) {
+        if let Some(region) = &r.region {
+            named += 1;
+            if region.starts_with("AP-") {
+                ap_hits += 1;
+            }
+        }
+        t.row(vec![
+            r.characteristic.label().to_string(),
+            r.slice.label().to_string(),
+            format!("{:?}", r.provider),
+            r.region.clone().unwrap_or_else(|| "-".into()),
+            phi_value(r.avg_phi, 1),
+        ]);
+    }
+    out.push_str(&format!("{}\n", t.render()));
+    out.push_str(&format!(
+        "Asia-Pacific share of most-different regions: {ap_hits}/{named}{ap_share_suffix}\n"
+    ));
+    out
+}
 
 impl Exhibit for Table4 {
     fn name(&self) -> &'static str {
@@ -202,51 +263,26 @@ impl Exhibit for Table4 {
         NEEDS
     }
     fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
-        PlanRequest::all_for(
-            NEEDS[0],
-            crate::geography::table4_plans(&Deployment::standard()),
-        )
+        table4_requests(NEEDS[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let mut out = header_str("Table 4: most-different geographic region per provider (2021)");
-        out.push_str(&paper_note_str(
+        table4_render(
+            cx,
+            NEEDS[0],
+            "Table 4: most-different geographic region per provider (2021)",
             "Asia-Pacific regions dominate: e.g. Top-AS SSH/22 AWS=AP-JP (0.68), Google=AP-SG (0.16), \
              Linode=AP-SG (0.27); Username TEL/23 AWS=AP-AU (0.56); Payload HTTP/80 AWS=AP-HK (0.31) \
              — expect most named regions to be AP-*",
-        ));
-        let rows = cx.table4_rows(NEEDS[0]);
-        let mut t =
-            TextTable::new(&["Characteristic", "Slice", "Provider", "Most Dif. Region", "Avg phi"]);
-        let mut ap_hits = 0usize;
-        let mut named = 0usize;
-        for r in rows {
-            if let Some(region) = &r.region {
-                named += 1;
-                if region.starts_with("AP-") {
-                    ap_hits += 1;
-                }
-            }
-            t.row(vec![
-                r.characteristic.label().to_string(),
-                r.slice.label().to_string(),
-                format!("{:?}", r.provider),
-                r.region.clone().unwrap_or_else(|| "-".into()),
-                phi_value(r.avg_phi, 1),
-            ]);
-        }
-        out.push_str(&format!("{}\n", t.render()));
-        out.push_str(&format!(
-            "Asia-Pacific share of most-different regions: {ap_hits}/{named} \
-             (paper: AP dominates the grid)\n"
-        ));
-        out
+            " (paper: AP dominates the grid)",
+        )
     }
 }
 
 /// Table 5: traffic similarities within and between geo-locations.
 pub struct Table5;
 
-/// Table 5's (slice, characteristic) grid, in render order.
+/// Table 5's (slice, characteristic) grid, in render order (Table 13's
+/// too).
 const TABLE5_CELLS: &[(TrafficSlice, CharKind)] = &[
     (TrafficSlice::SshPort22, CharKind::TopAs),
     (TrafficSlice::SshPort22, CharKind::FracMalicious),
@@ -264,6 +300,55 @@ const TABLE5_CELLS: &[(TrafficSlice, CharKind)] = &[
     (TrafficSlice::HttpAllPorts, CharKind::TopPayload),
 ];
 
+/// The Table 5 grid's plans on `need`'s world (Table 13's too).
+pub(super) fn table5_requests(need: Need) -> Vec<PlanRequest> {
+    let d = Deployment::standard();
+    PlanRequest::all_for(
+        need,
+        TABLE5_CELLS
+            .iter()
+            .flat_map(|&(slice, kind)| crate::geography::table5_plans(&d, slice, kind))
+            .collect(),
+    )
+}
+
+/// The Table 5 render on `need`'s world under its own header and paper
+/// note; `cell` prints one bucket. Table 13 is this render on 2020 data,
+/// with no pair counts in its cells.
+pub(super) fn table5_render(
+    cx: &ExhibitCx<'_>,
+    need: Need,
+    header: &str,
+    note: &str,
+    cell: fn(&SimilarityCell) -> String,
+) -> String {
+    let d = Deployment::standard();
+    let mut out = header_str(header);
+    out.push_str(&paper_note_str(note));
+    let mut t = TextTable::new(&["Slice", "Characteristic", "US", "EU", "APAC", "Intercont."]);
+    let exec = cx.exec(need);
+    for &(slice, kind) in TABLE5_CELLS {
+        let cells = crate::geography::table5_with(&exec, &d, slice, kind);
+        let find = |b: RegionPairKind| {
+            cells
+                .iter()
+                .find(|c| c.bucket == b)
+                .map(cell)
+                .unwrap_or_else(|| "-".into())
+        };
+        t.row(vec![
+            slice.label().to_string(),
+            kind.label().to_string(),
+            find(RegionPairKind::WithinUs),
+            find(RegionPairKind::WithinEu),
+            find(RegionPairKind::WithinApac),
+            find(RegionPairKind::Intercontinental),
+        ]);
+    }
+    out.push_str(&format!("{}\n", t.render()));
+    out
+}
+
 impl Exhibit for Table5 {
     fn name(&self) -> &'static str {
         "table5"
@@ -275,53 +360,107 @@ impl Exhibit for Table5 {
         NEEDS
     }
     fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
-        let d = Deployment::standard();
-        PlanRequest::all_for(
-            NEEDS[0],
-            TABLE5_CELLS
-                .iter()
-                .flat_map(|&(slice, kind)| crate::geography::table5_plans(&d, slice, kind))
-                .collect(),
-        )
+        table5_requests(NEEDS[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let d = Deployment::standard();
-        let mut out = header_str("Table 5: % similar pairs of regions per geographic bucket (2021)");
-        out.push_str(&paper_note_str(
+        table5_render(
+            cx,
+            NEEDS[0],
+            "Table 5: % similar pairs of regions per geographic bucket (2021)",
             "US/EU pairs are nearly always similar (94-100%), APAC much less (e.g. Top-3 AS SSH/22: \
              US 94, EU 100, APAC 63, intercontinental 70; HTTP/All payloads: US 50, EU 53, APAC 20, IC 11)",
-        ));
-        let mut t = TextTable::new(&["Slice", "Characteristic", "US", "EU", "APAC", "Intercont."]);
-        let exec = cx.exec(NEEDS[0]);
-        for &(slice, kind) in TABLE5_CELLS {
-            let cells = crate::geography::table5_with(&exec, &d, slice, kind);
-            let find = |b: cw_netsim::geo::RegionPairKind| {
-                cells
-                    .iter()
-                    .find(|c| c.bucket == b)
-                    .map(|c| format!("{:.0}% (n={})", c.pct_similar, c.n))
-                    .unwrap_or_else(|| "-".into())
-            };
-            t.row(vec![
-                slice.label().to_string(),
-                kind.label().to_string(),
-                find(cw_netsim::geo::RegionPairKind::WithinUs),
-                find(cw_netsim::geo::RegionPairKind::WithinEu),
-                find(cw_netsim::geo::RegionPairKind::WithinApac),
-                find(cw_netsim::geo::RegionPairKind::Intercontinental),
-            ]);
-        }
-        out.push_str(&format!("{}\n", t.render()));
-        out
+            |c| format!("{:.0}% (n={})", c.pct_similar, c.n),
+        )
     }
 }
 
-fn network_cell_str(c: &NetworkCell) -> (String, String) {
-    if c.uncomputable {
-        ("×".to_string(), "×".to_string())
-    } else {
-        (format!("{}/{}", c.n_different, c.n), phi_value(c.avg_phi, 1))
+/// The pair family one Table 7/14 column compares.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Family {
+    /// City-matched cloud provider regions.
+    CloudCloud,
+    /// Cloud Honeytrap fleets against the university fleets.
+    CloudEdu,
+    /// The two university Honeytrap fleets.
+    EduEdu,
+}
+
+impl Family {
+    fn cell(
+        self,
+        exec: &ScanExec<'_>,
+        d: &Deployment,
+        slice: TrafficSlice,
+        kind: CharKind,
+    ) -> NetworkCell {
+        match self {
+            Family::CloudCloud => cloud_cloud_cell(exec, d, slice, kind, 0.05),
+            Family::CloudEdu => honeytrap_cell(exec, d, &CLOUD_EDU_PAIRS, slice, kind, 0.05),
+            Family::EduEdu => {
+                let pairs = [("honeytrap/stanford", "honeytrap/merit")];
+                honeytrap_cell(exec, d, &pairs, slice, kind, 0.05)
+            }
+        }
     }
+}
+
+/// Table 7's (characteristic, slice) grid, in render order (Table 14's
+/// too).
+const TABLE7_GRID: &[(CharKind, TrafficSlice)] = &[
+    (CharKind::TopAs, TrafficSlice::SshPort22),
+    (CharKind::TopAs, TrafficSlice::TelnetPort23),
+    (CharKind::TopAs, TrafficSlice::HttpPort80),
+    (CharKind::TopAs, TrafficSlice::HttpAllPorts),
+    (CharKind::TopUsername, TrafficSlice::SshPort22),
+    (CharKind::TopUsername, TrafficSlice::TelnetPort23),
+    (CharKind::TopPassword, TrafficSlice::TelnetPort23),
+    (CharKind::TopPassword, TrafficSlice::SshPort22),
+    (CharKind::TopPayload, TrafficSlice::HttpPort80),
+    (CharKind::TopPayload, TrafficSlice::HttpAllPorts),
+    (CharKind::FracMalicious, TrafficSlice::SshPort22),
+    (CharKind::FracMalicious, TrafficSlice::TelnetPort23),
+    (CharKind::FracMalicious, TrafficSlice::HttpPort80),
+    (CharKind::FracMalicious, TrafficSlice::HttpAllPorts),
+];
+
+/// One Table 7/14 cell as its (different pairs, avg φ) strings; × for a
+/// characteristic the collection cannot observe.
+fn network_cell_str(c: &NetworkCell) -> [String; 2] {
+    if c.uncomputable {
+        ["×".to_string(), "×".to_string()]
+    } else {
+        [format!("{}/{}", c.n_different, c.n), phi_value(c.avg_phi, 1)]
+    }
+}
+
+/// The Table 7 render under its own header and paper note. Each of the
+/// three `columns` is a (header, world, pair family) and reads its world
+/// through the context's executor. Table 14 is this render with a 2020
+/// cloud–cloud column and two 2022 EDU columns.
+pub(super) fn table7_render(
+    cx: &ExhibitCx<'_>,
+    header: &str,
+    note: &str,
+    columns: [(&str, Need, Family); 3],
+) -> String {
+    let mut out = header_str(header);
+    out.push_str(&paper_note_str(note));
+    let mut headers = vec!["Characteristic", "Slice"];
+    for (dif, _, _) in columns {
+        headers.extend([dif, "phi"]);
+    }
+    let mut t = TextTable::new(&headers);
+    let d = Deployment::standard();
+    let execs = columns.map(|(_, need, family)| (cx.exec(need), family));
+    for &(kind, slice) in TABLE7_GRID {
+        let mut row = vec![kind.label().to_string(), slice.label().to_string()];
+        for (exec, family) in &execs {
+            row.extend(network_cell_str(&family.cell(exec, &d, slice, kind)));
+        }
+        t.row(row);
+    }
+    out.push_str(&format!("{}\n", t.render()));
+    out
 }
 
 /// Table 7: differences across network types (cloud–cloud, cloud–EDU,
@@ -339,61 +478,18 @@ impl Exhibit for Table7 {
         NEEDS
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let s = main_bundle(cx);
-        let d = Deployment::standard();
-        let mut out = header_str("Table 7: differences across network types (2021)");
-        out.push_str(&paper_note_str(
+        table7_render(
+            cx,
+            "Table 7: differences across network types (2021)",
             "cloud-cloud differences are small (avg phi ≤ 0.23); cloud-EDU mostly similar except \
              SSH/22 Top-AS in 2021 (phi 0.48: Chinanet→EDU, Cogent→cloud); EDU-EDU never different; \
              credentials are × for Honeytrap fleets",
-        ));
-        let grid: &[(CharKind, TrafficSlice)] = &[
-            (CharKind::TopAs, TrafficSlice::SshPort22),
-            (CharKind::TopAs, TrafficSlice::TelnetPort23),
-            (CharKind::TopAs, TrafficSlice::HttpPort80),
-            (CharKind::TopAs, TrafficSlice::HttpAllPorts),
-            (CharKind::TopUsername, TrafficSlice::SshPort22),
-            (CharKind::TopUsername, TrafficSlice::TelnetPort23),
-            (CharKind::TopPassword, TrafficSlice::TelnetPort23),
-            (CharKind::TopPassword, TrafficSlice::SshPort22),
-            (CharKind::TopPayload, TrafficSlice::HttpPort80),
-            (CharKind::TopPayload, TrafficSlice::HttpAllPorts),
-            (CharKind::FracMalicious, TrafficSlice::SshPort22),
-            (CharKind::FracMalicious, TrafficSlice::TelnetPort23),
-            (CharKind::FracMalicious, TrafficSlice::HttpPort80),
-            (CharKind::FracMalicious, TrafficSlice::HttpAllPorts),
-        ];
-        let mut t = TextTable::new(&[
-            "Characteristic",
-            "Slice",
-            "Cloud-Cloud dif",
-            "phi",
-            "Cloud-EDU dif",
-            "phi",
-            "EDU-EDU dif",
-            "phi",
-        ]);
-        let edu_edu_pairs: [(&str, &str); 1] = [("honeytrap/stanford", "honeytrap/merit")];
-        for &(kind, slice) in grid {
-            let cc = cloud_cloud_cell(&s.dataset, &d, slice, kind, 0.05);
-            let ce = honeytrap_cell(&s.dataset, &d, &CLOUD_EDU_PAIRS, slice, kind, 0.05);
-            let ee = honeytrap_cell(&s.dataset, &d, &edu_edu_pairs, slice, kind, 0.05);
-            let (cc_n, cc_phi) = network_cell_str(&cc);
-            let (ce_n, ce_phi) = network_cell_str(&ce);
-            let (ee_n, ee_phi) = network_cell_str(&ee);
-            t.row(vec![
-                kind.label().to_string(),
-                slice.label().to_string(),
-                cc_n,
-                cc_phi,
-                ce_n,
-                ce_phi,
-                ee_n,
-                ee_phi,
-            ]);
-        }
-        out.push_str(&format!("{}\n", t.render()));
-        out
+            [
+                ("Cloud-Cloud dif", NEEDS[0], Family::CloudCloud),
+                ("Cloud-EDU dif", NEEDS[0], Family::CloudEdu),
+                ("EDU-EDU dif", NEEDS[0], Family::EduEdu),
+            ],
+        )
     }
 }
 
@@ -476,6 +572,71 @@ impl Exhibit for Table9 {
 /// Table 10: a significantly different set of ASes target telescopes.
 pub struct Table10;
 
+/// Table 10's slices, in row order (Table 15's too).
+const TABLE10_SLICES: [TrafficSlice; 4] = [
+    TrafficSlice::SshPort22,
+    TrafficSlice::TelnetPort23,
+    TrafficSlice::HttpPort80,
+    TrafficSlice::AnyAll,
+];
+
+/// The Table 10 render on `need`'s world under its own header, paper note
+/// and column headers: the telescope against the two university fleets
+/// and against `cloud_fleets`. Table 15 is this render on 2022 data with
+/// two cloud fleets.
+pub(super) fn table10_render(
+    cx: &ExhibitCx<'_>,
+    need: Need,
+    header: &str,
+    note: &str,
+    columns: [&str; 5],
+    cloud_fleets: &[&str],
+) -> String {
+    let s = cx.bundle(need);
+    let d = Deployment::standard();
+    let exec = cx.exec(need);
+    let mut out = header_str(header);
+    out.push_str(&paper_note_str(note));
+    let edu_fleets = ["honeytrap/stanford", "honeytrap/merit"];
+    let mut t = TextTable::new(&columns);
+    for slice in TABLE10_SLICES {
+        let run = |fleets: &[&str]| -> (usize, usize, Option<f64>) {
+            let mut n = 0;
+            let mut dif = 0;
+            let mut phis = Vec::new();
+            for f in fleets {
+                if let Some(cmp) = crate::network::telescope_vs_fleet(
+                    &exec,
+                    &d,
+                    &s.telescope,
+                    f,
+                    slice,
+                    0.05,
+                    fleets.len(),
+                ) {
+                    n += 1;
+                    if cmp.significant {
+                        dif += 1;
+                        phis.push(cmp.effect.phi);
+                    }
+                }
+            }
+            (n, dif, cw_stats::descriptive::mean(&phis))
+        };
+        let (en, ed, ephi) = run(&edu_fleets);
+        let (cn, cd, cphi) = run(cloud_fleets);
+        t.row(vec![
+            slice.label().to_string(),
+            format!("{ed}/{en}"),
+            phi_value(ephi, 1),
+            format!("{cd}/{cn}"),
+            phi_value(cphi, 1),
+        ]);
+    }
+    out.push_str(&format!("{}\n", t.render()));
+    out
+}
+
 impl Exhibit for Table10 {
     fn name(&self) -> &'static str {
         "table10"
@@ -487,74 +648,43 @@ impl Exhibit for Table10 {
         NEEDS
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let s = main_bundle(cx);
-        let d = Deployment::standard();
-        let mut out = header_str("Table 10: telescope vs EDU / cloud — top-AS differences (2021)");
-        out.push_str(&paper_note_str(
+        table10_render(
+            cx,
+            NEEDS[0],
+            "Table 10: telescope vs EDU / cloud — top-AS differences (2021)",
             "Telescope-EDU: SSH 2/2 dif (0.41), TEL 2/2 (0.68), HTTP/80 0/2, All 2/2 (0.20); \
              Telescope-Cloud: SSH 3/3 (0.71), TEL 3/3 (0.82), HTTP/80 2/3 (0.40), All 3/3 (0.30)",
-        ));
-        let tel = &s.telescope;
-        let edu_fleets = ["honeytrap/stanford", "honeytrap/merit"];
-        let cloud_fleets = [
-            "honeytrap/aws-west",
-            "honeytrap/google-west",
-            "honeytrap/google-east",
-        ];
-        let slices = [
-            TrafficSlice::SshPort22,
-            TrafficSlice::TelnetPort23,
-            TrafficSlice::HttpPort80,
-            TrafficSlice::AnyAll,
-        ];
-        let mut t = TextTable::new(&[
-            "Slice",
-            "Tel-EDU dif",
-            "Tel-EDU avg phi",
-            "Tel-Cloud dif",
-            "Tel-Cloud avg phi",
-        ]);
-        for slice in slices {
-            let run = |fleets: &[&str]| -> (usize, usize, Option<f64>) {
-                let mut n = 0;
-                let mut dif = 0;
-                let mut phis = Vec::new();
-                for f in fleets {
-                    if let Some(cmp) = crate::network::telescope_vs_fleet(
-                        &s.dataset,
-                        &d,
-                        tel,
-                        f,
-                        slice,
-                        0.05,
-                        fleets.len(),
-                    ) {
-                        n += 1;
-                        if cmp.significant {
-                            dif += 1;
-                            phis.push(cmp.effect.phi);
-                        }
-                    }
-                }
-                (n, dif, cw_stats::descriptive::mean(&phis))
-            };
-            let (en, ed, ephi) = run(&edu_fleets);
-            let (cn, cd, cphi) = run(&cloud_fleets);
-            t.row(vec![
-                slice.label().to_string(),
-                format!("{ed}/{en}"),
-                phi_value(ephi, 1),
-                format!("{cd}/{cn}"),
-                phi_value(cphi, 1),
-            ]);
-        }
-        out.push_str(&format!("{}\n", t.render()));
-        out
+            [
+                "Slice",
+                "Tel-EDU dif",
+                "Tel-EDU avg phi",
+                "Tel-Cloud dif",
+                "Tel-Cloud avg phi",
+            ],
+            &[
+                "honeytrap/aws-west",
+                "honeytrap/google-west",
+                "honeytrap/google-east",
+            ],
+        )
     }
 }
 
 /// Table 11: scanner-targeted protocols on HTTP-assigned ports.
 pub struct Table11;
+
+/// The ports 80 and 8080 protocol-breakdown plans on `need`'s world
+/// (Table 17's too).
+pub(super) fn breakdown_requests(need: Need) -> Vec<PlanRequest> {
+    let d = Deployment::standard();
+    PlanRequest::all_for(
+        need,
+        BreakdownPort::BOTH
+            .into_iter()
+            .flat_map(|port| crate::ports::protocol_breakdown_plans(&d, port.number()))
+            .collect(),
+    )
+}
 
 impl Exhibit for Table11 {
     fn name(&self) -> &'static str {
@@ -567,14 +697,7 @@ impl Exhibit for Table11 {
         NEEDS
     }
     fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
-        let d = Deployment::standard();
-        PlanRequest::all_for(
-            NEEDS[0],
-            [80u16, 8080]
-                .into_iter()
-                .flat_map(|port| crate::ports::protocol_breakdown_plans(&d, port))
-                .collect(),
-        )
+        breakdown_requests(NEEDS[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         let mut out = header_str("Table 11: protocol breakdown on ports 80/8080 (2021)");

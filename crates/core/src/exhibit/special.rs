@@ -264,7 +264,7 @@ fn render_2021(cx: &ExhibitCx<'_>, need: Need, d: &Deployment) -> Vec<String> {
 
     let mut out = header_str("Table 7 sample (network types, 2021)");
     let cc = crate::network::cloud_cloud_cell(
-        &s21.dataset,
+        &cx.exec(need),
         d,
         TrafficSlice::SshPort22,
         CharKind::TopAs,

@@ -41,7 +41,7 @@ fn provider_region_ips(
 }
 
 /// The declared per-honeypot frequency plans behind one [`region_freqs`]
-/// call.
+/// call: the plan shape Tables 2, 4, 5 and 7 share.
 fn region_freq_plans(ips: &[Ipv4Addr], slice: TrafficSlice, kind: CharKind) -> Vec<Plan> {
     ips.iter()
         .map(|&ip| Plan::at(&[ip]).slice(slice).char_freqs(kind))
@@ -50,7 +50,7 @@ fn region_freq_plans(ips: &[Ipv4Addr], slice: TrafficSlice, kind: CharKind) -> V
 
 /// The §4.4 region-representative frequency map, through a [`ScanExec`]:
 /// median across honeypots.
-pub fn region_freqs_with(
+pub fn region_freqs(
     exec: &ScanExec<'_>,
     ips: &[Ipv4Addr],
     slice: TrafficSlice,
@@ -61,16 +61,6 @@ pub fn region_freqs_with(
         .map(|p| exec.run(p).into_char_freqs())
         .collect();
     median_freqs(&per_honeypot)
-}
-
-/// The §4.4 region-representative frequency map: median across honeypots.
-pub fn region_freqs(
-    dataset: &Dataset,
-    ips: &[Ipv4Addr],
-    slice: TrafficSlice,
-    kind: CharKind,
-) -> BTreeMap<String, u64> {
-    region_freqs_with(&ScanExec::unplanned(dataset), ips, slice, kind)
 }
 
 /// One Table 4 cell: a provider's most-different region for one
@@ -93,7 +83,7 @@ pub struct MostDifferentRegion {
 /// Table 4: for each provider × characteristic × slice, the region whose
 /// traffic deviates most from the provider's other regions — through a
 /// [`ScanExec`].
-pub fn most_different_region_with(
+pub fn most_different_region(
     exec: &ScanExec<'_>,
     deployment: &Deployment,
     provider: Provider,
@@ -104,7 +94,7 @@ pub fn most_different_region_with(
     let regions = provider_region_ips(deployment, provider, slice);
     let freqs: Vec<(Region, BTreeMap<String, u64>)> = regions
         .iter()
-        .map(|(r, ips)| (r.clone(), region_freqs_with(exec, ips, slice, kind)))
+        .map(|(r, ips)| (r.clone(), region_freqs(exec, ips, slice, kind)))
         .collect();
     let n = freqs.len();
     let m = n.saturating_sub(1).max(1) * n / 2; // all pairs
@@ -152,25 +142,6 @@ pub fn most_different_region_with(
     }
 }
 
-/// [`most_different_region_with`] without prefetched plans.
-pub fn most_different_region(
-    dataset: &Dataset,
-    deployment: &Deployment,
-    provider: Provider,
-    slice: TrafficSlice,
-    kind: CharKind,
-    alpha: f64,
-) -> MostDifferentRegion {
-    most_different_region_with(
-        &ScanExec::unplanned(dataset),
-        deployment,
-        provider,
-        slice,
-        kind,
-        alpha,
-    )
-}
-
 /// Table 4's (characteristic, slice) cell grid.
 const TABLE4_CELLS: &[(CharKind, TrafficSlice)] = &[
     (CharKind::TopAs, TrafficSlice::SshPort22),
@@ -210,7 +181,7 @@ pub fn table4_with(exec: &ScanExec<'_>, deployment: &Deployment) -> Vec<MostDiff
     let mut out = Vec::new();
     for &(kind, slice) in TABLE4_CELLS {
         for provider in providers {
-            out.push(most_different_region_with(
+            out.push(most_different_region(
                 exec, deployment, provider, slice, kind, 0.05,
             ));
         }
@@ -276,7 +247,7 @@ pub fn table5_with(
         let regions = provider_region_ips(deployment, provider, slice);
         let freqs: Vec<(Region, BTreeMap<String, u64>)> = regions
             .iter()
-            .map(|(r, ips)| (r.clone(), region_freqs_with(exec, ips, slice, kind)))
+            .map(|(r, ips)| (r.clone(), region_freqs(exec, ips, slice, kind)))
             .collect();
         for i in 0..freqs.len() {
             for j in i + 1..freqs.len() {
@@ -389,17 +360,17 @@ mod tests {
         // flood scale.
         let regions = provider_region_ips(&s.deployment, Provider::Linode, TrafficSlice::SshPort22);
         let sg = regions.iter().find(|(r, _)| r.code == "AP-SG").unwrap();
-        let med = region_freqs(&s.dataset, &sg.1, TrafficSlice::SshPort22, CharKind::TopAs);
+        let (slice, kind) = (TrafficSlice::SshPort22, CharKind::TopAs);
+        let plans = region_freq_plans(&sg.1, slice, kind);
+        let store = PlanStore::build(&s.dataset, &plans);
+        let exec = ScanExec::with_store(&s.dataset, &store);
+        let med = region_freqs(&exec, &sg.1, slice, kind);
         let axtel = med.get("AS6503").copied().unwrap_or(0);
         // Per-honeypot raw counts on the flooded honeypot are far larger.
-        let flooded: u64 = sg
-            .1
+        let flooded: u64 = plans
             .iter()
-            .map(|&ip| {
-                let plan = Plan::at(&[ip])
-                    .slice(TrafficSlice::SshPort22)
-                    .char_freqs(CharKind::TopAs);
-                let freqs = ScanExec::unplanned(&s.dataset).run(&plan).into_char_freqs();
+            .map(|plan| {
+                let freqs = exec.run(plan).into_char_freqs();
                 freqs.get("AS6503").copied().unwrap_or(0)
             })
             .max()

@@ -7,7 +7,7 @@
 //! significantly (after Bonferroni correction over all neighborhoods
 //! tested) and the average effect size φ among the significant ones.
 
-use crate::compare::{compare_groups, CharKind};
+use crate::compare::{compare_freqs, CharKind};
 use crate::dataset::{Dataset, TrafficSlice};
 use crate::query::{Plan, PlanStore, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment};
@@ -84,33 +84,44 @@ fn observing_ips(
 /// samples make the chi-squared approximation meaningless.
 const MIN_EVENTS_PER_GROUP: usize = 8;
 
-/// The declared plans one slice's neighborhood analysis needs: one
-/// per-honeypot classified scan per observing honeypot of every
-/// neighborhood with at least two of them. Characteristics share these
-/// plans — a slice's events are gathered once and compared many ways — so
-/// Table 2's 14 cells dedupe to one plan per (slice, honeypot) pair.
-pub fn cell_plans(deployment: &Deployment, slice: TrafficSlice) -> Vec<Plan> {
+/// One honeypot's two scans in a (slice, characteristic) cell: its event
+/// count, for the [`MIN_EVENTS_PER_GROUP`] filter, and the
+/// characteristic's frequencies — the per-honeypot plan Tables 4, 5 and 7
+/// read too.
+fn honeypot_plans(ip: Ipv4Addr, slice: TrafficSlice, kind: CharKind) -> (Plan, Plan) {
+    let at = Plan::at(&[ip]).slice(slice);
+    (at.clone().count(), at.char_freqs(kind))
+}
+
+/// The declared plans behind one (slice, characteristic) cell: each
+/// observing honeypot's event count and characteristic frequencies, for
+/// every neighborhood with at least two. Cells share the count plans,
+/// and a store dedupes them.
+pub fn cell_plans(deployment: &Deployment, slice: TrafficSlice, kind: CharKind) -> Vec<Plan> {
     let mut plans = Vec::new();
     for (_name, ips) in &neighborhoods(deployment) {
         let ips = observing_ips(deployment, ips, slice);
         if ips.len() < 2 {
             continue;
         }
-        plans.extend(ips.iter().map(|&ip| Plan::at(&[ip]).slice(slice).rows()));
+        for &ip in &ips {
+            let (count, freqs) = honeypot_plans(ip, slice, kind);
+            plans.push(count);
+            plans.push(freqs);
+        }
     }
     plans
 }
 
 /// Analyze one (slice, characteristic) cell across all neighborhoods,
 /// through a [`ScanExec`].
-pub fn analyze_cell_with(
+pub fn analyze_cell(
     exec: &ScanExec<'_>,
     deployment: &Deployment,
     slice: TrafficSlice,
     characteristic: CharKind,
     alpha: f64,
 ) -> NeighborhoodRow {
-    let dataset = exec.dataset();
     let hoods = neighborhoods(deployment);
     // First pass: gather testable neighborhoods (for the Bonferroni m).
     let mut groups_per_hood = Vec::new();
@@ -119,27 +130,27 @@ pub fn analyze_cell_with(
         if ips.len() < 2 {
             continue;
         }
-        // One plan per honeypot: destination pushdown + slice filter.
-        let groups: Vec<Vec<crate::dataset::ClassifiedEvent<'_>>> = ips
+        let plans: Vec<(Plan, Plan)> = ips
             .iter()
-            .map(|&ip| {
-                exec.run(&Plan::at(&[ip]).slice(slice).rows())
-                    .into_rows()
-                    .into_iter()
-                    .map(|i| dataset.event(i))
-                    .collect()
-            })
+            .map(|&ip| honeypot_plans(ip, slice, characteristic))
             .collect();
-        if groups.iter().all(|g| g.len() >= MIN_EVENTS_PER_GROUP) {
-            groups_per_hood.push(groups);
+        let testable = plans
+            .iter()
+            .all(|(count, _)| exec.run(count).into_count() >= MIN_EVENTS_PER_GROUP);
+        if testable {
+            let freqs: Vec<_> = plans
+                .iter()
+                .map(|(_, freqs)| exec.run(freqs).into_char_freqs())
+                .collect();
+            groups_per_hood.push(freqs);
         }
     }
     let m = groups_per_hood.len();
     let mut significant = 0usize;
     let mut tested = 0usize;
     let mut phis = Vec::new();
-    for groups in &groups_per_hood {
-        if let Some(cmp) = compare_groups(characteristic, groups, alpha, m.max(1)) {
+    for freqs in &groups_per_hood {
+        if let Some(cmp) = compare_freqs(characteristic, freqs, alpha, m.max(1)) {
             tested += 1;
             if cmp.significant {
                 significant += 1;
@@ -160,60 +171,40 @@ pub fn analyze_cell_with(
     }
 }
 
-/// Analyze one (slice, characteristic) cell without prefetched plans —
-/// builds a local [`PlanStore`] so the cell's per-honeypot scans still
-/// fuse per honeypot domain.
-pub fn analyze_cell(
-    dataset: &Dataset,
-    deployment: &Deployment,
-    slice: TrafficSlice,
-    characteristic: CharKind,
-    alpha: f64,
-) -> NeighborhoodRow {
-    let store = PlanStore::build(dataset, &cell_plans(deployment, slice));
-    analyze_cell_with(
-        &ScanExec::with_store(dataset, &store),
-        deployment,
-        slice,
-        characteristic,
-        alpha,
-    )
-}
+/// Table 2's (slice, characteristic) grid, in row order.
+const TABLE2_CELLS: &[(TrafficSlice, CharKind)] = &[
+    (TrafficSlice::SshPort22, CharKind::TopAs),
+    (TrafficSlice::SshPort22, CharKind::FracMalicious),
+    (TrafficSlice::SshPort22, CharKind::TopUsername),
+    (TrafficSlice::SshPort22, CharKind::TopPassword),
+    (TrafficSlice::TelnetPort23, CharKind::TopAs),
+    (TrafficSlice::TelnetPort23, CharKind::FracMalicious),
+    (TrafficSlice::TelnetPort23, CharKind::TopUsername),
+    (TrafficSlice::TelnetPort23, CharKind::TopPassword),
+    (TrafficSlice::HttpPort80, CharKind::TopAs),
+    (TrafficSlice::HttpPort80, CharKind::FracMalicious),
+    (TrafficSlice::HttpPort80, CharKind::TopPayload),
+    (TrafficSlice::HttpAllPorts, CharKind::TopAs),
+    (TrafficSlice::HttpAllPorts, CharKind::FracMalicious),
+    (TrafficSlice::HttpAllPorts, CharKind::TopPayload),
+];
 
 /// The declared plans behind the full Table 2 grid: the union of
-/// [`cell_plans`] over its four slices (characteristics reuse them).
+/// [`cell_plans`] over its cells.
 pub fn table2_plans(deployment: &Deployment) -> Vec<Plan> {
-    [
-        TrafficSlice::SshPort22,
-        TrafficSlice::TelnetPort23,
-        TrafficSlice::HttpPort80,
-        TrafficSlice::HttpAllPorts,
-    ]
-    .into_iter()
-    .flat_map(|slice| cell_plans(deployment, slice))
-    .collect()
+    TABLE2_CELLS
+        .iter()
+        .flat_map(|&(slice, kind)| cell_plans(deployment, slice, kind))
+        .collect()
 }
 
 /// The full Table 2 cell list (4 slices × their characteristics), through
 /// a [`ScanExec`].
 pub fn table2_with(exec: &ScanExec<'_>, deployment: &Deployment) -> Vec<NeighborhoodRow> {
-    let mut rows = Vec::new();
-    for slice in [TrafficSlice::SshPort22, TrafficSlice::TelnetPort23] {
-        for ch in [
-            CharKind::TopAs,
-            CharKind::FracMalicious,
-            CharKind::TopUsername,
-            CharKind::TopPassword,
-        ] {
-            rows.push(analyze_cell_with(exec, deployment, slice, ch, 0.05));
-        }
-    }
-    for slice in [TrafficSlice::HttpPort80, TrafficSlice::HttpAllPorts] {
-        for ch in [CharKind::TopAs, CharKind::FracMalicious, CharKind::TopPayload] {
-            rows.push(analyze_cell_with(exec, deployment, slice, ch, 0.05));
-        }
-    }
-    rows
+    TABLE2_CELLS
+        .iter()
+        .map(|&(slice, kind)| analyze_cell(exec, deployment, slice, kind, 0.05))
+        .collect()
 }
 
 /// The full Table 2 without prefetched plans: one local [`PlanStore`]

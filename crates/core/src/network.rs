@@ -9,9 +9,13 @@
 //!   uncomputable there (×);
 //! - **Telescope–X** — the telescope observes no payloads, so only the
 //!   "who" (top ASes per port) axis is comparable (Table 10).
+//!
+//! Every comparison scans through the caller's [`ScanExec`], so a render
+//! reads its prefetched plans: a cloud–cloud cell's per-honeypot frequency
+//! scans are exactly Table 5's plans.
 
 use crate::compare::{compare_freqs, CharKind, GroupComparison};
-use crate::dataset::{Dataset, TrafficSlice};
+use crate::dataset::TrafficSlice;
 use crate::geography::region_freqs;
 use crate::query::{Plan, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
@@ -95,7 +99,7 @@ fn greynoise_region_ips(
 
 /// Compare city-matched cloud pairs for one characteristic × slice.
 pub fn cloud_cloud_cell(
-    dataset: &Dataset,
+    exec: &ScanExec<'_>,
     deployment: &Deployment,
     slice: TrafficSlice,
     kind: CharKind,
@@ -112,8 +116,8 @@ pub fn cloud_cloud_cell(
         if a_ips.is_empty() || b_ips.is_empty() {
             continue;
         }
-        let fa = region_freqs(dataset, &a_ips, slice, kind);
-        let fb = region_freqs(dataset, &b_ips, slice, kind);
+        let fa = region_freqs(exec, &a_ips, slice, kind);
+        let fb = region_freqs(exec, &b_ips, slice, kind);
         if let Some(cmp) = compare_freqs(kind, &[fa, fb], alpha, m) {
             tested += 1;
             if cmp.significant {
@@ -147,7 +151,7 @@ pub fn honeytrap_fleet_ips(deployment: &Deployment, name: &str) -> Vec<Ipv4Addr>
 /// (credentials: the paper's ×).
 #[allow(clippy::too_many_arguments)]
 pub fn honeytrap_pair(
-    dataset: &Dataset,
+    exec: &ScanExec<'_>,
     deployment: &Deployment,
     fleet_a: &str,
     fleet_b: &str,
@@ -164,7 +168,7 @@ pub fn honeytrap_pair(
         let plan = Plan::at(&honeytrap_fleet_ips(deployment, fleet))
             .slice(slice)
             .char_freqs(kind);
-        ScanExec::unplanned(dataset).run(&plan).into_char_freqs()
+        exec.run(&plan).into_char_freqs()
     };
     compare_freqs(kind, &[freqs(fleet_a), freqs(fleet_b)], alpha, family)
 }
@@ -179,7 +183,7 @@ pub const CLOUD_EDU_PAIRS: [(&str, &str); 4] = [
 
 /// Aggregate a Honeytrap pair family into one Table 7 cell.
 pub fn honeytrap_cell(
-    dataset: &Dataset,
+    exec: &ScanExec<'_>,
     deployment: &Deployment,
     pairs: &[(&str, &str)],
     slice: TrafficSlice,
@@ -201,7 +205,7 @@ pub fn honeytrap_cell(
     let mut different = 0;
     let mut phis = Vec::new();
     for (a, b) in pairs {
-        if let Some(cmp) = honeytrap_pair(dataset, deployment, a, b, slice, kind, alpha, m) {
+        if let Some(cmp) = honeytrap_pair(exec, deployment, a, b, slice, kind, alpha, m) {
             tested += 1;
             if cmp.significant {
                 different += 1;
@@ -223,7 +227,7 @@ pub fn honeytrap_cell(
 ///
 /// `slice` determines the port (SSH/22, Telnet/23, HTTP/80) or all ports.
 pub fn telescope_vs_fleet(
-    dataset: &Dataset,
+    exec: &ScanExec<'_>,
     deployment: &Deployment,
     telescope: &Telescope,
     fleet: &str,
@@ -250,13 +254,14 @@ pub fn telescope_vs_fleet(
         ips
     };
     let plan = Plan::at(&ips).slice(slice).char_freqs(CharKind::TopAs);
-    let fleet_freqs = ScanExec::unplanned(dataset).run(&plan).into_char_freqs();
+    let fleet_freqs = exec.run(&plan).into_char_freqs();
     compare_freqs(CharKind::TopAs, &[tel_freqs, fleet_freqs], alpha, family)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::PlanStore;
     use crate::scenario::{Scenario, ScenarioConfig};
     use cw_scanners::population::ScenarioYear;
 
@@ -281,8 +286,10 @@ mod tests {
     #[test]
     fn credentials_are_uncomputable_for_honeytrap() {
         let s = scenario();
+        // The × cell is decided before any scan: an empty store serves it.
+        let store = PlanStore::build(&s.dataset, &[]);
         let cell = honeytrap_cell(
-            &s.dataset,
+            &ScanExec::with_store(&s.dataset, &store),
             &s.deployment,
             &CLOUD_EDU_PAIRS,
             TrafficSlice::SshPort22,
@@ -295,11 +302,17 @@ mod tests {
     #[test]
     fn cloud_cloud_cells_run() {
         let s = scenario();
-        let cell = cloud_cloud_cell(
+        // A cloud-cloud cell reads exactly Table 5's per-honeypot plans.
+        let (slice, kind) = (TrafficSlice::SshPort22, CharKind::TopAs);
+        let store = PlanStore::build(
             &s.dataset,
+            &crate::geography::table5_plans(&s.deployment, slice, kind),
+        );
+        let cell = cloud_cloud_cell(
+            &ScanExec::with_store(&s.dataset, &store),
             &s.deployment,
-            TrafficSlice::SshPort22,
-            CharKind::TopAs,
+            slice,
+            kind,
             0.05,
         );
         assert!(cell.n > 0);
@@ -311,11 +324,16 @@ mod tests {
         // §5.2: "a significantly different set of ASes target telescopes".
         let s = scenario();
         let tel = s.telescope.borrow();
+        let fleet = "honeytrap/stanford";
+        let plan = Plan::at(&honeytrap_fleet_ips(&s.deployment, fleet))
+            .slice(TrafficSlice::TelnetPort23)
+            .char_freqs(CharKind::TopAs);
+        let store = PlanStore::build(&s.dataset, &[plan]);
         let cmp = telescope_vs_fleet(
-            &s.dataset,
+            &ScanExec::with_store(&s.dataset, &store),
             &s.deployment,
             &tel,
-            "honeytrap/stanford",
+            fleet,
             TrafficSlice::TelnetPort23,
             0.05,
             5,

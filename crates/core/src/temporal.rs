@@ -8,7 +8,7 @@
 //! port, and the stability of the headline phenomena.
 
 use crate::compare::CharKind;
-use crate::dataset::{Dataset, TrafficSlice};
+use crate::dataset::TrafficSlice;
 use crate::overlap;
 use crate::query::{Plan, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment};
@@ -43,28 +43,22 @@ pub fn jaccard(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
 
 /// One year's analysis inputs, borrowed from a live [`crate::Scenario`]
 /// or a restored [`crate::bundle::SimBundle`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct YearView<'a> {
     /// The scenario year this data was measured in.
     pub year: u16,
-    /// The classified event store of that year's run.
-    pub dataset: &'a Dataset,
+    /// The caller's scan runner over that year's classified event store.
+    pub exec: ScanExec<'a>,
     /// That year's telescope capture.
     pub telescope: &'a Telescope,
 }
 
 /// Compare two measurement years (typically the same seed family) against
-/// a shared deployment (Table 1 is identical across years).
-pub fn stability(deployment: &Deployment, a: YearView<'_>, b: YearView<'_>) -> StabilityReport {
-    let t8a = overlap::table8(a.dataset, deployment, a.telescope);
-    let t8b = overlap::table8(b.dataset, deployment, b.telescope);
-    stability_with(deployment, a, b, &t8a, &t8b)
-}
-
-/// [`stability`] with each year's Table 8 overlap rows supplied by the
-/// caller — the `cw` exhibit context memoizes them per bundle, so the
-/// temporal exhibit reuses the rows the Table 8 render already computed.
-pub fn stability_with(
+/// a shared deployment (Table 1 is identical across years). Each year's
+/// Table 8 overlap rows come from the caller — the `cw` exhibit context
+/// memoizes them per bundle, so the temporal exhibit reuses the rows the
+/// Table 8 render already computed.
+pub fn stability(
     deployment: &Deployment,
     a: YearView<'_>,
     b: YearView<'_>,
@@ -86,15 +80,16 @@ pub fn stability_with(
             })
             .map(|v| v.ip)
             .collect();
-        let tops = |d: &Dataset| -> BTreeSet<String> {
-            let plan = Plan::at(&ips)
-                .slice(TrafficSlice::TelnetPort23)
-                .char_freqs(CharKind::TopAs);
-            let freqs = ScanExec::unplanned(d).run(&plan).into_char_freqs();
-            top_k_of(&freqs, 3).into_iter().collect()
+        let plan = Plan::at(&ips)
+            .slice(TrafficSlice::TelnetPort23)
+            .char_freqs(CharKind::TopAs);
+        let tops = |y: &YearView<'_>| -> BTreeSet<String> {
+            top_k_of(&y.exec.run(&plan).into_char_freqs(), 3)
+                .into_iter()
+                .collect()
         };
-        let ta = tops(a.dataset);
-        let tb = tops(b.dataset);
+        let ta = tops(&a);
+        let tb = tops(&b);
         if !ta.is_empty() || !tb.is_empty() {
             jaccards.push(jaccard(&ta, &tb));
         }
@@ -119,6 +114,7 @@ pub fn stability_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::PlanStore;
     use crate::scenario::ScenarioConfig;
     use cw_scanners::population::ScenarioYear;
 
@@ -140,19 +136,24 @@ mod tests {
         let b = crate::Scenario::run(ScenarioConfig::fast(ScenarioYear::Y2020).with_seed(3));
         let tel_a = a.telescope.borrow();
         let tel_b = b.telescope.borrow();
-        let r = stability(
-            &a.deployment,
-            YearView {
-                year: a.config.year.year(),
-                dataset: &a.dataset,
-                telescope: &tel_a,
-            },
-            YearView {
-                year: b.config.year.year(),
-                dataset: &b.dataset,
-                telescope: &tel_b,
-            },
-        );
+        // Each year's Table 8 plans are prefetched, as `cw` does; the
+        // per-region Telnet scans run standalone.
+        let plans = overlap::table8_and_9_plans(&a.deployment);
+        let store_a = PlanStore::build(&a.dataset, &plans);
+        let store_b = PlanStore::build(&b.dataset, &plans);
+        let va = YearView {
+            year: a.config.year.year(),
+            exec: ScanExec::with_store(&a.dataset, &store_a),
+            telescope: &tel_a,
+        };
+        let vb = YearView {
+            year: b.config.year.year(),
+            exec: ScanExec::with_store(&b.dataset, &store_b),
+            telescope: &tel_b,
+        };
+        let t8a = overlap::table8_and_9_with(&va.exec, &a.deployment, &tel_a).0;
+        let t8b = overlap::table8_and_9_with(&vb.exec, &b.deployment, &tel_b).0;
+        let r = stability(&a.deployment, va, vb, &t8a, &t8b);
         assert_eq!(r.years, (2021, 2020));
         assert!(r.regions_compared > 30);
         assert!(

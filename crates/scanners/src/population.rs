@@ -104,6 +104,8 @@ pub struct Population {
     pub reputation: ReputationDb,
     /// AS registry covering every source AS in the population.
     pub registry: AsRegistry,
+    /// Scanner source addresses drawn from the [`SrcAllocator`]'s /8.
+    pub source_addrs: u32,
 }
 
 impl Population {
@@ -923,6 +925,7 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
         shodan_srcs,
         reputation,
         registry,
+        source_addrs: alloc.allocated(),
     }
 }
 

@@ -185,14 +185,14 @@ proptest! {
     }
 }
 
-/// Render every registered exhibit from bundles of all three years at
-/// `scale`, simulating each year's world with `runner`.
-fn render_all_with(
+/// Simulate all three years' worlds at `scale` with `runner`, keyed by
+/// year, with the options that select them.
+fn worlds_with(
     scale: f64,
     shards: usize,
     threads: usize,
     runner: fn(ScenarioConfig) -> SimBundle,
-) -> BTreeMap<&'static str, String> {
+) -> (ExhibitOptions, BTreeMap<u16, SimBundle>) {
     let opts = ExhibitOptions {
         scale,
         seed: DEFAULT_SEED,
@@ -209,12 +209,28 @@ fn render_all_with(
                 .with_shards(shards)
         })
         .collect();
-    let bundles: BTreeMap<u16, SimBundle> = fleet::map(configs, threads, |_, c| runner(*c))
+    let bundles = fleet::map(configs, threads, |_, c| runner(*c))
         .into_iter()
         .map(|b| (b.config.year.year(), b))
         .collect();
-    let cx = ExhibitCx::new(opts, &bundles);
-    REGISTRY.iter().map(|e| (e.name(), e.run(&cx))).collect()
+    (opts, bundles)
+}
+
+/// Render every registered exhibit through `cx`.
+fn render_registry(cx: &ExhibitCx<'_>) -> BTreeMap<&'static str, String> {
+    REGISTRY.iter().map(|e| (e.name(), e.run(cx))).collect()
+}
+
+/// Render every registered exhibit from bundles of all three years at
+/// `scale`, simulating each year's world with `runner`.
+fn render_all_with(
+    scale: f64,
+    shards: usize,
+    threads: usize,
+    runner: fn(ScenarioConfig) -> SimBundle,
+) -> BTreeMap<&'static str, String> {
+    let (opts, bundles) = worlds_with(scale, shards, threads, runner);
+    render_registry(&ExhibitCx::new(opts, &bundles))
 }
 
 /// Render every registered exhibit from scale-0.02 bundles of all three
@@ -243,11 +259,20 @@ fn exhibits_byte_identical_streaming_vs_materialized() {
 
 /// All 25 exhibits render the exact same bytes whatever the shard count
 /// and whatever the fleet worker-thread count — the user-facing face of
-/// the byte-identical merge contract.
+/// the byte-identical merge contract — and whether their scans hit the
+/// registry's prefetched plan stores or run on demand.
 #[test]
 fn exhibits_byte_identical_across_shard_and_thread_matrix() {
-    let baseline = render_all(1, 1);
+    let (opts, bundles) = worlds_with(0.02, 1, 1, SimBundle::run);
+    let baseline = render_registry(&ExhibitCx::new(opts, &bundles));
     assert_eq!(baseline.len(), REGISTRY.len());
+    // The baseline's own worlds, rendered the way `cw all` renders them.
+    let mut cx = ExhibitCx::new(opts, &bundles).with_threads(2);
+    cx.prefetch(REGISTRY);
+    let prefetched = render_registry(&cx);
+    for (name, text) in &baseline {
+        assert_eq!(text, &prefetched[name], "exhibit {name} drifted under prefetch");
+    }
     for (shards, threads) in [(1, 8), (3, 1), (3, 8), (8, 1), (8, 8)] {
         let rendered = render_all(shards, threads);
         for (name, text) in &baseline {

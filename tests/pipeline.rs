@@ -163,8 +163,9 @@ fn classification_is_consistent_with_observations() {
 #[test]
 fn network_type_cells_are_computable() {
     scenario(|s| {
+        let exec = ScanExec::unplanned(&s.dataset);
         let cc = network::cloud_cloud_cell(
-            &s.dataset,
+            &exec,
             &s.deployment,
             TrafficSlice::TelnetPort23,
             CharKind::TopAs,
@@ -173,7 +174,7 @@ fn network_type_cells_are_computable() {
         assert!(cc.n >= 5, "only {} city pairs testable", cc.n);
         // Honeytrap credential cells must be the paper's ×.
         let ce = network::honeytrap_cell(
-            &s.dataset,
+            &exec,
             &s.deployment,
             &network::CLOUD_EDU_PAIRS,
             TrafficSlice::SshPort22,

@@ -14,8 +14,10 @@ use cloud_watching::core::dataset::{Dataset, TrafficSlice};
 use cloud_watching::core::exhibit::{Exhibit, ExhibitCx, ExhibitOptions, REGISTRY};
 use cloud_watching::core::query::{scan_counters, ObsKind};
 use cloud_watching::core::scenario::ScenarioConfig;
+use cloud_watching::core::temporal::{self, YearView};
 use cloud_watching::core::{
-    geography, neighborhood, overlap, ports, Plan, PlanSet, PlanStore, ScanExec, SimBundle,
+    geography, neighborhood, network, overlap, ports, Plan, PlanSet, PlanStore, ScanExec,
+    SimBundle,
 };
 use cloud_watching::detection::Verdict;
 use cloud_watching::honeypot::capture::Observed;
@@ -269,8 +271,28 @@ fn submission_order_permutes_results_and_nothing_else() {
     }
 }
 
+/// Tables 5 and 7's 14 (slice, characteristic) cells.
+const GRID14: [(TrafficSlice, CharKind); 14] = [
+    (TrafficSlice::SshPort22, CharKind::TopAs),
+    (TrafficSlice::SshPort22, CharKind::FracMalicious),
+    (TrafficSlice::SshPort22, CharKind::TopUsername),
+    (TrafficSlice::SshPort22, CharKind::TopPassword),
+    (TrafficSlice::TelnetPort23, CharKind::TopAs),
+    (TrafficSlice::TelnetPort23, CharKind::FracMalicious),
+    (TrafficSlice::TelnetPort23, CharKind::TopUsername),
+    (TrafficSlice::TelnetPort23, CharKind::TopPassword),
+    (TrafficSlice::HttpPort80, CharKind::TopAs),
+    (TrafficSlice::HttpPort80, CharKind::FracMalicious),
+    (TrafficSlice::HttpPort80, CharKind::TopPayload),
+    (TrafficSlice::HttpAllPorts, CharKind::TopAs),
+    (TrafficSlice::HttpAllPorts, CharKind::FracMalicious),
+    (TrafficSlice::HttpAllPorts, CharKind::TopPayload),
+];
+
 /// Every ported module product — Tables 2, 4, 5, 8+9, 11, §3.2 — computed
-/// through one fused registry-style store vs. plan-at-a-time execution.
+/// through one fused registry-style store vs. plan-at-a-time execution;
+/// and the network products (Tables 7, 10) and temporal stability through
+/// a store of Table 5's plans, where the cloud–cloud grid costs no pass.
 #[test]
 fn ported_products_match_unplanned_execution() {
     let _g = counter_lock();
@@ -333,6 +355,56 @@ fn ported_products_match_unplanned_execution() {
         format!("{:?}", ports::composition_stats_with(&fused, &d)),
         format!("{:?}", ports::composition_stats_with(&alone, &d)),
     );
+
+    let t5_plans: Vec<Plan> = GRID14
+        .iter()
+        .flat_map(|&(slice, kind)| geography::table5_plans(&d, slice, kind))
+        .collect();
+    let t5_store = PlanStore::build(&s.dataset, &t5_plans);
+    let t5 = ScanExec::with_store(&s.dataset, &t5_store);
+    let cloud_cloud = |exec: &ScanExec<'_>| -> Vec<_> {
+        GRID14
+            .iter()
+            .map(|&(slice, kind)| network::cloud_cloud_cell(exec, &d, slice, kind, 0.05))
+            .collect()
+    };
+    let before = scan_counters();
+    let cc = cloud_cloud(&t5);
+    assert_eq!(
+        scan_counters().since(before).fused,
+        0,
+        "the cloud-cloud grid must read only Table 5's plans"
+    );
+    assert!(cc.iter().any(|c| c.n > 0));
+    assert_eq!(format!("{cc:?}"), format!("{:?}", cloud_cloud(&alone)));
+    let edu_edu = [("honeytrap/stanford", "honeytrap/merit")];
+    for (slice, kind) in GRID14 {
+        for pairs in [&network::CLOUD_EDU_PAIRS[..], &edu_edu] {
+            assert_eq!(
+                format!("{:?}", network::honeytrap_cell(&t5, &d, pairs, slice, kind, 0.05)),
+                format!("{:?}", network::honeytrap_cell(&alone, &d, pairs, slice, kind, 0.05)),
+                "honeytrap cell {pairs:?} {slice:?} {kind:?}"
+            );
+        }
+    }
+    for slice in [TrafficSlice::SshPort22, TrafficSlice::AnyAll] {
+        for fleet in ["honeytrap/stanford", "honeytrap/aws-west"] {
+            let cmp = |exec: &ScanExec<'_>| {
+                network::telescope_vs_fleet(exec, &d, &s.telescope, fleet, slice, 0.05, 2)
+            };
+            assert_eq!(format!("{:?}", cmp(&t5)), format!("{:?}", cmp(&alone)), "{fleet}");
+        }
+    }
+    let t8 = overlap::table8_and_9_with(&alone, &d, &s.telescope).0;
+    let stability = |exec: ScanExec<'_>| {
+        let view = YearView {
+            year: 2021,
+            exec,
+            telescope: &s.telescope,
+        };
+        temporal::stability(&d, view, view, &t8, &t8)
+    };
+    assert_eq!(format!("{:?}", stability(t5)), format!("{:?}", stability(alone)));
 }
 
 /// Rendering through a prefetched context must produce the same bytes as
