@@ -100,17 +100,6 @@ impl<'a> ClassifiedEvent<'a> {
         }
     }
 
-    /// Does the event fall into a traffic slice?
-    pub fn in_slice(&self, slice: TrafficSlice) -> bool {
-        match slice {
-            TrafficSlice::SshPort22 => self.event.dst_port == 22,
-            TrafficSlice::TelnetPort23 => self.event.dst_port == 23,
-            TrafficSlice::HttpPort80 => self.event.dst_port == 80,
-            TrafficSlice::HttpAllPorts => self.fingerprint == Some(ProtocolId::Http),
-            TrafficSlice::AnyAll => true,
-        }
-    }
-
     /// The interner this event's ids resolve against.
     pub fn interner(&self) -> &'a Interner {
         self.interner

@@ -23,7 +23,8 @@
 
 use crate::bundle::SimBundle;
 use crate::leak::{LeakGroup, LeakOutcome, LeakService, LEAK_SEED_XOR};
-use crate::query::{Plan, ScanExec};
+use crate::overlap;
+use crate::query::{Plan, PlanStore, ScanExec};
 use crate::scenario::ScenarioConfig;
 use crate::sweep::{self, SweepGrid};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
@@ -101,9 +102,11 @@ pub struct FindingEval {
 /// worlds. Pure: same bundles → same evaluations.
 pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
     let deployment = Deployment::standard();
-    // Each rung's world is evaluated once, so there is nothing to prefetch:
-    // every scan runs standalone.
-    let exec = ScanExec::unplanned(&bundle.dataset);
+    // Each rung's world is evaluated once. Only Tables 8 and 9 share
+    // scans, so only their four plans are stored (two fused passes); every
+    // other scan runs standalone.
+    let store = PlanStore::build(&bundle.dataset, &overlap::table8_and_9_plans(&deployment));
+    let exec = ScanExec::with_store(&bundle.dataset, &store);
     let mut out = Vec::new();
 
     // Table 1 direction: the telescope sees far more unique scanners than
@@ -164,11 +167,7 @@ pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
     // while SSH/22 actors avoid it — overlap(23) exceeds overlap(22), for
     // all scanners (T8) and for verified attackers (T9).
     {
-        let (t8, t9) = crate::overlap::table8_and_9(
-            &bundle.dataset,
-            &deployment,
-            &bundle.telescope,
-        );
+        let (t8, t9) = overlap::table8_and_9(&exec, &deployment, &bundle.telescope);
         let find8 = |port: u16| {
             t8.iter()
                 .find(|r| r.port == port)

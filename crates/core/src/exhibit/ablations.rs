@@ -3,7 +3,7 @@
 //! Each render is a byte-exact port of the retired single-purpose binary
 //! of the same name.
 
-use super::{Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest};
+use super::{Exhibit, ExhibitCx, Need, PlanRequest};
 use crate::compare::{characteristic_table, compare_freqs, median_freqs, CharKind};
 use crate::dataset::TrafficSlice;
 use crate::neighborhood::neighborhoods;
@@ -58,7 +58,7 @@ impl Exhibit for AblationMedian {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         PlanRequest::all_for(
             NEEDS[0],
             linode_regions(&Deployment::standard())
@@ -175,7 +175,7 @@ impl Exhibit for AblationTopk {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         PlanRequest::all_for(
             NEEDS[0],
             neighborhoods(&Deployment::standard())
@@ -285,7 +285,7 @@ impl Exhibit for AblationBonferroni {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         let d = Deployment::standard();
         let mut plans = Vec::new();
         for &(slice, kind) in BONFERRONI_CELLS {

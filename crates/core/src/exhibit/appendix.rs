@@ -10,7 +10,7 @@ use super::main_year::{
     breakdown_requests, table10_render, table2_render, table2_requests, table4_render,
     table4_requests, table5_render, table5_requests, table7_render, Family,
 };
-use super::{BreakdownPort, Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest};
+use super::{BreakdownPort, Exhibit, ExhibitCx, Need, PlanRequest};
 use crate::report::{header_str, paper_note_str, TextTable};
 use crate::temporal::{stability, YearView};
 use cw_honeypot::deployment::Deployment;
@@ -30,7 +30,7 @@ impl Exhibit for Table12 {
     fn needs(&self) -> &'static [Need] {
         &[Need::Year(ScenarioYear::Y2020)]
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         table2_requests(self.needs()[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
@@ -59,7 +59,7 @@ impl Exhibit for Table13 {
     fn needs(&self) -> &'static [Need] {
         &[Need::Year(ScenarioYear::Y2020)]
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         table5_requests(self.needs()[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
@@ -147,7 +147,7 @@ impl Exhibit for Table16 {
     fn needs(&self) -> &'static [Need] {
         &[Need::Year(ScenarioYear::Y2020)]
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         table4_requests(self.needs()[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
@@ -175,7 +175,7 @@ impl Exhibit for Table17 {
     fn needs(&self) -> &'static [Need] {
         &[Need::Year(ScenarioYear::Y2022)]
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         breakdown_requests(self.needs()[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
@@ -216,7 +216,7 @@ impl Exhibit for TemporalStability {
             Need::Exact(ScenarioYear::Y2020),
         ]
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         let d = Deployment::standard();
         self.needs()
             .iter()

@@ -5,7 +5,7 @@
 //! are also Appendix C's Tables 12, 16, 13, 14 and 15
 //! ([`super::appendix`]).
 
-use super::{BreakdownPort, Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest, SimBundle};
+use super::{BreakdownPort, Exhibit, ExhibitCx, Need, PlanRequest, SimBundle};
 use crate::compare::CharKind;
 use crate::dataset::TrafficSlice;
 use crate::geography::SimilarityCell;
@@ -24,6 +24,12 @@ const NEEDS: &[Need] = &[Need::Year(ScenarioYear::Y2021)];
 /// The (default-2021) bundle every exhibit in this module renders from.
 fn main_bundle<'a>(cx: &'a ExhibitCx<'_>) -> &'a SimBundle {
     cx.bundle(NEEDS[0])
+}
+
+/// `title` closed by the year of the bundle it renders, `"… (2021)"` by
+/// default, so a `--year` render names the year it shows.
+fn year_header(cx: &ExhibitCx<'_>, title: &str) -> String {
+    format!("{title} ({})", main_bundle(cx).config.year.year())
 }
 
 /// Table 1: vantage points — unique scanning IPs and ASes per network.
@@ -86,7 +92,7 @@ impl Exhibit for Table1 {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         let d = Deployment::standard();
         PlanRequest::all_for(
             NEEDS[0],
@@ -187,14 +193,17 @@ impl Exhibit for Table2 {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         table2_requests(NEEDS[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         table2_render(
             cx,
             NEEDS[0],
-            "Table 2: % neighborhoods with significantly different traffic (2021)",
+            &year_header(
+                cx,
+                "Table 2: % neighborhoods with significantly different traffic",
+            ),
             "SSH/22: AS 44% (0.31), FracMal 36% (0.12), User 55% (0.22), Pwd 4% (0.13) · \
              Telnet/23: AS 38% (0.43), FracMal 15%, User 21% (0.24), Pwd 19% (0.39) · \
              HTTP/80: AS 31% (0.43), FracMal 0%, Payload 15% (0.39) · \
@@ -262,14 +271,14 @@ impl Exhibit for Table4 {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         table4_requests(NEEDS[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         table4_render(
             cx,
             NEEDS[0],
-            "Table 4: most-different geographic region per provider (2021)",
+            &year_header(cx, "Table 4: most-different geographic region per provider"),
             "Asia-Pacific regions dominate: e.g. Top-AS SSH/22 AWS=AP-JP (0.68), Google=AP-SG (0.16), \
              Linode=AP-SG (0.27); Username TEL/23 AWS=AP-AU (0.56); Payload HTTP/80 AWS=AP-HK (0.31) \
              — expect most named regions to be AP-*",
@@ -328,7 +337,7 @@ pub(super) fn table5_render(
     let mut t = TextTable::new(&["Slice", "Characteristic", "US", "EU", "APAC", "Intercont."]);
     let exec = cx.exec(need);
     for &(slice, kind) in TABLE5_CELLS {
-        let cells = crate::geography::table5_with(&exec, &d, slice, kind);
+        let cells = crate::geography::table5(&exec, &d, slice, kind);
         let find = |b: RegionPairKind| {
             cells
                 .iter()
@@ -359,14 +368,14 @@ impl Exhibit for Table5 {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         table5_requests(NEEDS[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         table5_render(
             cx,
             NEEDS[0],
-            "Table 5: % similar pairs of regions per geographic bucket (2021)",
+            &year_header(cx, "Table 5: % similar pairs of regions per geographic bucket"),
             "US/EU pairs are nearly always similar (94-100%), APAC much less (e.g. Top-3 AS SSH/22: \
              US 94, EU 100, APAC 63, intercontinental 70; HTTP/All payloads: US 50, EU 53, APAC 20, IC 11)",
             |c| format!("{:.0}% (n={})", c.pct_similar, c.n),
@@ -480,7 +489,7 @@ impl Exhibit for Table7 {
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         table7_render(
             cx,
-            "Table 7: differences across network types (2021)",
+            &year_header(cx, "Table 7: differences across network types"),
             "cloud-cloud differences are small (avg phi ≤ 0.23); cloud-EDU mostly similar except \
              SSH/22 Top-AS in 2021 (phi 0.48: Chinanet→EDU, Cogent→cloud); EDU-EDU never different; \
              credentials are × for Honeytrap fleets",
@@ -506,14 +515,14 @@ impl Exhibit for Table8 {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         PlanRequest::all_for(
             NEEDS[0],
             crate::overlap::table8_and_9_plans(&Deployment::standard()),
         )
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let mut out = header_str("Table 8: |Tel ∩ X| overlap per port (2021)");
+        let mut out = header_str(&year_header(cx, "Table 8: |Tel ∩ X| overlap per port"));
         out.push_str(&paper_note_str(
             "Tel∩Cloud/Cloud: 23→91%, 2323→53%, 80→73%, 8080→80%, 21→29%, 2222→9%, 25→19%, \
              7547→33%, 22→13%, 443→30%; Tel∩EDU higher everywhere; Cloud∩EDU 81-97%",
@@ -547,14 +556,15 @@ impl Exhibit for Table9 {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         PlanRequest::all_for(
             NEEDS[0],
             crate::overlap::table8_and_9_plans(&Deployment::standard()),
         )
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let mut out = header_str("Table 9: attacker-IP overlap with the telescope (2021)");
+        let mut out =
+            header_str(&year_header(cx, "Table 9: attacker-IP overlap with the telescope"));
         out.push_str(&paper_note_str(
             "Tel∩Mal-Cloud/Mal-Cloud: 23→94%, 2323→88%, 80→84%, 8080→84%, 2222→3.6%, 22→7.5%; \
              EDU column only computable on 80/8080 (96%/97%), × elsewhere",
@@ -651,7 +661,10 @@ impl Exhibit for Table10 {
         table10_render(
             cx,
             NEEDS[0],
-            "Table 10: telescope vs EDU / cloud — top-AS differences (2021)",
+            &year_header(
+                cx,
+                "Table 10: telescope vs EDU / cloud — top-AS differences",
+            ),
             "Telescope-EDU: SSH 2/2 dif (0.41), TEL 2/2 (0.68), HTTP/80 0/2, All 2/2 (0.20); \
              Telescope-Cloud: SSH 3/3 (0.71), TEL 3/3 (0.82), HTTP/80 2/3 (0.40), All 3/3 (0.30)",
             [
@@ -696,11 +709,14 @@ impl Exhibit for Table11 {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         breakdown_requests(NEEDS[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let mut out = header_str("Table 11: protocol breakdown on ports 80/8080 (2021)");
+        let mut out = header_str(&year_header(
+            cx,
+            "Table 11: protocol breakdown on ports 80/8080",
+        ));
         out.push_str(&paper_note_str(
             "HTTP/80 85% (42% benign, 55% malicious) vs ~HTTP/80 15% (42%, 51%); \
              HTTP/8080 84% (22%, 77%) vs ~HTTP/8080 16% (35%, 49%); \
@@ -747,14 +763,14 @@ impl Exhibit for Section3_2 {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         PlanRequest::all_for(
             NEEDS[0],
             crate::ports::composition_stats_plans(&Deployment::standard()),
         )
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let mut out = header_str("Section 3.2: traffic composition (2021)");
+        let mut out = header_str(&year_header(cx, "Section 3.2: traffic composition"));
         out.push_str(&paper_note_str(
             "34% of Telnet/23 traffic does not attempt login; 24% on SSH/22; 75% of HTTP/80 \
              payloads send no exploit; Suricata labels 6% of distinct HTTP payloads malicious",
@@ -798,7 +814,10 @@ impl Exhibit for Figure1 {
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         let s = main_bundle(cx);
-        let mut out = header_str("Figure 1: telescope address-structure preferences (2021)");
+        let mut out = header_str(&year_header(
+            cx,
+            "Figure 1: telescope address-structure preferences",
+        ));
         out.push_str(&paper_note_str(
             "(a) port 22: spikes at /16 first addresses (order of magnitude); \
              (b) port 445 / (c) port 80: dips at any-255-octet addresses (9x / strong); \
@@ -866,12 +885,18 @@ impl Exhibit for Recommendations {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
-        // The union of every memoized product this render consumes; the
-        // products themselves dedupe against the other exhibits' requests.
+    fn plans(&self) -> Vec<PlanRequest> {
+        // The union of every memoized product this render consumes, plus
+        // its Table 5 cell; they dedupe against the other exhibits'
+        // requests (the cell's plans against Table 2's).
         let d = Deployment::standard();
         let mut plans = crate::neighborhood::table2_plans(&d);
         plans.extend(crate::geography::table4_plans(&d));
+        plans.extend(crate::geography::table5_plans(
+            &d,
+            TrafficSlice::TelnetPort23,
+            CharKind::TopUsername,
+        ));
         plans.extend(crate::overlap::table8_and_9_plans(&d));
         plans.extend(crate::ports::protocol_breakdown_plans(&d, 80));
         PlanRequest::all_for(NEEDS[0], plans)
@@ -888,13 +913,8 @@ impl Exhibit for Recommendations {
             table9: cx.table9_rows(NEEDS[0]),
             breakdown80: &cx.breakdown(NEEDS[0], BreakdownPort::P80).0,
         };
-        for r in crate::recommendations::evaluate_with(
-            &s.dataset,
-            &d,
-            &s.telescope,
-            indexed,
-            &products,
-        ) {
+        let exec = cx.exec(NEEDS[0]);
+        for r in crate::recommendations::evaluate(&exec, &d, &s.telescope, indexed, &products) {
             out.push_str(&format!(
                 "{} {}\n    {}\n\n",
                 if r.supported { "✔" } else { "✘" },

@@ -214,7 +214,7 @@ impl<'a> ExhibitCx<'a> {
     pub fn prefetch(&mut self, exhibits: &[&dyn Exhibit]) -> Vec<PrefetchStats> {
         let mut per_year: BTreeMap<u16, Vec<Plan>> = BTreeMap::new();
         for e in exhibits {
-            for req in e.plans(&self.opts) {
+            for req in e.plans() {
                 let year = req.need.resolve(&self.opts).year();
                 if self.bundles.contains_key(&year) {
                     per_year.entry(year).or_default().push(req.plan);
@@ -271,31 +271,25 @@ impl<'a> ExhibitCx<'a> {
     /// through the bundle's plan store when prefetched).
     pub fn table2_rows(&self, need: Need) -> &[NeighborhoodRow] {
         let (_, m) = self.memo(need);
-        m.table2.get_or_init(|| {
-            crate::neighborhood::table2_with(&self.exec(need), &Deployment::standard())
-        })
+        m.table2
+            .get_or_init(|| crate::neighborhood::table2(&self.exec(need), &Deployment::standard()))
     }
 
     /// `need`'s Table 4 geography grid (computed once per bundle).
     pub fn table4_rows(&self, need: Need) -> &[crate::geography::MostDifferentRegion] {
         let (_, m) = self.memo(need);
-        m.table4.get_or_init(|| {
-            crate::geography::table4_with(&self.exec(need), &Deployment::standard())
-        })
+        m.table4
+            .get_or_init(|| crate::geography::table4(&self.exec(need), &Deployment::standard()))
     }
 
     /// `need`'s Tables 8 *and* 9, computed together once per bundle: both
     /// tables group by destination port over the same two fleets, so
-    /// [`crate::overlap::table8_and_9_with`] derives them from one shared
+    /// [`crate::overlap::table8_and_9`] derives them from one shared
     /// fused scan per fleet.
     fn overlap_rows(&self, need: Need) -> &(Vec<OverlapRow>, Vec<MaliciousOverlapRow>) {
         let (s, m) = self.memo(need);
         m.overlap.get_or_init(|| {
-            crate::overlap::table8_and_9_with(
-                &self.exec(need),
-                &Deployment::standard(),
-                &s.telescope,
-            )
+            crate::overlap::table8_and_9(&self.exec(need), &Deployment::standard(), &s.telescope)
         })
     }
 
@@ -322,7 +316,7 @@ impl<'a> ExhibitCx<'a> {
             BreakdownPort::P8080 => &m.breakdown8080,
         };
         cell.get_or_init(|| {
-            crate::ports::protocol_breakdown_with(
+            crate::ports::protocol_breakdown(
                 &self.exec(need),
                 &Deployment::standard(),
                 &s.reputation,
@@ -335,7 +329,7 @@ impl<'a> ExhibitCx<'a> {
     pub fn composition(&self, need: Need) -> CompositionStats {
         let (_, m) = self.memo(need);
         *m.composition.get_or_init(|| {
-            crate::ports::composition_stats_with(&self.exec(need), &Deployment::standard())
+            crate::ports::composition_stats(&self.exec(need), &Deployment::standard())
         })
     }
 
@@ -396,12 +390,12 @@ pub trait Exhibit: Sync {
     /// leak worlds, which are small enough to simulate inline) return `&[]`.
     fn needs(&self) -> &'static [Need];
     /// The scans this render will ask for, for up-front fused prefetching
-    /// ([`ExhibitCx::prefetch`]). The default — no declared plans — is the
-    /// legacy path: every scan runs on demand, byte-identically. Declaring
-    /// plans never changes rendered bytes, only how many column passes
-    /// they cost.
-    fn plans(&self, opts: &ExhibitOptions) -> Vec<PlanRequest> {
-        let _ = opts;
+    /// ([`ExhibitCx::prefetch`]). A plan is structural: its [`Need`]
+    /// resolves to a bundle under the invocation's options at prefetch
+    /// time. The default — no declared plans — is the legacy path: every
+    /// scan runs on demand, byte-identically. Declaring plans never
+    /// changes rendered bytes, only how many column passes they cost.
+    fn plans(&self) -> Vec<PlanRequest> {
         Vec::new()
     }
     /// Render the exhibit's exact stdout text from the provided worlds.

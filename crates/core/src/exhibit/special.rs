@@ -4,7 +4,7 @@
 //! Each render is a byte-exact port of the retired single-purpose binary
 //! of the same name.
 
-use super::{BreakdownPort, Exhibit, ExhibitCx, ExhibitOptions, Need, PlanRequest};
+use super::{BreakdownPort, Exhibit, ExhibitCx, Need, PlanRequest};
 use crate::compare::CharKind;
 use crate::dataset::TrafficSlice;
 use crate::leak::{LeakGroup, LeakService};
@@ -143,9 +143,9 @@ impl Exhibit for All {
             Need::Exact(ScenarioYear::Y2022),
         ]
     }
-    fn plans(&self, _opts: &ExhibitOptions) -> Vec<PlanRequest> {
+    fn plans(&self) -> Vec<PlanRequest> {
         let d = Deployment::standard();
-        // The 2021 sections consume Tables 2, 4, 8/9, 11 (both ports), and
+        // The main-year sections consume Tables 2, 4, 8/9, 11 (both ports), and
         // the §3.2 composition; each appendix snapshot re-reads Table 2 and
         // the port-80 breakdown on its own year.
         let mut main = crate::neighborhood::table2_plans(&d);
@@ -164,7 +164,7 @@ impl Exhibit for All {
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         let d = Deployment::standard();
-        let mut sections = render_2021(cx, self.needs()[0], &d);
+        let mut sections = render_main_year(cx, self.needs()[0], &d);
         let mut out = sections.remove(0); // Table 2
         out.push_str(&render_leak_section(cx)); // Table 3
         for s in sections {
@@ -176,11 +176,14 @@ impl Exhibit for All {
     }
 }
 
-fn render_2021(cx: &ExhibitCx<'_>, need: Need, d: &Deployment) -> Vec<String> {
-    let s21 = cx.bundle(need);
+/// The digest's sections on the main year's world (2021 unless `--year`
+/// overrides it), each header naming that year.
+fn render_main_year(cx: &ExhibitCx<'_>, need: Need, d: &Deployment) -> Vec<String> {
+    let bundle = cx.bundle(need);
+    let year = bundle.config.year.year();
     let mut sections = Vec::new();
 
-    let mut out = header_str("Table 2 (2021 neighborhoods)");
+    let mut out = header_str(&format!("Table 2 ({year} neighborhoods)"));
     let mut t = TextTable::new(&["Slice", "Characteristic", "n", "% dif", "Avg phi"]);
     for r in cx.table2_rows(need) {
         t.row(vec![
@@ -194,7 +197,7 @@ fn render_2021(cx: &ExhibitCx<'_>, need: Need, d: &Deployment) -> Vec<String> {
     out.push_str(&format!("{}\n", t.render()));
     sections.push(out);
 
-    let mut out = header_str("Table 4 (2021 geography)");
+    let mut out = header_str(&format!("Table 4 ({year} geography)"));
     let mut t = TextTable::new(&["Characteristic", "Slice", "Provider", "Region", "phi"]);
     for r in cx.table4_rows(need) {
         t.row(vec![
@@ -228,7 +231,7 @@ fn render_2021(cx: &ExhibitCx<'_>, need: Need, d: &Deployment) -> Vec<String> {
     }
     sections.push(out);
 
-    let mut out = header_str("Table 11 + §3.2 (2021 ports)");
+    let mut out = header_str(&format!("Table 11 + §3.2 ({year} ports)"));
     for port in BreakdownPort::BOTH {
         let (rows, _) = cx.breakdown(need, port);
         for r in rows {
@@ -250,7 +253,7 @@ fn render_2021(cx: &ExhibitCx<'_>, need: Need, d: &Deployment) -> Vec<String> {
 
     let mut out = header_str("Figure 1 (sparklines)");
     {
-        let tel = &s21.telescope;
+        let tel = &bundle.telescope;
         for port in [22u16, 445, 80, 17_128] {
             if let Some(fig) = crate::figure1::series(tel, port) {
                 out.push_str(&format!(
@@ -262,7 +265,7 @@ fn render_2021(cx: &ExhibitCx<'_>, need: Need, d: &Deployment) -> Vec<String> {
     }
     sections.push(out);
 
-    let mut out = header_str("Table 7 sample (network types, 2021)");
+    let mut out = header_str(&format!("Table 7 sample (network types, {year})"));
     let cc = crate::network::cloud_cloud_cell(
         &cx.exec(need),
         d,

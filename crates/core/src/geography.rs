@@ -7,8 +7,8 @@
 //! within an analysis cell.
 
 use crate::compare::{compare_freqs, median_freqs, CharKind};
-use crate::dataset::{Dataset, TrafficSlice};
-use crate::query::{Plan, PlanStore, ScanExec};
+use crate::dataset::TrafficSlice;
+use crate::query::{Plan, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
 use cw_netsim::geo::{classify_pair, Region, RegionPairKind};
 use std::collections::BTreeMap;
@@ -175,8 +175,9 @@ pub fn table4_plans(deployment: &Deployment) -> Vec<Plan> {
 }
 
 /// The full Table 4 grid for AWS / Google / Linode, through a
-/// [`ScanExec`].
-pub fn table4_with(exec: &ScanExec<'_>, deployment: &Deployment) -> Vec<MostDifferentRegion> {
+/// [`ScanExec`]. A store of [`table4_plans`] serves every scan, fused to
+/// one pass per honeypot.
+pub fn table4(exec: &ScanExec<'_>, deployment: &Deployment) -> Vec<MostDifferentRegion> {
     let providers = [Provider::Aws, Provider::Google, Provider::Linode];
     let mut out = Vec::new();
     for &(kind, slice) in TABLE4_CELLS {
@@ -187,13 +188,6 @@ pub fn table4_with(exec: &ScanExec<'_>, deployment: &Deployment) -> Vec<MostDiff
         }
     }
     out
-}
-
-/// The full Table 4 grid without prefetched plans: a local [`PlanStore`]
-/// fuses the grid's per-honeypot scans to one pass per honeypot.
-pub fn table4(dataset: &Dataset, deployment: &Deployment) -> Vec<MostDifferentRegion> {
-    let store = PlanStore::build(dataset, &table4_plans(deployment));
-    table4_with(&ScanExec::with_store(dataset, &store), deployment)
 }
 
 /// One Table 5 cell: % similar pairs within a geographic bucket.
@@ -228,8 +222,8 @@ pub fn table5_plans(deployment: &Deployment, slice: TrafficSlice, kind: CharKind
 
 /// Table 5: similarity of same-provider region pairs, bucketed into
 /// within-US / within-EU / within-APAC / intercontinental — through a
-/// [`ScanExec`].
-pub fn table5_with(
+/// [`ScanExec`]. A store of the cell's [`table5_plans`] serves every scan.
+pub fn table5(
     exec: &ScanExec<'_>,
     deployment: &Deployment,
     slice: TrafficSlice,
@@ -301,21 +295,10 @@ pub fn table5_with(
         .collect()
 }
 
-/// One Table 5 cell without prefetched plans: a local [`PlanStore`] fuses
-/// the cell's per-honeypot scans.
-pub fn table5(
-    dataset: &Dataset,
-    deployment: &Deployment,
-    slice: TrafficSlice,
-    kind: CharKind,
-) -> Vec<SimilarityCell> {
-    let store = PlanStore::build(dataset, &table5_plans(deployment, slice, kind));
-    table5_with(&ScanExec::with_store(dataset, &store), deployment, slice, kind)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::PlanStore;
     use crate::scenario::{Scenario, ScenarioConfig};
     use cw_scanners::population::ScenarioYear;
 
@@ -326,7 +309,8 @@ mod tests {
     #[test]
     fn table4_has_full_grid() {
         let s = scenario();
-        let rows = table4(&s.dataset, &s.deployment);
+        let store = PlanStore::build(&s.dataset, &table4_plans(&s.deployment));
+        let rows = table4(&ScanExec::with_store(&s.dataset, &store), &s.deployment);
         assert_eq!(rows.len(), 12 * 3);
         // Every cell with a region also carries a φ.
         for r in &rows {
@@ -337,12 +321,10 @@ mod tests {
     #[test]
     fn table5_buckets_cover_the_paper_grouping() {
         let s = scenario();
-        let cells = table5(
-            &s.dataset,
-            &s.deployment,
-            TrafficSlice::SshPort22,
-            CharKind::TopAs,
-        );
+        let (slice, kind) = (TrafficSlice::SshPort22, CharKind::TopAs);
+        let store = PlanStore::build(&s.dataset, &table5_plans(&s.deployment, slice, kind));
+        let exec = ScanExec::with_store(&s.dataset, &store);
+        let cells = table5(&exec, &s.deployment, slice, kind);
         let buckets: Vec<RegionPairKind> = cells.iter().map(|c| c.bucket).collect();
         assert!(buckets.contains(&RegionPairKind::WithinUs));
         assert!(buckets.contains(&RegionPairKind::WithinApac));

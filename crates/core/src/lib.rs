@@ -73,7 +73,7 @@ pub mod temporal;
 pub use bundle::SimBundle;
 pub use compare::{CharKind, GroupComparison};
 pub use dataset::{Dataset, TrafficSlice};
-pub use query::{Plan, PlanResult, PlanSet, PlanStore, ScanExec};
+pub use query::{Plan, PlanResult, PlanStore, ScanExec};
 pub use scenario::{Scenario, ScenarioConfig};
 
 /// `docs/QUERY.md` compiled as doctests: every `rust` block in the query

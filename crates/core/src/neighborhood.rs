@@ -8,8 +8,8 @@
 //! tested) and the average effect size φ among the significant ones.
 
 use crate::compare::{compare_freqs, CharKind};
-use crate::dataset::{Dataset, TrafficSlice};
-use crate::query::{Plan, PlanStore, ScanExec};
+use crate::dataset::TrafficSlice;
+use crate::query::{Plan, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment};
 use std::net::Ipv4Addr;
 
@@ -199,24 +199,19 @@ pub fn table2_plans(deployment: &Deployment) -> Vec<Plan> {
 }
 
 /// The full Table 2 cell list (4 slices × their characteristics), through
-/// a [`ScanExec`].
-pub fn table2_with(exec: &ScanExec<'_>, deployment: &Deployment) -> Vec<NeighborhoodRow> {
+/// a [`ScanExec`]. A store of [`table2_plans`] serves every scan, fused
+/// to one pass per honeypot.
+pub fn table2(exec: &ScanExec<'_>, deployment: &Deployment) -> Vec<NeighborhoodRow> {
     TABLE2_CELLS
         .iter()
         .map(|&(slice, kind)| analyze_cell(exec, deployment, slice, kind, 0.05))
         .collect()
 }
 
-/// The full Table 2 without prefetched plans: one local [`PlanStore`]
-/// fuses the grid's scans to one pass per (slice-observing honeypot).
-pub fn table2(dataset: &Dataset, deployment: &Deployment) -> Vec<NeighborhoodRow> {
-    let store = PlanStore::build(dataset, &table2_plans(deployment));
-    table2_with(&ScanExec::with_store(dataset, &store), deployment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::PlanStore;
     use crate::scenario::{Scenario, ScenarioConfig};
     use cw_scanners::population::ScenarioYear;
 
@@ -235,7 +230,8 @@ mod tests {
     #[test]
     fn table2_runs_on_a_fast_scenario() {
         let s = Scenario::run(ScenarioConfig::fast(ScenarioYear::Y2021).with_seed(3));
-        let rows = table2(&s.dataset, &s.deployment);
+        let store = PlanStore::build(&s.dataset, &table2_plans(&s.deployment));
+        let rows = table2(&ScanExec::with_store(&s.dataset, &store), &s.deployment);
         assert_eq!(rows.len(), 14);
         for r in &rows {
             assert!(r.pct_different >= 0.0 && r.pct_different <= 100.0);

@@ -6,8 +6,7 @@
 //! repeats the computation for *attacker* IPs (sources with at least one
 //! §3.2-malicious event).
 
-use crate::dataset::Dataset;
-use crate::query::{Plan, PlanStore, ScanExec};
+use crate::query::{Plan, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment, NetworkKind};
 use cw_honeypot::telescope::Telescope;
 use cw_protocols::iana::POPULAR_PORTS;
@@ -105,9 +104,9 @@ pub fn table8_and_9_plans(deployment: &Deployment) -> Vec<Plan> {
 }
 
 /// Tables 8 and 9 through a [`ScanExec`] — two fused column passes (one
-/// per fleet) when the plans were prefetched or built locally, the same
-/// four sets either way.
-pub fn table8_and_9_with(
+/// per fleet) when a store of [`table8_and_9_plans`] serves the four
+/// scans, four standalone passes otherwise, the same four sets either way.
+pub fn table8_and_9(
     exec: &ScanExec<'_>,
     deployment: &Deployment,
     telescope: &Telescope,
@@ -147,47 +146,24 @@ pub fn table8_and_9_with(
     (rows8, rows9)
 }
 
-/// Tables 8 and 9 from **two shared column scans** (one per fleet):
-/// builds a local [`PlanStore`] from [`table8_and_9_plans`] so the four
-/// sweeps fuse even without the registry's prefetch.
-pub fn table8_and_9(
-    dataset: &Dataset,
-    deployment: &Deployment,
-    telescope: &Telescope,
-) -> (Vec<OverlapRow>, Vec<MaliciousOverlapRow>) {
-    let store = PlanStore::build(dataset, &table8_and_9_plans(deployment));
-    table8_and_9_with(&ScanExec::with_store(dataset, &store), deployment, telescope)
-}
-
-/// Table 8 over the paper's 10 popular ports.
-pub fn table8(
-    dataset: &Dataset,
-    deployment: &Deployment,
-    telescope: &Telescope,
-) -> Vec<OverlapRow> {
-    table8_and_9(dataset, deployment, telescope).0
-}
-
-/// Table 9: attacker-IP overlap with the telescope.
-pub fn table9(
-    dataset: &Dataset,
-    deployment: &Deployment,
-    telescope: &Telescope,
-) -> Vec<MaliciousOverlapRow> {
-    table8_and_9(dataset, deployment, telescope).1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::PlanStore;
     use crate::scenario::{Scenario, ScenarioConfig};
     use cw_scanners::population::ScenarioYear;
+
+    /// Tables 8 and 9 on `s`, through a store of their four plans.
+    fn tables(s: &Scenario) -> (Vec<OverlapRow>, Vec<MaliciousOverlapRow>) {
+        let store = PlanStore::build(&s.dataset, &table8_and_9_plans(&s.deployment));
+        let exec = ScanExec::with_store(&s.dataset, &store);
+        table8_and_9(&exec, &s.deployment, &s.telescope.borrow())
+    }
 
     #[test]
     fn table8_shapes_hold_on_fast_scenario() {
         let s = Scenario::run(ScenarioConfig::fast(ScenarioYear::Y2021).with_seed(21));
-        let tel = s.telescope.borrow();
-        let rows = table8(&s.dataset, &s.deployment, &tel);
+        let rows = tables(&s).0;
         assert_eq!(rows.len(), 10);
         let get = |p: u16| rows.iter().find(|r| r.port == p).unwrap();
         // The headline shape: Telnet scanners barely avoid the telescope,
@@ -209,8 +185,7 @@ mod tests {
     #[test]
     fn table9_malicious_ssh_avoidance() {
         let s = Scenario::run(ScenarioConfig::fast(ScenarioYear::Y2021).with_seed(21));
-        let tel = s.telescope.borrow();
-        let rows = table9(&s.dataset, &s.deployment, &tel);
+        let rows = tables(&s).1;
         let get = |p: u16| rows.iter().find(|r| r.port == p).unwrap();
         let t23 = get(23).tel_cloud.unwrap();
         let t22 = get(22).tel_cloud.unwrap();

@@ -6,9 +6,9 @@
 //! not-HTTP-speaking, then label each source with the GreyNoise-style
 //! reputation oracle.
 
-use crate::dataset::{Dataset, TrafficSlice};
+use crate::dataset::TrafficSlice;
 use crate::network::honeytrap_fleet_ips;
-use crate::query::{ObsKind, Plan, PlanStore, ScanExec};
+use crate::query::{ObsKind, Plan, ScanExec};
 use cw_detection::{ActorLabel, ReputationDb, Verdict};
 use cw_honeypot::capture::Observed;
 use cw_honeypot::deployment::Deployment;
@@ -67,7 +67,7 @@ pub fn protocol_breakdown_plans(deployment: &Deployment, port: u16) -> Vec<Plan>
 
 /// Table 11 (and Table 17's left column) for one port, through a
 /// [`ScanExec`].
-pub fn protocol_breakdown_with(
+pub fn protocol_breakdown(
     exec: &ScanExec<'_>,
     deployment: &Deployment,
     reputation: &ReputationDb,
@@ -134,16 +134,6 @@ pub fn protocol_breakdown_with(
     (rows, shares)
 }
 
-/// Table 11 for one port without prefetched plans.
-pub fn protocol_breakdown(
-    dataset: &Dataset,
-    deployment: &Deployment,
-    reputation: &ReputationDb,
-    port: u16,
-) -> (Vec<ProtocolBreakdownRow>, Vec<UnexpectedShare>) {
-    protocol_breakdown_with(&ScanExec::unplanned(dataset), deployment, reputation, port)
-}
-
 /// The §3.2 composition statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct CompositionStats {
@@ -200,7 +190,7 @@ pub fn composition_stats_plans(deployment: &Deployment) -> Vec<Plan> {
 
 /// Compute the §3.2 statistics over the GreyNoise fleet, through a
 /// [`ScanExec`].
-pub fn composition_stats_with(exec: &ScanExec<'_>, deployment: &Deployment) -> CompositionStats {
+pub fn composition_stats(exec: &ScanExec<'_>, deployment: &Deployment) -> CompositionStats {
     let dataset = exec.dataset();
     let plans = composition_stats_plans(deployment);
     let count = |p: &Plan| exec.run(p).into_count();
@@ -259,16 +249,10 @@ pub fn composition_stats_with(exec: &ScanExec<'_>, deployment: &Deployment) -> C
     }
 }
 
-/// Compute the §3.2 statistics without prefetched plans: a local
-/// [`PlanStore`] fuses the seven plans into two passes.
-pub fn composition_stats(dataset: &Dataset, deployment: &Deployment) -> CompositionStats {
-    let store = PlanStore::build(dataset, &composition_stats_plans(deployment));
-    composition_stats_with(&ScanExec::with_store(dataset, &store), deployment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::PlanStore;
     use crate::scenario::{Scenario, ScenarioConfig};
     use cw_scanners::population::ScenarioYear;
 
@@ -279,8 +263,8 @@ mod tests {
     #[test]
     fn breakdown_finds_unexpected_protocols() {
         let s = scenario();
-        let (rows, shares) =
-            protocol_breakdown(&s.dataset, &s.deployment, &s.handles.reputation, 80);
+        let exec = ScanExec::unplanned(&s.dataset);
+        let (rows, shares) = protocol_breakdown(&exec, &s.deployment, &s.handles.reputation, 80);
         assert_eq!(rows.len(), 2);
         let http = rows.iter().find(|r| r.is_http).unwrap();
         let other = rows.iter().find(|r| !r.is_http).unwrap();
@@ -294,7 +278,8 @@ mod tests {
     #[test]
     fn composition_stats_have_the_paper_shape() {
         let s = scenario();
-        let c = composition_stats(&s.dataset, &s.deployment);
+        let store = PlanStore::build(&s.dataset, &composition_stats_plans(&s.deployment));
+        let c = composition_stats(&ScanExec::with_store(&s.dataset, &store), &s.deployment);
         // Non-trivial non-auth fractions on login ports; the majority of
         // HTTP/80 payloads benign.
         assert!(c.ssh_non_auth_pct > 5.0 && c.ssh_non_auth_pct < 80.0, "{c:?}");

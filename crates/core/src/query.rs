@@ -10,16 +10,16 @@
 //! a scan — aggregates count by ID, and only render code resolves IDs to
 //! strings (see `docs/QUERY.md` for the full contract).
 //!
-//! Plans run through a [`PlanSet`]: the executor partitions the submitted
-//! plans by row-enumeration domain (identical destination pushdown),
-//! evaluates each partition in **one pass** over the interned columns, and
-//! returns typed [`PlanResult`]s in submission order. Tables 8 and 9 (same
-//! fleets, different residual filters) cost two fleet scans instead of
-//! four; across the exhibit registry, the driver prefetches every declared
-//! plan per bundle into a [`PlanStore`] so coinciding scans fuse
-//! registry-wide, with every bundle's passes spread over the fleet
-//! workers (see `docs/QUERY.md` and `Exhibit::plans`). [`ScanExec`]
-//! serves a plan from a store or runs it standalone.
+//! Plans run two ways. [`PlanStore::build`] partitions many plans by
+//! row-enumeration domain (identical destination pushdown), evaluates each
+//! partition in **one pass** over the interned columns, and memoizes the
+//! typed [`PlanResult`]s: Tables 8 and 9 (same fleets, different residual
+//! filters) cost two fleet scans instead of four, and across the exhibit
+//! registry `ExhibitCx::prefetch` builds one store per bundle from every
+//! declared plan so coinciding scans fuse registry-wide, with every
+//! bundle's passes spread over the fleet workers (see `docs/QUERY.md` and
+//! `Exhibit::plans`). [`ScanExec::run`] runs one plan: a store hit, or a
+//! standalone pass.
 //!
 //! Every domain, predicate and terminal combines with every other, so
 //! every plan that can be built can run: there is no validation step and
@@ -73,12 +73,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide column passes actually executed (each fused [`PlanSet`]
-/// partition counts one).
+/// Process-wide column passes actually executed (each partition pass
+/// counts one).
 static FUSED_PASSES: AtomicU64 = AtomicU64::new(0);
-/// Process-wide plan evaluations requested (each plan submitted to an
-/// executed [`PlanSet`] counts one). The gap between this and
-/// [`FUSED_PASSES`] is the fusion win.
+/// Process-wide plan evaluations requested (each plan a pass runs counts
+/// one). The gap between this and [`FUSED_PASSES`] is the fusion win.
 static PLANNED_SCANS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide candidate rows enumerated across all passes.
 static SCANNED_ROWS: AtomicU64 = AtomicU64::new(0);
@@ -225,9 +224,8 @@ pub enum Terminal {
 /// is unrepresentable: the plan owns its single domain, and the executor
 /// groups plans *by* domain.
 ///
-/// Execute through [`PlanSet`] (fused with other plans), [`PlanStore`]
-/// (prefetched and memoized), or [`ScanExec::run`] (store hit or
-/// standalone).
+/// Execute through [`PlanStore::build`] (fused with other plans and
+/// memoized) or [`ScanExec::run`] (store hit or standalone).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Plan {
     dsts: Option<Vec<Ipv4Addr>>,
@@ -582,53 +580,6 @@ impl Acc {
     }
 }
 
-/// A handle to one submitted [`Plan`]: its index into the `Vec` returned by
-/// [`PlanSet::execute`] (submission order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanId(usize);
-
-impl PlanId {
-    /// The plan's position in [`PlanSet::execute`]'s result vector.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// The fusing executor: submitted [`Plan`]s are partitioned by identical
-/// row-enumeration domain (the `dsts` pushdown, compared structurally) and
-/// each partition runs in **one pass** over the interned columns, every
-/// plan's accumulator seeing exactly the rows — in exactly the order — it
-/// would have seen running alone. Results come back in submission order
-/// regardless of how plans were grouped into passes.
-pub struct PlanSet<'a> {
-    dataset: &'a Dataset,
-    plans: Vec<Plan>,
-}
-
-impl<'a> PlanSet<'a> {
-    /// An empty plan set over `dataset`.
-    pub fn over(dataset: &'a Dataset) -> Self {
-        PlanSet {
-            dataset,
-            plans: Vec::new(),
-        }
-    }
-
-    /// Submit a plan. The returned [`PlanId`] indexes
-    /// [`PlanSet::execute`]'s result vector.
-    pub fn submit(&mut self, plan: Plan) -> PlanId {
-        self.plans.push(plan);
-        PlanId(self.plans.len() - 1)
-    }
-
-    /// Execute every submitted plan, one fused pass per enumeration
-    /// domain, returning results in submission order.
-    pub fn execute(self) -> Vec<PlanResult> {
-        let mut done = execute_sets(&[(self.dataset, &self.plans)], 1);
-        done.pop().expect("one set in, one result list out").0
-    }
-}
-
 /// The plans of one partition: the indices of the plans sharing one
 /// destination domain, in submission order. Partitions come out in
 /// first-submission order.
@@ -778,12 +729,15 @@ fn execute_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<(Vec<PlanRe
 
 /// Prefetched plan results, keyed structurally by [`Plan`].
 ///
-/// [`PlanStore::build`] deduplicates the requested plans, executes the
-/// distinct ones in fused passes exactly as [`PlanSet::execute`] does,
-/// and memoizes the typed results; [`ScanExec`] then serves repeated
-/// requests as clones without touching the columns again. This is how the
-/// exhibit driver turns the registry's declared plans into one fused
-/// execution per bundle.
+/// [`PlanStore::build`] deduplicates the requested plans, partitions the
+/// distinct ones by identical row-enumeration domain (the `dsts`
+/// pushdown, compared structurally), runs each partition in **one pass**
+/// over the interned columns — every plan's accumulator seeing exactly
+/// the rows, in exactly the order, it would have seen running alone — and
+/// memoizes the typed results; [`ScanExec`] then serves repeated requests
+/// as clones without touching the columns again. This is how
+/// `ExhibitCx::prefetch` turns the registry's declared plans into one
+/// fused execution per bundle.
 #[derive(Debug)]
 pub struct PlanStore {
     results: HashMap<Plan, PlanResult>,
@@ -845,7 +799,7 @@ impl PlanStore {
 /// A plan runner over one dataset, with an optional [`PlanStore`] of
 /// prefetched results: a store hit clones the memoized result (no column
 /// pass, no counter bump — the work happened at prefetch); a miss executes
-/// the plan standalone through a one-plan [`PlanSet`]. Both paths return
+/// the plan standalone, in one pass of its own. Both paths return
 /// byte-identical results, so modules written against `ScanExec` work
 /// unmodified with or without prefetch.
 #[derive(Clone, Copy)]
@@ -884,9 +838,9 @@ impl<'a> ScanExec<'a> {
         if let Some(hit) = self.store.and_then(|s| s.get(plan)) {
             return hit.clone();
         }
-        let mut set = PlanSet::over(self.dataset);
-        let id = set.submit(plan.clone());
-        set.execute().swap_remove(id.index())
+        let mut done = execute_sets(&[(self.dataset, std::slice::from_ref(plan))], 1);
+        let (mut results, _) = done.pop().expect("one set in, one result list out");
+        results.pop().expect("one plan in, one result out")
     }
 }
 
@@ -1075,13 +1029,16 @@ mod tests {
             Plan::at(&[DST]).kind(ObsKind::Payload).rows(),
             Plan::scan().srcs_by_fingerprint(),
         ];
-        let mut set = PlanSet::over(&ds);
-        let ids: Vec<PlanId> = plans.iter().map(|p| set.submit(p.clone())).collect();
-        let fused = set.execute();
-        for (id, plan) in ids.iter().zip(&plans) {
-            assert_eq!(fused[id.index()], run(&ds, plan.clone()), "{plan:?}");
+        let store = PlanStore::build(&ds, &plans);
+        assert_eq!(store.passes(), 2, "one pass per domain");
+        for plan in &plans {
+            assert_eq!(store.get(plan), Some(&run(&ds, plan.clone())), "{plan:?}");
         }
-        let bad = fused[ids[1].index()].clone().into_port_srcs();
+        let bad = store
+            .get(&plans[1])
+            .cloned()
+            .expect("stored")
+            .into_port_srcs();
         assert_eq!(bad[&80].len(), 1);
         assert!(bad[&8080].is_empty());
     }
@@ -1127,11 +1084,14 @@ mod tests {
     fn scan_counters_track_fusion() {
         let ds = dataset();
         let before = scan_counters();
-        let mut set = PlanSet::over(&ds);
-        set.submit(Plan::at(&[DST]).count());
-        set.submit(Plan::at(&[DST]).malicious().count());
-        set.submit(Plan::scan().count());
-        set.execute();
+        PlanStore::build(
+            &ds,
+            &[
+                Plan::at(&[DST]).count(),
+                Plan::at(&[DST]).malicious().count(),
+                Plan::scan().count(),
+            ],
+        );
         let d = scan_counters().since(before);
         assert_eq!(d.planned, 3);
         assert_eq!(d.fused, 2, "two domains -> two passes");

@@ -3,17 +3,17 @@
 //! The paper closes with recommendations for researchers and operators.
 //! Each one is a claim backed by a measurement in this reproduction; this
 //! module re-checks the supporting evidence against a scenario run and
-//! reports which recommendations the data currently supports. The
-//! `recommendations` binary prints the report.
+//! reports which recommendations the data currently supports.
+//! `cw recommendations` prints the report.
 
 use crate::compare::CharKind;
-use crate::dataset::{Dataset, TrafficSlice};
+use crate::dataset::TrafficSlice;
 use crate::figure1;
-use crate::geography::{table4, table5, MostDifferentRegion};
-use crate::neighborhood::{table2, NeighborhoodRow};
-use crate::overlap::{table8, table9, MaliciousOverlapRow, OverlapRow};
-use crate::ports::{protocol_breakdown, ProtocolBreakdownRow};
-use cw_detection::ReputationDb;
+use crate::geography::{table5, MostDifferentRegion};
+use crate::neighborhood::NeighborhoodRow;
+use crate::overlap::{MaliciousOverlapRow, OverlapRow};
+use crate::ports::ProtocolBreakdownRow;
+use crate::query::ScanExec;
 use cw_honeypot::deployment::Deployment;
 use cw_honeypot::telescope::Telescope;
 use cw_netsim::geo::RegionPairKind;
@@ -45,42 +45,17 @@ pub struct Products<'a> {
     pub breakdown80: &'a [ProtocolBreakdownRow],
 }
 
-/// Evaluate all §8 recommendations against one run's measured data.
+/// Evaluate all §8 recommendations against one run's measured data: the
+/// caller's derived tables (see [`Products`]) plus the Telnet/23 username
+/// cell of Table 5, read through `exec` (declare its
+/// [`crate::geography::table5_plans`] to serve it from a store).
 ///
 /// Takes the analysis inputs granularly (rather than a whole
 /// `Scenario`) so the caller can supply either a live run or a restored
 /// [`crate::bundle::SimBundle`]: `indexed_services` is the number of
 /// services the simulated search engines had indexed at window end.
 pub fn evaluate(
-    dataset: &Dataset,
-    deployment: &Deployment,
-    tel: &Telescope,
-    reputation: &ReputationDb,
-    indexed_services: usize,
-) -> Vec<Recommendation> {
-    let t2 = table2(dataset, deployment);
-    let t4 = table4(dataset, deployment);
-    let t8 = table8(dataset, deployment, tel);
-    let t9 = table9(dataset, deployment, tel);
-    let (b80, _) = protocol_breakdown(dataset, deployment, reputation, 80);
-    evaluate_with(
-        dataset,
-        deployment,
-        tel,
-        indexed_services,
-        &Products {
-            table2: &t2,
-            table4: &t4,
-            table8: &t8,
-            table9: &t9,
-            breakdown80: &b80,
-        },
-    )
-}
-
-/// [`evaluate`] over caller-supplied derived tables (see [`Products`]).
-pub fn evaluate_with(
-    dataset: &Dataset,
+    exec: &ScanExec<'_>,
     deployment: &Deployment,
     tel: &Telescope,
     indexed_services: usize,
@@ -176,7 +151,7 @@ pub fn evaluate_with(
             })
             .count();
         let cells = table5(
-            dataset,
+            exec,
             deployment,
             TrafficSlice::TelnetPort23,
             CharKind::TopUsername,
@@ -222,21 +197,38 @@ pub fn evaluate_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::PlanStore;
     use crate::scenario::ScenarioConfig;
+    use crate::{geography, neighborhood, overlap, ports};
     use cw_scanners::population::ScenarioYear;
 
     #[test]
     fn all_recommendations_supported_by_fast_scenario() {
         let s = crate::scenario::Scenario::run(ScenarioConfig::fast(ScenarioYear::Y2021).with_seed(8));
+        let d = &s.deployment;
         let tel = s.telescope.borrow();
         let indexed = s.handles.censys.borrow().len() + s.handles.shodan.borrow().len();
-        let recs = evaluate(
-            &s.dataset,
-            &s.deployment,
-            &tel,
-            &s.handles.reputation,
-            indexed,
-        );
+        // Every scan the products and the Table 5 cell read, in one store.
+        let mut plans = neighborhood::table2_plans(d);
+        plans.extend(geography::table4_plans(d));
+        plans.extend(geography::table5_plans(
+            d,
+            TrafficSlice::TelnetPort23,
+            CharKind::TopUsername,
+        ));
+        plans.extend(overlap::table8_and_9_plans(d));
+        plans.extend(ports::protocol_breakdown_plans(d, 80));
+        let store = PlanStore::build(&s.dataset, &plans);
+        let exec = ScanExec::with_store(&s.dataset, &store);
+        let (t8, t9) = overlap::table8_and_9(&exec, d, &tel);
+        let products = Products {
+            table2: &neighborhood::table2(&exec, d),
+            table4: &geography::table4(&exec, d),
+            table8: &t8,
+            table9: &t9,
+            breakdown80: &ports::protocol_breakdown(&exec, d, &s.handles.reputation, 80).0,
+        };
+        let recs = evaluate(&exec, d, &tel, indexed, &products);
         assert_eq!(recs.len(), 6);
         for r in &recs {
             assert!(r.supported, "unsupported: {} — {}", r.title, r.evidence);

@@ -3,7 +3,7 @@
 //! Plain, aligned, terminal-friendly tables plus the φ magnitude tags the
 //! paper renders as colors (blue = small, yellow = medium, red = large).
 
-use cw_stats::{EffectMagnitude, EffectSize};
+use cw_stats::EffectMagnitude;
 
 /// A simple column-aligned text table builder.
 #[derive(Debug, Clone, Default)]
@@ -89,14 +89,6 @@ pub fn header_str(title: &str) -> String {
 /// A `paper vs measured` context line following the header.
 pub fn paper_note_str(note: &str) -> String {
     format!("(paper: {note})\n\n")
-}
-
-/// Render an effect size as `0.43 [L]` (the paper's colored magnitudes).
-pub fn phi_cell(effect: Option<EffectSize>) -> String {
-    match effect {
-        None => "-".to_string(),
-        Some(e) => format!("{:.2} {}", e.phi, magnitude_tag(e.magnitude)),
-    }
 }
 
 /// Render a bare φ value with a magnitude recomputed for `df_star`.

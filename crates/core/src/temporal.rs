@@ -151,8 +151,8 @@ mod tests {
             exec: ScanExec::with_store(&b.dataset, &store_b),
             telescope: &tel_b,
         };
-        let t8a = overlap::table8_and_9_with(&va.exec, &a.deployment, &tel_a).0;
-        let t8b = overlap::table8_and_9_with(&vb.exec, &b.deployment, &tel_b).0;
+        let t8a = overlap::table8_and_9(&va.exec, &a.deployment, &tel_a).0;
+        let t8b = overlap::table8_and_9(&vb.exec, &b.deployment, &tel_b).0;
         let r = stability(&a.deployment, va, vb, &t8a, &t8b);
         assert_eq!(r.years, (2021, 2020));
         assert!(r.regions_compared > 30);

@@ -8,15 +8,21 @@
 use cloud_watching::core::figure1;
 use cloud_watching::core::overlap;
 use cloud_watching::core::scenario::{Scenario, ScenarioConfig};
+use cloud_watching::core::{PlanStore, ScanExec};
 use cloud_watching::netsim::ip::IpExt;
 use cloud_watching::scanners::population::ScenarioYear;
 
 fn main() {
     let s = Scenario::run(ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.3));
     let tel = s.telescope.borrow();
+    // Tables 8 and 9 read four plans over two fleets; a store of them runs
+    // the four scans in one pass per fleet.
+    let store = PlanStore::build(&s.dataset, &overlap::table8_and_9_plans(&s.deployment));
+    let exec = ScanExec::with_store(&s.dataset, &store);
+    let (t8, t9) = overlap::table8_and_9(&exec, &s.deployment, &tel);
 
     println!("— telescope avoidance (Table 8 shape) —");
-    for row in overlap::table8(&s.dataset, &s.deployment, &tel) {
+    for row in t8 {
         if let Some(tc) = row.tel_cloud {
             println!(
                 "  port {:>5}: {:>4.0}% of cloud-targeting scanner IPs also hit the telescope",
@@ -26,7 +32,7 @@ fn main() {
     }
 
     println!("\n— attacker avoidance (Table 9 shape) —");
-    for row in overlap::table9(&s.dataset, &s.deployment, &tel) {
+    for row in t9 {
         if let Some(tc) = row.tel_cloud {
             println!("  port {:>5}: {:>4.0}% of *attacker* IPs hit the telescope", row.port, tc);
         }

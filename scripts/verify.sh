@@ -10,7 +10,10 @@
 #   cache states: cold cache, warm cache, --no-cache — sharded rows run
 #   with --no-cache because the cache key deliberately ignores the shard
 #   count), a cold-vs-warm `cw all` timing line, the scan budget (and
-#   scan counts identical at --threads 1 and 8),
+#   scan counts identical at --threads 1 and 8), the on-demand scan gate
+#   (each exhibit but `all`, run alone with --trace-scans, must run no
+#   pass beyond the ones its declared plans cost at prefetch; five
+#   exhibits that still scan on demand are exempt and print their counts),
 #   and the golden-exhibit gate: all 25 out/*.txt are regenerated by the
 #   single `cw` binary (one link step instead of 27) and must hash-match
 #   the checked-in tests/golden/MANIFEST.sha256. After an intentional
@@ -149,6 +152,35 @@ cmp "$work/ts/scans8.log" "$work/ts/scans1.log" || {
     exit 1
 }
 echo "    plan prefetch and scan summary lines identical at --threads 1 and --threads 8"
+
+echo "==> on-demand scans: each exhibit's render runs only the passes its declared plans cost"
+# `cw <name>` prefetches that one exhibit's declared plans, then renders:
+# the `scan summary:` fused count must equal the summed `plan prefetch:`
+# passes. The exempt exhibits still scan on demand (ROADMAP item 4); their
+# on-demand counts are printed so the list can shrink. `all` is skipped:
+# the `cw all` command shadows its exhibit.
+exempt="table7 table10 table14 table15 temporal_stability"
+bad=0
+for name in $("$cw" list 2>/dev/null | awk '{print $1}'); do
+    [ "$name" = all ] && continue
+    (cd "$work/ts" && "$cw" "$name" --scale "$scale" --trace-scans >/dev/null 2>"$work/ts/one.log")
+    on_demand=$(awk '
+        /plan prefetch:/ { passes += $(NF - 1) }
+        /scan summary:/ { split($4, f, "="); fused = f[2]; summary = 1 }
+        END { if (summary) print fused - passes; else print "no scan summary" }
+    ' "$work/ts/one.log")
+    case " $exempt " in
+        *" $name "*) echo "    exempt: $name ran $on_demand on-demand passes" ;;
+        *)
+            if [ "$on_demand" != 0 ]; then
+                echo "    $name: $on_demand passes beyond its declared plans" >&2
+                bad=1
+            fi
+            ;;
+    esac
+done
+[ "$bad" -eq 0 ] || exit 1
+echo "    every other exhibit's render ran 0 passes beyond its prefetch"
 
 echo "==> fault matrix: explicit zero-rate fault flags leave the golden bytes untouched"
 mkdir -p "$work/f0"

@@ -7,6 +7,7 @@ use cloud_watching::core::exhibit::{ExhibitCx, ExhibitOptions, REGISTRY};
 use cloud_watching::core::fleet;
 use cloud_watching::core::neighborhood;
 use cloud_watching::core::scenario::{Scenario, ScenarioConfig, DEFAULT_SEED, DEFAULT_WINDOW};
+use cloud_watching::core::{PlanStore, ScanExec};
 use cloud_watching::netsim::fault::FaultPlan;
 use cloud_watching::netsim::rng::{fork_seed, SimRng};
 use cloud_watching::netsim::snap::SnapWriter;
@@ -58,8 +59,11 @@ fn same_seed_same_world() {
 fn same_seed_same_tables() {
     let a = run(7);
     let b = run(7);
-    let ra = neighborhood::table2(&a.dataset, &a.deployment);
-    let rb = neighborhood::table2(&b.dataset, &b.deployment);
+    let table2 = |s: &Scenario| {
+        let store = PlanStore::build(&s.dataset, &neighborhood::table2_plans(&s.deployment));
+        neighborhood::table2(&ScanExec::with_store(&s.dataset, &store), &s.deployment)
+    };
+    let (ra, rb) = (table2(&a), table2(&b));
     for (x, y) in ra.iter().zip(&rb) {
         assert_eq!(x.n, y.n);
         assert_eq!(x.pct_different, y.pct_different);
@@ -291,20 +295,79 @@ fn has_word(text: &str, word: &str) -> bool {
         .any(|w| w == word)
 }
 
+/// The exhibits whose one `=== … ===` header names the main year they
+/// render: 2021, or the `--year` override.
+const MAIN_YEAR_HEADERS: [&str; 10] = [
+    "table2",
+    "table4",
+    "table5",
+    "table7",
+    "table8",
+    "table9",
+    "table10",
+    "table11",
+    "section3_2",
+    "figure1",
+];
+
+/// The `all` digest's section headers on the main year's world.
+const ALL_MAIN_YEAR_SECTIONS: [&str; 4] =
+    ["Table 2 (", "Table 4 (", "Table 11 + ", "Table 7 sample"];
+
+/// Every main-year header, and each of the `all` digest's main-year
+/// section headers, names `year` and not 2021.
+fn assert_headers_name_year(rendered: &BTreeMap<&str, String>, year: u16) {
+    let headers = |name: &str| -> Vec<String> {
+        rendered[name]
+            .lines()
+            .filter_map(|l| l.strip_prefix("=== "))
+            .map(str::to_string)
+            .collect()
+    };
+    let names_year = |h: &str| h.contains(&year.to_string()) && !h.contains("2021");
+    for name in MAIN_YEAR_HEADERS {
+        let h = headers(name);
+        assert_eq!(h.len(), 1, "{name} headers: {h:?}");
+        assert!(names_year(&h[0]), "{name} renders {year}: {}", h[0]);
+    }
+    let sections: Vec<String> = headers("all")
+        .into_iter()
+        .filter(|h| ALL_MAIN_YEAR_SECTIONS.iter().any(|p| h.starts_with(p)))
+        .collect();
+    assert_eq!(sections.len(), 4, "all sections: {sections:?}");
+    for h in &sections {
+        assert!(names_year(h), "all renders {year}: {h}");
+    }
+}
+
 /// Tiny worlds (a handful of actors per vantage, empty cells, chi² tables
 /// with zero expected counts) must still render every exhibit for every
-/// year without a panic, and never print a non-finite number.
+/// year without a panic, and never print a non-finite number. The
+/// smallest worlds render once more under `--year 2022`, whose headers
+/// must name 2022.
 #[test]
 fn tiny_worlds_render_every_exhibit_without_nan_or_inf() {
     for scale in [0.001, 0.01] {
-        let rendered = render_all_with(scale, 1, 2, SimBundle::run);
-        assert_eq!(rendered.len(), REGISTRY.len());
-        for (name, text) in &rendered {
-            for bad in ["NaN", "inf"] {
-                assert!(
-                    !has_word(text, bad),
-                    "exhibit {name} prints {bad} at scale {scale}:\n{text}"
-                );
+        let (opts, bundles) = worlds_with(scale, 1, 2, SimBundle::run);
+        let years: &[Option<ScenarioYear>] = if scale == 0.001 {
+            &[None, Some(ScenarioYear::Y2022)]
+        } else {
+            &[None]
+        };
+        for &year in years {
+            let opts = ExhibitOptions { year, ..opts };
+            let rendered = render_registry(&ExhibitCx::new(opts, &bundles));
+            assert_eq!(rendered.len(), REGISTRY.len());
+            for (name, text) in &rendered {
+                for bad in ["NaN", "inf"] {
+                    assert!(
+                        !has_word(text, bad),
+                        "exhibit {name} prints {bad} at scale {scale}, year {year:?}:\n{text}"
+                    );
+                }
+            }
+            if let Some(year) = year {
+                assert_headers_name_year(&rendered, year.year());
             }
         }
     }

@@ -5,7 +5,7 @@ use cloud_watching::core::compare::CharKind;
 use cloud_watching::core::dataset::TrafficSlice;
 use cloud_watching::core::scenario::{Scenario, ScenarioConfig};
 use cloud_watching::core::{
-    figure1, geography, neighborhood, network, overlap, ports, Plan, ScanExec,
+    figure1, geography, neighborhood, network, overlap, ports, Plan, PlanStore, ScanExec,
 };
 use cloud_watching::detection::Verdict;
 use cloud_watching::netsim::ip::IpExt;
@@ -56,13 +56,14 @@ fn headline_telescope_blind_spot() {
         // §5.2: Telnet scanners barely avoid the telescope; SSH scanners and
         // especially SSH *attackers* do.
         let tel = s.telescope.borrow();
-        let t8 = overlap::table8(&s.dataset, &s.deployment, &tel);
+        let store = PlanStore::build(&s.dataset, &overlap::table8_and_9_plans(&s.deployment));
+        let exec = ScanExec::with_store(&s.dataset, &store);
+        let (t8, t9) = overlap::table8_and_9(&exec, &s.deployment, &tel);
         let get = |p: u16| t8.iter().find(|r| r.port == p).unwrap();
         let telnet = get(23).tel_cloud.unwrap();
         let ssh = get(22).tel_cloud.unwrap();
         assert!(telnet > ssh + 25.0, "telnet {telnet:.0}% vs ssh {ssh:.0}%");
 
-        let t9 = overlap::table9(&s.dataset, &s.deployment, &tel);
         let mal_ssh = t9
             .iter()
             .find(|r| r.port == 22)
@@ -77,7 +78,8 @@ fn headline_telescope_blind_spot() {
 fn headline_neighbors_differ() {
     scenario(|s| {
         // §4.1: a meaningful share of neighborhoods sees different top ASes.
-        let rows = neighborhood::table2(&s.dataset, &s.deployment);
+        let store = PlanStore::build(&s.dataset, &neighborhood::table2_plans(&s.deployment));
+        let rows = neighborhood::table2(&ScanExec::with_store(&s.dataset, &store), &s.deployment);
         let ssh_as = rows
             .iter()
             .find(|r| r.slice == TrafficSlice::SshPort22 && r.characteristic == CharKind::TopAs)
@@ -94,12 +96,11 @@ fn headline_neighbors_differ() {
 fn headline_apac_discrimination() {
     scenario(|s| {
         // §5.1: within-US/EU region pairs are more similar than APAC pairs.
-        let cells = geography::table5(
-            &s.dataset,
-            &s.deployment,
-            TrafficSlice::TelnetPort23,
-            CharKind::TopUsername,
-        );
+        let (slice, kind) = (TrafficSlice::TelnetPort23, CharKind::TopUsername);
+        let plans = geography::table5_plans(&s.deployment, slice, kind);
+        let store = PlanStore::build(&s.dataset, &plans);
+        let exec = ScanExec::with_store(&s.dataset, &store);
+        let cells = geography::table5(&exec, &s.deployment, slice, kind);
         use cloud_watching::netsim::geo::RegionPairKind;
         let get = |b: RegionPairKind| cells.iter().find(|c| c.bucket == b).map(|c| c.pct_similar);
         if let (Some(us), Some(apac)) = (get(RegionPairKind::WithinUs), get(RegionPairKind::WithinApac))
@@ -117,8 +118,9 @@ fn headline_unexpected_protocols() {
     scenario(|s| {
         // §6: a non-trivial share of port-80 scanners does not speak HTTP, and
         // TLS leads the unexpected protocols.
+        let exec = ScanExec::unplanned(&s.dataset);
         let (rows, shares) =
-            ports::protocol_breakdown(&s.dataset, &s.deployment, &s.handles.reputation, 80);
+            ports::protocol_breakdown(&exec, &s.deployment, &s.handles.reputation, 80);
         let other = rows.iter().find(|r| !r.is_http).unwrap();
         assert!(
             other.pct_of_scanners > 2.0,

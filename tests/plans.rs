@@ -16,8 +16,7 @@ use cloud_watching::core::query::{scan_counters, ObsKind};
 use cloud_watching::core::scenario::ScenarioConfig;
 use cloud_watching::core::temporal::{self, YearView};
 use cloud_watching::core::{
-    geography, neighborhood, network, overlap, ports, Plan, PlanSet, PlanStore, ScanExec,
-    SimBundle,
+    geography, neighborhood, network, overlap, ports, Plan, PlanStore, ScanExec, SimBundle,
 };
 use cloud_watching::detection::Verdict;
 use cloud_watching::honeypot::capture::Observed;
@@ -95,9 +94,10 @@ fn plan_pool() -> Vec<Plan> {
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(24))]
 
-    /// Any subset of the pool, in any order, with duplicates: the fused
-    /// `PlanSet` must return exactly what each plan returns standalone,
-    /// in submission order, while costing no more passes than plans.
+    /// Any subset of the pool, in any order, with duplicates: a store
+    /// built from it must serve exactly what each plan returns standalone,
+    /// while running each distinct plan once in no more passes than
+    /// distinct plans.
     #[test]
     fn fused_plan_sets_match_standalone_execution(
         picks in proptest::collection::vec(0usize..14, 1..12),
@@ -106,17 +106,17 @@ proptest! {
         let s = bundle();
         let pool = plan_pool();
         let alone = ScanExec::unplanned(&s.dataset);
-        let mut set = PlanSet::over(&s.dataset);
-        for &i in &picks {
-            set.submit(pool[i].clone());
-        }
+        let plans: Vec<Plan> = picks.iter().map(|&i| pool[i].clone()).collect();
         let before = scan_counters();
-        let fused = set.execute();
+        let store = PlanStore::build(&s.dataset, &plans);
         let delta = scan_counters().since(before);
-        prop_assert_eq!(fused.len(), picks.len());
-        prop_assert!(delta.fused <= picks.len() as u64);
-        for (k, &i) in picks.iter().enumerate() {
-            prop_assert_eq!(&fused[k], &alone.run(&pool[i]));
+        let distinct: BTreeSet<usize> = picks.iter().copied().collect();
+        prop_assert_eq!(store.plans(), distinct.len());
+        prop_assert_eq!(delta.planned, distinct.len() as u64);
+        prop_assert_eq!(delta.fused, store.passes() as u64);
+        prop_assert!(store.passes() <= distinct.len());
+        for plan in &plans {
+            prop_assert_eq!(store.get(plan), Some(&alone.run(plan)));
         }
     }
 }
@@ -246,28 +246,31 @@ fn every_terminal_matches_a_per_row_reference_on_a_real_world() {
     assert_eq!(nonempty.len(), 5, "every axis must see data: {nonempty:?}");
 }
 
+/// Partitions form, and their passes run, in submission order: a store
+/// built from the pool reversed runs its passes in another order, and no
+/// stored result, pass count or scan counter may move.
 #[test]
-fn submission_order_permutes_results_and_nothing_else() {
+fn submission_order_changes_no_stored_result() {
     let _g = counter_lock();
     let s = bundle();
     let pool = plan_pool();
-    let forward: Vec<_> = {
-        let mut set = PlanSet::over(&s.dataset);
-        for p in &pool {
-            set.submit(p.clone());
-        }
-        set.execute()
+    let build = |plans: &[Plan]| {
+        let before = scan_counters();
+        let store = PlanStore::build(&s.dataset, plans);
+        (store, scan_counters().since(before))
     };
-    let reversed: Vec<_> = {
-        let mut set = PlanSet::over(&s.dataset);
-        for p in pool.iter().rev() {
-            set.submit(p.clone());
-        }
-        set.execute()
-    };
-    assert_eq!(forward.len(), reversed.len());
-    for (i, r) in reversed.iter().rev().enumerate() {
-        assert_eq!(&forward[i], r, "plan {i} changed under reversed submission");
+    let (forward, forward_scans) = build(&pool);
+    let reversed: Vec<Plan> = pool.iter().rev().cloned().collect();
+    let (backward, backward_scans) = build(&reversed);
+    assert_eq!(forward_scans, backward_scans);
+    assert_eq!(forward.passes(), backward.passes());
+    for (i, plan) in pool.iter().enumerate() {
+        assert!(forward.get(plan).is_some(), "plan {i} not stored");
+        assert_eq!(
+            forward.get(plan),
+            backward.get(plan),
+            "plan {i} changed under reversed submission"
+        );
     }
 }
 
@@ -326,34 +329,34 @@ fn ported_products_match_unplanned_execution() {
     // Row types are Debug-but-not-PartialEq; their debug form carries
     // every field, which is exactly the equality the renders consume.
     assert_eq!(
-        format!("{:?}", neighborhood::table2_with(&fused, &d)),
-        format!("{:?}", neighborhood::table2_with(&alone, &d)),
+        format!("{:?}", neighborhood::table2(&fused, &d)),
+        format!("{:?}", neighborhood::table2(&alone, &d)),
     );
     assert_eq!(
-        format!("{:?}", geography::table4_with(&fused, &d)),
-        format!("{:?}", geography::table4_with(&alone, &d)),
+        format!("{:?}", geography::table4(&fused, &d)),
+        format!("{:?}", geography::table4(&alone, &d)),
     );
     for &(slice, kind) in &cells {
         assert_eq!(
-            format!("{:?}", geography::table5_with(&fused, &d, slice, kind)),
-            format!("{:?}", geography::table5_with(&alone, &d, slice, kind)),
+            format!("{:?}", geography::table5(&fused, &d, slice, kind)),
+            format!("{:?}", geography::table5(&alone, &d, slice, kind)),
             "table5 {slice:?} {kind:?}"
         );
     }
     assert_eq!(
-        format!("{:?}", overlap::table8_and_9_with(&fused, &d, &s.telescope)),
-        format!("{:?}", overlap::table8_and_9_with(&alone, &d, &s.telescope)),
+        format!("{:?}", overlap::table8_and_9(&fused, &d, &s.telescope)),
+        format!("{:?}", overlap::table8_and_9(&alone, &d, &s.telescope)),
     );
     for port in [80u16, 8080] {
         assert_eq!(
-            format!("{:?}", ports::protocol_breakdown_with(&fused, &d, &s.reputation, port)),
-            format!("{:?}", ports::protocol_breakdown_with(&alone, &d, &s.reputation, port)),
+            format!("{:?}", ports::protocol_breakdown(&fused, &d, &s.reputation, port)),
+            format!("{:?}", ports::protocol_breakdown(&alone, &d, &s.reputation, port)),
             "breakdown port {port}"
         );
     }
     assert_eq!(
-        format!("{:?}", ports::composition_stats_with(&fused, &d)),
-        format!("{:?}", ports::composition_stats_with(&alone, &d)),
+        format!("{:?}", ports::composition_stats(&fused, &d)),
+        format!("{:?}", ports::composition_stats(&alone, &d)),
     );
 
     let t5_plans: Vec<Plan> = GRID14
@@ -395,7 +398,7 @@ fn ported_products_match_unplanned_execution() {
             assert_eq!(format!("{:?}", cmp(&t5)), format!("{:?}", cmp(&alone)), "{fleet}");
         }
     }
-    let t8 = overlap::table8_and_9_with(&alone, &d, &s.telescope).0;
+    let t8 = overlap::table8_and_9(&alone, &d, &s.telescope).0;
     let stability = |exec: ScanExec<'_>| {
         let view = YearView {
             year: 2021,
@@ -407,6 +410,46 @@ fn ported_products_match_unplanned_execution() {
     assert_eq!(format!("{:?}", stability(t5)), format!("{:?}", stability(alone)));
 }
 
+/// Every exhibit satisfied by the one 2021 world (the multi-year and leak
+/// exhibits need worlds these gates do not simulate).
+fn singles(opts: &ExhibitOptions) -> Vec<&'static dyn Exhibit> {
+    let singles: Vec<&dyn Exhibit> = REGISTRY
+        .iter()
+        .copied()
+        .filter(|e| {
+            !e.needs().is_empty() && e.needs().iter().all(|n| n.resolve(opts).year() == 2021)
+        })
+        .collect();
+    assert!(singles.len() >= 15, "expected most of the registry, got {}", singles.len());
+    singles
+}
+
+/// The exhibits whose renders still scan on demand: their cloud–EDU,
+/// EDU–EDU and telescope-vs-fleet cells declare no plans.
+const UNDECLARED: [&str; 2] = ["table7", "table10"];
+
+/// Each exhibit's declared plans cover its render: after prefetching that
+/// exhibit's plans alone, its render runs no column pass. The exhibits in
+/// [`UNDECLARED`] must still run some, so the list shrinks once they
+/// declare their scans.
+#[test]
+fn declared_plans_cover_each_render() {
+    let _g = counter_lock();
+    let opts = ExhibitOptions::default();
+    for e in singles(&opts) {
+        let mut cx = ExhibitCx::new(opts, bundles());
+        cx.prefetch(&[e]);
+        let before = scan_counters();
+        e.run(&cx);
+        let fused = scan_counters().since(before).fused;
+        if UNDECLARED.contains(&e.name()) {
+            assert!(fused > 0, "{} scans nothing on demand: drop it from UNDECLARED", e.name());
+        } else {
+            assert_eq!(fused, 0, "{} ran {fused} passes its plans do not declare", e.name());
+        }
+    }
+}
+
 /// Rendering through a prefetched context must produce the same bytes as
 /// the legacy on-demand path while costing strictly fewer column passes.
 #[test]
@@ -414,17 +457,7 @@ fn prefetched_registry_renders_are_byte_identical() {
     let _g = counter_lock();
     let worlds = bundles();
     let opts = ExhibitOptions::default();
-    // Every exhibit satisfied by the one 2021 world (the multi-year and
-    // leak exhibits need worlds this gate does not simulate).
-    let singles: Vec<&dyn Exhibit> = REGISTRY
-        .iter()
-        .copied()
-        .filter(|e| {
-            !e.needs().is_empty()
-                && e.needs().iter().all(|n| n.resolve(&opts).year() == 2021)
-        })
-        .collect();
-    assert!(singles.len() >= 15, "expected most of the registry, got {}", singles.len());
+    let singles = singles(&opts);
 
     let c0 = scan_counters();
     let plain_cx = ExhibitCx::new(opts, worlds);

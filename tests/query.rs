@@ -8,7 +8,7 @@
 use cloud_watching::core::compare::CharKind;
 use cloud_watching::core::dataset::{Dataset, TrafficSlice};
 use cloud_watching::core::scenario::ScenarioConfig;
-use cloud_watching::core::{Plan, PlanResult, PlanSet, ScanExec, SimBundle};
+use cloud_watching::core::{Plan, PlanResult, PlanStore, ScanExec, SimBundle};
 use cloud_watching::detection::Verdict;
 use cloud_watching::honeypot::deployment::{CollectorKind, Deployment, NetworkKind, VantagePoint};
 use cloud_watching::protocols::iana::POPULAR_PORTS;
@@ -150,12 +150,15 @@ fn tables_8_and_9_srcs_by_port_match_hand_rolled() {
     assert!(all.values().any(|v| !v.is_empty()));
     // Both plans, fused into one pass over the fleet, must reproduce the
     // hand-rolled sets.
-    let mut set = PlanSet::over(ds);
-    set.submit(Plan::at(&ips).srcs_by_port(&POPULAR_PORTS));
-    set.submit(Plan::at(&ips).malicious().srcs_by_port(&POPULAR_PORTS));
-    let mut fused = set.execute().into_iter();
-    assert_eq!(fused.next().unwrap().into_port_srcs(), all);
-    assert_eq!(fused.next().unwrap().into_port_srcs(), bad);
+    let plans = [
+        Plan::at(&ips).srcs_by_port(&POPULAR_PORTS),
+        Plan::at(&ips).malicious().srcs_by_port(&POPULAR_PORTS),
+    ];
+    let store = PlanStore::build(ds, &plans);
+    assert_eq!(store.passes(), 1);
+    let fused = |p: &Plan| store.get(p).cloned().expect("stored").into_port_srcs();
+    assert_eq!(fused(&plans[0]), all);
+    assert_eq!(fused(&plans[1]), bad);
     // The ungrouped terminal agrees with the per-port sets.
     assert_eq!(
         run(Plan::at(&ips).port(23).distinct_srcs()).into_distinct_srcs(),
