@@ -10,6 +10,7 @@ use cloud_watching::core::scenario::{Scenario, ScenarioConfig, DEFAULT_SEED, DEF
 use cloud_watching::core::{PlanStore, ScanExec};
 use cloud_watching::netsim::fault::FaultPlan;
 use cloud_watching::netsim::rng::{fork_seed, SimRng};
+use cloud_watching::netsim::sha256::sha256_hex;
 use cloud_watching::netsim::snap::SnapWriter;
 use cloud_watching::netsim::time::SimDuration;
 use cloud_watching::scanners::population::{self, ScenarioYear};
@@ -90,6 +91,7 @@ fn different_seeds_different_worlds() {
 fn sharded_run_is_byte_identical_to_unsharded() {
     let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.03);
     let a = Scenario::run(base.with_shards(1));
+    let mut sharded = Vec::new();
     for shards in [3, 8] {
         let b = Scenario::run(base.with_shards(shards));
         assert_eq!(a.stats, b.stats, "shards={shards}");
@@ -118,6 +120,15 @@ fn sharded_run_is_byte_identical_to_unsharded() {
             b.handles.shodan.borrow().len(),
             "shards={shards}"
         );
+        drop((ta, tb));
+        sharded.push((shards, bundle_bytes(&b.into_bundle())));
+    }
+    // The whole wire image, so a difference in a counter no assert above
+    // reads (another tracked port, the (src, port) set, the AS counts)
+    // still fails.
+    let unsharded = bundle_bytes(&a.into_bundle());
+    for (shards, bytes) in &sharded {
+        assert!(unsharded == *bytes, "world bytes differ at shards={shards}");
     }
 }
 
@@ -373,12 +384,9 @@ fn tiny_worlds_render_every_exhibit_without_nan_or_inf() {
     }
 }
 
-/// The fault-injection contract: a fixed non-trivial [`FaultPlan`] is part
-/// of world identity, and the degraded world is *itself* byte-identical
-/// across the whole shard × thread matrix — fault schedules are pure
-/// functions of the seed, never of execution layout.
-#[test]
-fn faulted_world_is_byte_identical_across_shard_and_thread_matrix() {
+/// The faulted world of the shard × thread matrix: every fault kind at a
+/// non-trivial rate on a scale-0.03 2021 world.
+fn faulted_world() -> ScenarioConfig {
     let plan = FaultPlan {
         flow_loss: 0.15,
         outage: 0.10,
@@ -387,9 +395,18 @@ fn faulted_world_is_byte_identical_across_shard_and_thread_matrix() {
         truncate_to: 32,
         telescope_sample: 2,
     };
-    let base = ScenarioConfig::fast(ScenarioYear::Y2021)
+    ScenarioConfig::fast(ScenarioYear::Y2021)
         .with_scale(0.03)
-        .with_fault(plan);
+        .with_fault(plan)
+}
+
+/// The fault-injection contract: a fixed non-trivial [`FaultPlan`] is part
+/// of world identity, and the degraded world is *itself* byte-identical
+/// across the whole shard × thread matrix — fault schedules are pure
+/// functions of the seed, never of execution layout.
+#[test]
+fn faulted_world_is_byte_identical_across_shard_and_thread_matrix() {
+    let base = faulted_world();
     let configs: Vec<ScenarioConfig> = [1usize, 3, 8].iter().map(|&k| base.with_shards(k)).collect();
     let mut batches = Vec::new();
     for threads in [1usize, 8] {
@@ -420,8 +437,44 @@ fn faulted_world_is_byte_identical_across_shard_and_thread_matrix() {
             );
             assert_eq!(baseline.censys_indexed, b.censys_indexed, "{ctx}");
             assert_eq!(baseline.shodan_indexed, b.shodan_indexed, "{ctx}");
+            assert!(
+                bundle_bytes(baseline) == bundle_bytes(b),
+                "world bytes differ at {ctx}"
+            );
         }
     }
+}
+
+/// SHA-256 of [`bundle_bytes`] for worlds whose bytes must not move: the
+/// default-seed world of each year at scale 0.01, then [`faulted_world`].
+/// A change that moves any byte of a world, including counters no exhibit
+/// renders, fails here. Re-pin only when a change is meant to move them.
+const PINNED_WORLD_DIGESTS: [&str; 4] = [
+    "0870f94c5743c3bdf1bfa371144b9a88af5904ab7630d2cff14b8a5d81c160e1",
+    "31ee947f8d3bb90f1641ce60f6a7ec8ff90b9b423e1bf05e572f54a486a5002b",
+    "7cad52c8849ef19378ada636d62b83aea62b4e010f984dcaf8a8cc5fc78e20e3",
+    "8139a9783a77bce22fdc20019e8e852ccc7d2fe8d740d56b54d9118a2cf75953",
+];
+
+#[test]
+fn world_bytes_match_pinned_digests() {
+    let years = [
+        ScenarioYear::Y2020,
+        ScenarioYear::Y2021,
+        ScenarioYear::Y2022,
+    ];
+    let mut configs: Vec<ScenarioConfig> = years
+        .iter()
+        .map(|&y| ScenarioConfig::fast(y).with_scale(0.01))
+        .collect();
+    configs.push(faulted_world());
+    let digests = fleet::map(configs, 2, |_, c| {
+        sha256_hex(&bundle_bytes(&SimBundle::run(*c)))
+    });
+    assert!(
+        digests == PINNED_WORLD_DIGESTS,
+        "world bytes moved; the new digests are:\n{digests:#?}"
+    );
 }
 
 /// The fleet determinism contract on real scenario runs: replicate fleets
