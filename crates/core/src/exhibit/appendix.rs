@@ -3,12 +3,13 @@
 //! Tables 12–16 re-run main-paper analyses on other years' data, so each is
 //! a call of its main-paper render ([`super::main_year`]) under its own
 //! need, header and paper note, plus its one difference. Single-year
-//! appendix exhibits default to their appendix year but follow `--year`;
-//! cross-year exhibits (Table 14, temporal stability) pin their years.
+//! appendix exhibits default to their appendix year but follow `--year`,
+//! and their headers name the year they render; cross-year exhibits
+//! (Table 14, temporal stability) pin their years.
 
 use super::main_year::{
     breakdown_requests, table10_render, table2_render, table2_requests, table4_render,
-    table4_requests, table5_render, table5_requests, table7_render, Family,
+    table4_requests, table5_render, table5_requests, table7_render, year_header, Family,
 };
 use super::{BreakdownPort, Exhibit, ExhibitCx, Need, PlanRequest};
 use crate::report::{header_str, paper_note_str, TextTable};
@@ -37,7 +38,11 @@ impl Exhibit for Table12 {
         table2_render(
             cx,
             self.needs()[0],
-            "Table 12: % neighborhoods with different traffic (2020)",
+            &year_header(
+                cx,
+                self.needs()[0],
+                "Table 12: % neighborhoods with different traffic",
+            ),
             "2020 shows the same phenomenon as 2021 with shifted magnitudes: SSH/22 AS 73% (0.23), \
              FracMal 60% (0.10), User 74% (0.20), Pwd 19% (0.24); Telnet/23 AS 43% (0.38); \
              HTTP/80 AS 2% (0.58); HTTP/All AS 61% (0.29), Payload 64% (0.50)",
@@ -66,7 +71,11 @@ impl Exhibit for Table13 {
         table5_render(
             cx,
             self.needs()[0],
-            "Table 13: % similar pairs of regions per bucket (2020)",
+            &year_header(
+                cx,
+                self.needs()[0],
+                "Table 13: % similar pairs of regions per bucket",
+            ),
             "2020 keeps the APAC-least-similar shape (e.g. SSH/22 Top-AS: US 71, EU 42, APAC 30, IC 46)",
             |c| format!("{:.0}%", c.pct_similar),
         )
@@ -125,7 +134,10 @@ impl Exhibit for Table15 {
         table10_render(
             cx,
             self.needs()[0],
-            "Table 15: telescope vs EDU / cloud, 2022 — preferences strengthen",
+            &format!(
+                "Table 15: telescope vs EDU / cloud, {} — preferences strengthen",
+                cx.bundle(self.needs()[0]).config.year.year()
+            ),
             "2022 effect sizes grow vs 2021 (e.g. Any/All: Tel-EDU 0.90, Tel-Cloud 0.89 vs 0.30 in 2021)",
             ["Slice", "Tel-EDU dif", "avg phi", "Tel-Cloud dif", "avg phi"],
             &["honeytrap/aws-west", "honeytrap/google-west"],
@@ -154,7 +166,11 @@ impl Exhibit for Table16 {
         table4_render(
             cx,
             self.needs()[0],
-            "Table 16: most-different geographic regions (2020)",
+            &year_header(
+                cx,
+                self.needs()[0],
+                "Table 16: most-different geographic regions",
+            ),
             "Asia-Pacific still dominates in 2020 (AWS SSH AP-JP 0.21, Google SSH AP-HK 0.37, \
              Linode SSH AP-SG 0.26, ...), with a few non-AP anomalies",
             "",
@@ -179,7 +195,11 @@ impl Exhibit for Table17 {
         breakdown_requests(self.needs()[0])
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let mut out = header_str("Table 17: protocol breakdown on ports 80/8080 (2022)");
+        let mut out = header_str(&year_header(
+            cx,
+            self.needs()[0],
+            "Table 17: protocol breakdown on ports 80/8080",
+        ));
         out.push_str(&paper_note_str(
             "the unexpected share roughly doubles vs 2021: HTTP/80 66% vs ~HTTP/80 34%; \
              HTTP/8080 66% vs ~HTTP/8080 34% (no reputation split — the GreyNoise feed ended)",

@@ -26,10 +26,11 @@ fn main_bundle<'a>(cx: &'a ExhibitCx<'_>) -> &'a SimBundle {
     cx.bundle(NEEDS[0])
 }
 
-/// `title` closed by the year of the bundle it renders, `"… (2021)"` by
-/// default, so a `--year` render names the year it shows.
-fn year_header(cx: &ExhibitCx<'_>, title: &str) -> String {
-    format!("{title} ({})", main_bundle(cx).config.year.year())
+/// `title` closed by the year of the bundle `need` resolves to, e.g.
+/// `"… (2021)"` for a main-year render by default, so a `--year` render
+/// names the year it shows.
+pub(super) fn year_header(cx: &ExhibitCx<'_>, need: Need, title: &str) -> String {
+    format!("{title} ({})", cx.bundle(need).config.year.year())
 }
 
 /// Table 1: vantage points — unique scanning IPs and ASes per network.
@@ -202,6 +203,7 @@ impl Exhibit for Table2 {
             NEEDS[0],
             &year_header(
                 cx,
+                NEEDS[0],
                 "Table 2: % neighborhoods with significantly different traffic",
             ),
             "SSH/22: AS 44% (0.31), FracMal 36% (0.12), User 55% (0.22), Pwd 4% (0.13) · \
@@ -278,7 +280,11 @@ impl Exhibit for Table4 {
         table4_render(
             cx,
             NEEDS[0],
-            &year_header(cx, "Table 4: most-different geographic region per provider"),
+            &year_header(
+                cx,
+                NEEDS[0],
+                "Table 4: most-different geographic region per provider",
+            ),
             "Asia-Pacific regions dominate: e.g. Top-AS SSH/22 AWS=AP-JP (0.68), Google=AP-SG (0.16), \
              Linode=AP-SG (0.27); Username TEL/23 AWS=AP-AU (0.56); Payload HTTP/80 AWS=AP-HK (0.31) \
              — expect most named regions to be AP-*",
@@ -375,7 +381,11 @@ impl Exhibit for Table5 {
         table5_render(
             cx,
             NEEDS[0],
-            &year_header(cx, "Table 5: % similar pairs of regions per geographic bucket"),
+            &year_header(
+                cx,
+                NEEDS[0],
+                "Table 5: % similar pairs of regions per geographic bucket",
+            ),
             "US/EU pairs are nearly always similar (94-100%), APAC much less (e.g. Top-3 AS SSH/22: \
              US 94, EU 100, APAC 63, intercontinental 70; HTTP/All payloads: US 50, EU 53, APAC 20, IC 11)",
             |c| format!("{:.0}% (n={})", c.pct_similar, c.n),
@@ -489,7 +499,7 @@ impl Exhibit for Table7 {
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         table7_render(
             cx,
-            &year_header(cx, "Table 7: differences across network types"),
+            &year_header(cx, NEEDS[0], "Table 7: differences across network types"),
             "cloud-cloud differences are small (avg phi ≤ 0.23); cloud-EDU mostly similar except \
              SSH/22 Top-AS in 2021 (phi 0.48: Chinanet→EDU, Cogent→cloud); EDU-EDU never different; \
              credentials are × for Honeytrap fleets",
@@ -522,7 +532,11 @@ impl Exhibit for Table8 {
         )
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let mut out = header_str(&year_header(cx, "Table 8: |Tel ∩ X| overlap per port"));
+        let mut out = header_str(&year_header(
+            cx,
+            NEEDS[0],
+            "Table 8: |Tel ∩ X| overlap per port",
+        ));
         out.push_str(&paper_note_str(
             "Tel∩Cloud/Cloud: 23→91%, 2323→53%, 80→73%, 8080→80%, 21→29%, 2222→9%, 25→19%, \
              7547→33%, 22→13%, 443→30%; Tel∩EDU higher everywhere; Cloud∩EDU 81-97%",
@@ -563,8 +577,11 @@ impl Exhibit for Table9 {
         )
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let mut out =
-            header_str(&year_header(cx, "Table 9: attacker-IP overlap with the telescope"));
+        let mut out = header_str(&year_header(
+            cx,
+            NEEDS[0],
+            "Table 9: attacker-IP overlap with the telescope",
+        ));
         out.push_str(&paper_note_str(
             "Tel∩Mal-Cloud/Mal-Cloud: 23→94%, 2323→88%, 80→84%, 8080→84%, 2222→3.6%, 22→7.5%; \
              EDU column only computable on 80/8080 (96%/97%), × elsewhere",
@@ -663,6 +680,7 @@ impl Exhibit for Table10 {
             NEEDS[0],
             &year_header(
                 cx,
+                NEEDS[0],
                 "Table 10: telescope vs EDU / cloud — top-AS differences",
             ),
             "Telescope-EDU: SSH 2/2 dif (0.41), TEL 2/2 (0.68), HTTP/80 0/2, All 2/2 (0.20); \
@@ -715,6 +733,7 @@ impl Exhibit for Table11 {
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         let mut out = header_str(&year_header(
             cx,
+            NEEDS[0],
             "Table 11: protocol breakdown on ports 80/8080",
         ));
         out.push_str(&paper_note_str(
@@ -770,7 +789,11 @@ impl Exhibit for Section3_2 {
         )
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let mut out = header_str(&year_header(cx, "Section 3.2: traffic composition"));
+        let mut out = header_str(&year_header(
+            cx,
+            NEEDS[0],
+            "Section 3.2: traffic composition",
+        ));
         out.push_str(&paper_note_str(
             "34% of Telnet/23 traffic does not attempt login; 24% on SSH/22; 75% of HTTP/80 \
              payloads send no exploit; Suricata labels 6% of distinct HTTP payloads malicious",
@@ -816,6 +839,7 @@ impl Exhibit for Figure1 {
         let s = main_bundle(cx);
         let mut out = header_str(&year_header(
             cx,
+            NEEDS[0],
             "Figure 1: telescope address-structure preferences",
         ));
         out.push_str(&paper_note_str(

@@ -68,6 +68,7 @@ use crate::dataset::{Dataset, TrafficSlice};
 use crate::fleet;
 use cw_detection::Verdict;
 use cw_honeypot::capture::Observed;
+use cw_netsim::keys::Keys;
 use cw_protocols::ProtocolId;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -467,45 +468,18 @@ impl PlanResult {
 enum Acc {
     Count(usize),
     Rows(Vec<usize>),
-    DistinctSrcs(Keys),
-    SrcAsn(Keys, Keys),
+    DistinctSrcs(Keys<u32>),
+    SrcAsn(Keys<u32>, Keys<u32>),
     CharFreqs(CharKind, Vec<usize>),
     /// The distinct key ports, in first-listed order, and one key list
     /// per port.
-    PortSrcs(Vec<u16>, Vec<Keys>),
-    FingerprintSrcs(BTreeMap<ProtocolId, Keys>),
+    PortSrcs(Vec<u16>, Vec<Keys<u32>>),
+    FingerprintSrcs(BTreeMap<ProtocolId, Keys<u32>>),
 }
 
-/// A list of `u32` keys that sorts and dedups itself in place once it
-/// holds 2¹⁶ keys, and again whenever it has doubled since, so it holds at
-/// most about twice its distinct keys however many rows push to it.
-#[derive(Clone, Default)]
-struct Keys {
-    keys: Vec<u32>,
-    compact_at: usize,
-}
-
-impl Keys {
-    fn push(&mut self, key: u32) {
-        self.keys.push(key);
-        if self.keys.len() >= self.compact_at.max(1 << 16) {
-            self.keys.sort_unstable();
-            self.keys.dedup();
-            self.compact_at = 2 * self.keys.len();
-        }
-    }
-
-    /// The distinct keys, ascending.
-    fn into_sorted(mut self) -> Vec<u32> {
-        self.keys.sort_unstable();
-        self.keys.dedup();
-        self.keys
-    }
-
-    /// The distinct keys as source addresses.
-    fn into_addrs(self) -> BTreeSet<Ipv4Addr> {
-        self.into_sorted().into_iter().map(Ipv4Addr::from).collect()
-    }
+/// The distinct keys of `keys` as source addresses.
+fn into_addrs(keys: Keys<u32>) -> BTreeSet<Ipv4Addr> {
+    keys.into_sorted().into_iter().map(Ipv4Addr::from).collect()
 }
 
 impl Acc {
@@ -562,7 +536,7 @@ impl Acc {
         match self {
             Acc::Count(n) => PlanResult::Count(n),
             Acc::Rows(v) => PlanResult::Rows(v),
-            Acc::DistinctSrcs(srcs) => PlanResult::DistinctSrcs(srcs.into_addrs()),
+            Acc::DistinctSrcs(srcs) => PlanResult::DistinctSrcs(into_addrs(srcs)),
             Acc::SrcAsn(srcs, asns) => PlanResult::UniqueSrcAndAsn(
                 srcs.into_sorted().len(),
                 asns.into_sorted().len(),
@@ -571,10 +545,15 @@ impl Acc {
             // after the scan.
             Acc::CharFreqs(kind, rows) => PlanResult::CharFreqs(axes::row_freqs(kind, ds, &rows)),
             Acc::PortSrcs(ports, srcs) => PlanResult::PortSrcs(
-                ports.into_iter().zip(srcs.into_iter().map(Keys::into_addrs)).collect(),
+                ports
+                    .into_iter()
+                    .zip(srcs.into_iter().map(into_addrs))
+                    .collect(),
             ),
             Acc::FingerprintSrcs(map) => PlanResult::FingerprintSrcs(
-                map.into_iter().map(|(fp, srcs)| (fp, srcs.into_addrs())).collect(),
+                map.into_iter()
+                    .map(|(fp, srcs)| (fp, into_addrs(srcs)))
+                    .collect(),
             ),
         }
     }

@@ -33,9 +33,10 @@
 //! Both builds stream: the engines run in chunked time windows (default
 //! [`DEFAULT_WINDOW`]); at every window boundary each listener's capture
 //! is drained ([`Capture::take_rows`]) and absorbed into an incremental
-//! [`DatasetBuilder`], so capture-side buffering never exceeds one window
-//! of events per engine — the memory headroom that makes `scale: 10`/
-//! `scale: 100` worlds practical. Arena and interner capacity is pre-sized
+//! [`DatasetBuilder`], and the telescope folds the window's packet keys
+//! ([`Telescope::fold`]), so capture-side buffering never exceeds one
+//! window of events per engine — the memory headroom that makes
+//! `scale: 10`/`scale: 100` worlds practical. Arena and interner capacity is pre-sized
 //! from [`ScenarioConfig`]'s event/distinct-value estimates.
 //!
 //! Shard count and window size are pure wall-clock/memory knobs: the K = 1
@@ -297,6 +298,7 @@ impl Scenario {
                 window_rows += table.len();
                 builder.absorb_table(slot, &table, &remap);
             }
+            deployment.telescope.borrow_mut().fold();
             stream.windows += 1;
             stream.peak_window_rows = stream.peak_window_rows.max(window_rows);
         }
@@ -391,7 +393,7 @@ impl Scenario {
                         handles,
                         busy_secs,
                     } => {
-                        deployment.telescope.borrow_mut().absorb(&telescope);
+                        deployment.telescope.borrow_mut().absorb(*telescope);
                         stats.absorb(shard_stats);
                         shard_busy[s] = busy_secs;
                         if let Some(h) = handles {
@@ -589,6 +591,7 @@ fn stream_one_shard(
             .iter()
             .map(|c| c.borrow_mut().take_rows())
             .collect();
+        deployment.telescope.borrow_mut().fold();
         // The bounded channel is the memory bound: at most one undelivered
         // window per shard. A hung-up receiver means the merger panicked —
         // exit quietly and let the scope propagate that panic.

@@ -10,6 +10,7 @@
 use cw_detection::RuleSet;
 use cw_netsim::engine::{FlowOutcome, Listener};
 use cw_netsim::flow::{ConnectionIntent, Flow};
+use cw_netsim::ip::Cidr;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -97,8 +98,8 @@ impl Listener for Firewall {
         &self.name
     }
 
-    fn covers(&self, ip: Ipv4Addr) -> bool {
-        self.inner.borrow().covers(ip)
+    fn coverage(&self) -> Vec<Cidr> {
+        self.inner.borrow().coverage()
     }
 
     fn on_flow(&mut self, flow: &Flow) -> FlowOutcome {
@@ -198,9 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn coverage_is_delegated() {
+    fn coverage_is_forwarded() {
         let (fw, _cap) = wrapped();
-        assert!(fw.covers(Ipv4Addr::new(10, 0, 0, 1)));
-        assert!(!fw.covers(Ipv4Addr::new(10, 0, 0, 2)));
+        assert_eq!(fw.coverage(), [Cidr::new(Ipv4Addr::new(10, 0, 0, 1), 32)]);
     }
 }

@@ -20,6 +20,7 @@ use crate::cowrie;
 use cw_netsim::engine::{FlowOutcome, Listener};
 use cw_netsim::fault::{flow_coin, OutageSchedule};
 use cw_netsim::flow::{ConnectionIntent, Flow};
+use cw_netsim::ip::Cidr;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -214,8 +215,8 @@ impl Listener for HoneypotListener {
         &self.name
     }
 
-    fn covers(&self, ip: Ipv4Addr) -> bool {
-        self.ips.contains(&ip)
+    fn coverage(&self) -> Vec<Cidr> {
+        self.ips.iter().map(|&ip| Cidr::new(ip, 32)).collect()
     }
 
     fn on_flow(&mut self, flow: &Flow) -> FlowOutcome {
@@ -357,8 +358,13 @@ mod tests {
     #[test]
     fn coverage() {
         let h = hp();
-        assert!(h.covers(Ipv4Addr::new(10, 0, 0, 1)));
-        assert!(!h.covers(Ipv4Addr::new(10, 0, 0, 3)));
+        assert_eq!(
+            h.coverage(),
+            [
+                Cidr::new(Ipv4Addr::new(10, 0, 0, 1), 32),
+                Cidr::new(Ipv4Addr::new(10, 0, 0, 2), 32),
+            ]
+        );
     }
 
     #[test]

@@ -14,11 +14,24 @@
 //! Memory design: the telescope covers ~475K IPs, so it keeps per-IP
 //! *counters* for a configured set of tracked ports plus global
 //! (source, port) sets for the overlap analyses — not full event records.
+//!
+//! Counting design: a packet costs no ordered-set insert. It appends
+//! integer keys to lists — `src‖port` (the (source, port) pairs, and
+//! through them the sources), `port‖ASN` (the AS counts and the source
+//! ASes) and, on a tracked port, `src‖dst` (the unique-scanner series) —
+//! and [`Telescope::fold`] sorts each list once and folds the distinct keys
+//! into the sets, counts and series. A tracked port keeps its folded
+//! `src‖dst` keys as one ascending list, so a fold is a linear merge that
+//! counts the keys new to it. The scenario folds at every window drain,
+//! so the lists hold at most one window of packets, and
+//! [`Telescope::absorb`] folds both sides. Sets union and counts add, so
+//! any fold schedule gives the same state.
 
 use cw_netsim::engine::{FlowOutcome, Listener};
 use cw_netsim::fault::{flow_hash, OutageSchedule};
 use cw_netsim::flow::Flow;
-use cw_netsim::ip::IpExt;
+use cw_netsim::ip::{Cidr, IpExt};
+use cw_netsim::keys::Keys;
 use cw_netsim::snap::{SnapError, SnapReader, SnapWriter};
 use cw_netsim::topology::AddressBlock;
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,11 +58,9 @@ pub struct TelescopeFaults {
 pub struct Telescope {
     name: String,
     block: AddressBlock,
-    /// Per tracked port: a per-IP count of observed source contacts.
-    per_ip_counts: BTreeMap<u16, Vec<u32>>,
-    /// Per tracked port: distinct (src, dst) pairs, to make the per-IP
-    /// counts *unique-scanner* counts.
-    seen_src_dst: BTreeMap<u16, BTreeSet<(u32, u32)>>,
+    /// Per tracked port: the unique-scanner series and the keys that
+    /// dedup it.
+    tracked: BTreeMap<u16, TrackedPort>,
     /// Distinct (src, port) pairs over the whole telescope (Tables 8–9).
     seen_src_port: BTreeSet<(u32, u16)>,
     /// Distinct sources and source ASes (Table 1).
@@ -61,10 +72,74 @@ pub struct Telescope {
     asn_counts_all: BTreeMap<u32, u64>,
     /// Total first packets observed.
     total_packets: u64,
+    /// `src << 16 | port`, one per packet since the last fold.
+    src_ports: Keys<u64>,
+    /// `port << 32 | asn`, one per packet since the last fold, never
+    /// deduped: the run lengths are the AS counts.
+    port_asns: Vec<u64>,
     /// Injected measurement faults; `None` is the (default) perfect sensor.
     /// Deliberately not serialized: a restored telescope is a read-only
     /// analysis input, and fault schedules belong to the live run's config.
     faults: Option<TelescopeFaults>,
+}
+
+/// One tracked port's unique-scanner series and the keys that dedup it.
+/// A key is `src << 32 | dst`, so keys order like (src, dst) pairs.
+#[derive(Debug, Clone)]
+struct TrackedPort {
+    /// Per telescope IP (block offset order): the distinct sources seen.
+    counts: Vec<u32>,
+    /// The keys folded so far, ascending and distinct. Not serialized: it
+    /// only dedups during collection, and no analysis reads it, so a
+    /// restored telescope carries the finished counts and no keys.
+    seen: Vec<u64>,
+    /// One key per packet on this port since the last fold.
+    pending: Keys<u64>,
+}
+
+impl TrackedPort {
+    fn new(counts: Vec<u32>) -> TrackedPort {
+        TrackedPort {
+            counts,
+            seen: Vec::new(),
+            pending: Keys::default(),
+        }
+    }
+
+    /// Merge ascending, distinct `keys` into `seen`, counting each key new
+    /// to it once, at its destination.
+    fn merge(&mut self, block: &AddressBlock, keys: &[u64]) {
+        // Both lists ascend, so one forward scan finds the new keys.
+        let mut at = 0;
+        let fresh: Vec<u64> = keys
+            .iter()
+            .copied()
+            .filter(|&key| {
+                while self.seen.get(at).is_some_and(|&old| old < key) {
+                    at += 1;
+                }
+                self.seen.get(at) != Some(&key)
+            })
+            .collect();
+        for &key in &fresh {
+            let offset = block
+                .offset_of(Ipv4Addr::from(key as u32))
+                .expect("pair recorded inside the block");
+            self.counts[offset as usize] += 1;
+        }
+        // Merge in place from the back, into the slots `fresh` adds.
+        let (mut i, mut j) = (self.seen.len(), fresh.len());
+        self.seen.resize(i + j, 0);
+        while j > 0 {
+            if i > 0 && self.seen[i - 1] > fresh[j - 1] {
+                self.seen[i + j - 1] = self.seen[i - 1];
+                i -= 1;
+            } else {
+                self.seen[i + j - 1] = fresh[j - 1];
+                j -= 1;
+            }
+        }
+    }
 }
 
 impl Telescope {
@@ -72,24 +147,65 @@ impl Telescope {
     /// counts for `tracked_ports`.
     pub fn new(name: &str, block: AddressBlock, tracked_ports: &[u16]) -> Self {
         let size = block.size() as usize;
-        let per_ip_counts = tracked_ports
+        let tracked = tracked_ports
             .iter()
-            .map(|&p| (p, vec![0u32; size]))
+            .map(|&p| (p, TrackedPort::new(vec![0u32; size])))
             .collect();
-        let seen_src_dst = tracked_ports.iter().map(|&p| (p, BTreeSet::new())).collect();
         Telescope {
             name: name.to_string(),
             block,
-            per_ip_counts,
-            seen_src_dst,
+            tracked,
             seen_src_port: BTreeSet::new(),
             unique_srcs: BTreeSet::new(),
             unique_asns: BTreeSet::new(),
             asn_counts: BTreeMap::new(),
             asn_counts_all: BTreeMap::new(),
             total_packets: 0,
+            src_ports: Keys::default(),
+            port_asns: Vec::new(),
             faults: None,
         }
+    }
+
+    /// Fold the keys appended since the last fold into the sets, AS counts
+    /// and unique-scanner series. The read methods and
+    /// [`Telescope::snap_write`] see the state as of the last fold.
+    pub fn fold(&mut self) {
+        let mut last_src = None;
+        for key in self.src_ports.take_sorted() {
+            let (src, port) = ((key >> 16) as u32, key as u16);
+            // Keys ascend by source: insert each source once.
+            if last_src != Some(src) {
+                self.unique_srcs.insert(src);
+                last_src = Some(src);
+            }
+            self.seen_src_port.insert((src, port));
+        }
+        self.port_asns.sort_unstable();
+        for run in self.port_asns.chunk_by(|a, b| a == b) {
+            let (port, asn) = ((run[0] >> 32) as u16, run[0] as u32);
+            let n = run.len() as u64;
+            *self
+                .asn_counts
+                .entry(port)
+                .or_default()
+                .entry(asn)
+                .or_insert(0) += n;
+            *self.asn_counts_all.entry(asn).or_insert(0) += n;
+            self.unique_asns.insert(asn);
+        }
+        self.port_asns.clear();
+        for t in self.tracked.values_mut() {
+            let keys = t.pending.take_sorted();
+            t.merge(&self.block, &keys);
+        }
+    }
+
+    /// True if no key was appended since the last fold.
+    fn is_folded(&self) -> bool {
+        self.src_ports.is_empty()
+            && self.port_asns.is_empty()
+            && self.tracked.values().all(|t| t.pending.is_empty())
     }
 
     /// Inject measurement faults. Called by the deployment when a
@@ -106,7 +222,7 @@ impl Telescope {
     /// Unique-scanner count per telescope IP (block offset order) for a
     /// tracked port — the Figure 1 series.
     pub fn unique_scanners_per_ip(&self, port: u16) -> Option<&[u32]> {
-        self.per_ip_counts.get(&port).map(|v| v.as_slice())
+        self.tracked.get(&port).map(|t| t.counts.as_slice())
     }
 
     /// All source IPs that touched the given port anywhere in the telescope
@@ -163,19 +279,22 @@ impl Telescope {
 
     /// Encode the analysis-relevant state into a snapshot payload.
     ///
-    /// `seen_src_dst` is deliberately omitted: it exists only to dedupe
-    /// *during* collection (making `per_ip_counts` unique-scanner counts)
-    /// and no analysis reads it, so a restored telescope carries the
-    /// finished counts with empty dedup sets. Restored telescopes are
-    /// read-only analysis inputs, never live listeners.
+    /// The tracked ports' dedup keys are deliberately omitted (see
+    /// `TrackedPort::seen`), so a restored telescope carries the finished
+    /// counts with no keys. Restored telescopes are read-only analysis
+    /// inputs, never live listeners.
+    ///
+    /// Encodes the state as of the last [`Telescope::fold`]; a live
+    /// telescope must be folded first.
     pub fn snap_write(&self, w: &mut SnapWriter) {
+        debug_assert!(self.is_folded(), "snapshot of an unfolded telescope");
         w.put_str(&self.name);
         self.block.snap_write(w);
-        w.put_u64(self.per_ip_counts.len() as u64);
-        for (port, counts) in &self.per_ip_counts {
+        w.put_u64(self.tracked.len() as u64);
+        for (port, t) in &self.tracked {
             w.put_u16(*port);
-            w.put_u64(counts.len() as u64);
-            for c in counts {
+            w.put_u64(t.counts.len() as u64);
+            for c in &t.counts {
                 w.put_u32(*c);
             }
         }
@@ -210,50 +329,40 @@ impl Telescope {
     }
 
     /// Fold another telescope's observations into this one — the shard
-    /// merge step.
+    /// merge step. Both telescopes are folded first, so this one ends
+    /// folded.
     ///
     /// All state here is order-independent (sets union, counters add), with
-    /// one subtlety: `per_ip_counts` are *unique-scanner* counts deduped
-    /// through `seen_src_dst`, so the merge replays the other telescope's
-    /// `(src, dst)` pairs against this one's dedup sets and only counts
-    /// fresh pairs. Folding shard telescopes in shard order therefore
-    /// reproduces the unsharded telescope exactly, even if two shards saw
-    /// the same (src, dst) pair (they cannot — sources are owned by one
-    /// shard — but the merge does not rely on that).
+    /// one subtlety: the per-IP series are *unique-scanner* counts deduped
+    /// through each tracked port's `(src, dst)` keys, so the merge replays
+    /// the other telescope's keys against this one's and only counts fresh
+    /// pairs. Folding shard telescopes in shard order therefore reproduces
+    /// the unsharded telescope exactly, even if two shards saw the same
+    /// (src, dst) pair (they cannot — sources are owned by one shard — but
+    /// the merge does not rely on that).
     ///
     /// Requires both telescopes to cover the same block with the same
     /// tracked ports (they are built by the same deployment constructor).
-    pub fn absorb(&mut self, other: &Telescope) {
+    pub fn absorb(&mut self, mut other: Telescope) {
         assert_eq!(self.block, other.block, "telescope merge across blocks");
+        self.fold();
+        other.fold();
         self.total_packets += other.total_packets;
-        self.unique_srcs.extend(other.unique_srcs.iter().copied());
-        self.unique_asns.extend(other.unique_asns.iter().copied());
-        self.seen_src_port.extend(other.seen_src_port.iter().copied());
-        for (port, by_asn) in &other.asn_counts {
-            let dst = self.asn_counts.entry(*port).or_default();
+        self.unique_srcs.append(&mut other.unique_srcs);
+        self.unique_asns.append(&mut other.unique_asns);
+        self.seen_src_port.append(&mut other.seen_src_port);
+        for (port, by_asn) in other.asn_counts {
+            let dst = self.asn_counts.entry(port).or_default();
             for (asn, count) in by_asn {
-                *dst.entry(*asn).or_insert(0) += count;
+                *dst.entry(asn).or_insert(0) += count;
             }
         }
-        for (asn, count) in &other.asn_counts_all {
-            *self.asn_counts_all.entry(*asn).or_insert(0) += count;
+        for (asn, count) in other.asn_counts_all {
+            *self.asn_counts_all.entry(asn).or_insert(0) += count;
         }
-        for (port, pairs) in &other.seen_src_dst {
-            let counts = self
-                .per_ip_counts
-                .get_mut(port)
-                .expect("same tracked ports");
-            let seen = self.seen_src_dst.get_mut(port).expect("same tracked ports");
-            for &(src, dst) in pairs {
-                if seen.insert((src, dst)) {
-                    let offset = self
-                        .block
-                        .offset_of(Ipv4Addr::from(dst))
-                        .expect("pair recorded inside the block")
-                        as usize;
-                    counts[offset] += 1;
-                }
-            }
+        for (port, theirs) in other.tracked {
+            let ours = self.tracked.get_mut(&port).expect("same tracked ports");
+            ours.merge(&self.block, &theirs.seen);
         }
     }
 
@@ -262,14 +371,12 @@ impl Telescope {
     pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Telescope, SnapError> {
         let name = r.get_str()?.to_string();
         let block = AddressBlock::snap_read(r)?;
-        let mut per_ip_counts = BTreeMap::new();
-        let mut seen_src_dst = BTreeMap::new();
+        let mut tracked = BTreeMap::new();
         for _ in 0..r.get_count()? {
             let port = r.get_u16()?;
             let n = r.get_count()?;
             let counts = r.get_column(n)?.map(u32::from_le_bytes).collect();
-            per_ip_counts.insert(port, counts);
-            seen_src_dst.insert(port, BTreeSet::new());
+            tracked.insert(port, TrackedPort::new(counts));
         }
         let mut seen_src_port = BTreeSet::new();
         for _ in 0..r.get_count()? {
@@ -306,14 +413,15 @@ impl Telescope {
         Ok(Telescope {
             name,
             block,
-            per_ip_counts,
-            seen_src_dst,
+            tracked,
             seen_src_port,
             unique_srcs,
             unique_asns,
             asn_counts,
             asn_counts_all,
             total_packets,
+            src_ports: Keys::default(),
+            port_asns: Vec::new(),
             faults: None,
         })
     }
@@ -324,8 +432,8 @@ impl Listener for Telescope {
         &self.name
     }
 
-    fn covers(&self, ip: Ipv4Addr) -> bool {
-        self.block.contains(ip)
+    fn coverage(&self) -> Vec<Cidr> {
+        self.block.cidrs.clone()
     }
 
     fn on_flow(&mut self, flow: &Flow) -> FlowOutcome {
@@ -344,32 +452,11 @@ impl Listener for Telescope {
             }
         }
         self.total_packets += 1;
-        let src = flow.src.to_u32();
-        self.unique_srcs.insert(src);
-        self.unique_asns.insert(flow.src_asn.0);
-        self.seen_src_port.insert((src, flow.dst_port));
-        *self
-            .asn_counts
-            .entry(flow.dst_port)
-            .or_default()
-            .entry(flow.src_asn.0)
-            .or_insert(0) += 1;
-        *self.asn_counts_all.entry(flow.src_asn.0).or_insert(0) += 1;
-        if let Some(counts) = self.per_ip_counts.get_mut(&flow.dst_port) {
-            let offset = self
-                .block
-                .offset_of(flow.dst)
-                .expect("covers() guaranteed containment") as usize;
-            let dst = flow.dst.to_u32();
-            // Count each (src, dst) once so the series is unique scanners.
-            if self
-                .seen_src_dst
-                .get_mut(&flow.dst_port)
-                .expect("tracked port")
-                .insert((src, dst))
-            {
-                counts[offset] += 1;
-            }
+        let (src, port) = (u64::from(flow.src.to_u32()), u64::from(flow.dst_port));
+        self.src_ports.push(src << 16 | port);
+        self.port_asns.push(port << 32 | u64::from(flow.src_asn.0));
+        if let Some(t) = self.tracked.get_mut(&flow.dst_port) {
+            t.pending.push(src << 32 | u64::from(flow.dst.to_u32()));
         }
         // The defining telescope property: never complete the handshake.
         FlowOutcome::dark()
@@ -426,6 +513,7 @@ mod tests {
         t.on_flow(&flow(Ipv4Addr::new(1, 1, 1, 1), dst, 22));
         t.on_flow(&flow(Ipv4Addr::new(1, 1, 1, 1), dst, 22));
         t.on_flow(&flow(Ipv4Addr::new(2, 2, 2, 2), dst, 22));
+        t.fold();
         let counts = t.unique_scanners_per_ip(22).unwrap();
         assert_eq!(counts[9], 2);
         assert_eq!(counts[8], 0);
@@ -442,6 +530,7 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 1),
             80,
         ));
+        t.fold();
         assert!(t.unique_scanners_per_ip(80).is_none());
         assert!(t.saw_source_on_port(Ipv4Addr::new(3, 3, 3, 3), 80));
         assert!(!t.saw_source_on_port(Ipv4Addr::new(3, 3, 3, 3), 22));
@@ -465,6 +554,7 @@ mod tests {
         for f in &flows {
             whole.on_flow(f);
         }
+        whole.fold();
         let mut a = scope();
         let mut b = scope();
         // The repeat of scanner 1.1.1.1 lands in the *other* shard, so
@@ -473,7 +563,7 @@ mod tests {
         a.on_flow(&flows[3]);
         b.on_flow(&flows[1]);
         b.on_flow(&flows[2]);
-        a.absorb(&b);
+        a.absorb(b);
         assert_eq!(a.total_packets(), whole.total_packets());
         assert_eq!(a.unique_source_count(), whole.unique_source_count());
         assert_eq!(a.unique_asn_count(), whole.unique_asn_count());
@@ -492,6 +582,7 @@ mod tests {
         t.on_flow(&flow(Ipv4Addr::new(1, 1, 1, 1), dst, 22));
         t.on_flow(&flow(Ipv4Addr::new(2, 2, 2, 2), dst, 445));
         t.on_flow(&flow(Ipv4Addr::new(3, 3, 3, 3), Ipv4Addr::new(10, 0, 0, 1), 80));
+        t.fold();
         let mut w = SnapWriter::new();
         t.snap_write(&mut w);
         let bytes = w.into_bytes();
@@ -512,9 +603,90 @@ mod tests {
     }
 
     #[test]
-    fn coverage_respects_block() {
+    fn coverage_is_the_block() {
         let t = scope();
-        assert!(t.covers(Ipv4Addr::new(10, 0, 0, 255)));
-        assert!(!t.covers(Ipv4Addr::new(10, 0, 1, 0)));
+        assert_eq!(t.coverage(), [Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 24)]);
+    }
+
+    fn snap_bytes(t: &Telescope) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        t.snap_write(&mut w);
+        w.into_bytes()
+    }
+
+    /// The per-packet ordered-set inserts the keys replace, as a reference:
+    /// a telescope whose analysis state is built one insert per packet.
+    fn oracle(block: AddressBlock, tracked: &[u16], flows: &[Flow]) -> Telescope {
+        let mut t = Telescope::new("tel", block, tracked);
+        let mut seen_src_dst: BTreeMap<u16, BTreeSet<(u32, u32)>> = BTreeMap::new();
+        for f in flows {
+            let src = f.src.to_u32();
+            t.total_packets += 1;
+            t.unique_srcs.insert(src);
+            t.unique_asns.insert(f.src_asn.0);
+            t.seen_src_port.insert((src, f.dst_port));
+            let by_asn = t.asn_counts.entry(f.dst_port).or_default();
+            *by_asn.entry(f.src_asn.0).or_insert(0) += 1;
+            *t.asn_counts_all.entry(f.src_asn.0).or_insert(0) += 1;
+            if let Some(tp) = t.tracked.get_mut(&f.dst_port) {
+                let seen = seen_src_dst.entry(f.dst_port).or_default();
+                if seen.insert((src, f.dst.to_u32())) {
+                    tp.counts[t.block.offset_of(f.dst).unwrap() as usize] += 1;
+                }
+            }
+        }
+        for (port, seen) in seen_src_dst {
+            let keys = seen.iter().map(|&(s, d)| u64::from(s) << 32 | u64::from(d));
+            t.tracked.get_mut(&port).unwrap().seen = keys.collect();
+        }
+        t
+    }
+
+    /// More packets than a key list holds before it compacts, with repeats
+    /// of every key kind, split at random between two telescopes that fold
+    /// at random points and then merge: the snapshot bytes are the ones
+    /// the per-packet inserts give.
+    #[test]
+    fn folded_keys_match_per_packet_inserts() {
+        let block = AddressBlock::new(
+            "tel",
+            vec![
+                Cidr::new(Ipv4Addr::new(10, 9, 0, 0), 23),
+                Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 24),
+            ],
+        );
+        let tracked = [22, 445];
+        let ports = [22, 23, 80, 445, 8080];
+        let mut rng = cw_netsim::rng::SimRng::seed_from_u64(0x7E1E);
+        let flows: Vec<Flow> = (0..150_000)
+            .map(|_| {
+                let src = Ipv4Addr::from(0x6400_0000 + rng.below(4_000) as u32);
+                let dst = block.nth(rng.below(block.size()));
+                let port = ports[rng.below(ports.len() as u64) as usize];
+                let mut f = flow(src, dst, port);
+                f.src_asn = Asn(64_000 + rng.below(300) as u32);
+                f
+            })
+            .collect();
+        let mut a = Telescope::new("tel", block.clone(), &tracked);
+        let mut b = Telescope::new("tel", block.clone(), &tracked);
+        for f in &flows {
+            let t = if rng.chance(0.5) { &mut a } else { &mut b };
+            t.on_flow(f);
+            if rng.chance(1e-4) {
+                t.fold();
+            }
+        }
+        // `b` merges with keys still unfolded.
+        assert!(!b.is_folded());
+        a.absorb(b);
+        let expected = oracle(block, &tracked, &flows);
+        assert!(snap_bytes(&a) == snap_bytes(&expected));
+        for (port, t) in &a.tracked {
+            assert_eq!(
+                t.seen, expected.tracked[port].seen,
+                "dedup keys of port {port}"
+            );
+        }
     }
 }

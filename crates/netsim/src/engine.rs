@@ -2,10 +2,17 @@
 //!
 //! The engine owns a priority queue of agent wake-ups. When an agent wakes
 //! it may send any number of [`FlowSpec`]s through the [`Network`] handle;
-//! each flow is routed to the first registered [`Listener`] covering its
-//! destination and the listener's [`FlowOutcome`] is returned to the agent
-//! synchronously (scan → response, e.g. a search-engine indexer learning a
-//! banner). The agent then returns its next wake time, or `None` to retire.
+//! each flow is routed by a binary search of the engine's routing table (a
+//! sorted, disjoint list of destination ranges, each owned by one
+//! [`Listener`]) and the listener's [`FlowOutcome`] is returned to the
+//! agent synchronously (scan → response, e.g. a search-engine indexer
+//! learning a banner). The agent then returns its next wake time, or `None`
+//! to retire.
+//!
+//! The table is built at registration: [`Engine::add_listener`] reads the
+//! listener's declared [`Listener::coverage`] once and claims the parts no
+//! earlier listener claimed, so where coverages overlap the first
+//! registered listener wins.
 //!
 //! Listeners are registered as `Rc<RefCell<…>>` so that the caller retains a
 //! handle to read captured data after the run — single-threaded determinism
@@ -13,6 +20,7 @@
 
 use crate::fault::FlowLoss;
 use crate::flow::{Flow, FlowSpec};
+use crate::ip::Cidr;
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -89,9 +97,10 @@ pub trait Listener {
     /// Diagnostic name.
     fn name(&self) -> &str;
 
-    /// Does this listener observe traffic to `ip`? (All ports of a covered
-    /// IP are observed; per-port behavior is the listener's business.)
-    fn covers(&self, ip: Ipv4Addr) -> bool;
+    /// The address space this listener observes. [`Engine::add_listener`]
+    /// reads it once, at registration. (All ports of a covered IP are
+    /// observed; per-port behavior is the listener's business.)
+    fn coverage(&self) -> Vec<Cidr>;
 
     /// Observe a delivered flow and answer as the covered host would.
     fn on_flow(&mut self, flow: &Flow) -> FlowOutcome;
@@ -137,9 +146,51 @@ impl RunStats {
     }
 }
 
+/// One routing-table entry: the destinations `lo..=hi` go to listener
+/// `listener` (its registration index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Route {
+    lo: u32,
+    hi: u32,
+    listener: usize,
+}
+
+/// The listener owning `dst`, by binary search of the sorted, disjoint
+/// `routes`.
+fn route(routes: &[Route], dst: Ipv4Addr) -> Option<usize> {
+    let ip = u32::from(dst);
+    let i = routes.partition_point(|r| r.hi < ip);
+    routes.get(i).filter(|r| r.lo <= ip).map(|r| r.listener)
+}
+
+/// Give `listener` the parts of `lo..=hi` that no route in `routes` owns
+/// yet, keeping `routes` sorted and disjoint.
+fn claim(routes: &mut Vec<Route>, lo: u32, hi: u32, listener: usize) {
+    let mut next = u64::from(lo);
+    let mut at = routes.partition_point(|r| r.hi < lo);
+    while next <= u64::from(hi) {
+        // The claimed range that ends the gap starting at `next`, if any.
+        let owner = routes.get(at).filter(|r| r.lo <= hi).copied();
+        let gap_end = owner.map_or(u64::from(hi) + 1, |r| u64::from(r.lo));
+        if next < gap_end {
+            let gap = Route {
+                lo: next as u32,
+                hi: (gap_end - 1) as u32,
+                listener,
+            };
+            routes.insert(at, gap);
+            at += 1;
+        }
+        let Some(owner) = owner else { break };
+        next = u64::from(owner.hi) + 1;
+        at += 1;
+    }
+}
+
 struct NetworkCtx<'a> {
     now: SimTime,
     agent: AgentId,
+    routes: &'a [Route],
     listeners: &'a [Rc<RefCell<dyn Listener>>],
     stats: &'a mut RunStats,
     flow_seq: &'a mut u64,
@@ -166,17 +217,18 @@ impl Network for NetworkCtx<'_> {
                 return FlowOutcome::dark();
             }
         }
-        for l in self.listeners {
-            // A listener must not send flows, so borrowing here cannot
-            // re-enter; `covers` is checked on the same borrow.
-            let mut l = l.borrow_mut();
-            if l.covers(flow.dst) {
+        match route(self.routes, flow.dst) {
+            Some(i) => {
                 self.stats.flows_delivered += 1;
-                return l.on_flow(&flow);
+                // A listener must not send flows, so this borrow cannot
+                // re-enter.
+                self.listeners[i].borrow_mut().on_flow(&flow)
+            }
+            None => {
+                self.stats.flows_unrouted += 1;
+                FlowOutcome::dark()
             }
         }
-        self.stats.flows_unrouted += 1;
-        FlowOutcome::dark()
     }
 }
 
@@ -184,6 +236,8 @@ impl Network for NetworkCtx<'_> {
 pub struct Engine {
     agents: Vec<Option<Box<dyn Agent>>>,
     listeners: Vec<Rc<RefCell<dyn Listener>>>,
+    /// Sorted, disjoint destination ranges, each owned by one listener.
+    routes: Vec<Route>,
     queue: BinaryHeap<Reverse<(SimTime, AgentId)>>,
     stats: RunStats,
     flow_seq: u64,
@@ -202,6 +256,7 @@ impl Engine {
         Engine {
             agents: Vec::new(),
             listeners: Vec::new(),
+            routes: Vec::new(),
             queue: BinaryHeap::new(),
             stats: RunStats::default(),
             flow_seq: 0,
@@ -251,9 +306,16 @@ impl Engine {
         self.queue.push(Reverse((first_wake, id)));
     }
 
-    /// Register a listener. Listeners are consulted in registration order;
-    /// the address plan keeps their coverage disjoint.
+    /// Register a listener and route its declared
+    /// [`coverage`](Listener::coverage) to it. The coverage is read once,
+    /// here: addresses an earlier listener already claimed stay with that
+    /// listener, so where coverages overlap the first registered listener
+    /// wins.
     pub fn add_listener(&mut self, listener: Rc<RefCell<dyn Listener>>) {
+        let id = self.listeners.len();
+        for cidr in listener.borrow().coverage() {
+            claim(&mut self.routes, cidr.base().into(), cidr.last().into(), id);
+        }
         self.listeners.push(listener);
     }
 
@@ -297,6 +359,7 @@ impl Engine {
                 let mut ctx = NetworkCtx {
                     now: t,
                     agent: id,
+                    routes: &self.routes,
                     listeners: &self.listeners,
                     stats: &mut self.stats,
                     flow_seq: &mut self.flow_seq,
@@ -365,7 +428,12 @@ mod tests {
         }
     }
 
-    /// Listener that accepts everything in 10.0.0.0/24 and logs times.
+    /// The /8 the test sinks cover.
+    fn ten_slash_8() -> Vec<Cidr> {
+        vec![Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 8)]
+    }
+
+    /// Listener that accepts everything in 10.0.0.0/8 and logs times.
     struct Sink {
         seen: Vec<(SimTime, Ipv4Addr, u16)>,
     }
@@ -374,8 +442,8 @@ mod tests {
         fn name(&self) -> &str {
             "sink"
         }
-        fn covers(&self, ip: Ipv4Addr) -> bool {
-            ip.octets()[0] == 10
+        fn coverage(&self) -> Vec<Cidr> {
+            ten_slash_8()
         }
         fn on_flow(&mut self, flow: &Flow) -> FlowOutcome {
             self.seen.push((flow.time, flow.dst, flow.dst_port));
@@ -418,8 +486,8 @@ mod tests {
             fn name(&self) -> &str {
                 "seqsink"
             }
-            fn covers(&self, ip: Ipv4Addr) -> bool {
-                ip.octets()[0] == 10
+            fn coverage(&self) -> Vec<Cidr> {
+                ten_slash_8()
             }
             fn on_flow(&mut self, flow: &Flow) -> FlowOutcome {
                 self.seen.push((flow.agent, flow.seq));
@@ -443,6 +511,110 @@ mod tests {
         // (time 0, agent 5) pops before (time 0, agent 9); agent 5 wakes
         // again at time 1. seq is global send order across both agents.
         assert_eq!(sink.borrow().seen, vec![(5, 0), (9, 1), (5, 2)]);
+    }
+
+    /// Listener over declared CIDRs that logs the destinations it sees.
+    struct Claimer {
+        cidrs: Vec<Cidr>,
+        seen: Vec<Ipv4Addr>,
+    }
+
+    impl Listener for Claimer {
+        fn name(&self) -> &str {
+            "claimer"
+        }
+        fn coverage(&self) -> Vec<Cidr> {
+            self.cidrs.clone()
+        }
+        fn on_flow(&mut self, flow: &Flow) -> FlowOutcome {
+            self.seen.push(flow.dst);
+            FlowOutcome::accepted()
+        }
+    }
+
+    fn claimer(cidrs: &[(Ipv4Addr, u8)]) -> Rc<RefCell<Claimer>> {
+        Rc::new(RefCell::new(Claimer {
+            cidrs: cidrs.iter().map(|&(ip, p)| Cidr::new(ip, p)).collect(),
+            seen: vec![],
+        }))
+    }
+
+    fn route_of(lo: [u8; 4], hi: [u8; 4], listener: usize) -> Route {
+        Route {
+            lo: Ipv4Addr::from(lo).into(),
+            hi: Ipv4Addr::from(hi).into(),
+            listener,
+        }
+    }
+
+    /// Where coverages overlap, the first registered listener keeps the
+    /// overlap: a later /16 straddling an earlier /24 gets the parts on
+    /// either side, and a later /8 gets only what neither claimed.
+    /// Destinations outside every coverage stay unrouted.
+    #[test]
+    fn overlapping_coverage_goes_to_the_first_registered_listener() {
+        let mut e = Engine::new();
+        let a = claimer(&[(Ipv4Addr::new(10, 0, 1, 0), 24)]);
+        let b = claimer(&[(Ipv4Addr::new(10, 0, 0, 0), 16)]);
+        let c = claimer(&[
+            (Ipv4Addr::new(10, 0, 1, 128), 25),
+            (Ipv4Addr::new(10, 0, 0, 0), 8),
+        ]);
+        e.add_listener(a.clone());
+        e.add_listener(b.clone());
+        e.add_listener(c.clone());
+        assert_eq!(
+            e.routes,
+            [
+                route_of([10, 0, 0, 0], [10, 0, 0, 255], 1),
+                route_of([10, 0, 1, 0], [10, 0, 1, 255], 0),
+                route_of([10, 0, 2, 0], [10, 0, 255, 255], 1),
+                route_of([10, 1, 0, 0], [10, 255, 255, 255], 2),
+            ]
+        );
+        let dsts = [
+            Ipv4Addr::new(10, 0, 1, 5),
+            Ipv4Addr::new(10, 0, 1, 200),
+            Ipv4Addr::new(10, 0, 0, 9),
+            Ipv4Addr::new(10, 0, 255, 255),
+            Ipv4Addr::new(10, 1, 0, 0),
+            Ipv4Addr::new(10, 255, 255, 255),
+            Ipv4Addr::new(9, 255, 255, 255),
+            Ipv4Addr::new(11, 0, 0, 0),
+        ];
+        for dst in dsts {
+            let pinger = Pinger {
+                remaining: 1,
+                dst,
+                outcomes: vec![],
+            };
+            e.add_agent(Box::new(pinger), SimTime(0));
+        }
+        let stats = e.run(SimTime(10));
+        assert_eq!(stats.flows_delivered, 6);
+        assert_eq!(stats.flows_unrouted, 2);
+        assert_eq!(a.borrow().seen, dsts[0..2]);
+        assert_eq!(b.borrow().seen, dsts[2..4]);
+        assert_eq!(c.borrow().seen, dsts[4..6]);
+    }
+
+    /// A catch-all registered last takes every address no one claimed,
+    /// through both ends of the address space.
+    #[test]
+    fn catch_all_coverage_fills_every_gap() {
+        let mut e = Engine::new();
+        e.add_listener(claimer(&[(Ipv4Addr::new(255, 255, 255, 255), 32)]));
+        e.add_listener(claimer(&[(Ipv4Addr::new(10, 0, 0, 0), 8)]));
+        e.add_listener(claimer(&[(Ipv4Addr::UNSPECIFIED, 0)]));
+        assert_eq!(
+            e.routes,
+            [
+                route_of([0, 0, 0, 0], [9, 255, 255, 255], 2),
+                route_of([10, 0, 0, 0], [10, 255, 255, 255], 1),
+                route_of([11, 0, 0, 0], [255, 255, 255, 254], 2),
+                route_of([255, 255, 255, 255], [255, 255, 255, 255], 0),
+            ]
+        );
     }
 
     #[test]

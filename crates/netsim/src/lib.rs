@@ -21,10 +21,13 @@
 //! - [`intern`] — the shared payload/credential interner: distinct byte
 //!   blobs are stored once and events carry dense [`intern::PayloadId`] /
 //!   [`intern::CredId`] handles with deterministic insertion-order ids;
+//! - [`keys`] — sort-once distinct-key lists, the counting idiom of the
+//!   query scans and the telescope;
 //! - [`topology`] — the simulated address plan (telescope /24s, cloud
 //!   blocks, education /26s);
 //! - [`engine`] — the discrete-event loop that wakes scanner agents and
-//!   routes their flows to registered listeners (honeypots, telescope);
+//!   routes their flows, through a table of the address space each
+//!   registered listener (honeypot, telescope) declares, to its listener;
 //! - [`fault`] — deterministic measurement-fault injection: seed-derived
 //!   flow loss, per-vantage outage schedules, capture truncation, and
 //!   telescope sampling, all pure functions of the scenario seed;
@@ -57,6 +60,7 @@ pub mod flow;
 pub mod geo;
 pub mod intern;
 pub mod ip;
+pub mod keys;
 pub mod pcap;
 pub mod rng;
 pub mod sha256;

@@ -208,6 +208,7 @@ mod tests {
     use super::*;
     use cw_netsim::engine::{Engine, FlowOutcome, Listener};
     use cw_netsim::flow::Flow;
+    use cw_netsim::ip::Cidr;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -218,8 +219,8 @@ mod tests {
         fn name(&self) -> &str {
             "sink"
         }
-        fn covers(&self, ip: Ipv4Addr) -> bool {
-            ip.octets()[0] == 10
+        fn coverage(&self) -> Vec<Cidr> {
+            vec![Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 8)]
         }
         fn on_flow(&mut self, flow: &Flow) -> FlowOutcome {
             self.flows.push(flow.clone());

@@ -7,9 +7,11 @@
 #   it would otherwise pass), doc build (warnings are errors), doctests,
 #   the determinism check (`cw all` output must be
 #   byte-identical across shard counts (1, 3, 8) AND thread counts AND
-#   cache states: cold cache, warm cache, --no-cache — sharded rows run
-#   with --no-cache because the cache key deliberately ignores the shard
-#   count), a cold-vs-warm `cw all` timing line, the scan budget (and
+#   cache states: cold cache, warm cache, --no-cache — two sharded rows
+#   run with --no-cache because the cache key deliberately ignores the
+#   shard count, and one cold --shards 3 row with its own cache must write
+#   .cwsnap files byte-identical to the --shards 1 baseline's), a
+#   cold-vs-warm `cw all` timing line, the scan budget (and
 #   scan counts identical at --threads 1 and 8), the on-demand scan gate
 #   (each exhibit but `all`, run alone with --trace-scans, must run no
 #   pass beyond the ones its declared plans cost at prefetch; five
@@ -74,7 +76,7 @@ echo "    all registry ids mapped"
 echo "==> determinism: cw all --scale $scale across shards x threads x cache states"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
-mkdir -p "$work/t1" "$work/t8" "$work/nc" "$work/s3" "$work/s8"
+mkdir -p "$work/t1" "$work/t8" "$work/nc" "$work/s3" "$work/s8" "$work/c3"
 # Baseline: cold cache, 1 thread, 1 shard.
 t0="$(now)"
 (cd "$work/t1" && "$cw" all --scale "$scale" --threads 1 --shards 1 2>/dev/null)
@@ -92,13 +94,27 @@ t3="$(now)"
 (cd "$work/nc" && "$cw" all --scale "$scale" --threads 8 --shards 1 --no-cache 2>/dev/null)
 (cd "$work/s3" && "$cw" all --scale "$scale" --threads 8 --shards 3 --no-cache 2>/dev/null)
 (cd "$work/s8" && "$cw" all --scale "$scale" --threads 1 --shards 8 --no-cache 2>/dev/null)
+# Cold cache of its own, 3 shards: the snapshots a sharded build writes
+# must be the baseline's bytes, not only render the same exhibits.
+(cd "$work/c3" && "$cw" all --scale "$scale" --threads 8 --shards 3 2>/dev/null)
 for f in "$work/t1/out"/*.txt "$work/t1/out"/*.csv; do
     cmp "$f" "$work/t8/out/${f##*/}"
     cmp "$f" "$work/nc/out/${f##*/}"
     cmp "$f" "$work/s3/out/${f##*/}"
     cmp "$f" "$work/s8/out/${f##*/}"
+    cmp "$f" "$work/c3/out/${f##*/}"
 done
+snaps=0
+for f in "$work/t1/out/.cache"/*.cwsnap; do
+    cmp "$f" "$work/c3/out/.cache/${f##*/}"
+    snaps=$((snaps + 1))
+done
+[ "$snaps" -eq "$(ls "$work/c3/out/.cache"/*.cwsnap | wc -l)" ] || {
+    echo "    the --shards 3 cache holds other snapshots than the baseline's" >&2
+    exit 1
+}
 echo "    byte-identical across shard counts (1, 3, 8), thread counts and cache states"
+echo "    $snaps cold --shards 3 snapshots byte-identical to the --shards 1 baseline's"
 echo "    cw all timing at scale $scale: cold $(elapsed "$t0" "$t1")s, warm $(elapsed "$t2" "$t3")s"
 
 echo "==> scan budget: cw all --trace-scans fuses the registry's plans within the pinned bound"

@@ -321,12 +321,17 @@ const MAIN_YEAR_HEADERS: [&str; 10] = [
     "figure1",
 ];
 
+/// The single-year appendix exhibits, whose one `=== … ===` header names
+/// the year they render: their appendix year, or the `--year` override.
+const APPENDIX_YEAR_HEADERS: [&str; 5] = ["table12", "table13", "table15", "table16", "table17"];
+
 /// The `all` digest's section headers on the main year's world.
 const ALL_MAIN_YEAR_SECTIONS: [&str; 4] =
     ["Table 2 (", "Table 4 (", "Table 11 + ", "Table 7 sample"];
 
-/// Every main-year header, and each of the `all` digest's main-year
-/// section headers, names `year` and not 2021.
+/// Every main-year and single-year appendix header, and each of the `all`
+/// digest's main-year section headers, names `year` and no other
+/// collection year.
 fn assert_headers_name_year(rendered: &BTreeMap<&str, String>, year: u16) {
     let headers = |name: &str| -> Vec<String> {
         rendered[name]
@@ -335,8 +340,12 @@ fn assert_headers_name_year(rendered: &BTreeMap<&str, String>, year: u16) {
             .map(str::to_string)
             .collect()
     };
-    let names_year = |h: &str| h.contains(&year.to_string()) && !h.contains("2021");
-    for name in MAIN_YEAR_HEADERS {
+    let names_year = |h: &str| {
+        [2020u16, 2021, 2022]
+            .iter()
+            .all(|&y| h.contains(&y.to_string()) == (y == year))
+    };
+    for name in MAIN_YEAR_HEADERS.iter().chain(&APPENDIX_YEAR_HEADERS) {
         let h = headers(name);
         assert_eq!(h.len(), 1, "{name} headers: {h:?}");
         assert!(names_year(&h[0]), "{name} renders {year}: {}", h[0]);
@@ -354,14 +363,14 @@ fn assert_headers_name_year(rendered: &BTreeMap<&str, String>, year: u16) {
 /// Tiny worlds (a handful of actors per vantage, empty cells, chi² tables
 /// with zero expected counts) must still render every exhibit for every
 /// year without a panic, and never print a non-finite number. The
-/// smallest worlds render once more under `--year 2022`, whose headers
-/// must name 2022.
+/// smallest worlds render once more under `--year 2021` and once more
+/// under `--year 2022`, whose headers must name that year.
 #[test]
 fn tiny_worlds_render_every_exhibit_without_nan_or_inf() {
     for scale in [0.001, 0.01] {
         let (opts, bundles) = worlds_with(scale, 1, 2, SimBundle::run);
         let years: &[Option<ScenarioYear>] = if scale == 0.001 {
-            &[None, Some(ScenarioYear::Y2022)]
+            &[None, Some(ScenarioYear::Y2021), Some(ScenarioYear::Y2022)]
         } else {
             &[None]
         };
