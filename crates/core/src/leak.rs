@@ -21,7 +21,7 @@ use cw_honeypot::deployment::Deployment;
 use cw_honeypot::framework::{HoneypotListener, ListenerFaults, Persona, PortPolicy};
 use cw_netsim::engine::Engine;
 use cw_netsim::fault::{domain_salt, FaultDomain, FaultPlan, OutageSchedule};
-use cw_netsim::flow::{ConnectionIntent, LoginService};
+use cw_netsim::flow::LoginService;
 use cw_netsim::rng::SimRng;
 use cw_netsim::time::{SimDuration, SimTime};
 use cw_scanners::campaign::{Campaign, Pacing};
@@ -328,12 +328,10 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
                 crng,
                 targets,
                 pacing,
-                Box::new(move |_, _, _| {
-                    ConnectionIntent::Payload(if malicious {
-                        cw_scanners::exploits::thinkphp_rce()
-                    } else {
-                        cw_scanners::exploits::benign_get("zgrab/0.x")
-                    })
+                cw_scanners::campaign::fixed_payload(if malicious {
+                    cw_scanners::exploits::thinkphp_rce()
+                } else {
+                    cw_scanners::exploits::benign_get("zgrab/0.x")
                 }),
             );
             let start = c.start_time();

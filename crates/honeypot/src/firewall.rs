@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn permissive_firewall_is_transparent() {
         let (mut fw, cap) = wrapped();
-        let out = fw.on_flow(&flow(80, ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec())));
+        let out = fw.on_flow(&flow(80, ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec().into())));
         assert!(out.handshake_completed);
         assert_eq!(cap.borrow().len(), 1);
         assert_eq!(fw.passed(), 1);
@@ -177,7 +177,7 @@ mod tests {
         // Malicious payload: dropped before the honeypot sees it.
         fw.on_flow(&flow(
             80,
-            ConnectionIntent::Payload(cw_protocols::HttpRequest::new("GET", "/shell?cd+/tmp;busybox+wget").to_bytes()),
+            ConnectionIntent::Payload(cw_protocols::HttpRequest::new("GET", "/shell?cd+/tmp;busybox+wget").to_bytes().into()),
         ));
         // Login attempt: dropped.
         fw.on_flow(&flow(
@@ -191,7 +191,7 @@ mod tests {
         // Benign GET: passes.
         fw.on_flow(&flow(
             80,
-            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n".to_vec()),
+            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n".to_vec().into()),
         ));
         assert_eq!(fw.dropped(), 2);
         assert_eq!(fw.passed(), 1);

@@ -13,13 +13,16 @@
 //! - [`PortPolicy::Closed`] — connection refused, nothing recorded.
 //!
 //! A [`Persona`] gives a port a service banner: that is what Censys/Shodan
-//! index, and what makes a honeypot "vulnerable-looking".
+//! index, and what makes a honeypot "vulnerable-looking". Every reply a
+//! listener gives (a persona's banner or a Cowrie greeting) is built once,
+//! when it is configured, and shared by the flows it answers.
 
 use crate::capture::{Capture, Observed, ScanEvent};
 use crate::cowrie;
-use cw_netsim::engine::{FlowOutcome, Listener};
+use cw_netsim::engine::{FlowOutcome, Listener, ServiceReply};
 use cw_netsim::fault::{flow_coin, OutageSchedule};
-use cw_netsim::flow::{ConnectionIntent, Flow};
+use cw_netsim::flow::{ConnectionIntent, Flow, LoginService};
+use cw_netsim::intern::Interner;
 use cw_netsim::ip::Cidr;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -30,7 +33,7 @@ use std::rc::Rc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortPolicy {
     /// Cowrie-style interactive login service.
-    Interactive(cw_netsim::flow::LoginService),
+    Interactive(LoginService),
     /// Complete the handshake and record the first client payload.
     FirstPayload,
     /// Port closed: no handshake, nothing recorded.
@@ -101,7 +104,11 @@ pub struct HoneypotListener {
     ips: BTreeSet<Ipv4Addr>,
     policies: BTreeMap<u16, PortPolicy>,
     default_policy: PortPolicy,
-    personas: BTreeMap<u16, Persona>,
+    /// Each persona's reply, built when the persona is set.
+    personas: BTreeMap<u16, ServiceReply>,
+    /// The Cowrie greetings interactive ports without a persona answer
+    /// with: SSH, then Telnet.
+    greetings: [ServiceReply; 2],
     /// Ports only open on a subset of the covered IPs (closed elsewhere).
     /// Models GreyNoise's "4 or 2 (HTTP)" deployments where a region has 4
     /// SSH/Telnet honeypots but only 2 expose the payload ports.
@@ -124,6 +131,12 @@ impl HoneypotListener {
             policies: BTreeMap::new(),
             default_policy,
             personas: BTreeMap::new(),
+            greetings: [LoginService::Ssh, LoginService::Telnet].map(|service| {
+                ServiceReply::new(
+                    service.label(),
+                    cowrie::Session::new(service).server_greeting(),
+                )
+            }),
             port_restrictions: BTreeMap::new(),
             source_allowed_ports: BTreeMap::new(),
             capture: Rc::new(RefCell::new(Capture::new(name))),
@@ -146,7 +159,8 @@ impl HoneypotListener {
 
     /// Set a persona (banner) for one port (builder style).
     pub fn with_persona(mut self, port: u16, persona: Persona) -> Self {
-        self.personas.insert(port, persona);
+        self.personas
+            .insert(port, ServiceReply::new(&persona.protocol, &persona.banner));
         self
     }
 
@@ -205,9 +219,34 @@ impl HoneypotListener {
         *self.policies.get(&port).unwrap_or(&self.default_policy)
     }
 
-    fn reply_for(&self, port: u16) -> Option<&Persona> {
-        self.personas.get(&port)
+    /// The prebuilt reply a port answers with: its persona's banner, or on
+    /// an interactive port without one the Cowrie greeting (interactive
+    /// services always greet).
+    fn reply_for(&self, port: u16, policy: PortPolicy) -> Option<&ServiceReply> {
+        match (self.personas.get(&port), policy) {
+            (Some(reply), _) => Some(reply),
+            (None, PortPolicy::Interactive(LoginService::Ssh)) => Some(&self.greetings[0]),
+            (None, PortPolicy::Interactive(LoginService::Telnet)) => Some(&self.greetings[1]),
+            _ => None,
+        }
     }
+}
+
+/// What a first-payload collector records of `intent`: its first payload,
+/// interned by the digest it carries, or when the capture is truncated to
+/// `n` bytes the cut prefix, hashed as cut.
+fn first_payload(
+    intent: &ConnectionIntent,
+    truncate_to: Option<usize>,
+    interner: &mut Interner,
+) -> Observed {
+    let id = match truncate_to {
+        Some(n) => intent
+            .first_payload_bytes()
+            .map(|p| interner.intern_payload(&p[..p.len().min(n)])),
+        None => intent.first_payload_id(interner),
+    };
+    id.map_or(Observed::Handshake, Observed::Payload)
 }
 
 impl Listener for HoneypotListener {
@@ -275,27 +314,14 @@ impl Listener for HoneypotListener {
                             None => Observed::Handshake,
                         }
                     }
-                    ConnectionIntent::Login { .. } => Observed::Handshake,
-                    ConnectionIntent::Payload(p) => Observed::Payload(match truncate_to {
-                        Some(n) if p.len() > n => interner.intern_payload(&p[..n]),
-                        _ => interner.intern_payload(p),
-                    }),
-                    ConnectionIntent::ProbeOnly => Observed::Handshake,
+                    ConnectionIntent::Payload(_) => {
+                        first_payload(&flow.intent, truncate_to, &mut interner)
+                    }
+                    ConnectionIntent::Login { .. } | ConnectionIntent::ProbeOnly => {
+                        Observed::Handshake
+                    }
                 },
-                PortPolicy::FirstPayload => match truncate_to {
-                    // Fault slow lane: materialize the bytes, cut, intern.
-                    Some(n) => match flow.intent.first_payload_bytes() {
-                        Some(p) => {
-                            let keep = p.len().min(n);
-                            Observed::Payload(interner.intern_payload(&p[..keep]))
-                        }
-                        None => Observed::Handshake,
-                    },
-                    None => match flow.intent.first_payload_id(&mut interner) {
-                        Some(p) => Observed::Payload(p),
-                        None => Observed::Handshake,
-                    },
-                },
+                PortPolicy::FirstPayload => first_payload(&flow.intent, truncate_to, &mut interner),
             }
         };
         self.capture.borrow_mut().record_from(
@@ -310,14 +336,9 @@ impl Listener for HoneypotListener {
             flow.agent,
             flow.seq,
         );
-        match (policy, self.reply_for(flow.dst_port)) {
-            (_, Some(p)) => FlowOutcome::replied(&p.protocol, &p.banner),
-            (PortPolicy::Interactive(service), None) => {
-                // Interactive services always greet.
-                let session = cowrie::Session::new(service);
-                FlowOutcome::replied(service.label(), &session.server_greeting())
-            }
-            _ => FlowOutcome::accepted(),
+        match self.reply_for(flow.dst_port, policy) {
+            Some(reply) => FlowOutcome::replied(reply),
+            None => FlowOutcome::accepted(),
         }
     }
 }
@@ -367,24 +388,58 @@ mod tests {
         );
     }
 
+    /// The replies of two flows to the same port: each must be the one
+    /// reply the listener built, shared rather than copied per flow.
+    fn shared_replies(
+        h: &mut HoneypotListener,
+        port: u16,
+        intent: ConnectionIntent,
+    ) -> ServiceReply {
+        let mut send = |src| {
+            h.on_flow(&flow(src, Ipv4Addr::new(10, 0, 0, 1), port, intent.clone()))
+                .reply
+                .expect("reply")
+        };
+        let first = send(Ipv4Addr::new(1, 1, 1, 1));
+        let second = send(Ipv4Addr::new(1, 1, 1, 2));
+        assert!(
+            Rc::ptr_eq(&first.banner, &second.banner),
+            "banner copied per flow"
+        );
+        let (a, b) = (
+            first.protocol.as_ref().unwrap(),
+            second.protocol.as_ref().unwrap(),
+        );
+        assert!(Rc::ptr_eq(a, b), "protocol copied per flow");
+        first
+    }
+
     #[test]
     fn interactive_port_harvests_credentials() {
         let mut h = hp();
         let cap = h.capture();
+        let login = ConnectionIntent::Login {
+            service: LoginService::Ssh,
+            username: "root".into(),
+            password: "admin".into(),
+        };
         let out = h.on_flow(&flow(
             Ipv4Addr::new(1, 1, 1, 1),
             Ipv4Addr::new(10, 0, 0, 1),
             22,
-            ConnectionIntent::Login {
-                service: LoginService::Ssh,
-                username: "root".into(),
-                password: "admin".into(),
-            },
+            login.clone(),
         ));
         assert!(out.handshake_completed);
         assert!(out.reply.unwrap().banner.starts_with(b"SSH-2.0-"));
+        // The Cowrie greetings, byte for byte, shared across flows.
+        let ssh = shared_replies(&mut h, 22, login);
+        assert_eq!(ssh.protocol.as_deref(), Some("SSH"));
+        assert_eq!(&*ssh.banner, b"SSH-2.0-OpenSSH_7.4p1 Debian-10\r\n");
+        let telnet = shared_replies(&mut h, 23, ConnectionIntent::ProbeOnly);
+        assert_eq!(telnet.protocol.as_deref(), Some("TELNET"));
+        assert_eq!(&*telnet.banner, b"\xff\xfb\x01\xff\xfb\x03\r\nlogin: ");
         let cap = cap.borrow();
-        assert_eq!(cap.len(), 1);
+        assert_eq!(cap.len(), 5);
         let interner = cap.interner();
         let interner = interner.borrow();
         match cap.event(0).observed {
@@ -406,7 +461,7 @@ mod tests {
             Ipv4Addr::new(1, 1, 1, 1),
             Ipv4Addr::new(10, 0, 0, 1),
             8080,
-            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec()),
+            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec().into()),
         ));
         let cap = cap.borrow();
         let pid = cap.event(0).observed.payload().expect("payload recorded");
@@ -423,11 +478,15 @@ mod tests {
             Ipv4Addr::new(1, 1, 1, 1),
             Ipv4Addr::new(10, 0, 0, 1),
             80,
-            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec()),
+            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec().into()),
         ));
         let reply = out.reply.unwrap();
         assert_eq!(reply.protocol.as_deref(), Some("HTTP"));
         assert!(reply.banner.starts_with(b"HTTP/1.1 200 OK"));
+        // Shared across flows, and the persona's bytes unchanged.
+        let shared = shared_replies(&mut h, 80, ConnectionIntent::ProbeOnly);
+        assert_eq!(shared, reply);
+        assert_eq!(&*shared.banner, &Persona::http().banner[..]);
     }
 
     #[test]
@@ -454,7 +513,7 @@ mod tests {
             censys,
             Ipv4Addr::new(10, 0, 0, 1),
             80,
-            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec()),
+            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec().into()),
         ));
         assert!(!out.handshake_completed);
         assert!(out.reply.is_none());

@@ -486,7 +486,7 @@ mod tests {
                 src_asn: Asn(7),
                 dst,
                 dst_port: port,
-                intent: ConnectionIntent::Payload(b"SSH-2.0-x\r\n".to_vec()),
+                intent: ConnectionIntent::Payload(b"SSH-2.0-x\r\n".to_vec().into()),
             },
             SimTime(1),
             0,

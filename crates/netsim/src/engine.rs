@@ -32,12 +32,26 @@ use std::rc::Rc;
 pub type AgentId = u32;
 
 /// What a scanned service answered, as seen by the scanner.
+///
+/// A listener builds each reply it gives once, when it is configured, and
+/// answers every flow with a clone: the fields are shared, so a clone is
+/// two reference-count bumps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceReply {
     /// Protocol label the responder spoke (e.g. `"HTTP"`), if any.
-    pub protocol: Option<String>,
+    pub protocol: Option<Rc<str>>,
     /// Response bytes (banner, status line, …); may be empty.
-    pub banner: Vec<u8>,
+    pub banner: Rc<[u8]>,
+}
+
+impl ServiceReply {
+    /// A reply speaking `protocol` with `banner`.
+    pub fn new(protocol: &str, banner: &[u8]) -> Self {
+        ServiceReply {
+            protocol: Some(protocol.into()),
+            banner: banner.into(),
+        }
+    }
 }
 
 /// The result of delivering one flow.
@@ -67,14 +81,11 @@ impl FlowOutcome {
         }
     }
 
-    /// Handshake completed with an application reply.
-    pub fn replied(protocol: &str, banner: &[u8]) -> Self {
+    /// Handshake completed with an application reply (shared, not copied).
+    pub fn replied(reply: &ServiceReply) -> Self {
         FlowOutcome {
             handshake_completed: true,
-            reply: Some(ServiceReply {
-                protocol: Some(protocol.to_string()),
-                banner: banner.to_vec(),
-            }),
+            reply: Some(reply.clone()),
         }
     }
 }

@@ -6,11 +6,16 @@
 //! payload; Cowrie additionally speaks enough SSH/Telnet to harvest the
 //! attempted credentials. The scanner encodes its intent once; the listener
 //! decides what it can observe.
+//!
+//! Scanners replay small dictionaries, so an intent carries shared values:
+//! a payload is a pre-hashed [`Blob`] and credentials are `Rc<str>`, built
+//! once per campaign and cloned (a reference-count bump) per flow.
 
 use crate::asn::Asn;
-use crate::intern::{Interner, PayloadId};
+use crate::intern::{Blob, Interner, PayloadId};
 use crate::time::SimTime;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// The SSH client version banner a first-payload collector records from an
 /// interactive SSH login attempt (sent immediately after the TCP handshake).
@@ -41,7 +46,7 @@ pub enum ConnectionIntent {
     /// SYN-scan style probe: connect (or not even that) and send nothing.
     ProbeOnly,
     /// Client-first protocol: send these bytes as the first payload.
-    Payload(Vec<u8>),
+    Payload(Blob),
     /// Interactive login attempt against an SSH/Telnet-style service. Only a
     /// listener that actually speaks the protocol (Cowrie) observes the
     /// credentials; a handshake-only listener sees at most the client
@@ -50,23 +55,23 @@ pub enum ConnectionIntent {
         /// Target service dialect.
         service: LoginService,
         /// Attempted username.
-        username: String,
+        username: Rc<str>,
         /// Attempted password.
-        password: String,
+        password: Rc<str>,
     },
 }
 
 impl ConnectionIntent {
     /// The first bytes a handshake-only observer (Honeytrap/GreyNoise
     /// non-interactive port) would record for this intent, if any.
-    pub fn first_payload_bytes(&self) -> Option<Vec<u8>> {
+    pub fn first_payload_bytes(&self) -> Option<&[u8]> {
         match self {
             ConnectionIntent::ProbeOnly => None,
-            ConnectionIntent::Payload(p) => Some(p.clone()),
+            ConnectionIntent::Payload(p) => Some(p),
             ConnectionIntent::Login { service, .. } => match service {
                 // SSH clients send their version banner immediately after
                 // the TCP handshake, so a first-payload collector sees it.
-                LoginService::Ssh => Some(SSH_CLIENT_BANNER.to_vec()),
+                LoginService::Ssh => Some(SSH_CLIENT_BANNER),
                 // Telnet is server-first: a silent collector records nothing.
                 LoginService::Telnet => None,
             },
@@ -74,11 +79,12 @@ impl ConnectionIntent {
     }
 
     /// Like [`ConnectionIntent::first_payload_bytes`], but interning the
-    /// bytes instead of cloning them — the record-path fast lane.
+    /// bytes — by the payload's carried digest — instead of returning them:
+    /// the record-path fast lane.
     pub fn first_payload_id(&self, interner: &mut Interner) -> Option<PayloadId> {
         match self {
             ConnectionIntent::ProbeOnly => None,
-            ConnectionIntent::Payload(p) => Some(interner.intern_payload(p)),
+            ConnectionIntent::Payload(p) => Some(interner.intern_blob(p)),
             ConnectionIntent::Login { service, .. } => match service {
                 LoginService::Ssh => Some(interner.intern_payload(SSH_CLIENT_BANNER)),
                 LoginService::Telnet => None,
@@ -177,10 +183,10 @@ mod tests {
 
     #[test]
     fn payload_round_trips() {
-        let intent = ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec());
+        let intent = ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec().into());
         assert_eq!(
             intent.first_payload_bytes().unwrap(),
-            b"GET / HTTP/1.1\r\n\r\n".to_vec()
+            b"GET / HTTP/1.1\r\n\r\n"
         );
     }
 
@@ -189,7 +195,7 @@ mod tests {
         let mut interner = Interner::new();
         let intents = [
             ConnectionIntent::ProbeOnly,
-            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec()),
+            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec().into()),
             ConnectionIntent::Login {
                 service: LoginService::Ssh,
                 username: "root".into(),
@@ -204,11 +210,7 @@ mod tests {
         for intent in &intents {
             let id = intent.first_payload_id(&mut interner);
             let bytes = intent.first_payload_bytes();
-            assert_eq!(
-                id.map(|i| interner.payload(i).to_vec()),
-                bytes,
-                "intent {intent:?}"
-            );
+            assert_eq!(id.map(|i| interner.payload(i)), bytes, "intent {intent:?}");
         }
     }
 

@@ -9,6 +9,11 @@
 //! owned `Vec<u8>`/`String`s and downstream work (rule matching, LZR
 //! fingerprinting, group-by counting) runs once per distinct value.
 //!
+//! The same dictionary reaches the interner pre-hashed: a scanner builds
+//! each constant payload once as a [`Blob`] (shared bytes plus their FNV-1a
+//! digest) and every flow carrying it clones the handle, so
+//! [`Interner::intern_blob`] looks it up without re-hashing the bytes.
+//!
 //! # Determinism
 //!
 //! IDs are assigned in insertion order: the first distinct value interned
@@ -32,7 +37,43 @@ use crate::rng::fnv1a;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::rc::Rc;
+
+/// Immutable shared bytes with their FNV-1a digest.
+///
+/// A payload built once and sent on many flows: cloning shares the bytes
+/// (a reference-count bump), and the digest [`Interner::intern_blob`]
+/// looks it up by was computed once, when the blob was made. The fields
+/// are private, so the digest always matches the bytes (and the derived
+/// equality is equality of the bytes).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Blob {
+    bytes: Rc<[u8]>,
+    digest: u64,
+}
+
+impl Blob {
+    /// Share `bytes`, hashing them once.
+    pub fn new(bytes: impl Into<Rc<[u8]>>) -> Self {
+        let bytes = bytes.into();
+        let digest = fnv1a(&bytes);
+        Blob { bytes, digest }
+    }
+}
+
+impl Deref for Blob {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl From<Vec<u8>> for Blob {
+    fn from(bytes: Vec<u8>) -> Self {
+        Blob::new(bytes)
+    }
+}
 
 /// Handle to one distinct payload blob in an [`Interner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -146,6 +187,12 @@ impl Interner {
     /// Intern a payload blob, returning its stable id.
     pub fn intern_payload(&mut self, bytes: &[u8]) -> PayloadId {
         PayloadId(self.payloads.intern(bytes, fnv1a(bytes)))
+    }
+
+    /// Intern a shared payload by the digest it carries: the same id as
+    /// [`Interner::intern_payload`] of its bytes, without re-hashing them.
+    pub fn intern_blob(&mut self, blob: &Blob) -> PayloadId {
+        PayloadId(self.payloads.intern(blob, blob.digest))
     }
 
     /// Intern a credential string, returning its stable id.
@@ -451,6 +498,41 @@ mod tests {
         let mut back = back;
         assert_eq!(back.intern_payload(b"GET / HTTP/1.1"), PayloadId(2));
         assert_eq!(back.intern_cred("root"), CredId(0));
+    }
+
+    #[test]
+    fn blob_digest_is_fnv1a_of_its_bytes() {
+        for bytes in [&b""[..], b"x", b"\x16\x03\x01", b"GET / HTTP/1.1\r\n\r\n"] {
+            let blob = Blob::new(bytes);
+            assert_eq!(blob.digest, fnv1a(bytes));
+            assert_eq!(&*blob, bytes);
+            assert_eq!(Blob::from(bytes.to_vec()), blob);
+        }
+    }
+
+    #[test]
+    fn intern_blob_matches_intern_payload() {
+        // A stream with repeats, through both entry points: same ids, same
+        // arena, same snapshot bytes.
+        let stream: [&[u8]; 7] = [b"a", b"bb", b"a", b"", b"ccc", b"bb", b""];
+        let blobs: Vec<Blob> = stream.iter().map(|&b| Blob::new(b)).collect();
+        let mut by_bytes = Interner::new();
+        let mut by_blob = Interner::new();
+        for (bytes, blob) in stream.iter().zip(&blobs) {
+            assert_eq!(by_blob.intern_blob(blob), by_bytes.intern_payload(bytes));
+        }
+        // A second pass over shared clones finds every value already there.
+        for blob in &blobs {
+            let id = by_blob.intern_blob(&blob.clone());
+            assert_eq!(by_blob.payload(id), &**blob);
+        }
+        assert_eq!(by_blob.payload_count(), 4);
+        let snap = |i: &Interner| {
+            let mut w = SnapWriter::new();
+            i.snap_write(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(snap(&by_blob), snap(&by_bytes));
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use engine::{Agent, AgentId, Engine, FlowOutcome, Listener, Network, RunStat
 pub use fault::{FaultPlan, OutageSchedule};
 pub use flow::{ConnectionIntent, Flow, FlowSpec, LoginService};
 pub use geo::{Continent, Region};
-pub use intern::{CredId, Interner, PayloadId};
+pub use intern::{Blob, CredId, Interner, PayloadId};
 pub use ip::{Cidr, IpExt};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -154,7 +154,7 @@ pub fn build(
             crng,
             targets,
             pacing,
-            login_from_credentials(profile.service, subset),
+            login_from_credentials(profile.service, &subset),
         ));
     }
     out
@@ -277,7 +277,9 @@ mod tests {
                     service, username, ..
                 } => {
                     assert_eq!(*service, LoginService::Ssh);
-                    assert!(credentials::SSH_GLOBAL.iter().any(|(u, _)| u == username));
+                    assert!(credentials::SSH_GLOBAL
+                        .iter()
+                        .any(|(u, _)| *u == &**username));
                 }
                 other => panic!("expected login, got {other:?}"),
             }

@@ -10,10 +10,12 @@
 use crate::identity::ActorIdentity;
 use cw_netsim::asn::Asn;
 use cw_netsim::engine::{Agent, Network};
-use cw_netsim::flow::{ConnectionIntent, FlowSpec};
+use cw_netsim::flow::{ConnectionIntent, FlowSpec, LoginService};
+use cw_netsim::intern::Blob;
 use cw_netsim::rng::SimRng;
 use cw_netsim::time::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// How a campaign spreads its probes over the window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,42 +148,66 @@ pub fn probe_only() -> IntentFn {
     Box::new(|_, _, _| ConnectionIntent::ProbeOnly)
 }
 
-/// Intent factory: a fixed payload for every connection.
-pub fn fixed_payload(payload: Vec<u8>) -> IntentFn {
+/// Intent factory: a fixed payload for every connection. The payload is
+/// built (and hashed) once; each flow shares it.
+pub fn fixed_payload(payload: impl Into<Blob>) -> IntentFn {
+    let payload = payload.into();
     Box::new(move |_, _, _| ConnectionIntent::Payload(payload.clone()))
 }
 
 /// Intent factory: pick a payload per connection from a weighted corpus.
 pub fn weighted_payloads(corpus: Vec<(Vec<u8>, f64)>) -> IntentFn {
     assert!(!corpus.is_empty(), "corpus must be non-empty");
-    let weights: Vec<f64> = corpus.iter().map(|(_, w)| *w).collect();
+    let (payloads, weights): (Vec<Blob>, Vec<f64>) =
+        corpus.into_iter().map(|(p, w)| (Blob::from(p), w)).unzip();
     Box::new(move |rng, _, _| {
         let i = rng.choose_weighted(&weights);
-        ConnectionIntent::Payload(corpus[i].0.clone())
+        ConnectionIntent::Payload(payloads[i].clone())
+    })
+}
+
+/// A credential list as shared strings: built once per campaign, so each
+/// login attempt clones two handles instead of allocating two strings.
+pub(crate) fn shared_credentials<S: AsRef<str>>(credentials: &[(S, S)]) -> Vec<(Rc<str>, Rc<str>)> {
+    credentials
+        .iter()
+        .map(|(u, p)| (Rc::from(u.as_ref()), Rc::from(p.as_ref())))
+        .collect()
+}
+
+/// Intent factory: login attempts drawn uniformly from a credential
+/// dictionary (one `SimRng::choose` per flow).
+pub(crate) fn login_uniform(
+    service: LoginService,
+    dictionary: &'static [(&'static str, &'static str)],
+) -> IntentFn {
+    let credentials = shared_credentials(dictionary);
+    Box::new(move |rng, _, _| {
+        let (username, password) = rng.choose(&credentials).clone();
+        ConnectionIntent::Login {
+            service,
+            username,
+            password,
+        }
     })
 }
 
 /// Intent factory: login attempts drawn from a credential dictionary.
 pub fn login_from_dictionary(
-    service: cw_netsim::flow::LoginService,
+    service: LoginService,
     dictionary: &'static [(&'static str, &'static str)],
 ) -> IntentFn {
-    login_from_credentials(
-        service,
-        dictionary
-            .iter()
-            .map(|(u, p)| (u.to_string(), p.to_string()))
-            .collect(),
-    )
+    login_from_credentials(service, dictionary)
 }
 
-/// Intent factory: login attempts drawn from an owned credential list
-/// (a campaign's personal slice of a dictionary).
-pub fn login_from_credentials(
-    service: cw_netsim::flow::LoginService,
-    credentials: Vec<(String, String)>,
+/// Intent factory: login attempts drawn from a credential list (a
+/// campaign's personal slice of a dictionary).
+pub fn login_from_credentials<S: AsRef<str>>(
+    service: LoginService,
+    credentials: &[(S, S)],
 ) -> IntentFn {
     assert!(!credentials.is_empty(), "credential list must be non-empty");
+    let credentials = shared_credentials(credentials);
     // The first entry is the campaign's signature credential: real
     // brute-force tools hammer one default far more than the rest, which is
     // what makes neighboring honeypots' top usernames diverge (§4.1).
@@ -189,11 +215,11 @@ pub fn login_from_credentials(
         .map(|i| if i == 0 { 3.0 } else { 1.0 })
         .collect();
     Box::new(move |rng, _, _| {
-        let (u, p) = credentials[rng.choose_weighted(&weights)].clone();
+        let (username, password) = credentials[rng.choose_weighted(&weights)].clone();
         ConnectionIntent::Login {
             service,
-            username: u,
-            password: p,
+            username,
+            password,
         }
     })
 }
@@ -305,10 +331,7 @@ mod tests {
             rng,
             targets,
             Pacing::burst_at(SimTime(0), 30),
-            login_from_dictionary(
-                cw_netsim::flow::LoginService::Telnet,
-                crate::credentials::TELNET_GLOBAL,
-            ),
+            login_from_dictionary(LoginService::Telnet, crate::credentials::TELNET_GLOBAL),
         );
         let flows = run_campaign(c);
         for f in &flows {
@@ -316,7 +339,7 @@ mod tests {
                 ConnectionIntent::Login { username, .. } => {
                     assert!(crate::credentials::TELNET_GLOBAL
                         .iter()
-                        .any(|(u, _)| u == username));
+                        .any(|(u, _)| *u == &**username));
                 }
                 other => panic!("expected login, got {other:?}"),
             }
@@ -329,7 +352,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(5);
         for _ in 0..20 {
             match f(&mut rng, Ipv4Addr::new(10, 0, 0, 1), 80) {
-                ConnectionIntent::Payload(p) => assert_eq!(p, b"b".to_vec()),
+                ConnectionIntent::Payload(p) => assert_eq!(&*p, b"b"),
                 other => panic!("unexpected {other:?}"),
             }
         }

@@ -14,6 +14,7 @@ use cw_netsim::flow::{ConnectionIntent, FlowSpec, LoginService};
 use cw_netsim::rng::SimRng;
 use cw_netsim::time::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// Banner substrings the scanner treats as honeypot tells. The default list
 /// contains the default Cowrie/Kippo banner our own GreyNoise sensors
@@ -31,6 +32,8 @@ pub struct FingerprintingScanner {
     targets: Vec<Ipv4Addr>,
     cursor: usize,
     signatures: Vec<String>,
+    /// The SSH dictionary it attacks with, as shared strings.
+    credentials: Vec<(Rc<str>, Rc<str>)>,
     batch: usize,
     interval: SimDuration,
     /// Targets skipped after a honeypot banner match.
@@ -51,6 +54,7 @@ impl FingerprintingScanner {
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
+            credentials: crate::campaign::shared_credentials(crate::credentials::SSH_GLOBAL),
             batch: 50,
             interval: SimDuration::HOUR,
             avoided: Vec::new(),
@@ -113,7 +117,7 @@ impl Agent for FingerprintingScanner {
                 continue;
             }
             // Step 2: the attack.
-            let (u, p) = *self.rng.choose(crate::credentials::SSH_GLOBAL);
+            let (username, password) = self.rng.choose(&self.credentials).clone();
             net.send(FlowSpec {
                 src,
                 src_asn: self.identity.asn,
@@ -121,8 +125,8 @@ impl Agent for FingerprintingScanner {
                 dst_port: 22,
                 intent: ConnectionIntent::Login {
                     service: LoginService::Ssh,
-                    username: u.to_string(),
-                    password: p.to_string(),
+                    username,
+                    password,
                 },
             });
             self.attacked.push(dst);

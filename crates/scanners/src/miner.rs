@@ -48,6 +48,38 @@ impl MinerAttack {
             MinerAttack::HttpExploits { .. } => 80,
         }
     }
+
+    /// Every intent a burst draws from, built once: one login per
+    /// dictionary credential, or one request per corpus exploit.
+    fn pool(&self) -> Vec<ConnectionIntent> {
+        fn logins(service: LoginService, dictionary: &[(&str, &str)]) -> Vec<ConnectionIntent> {
+            crate::campaign::shared_credentials(dictionary)
+                .into_iter()
+                .map(|(username, password)| ConnectionIntent::Login {
+                    service,
+                    username,
+                    password,
+                })
+                .collect()
+        }
+        match self {
+            MinerAttack::SshBruteforce { .. } => {
+                logins(LoginService::Ssh, crate::credentials::SSH_MINER)
+            }
+            MinerAttack::TelnetBruteforce { .. } => {
+                logins(LoginService::Telnet, crate::credentials::TELNET_GLOBAL)
+            }
+            MinerAttack::HttpExploits { .. } => [
+                crate::exploits::log4shell("198.51.100.9:1389"),
+                crate::exploits::boaform_login("aerocontrol"),
+                crate::exploits::thinkphp_rce(),
+                crate::exploits::api_user_login("admin", "admin123"),
+            ]
+            .into_iter()
+            .map(|p| ConnectionIntent::Payload(p.into()))
+            .collect(),
+        }
+    }
 }
 
 /// A miner polling one search index.
@@ -56,6 +88,8 @@ pub struct MinerAgent {
     rng: SimRng,
     index: SharedIndex,
     attack: MinerAttack,
+    /// What a burst draws from ([`MinerAttack`]'s pool, built once).
+    pool: Vec<ConnectionIntent>,
     /// Seconds between index polls.
     poll_interval: SimDuration,
     /// Include stale (historical) index entries — most miners do not check
@@ -91,6 +125,7 @@ impl MinerAgent {
             identity,
             rng,
             index,
+            pool: attack.pool(),
             attack,
             poll_interval,
             use_historical,
@@ -121,62 +156,20 @@ impl MinerAgent {
     }
 
     fn burst(&mut self, net: &mut dyn Network, ip: Ipv4Addr, port: u16) {
-        let (attempts, intents): (usize, Vec<ConnectionIntent>) = match &self.attack {
-            MinerAttack::SshBruteforce { attempts } => {
-                // Miners dig into the extended dictionary, sampling a fresh
-                // random subset per burst so repeated spikes keep adding
-                // unique passwords (§4.3).
-                let creds = crate::credentials::SSH_MINER;
-                let n = (*attempts).min(creds.len());
-                let picks = sample_distinct(&mut self.rng, creds.len(), n);
-                (
-                    n,
-                    picks
-                        .into_iter()
-                        .map(|i| ConnectionIntent::Login {
-                            service: LoginService::Ssh,
-                            username: creds[i].0.to_string(),
-                            password: creds[i].1.to_string(),
-                        })
-                        .collect(),
-                )
+        let pool = &self.pool;
+        let intents: Vec<ConnectionIntent> = match self.attack {
+            // Miners dig into the dictionary, sampling a fresh random subset
+            // per burst so repeated spikes keep adding unique passwords
+            // (§4.3).
+            MinerAttack::SshBruteforce { attempts }
+            | MinerAttack::TelnetBruteforce { attempts } => {
+                let picks = sample_distinct(&mut self.rng, pool.len(), attempts.min(pool.len()));
+                picks.into_iter().map(|i| pool[i].clone()).collect()
             }
-            MinerAttack::TelnetBruteforce { attempts } => {
-                let creds = crate::credentials::TELNET_GLOBAL;
-                let n = (*attempts).min(creds.len());
-                let picks = sample_distinct(&mut self.rng, creds.len(), n);
-                (
-                    n,
-                    picks
-                        .into_iter()
-                        .map(|i| ConnectionIntent::Login {
-                            service: LoginService::Telnet,
-                            username: creds[i].0.to_string(),
-                            password: creds[i].1.to_string(),
-                        })
-                        .collect(),
-                )
-            }
-            MinerAttack::HttpExploits { attempts } => {
-                let corpus = [
-                    crate::exploits::log4shell("198.51.100.9:1389"),
-                    crate::exploits::boaform_login("aerocontrol"),
-                    crate::exploits::thinkphp_rce(),
-                    crate::exploits::api_user_login("admin", "admin123"),
-                ];
-                (
-                    *attempts,
-                    (0..*attempts)
-                        .map(|_| {
-                            ConnectionIntent::Payload(
-                                self.rng.choose(&corpus).clone(),
-                            )
-                        })
-                        .collect(),
-                )
-            }
+            MinerAttack::HttpExploits { attempts } => (0..attempts)
+                .map(|_| self.rng.choose(pool).clone())
+                .collect(),
         };
-        debug_assert_eq!(attempts, intents.len());
         for intent in intents {
             let src = *self.rng.choose(&self.identity.ips);
             net.send(FlowSpec {

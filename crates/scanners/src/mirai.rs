@@ -11,11 +11,11 @@
 //!    order of magnitude more likely to choose the first address of a /16
 //!    (e.g., x.B.0.0) as its first scanning target" — Figure 1a's spikes.
 
-use crate::campaign::{Campaign, Pacing};
+use crate::campaign::{fixed_payload, login_uniform, Campaign, Pacing};
 use crate::identity::ActorIdentity;
 use crate::targets::TargetUniverse;
 use cw_netsim::asn::Asn;
-use cw_netsim::flow::{ConnectionIntent, LoginService};
+use cw_netsim::flow::LoginService;
 use cw_netsim::ip::IpExt;
 use cw_netsim::rng::SimRng;
 use cw_netsim::time::SimDuration;
@@ -54,14 +54,7 @@ pub fn build_telnet_botnet(
         crng,
         targets,
         pacing,
-        Box::new(|rng, _, _| {
-            let (u, p) = *rng.choose(crate::credentials::TELNET_GLOBAL);
-            ConnectionIntent::Login {
-                service: LoginService::Telnet,
-                username: u.to_string(),
-                password: p.to_string(),
-            }
-        }),
+        login_uniform(LoginService::Telnet, crate::credentials::TELNET_GLOBAL),
     )
 }
 
@@ -123,9 +116,7 @@ pub fn build_ssh_slash16_botnet(
         crng,
         targets,
         pacing,
-        Box::new(|_, _, _| {
-            ConnectionIntent::Payload(cw_protocols::ssh::build_banner("dropbear_2019.78"))
-        }),
+        fixed_payload(cw_protocols::ssh::build_banner("dropbear_2019.78")),
     )
 }
 

@@ -12,6 +12,7 @@ use crate::identity::ActorIdentity;
 use crate::search_engine::SharedIndex;
 use cw_netsim::engine::{Agent, Network};
 use cw_netsim::flow::{ConnectionIntent, FlowSpec};
+use cw_netsim::intern::Blob;
 use cw_netsim::rng::SimRng;
 use cw_netsim::time::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
@@ -26,6 +27,8 @@ pub struct NmapCampaign {
     /// Time between sweeps.
     sweep_interval: SimDuration,
     sweeps_left: u32,
+    /// The nmap HTTP probe, built once.
+    probe: Blob,
 }
 
 impl NmapCampaign {
@@ -45,6 +48,7 @@ impl NmapCampaign {
             candidates,
             sweep_interval,
             sweeps_left: sweeps,
+            probe: crate::exploits::nmap_probe().into(),
         }
     }
 }
@@ -75,7 +79,7 @@ impl Agent for NmapCampaign {
                 src_asn: self.identity.asn,
                 dst: ip,
                 dst_port: 80,
-                intent: ConnectionIntent::Payload(crate::exploits::nmap_probe()),
+                intent: ConnectionIntent::Payload(self.probe.clone()),
             });
         }
         if self.sweeps_left == 0 {

@@ -479,18 +479,12 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
             for i in 0..scaled(count, s).max(floor) {
                 let src = alloc.alloc(1);
                 let (asn, _c) = general_pool.pick(&mut rng);
-                let intent: crate::campaign::IntentFn = match port {
-                    445 => Box::new(|_, _, _| {
-                        cw_netsim::flow::ConnectionIntent::Payload(
-                            cw_protocols::smb::build_negotiate(),
-                        )
-                    }),
-                    80 => Box::new(|_, _, _| {
-                        cw_netsim::flow::ConnectionIntent::Payload(crate::exploits::benign_get(
-                            "masscan/1.3",
-                        ))
-                    }),
-                    _ => Box::new(|_, _, _| cw_netsim::flow::ConnectionIntent::ProbeOnly),
+                let intent = match port {
+                    445 => crate::campaign::fixed_payload(cw_protocols::smb::build_negotiate()),
+                    80 => {
+                        crate::campaign::fixed_payload(crate::exploits::benign_get("masscan/1.3"))
+                    }
+                    _ => crate::campaign::probe_only(),
                 };
                 let c = crate::structure::build(
                     &universe,

@@ -11,6 +11,7 @@
 use crate::identity::ActorIdentity;
 use cw_netsim::engine::{Agent, Network};
 use cw_netsim::flow::{ConnectionIntent, FlowSpec};
+use cw_netsim::intern::Blob;
 use cw_netsim::rng::SimRng;
 use cw_netsim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -143,6 +144,8 @@ pub struct IndexerAgent {
     /// how Censys finds unexpected services (§6: "scanners from Censys are
     /// the leading benign organization to find unexpected services").
     unexpected_probe_rate: f64,
+    /// The HTTP banner-grab request, built once.
+    http_get: Blob,
 }
 
 impl IndexerAgent {
@@ -166,6 +169,8 @@ impl IndexerAgent {
             batch: 200,
             cursor: 0,
             unexpected_probe_rate,
+            http_get: crate::exploits::benign_get("Mozilla/5.0 (compatible; CensysInspect/1.1)")
+                .into(),
         }
     }
 
@@ -179,14 +184,11 @@ impl IndexerAgent {
         match cw_protocols::assigned_protocol(port) {
             Some(ProtocolId::Http) => {
                 if self.rng.chance(self.unexpected_probe_rate) {
-                    ConnectionIntent::Payload(cw_protocols::tls::build_client_hello(
-                        self.rng.next_u64(),
-                        None,
-                    ))
+                    ConnectionIntent::Payload(
+                        cw_protocols::tls::build_client_hello(self.rng.next_u64(), None).into(),
+                    )
                 } else {
-                    ConnectionIntent::Payload(crate::exploits::benign_get(
-                        "Mozilla/5.0 (compatible; CensysInspect/1.1)",
-                    ))
+                    ConnectionIntent::Payload(self.http_get.clone())
                 }
             }
             // Server-first or binary protocols: complete the handshake and

@@ -7,10 +7,10 @@
 //! "leaves some services unknowingly more vulnerable to botnet attacks than
 //! others".
 
-use crate::campaign::{probe_only, Campaign, Pacing};
+use crate::campaign::{login_uniform, probe_only, Campaign, Pacing};
 use crate::identity::ActorIdentity;
 use cw_netsim::asn::Asn;
-use cw_netsim::flow::{ConnectionIntent, LoginService};
+use cw_netsim::flow::LoginService;
 use cw_netsim::rng::SimRng;
 use cw_netsim::time::SimDuration;
 use std::net::Ipv4Addr;
@@ -32,14 +32,7 @@ pub fn build_tsunami(
         crng,
         targets,
         pacing,
-        Box::new(|rng, _, _| {
-            let (u, p) = *rng.choose(crate::credentials::TELNET_GLOBAL);
-            ConnectionIntent::Login {
-                service: LoginService::Telnet,
-                username: u.to_string(),
-                password: p.to_string(),
-            }
-        }),
+        login_uniform(LoginService::Telnet, crate::credentials::TELNET_GLOBAL),
     )
 }
 

@@ -7,7 +7,7 @@
 //! honeypot fleets, so the §6 fingerprinting pipeline has something real to
 //! identify.
 
-use crate::campaign::{Campaign, IntentFn, Pacing};
+use crate::campaign::{fixed_payload, Campaign, IntentFn, Pacing};
 use crate::identity::ActorIdentity;
 use crate::targets::TargetUniverse;
 use cw_netsim::flow::ConnectionIntent;
@@ -150,10 +150,16 @@ pub fn build(
             for ip in ips {
                 targets.push((ip, if crng.chance(0.5) { 80 } else { 8080 }));
             }
+            // Only a TLS hello varies per flow (it is the one protocol
+            // `payload_for` draws a seed for); every other first payload is
+            // the campaign's constant, built once without a draw.
             let protocol = m.protocol;
-            let intent: IntentFn = Box::new(move |rng, _, _| {
-                ConnectionIntent::Payload(payload_for(protocol, rng, malicious))
-            });
+            let intent: IntentFn = match protocol {
+                ProtocolId::Tls => Box::new(move |rng, _, _| {
+                    ConnectionIntent::Payload(payload_for(protocol, rng, malicious).into())
+                }),
+                _ => fixed_payload(payload_for(protocol, &mut crng, malicious)),
+            };
             let pacing = Pacing::spread(&mut crng, targets.len(), SimDuration::WEEK);
             campaigns.push(Campaign::new(identity, crng, targets, pacing, intent));
         }

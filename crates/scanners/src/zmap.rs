@@ -8,10 +8,9 @@
 //! always do), with a boost for EDU-scanning campaigns (Merit and Orion
 //! share an AS, so EDU-targeting scanners see the telescope "nearby").
 
-use crate::campaign::{probe_only, Campaign, IntentFn, Pacing};
+use crate::campaign::{fixed_payload, probe_only, Campaign, IntentFn, Pacing};
 use crate::identity::ActorIdentity;
 use crate::targets::TargetUniverse;
-use cw_netsim::flow::ConnectionIntent;
 use cw_netsim::rng::SimRng;
 use cw_netsim::time::SimDuration;
 use std::net::Ipv4Addr;
@@ -147,20 +146,14 @@ pub fn benign_intent_for_port(port: u16, rng: &mut SimRng) -> IntentFn {
                 .header("User-Agent", ua)
                 .header("Accept", "*/*")
                 .to_bytes();
-            Box::new(move |_, _, _| ConnectionIntent::Payload(payload.clone()))
+            fixed_payload(payload)
         }
         Some(ProtocolId::Tls) => {
             let seed = rng.next_u64();
-            Box::new(move |_, _, _| {
-                ConnectionIntent::Payload(cw_protocols::tls::build_client_hello(seed, None))
-            })
+            fixed_payload(cw_protocols::tls::build_client_hello(seed, None))
         }
-        Some(ProtocolId::Ssh) => Box::new(|_, _, _| {
-            ConnectionIntent::Payload(cw_protocols::ssh::build_banner("libssh2_1.9"))
-        }),
-        Some(ProtocolId::Smb) => {
-            Box::new(|_, _, _| ConnectionIntent::Payload(cw_protocols::smb::build_negotiate()))
-        }
+        Some(ProtocolId::Ssh) => fixed_payload(cw_protocols::ssh::build_banner("libssh2_1.9")),
+        Some(ProtocolId::Smb) => fixed_payload(cw_protocols::smb::build_negotiate()),
         // Telnet and the rest are server-first (or binary): bare probe.
         _ => probe_only(),
     }

@@ -39,6 +39,18 @@ fn attack_both(engine: &mut Engine, targets_a: &[Ipv4Addr], targets_b: &[Ipv4Add
     }
     rng.shuffle(&mut targets);
     let pacing = Pacing::spread(&mut rng, targets.len(), SimDuration::WEEK);
+    // Each intent is built once; every flow shares it.
+    let login = ConnectionIntent::Login {
+        service: LoginService::Ssh,
+        username: "root".into(),
+        password: "123456".into(),
+    };
+    let exploit = ConnectionIntent::Payload(
+        cloud_watching::scanners::exploits::log4shell("203.0.113.1:1389").into(),
+    );
+    let probe = ConnectionIntent::Payload(
+        cloud_watching::scanners::exploits::benign_get("zgrab/0.x").into(),
+    );
     let campaign = Campaign::new(
         ActorIdentity::new(
             "mixed-attacker",
@@ -49,21 +61,13 @@ fn attack_both(engine: &mut Engine, targets_a: &[Ipv4Addr], targets_b: &[Ipv4Add
         rng,
         targets,
         pacing,
-        Box::new(|rng, _, port| {
+        Box::new(move |rng, _, port| {
             if port == 22 {
-                ConnectionIntent::Login {
-                    service: LoginService::Ssh,
-                    username: "root".into(),
-                    password: "123456".into(),
-                }
+                login.clone()
             } else if rng.chance(0.4) {
-                ConnectionIntent::Payload(cloud_watching::scanners::exploits::log4shell(
-                    "203.0.113.1:1389",
-                ))
+                exploit.clone()
             } else {
-                ConnectionIntent::Payload(cloud_watching::scanners::exploits::benign_get(
-                    "zgrab/0.x",
-                ))
+                probe.clone()
             }
         }),
     );

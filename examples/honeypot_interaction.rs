@@ -29,11 +29,11 @@ fn main() {
     // 1. A Telnet brute-force dialogue against the Cowrie state machine.
     println!("— Cowrie Telnet session —");
     let mut session = Session::new(LoginService::Telnet);
-    show("S>", &session.server_greeting());
+    show("S>", session.server_greeting());
     for msg in client_script(LoginService::Telnet, "root", "xc3511") {
         show("C>", &msg);
         let reply = session.feed(&msg);
-        show("S>", &reply);
+        show("S>", reply);
     }
     let cred = session.harvested().expect("credentials harvested");
     println!("  harvested: {}/{}\n", cred.username, cred.password);

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Full verification gate for the cloud-watching workspace:
-#   build, lints (clippy warnings are errors), tests (including the
-#   statistical oracle, metamorphic, null-calibration, and
-#   registry-completeness suites in tests/), a build of the cwbench/
+#   build, lints (clippy warnings are errors), the tests of every workspace
+#   crate (`cargo test --workspace`: the root package's suites in tests/,
+#   including the statistical oracle, metamorphic, null-calibration, and
+#   registry-completeness ones, plus each member crate's unit tests and
+#   crates/protocols/tests/props.rs), a build of the cwbench/
 #   benchmark package (outside the workspace, so an API change that breaks
 #   it would otherwise pass), doc build (warnings are errors), doctests,
 #   the determinism check (`cw all` output must be
@@ -43,8 +45,8 @@ cargo build --release --workspace --quiet
 echo "==> cargo clippy --workspace --all-targets (warnings are errors)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace (the root package and every member crate)"
+cargo test -q --workspace
 
 echo "==> cargo test --release (the SHA-extension block function, bulk snapshot decoders, cw CLI parser and malformed-flag table, optimised)"
 cargo test --release -q -p cw-netsim -p cw-honeypot -p cw-core -p cw-bench

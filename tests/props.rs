@@ -14,6 +14,28 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+/// Fragments of credential strings outside the plain printable alphabet:
+/// empty, line endings, spaces, tabs and multi-byte UTF-8 (`ÿ` is U+00FF,
+/// not the byte 0xFF).
+fn credential_pieces() -> Vec<&'static str> {
+    vec![
+        "",
+        "root",
+        "a",
+        " ",
+        "  ",
+        "\r",
+        "\n",
+        "\r\n",
+        "\t",
+        "é",
+        "пароль",
+        "密码",
+        "ÿ",
+        "🙂",
+    ]
+}
+
 proptest! {
     #[test]
     fn fingerprint_never_panics(payload in proptest::collection::vec(any::<u8>(), 0..512)) {
@@ -172,15 +194,28 @@ proptest! {
     fn cowrie_harvests_arbitrary_credentials(
         user in "[a-zA-Z0-9_.-]{1,16}",
         pass in "[ -~&&[^\r\n]]{1,24}",
+        wide_user in prop::collection::vec(prop::sample::select(credential_pieces()), 0..5),
+        wide_pass in prop::collection::vec(prop::sample::select(credential_pieces()), 0..5),
     ) {
-        use cloud_watching::honeypot::cowrie::harvest;
+        use cloud_watching::honeypot::cowrie::{client_script, harvest, Session};
         use cloud_watching::netsim::flow::LoginService;
         let pass = pass.trim();
         prop_assume!(!pass.is_empty() && !pass.contains('\u{ff}'));
+        let (wide_user, wide_pass) = (wide_user.concat(), wide_pass.concat());
         for service in [LoginService::Ssh, LoginService::Telnet] {
             let c = harvest(service, &user, pass).expect("harvest");
             prop_assert_eq!(&c.username, &user);
             prop_assert_eq!(&c.password, pass);
+            // Any credential, even an empty one, one with CR/LF or spaces,
+            // or non-ASCII: the per-flow harvest matches the reference
+            // dialogue, the session fed the whole client script.
+            for (u, p) in [(user.as_str(), pass), (&wide_user, &wide_pass)] {
+                let mut session = Session::new(service);
+                for msg in client_script(service, u, p) {
+                    session.feed(&msg);
+                }
+                prop_assert_eq!(harvest(service, u, p), session.harvested().cloned());
+            }
         }
     }
 }
