@@ -90,8 +90,8 @@ fn exhibit_options(opts: RunOptions) -> ExhibitOptions {
         scale: opts.scale,
         seed: opts.seed,
         year: opts.year,
-        shards: fleet::resolve_shards(opts.shards),
         fault: opts.fault,
+        ..ExhibitOptions::default()
     }
 }
 

@@ -1,9 +1,8 @@
 //! Flag parsing for the `cw` multicall CLI.
 //!
 //! Every command accepts `--scale <f64>`, `--seed <u64>`, `--threads <N>`,
-//! `--shards <K>`, `--no-cache` and (where relevant) `--year
-//! <2020|2021|2022>`; defaults regenerate the published EXPERIMENTS.md
-//! values.
+//! `--no-cache` and (where relevant) `--year <2020|2021|2022>`; defaults
+//! regenerate the published EXPERIMENTS.md values.
 //!
 //! Commands that need more than one simulated world go through
 //! [`cw_core::fleet`]: each world is obtained (snapshot cache or fresh
@@ -30,16 +29,12 @@ pub struct RunOptions {
     /// Worker threads for fleet commands (`None` = `CW_THREADS` or
     /// autodetect; see [`cw_core::fleet::resolve_threads`]).
     pub threads: Option<usize>,
-    /// Engine shards per scenario (`None` = `CW_SHARDS` or autodetect; see
-    /// [`cw_core::fleet::resolve_shards`]). Output is byte-identical for
-    /// any value — a purely wall-clock knob.
-    pub shards: Option<usize>,
     /// Bypass the snapshot cache (always simulate, never read or write
     /// `out/.cache`). Results are identical either way.
     pub no_cache: bool,
     /// Deterministic measurement-fault plan (`--loss`, `--outage`,
     /// `--outage-windows`, `--truncate`, `--truncate-to`,
-    /// `--telescope-sample`). Unlike threads/shards/cache this *is* part
+    /// `--telescope-sample`). Unlike threads and cache this *is* part
     /// of world identity: any non-none plan changes the output bytes and
     /// the snapshot addresses.
     pub fault: FaultPlan,
@@ -56,7 +51,6 @@ impl Default for RunOptions {
             seed: DEFAULT_SEED,
             year: None,
             threads: None,
-            shards: None,
             no_cache: false,
             fault: FaultPlan::none(),
             trace_scans: false,
@@ -66,7 +60,7 @@ impl Default for RunOptions {
 
 /// The flag summary shared by usage/error messages.
 pub const USAGE: &str = "usage: cw <exhibit|list|all|export|degrade|sweep> [--scale <f64>] [--seed <u64>] \
-     [--year <2020|2021|2022>] [--threads <N>] [--shards <K>] [--no-cache] [--trace-scans] \
+     [--year <2020|2021|2022>] [--threads <N>] [--no-cache] [--trace-scans] \
      [--loss <f64>] [--outage <f64>] [--outage-windows <N>] \
      [--truncate <f64>] [--truncate-to <bytes>] [--telescope-sample <N>]\n\
 sweep only: [--scales <csv of f64, default 1,10,100>] [--years <csv of years>] \
@@ -157,15 +151,6 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> RunOptions {
                 }
                 opts.threads = Some(n);
             }
-            "--shards" => {
-                let n: usize = value("--shards")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("--shards expects an unsigned integer"));
-                if n == 0 {
-                    usage_exit("--shards must be at least 1");
-                }
-                opts.shards = Some(n);
-            }
             "--no-cache" => {
                 opts.no_cache = true;
             }
@@ -252,19 +237,17 @@ mod tests {
         assert_eq!(d.seed, DEFAULT_SEED);
         assert!(d.year.is_none());
         assert!(d.threads.is_none());
-        assert!(d.shards.is_none());
         assert!(!d.no_cache);
         assert!(!d.trace_scans);
 
         let o = parse_from(strs(&[
-            "--scale", "0.25", "--seed", "7", "--year", "2020", "--threads", "3", "--shards",
-            "4", "--no-cache", "--trace-scans",
+            "--scale", "0.25", "--seed", "7", "--year", "2020", "--threads", "3", "--no-cache",
+            "--trace-scans",
         ]));
         assert_eq!(o.scale, 0.25);
         assert_eq!(o.seed, 7);
         assert_eq!(o.year, Some(ScenarioYear::Y2020));
         assert_eq!(o.threads, Some(3));
-        assert_eq!(o.shards, Some(4));
         assert!(o.no_cache);
         assert!(o.trace_scans);
     }

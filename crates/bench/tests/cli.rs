@@ -19,7 +19,8 @@ const CASES: &[&[&str]] = &[
     &["table1", "--scale", "0.001", "--outage-windows", "0"],
     &["table1", "--scale", "0.001", "--telescope-sample", "0"],
     &["table1", "--scale", "0.001", "--threads", "0"],
-    &["table1", "--scale", "0.001", "--shards", "0"],
+    // A removed flag is rejected, not ignored.
+    &["table1", "--scale", "0.001", "--shards", "2"],
     &["table1", "--scale", "0.001", "--seed", "-1"],
     &["table1", "--scale", "inf"],
     &["table1", "--scale", "0"],

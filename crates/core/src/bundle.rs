@@ -127,15 +127,11 @@ impl SimBundle {
             2 => ScenarioYear::Y2022,
             _ => return Err(SnapError::Malformed("unknown scenario year tag")),
         };
-        // Shard count is not part of a world's identity (output is
-        // byte-identical for any value), so it does not travel in the
-        // snapshot; restored bundles report the auto default.
         let config = ScenarioConfig {
             year,
             seed: r.get_u64()?,
             scale: r.get_f64()?,
             horizon: SimDuration::from_secs(r.get_u64()?),
-            shards: 0,
             fault: FaultPlan::snap_read(r)?,
         };
         let stats = RunStats {

@@ -17,16 +17,12 @@
 //! rule-matcher run per event. Verdicts are pure functions of
 //! `(payload bytes, port)`, so memoization is observationally identical
 //! to the per-event path.
-//!
-//! The same remap machinery powers [`Dataset::absorb`]: fleet workers
-//! build worker-local datasets whose interners are merged in stream-id
-//! order, keeping merged output byte-identical for any thread count.
 
 use cw_detection::{is_malicious_payload, RuleSet, Verdict};
 use cw_honeypot::capture::{Capture, EventTable, Observed, ScanEvent};
 use cw_honeypot::deployment::{Deployment, VantagePoint};
 use cw_netsim::flow::LoginService;
-use cw_netsim::intern::{CredId, Interner, PayloadId, Remap};
+use cw_netsim::intern::{Interner, PayloadId, Remap};
 use cw_netsim::snap::{SnapError, SnapReader, SnapWriter};
 use cw_protocols::ProtocolId;
 use std::collections::{BTreeMap, HashMap};
@@ -154,17 +150,11 @@ type ClassifyMemo = HashMap<(PayloadId, u16), (Verdict, Option<ProtocolId>)>;
 /// dataset interner grows in the shared capture interner's *insertion*
 /// order, which is independent of the drain schedule. The result is
 /// therefore byte-identical for every window size; `tests/determinism.rs`
-/// enforces it across window sizes and shard counts.
+/// enforces it across window sizes.
 ///
-/// Two ingestion paths exist, matching the two scenario builds:
-///
-/// - [`DatasetBuilder::absorb_table`] bulk-appends a drained chunk whose
-///   ids are translated through a [`Remap`] kept current with
-///   [`DatasetBuilder::extend_remap`] (the K = 1 build);
-/// - [`DatasetBuilder::push_event`] appends one event already in the
-///   builder's id space (the K > 1 build's merge interns lazily in global
-///   `(time, agent, seq)` order via [`DatasetBuilder::intern_payload`] /
-///   [`DatasetBuilder::intern_cred`]).
+/// [`DatasetBuilder::absorb_table`] bulk-appends a drained chunk whose ids
+/// are translated through a [`Remap`] kept current with
+/// [`DatasetBuilder::extend_remap`].
 pub struct DatasetBuilder {
     slots: Vec<BuilderSlot>,
     interner: Interner,
@@ -218,17 +208,6 @@ impl DatasetBuilder {
         self.interner.extend_remap_from(src, remap);
     }
 
-    /// Intern a payload blob directly into the builder's id space (the
-    /// sharded merge's first-occurrence re-interning).
-    pub fn intern_payload(&mut self, bytes: &[u8]) -> PayloadId {
-        self.interner.intern_payload(bytes)
-    }
-
-    /// Intern a credential string directly into the builder's id space.
-    pub fn intern_cred(&mut self, s: &str) -> CredId {
-        self.interner.intern_cred(s)
-    }
-
     /// Append one drained chunk to slot `slot`, translating ids through
     /// `remap` (which must already cover them — call
     /// [`DatasetBuilder::extend_remap`] first) and classifying each row
@@ -246,22 +225,6 @@ impl DatasetBuilder {
             s.verdicts.push(verdict);
             s.fingerprints.push(fingerprint);
         }
-    }
-
-    /// Append one event (ids already in the builder's space) to slot
-    /// `slot`, classifying it with the per-distinct memo.
-    pub fn push_event(&mut self, slot: usize, event: ScanEvent) {
-        let (verdict, fingerprint) = classify_interned(
-            event.observed,
-            event.dst_port,
-            &self.interner,
-            self.rules,
-            &mut self.memo,
-        );
-        let s = &mut self.slots[slot];
-        s.table.push(event);
-        s.verdicts.push(verdict);
-        s.fingerprints.push(fingerprint);
     }
 
     /// Total rows accumulated so far, across all slots.
@@ -339,46 +302,6 @@ impl Dataset {
             b.absorb_table(slot, cap.table(), &remap);
         }
         b.finish()
-    }
-
-    /// An empty dataset — the identity element for [`Dataset::absorb`].
-    pub fn empty() -> Self {
-        Dataset {
-            table: EventTable::new(),
-            verdicts: Vec::new(),
-            fingerprints: Vec::new(),
-            interner: Interner::new(),
-            vantage_by_ip: BTreeMap::new(),
-            by_dst: BTreeMap::new(),
-        }
-    }
-
-    /// Fold another dataset into this one — the fleet merge step.
-    ///
-    /// `other`'s events are appended after `self`'s (its per-destination
-    /// indices are rebased) and its interned ids are remapped into `self`'s
-    /// id space by re-interning `other`'s distinct values in *their*
-    /// insertion order. Folding per-run datasets in stream-id order
-    /// therefore yields the same merged dataset — same ids, same bytes —
-    /// for any worker-thread count. Vantage metadata is unioned; identical
-    /// IPs must describe identical vantages (always true for runs built
-    /// from [`Deployment::standard`]).
-    pub fn absorb(&mut self, other: Dataset) {
-        let base = self.table.len();
-        for (dst, idxs) in other.by_dst {
-            self.by_dst
-                .entry(dst)
-                .or_default()
-                .extend(idxs.into_iter().map(|i| i + base));
-        }
-        let remap = self.interner.remap_from(&other.interner);
-        self.table
-            .extend_remapped(&other.table, |o| remap_observed(o, &remap));
-        // Verdicts/fingerprints are pure functions of (bytes, port) and
-        // bytes survive remapping unchanged — copy them straight over.
-        self.verdicts.extend(other.verdicts);
-        self.fingerprints.extend(other.fingerprints);
-        self.vantage_by_ip.extend(other.vantage_by_ip);
     }
 
     /// Number of events.
@@ -933,7 +856,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_remaps_ids_across_interner_spaces() {
+    fn from_captures_remaps_ids_across_interner_spaces() {
         let deployment = Deployment::standard();
         // Two captures with *private* interners recording the same payload:
         // locally it gets different surroundings, so ids must be remapped.
@@ -953,9 +876,7 @@ mod tests {
         let mut cb = Capture::new("b");
         let pb = cb.intern_payload(b"GET / HTTP/1.1\r\n\r\n"); // id 0 locally
         cb.record(mk(8080, Observed::Payload(pb)));
-        let mut da = Dataset::from_captures(&[&ca], &deployment);
-        let db = Dataset::from_captures(&[&cb], &deployment);
-        da.absorb(db);
+        let da = Dataset::from_captures(&[&ca, &cb], &deployment);
         assert_eq!(da.len(), 3);
         // Events 1 and 2 carry the same bytes — after remapping they must
         // share one id even though their local ids differed (1 vs 0).

@@ -11,7 +11,7 @@
 //! preset, one world per rung at scale ×1.
 //!
 //! Every rung is itself a deterministic world (same seed, same plan →
-//! same bytes, for any thread/shard/cache configuration), and each plan
+//! same bytes, for any thread count or cache state), and each plan
 //! has its own snapshot-cache address (see
 //! [`FaultPlan::cache_key_fragment`]).
 //!

@@ -96,14 +96,13 @@ pub struct ExhibitOptions {
     pub seed: u64,
     /// Year override for [`Need::Year`] needs.
     pub year: Option<ScenarioYear>,
-    /// Engine shards per scenario (0 = auto; see
-    /// [`ScenarioConfig::effective_shards`]). Purely a wall-clock knob —
-    /// every rendered byte is identical for any value.
+    /// Read by nothing: a world has one build. Kept for cwbench until the
+    /// next benchmark PR.
     pub shards: usize,
     /// Deterministic measurement-fault plan applied to every simulated
-    /// world this invocation obtains (including the leak worlds). Unlike
-    /// `shards`, this *is* part of world identity: any non-none plan
-    /// changes the rendered bytes and the snapshot cache addresses.
+    /// world this invocation obtains (including the leak worlds). This *is*
+    /// part of world identity: any non-none plan changes the rendered bytes
+    /// and the snapshot cache addresses.
     pub fault: cw_netsim::fault::FaultPlan,
 }
 
@@ -125,7 +124,6 @@ impl ExhibitOptions {
         ScenarioConfig::paper(year)
             .with_seed(self.seed)
             .with_scale(self.scale)
-            .with_shards(self.shards)
             .with_fault(self.fault)
     }
 }

@@ -1,37 +1,35 @@
 //! The parallel scenario fleet runner.
 //!
 //! Every `cw` command ultimately runs a handful of *independent* jobs — one
-//! world per (year, seed) pair, several replicate seeds of the same year,
-//! one bucket of fused scan passes per worker in the plan prefetch
+//! world per (year, seed, fault plan), one bucket of fused scan passes per
+//! worker in the plan prefetch
 //! ([`crate::exhibit::ExhibitCx::prefetch`]), or one render per exhibit.
 //! A world is built on one thread by design (the
-//! event loop wires agents with `Rc<RefCell<…>>`, so a [`Scenario`] is not
+//! event loop wires agents with `Rc<RefCell<…>>`, so a
+//! [`Scenario`](crate::scenario::Scenario) is not
 //! `Send`), but the jobs themselves share nothing: this module spreads them
 //! across worker threads while keeping every result bit-identical to a
-//! serial execution. It has four entry points:
+//! serial execution. It has three entry points:
 //!
 //! - [`try_map`]: one `Result` per job, so a caller can degrade per job;
 //! - [`try_map_timed`]: [`try_map`] plus per-worker wall clocks;
-//! - [`map`]: the infallible wrapper, for callers that cannot degrade;
-//! - [`run_replicates`]: `n` seed-split replicates of one world, merged.
+//! - [`map`]: the infallible wrapper, for callers that cannot degrade.
 //!
 //! # Determinism contract
 //!
 //! Three rules make thread count an *observable no-op*:
 //!
-//! 1. **Seed splitting, not seed sharing.** Replicate seeds are derived
-//!    up front with [`cw_netsim::rng::fork_seed`]`(master, stream_id)` — a
-//!    pure function of the master seed and the run's index. No RNG state is
-//!    shared between runs, so scheduling cannot perturb any stream.
+//! 1. **No shared RNG state.** A job draws every random stream from its
+//!    own spec (a world from its config's seed, split into sub-streams
+//!    with [`cw_netsim::rng::fork_seed`]), never from state another job
+//!    touches, so scheduling cannot perturb any stream.
 //! 2. **Per-run construction inside the worker.** A run's world is built,
 //!    executed, and folded to a `Send` summary entirely on one worker
 //!    thread (the `ScenarioFactory` pattern — closures build the non-`Send`
 //!    scenario locally rather than sending it across threads).
-//! 3. **Merge in input order.** Workers own static shards (run *i* goes to
-//!    worker *i* mod *workers* — no work stealing), and results are
-//!    reassembled by input index before any folding. Aggregates like
-//!    [`Dataset::absorb`] / `RunStats::absorb` are applied in stream-id
-//!    order 0, 1, 2, …, never in completion order.
+//! 3. **Results in input order.** Workers own static shards (run *i* goes
+//!    to worker *i* mod *workers* — no work stealing), and results are
+//!    reassembled by input index, never in completion order.
 //!
 //! Together: `threads = 1` and `threads = N` produce byte-identical output,
 //! so `--threads`/`CW_THREADS` is purely a wall-clock knob. That also makes
@@ -63,7 +61,7 @@
 //! ```
 //! use cw_core::fleet;
 //!
-//! // Any embarrassingly-parallel job list; here, deriving replicate seeds.
+//! // Any embarrassingly-parallel job list; here, deriving per-run seeds.
 //! let specs: Vec<u64> = (0..16).collect();
 //! let serial = fleet::map(specs.clone(), 1, |i, s| {
 //!     cw_netsim::rng::fork_seed(0xC10D, *s ^ i as u64)
@@ -74,10 +72,6 @@
 //! assert_eq!(serial, parallel);
 //! ```
 
-use crate::dataset::Dataset;
-use crate::scenario::{Scenario, ScenarioConfig};
-use cw_netsim::engine::RunStats;
-use cw_netsim::rng::fork_seed;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Decide how many worker threads a fleet should use.
@@ -102,22 +96,10 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
         .max(1)
 }
 
-/// Decide how many simulation shards a scenario should run with when the
-/// caller did not set [`ScenarioConfig::shards`] directly.
-///
-/// Precedence mirrors [`resolve_threads`]: an explicit request (e.g. a
-/// `--shards N` flag) wins; then the `CW_SHARDS` environment variable;
-/// otherwise 0 — the "auto" sentinel [`Scenario::run`] resolves to the
-/// machine's available parallelism. Unparseable `CW_SHARDS` values are
-/// ignored rather than fatal.
-pub fn resolve_shards(explicit: Option<usize>) -> usize {
-    explicit
-        .or_else(|| {
-            std::env::var("CW_SHARDS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        })
-        .unwrap_or(0)
+/// Always 1: a world has one build. Kept for cwbench until the next
+/// benchmark PR.
+pub fn resolve_shards(_explicit: Option<usize>) -> usize {
+    1
 }
 
 /// Wall-clock accounting for one fleet worker, as reported by
@@ -344,59 +326,9 @@ where
     (out, timings)
 }
 
-/// The merged output of a fleet of replicate runs.
-pub struct Replicates {
-    /// Per-replicate seeds, in stream-id order (`fork_seed(master, 0..n)`).
-    pub seeds: Vec<u64>,
-    /// All replicates' events merged in stream-id order.
-    pub dataset: Dataset,
-    /// Engine counters summed across replicates.
-    pub stats: RunStats,
-}
-
-/// Run `n` replicates of `base` — identical except for the seed, which is
-/// split per replicate with [`fork_seed`]`(base.seed, stream_id)` — and
-/// merge their datasets and engine stats in stream-id order.
-///
-/// The merged result is a pure function of `(base, n)`: thread count only
-/// changes wall-clock time.
-///
-/// ```
-/// use cw_core::fleet;
-/// use cw_core::scenario::ScenarioConfig;
-/// use cw_scanners::population::ScenarioYear;
-///
-/// let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.01);
-/// let serial = fleet::run_replicates(base, 3, 1);
-/// let parallel = fleet::run_replicates(base, 3, 3);
-/// assert_eq!(serial.seeds, parallel.seeds);
-/// assert_eq!(serial.stats, parallel.stats);
-/// assert_eq!(serial.dataset.len(), parallel.dataset.len());
-/// ```
-pub fn run_replicates(base: ScenarioConfig, n: usize, threads: usize) -> Replicates {
-    let seeds: Vec<u64> = (0..n as u64).map(|i| fork_seed(base.seed, i)).collect();
-    let configs: Vec<ScenarioConfig> = seeds.iter().map(|&s| base.with_seed(s)).collect();
-    let folded = map(configs, threads, |_, cfg| {
-        let s = Scenario::run(*cfg);
-        (s.dataset, s.stats)
-    });
-    let mut dataset = Dataset::empty();
-    let mut stats = RunStats::default();
-    for (ds, st) in folded {
-        dataset.absorb(ds);
-        stats.absorb(st);
-    }
-    Replicates {
-        seeds,
-        dataset,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cw_scanners::population::ScenarioYear;
 
     #[test]
     fn map_orders_results_by_input_for_any_thread_count() {
@@ -478,17 +410,5 @@ mod tests {
         assert_eq!(resolve_threads(Some(0)), 1);
         // CW_THREADS / autodetect paths at least yield a positive count.
         assert!(resolve_threads(None) >= 1);
-    }
-
-    #[test]
-    fn replicates_merge_is_thread_invariant() {
-        let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.01);
-        let a = run_replicates(base, 3, 1);
-        let b = run_replicates(base, 3, 2);
-        assert_eq!(a.seeds, b.seeds);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.dataset.len(), b.dataset.len());
-        // Distinct forked seeds actually produce distinct worlds.
-        assert!(a.seeds.iter().collect::<std::collections::BTreeSet<_>>().len() == 3);
     }
 }

@@ -263,8 +263,8 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
         }
         if group == LeakGroup::PreviouslyLeaked {
             for ip in &ips {
-                censys.borrow_mut().seed_historical(*ip, 80, "HTTP");
-                shodan.borrow_mut().seed_historical(*ip, 80, "HTTP");
+                censys.borrow_mut().seed_historical(*ip, 80);
+                shodan.borrow_mut().seed_historical(*ip, 80);
             }
         }
         let listener = Rc::new(RefCell::new(hp));

@@ -82,9 +82,7 @@ pub fn cache_dir() -> PathBuf {
 
 /// The canonical content key of a configuration. Scale enters as its IEEE
 /// bit pattern — `0.06` and `0.06000000000000001` are different worlds and
-/// must not share a snapshot. The shard count deliberately does *not*
-/// enter the key: sharded and unsharded runs of one configuration are
-/// byte-identical, so every shard count shares one snapshot.
+/// must not share a snapshot.
 fn cache_key(config: &ScenarioConfig) -> String {
     let mut canonical = format!(
         "cw-snapshot-v{} year={} seed={:#x} scale={:016x} horizon={}",
@@ -403,19 +401,5 @@ mod tests {
             snapshot_path_in(&dir, &lossy),
             snapshot_path_in(&dir, &lossier)
         );
-    }
-
-    #[test]
-    fn shard_count_does_not_change_the_address() {
-        // Sharding is byte-invariant, so every shard count must share one
-        // snapshot file.
-        let dir = PathBuf::from("out/.cache");
-        let base = test_config(1);
-        for shards in [1, 3, 8] {
-            assert_eq!(
-                snapshot_path_in(&dir, &base),
-                snapshot_path_in(&dir, &base.with_shards(shards)),
-            );
-        }
     }
 }

@@ -149,8 +149,8 @@ fn verdict(first_break: Option<&str>) -> String {
 /// Run the grid and render the finding-stability report `cw sweep` and
 /// `cw degrade` print.
 ///
-/// `base` supplies everything the grid doesn't override (horizon, shards,
-/// and the scale every multiplier applies to); `obtain` supplies each
+/// `base` supplies everything the grid doesn't override (the horizon and
+/// the scale every multiplier applies to); `obtain` supplies each
 /// cell's scenario bundle so the driver chooses the cache policy — routed
 /// through [`crate::snapshot::load_or_run`], each distinct world is
 /// simulated exactly once ever, and an interrupted sweep resumes without
@@ -159,7 +159,7 @@ fn verdict(first_break: Option<&str>) -> String {
 /// distinct `(seed, scale, variant)` — they don't depend on the year.
 ///
 /// The report is a pure function of `(grid, base)`: same inputs → same
-/// bytes, cold or warm, for any thread/shard/window configuration.
+/// bytes, cold or warm, for any thread count or window size.
 pub fn report(
     grid: &SweepGrid,
     base: ScenarioConfig,

@@ -12,7 +12,7 @@
 //! - **Interning** — payload blobs and credential strings live once in a
 //!   shared [`Interner`]; events carry 4-byte
 //!   [`PayloadId`]/[`CredId`] handles instead of owned `Vec<u8>`/`String`s,
-//!   so recording, cloning, and merging never copy blob bytes.
+//!   so recording, cloning, and draining never copy blob bytes.
 //! - **Columnar storage** — [`EventTable`] is a struct-of-arrays: one
 //!   parallel column per event field. Scans that touch a single field
 //!   (port filters, time buckets, group-bys) walk a dense column instead
@@ -155,11 +155,6 @@ impl EventTable {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// The arrival-time column (dense; one entry per row).
-    pub fn times(&self) -> &[SimTime] {
-        &self.times
-    }
-
     /// The source-address column.
     pub fn srcs(&self) -> &[Ipv4Addr] {
         &self.srcs
@@ -187,8 +182,8 @@ impl EventTable {
 
     /// Append all rows of `other`, translating interned ids through `f`.
     ///
-    /// Used by the dataset merge path: `f` remaps ids from the source
-    /// interner's space into the destination's.
+    /// Used by the dataset build: `f` remaps ids from the capture
+    /// interner's space into the dataset's.
     pub fn extend_remapped(&mut self, other: &EventTable, mut f: impl FnMut(Observed) -> Observed) {
         self.times.extend_from_slice(&other.times);
         self.srcs.extend_from_slice(&other.srcs);
@@ -310,13 +305,6 @@ pub struct Capture {
     /// Label of the vantage point that recorded these events.
     pub vantage: String,
     table: EventTable,
-    /// Per-row `(sending agent, engine send seq)` stamps, parallel to the
-    /// table. `(time, agent, seq)` totally orders every record an engine
-    /// produced, which is what lets sharded simulation runs merge back into
-    /// the exact unsharded record (and intern) order. Run-local bookkeeping
-    /// only: not part of the snapshot format, and empty `(0, 0)` stamps are
-    /// recorded by the plain [`Capture::record`] path.
-    order: Vec<(u32, u64)>,
     interner: Rc<RefCell<Interner>>,
 }
 
@@ -332,7 +320,6 @@ impl Capture {
         Capture {
             vantage: vantage.into(),
             table: EventTable::new(),
-            order: Vec::new(),
             interner: Interner::shared(),
         }
     }
@@ -361,14 +348,7 @@ impl Capture {
 
     /// Append one event.
     pub fn record(&mut self, e: ScanEvent) {
-        self.record_from(e, 0, 0);
-    }
-
-    /// Append one event stamped with the sending agent's id and the
-    /// engine's send sequence number (see the `order` field).
-    pub fn record_from(&mut self, e: ScanEvent, agent: u32, seq: u64) {
         self.table.push(e);
-        self.order.push((agent, seq));
     }
 
     /// Drain everything recorded so far, leaving the capture empty but
@@ -377,15 +357,12 @@ impl Capture {
     /// space afterwards.
     ///
     /// This is the incremental hand-off of the streaming dataset build —
-    /// called at every window boundary so capture-side buffering (rows +
-    /// order stamps) never grows past one window of events. Interned ids
-    /// in the returned table resolve against [`Capture::interner`] exactly
-    /// as before; draining moves rows, it never re-numbers anything.
-    pub fn take_rows(&mut self) -> (EventTable, Vec<(u32, u64)>) {
-        (
-            std::mem::take(&mut self.table),
-            std::mem::take(&mut self.order),
-        )
+    /// called at every window boundary so capture-side buffering never
+    /// grows past one window of events. Interned ids in the returned table
+    /// resolve against [`Capture::interner`] exactly as before; draining
+    /// moves rows, it never re-numbers anything.
+    pub fn take_rows(&mut self) -> EventTable {
+        std::mem::take(&mut self.table)
     }
 
     /// Number of recorded events.
@@ -465,30 +442,15 @@ mod tests {
         assert_eq!(cap.event(1).dst, b);
     }
 
-    /// The `(agent, seq)` order stamps ride beside the table row for row
-    /// `i`; plain `record` is the `(0, 0)` degenerate stamp.
-    #[test]
-    fn record_from_keeps_order_stamps_parallel_to_rows() {
-        let mut cap = Capture::new("test");
-        let a = Ipv4Addr::new(10, 0, 0, 1);
-        cap.record_from(ev(a, 22, Observed::Syn), 7, 3);
-        cap.record(ev(a, 23, Observed::Handshake));
-        cap.record_from(ev(a, 80, Observed::Syn), 2, 9);
-        assert_eq!(cap.len(), 3);
-        assert_eq!(cap.event(2).dst_port, 80);
-        let (_, order) = cap.take_rows();
-        assert_eq!(order, vec![(7, 3), (0, 0), (2, 9)]);
-    }
-
     #[test]
     fn take_rows_drains_but_keeps_identity() {
         let shared = Interner::shared();
         let mut cap = Capture::new("hp").with_interner(Rc::clone(&shared));
         let p = cap.intern_payload(b"probe");
-        cap.record_from(ev(Ipv4Addr::new(10, 0, 0, 1), 80, Observed::Payload(p)), 3, 1);
-        let (table, order) = cap.take_rows();
+        cap.record(ev(Ipv4Addr::new(10, 0, 0, 1), 80, Observed::Payload(p)));
+        let table = cap.take_rows();
         assert_eq!(table.len(), 1);
-        assert_eq!(order, vec![(3, 1)]);
+        assert_eq!(table.get(0).observed, Observed::Payload(p));
         assert!(cap.is_empty());
         assert_eq!(cap.vantage, "hp");
         // The interner handle survives the drain: later records reuse ids.

@@ -415,8 +415,8 @@ impl Deployment {
     ///
     /// Vantage indices are assigned by construction order — telescope 0,
     /// then honeypot listeners 1.. in registration order — which is fixed
-    /// for a given deployment constructor, so every shard that builds the
-    /// same deployment derives the same per-vantage outage schedules. A
+    /// for a given deployment constructor, so every build of the same
+    /// deployment derives the same per-vantage outage schedules. A
     /// trivial plan ([`FaultPlan::is_none`]) installs nothing at all: the
     /// fault-free fast paths stay byte-identical to a world where this
     /// method was never called.

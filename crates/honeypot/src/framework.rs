@@ -324,18 +324,14 @@ impl Listener for HoneypotListener {
                 PortPolicy::FirstPayload => first_payload(&flow.intent, truncate_to, &mut interner),
             }
         };
-        self.capture.borrow_mut().record_from(
-            ScanEvent {
-                time: flow.time,
-                src: flow.src,
-                src_asn: flow.src_asn,
-                dst: flow.dst,
-                dst_port: flow.dst_port,
-                observed,
-            },
-            flow.agent,
-            flow.seq,
-        );
+        self.capture.borrow_mut().record(ScanEvent {
+            time: flow.time,
+            src: flow.src,
+            src_asn: flow.src_asn,
+            dst: flow.dst,
+            dst_port: flow.dst_port,
+            observed,
+        });
         match self.reply_for(flow.dst_port, policy) {
             Some(reply) => FlowOutcome::replied(reply),
             None => FlowOutcome::accepted(),

@@ -23,9 +23,8 @@
 //! into the sets, counts and series. A tracked port keeps its folded
 //! `src‖dst` keys as one ascending list, so a fold is a linear merge that
 //! counts the keys new to it. The scenario folds at every window drain,
-//! so the lists hold at most one window of packets, and
-//! [`Telescope::absorb`] folds both sides. Sets union and counts add, so
-//! any fold schedule gives the same state.
+//! so the lists hold at most one window of packets. Sets union and counts
+//! add, so any fold schedule gives the same state.
 
 use cw_netsim::engine::{FlowOutcome, Listener};
 use cw_netsim::fault::{flow_hash, OutageSchedule};
@@ -328,44 +327,6 @@ impl Telescope {
         w.put_u64(self.total_packets);
     }
 
-    /// Fold another telescope's observations into this one — the shard
-    /// merge step. Both telescopes are folded first, so this one ends
-    /// folded.
-    ///
-    /// All state here is order-independent (sets union, counters add), with
-    /// one subtlety: the per-IP series are *unique-scanner* counts deduped
-    /// through each tracked port's `(src, dst)` keys, so the merge replays
-    /// the other telescope's keys against this one's and only counts fresh
-    /// pairs. Folding shard telescopes in shard order therefore reproduces
-    /// the unsharded telescope exactly, even if two shards saw the same
-    /// (src, dst) pair (they cannot — sources are owned by one shard — but
-    /// the merge does not rely on that).
-    ///
-    /// Requires both telescopes to cover the same block with the same
-    /// tracked ports (they are built by the same deployment constructor).
-    pub fn absorb(&mut self, mut other: Telescope) {
-        assert_eq!(self.block, other.block, "telescope merge across blocks");
-        self.fold();
-        other.fold();
-        self.total_packets += other.total_packets;
-        self.unique_srcs.append(&mut other.unique_srcs);
-        self.unique_asns.append(&mut other.unique_asns);
-        self.seen_src_port.append(&mut other.seen_src_port);
-        for (port, by_asn) in other.asn_counts {
-            let dst = self.asn_counts.entry(port).or_default();
-            for (asn, count) in by_asn {
-                *dst.entry(asn).or_insert(0) += count;
-            }
-        }
-        for (asn, count) in other.asn_counts_all {
-            *self.asn_counts_all.entry(asn).or_insert(0) += count;
-        }
-        for (port, theirs) in other.tracked {
-            let ours = self.tracked.get_mut(&port).expect("same tracked ports");
-            ours.merge(&self.block, &theirs.seen);
-        }
-    }
-
     /// Decode a telescope from a snapshot payload (see
     /// [`Telescope::snap_write`] for what travels).
     pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Telescope, SnapError> {
@@ -438,8 +399,7 @@ impl Listener for Telescope {
 
     fn on_flow(&mut self, flow: &Flow) -> FlowOutcome {
         // Injected faults drop the packet before any counter updates. Both
-        // decisions are pure in the flow identity (never the engine-local
-        // seq), so sharded and unsharded runs drop the same packets.
+        // decisions are pure in the flow's time and identity.
         if let Some(f) = &self.faults {
             if f.outage.is_down(flow.time) {
                 return FlowOutcome::dark();
@@ -537,44 +497,6 @@ mod tests {
         assert_eq!(t.sources_on_port(80).len(), 1);
     }
 
-    /// Sharded merge contract: splitting a flow stream across two
-    /// telescopes and absorbing one into the other reproduces the
-    /// counters of the telescope that saw everything — including the
-    /// unique-scanner dedup when both halves saw the same (src, dst).
-    #[test]
-    fn absorb_reproduces_the_unsplit_telescope() {
-        let dst = Ipv4Addr::new(10, 0, 0, 9);
-        let flows = [
-            flow(Ipv4Addr::new(1, 1, 1, 1), dst, 22),
-            flow(Ipv4Addr::new(2, 2, 2, 2), dst, 22),
-            flow(Ipv4Addr::new(1, 1, 1, 1), dst, 22), // repeat scanner
-            flow(Ipv4Addr::new(3, 3, 3, 3), Ipv4Addr::new(10, 0, 0, 1), 80),
-        ];
-        let mut whole = scope();
-        for f in &flows {
-            whole.on_flow(f);
-        }
-        whole.fold();
-        let mut a = scope();
-        let mut b = scope();
-        // The repeat of scanner 1.1.1.1 lands in the *other* shard, so
-        // dedup must happen at absorb time, not within one shard.
-        a.on_flow(&flows[0]);
-        a.on_flow(&flows[3]);
-        b.on_flow(&flows[1]);
-        b.on_flow(&flows[2]);
-        a.absorb(b);
-        assert_eq!(a.total_packets(), whole.total_packets());
-        assert_eq!(a.unique_source_count(), whole.unique_source_count());
-        assert_eq!(a.unique_asn_count(), whole.unique_asn_count());
-        assert_eq!(
-            a.unique_scanners_per_ip(22),
-            whole.unique_scanners_per_ip(22)
-        );
-        assert_eq!(a.sources_on_port(80), whole.sources_on_port(80));
-        assert_eq!(a.sources_on_port(22), whole.sources_on_port(22));
-    }
-
     #[test]
     fn telescope_snapshot_round_trips_analysis_state() {
         let mut t = scope();
@@ -643,9 +565,9 @@ mod tests {
     }
 
     /// More packets than a key list holds before it compacts, with repeats
-    /// of every key kind, split at random between two telescopes that fold
-    /// at random points and then merge: the snapshot bytes are the ones
-    /// the per-packet inserts give.
+    /// of every key kind, into one telescope that folds at random points:
+    /// the snapshot bytes and dedup keys are the ones the per-packet
+    /// inserts give.
     #[test]
     fn folded_keys_match_per_packet_inserts() {
         let block = AddressBlock::new(
@@ -668,23 +590,24 @@ mod tests {
                 f
             })
             .collect();
-        let mut a = Telescope::new("tel", block.clone(), &tracked);
-        let mut b = Telescope::new("tel", block.clone(), &tracked);
+        let mut t = Telescope::new("tel", block.clone(), &tracked);
+        let mut folds = 0;
         for f in &flows {
-            let t = if rng.chance(0.5) { &mut a } else { &mut b };
             t.on_flow(f);
-            if rng.chance(1e-4) {
+            if rng.chance(5e-5) {
                 t.fold();
+                folds += 1;
             }
         }
-        // `b` merges with keys still unfolded.
-        assert!(!b.is_folded());
-        a.absorb(b);
+        assert!(folds > 1, "the stream folds at several points");
+        // The last packets are still unfolded keys.
+        assert!(!t.is_folded());
+        t.fold();
         let expected = oracle(block, &tracked, &flows);
-        assert!(snap_bytes(&a) == snap_bytes(&expected));
-        for (port, t) in &a.tracked {
+        assert!(snap_bytes(&t) == snap_bytes(&expected));
+        for (port, tp) in &t.tracked {
             assert_eq!(
-                t.seen, expected.tracked[port].seen,
+                tp.seen, expected.tracked[port].seen,
                 "dedup keys of port {port}"
             );
         }

@@ -141,22 +141,6 @@ pub struct RunStats {
     pub last_time: SimTime,
 }
 
-impl RunStats {
-    /// Fold another run's counters into this one — the fleet merge step.
-    ///
-    /// Counters add; `last_time` takes the maximum. Folding per-run stats
-    /// in stream-id order yields the same aggregate for any thread count
-    /// (addition of `u64` counters is associative and commutative, and the
-    /// fleet presents results in input order regardless of scheduling).
-    pub fn absorb(&mut self, other: RunStats) {
-        self.wakes += other.wakes;
-        self.flows_delivered += other.flows_delivered;
-        self.flows_unrouted += other.flows_unrouted;
-        self.flows_lost += other.flows_lost;
-        self.last_time = self.last_time.max(other.last_time);
-    }
-}
-
 /// One routing-table entry: the destinations `lo..=hi` go to listener
 /// `listener` (its registration index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,7 +188,6 @@ struct NetworkCtx<'a> {
     routes: &'a [Route],
     listeners: &'a [Rc<RefCell<dyn Listener>>],
     stats: &'a mut RunStats,
-    flow_seq: &'a mut u64,
     flow_loss: Option<FlowLoss>,
 }
 
@@ -214,14 +197,9 @@ impl Network for NetworkCtx<'_> {
     }
 
     fn send(&mut self, spec: FlowSpec) -> FlowOutcome {
-        let mut flow = Flow::from_spec(spec, self.now, self.agent);
-        flow.seq = *self.flow_seq;
-        *self.flow_seq += 1;
-        // Injected network loss decides on the flow's *identity* — never on
-        // its engine-local `seq`, which differs between sharded and
-        // unsharded runs of the same world (see `crate::fault`). The seq
-        // counter above still advances for lost flows so the surviving
-        // flows keep their relative send order either way.
+        let flow = Flow::from_spec(spec, self.now, self.agent);
+        // Injected network loss decides on the flow's identity (see
+        // `crate::fault`).
         if let Some(loss) = self.flow_loss {
             if loss.drops(flow.time, flow.src, flow.dst, flow.dst_port) {
                 self.stats.flows_lost += 1;
@@ -251,7 +229,6 @@ pub struct Engine {
     routes: Vec<Route>,
     queue: BinaryHeap<Reverse<(SimTime, AgentId)>>,
     stats: RunStats,
-    flow_seq: u64,
     flow_loss: Option<FlowLoss>,
 }
 
@@ -270,7 +247,6 @@ impl Engine {
             routes: Vec::new(),
             queue: BinaryHeap::new(),
             stats: RunStats::default(),
-            flow_seq: 0,
             flow_loss: None,
         }
     }
@@ -293,28 +269,6 @@ impl Engine {
         self.agents.push(Some(agent));
         self.queue.push(Reverse((first_wake, id)));
         id
-    }
-
-    /// Register an agent under a caller-chosen id, leaving gaps for the ids
-    /// the caller skips. This is how a simulation shard keeps the *global*
-    /// agent-id space of the unsharded world: the wake queue orders by
-    /// `(time, id)`, so preserving ids preserves the relative interleaving
-    /// of the agents this shard owns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is already occupied.
-    pub fn add_agent_with_id(&mut self, id: AgentId, agent: Box<dyn Agent>, first_wake: SimTime) {
-        let idx = id as usize;
-        if idx >= self.agents.len() {
-            self.agents.resize_with(idx + 1, || None);
-        }
-        assert!(
-            self.agents[idx].is_none(),
-            "agent id {id} registered twice"
-        );
-        self.agents[idx] = Some(agent);
-        self.queue.push(Reverse((first_wake, id)));
     }
 
     /// Register a listener and route its declared
@@ -373,7 +327,6 @@ impl Engine {
                     routes: &self.routes,
                     listeners: &self.listeners,
                     stats: &mut self.stats,
-                    flow_seq: &mut self.flow_seq,
                     flow_loss: self.flow_loss,
                 };
                 agent.on_wake(t, &mut ctx)
@@ -483,45 +436,6 @@ mod tests {
         assert_eq!(seen.len(), 3);
         assert_eq!(seen[0].0, SimTime(0));
         assert_eq!(seen[2].0, SimTime(2));
-    }
-
-    /// Sharding registers agents under their *global* ids, leaving `None`
-    /// gaps; flows must carry that id and the engine's monotone send
-    /// sequence, in wake-queue pop order.
-    #[test]
-    fn add_agent_with_id_leaves_gaps_and_stamps_send_order() {
-        struct SeqSink {
-            seen: Vec<(u32, u64)>,
-        }
-        impl Listener for SeqSink {
-            fn name(&self) -> &str {
-                "seqsink"
-            }
-            fn coverage(&self) -> Vec<Cidr> {
-                ten_slash_8()
-            }
-            fn on_flow(&mut self, flow: &Flow) -> FlowOutcome {
-                self.seen.push((flow.agent, flow.seq));
-                FlowOutcome::accepted()
-            }
-        }
-        let mut e = Engine::new();
-        let sink = Rc::new(RefCell::new(SeqSink { seen: vec![] }));
-        e.add_listener(sink.clone());
-        let pinger = |remaining, last| {
-            Box::new(Pinger {
-                remaining,
-                dst: Ipv4Addr::new(10, 0, 0, last),
-                outcomes: vec![],
-            })
-        };
-        e.add_agent_with_id(5, pinger(2, 1), SimTime(0));
-        e.add_agent_with_id(9, pinger(1, 2), SimTime(0));
-        let stats = e.run(SimTime(10));
-        assert_eq!(stats.flows_delivered, 3);
-        // (time 0, agent 5) pops before (time 0, agent 9); agent 5 wakes
-        // again at time 1. seq is global send order across both agents.
-        assert_eq!(sink.borrow().seen, vec![(5, 0), (9, 1), (5, 2)]);
     }
 
     /// Listener over declared CIDRs that logs the destinations it sees.
@@ -708,30 +622,6 @@ mod tests {
         // queued wakes: same total, no duplicates, no drops.
         assert_eq!(wakes(&[30]), 30);
         assert_eq!(wakes(&[7, 13, 13, 30]), 30);
-    }
-
-    #[test]
-    fn run_stats_absorb_folds_counters() {
-        let a = RunStats {
-            wakes: 3,
-            flows_delivered: 2,
-            flows_unrouted: 1,
-            flows_lost: 4,
-            last_time: SimTime(9),
-        };
-        let mut b = RunStats {
-            wakes: 10,
-            flows_delivered: 4,
-            flows_unrouted: 0,
-            flows_lost: 1,
-            last_time: SimTime(5),
-        };
-        b.absorb(a);
-        assert_eq!(b.wakes, 13);
-        assert_eq!(b.flows_delivered, 6);
-        assert_eq!(b.flows_unrouted, 1);
-        assert_eq!(b.flows_lost, 5);
-        assert_eq!(b.last_time, SimTime(9));
     }
 
     #[test]

@@ -12,21 +12,19 @@
 //!
 //! Every fault decision is a **pure function of the fault seed and the
 //! flow (or vantage) it applies to** — never of RNG call order, thread
-//! count, shard count, or cache state:
+//! count, or cache state:
 //!
 //! - per-flow coins ([`flow_coin`]) hash `(salt, time, src, dst, port)`;
-//!   the flow's engine-local `seq` is deliberately excluded because it is
-//!   *not* shard-invariant (each shard engine numbers its own sends);
 //! - per-vantage outage windows ([`OutageSchedule`]) are derived from
-//!   `fork_seed(fault_seed, vantage_index)` at deployment build time, so
-//!   every shard computes the same schedule from the same config;
+//!   `fork_seed(fault_seed, vantage_index)` at deployment build time;
 //! - the fault seed itself is `fork_seed(scenario_seed, FAULT_DOMAIN)`,
 //!   one sub-domain per mechanism ([`FaultDomain`]), so faults never
 //!   perturb the population's RNG streams and vice versa.
 //!
-//! Consequently an injected run is byte-identical across threads × shards
-//! × cache states (the same contract as everything else in the pipeline),
-//! and [`FaultPlan::none`] reproduces the fault-free world exactly.
+//! Consequently an injected run is byte-identical across thread counts
+//! and cache states (the same contract as everything else in the
+//! pipeline), and [`FaultPlan::none`] reproduces the fault-free world
+//! exactly.
 
 use crate::rng::{fork_seed, SimRng, SplitMix64};
 use crate::snap::{SnapError, SnapReader, SnapWriter};
@@ -205,9 +203,7 @@ impl FaultPlan {
     }
 }
 
-/// Hash one flow identity under a salt. `seq` is deliberately not an
-/// input: it is engine-local and therefore differs between sharded and
-/// unsharded runs of the same world (see the module docs).
+/// Hash one flow identity `(time, src, dst, port)` under a salt.
 pub fn flow_hash(salt: u64, time: SimTime, src: Ipv4Addr, dst: Ipv4Addr, port: u16) -> u64 {
     let mut sm = SplitMix64::new(salt ^ time.secs().wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let a = sm.next_u64();
@@ -261,9 +257,7 @@ impl OutageSchedule {
     /// (so windows never overlap and their spread looks like real sensor
     /// downtime rather than one long gap).
     ///
-    /// Pure in `(outage_salt, vantage_index, horizon, frac, windows)`:
-    /// the schedule is computed identically by every shard that builds
-    /// the deployment.
+    /// Pure in `(outage_salt, vantage_index, horizon, frac, windows)`.
     pub fn derive(
         outage_salt: u64,
         vantage_index: u64,

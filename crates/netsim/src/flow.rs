@@ -116,11 +116,6 @@ pub struct Flow {
     /// Engine-assigned id of the sending agent (ground truth for tests;
     /// analyses must not use it).
     pub agent: u32,
-    /// Engine-local send sequence number, monotone in delivery order.
-    /// `(time, agent, seq)` totally orders every flow an engine delivers,
-    /// which is what lets sharded runs merge back into the exact unsharded
-    /// record order (analyses must not use it).
-    pub seq: u64,
     /// Source address.
     pub src: Ipv4Addr,
     /// Source autonomous system.
@@ -134,14 +129,11 @@ pub struct Flow {
 }
 
 impl Flow {
-    /// Assemble a [`Flow`] from its spec plus engine-provided stamps. The
-    /// send sequence number starts at 0; the engine stamps the real value
-    /// just before delivery.
+    /// Assemble a [`Flow`] from its spec plus engine-provided stamps.
     pub fn from_spec(spec: FlowSpec, time: SimTime, agent: u32) -> Self {
         Flow {
             time,
             agent,
-            seq: 0,
             src: spec.src,
             src_asn: spec.src_asn,
             dst: spec.dst,

@@ -24,14 +24,14 @@
 //! order (the lookup table is only an accelerator; ids come from the
 //! arena's `Vec` length).
 //!
-//! # Cross-worker remapping
+//! # Remapping into another id space
 //!
-//! Fleet workers build worker-local interners. When per-run datasets merge
-//! (`Dataset::absorb`, in stream-id order), the absorbing side re-interns
-//! the other arena's distinct values *in that arena's insertion order* via
-//! [`Interner::remap_from`], producing an old-id → new-id table applied to
-//! the incoming events. Merged ids are therefore identical for any
-//! worker-thread count — the byte-identity contract of the fleet runner.
+//! The dataset keeps its own interner. [`Interner::extend_remap_from`]
+//! re-interns another interner's distinct values *in that interner's
+//! insertion order*, producing an old-id → new-id [`Remap`] applied to the
+//! incoming events. The streaming dataset build calls it at every window
+//! boundary, so the dataset's ids are a pure function of the capture
+//! interner's insertion order, whatever the window size.
 
 use crate::rng::fnv1a;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
@@ -270,42 +270,16 @@ impl Interner {
         Ok(out)
     }
 
-    /// The payload values with ids `start..`, in insertion order.
-    ///
-    /// Streaming delta extraction: a worker that recorded `start =
-    /// payload_count()` at the last window boundary reads here exactly the
-    /// values interned since, so shipping `(start-delta, events)` per
-    /// window transfers each distinct value once.
-    pub fn payloads_from(&self, start: usize) -> &[Vec<u8>] {
-        &self.payloads.values[start..]
-    }
-
-    /// The credential values with ids `start..`, in insertion order (see
-    /// [`Interner::payloads_from`]).
-    pub fn creds_from(&self, start: usize) -> &[String] {
-        &self.creds.values[start..]
-    }
-
-    /// Absorb another interner's distinct values (in *its* insertion
-    /// order) and return the old-id → new-id tables. This is the fleet
-    /// merge step: apply the returned [`Remap`] to every event imported
-    /// from `other`'s id space.
-    pub fn remap_from(&mut self, other: &Interner) -> Remap {
-        let mut remap = Remap::default();
-        self.extend_remap_from(other, &mut remap);
-        remap
-    }
-
     /// Extend a [`Remap`] previously built against a shorter prefix of
     /// `other` so it covers every value `other` holds now.
     ///
-    /// Interners are append-only, so ids `0..remap.payload_len()` of
-    /// `other` still mean what they meant when `remap` was built; only the
-    /// tail `other` has grown since needs interning. This is the streaming
-    /// dataset build's per-window step: one remap table follows the shared
-    /// capture interner across windows, and the total work over a run is
-    /// exactly one intern per distinct value — the same as a single
-    /// end-of-run [`Interner::remap_from`].
+    /// Interners are append-only, so the ids of `other` that `remap`
+    /// already covers still mean what they meant when it was built; only
+    /// the tail `other` has grown since needs interning. This is the
+    /// streaming dataset build's per-window step: one remap table follows
+    /// the shared capture interner across windows, and the total work over
+    /// a run is exactly one intern per distinct value — the same as one
+    /// call on the finished interner with an empty remap.
     pub fn extend_remap_from(&mut self, other: &Interner, remap: &mut Remap) {
         for i in remap.payloads.len()..other.payloads.values.len() {
             let id = self.intern_payload(&other.payloads.values[i]);
@@ -318,7 +292,8 @@ impl Interner {
     }
 }
 
-/// Old-id → new-id translation tables produced by [`Interner::remap_from`].
+/// Old-id → new-id translation tables built by
+/// [`Interner::extend_remap_from`].
 #[derive(Debug, Clone, Default)]
 pub struct Remap {
     payloads: Vec<u32>,
@@ -394,7 +369,8 @@ mod tests {
         let bx = b.intern_payload(b"y");
         let by = b.intern_payload(b"x");
         let bu = b.intern_cred("u2");
-        let remap = a.remap_from(&b);
+        let mut remap = Remap::default();
+        a.extend_remap_from(&b, &mut remap);
         // b's "y" is new to a (gets id 1); b's "x" already exists (id 0).
         assert_eq!(remap.payload(bx), PayloadId(1));
         assert_eq!(remap.payload(by), PayloadId(0));
@@ -403,25 +379,17 @@ mod tests {
         assert_eq!(a.payload(PayloadId(1)), b"y");
     }
 
-    #[test]
-    fn merge_order_determines_ids_not_thread_interleaving() {
-        // Two worker-local interners merged in stream order must yield the
-        // same target ids no matter how the workers were scheduled.
-        let build = |vals: &[&[u8]]| {
-            let mut i = Interner::new();
-            for v in vals {
-                i.intern_payload(v);
-            }
-            i
-        };
-        let w0 = build(&[b"a", b"b"]);
-        let w1 = build(&[b"b", b"c"]);
-        let mut merged = Interner::new();
-        merged.remap_from(&w0);
-        merged.remap_from(&w1);
-        assert_eq!(merged.payload(PayloadId(0)), b"a");
-        assert_eq!(merged.payload(PayloadId(1)), b"b");
-        assert_eq!(merged.payload(PayloadId(2)), b"c");
+    /// The one-shot oracle: remap every value of `other` at once, by
+    /// re-interning its arena in insertion order.
+    fn remap_from(target: &mut Interner, other: &Interner) -> Remap {
+        let mut remap = Remap::default();
+        for bytes in &other.payloads.values {
+            remap.payloads.push(target.intern_payload(bytes).0);
+        }
+        for s in &other.creds.values {
+            remap.creds.push(target.intern_cred(s).0);
+        }
+        remap
     }
 
     #[test]
@@ -440,7 +408,7 @@ mod tests {
         target_inc.extend_remap_from(&src, &mut remap_inc);
 
         let mut target_once = Interner::new();
-        let remap_once = target_once.remap_from(&src);
+        let remap_once = remap_from(&mut target_once, &src);
         assert_eq!(target_inc.payload_count(), target_once.payload_count());
         assert_eq!(target_inc.cred_count(), target_once.cred_count());
         for i in 0..src.payload_count() as u32 {

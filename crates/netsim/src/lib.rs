@@ -45,8 +45,7 @@
 //! One simulation run is deliberately single-threaded (the [`engine`] wires
 //! agents and listeners with `Rc<RefCell<…>>`); parallelism lives one layer
 //! up, in `cw_core::fleet`, which runs *independent* scenarios on worker
-//! threads with per-run seeds split via [`rng::fork_seed`] — see
-//! `docs/ARCHITECTURE.md` for the determinism contract.
+//! threads — see `docs/ARCHITECTURE.md` for the determinism contract.
 
 // `deny`, not `forbid`: the SHA-extension block function in
 // `sha256::shani` is the one module allowed `unsafe`.

@@ -32,12 +32,11 @@ impl SplitMix64 {
 
 /// Split a master seed into the seed of independent stream `stream_id`.
 ///
-/// This is the fleet runner's determinism contract: every scenario run in a
-/// fleet gets `fork_seed(master, stream_id)` as its own master seed, where
-/// `stream_id` is the run's position in the fleet. The derivation depends
-/// only on the two inputs — never on thread count, scheduling, or execution
-/// order — so a fleet produces bit-identical results however its runs are
-/// sharded across workers (see `cw_core::fleet`).
+/// The derivation depends only on the two inputs — never on thread count,
+/// scheduling, or execution order. The fault schedules take one stream per
+/// fault domain and vantage this way (see [`crate::fault`]), so a world's
+/// faults are the same however the fleet spreads worlds across workers
+/// (see `cw_core::fleet`).
 ///
 /// # Example
 ///

@@ -261,9 +261,7 @@ mod tests {
         engine.add_listener(Rc::new(RefCell::new(hp)));
 
         let index = Rc::new(RefCell::new(SearchIndex::new()));
-        index
-            .borrow_mut()
-            .publish_live(listed, 22, "SSH", SimTime(0));
+        index.borrow_mut().publish_live(listed, 22);
 
         let miner = MinerAgent::new(
             identity(),
@@ -288,7 +286,7 @@ mod tests {
     fn historical_entries_respected_per_config() {
         let prev = Ipv4Addr::new(10, 0, 0, 3);
         let index = Rc::new(RefCell::new(SearchIndex::new()));
-        index.borrow_mut().seed_historical(prev, 80, "HTTP");
+        index.borrow_mut().seed_historical(prev, 80);
 
         for (use_hist, expect) in [(false, 0usize), (true, 3usize)] {
             let mut engine = Engine::new();
@@ -314,10 +312,8 @@ mod tests {
         let inside = Ipv4Addr::new(10, 0, 0, 4);
         let outside = Ipv4Addr::new(10, 0, 0, 5);
         let index = Rc::new(RefCell::new(SearchIndex::new()));
-        index.borrow_mut().publish_live(inside, 22, "SSH", SimTime(0));
-        index
-            .borrow_mut()
-            .publish_live(outside, 22, "SSH", SimTime(0));
+        index.borrow_mut().publish_live(inside, 22);
+        index.borrow_mut().publish_live(outside, 22);
 
         let mut engine = Engine::new();
         let hp = HoneypotListener::new(

@@ -106,8 +106,8 @@ mod tests {
         let historical = Ipv4Addr::new(10, 0, 0, 2);
         let unlisted = Ipv4Addr::new(10, 0, 0, 3);
         let index = Rc::new(RefCell::new(SearchIndex::new()));
-        index.borrow_mut().publish_live(live, 80, "HTTP", SimTime(0));
-        index.borrow_mut().seed_historical(historical, 80, "HTTP");
+        index.borrow_mut().publish_live(live, 80);
+        index.borrow_mut().seed_historical(historical, 80);
 
         let mut engine = Engine::new();
         let hp = HoneypotListener::new(
@@ -162,9 +162,7 @@ mod tests {
         // First sweep happens, then the service gets listed.
         engine.run(SimTime(3600));
         assert_eq!(cap.borrow().len(), 1);
-        index
-            .borrow_mut()
-            .publish_live(target, 80, "HTTP", SimTime(3600));
+        index.borrow_mut().publish_live(target, 80);
         engine.run(SimTime(SimDuration::WEEK.secs()));
         // No further probes once live-listed.
         assert_eq!(cap.borrow().len(), 1);

@@ -87,11 +87,6 @@ impl PopulationConfig {
 pub struct Population {
     /// Agents with their first wake times.
     pub agents: Vec<(Box<dyn Agent>, SimTime)>,
-    /// Indices into `agents` of the actors that share mutable state (the
-    /// search-engine indexers and the miners reading their indexes). A
-    /// sharded run must keep this group on one shard; everyone else is
-    /// independent.
-    pub coupled: Vec<usize>,
     /// Censys's index.
     pub censys: SharedIndex,
     /// Shodan's index.
@@ -123,52 +118,6 @@ impl Population {
             registry: self.registry,
         }
     }
-
-    /// Register only the agents shard `shard` (of `shards`) owns, keeping
-    /// every agent's *global* id — the engine leaves gaps for the agents
-    /// other shards own, so the wake queue's `(time, id)` order matches the
-    /// unsharded run's relative order for the agents present.
-    ///
-    /// Ownership is [`shard_of`]`(seed, index, shards)`, except that the
-    /// coupled group (see [`Population::coupled`]) follows its first
-    /// member so index readers and writers stay in one engine.
-    pub fn register_shard(
-        self,
-        engine: &mut Engine,
-        seed: u64,
-        shard: usize,
-        shards: usize,
-    ) -> PopulationHandles {
-        let coupled: std::collections::BTreeSet<usize> = self.coupled.iter().copied().collect();
-        let anchor = self.coupled.first().copied().unwrap_or(0);
-        for (i, (agent, start)) in self.agents.into_iter().enumerate() {
-            let owner_key = if coupled.contains(&i) { anchor } else { i };
-            if shard_of(seed, owner_key as u32, shards) == shard {
-                engine.add_agent_with_id(i as u32, agent, start);
-            }
-        }
-        PopulationHandles {
-            censys: self.censys,
-            shodan: self.shodan,
-            censys_srcs: self.censys_srcs,
-            shodan_srcs: self.shodan_srcs,
-            reputation: self.reputation,
-            registry: self.registry,
-        }
-    }
-}
-
-/// Deterministic shard key of one actor: a pure function of
-/// `(seed, actor id)` — it does not know how many shards exist. Reuses
-/// the fleet's seed-splitting mix so nearby actor ids decorrelate.
-pub fn shard_key(seed: u64, actor_id: u32) -> u64 {
-    cw_netsim::rng::fork_seed(seed, actor_id as u64)
-}
-
-/// Which of `shards` shards owns this actor: its [`shard_key`] reduced
-/// modulo the shard count.
-pub fn shard_of(seed: u64, actor_id: u32, shards: usize) -> usize {
-    (shard_key(seed, actor_id) % shards.max(1) as u64) as usize
 }
 
 /// What remains accessible after registration.
@@ -235,7 +184,6 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
     );
     let mut reputation = ReputationDb::new();
     let mut agents: Vec<(Box<dyn Agent>, SimTime)> = Vec::new();
-    let mut coupled: Vec<usize> = Vec::new();
     let s = config.scale;
 
     // --- AS pools ---------------------------------------------------------
@@ -305,9 +253,7 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
             SimDuration::from_secs(3 * 86_400),
             0.0,
         );
-        coupled.push(agents.len());
         agents.push((Box::new(censys_agent), SimTime(600)));
-        coupled.push(agents.len());
         agents.push((Box::new(shodan_agent), SimTime(1_800)));
     }
 
@@ -903,16 +849,12 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
             // this, mined exploit volume would swamp the benign HTTP mix
             // (§3.2's 75% non-exploit on HTTP/80).
             .with_attack_probability(0.25);
-            // Miners read the indexes the indexer agents write: co-shard
-            // them with the indexers.
-            coupled.push(agents.len());
             agents.push((Box::new(miner), SimTime(4 * 3600)));
         }
     }
 
     Population {
         agents,
-        coupled,
         censys,
         shodan,
         censys_srcs,

@@ -45,10 +45,6 @@ pub struct IndexEntry {
     pub ip: Ipv4Addr,
     /// Service port.
     pub port: u16,
-    /// Protocol label learned from the banner.
-    pub protocol: String,
-    /// When the entry was (first) published.
-    pub first_seen: SimTime,
     /// True for stale entries from a previous service life (the
     /// previously-leaked group's state).
     pub historical: bool,
@@ -66,35 +62,24 @@ impl SearchIndex {
         Self::default()
     }
 
-    /// Publish (or refresh) a live entry.
-    pub fn publish_live(&mut self, ip: Ipv4Addr, port: u16, protocol: &str, now: SimTime) {
-        let e = self
-            .entries
-            .entry((ip, port))
-            .or_insert_with(|| IndexEntry {
-                ip,
-                port,
-                protocol: protocol.to_string(),
-                first_seen: now,
-                historical: false,
-            });
-        // A live observation upgrades a historical entry.
-        e.historical = false;
-        e.protocol = protocol.to_string();
+    /// Publish (or refresh) a live entry. A live observation upgrades a
+    /// historical entry.
+    pub fn publish_live(&mut self, ip: Ipv4Addr, port: u16) {
+        self.insert(ip, port, false);
     }
 
     /// Seed a historical entry (a past service life still in the index).
-    pub fn seed_historical(&mut self, ip: Ipv4Addr, port: u16, protocol: &str) {
-        self.entries.insert(
-            (ip, port),
-            IndexEntry {
-                ip,
-                port,
-                protocol: protocol.to_string(),
-                first_seen: SimTime::ZERO,
-                historical: true,
-            },
-        );
+    pub fn seed_historical(&mut self, ip: Ipv4Addr, port: u16) {
+        self.insert(ip, port, true);
+    }
+
+    fn insert(&mut self, ip: Ipv4Addr, port: u16, historical: bool) {
+        let entry = IndexEntry {
+            ip,
+            port,
+            historical,
+        };
+        self.entries.insert((ip, port), entry);
     }
 
     /// Entry for an (ip, port), if any.
@@ -222,12 +207,9 @@ impl Agent for IndexerAgent {
                 dst_port: port,
                 intent,
             });
-            if let Some(reply) = outcome.reply {
-                if let Some(protocol) = reply.protocol {
-                    self.index
-                        .borrow_mut()
-                        .publish_live(ip, port, &protocol, now);
-                }
+            // Only a reply that names its protocol gets the service listed.
+            if outcome.reply.is_some_and(|r| r.protocol.is_some()) {
+                self.index.borrow_mut().publish_live(ip, port);
             }
         }
         if self.cursor >= total {
@@ -251,10 +233,10 @@ mod tests {
     fn index_publish_and_lookup() {
         let mut idx = SearchIndex::new();
         let ip = Ipv4Addr::new(171, 64, 10, 1);
-        idx.seed_historical(ip, 80, "HTTP");
+        idx.seed_historical(ip, 80);
         assert!(!idx.has_live(ip, 80));
         assert!(idx.get(ip, 80).unwrap().historical);
-        idx.publish_live(ip, 80, "HTTP", SimTime(100));
+        idx.publish_live(ip, 80);
         assert!(idx.has_live(ip, 80));
         assert_eq!(idx.entries_on_port(80).len(), 1);
         assert_eq!(idx.entries_on_port(22).len(), 0);

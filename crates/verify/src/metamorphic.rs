@@ -7,18 +7,13 @@
 //! - **Event-order permutation invariance** — every §3.3 characteristic is
 //!   a frequency map, so shuffling event order must leave each comparison
 //!   bit-identical ([`shuffled`], [`comparison_fingerprint`]).
-//! - **Absorb associativity** — merging worker datasets left-to-right or
-//!   right-to-left must produce byte-identical exports ([`fold_left`],
-//!   [`fold_right`], [`csv_bytes`]).
 //! - **Subsample monotonicity** — an event-prefix's counts are dominated
 //!   by the full counts, category by category ([`counts_subsumed`]).
-//! - **Thread-count identity** — the fleet contract: `threads = 1` and
-//!   `threads = N` merge to the same bytes ([`replicates_csv`]).
+//! - **Thread-count identity** — the fleet contract: worlds built at
+//!   `threads = 1` and `threads = N` export the same bytes ([`csv_bytes`]).
 
 use cw_core::compare::{CharKind, GroupComparison};
 use cw_core::dataset::{ClassifiedEvent, Dataset};
-use cw_core::fleet;
-use cw_core::scenario::ScenarioConfig;
 use cw_netsim::rng::SimRng;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
@@ -61,36 +56,11 @@ pub fn counts_subsumed(sub: &BTreeMap<String, u64>, full: &BTreeMap<String, u64>
 }
 
 /// A dataset's CSV export bytes — the byte-identity witness used by the
-/// associativity and thread-count invariants.
+/// thread-count invariant.
 pub fn csv_bytes(ds: &Dataset) -> Vec<u8> {
     let mut out = Vec::new();
     ds.write_csv(&mut out).expect("in-memory CSV write");
     out
-}
-
-/// Left-associated merge: `((a ⊕ b) ⊕ c) ⊕ …` via [`Dataset::absorb`].
-pub fn fold_left(parts: Vec<Dataset>) -> Dataset {
-    let mut acc = Dataset::empty();
-    for p in parts {
-        acc.absorb(p);
-    }
-    acc
-}
-
-/// Right-associated merge: `a ⊕ (b ⊕ (c ⊕ …))`.
-pub fn fold_right(parts: Vec<Dataset>) -> Dataset {
-    let mut acc = Dataset::empty();
-    for mut p in parts.into_iter().rev() {
-        p.absorb(acc);
-        acc = p;
-    }
-    acc
-}
-
-/// CSV bytes of an `n`-replicate fleet merge at a given thread count —
-/// the fleet determinism contract says this is independent of `threads`.
-pub fn replicates_csv(base: ScenarioConfig, n: usize, threads: usize) -> Vec<u8> {
-    csv_bytes(&fleet::run_replicates(base, n, threads).dataset)
 }
 
 /// Strategy for one frequency map: up to `max_categories` categories drawn
@@ -192,29 +162,6 @@ mod tests {
         let mut sorted = a.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, v);
-    }
-
-    #[test]
-    fn fold_left_right_agree_on_synthetic_datasets() {
-        // Three distinct single-capture datasets; both association orders
-        // must export byte-identical CSV.
-        let mk = |tag: u8| {
-            use cw_honeypot::capture::{Capture, ScanEvent};
-            let mut cap = Capture::new("m");
-            let p = cap.intern_payload(&[b'G', b'E', b'T', b' ', b'/', tag]);
-            cap.record(ScanEvent {
-                time: cw_netsim::time::SimTime(tag as u64),
-                src: std::net::Ipv4Addr::new(100, 0, 0, tag),
-                src_asn: cw_netsim::asn::Asn(tag as u32),
-                dst: std::net::Ipv4Addr::new(20, 10, 0, 0),
-                dst_port: 80,
-                observed: cw_honeypot::capture::Observed::Payload(p),
-            });
-            Dataset::from_captures(&[&cap], &cw_honeypot::deployment::Deployment::standard())
-        };
-        let left = fold_left(vec![mk(1), mk(2), mk(3)]);
-        let right = fold_right(vec![mk(1), mk(2), mk(3)]);
-        assert_eq!(csv_bytes(&left), csv_bytes(&right));
     }
 
     proptest! {

@@ -8,11 +8,10 @@
 #   benchmark package (outside the workspace, so an API change that breaks
 #   it would otherwise pass), doc build (warnings are errors), doctests,
 #   the determinism check (`cw all` output must be
-#   byte-identical across shard counts (1, 3, 8) AND thread counts AND
-#   cache states: cold cache, warm cache, --no-cache — two sharded rows
-#   run with --no-cache because the cache key deliberately ignores the
-#   shard count, and one cold --shards 3 row with its own cache must write
-#   .cwsnap files byte-identical to the --shards 1 baseline's), a
+#   byte-identical across thread counts (1, 8) AND cache states: cold
+#   cache, warm cache, --no-cache — and one cold --threads 8 row with its
+#   own cache, where two worlds build at once, must write .cwsnap files
+#   byte-identical to the --threads 1 baseline's), a
 #   cold-vs-warm `cw all` timing line, the scan budget (and
 #   scan counts identical at --threads 1 and 8), the on-demand scan gate
 #   (each exhibit but `all`, run alone with --trace-scans, must run no
@@ -75,48 +74,43 @@ done
 [ "$missing" -eq 0 ] || exit 1
 echo "    all registry ids mapped"
 
-echo "==> determinism: cw all --scale $scale across shards x threads x cache states"
+echo "==> determinism: cw all --scale $scale across threads x cache states"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
-mkdir -p "$work/t1" "$work/t8" "$work/nc" "$work/s3" "$work/s8" "$work/c3"
-# Baseline: cold cache, 1 thread, 1 shard.
+mkdir -p "$work/t1" "$work/t8" "$work/nc" "$work/c8"
+# Baseline: cold cache, 1 thread.
 t0="$(now)"
-(cd "$work/t1" && "$cw" all --scale "$scale" --threads 1 --shards 1 2>/dev/null)
+(cd "$work/t1" && "$cw" all --scale "$scale" --threads 1 2>/dev/null)
 t1="$(now)"
-# Warm cache, 8 threads, 3 shards (cache hit by design: the snapshot key
-# deliberately ignores the shard count, so this row proves the flag cannot
-# perturb a cached world).
+# Warm cache, 8 threads.
 mkdir -p "$work/t8/out"
 cp -r "$work/t1/out/.cache" "$work/t8/out/.cache"
 t2="$(now)"
-(cd "$work/t8" && "$cw" all --scale "$scale" --threads 8 --shards 3 2>/dev/null)
+(cd "$work/t8" && "$cw" all --scale "$scale" --threads 8 2>/dev/null)
 t3="$(now)"
-# Cache bypassed: these rows genuinely simulate sharded worlds (3-way at 8
-# threads, 8-way at 1 thread) and must still match the baseline bytes.
-(cd "$work/nc" && "$cw" all --scale "$scale" --threads 8 --shards 1 --no-cache 2>/dev/null)
-(cd "$work/s3" && "$cw" all --scale "$scale" --threads 8 --shards 3 --no-cache 2>/dev/null)
-(cd "$work/s8" && "$cw" all --scale "$scale" --threads 1 --shards 8 --no-cache 2>/dev/null)
-# Cold cache of its own, 3 shards: the snapshots a sharded build writes
-# must be the baseline's bytes, not only render the same exhibits.
-(cd "$work/c3" && "$cw" all --scale "$scale" --threads 8 --shards 3 2>/dev/null)
+# Cache bypassed: the worlds simulate afresh on 8 threads and must still
+# match the baseline bytes.
+(cd "$work/nc" && "$cw" all --scale "$scale" --threads 8 --no-cache 2>/dev/null)
+# Cold cache of its own, 8 threads: worlds build at once on several
+# workers, and the snapshots they write must be the baseline's bytes, not
+# only render the same exhibits.
+(cd "$work/c8" && "$cw" all --scale "$scale" --threads 8 2>/dev/null)
 for f in "$work/t1/out"/*.txt "$work/t1/out"/*.csv; do
     cmp "$f" "$work/t8/out/${f##*/}"
     cmp "$f" "$work/nc/out/${f##*/}"
-    cmp "$f" "$work/s3/out/${f##*/}"
-    cmp "$f" "$work/s8/out/${f##*/}"
-    cmp "$f" "$work/c3/out/${f##*/}"
+    cmp "$f" "$work/c8/out/${f##*/}"
 done
 snaps=0
 for f in "$work/t1/out/.cache"/*.cwsnap; do
-    cmp "$f" "$work/c3/out/.cache/${f##*/}"
+    cmp "$f" "$work/c8/out/.cache/${f##*/}"
     snaps=$((snaps + 1))
 done
-[ "$snaps" -eq "$(ls "$work/c3/out/.cache"/*.cwsnap | wc -l)" ] || {
-    echo "    the --shards 3 cache holds other snapshots than the baseline's" >&2
+[ "$snaps" -eq "$(ls "$work/c8/out/.cache"/*.cwsnap | wc -l)" ] || {
+    echo "    the --threads 8 cache holds other snapshots than the baseline's" >&2
     exit 1
 }
-echo "    byte-identical across shard counts (1, 3, 8), thread counts and cache states"
-echo "    $snaps cold --shards 3 snapshots byte-identical to the --shards 1 baseline's"
+echo "    byte-identical across thread counts (1, 8) and cache states (cold, warm, --no-cache)"
+echo "    $snaps cold --threads 8 snapshots byte-identical to the --threads 1 baseline's"
 echo "    cw all timing at scale $scale: cold $(elapsed "$t0" "$t1")s, warm $(elapsed "$t2" "$t3")s"
 
 echo "==> scan budget: cw all --trace-scans fuses the registry's plans within the pinned bound"
@@ -202,7 +196,7 @@ echo "    every other exhibit's render ran 0 passes beyond its prefetch"
 
 echo "==> fault matrix: explicit zero-rate fault flags leave the golden bytes untouched"
 mkdir -p "$work/f0"
-(cd "$work/f0" && "$cw" all --scale "$scale" --threads 8 --shards 3 --no-cache \
+(cd "$work/f0" && "$cw" all --scale "$scale" --threads 8 --no-cache \
     --loss 0 --outage 0 --truncate 0 --telescope-sample 1 2>/dev/null)
 for f in "$work/t1/out"/*.txt; do
     cmp "$f" "$work/f0/out/${f##*/}"

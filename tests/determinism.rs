@@ -13,7 +13,7 @@ use cloud_watching::netsim::rng::{fork_seed, SimRng};
 use cloud_watching::netsim::sha256::sha256_hex;
 use cloud_watching::netsim::snap::SnapWriter;
 use cloud_watching::netsim::time::SimDuration;
-use cloud_watching::scanners::population::{self, ScenarioYear};
+use cloud_watching::scanners::population::ScenarioYear;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -83,95 +83,36 @@ fn different_seeds_different_worlds() {
     );
 }
 
-/// The tentpole contract: partitioning one scenario's actors into K
-/// engine shards and merging must reproduce the single-engine run
-/// byte-for-byte — same events (including interned payload/credential
-/// ids), same verdicts, same telescope counters, same index sizes.
-#[test]
-fn sharded_run_is_byte_identical_to_unsharded() {
-    let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.03);
-    let a = Scenario::run(base.with_shards(1));
-    let mut sharded = Vec::new();
-    for shards in [3, 8] {
-        let b = Scenario::run(base.with_shards(shards));
-        assert_eq!(a.stats, b.stats, "shards={shards}");
-        assert_eq!(a.dataset.len(), b.dataset.len(), "shards={shards}");
-        for (ea, eb) in a.dataset.events().zip(b.dataset.events()) {
-            // ScanEvent equality covers interner reconstruction too:
-            // payload/credential ids must match, not just values.
-            assert_eq!(ea.event, eb.event, "shards={shards}");
-            assert_eq!(ea.verdict, eb.verdict, "shards={shards}");
-        }
-        let ta = a.telescope.borrow();
-        let tb = b.telescope.borrow();
-        assert_eq!(ta.total_packets(), tb.total_packets(), "shards={shards}");
-        assert_eq!(
-            ta.unique_scanners_per_ip(22).unwrap(),
-            tb.unique_scanners_per_ip(22).unwrap(),
-            "shards={shards}"
-        );
-        assert_eq!(
-            a.handles.censys.borrow().len(),
-            b.handles.censys.borrow().len(),
-            "shards={shards}"
-        );
-        assert_eq!(
-            a.handles.shodan.borrow().len(),
-            b.handles.shodan.borrow().len(),
-            "shards={shards}"
-        );
-        drop((ta, tb));
-        sharded.push((shards, bundle_bytes(&b.into_bundle())));
-    }
-    // The whole wire image, so a difference in a counter no assert above
-    // reads (another tracked port, the (src, port) set, the AS counts)
-    // still fails.
-    let unsharded = bundle_bytes(&a.into_bundle());
-    for (shards, bytes) in &sharded {
-        assert!(unsharded == *bytes, "world bytes differ at shards={shards}");
-    }
-}
-
-/// The reference build every equivalence test compares against: one engine
-/// (K = 1) and one window covering the whole horizon, so the week's
-/// captures are complete before the dataset absorbs them.
+/// The reference build every equivalence test compares against: one window
+/// covering the whole horizon, so the week's captures are complete before
+/// the dataset absorbs them.
 fn one_window_reference(config: ScenarioConfig) -> Scenario {
-    Scenario::run_with_window(config.with_shards(1), config.horizon)
+    Scenario::run_with_window(config, config.horizon)
 }
 
 /// The streaming-build contract: chunking the engine run into time windows
 /// and absorbing each window's capture incrementally must reproduce the
-/// one-window reference build byte-for-byte — for any window size
-/// ({one window, small, default}) and shard count ({1, 3}).
+/// one-window reference build byte-for-byte, for a small and the default
+/// window size.
 #[test]
 fn streaming_build_byte_identical_across_window_and_shard_matrix() {
     let base = ScenarioConfig::fast(ScenarioYear::Y2021)
         .with_seed(42)
         .with_scale(0.02);
-    let reference = bundle_bytes(&one_window_reference(base).into_bundle());
-    let windows = [
-        ("one-window", SimDuration::WEEK),
-        ("small", SimDuration::HOUR),
-        ("default", DEFAULT_WINDOW),
-    ];
-    for shards in [1usize, 3] {
-        for (label, window) in windows {
-            if shards == 1 && window == base.horizon {
-                continue; // the reference itself
-            }
-            let s = Scenario::run_with_window(base.with_shards(shards), window);
-            let stream = s.stream.expect("streaming run records stream stats");
-            let bytes = bundle_bytes(&s.into_bundle());
-            assert_eq!(
-                reference, bytes,
-                "streaming drifted at shards={shards} window={label}"
-            );
-            if window == SimDuration::WEEK {
-                assert_eq!(stream.windows, 1, "whole horizon is one window");
-            } else {
-                assert!(stream.windows > 1, "window {label} should chunk the run");
-            }
-        }
+    let reference = one_window_reference(base);
+    let stream = reference
+        .stream
+        .expect("streaming run records stream stats");
+    assert_eq!(stream.windows, 1, "whole horizon is one window");
+    let reference = bundle_bytes(&reference.into_bundle());
+    for (label, window) in [("small", SimDuration::HOUR), ("default", DEFAULT_WINDOW)] {
+        let s = Scenario::run_with_window(base, window);
+        let stream = s.stream.expect("streaming run records stream stats");
+        assert!(stream.windows > 1, "window {label} should chunk the run");
+        assert!(
+            reference == bundle_bytes(&s.into_bundle()),
+            "streaming drifted at window={label}"
+        );
     }
 }
 
@@ -179,23 +120,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Property form: *any* window size in [1s, one week] is observably a
-    /// no-op, on both the K = 1 and the K = 3 build.
+    /// no-op.
     #[test]
     fn streaming_window_size_is_observably_a_noop(
         window_secs in 1u64..=604_800,
-        shards in prop::sample::select(vec![1usize, 3]),
         seed in any::<u64>(),
     ) {
         let base = ScenarioConfig::fast(ScenarioYear::Y2021)
             .with_seed(seed)
-            .with_scale(0.01)
-            .with_shards(shards);
+            .with_scale(0.01);
         let reference = bundle_bytes(&one_window_reference(base).into_bundle());
         let s = Scenario::run_with_window(base, SimDuration::from_secs(window_secs));
         let streamed = bundle_bytes(&s.into_bundle());
         prop_assert!(
             reference == streamed,
-            "streaming drifted at window={window_secs}s shards={shards}"
+            "streaming drifted at window={window_secs}s"
         );
     }
 }
@@ -204,7 +143,6 @@ proptest! {
 /// year, with the options that select them.
 fn worlds_with(
     scale: f64,
-    shards: usize,
     threads: usize,
     runner: fn(ScenarioConfig) -> SimBundle,
 ) -> (ExhibitOptions, BTreeMap<u16, SimBundle>) {
@@ -212,17 +150,13 @@ fn worlds_with(
         scale,
         seed: DEFAULT_SEED,
         year: None,
-        shards,
         fault: FaultPlan::none(),
+        ..ExhibitOptions::default()
     };
     let years = [ScenarioYear::Y2020, ScenarioYear::Y2021, ScenarioYear::Y2022];
     let configs: Vec<ScenarioConfig> = years
         .iter()
-        .map(|&y| {
-            ScenarioConfig::fast(y)
-                .with_scale(opts.scale)
-                .with_shards(shards)
-        })
+        .map(|&y| ScenarioConfig::fast(y).with_scale(opts.scale))
         .collect();
     let bundles = fleet::map(configs, threads, |_, c| runner(*c))
         .into_iter()
@@ -240,18 +174,17 @@ fn render_registry(cx: &ExhibitCx<'_>) -> BTreeMap<&'static str, String> {
 /// `scale`, simulating each year's world with `runner`.
 fn render_all_with(
     scale: f64,
-    shards: usize,
     threads: usize,
     runner: fn(ScenarioConfig) -> SimBundle,
 ) -> BTreeMap<&'static str, String> {
-    let (opts, bundles) = worlds_with(scale, shards, threads, runner);
+    let (opts, bundles) = worlds_with(scale, threads, runner);
     render_registry(&ExhibitCx::new(opts, &bundles))
 }
 
 /// Render every registered exhibit from scale-0.02 bundles of all three
 /// years (the default simulation path).
-fn render_all(shards: usize, threads: usize) -> BTreeMap<&'static str, String> {
-    render_all_with(0.02, shards, threads, SimBundle::run)
+fn render_all(threads: usize) -> BTreeMap<&'static str, String> {
+    render_all_with(0.02, threads, SimBundle::run)
 }
 
 /// All 25 exhibits render the exact same bytes whether the worlds behind
@@ -259,9 +192,9 @@ fn render_all(shards: usize, threads: usize) -> BTreeMap<&'static str, String> {
 /// reference build.
 #[test]
 fn exhibits_byte_identical_streaming_vs_materialized() {
-    let materialized = render_all_with(0.02, 1, 1, |c| one_window_reference(c).into_bundle());
+    let materialized = render_all_with(0.02, 1, |c| one_window_reference(c).into_bundle());
     assert_eq!(materialized.len(), REGISTRY.len());
-    let streamed = render_all_with(0.02, 1, 1, |c| {
+    let streamed = render_all_with(0.02, 1, |c| {
         Scenario::run_with_window(c, SimDuration::DAY).into_bundle()
     });
     for (name, text) in &materialized {
@@ -272,13 +205,13 @@ fn exhibits_byte_identical_streaming_vs_materialized() {
     }
 }
 
-/// All 25 exhibits render the exact same bytes whatever the shard count
-/// and whatever the fleet worker-thread count — the user-facing face of
-/// the byte-identical merge contract — and whether their scans hit the
+/// All 25 exhibits render the exact same bytes whatever the fleet
+/// worker-thread count the worlds were built at — the user-facing face of
+/// the fleet's determinism contract — and whether their scans hit the
 /// registry's prefetched plan stores or run on demand.
 #[test]
 fn exhibits_byte_identical_across_shard_and_thread_matrix() {
-    let (opts, bundles) = worlds_with(0.02, 1, 1, SimBundle::run);
+    let (opts, bundles) = worlds_with(0.02, 1, SimBundle::run);
     let baseline = render_registry(&ExhibitCx::new(opts, &bundles));
     assert_eq!(baseline.len(), REGISTRY.len());
     // The baseline's own worlds, rendered the way `cw all` renders them.
@@ -288,12 +221,12 @@ fn exhibits_byte_identical_across_shard_and_thread_matrix() {
     for (name, text) in &baseline {
         assert_eq!(text, &prefetched[name], "exhibit {name} drifted under prefetch");
     }
-    for (shards, threads) in [(1, 8), (3, 1), (3, 8), (8, 1), (8, 8)] {
-        let rendered = render_all(shards, threads);
+    for threads in [2, 8] {
+        let rendered = render_all(threads);
         for (name, text) in &baseline {
             assert_eq!(
                 text, &rendered[name],
-                "exhibit {name} drifted at shards={shards} threads={threads}"
+                "exhibit {name} drifted at threads={threads}"
             );
         }
     }
@@ -368,7 +301,7 @@ fn assert_headers_name_year(rendered: &BTreeMap<&str, String>, year: u16) {
 #[test]
 fn tiny_worlds_render_every_exhibit_without_nan_or_inf() {
     for scale in [0.001, 0.01] {
-        let (opts, bundles) = worlds_with(scale, 1, 2, SimBundle::run);
+        let (opts, bundles) = worlds_with(scale, 2, SimBundle::run);
         let years: &[Option<ScenarioYear>] = if scale == 0.001 {
             &[None, Some(ScenarioYear::Y2021), Some(ScenarioYear::Y2022)]
         } else {
@@ -393,8 +326,8 @@ fn tiny_worlds_render_every_exhibit_without_nan_or_inf() {
     }
 }
 
-/// The faulted world of the shard × thread matrix: every fault kind at a
-/// non-trivial rate on a scale-0.03 2021 world.
+/// The faulted world [`world_bytes_match_pinned_digests`] pins: every
+/// fault kind at a non-trivial rate on a scale-0.03 2021 world.
 fn faulted_world() -> ScenarioConfig {
     let plan = FaultPlan {
         flow_loss: 0.15,
@@ -409,55 +342,13 @@ fn faulted_world() -> ScenarioConfig {
         .with_fault(plan)
 }
 
-/// The fault-injection contract: a fixed non-trivial [`FaultPlan`] is part
-/// of world identity, and the degraded world is *itself* byte-identical
-/// across the whole shard × thread matrix — fault schedules are pure
-/// functions of the seed, never of execution layout.
-#[test]
-fn faulted_world_is_byte_identical_across_shard_and_thread_matrix() {
-    let base = faulted_world();
-    let configs: Vec<ScenarioConfig> = [1usize, 3, 8].iter().map(|&k| base.with_shards(k)).collect();
-    let mut batches = Vec::new();
-    for threads in [1usize, 8] {
-        batches.push((
-            threads,
-            fleet::map(configs.clone(), threads, |_, c| SimBundle::run(*c)),
-        ));
-    }
-    let baseline = &batches[0].1[0];
-    assert!(
-        baseline.stats.flows_lost > 0,
-        "a 15% loss plan must actually drop flows"
-    );
-    assert!(!baseline.dataset.is_empty(), "the degraded world still records");
-    for (threads, batch) in &batches {
-        for (i, b) in batch.iter().enumerate() {
-            let ctx = format!("shards={} threads={}", [1, 3, 8][i], threads);
-            assert_eq!(baseline.stats, b.stats, "{ctx}");
-            assert_eq!(baseline.dataset.len(), b.dataset.len(), "{ctx}");
-            for (ea, eb) in baseline.dataset.events().zip(b.dataset.events()) {
-                assert_eq!(ea.event, eb.event, "{ctx}");
-                assert_eq!(ea.verdict, eb.verdict, "{ctx}");
-            }
-            assert_eq!(
-                baseline.telescope.total_packets(),
-                b.telescope.total_packets(),
-                "{ctx}"
-            );
-            assert_eq!(baseline.censys_indexed, b.censys_indexed, "{ctx}");
-            assert_eq!(baseline.shodan_indexed, b.shodan_indexed, "{ctx}");
-            assert!(
-                bundle_bytes(baseline) == bundle_bytes(b),
-                "world bytes differ at {ctx}"
-            );
-        }
-    }
-}
-
 /// SHA-256 of [`bundle_bytes`] for worlds whose bytes must not move: the
 /// default-seed world of each year at scale 0.01, then [`faulted_world`].
 /// A change that moves any byte of a world, including counters no exhibit
 /// renders, fails here. Re-pin only when a change is meant to move them.
+/// The faulted world's digest also pins its fault schedules, which are
+/// pure functions of the seed: a fixed non-trivial [`FaultPlan`] is part of
+/// world identity, and the degraded world is itself deterministic.
 const PINNED_WORLD_DIGESTS: [&str; 4] = [
     "0870f94c5743c3bdf1bfa371144b9a88af5904ab7630d2cff14b8a5d81c160e1",
     "31ee947f8d3bb90f1641ce60f6a7ec8ff90b9b423e1bf05e572f54a486a5002b",
@@ -477,75 +368,26 @@ fn world_bytes_match_pinned_digests() {
         .map(|&y| ScenarioConfig::fast(y).with_scale(0.01))
         .collect();
     configs.push(faulted_world());
-    let digests = fleet::map(configs, 2, |_, c| {
-        sha256_hex(&bundle_bytes(&SimBundle::run(*c)))
+    let worlds = fleet::map(configs, 2, |_, c| {
+        let b = SimBundle::run(*c);
+        (
+            sha256_hex(&bundle_bytes(&b)),
+            b.stats.flows_lost,
+            b.dataset.len(),
+        )
     });
+    let (_, flows_lost, events) = &worlds[3];
+    assert!(*flows_lost > 0, "a 15% loss plan must actually drop flows");
+    assert!(*events > 0, "the degraded world still records");
+    let digests: Vec<&str> = worlds.iter().map(|w| w.0.as_str()).collect();
     assert!(
         digests == PINNED_WORLD_DIGESTS,
         "world bytes moved; the new digests are:\n{digests:#?}"
     );
 }
 
-/// The fleet determinism contract on real scenario runs: replicate fleets
-/// merged at thread counts 1, 2 and 8 are event-for-event identical.
-#[test]
-fn fleet_replicates_invariant_under_thread_count() {
-    let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.01);
-    let baseline = fleet::run_replicates(base, 3, 1);
-    for threads in [2, 8] {
-        let merged = fleet::run_replicates(base, 3, threads);
-        assert_eq!(baseline.seeds, merged.seeds);
-        assert_eq!(baseline.stats, merged.stats, "threads={threads}");
-        assert_eq!(
-            baseline.dataset.len(),
-            merged.dataset.len(),
-            "threads={threads}"
-        );
-        for (a, b) in baseline.dataset.events().zip(merged.dataset.events()) {
-            assert_eq!(a.event, b.event);
-            assert_eq!(a.verdict, b.verdict);
-        }
-    }
-}
-
-/// Shard assignment is a pure function of (seed, actor id): the key never
-/// sees the shard count, so growing K from 1 to 8 only re-buckets the same
-/// fixed keys — it cannot reshuffle any actor's RNG stream.
-#[test]
-fn shard_assignment_is_pure_in_seed_and_actor_id() {
-    for seed in [0u64, 42, DEFAULT_SEED] {
-        for id in [0u32, 1, 7, 1000] {
-            let key = population::shard_key(seed, id);
-            assert_eq!(key, fork_seed(seed, id as u64));
-            for k in 1..=8 {
-                assert_eq!(
-                    population::shard_of(seed, id, k),
-                    (key % k as u64) as usize,
-                    "shard_of must be shard_key reduced mod K, nothing else"
-                );
-            }
-        }
-    }
-    // K = 0 is tolerated as "one shard" rather than a divide-by-zero.
-    assert_eq!(population::shard_of(1, 2, 0), 0);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Property form of the purity contract: for any (seed, actor, K) the
-    /// assignment is the K-independent key reduced mod K.
-    #[test]
-    fn shard_key_is_independent_of_shard_count(
-        seed in any::<u64>(),
-        id in any::<u32>(),
-        k in 1usize..64,
-    ) {
-        let key = population::shard_key(seed, id);
-        prop_assert_eq!(key, fork_seed(seed, id as u64));
-        prop_assert_eq!(population::shard_of(seed, id, k), (key % k as u64) as usize);
-        prop_assert!(population::shard_of(seed, id, k) < k);
-    }
 
     /// Fleet results are a pure function of the input list: invariant
     /// under worker-thread count (1, 2, 8) and under any permutation of

@@ -3,15 +3,16 @@
 //! `cw_verify::metamorphic`.
 //!
 //! None of these tests knows a "right answer"; each knows a transformation
-//! the answer must survive: event-order permutation, merge re-association,
-//! thread-count changes, subsampling, and no-op map edits.
+//! the answer must survive: event-order permutation, thread-count changes,
+//! subsampling, and no-op map edits.
 
 use cloud_watching::core::compare::{compare_freqs, CharKind};
+use cloud_watching::core::fleet;
 use cloud_watching::core::scenario::{Scenario, ScenarioConfig};
+use cloud_watching::netsim::rng::fork_seed;
 use cloud_watching::scanners::population::ScenarioYear;
 use cw_verify::metamorphic::{
-    comparison_fingerprint, counts_subsumed, csv_bytes, fold_left, fold_right, freqs_at,
-    replicates_csv, shuffled, FreqGroups, FreqMap,
+    comparison_fingerprint, counts_subsumed, csv_bytes, freqs_at, shuffled, FreqGroups, FreqMap,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -99,38 +100,25 @@ fn top3_total(freqs: &BTreeMap<String, u64>) -> u64 {
         .sum()
 }
 
+/// Three seed-split worlds built on the fleet export the same CSV bytes,
+/// world by world, at every worker-thread count.
 #[test]
 fn fleet_thread_count_is_byte_identical() {
-    let base = ScenarioConfig::fast(ScenarioYear::Y2021)
-        .with_seed(43)
-        .with_scale(0.012);
-    let serial = replicates_csv(base, 3, 1);
+    let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.012);
+    let configs: Vec<ScenarioConfig> = (0..3).map(|i| base.with_seed(fork_seed(43, i))).collect();
+    let csvs = |threads| {
+        fleet::map(configs.clone(), threads, |_, c| {
+            csv_bytes(&Scenario::run(*c).dataset)
+        })
+    };
+    let serial = csvs(1);
+    assert!(serial[0] != serial[1], "forked seeds build distinct worlds");
     for threads in [2, 3, 8] {
-        assert_eq!(
-            serial,
-            replicates_csv(base, 3, threads),
-            "thread count {threads} changed merged CSV bytes"
+        assert!(
+            serial == csvs(threads),
+            "thread count {threads} changed a world's CSV bytes"
         );
     }
-}
-
-#[test]
-fn absorb_is_associative_to_the_byte() {
-    let mk = |seed: u64| {
-        Scenario::run(
-            ScenarioConfig::fast(ScenarioYear::Y2021)
-                .with_seed(seed)
-                .with_scale(0.01),
-        )
-        .dataset
-    };
-    let left = fold_left(vec![mk(7), mk(8), mk(9)]);
-    let right = fold_right(vec![mk(7), mk(8), mk(9)]);
-    assert_eq!(
-        csv_bytes(&left),
-        csv_bytes(&right),
-        "merge association changed CSV bytes"
-    );
 }
 
 proptest! {
