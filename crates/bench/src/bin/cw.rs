@@ -21,9 +21,10 @@
 //!
 //! # Graceful degradation and exit codes
 //!
-//! `cw all` isolates every world-obtain and every render with the fleet's
-//! `catch_unwind` + one-retry machinery ([`cw_core::fleet::try_map`]): a
-//! panicking exhibit costs only its own `out/<name>.txt`, every other
+//! `cw all` and `cw <exhibit>` isolate every world-obtain and every render
+//! with the fleet's `catch_unwind` + one-retry machinery
+//! ([`cw_core::fleet::try_map`]): a panicking exhibit costs only its own
+//! output (`out/<name>.txt`, or the one stdout render), every other
 //! exhibit still renders, and a per-job failure summary lands on stderr.
 //! Exit codes are distinct by failure class:
 //!
@@ -206,11 +207,38 @@ fn cmd_exhibit(e: &'static dyn Exhibit, opts: RunOptions) -> i32 {
     if opts.trace_scans {
         trace_prefetch(&stats);
     }
-    print!("{}", e.run(&cx));
+    let rendered = render_isolated(vec![e], &cx, n_threads).remove(0);
     if opts.trace_scans {
         trace_summary(before);
     }
-    0
+    match rendered {
+        Ok(text) => {
+            print!("{text}");
+            0
+        }
+        Err(err) => {
+            print_failure_summary(&[], &[(e.name().to_string(), err)]);
+            4
+        }
+    }
+}
+
+/// Render `exhibits` on the fleet workers, each isolated like a fleet job:
+/// a render that panics (twice) becomes a [`JobError`] in its slot while
+/// the others still render. `CW_INJECT_PANIC=<exhibit>` makes exactly that
+/// render panic.
+fn render_isolated(
+    exhibits: Vec<&'static dyn Exhibit>,
+    cx: &ExhibitCx<'_>,
+    n_threads: usize,
+) -> Vec<Result<String, JobError>> {
+    let inject = std::env::var("CW_INJECT_PANIC").ok();
+    fleet::try_map(exhibits, n_threads, |_, e| {
+        if inject.as_deref() == Some(e.name()) {
+            panic!("injected render panic for '{}'", e.name());
+        }
+        e.run(cx)
+    })
 }
 
 fn cmd_all(opts: RunOptions) -> i32 {
@@ -237,21 +265,15 @@ fn cmd_all(opts: RunOptions) -> i32 {
     // Every render is isolated: a panicking exhibit (including one whose
     // world failed to obtain — its `cx.bundle` lookup panics) becomes a
     // JobError for its slot while the siblings keep rendering.
-    let inject = std::env::var("CW_INJECT_PANIC").ok();
-    let rendered = fleet::try_map(exhibit::REGISTRY.to_vec(), n_threads, |_, e| {
-        if inject.as_deref() == Some(e.name()) {
-            panic!("injected render panic for '{}'", e.name());
-        }
-        (e.name(), e.run(&cx))
-    });
+    let rendered = render_isolated(exhibit::REGISTRY.to_vec(), &cx, n_threads);
 
     let mut render_errors: Vec<(String, JobError)> = Vec::new();
     let mut io_error = false;
     let mut written = 0usize;
-    for (i, r) in rendered.into_iter().enumerate() {
+    for (e, r) in exhibit::REGISTRY.iter().zip(rendered) {
         match r {
-            Ok((name, text)) => {
-                let path = format!("out/{name}.txt");
+            Ok(text) => {
+                let path = format!("out/{}.txt", e.name());
                 let write = std::fs::File::create(&path)
                     .and_then(|mut f| f.write_all(text.as_bytes()));
                 match write {
@@ -262,7 +284,7 @@ fn cmd_all(opts: RunOptions) -> i32 {
                     }
                 }
             }
-            Err(e) => render_errors.push((exhibit::REGISTRY[i].name().to_string(), e)),
+            Err(err) => render_errors.push((e.name().to_string(), err)),
         }
     }
     eprintln!(

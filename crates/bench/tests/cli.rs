@@ -1,6 +1,7 @@
 //! The `cw` flag contract: a malformed flag, grid list or command exits 2
 //! with an `error:` line on stderr — never a panic, never a simulation.
-//! Plus the dataset export's file names and time origin.
+//! Plus the exit class of a panicking render and the dataset export's file
+//! names and time origin.
 
 use cw_bench::MAX_SCALE;
 use std::process::Command;
@@ -73,6 +74,25 @@ fn malformed_flags_exit_2_with_an_error_line_and_no_panic() {
             "cw {case:?} panicked; stderr:\n{stderr}"
         );
     }
+}
+
+/// A render that panics under `cw <exhibit>` is isolated as under `cw
+/// all`: exit 4 with the failure summary on stderr, and no partial render
+/// on stdout. Table 6 needs no world, so nothing is simulated.
+#[test]
+fn a_panicking_exhibit_render_exits_4_with_the_failure_summary() {
+    let out = Command::new(env!("CARGO_BIN_EXE_cw"))
+        .args(["table6", "--no-cache"])
+        .env("CW_INJECT_PANIC", "table6")
+        .output()
+        .expect("spawn cw");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("failure summary"),
+        "no failure summary; stderr:\n{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "a failed render printed to stdout");
 }
 
 /// `cw export --year 2020` names its files after the year it exported and

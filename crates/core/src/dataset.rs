@@ -8,26 +8,27 @@
 //!
 //! # Interned, memoized classification
 //!
-//! Events carry [`PayloadId`]/[`cw_netsim::intern::CredId`] handles instead of bytes. The
-//! build step remaps each capture's ids into the dataset's own
-//! [`Interner`] (captures of one deployment share an id space, so the
-//! remap runs once per deployment, not once per capture) and then
-//! classifies + LZR-fingerprints **once per distinct `(PayloadId, port)`
-//! pair** — a memo over a few thousand distinct payloads instead of a
-//! rule-matcher run per event. Verdicts are pure functions of
-//! `(payload bytes, port)`, so memoization is observationally identical
-//! to the per-event path.
+//! Events carry [`PayloadId`]/[`cw_netsim::intern::CredId`] handles instead of bytes. Every
+//! listener of a deployment records into one shared [`Interner`], and the
+//! dataset takes that interner over whole once the captures are complete,
+//! so the ids a capture recorded are the dataset's ids. The build appends
+//! the capture tables in capture order and classifies + LZR-fingerprints
+//! **once per distinct `(PayloadId, port)` pair** — a memo over a few
+//! thousand distinct payloads instead of a rule-matcher run per event.
+//! Verdicts are pure functions of `(payload bytes, port)`, so memoization
+//! is observationally identical to the per-event path.
 
 use cw_detection::{is_malicious_payload, RuleSet, Verdict};
 use cw_honeypot::capture::{Capture, EventTable, Observed, ScanEvent};
 use cw_honeypot::deployment::{Deployment, VantagePoint};
 use cw_netsim::flow::LoginService;
-use cw_netsim::intern::{Interner, PayloadId, Remap};
+use cw_netsim::intern::{Interner, PayloadId};
 use cw_netsim::snap::{SnapError, SnapReader, SnapWriter};
 use cw_protocols::ProtocolId;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 /// The §3.3 traffic slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -135,131 +136,8 @@ pub struct Dataset {
 }
 
 /// Per-distinct classification memo: `(payload id, port)` → verdict +
-/// fingerprint. Ids are in the dataset's interner space.
-type ClassifyMemo = HashMap<(PayloadId, u16), (Verdict, Option<ProtocolId>)>;
-
-/// Streaming assembler for a [`Dataset`] — the incremental counterpart of
-/// [`Dataset::from_captures`].
-///
-/// The materialized build sees every capture in full at the end of a run;
-/// a scenario build instead drains each capture at every window boundary
-/// ([`Capture::take_rows`]) and feeds the chunks here as they appear. The
-/// builder keeps one accumulation slot per capture so the finished
-/// dataset's row order is exactly the materialized order — all of capture
-/// 0's rows (in recording order), then capture 1's, and so on — while the
-/// dataset interner grows in the shared capture interner's *insertion*
-/// order, which is independent of the drain schedule. The result is
-/// therefore byte-identical for every window size; `tests/determinism.rs`
-/// enforces it across window sizes.
-///
-/// [`DatasetBuilder::absorb_table`] bulk-appends a drained chunk whose ids
-/// are translated through a [`Remap`] kept current with
-/// [`DatasetBuilder::extend_remap`].
-pub struct DatasetBuilder {
-    slots: Vec<BuilderSlot>,
-    interner: Interner,
-    memo: ClassifyMemo,
-    rules: &'static RuleSet,
-    vantage_by_ip: BTreeMap<Ipv4Addr, VantagePoint>,
-}
-
-/// One capture's accumulated, already-classified rows (dataset id space).
-#[derive(Default)]
-struct BuilderSlot {
-    table: EventTable,
-    verdicts: Vec<Verdict>,
-    fingerprints: Vec<Option<ProtocolId>>,
-}
-
-impl DatasetBuilder {
-    /// An empty builder with `slots` capture slots over `deployment`'s
-    /// vantage metadata. Slot indices follow the deployment's honeypot
-    /// registration order — the same order [`Dataset::from_captures`]
-    /// walks.
-    pub fn new(deployment: &Deployment, slots: usize) -> Self {
-        let vantage_by_ip: BTreeMap<Ipv4Addr, VantagePoint> = deployment
-            .vantages
-            .iter()
-            .map(|v| (v.ip, v.clone()))
-            .collect();
-        DatasetBuilder {
-            slots: (0..slots).map(|_| BuilderSlot::default()).collect(),
-            interner: Interner::new(),
-            memo: HashMap::new(),
-            rules: RuleSet::builtin_cached(),
-            vantage_by_ip,
-        }
-    }
-
-    /// Pre-size the builder's interner arenas and classification memo for
-    /// an expected number of distinct payloads/credentials (derived from
-    /// the scenario scale). A pure allocation hint.
-    pub fn with_interner_capacity(mut self, payloads: usize, creds: usize) -> Self {
-        self.interner.reserve(payloads, creds);
-        self.memo.reserve(payloads);
-        self
-    }
-
-    /// Bring `remap` up to date with `src`: every value `src` has interned
-    /// since the last call gets a dataset-space id, in `src`'s insertion
-    /// order. See [`Interner::extend_remap_from`] for why the incremental
-    /// schedule reproduces the one-shot remap exactly.
-    pub fn extend_remap(&mut self, src: &Interner, remap: &mut Remap) {
-        self.interner.extend_remap_from(src, remap);
-    }
-
-    /// Append one drained chunk to slot `slot`, translating ids through
-    /// `remap` (which must already cover them — call
-    /// [`DatasetBuilder::extend_remap`] first) and classifying each row
-    /// with the per-distinct memo.
-    pub fn absorb_table(&mut self, slot: usize, table: &EventTable, remap: &Remap) {
-        let s = &mut self.slots[slot];
-        let base = s.table.len();
-        s.table
-            .extend_remapped(table, |observed| remap_observed(observed, remap));
-        let observed = &s.table.observed()[base..];
-        let ports = &s.table.dst_ports()[base..];
-        for (&observed, &port) in observed.iter().zip(ports) {
-            let (verdict, fingerprint) =
-                classify_interned(observed, port, &self.interner, self.rules, &mut self.memo);
-            s.verdicts.push(verdict);
-            s.fingerprints.push(fingerprint);
-        }
-    }
-
-    /// Total rows accumulated so far, across all slots.
-    pub fn len(&self) -> usize {
-        self.slots.iter().map(|s| s.table.len()).sum()
-    }
-
-    /// Whether nothing has been absorbed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Assemble the final [`Dataset`]: concatenate the slots in capture
-    /// order and build the destination index. Each slot's storage is
-    /// dropped as soon as it is copied, so the transient overlay above the
-    /// final columns shrinks as assembly proceeds.
-    pub fn finish(self) -> Dataset {
-        let total: usize = self.slots.iter().map(|s| s.table.len()).sum();
-        let mut ds = Dataset {
-            table: EventTable::with_capacity(total),
-            verdicts: Vec::with_capacity(total),
-            fingerprints: Vec::with_capacity(total),
-            interner: self.interner,
-            vantage_by_ip: self.vantage_by_ip,
-            by_dst: BTreeMap::new(),
-        };
-        for slot in self.slots {
-            ds.table.extend_remapped(&slot.table, |o| o);
-            ds.verdicts.extend(slot.verdicts);
-            ds.fingerprints.extend(slot.fingerprints);
-        }
-        ds.by_dst = index_by_dst(ds.table.dsts());
-        ds
-    }
-}
+/// fingerprint, for ids of one interner.
+pub(crate) type ClassifyMemo = HashMap<(PayloadId, u16), (Verdict, Option<ProtocolId>)>;
 
 /// The per-destination row index: each destination's row numbers, in
 /// ascending order. Rows are grouped through a hash map, which is several
@@ -275,33 +153,75 @@ fn index_by_dst(dsts: &[Ipv4Addr]) -> BTreeMap<Ipv4Addr, Vec<usize>> {
     groups.into_iter().collect()
 }
 
+/// The deployment's vantage metadata, keyed by address.
+fn index_vantages(deployment: &Deployment) -> BTreeMap<Ipv4Addr, VantagePoint> {
+    deployment
+        .vantages
+        .iter()
+        .map(|v| (v.ip, v.clone()))
+        .collect()
+}
+
 impl Dataset {
-    /// Build from captures and the deployment's vantage metadata.
+    /// Build from complete captures (in order) and the deployment's
+    /// vantage metadata, copying their tables and their interner.
     ///
-    /// This is the materialized build: every capture is complete before
-    /// assembly starts. It is implemented over [`DatasetBuilder`] (one
-    /// whole capture per chunk), so the streaming scenario path and this
-    /// one cannot drift apart.
+    /// A scenario run moves its captures' tables and interner into the
+    /// same build instead of copying them; this wrapper is for tests and
+    /// harnesses that keep their captures.
+    ///
+    /// # Panics
+    /// Panics if the captures record into different interners: their ids
+    /// would mean different values in one table.
     pub fn from_captures(captures: &[&Capture], deployment: &Deployment) -> Self {
-        let mut b = DatasetBuilder::new(deployment, captures.len());
-        // Captures of one deployment share an interner; cache the remap by
-        // source-interner identity so it is computed once, not per capture.
-        let mut cached: Option<(*const (), Remap)> = None;
-        for (slot, cap) in captures.iter().enumerate() {
-            let src_interner = cap.interner();
-            let key = std::rc::Rc::as_ptr(&src_interner) as *const ();
-            let remap = match &cached {
-                Some((k, remap)) if *k == key => remap.clone(),
-                _ => {
-                    let mut remap = Remap::identity();
-                    b.extend_remap(&src_interner.borrow(), &mut remap);
-                    cached = Some((key, remap.clone()));
-                    remap
-                }
-            };
-            b.absorb_table(slot, cap.table(), &remap);
+        let interner = match captures.first() {
+            Some(first) => {
+                let shared = first.interner();
+                assert!(
+                    captures.iter().all(|c| Rc::ptr_eq(&c.interner(), &shared)),
+                    "Dataset::from_captures: the captures must share one interner"
+                );
+                let copy = shared.borrow().clone();
+                copy
+            }
+            None => Interner::new(),
+        };
+        let tables = captures.iter().map(|c| c.table().clone()).collect();
+        Dataset::assemble(tables, interner, deployment)
+    }
+
+    /// The one dataset build: append `tables` in order, classify every row
+    /// through the per-distinct memo, and index the rows by destination.
+    /// Every id in `tables` must resolve against `interner`, which the
+    /// dataset keeps as its own.
+    pub(crate) fn assemble(
+        tables: Vec<EventTable>,
+        interner: Interner,
+        deployment: &Deployment,
+    ) -> Dataset {
+        let total = tables.iter().map(EventTable::len).sum();
+        let mut table = EventTable::with_capacity(total);
+        for mut t in tables {
+            table.append(&mut t);
         }
-        b.finish()
+        let rules = RuleSet::builtin_cached();
+        let mut memo = ClassifyMemo::with_capacity(interner.payload_count());
+        let mut verdicts = Vec::with_capacity(total);
+        let mut fingerprints = Vec::with_capacity(total);
+        for (&observed, &port) in table.observed().iter().zip(table.dst_ports()) {
+            let (verdict, fingerprint) =
+                classify_interned(observed, port, &interner, rules, &mut memo);
+            verdicts.push(verdict);
+            fingerprints.push(fingerprint);
+        }
+        Dataset {
+            by_dst: index_by_dst(table.dsts()),
+            table,
+            verdicts,
+            fingerprints,
+            interner,
+            vantage_by_ip: index_vantages(deployment),
+        }
     }
 
     /// Number of events.
@@ -443,19 +363,13 @@ impl Dataset {
                 _ => return Err(SnapError::Malformed("unknown protocol fingerprint tag")),
             });
         }
-        let vantage_by_ip: BTreeMap<Ipv4Addr, VantagePoint> = deployment
-            .vantages
-            .iter()
-            .map(|v| (v.ip, v.clone()))
-            .collect();
-        let by_dst = index_by_dst(table.dsts());
         Ok(Dataset {
+            by_dst: index_by_dst(table.dsts()),
             table,
             verdicts,
             fingerprints,
             interner,
-            vantage_by_ip,
-            by_dst,
+            vantage_by_ip: index_vantages(deployment),
         })
     }
 
@@ -577,26 +491,9 @@ impl Dataset {
     }
 }
 
-fn remap_observed(o: Observed, remap: &Remap) -> Observed {
-    match o {
-        Observed::Syn => Observed::Syn,
-        Observed::Handshake => Observed::Handshake,
-        Observed::Payload(p) => Observed::Payload(remap.payload(p)),
-        Observed::Credentials {
-            service,
-            username,
-            password,
-        } => Observed::Credentials {
-            service,
-            username: remap.cred(username),
-            password: remap.cred(password),
-        },
-    }
-}
-
 /// Classify one interned observation per §3.2, memoized per distinct
-/// `(payload, port)` pair.
-fn classify_interned(
+/// `(payload, port)` pair. `memo` must only ever see ids of `interner`.
+pub(crate) fn classify_interned(
     observed: Observed,
     dst_port: u16,
     interner: &Interner,
@@ -856,36 +753,41 @@ mod tests {
     }
 
     #[test]
-    fn from_captures_remaps_ids_across_interner_spaces() {
-        let deployment = Deployment::standard();
-        // Two captures with *private* interners recording the same payload:
-        // locally it gets different surroundings, so ids must be remapped.
-        let mut ca = Capture::new("a");
-        let pa = ca.intern_payload(b"AAAA");
-        let shared = ca.intern_payload(b"GET / HTTP/1.1\r\n\r\n");
-        let mk = |port: u16, observed: Observed| ScanEvent {
-            time: SimTime(1),
-            src: Ipv4Addr::new(100, 0, 0, 9),
-            src_asn: Asn(1),
-            dst: Ipv4Addr::new(20, 10, 0, 0),
-            dst_port: port,
-            observed,
+    #[should_panic(expected = "share one interner")]
+    fn from_captures_rejects_captures_on_two_interners() {
+        // Each capture has a private interner, so payload id 0 means
+        // "AAAA" in one and "BBBB" in the other: one table cannot hold both.
+        let mut a = Builder::new();
+        a.push(80, Raw::Payload(b"AAAA".to_vec()));
+        let mut b = Builder::new();
+        b.push(80, Raw::Payload(b"BBBB".to_vec()));
+        Dataset::from_captures(&[&a.cap, &b.cap], &Deployment::standard());
+    }
+
+    #[test]
+    fn from_captures_concatenates_captures_on_one_interner() {
+        let shared = Interner::shared();
+        let mut a = Builder {
+            cap: Capture::new("a").with_interner(Rc::clone(&shared)),
         };
-        ca.record(mk(80, Observed::Payload(pa)));
-        ca.record(mk(80, Observed::Payload(shared)));
-        let mut cb = Capture::new("b");
-        let pb = cb.intern_payload(b"GET / HTTP/1.1\r\n\r\n"); // id 0 locally
-        cb.record(mk(8080, Observed::Payload(pb)));
-        let da = Dataset::from_captures(&[&ca, &cb], &deployment);
-        assert_eq!(da.len(), 3);
-        // Events 1 and 2 carry the same bytes — after remapping they must
-        // share one id even though their local ids differed (1 vs 0).
-        assert_eq!(da.event(1).payload_bytes(), da.event(2).payload_bytes());
+        a.push(80, Raw::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec()));
+        let mut b = Builder {
+            cap: Capture::new("b").with_interner(Rc::clone(&shared)),
+        };
+        b.push(22, Raw::Syn);
+        b.push(8080, Raw::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec()));
+        let ds = Dataset::from_captures(&[&a.cap, &b.cap], &Deployment::standard());
+        // Capture order, then recording order; ids pass through untouched.
+        let ports: Vec<u16> = ds.events().map(|e| e.event.dst_port).collect();
+        assert_eq!(ports, vec![80, 22, 8080]);
         assert_eq!(
-            da.event(1).event.observed.payload(),
-            da.event(2).event.observed.payload()
+            ds.event(0).event.observed.payload(),
+            ds.event(2).event.observed.payload()
         );
-        assert_eq!(da.event(0).payload_bytes(), Some(b"AAAA".as_slice()));
+        assert_eq!(ds.interner().payload_count(), 1);
+        // The captures keep their rows and their interner.
+        assert_eq!(a.cap.len() + b.cap.len(), 3);
+        assert_eq!(shared.borrow().payload_count(), 1);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! listings. Censys/Shodan's own traffic is excluded from all statistics,
 //! exactly as in the paper.
 
+use crate::dataset::{classify_interned, ClassifyMemo};
 use cw_detection::{RuleSet, Verdict};
 use cw_honeypot::capture::{Capture, Observed};
 use cw_honeypot::deployment::Deployment;
@@ -471,12 +472,9 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
         }
         let interner_rc = cap.interner();
         let interner = interner_rc.borrow();
-        // Per-distinct verdict memo: payloads repeat across events, so the
-        // rule matcher runs once per distinct (payload id, port) pair.
-        let mut verdict_memo: std::collections::HashMap<
-            (cw_netsim::intern::PayloadId, u16),
-            Verdict,
-        > = std::collections::HashMap::new();
+        // The dataset's §3.2 classifier and its per-distinct memo, one memo
+        // per fleet: the fleet's capture has its own interner.
+        let mut memo = ClassifyMemo::new();
         for svc in LeakService::ALL {
             let mal = hourly_malicious
                 .entry((fleet.group, svc))
@@ -485,23 +483,8 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
                 if excluded.contains(&e.src) {
                     continue;
                 }
-                let verdict = match e.observed {
-                    Observed::Credentials { .. } => Verdict::Attacker,
-                    Observed::Payload(p) => {
-                        *verdict_memo.entry((p, e.dst_port)).or_insert_with(|| {
-                            if cw_detection::is_malicious_payload(
-                                interner.payload(p),
-                                e.dst_port,
-                                rules,
-                            ) {
-                                Verdict::Attacker
-                            } else {
-                                Verdict::Scanner
-                            }
-                        })
-                    }
-                    _ => Verdict::Scanner,
-                };
+                let (verdict, _) =
+                    classify_interned(e.observed, e.dst_port, &interner, rules, &mut memo);
                 if verdict == Verdict::Attacker {
                     let h = (e.time.hour() as usize).min(hours - 1);
                     mal[h] += 1.0 / n_ips;

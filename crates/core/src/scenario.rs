@@ -6,34 +6,37 @@
 //! the telescope handle, the search-engine indexes, and the reputation
 //! oracle.
 //!
-//! # One engine, streamed in windows
+//! # One engine, run in windows, one dataset build
 //!
 //! [`Scenario::run`] runs one [`Engine`] over the whole population on the
 //! calling thread (DESIGN.md §7). The engine runs in chunked time windows
-//! (default [`DEFAULT_WINDOW`]); at every window boundary each listener's
-//! capture is drained ([`Capture::take_rows`]) and absorbed into an
-//! incremental [`DatasetBuilder`], and the telescope folds the window's
-//! packet keys ([`Telescope::fold`]), so capture-side buffering never
-//! exceeds one window of events — the memory headroom that makes
-//! `scale: 10`/`scale: 100` worlds practical. Arena and interner capacity
-//! is pre-sized from [`ScenarioConfig`]'s event/distinct-value estimates.
+//! (default [`DEFAULT_WINDOW`]); at every window boundary the telescope
+//! folds the window's packet keys ([`Telescope::fold`]), which bounds its
+//! key buffer by one window, and the rows the captures recorded in the
+//! window are counted for [`StreamStats`]. The captures themselves keep
+//! every row until the run is over, as the paper collects a week and
+//! classifies it offline (§3.1–§3.2). Then each capture's table is taken
+//! ([`Capture::take_rows`]) in registration order, the deployment's shared
+//! interner is moved out, and both go to one [`Dataset`] build. The
+//! shared interner is pre-sized from [`ScenarioConfig`]'s distinct-value
+//! estimates.
 //!
 //! Window size is a pure wall-clock/memory knob: the build with one window
 //! covering the horizon is the reference every other window size must
 //! reproduce byte-for-byte, which `tests/determinism.rs` enforces (see
-//! docs/ARCHITECTURE.md §"Streaming dataset build"). Snapshots are
-//! therefore keyed without it. Streaming *drains* the deployment's capture
-//! tables: after a run they are empty, and every row lives in the dataset.
-//! Independent worlds run in parallel one level up, on the
-//! [`crate::fleet`] workers.
+//! docs/ARCHITECTURE.md §"Windowed run and the dataset build").
+//! Snapshots are therefore keyed without it. The build *drains* the
+//! deployment's capture tables and interner: after a run they are empty,
+//! and every row and value lives in the dataset. Independent worlds run in
+//! parallel one level up, on the [`crate::fleet`] workers.
 
-use crate::dataset::{Dataset, DatasetBuilder};
-use cw_honeypot::capture::Capture;
+use crate::dataset::Dataset;
+use cw_honeypot::capture::{Capture, EventTable};
 use cw_honeypot::deployment::Deployment;
 use cw_honeypot::telescope::Telescope;
 use cw_netsim::engine::{Engine, RunStats};
 use cw_netsim::fault::{domain_salt, FaultDomain, FaultPlan};
-use cw_netsim::intern::Remap;
+use cw_netsim::intern::Interner;
 use cw_netsim::time::{SimDuration, SimTime};
 use cw_scanners::population::{self, PopulationConfig, PopulationHandles, ScenarioYear};
 use std::cell::RefCell;
@@ -144,20 +147,20 @@ impl ScenarioConfig {
 /// bit-identically).
 pub const DEFAULT_SEED: u64 = 0x1_C10D_3A7C;
 
-/// The streaming window [`Scenario::run`] uses: six simulated hours, i.e.
-/// 28 windows per one-week horizon. Purely a wall-clock/memory knob —
-/// output is byte-identical for every window size.
+/// The window [`Scenario::run`] runs the engine in: six simulated hours,
+/// i.e. 28 windows per one-week horizon. Purely a wall-clock/memory knob
+/// (it bounds the telescope's per-window key buffer) — output is
+/// byte-identical for every window size.
 pub const DEFAULT_WINDOW: SimDuration = SimDuration(21_600);
 
-/// Diagnostics from a streaming build. Observability only — never part of
+/// Diagnostics from a windowed run. Observability only — never part of
 /// any rendered byte.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// How many time windows the run was chunked into.
     pub windows: usize,
-    /// The largest number of capture rows buffered in any one window
-    /// (summed across listeners) — the quantity the streaming build
-    /// bounds.
+    /// The most capture rows recorded in any one window (summed across
+    /// listeners), read from the captures' lengths at each boundary.
     pub peak_window_rows: usize,
 }
 
@@ -178,7 +181,7 @@ pub struct Scenario {
     /// Always empty: a world has one build. Kept for cwbench until the
     /// next benchmark PR.
     pub shard_busy_secs: Vec<f64>,
-    /// Streaming-build diagnostics. Every run records them, so this is
+    /// Windowed-run diagnostics. Every run records them, so this is
     /// always `Some`.
     pub stream: Option<StreamStats>,
 }
@@ -186,20 +189,22 @@ pub struct Scenario {
 impl Scenario {
     /// Build the world and run the collection window in
     /// [`DEFAULT_WINDOW`]s (see the module docs). The deployment's capture
-    /// tables end *drained*: every row lives in the dataset.
+    /// tables and interner end *drained*: everything lives in the dataset.
     pub fn run(config: ScenarioConfig) -> Scenario {
         Scenario::run_with_window(config, DEFAULT_WINDOW)
     }
 
-    /// [`Scenario::run`] with an explicit streaming window (a pure
-    /// wall-clock/memory knob — the output is byte-identical for every
-    /// value). One window covering the whole horizon is the reference
-    /// build the equivalence tests compare against.
+    /// [`Scenario::run`] with an explicit window (a pure wall-clock/memory
+    /// knob — the output is byte-identical for every value). One window
+    /// covering the whole horizon is the reference build the equivalence
+    /// tests compare against.
     ///
     /// Builds the standard deployment with the config's faults applied,
     /// registers its listeners and the year's population with one engine,
-    /// then runs the engine window by window, draining the captures into
-    /// the dataset builder and folding the telescope at every boundary.
+    /// then runs the engine window by window, folding the telescope and
+    /// counting the captures' rows at every boundary. After the last
+    /// window it moves the capture tables and the shared interner into
+    /// one [`Dataset`] build.
     pub fn run_with_window(config: ScenarioConfig, window: SimDuration) -> Scenario {
         let deployment = Deployment::standard();
         // Fault schedules are pure functions of (seed, vantage index).
@@ -224,41 +229,33 @@ impl Scenario {
             .map(|h| h.borrow().capture())
             .collect();
         let interner = captures.first().map(|c| c.borrow().interner());
-        // Pre-size the shared interner and the dataset-side arenas from the
-        // configured scale.
+        // Pre-size the shared interner from the configured scale.
         if let Some(rc) = &interner {
             rc.borrow_mut().reserve(
                 config.estimated_distinct_payloads(),
                 config.estimated_distinct_creds(),
             );
         }
-        let mut builder = DatasetBuilder::new(&deployment, captures.len()).with_interner_capacity(
-            config.estimated_distinct_payloads(),
-            config.estimated_distinct_creds(),
-        );
-        let mut remap = Remap::identity();
         let mut stats = RunStats::default();
         let mut stream = StreamStats::default();
+        let mut rows_before = 0;
         for end in window_ends(config.horizon, window) {
             // Engine counters are cumulative, so the last window's return
             // value is the whole run's stats.
             stats = engine.run(end);
-            // Bring the remap up to date with whatever the engine interned
-            // this window, *before* translating the window's rows.
-            if let Some(rc) = &interner {
-                builder.extend_remap(&rc.borrow(), &mut remap);
-            }
-            let mut window_rows = 0;
-            for (slot, cap) in captures.iter().enumerate() {
-                let table = cap.borrow_mut().take_rows();
-                window_rows += table.len();
-                builder.absorb_table(slot, &table, &remap);
-            }
             deployment.telescope.borrow_mut().fold();
+            let rows: usize = captures.iter().map(|c| c.borrow().len()).sum();
             stream.windows += 1;
-            stream.peak_window_rows = stream.peak_window_rows.max(window_rows);
+            stream.peak_window_rows = stream.peak_window_rows.max(rows - rows_before);
+            rows_before = rows;
         }
-        let dataset = builder.finish();
+        let tables: Vec<EventTable> = captures
+            .iter()
+            .map(|c| c.borrow_mut().take_rows())
+            .collect();
+        let interner =
+            interner.map_or_else(Interner::new, |rc| std::mem::take(&mut *rc.borrow_mut()));
+        let dataset = Dataset::assemble(tables, interner, &deployment);
         let telescope = deployment.telescope.clone();
         Scenario {
             config,
@@ -273,9 +270,9 @@ impl Scenario {
     }
 }
 
-/// The streaming window boundaries for a horizon: ascending, strictly
-/// positive steps, with the final boundary landing exactly on the horizon.
-/// A pure function of `(horizon, window)`.
+/// The window boundaries for a horizon: ascending, strictly positive
+/// steps, with the final boundary landing exactly on the horizon. A pure
+/// function of `(horizon, window)`.
 fn window_ends(horizon: SimDuration, window: SimDuration) -> impl Iterator<Item = SimTime> {
     let w = window.secs().max(1);
     let h = horizon.secs();
@@ -368,7 +365,7 @@ mod tests {
         let stream = s.stream.expect("streaming run records stream stats");
         assert_eq!(stream.windows, 7);
         assert!(stream.peak_window_rows < s.dataset.len());
-        // Streaming drains the captures: every row lives in the dataset.
+        // The build drains the captures: every row lives in the dataset.
         assert!(s.deployment.honeypots.iter().all(|h| {
             let cap = h.borrow().capture();
             let empty = cap.borrow().is_empty();

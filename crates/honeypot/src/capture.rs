@@ -101,9 +101,8 @@ impl EventTable {
     }
 
     /// An empty table with room for `n` rows in every column. Purely an
-    /// allocation hint (the streaming dataset build pre-sizes from the
-    /// scenario's expected event count); contents and behavior are
-    /// unaffected.
+    /// allocation hint (the dataset build sizes its table from the
+    /// captures' total); contents and behavior are unaffected.
     pub fn with_capacity(n: usize) -> Self {
         EventTable {
             times: Vec::with_capacity(n),
@@ -180,17 +179,16 @@ impl EventTable {
         &self.observed
     }
 
-    /// Append all rows of `other`, translating interned ids through `f`.
-    ///
-    /// Used by the dataset build: `f` remaps ids from the capture
-    /// interner's space into the dataset's.
-    pub fn extend_remapped(&mut self, other: &EventTable, mut f: impl FnMut(Observed) -> Observed) {
-        self.times.extend_from_slice(&other.times);
-        self.srcs.extend_from_slice(&other.srcs);
-        self.src_asns.extend_from_slice(&other.src_asns);
-        self.dsts.extend_from_slice(&other.dsts);
-        self.dst_ports.extend_from_slice(&other.dst_ports);
-        self.observed.extend(other.observed.iter().map(|&o| f(o)));
+    /// Move all rows of `other` to the end of this table, leaving `other`
+    /// empty (like [`Vec::append`]). Interned ids are moved verbatim, so
+    /// both tables must resolve against the same interner.
+    pub fn append(&mut self, other: &mut EventTable) {
+        self.times.append(&mut other.times);
+        self.srcs.append(&mut other.srcs);
+        self.src_asns.append(&mut other.src_asns);
+        self.dsts.append(&mut other.dsts);
+        self.dst_ports.append(&mut other.dst_ports);
+        self.observed.append(&mut other.observed);
     }
 
     /// Encode all rows into a snapshot payload, column by column (the
@@ -325,7 +323,8 @@ impl Capture {
     }
 
     /// Swap in a shared interner (deployment-wide sharing: every listener
-    /// records into the same id space, so the dataset build remaps once).
+    /// records into the same id space, which the dataset build takes over
+    /// whole).
     pub fn with_interner(mut self, interner: Rc<RefCell<Interner>>) -> Self {
         self.interner = interner;
         self
@@ -353,14 +352,14 @@ impl Capture {
 
     /// Drain everything recorded so far, leaving the capture empty but
     /// still live: the vantage label and the shared interner handle stay,
-    /// so the listener keeps recording (and interning) into the same id
-    /// space afterwards.
+    /// so the listener could keep recording (and interning) into the same
+    /// id space afterwards.
     ///
-    /// This is the incremental hand-off of the streaming dataset build —
-    /// called at every window boundary so capture-side buffering never
-    /// grows past one window of events. Interned ids in the returned table
-    /// resolve against [`Capture::interner`] exactly as before; draining
-    /// moves rows, it never re-numbers anything.
+    /// The scenario build calls this once per capture after its last
+    /// window and hands the tables to the dataset build, which frees each
+    /// one as it appends it. Interned ids in the returned table resolve
+    /// against [`Capture::interner`] exactly as before; draining moves
+    /// rows, it never re-numbers anything.
     pub fn take_rows(&mut self) -> EventTable {
         std::mem::take(&mut self.table)
     }
@@ -524,6 +523,20 @@ mod tests {
     }
 
     #[test]
+    fn append_moves_rows_and_empties_the_source() {
+        let mut a = EventTable::new();
+        a.push(ev(Ipv4Addr::new(10, 0, 0, 1), 22, Observed::Syn));
+        let mut b = EventTable::new();
+        let payload = Observed::Payload(PayloadId(3));
+        b.push(ev(Ipv4Addr::new(10, 0, 0, 2), 80, payload));
+        b.push(ev(Ipv4Addr::new(10, 0, 0, 3), 23, Observed::Handshake));
+        let rows: Vec<ScanEvent> = a.iter().chain(b.iter()).collect();
+        a.append(&mut b);
+        assert!(b.is_empty());
+        assert_eq!(a.iter().collect::<Vec<_>>(), rows);
+    }
+
+    #[test]
     fn table_snapshot_rejects_unknown_tag() {
         let mut w = SnapWriter::new();
         w.put_u64(1);
@@ -550,24 +563,5 @@ mod tests {
         bytes[..8].copy_from_slice(&(remaining as u64 + 1).to_le_bytes());
         let err = EventTable::snap_read(&mut SnapReader::new(&bytes)).unwrap_err();
         assert_eq!(err, SnapError::Truncated);
-    }
-
-    #[test]
-    fn extend_remapped_applies_translation() {
-        let mut src = EventTable::new();
-        src.push(ScanEvent {
-            time: SimTime(1),
-            src: Ipv4Addr::new(1, 1, 1, 1),
-            src_asn: Asn(1),
-            dst: Ipv4Addr::new(2, 2, 2, 2),
-            dst_port: 80,
-            observed: Observed::Payload(PayloadId(0)),
-        });
-        let mut dst = EventTable::new();
-        dst.extend_remapped(&src, |o| match o {
-            Observed::Payload(_) => Observed::Payload(PayloadId(7)),
-            other => other,
-        });
-        assert_eq!(dst.get(0).observed, Observed::Payload(PayloadId(7)));
     }
 }

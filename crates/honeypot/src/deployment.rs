@@ -258,8 +258,8 @@ impl Deployment {
     /// Build the full Table 1 fleet.
     ///
     /// All listeners record into one deployment-shared interner, so every
-    /// capture of the fleet lives in a single id space and the dataset
-    /// build pays one interner remap for the whole deployment.
+    /// capture of the fleet lives in a single id space, which the dataset
+    /// build takes over whole.
     pub fn standard() -> Deployment {
         let interner = cw_netsim::intern::Interner::shared();
         let mut topology = Topology::new();

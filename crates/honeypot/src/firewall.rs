@@ -132,7 +132,6 @@ mod tests {
                 intent,
             },
             SimTime(1),
-            0,
         )
     }
 

@@ -192,7 +192,7 @@ impl HoneypotListener {
 
     /// Record into a deployment-shared interner instead of a private one
     /// (builder style). All listeners of one deployment share an id space,
-    /// so the dataset build pays a single remap for the whole fleet.
+    /// which the dataset build takes over whole.
     pub fn with_interner(
         self,
         interner: Rc<RefCell<cw_netsim::intern::Interner>>,
@@ -356,7 +356,6 @@ mod tests {
                 intent,
             },
             SimTime(5),
-            0,
         )
     }
 

@@ -449,7 +449,6 @@ mod tests {
                 intent: ConnectionIntent::Payload(b"SSH-2.0-x\r\n".to_vec().into()),
             },
             SimTime(1),
-            0,
         )
     }
 

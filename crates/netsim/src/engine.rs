@@ -184,7 +184,6 @@ fn claim(routes: &mut Vec<Route>, lo: u32, hi: u32, listener: usize) {
 
 struct NetworkCtx<'a> {
     now: SimTime,
-    agent: AgentId,
     routes: &'a [Route],
     listeners: &'a [Rc<RefCell<dyn Listener>>],
     stats: &'a mut RunStats,
@@ -197,7 +196,7 @@ impl Network for NetworkCtx<'_> {
     }
 
     fn send(&mut self, spec: FlowSpec) -> FlowOutcome {
-        let flow = Flow::from_spec(spec, self.now, self.agent);
+        let flow = Flow::from_spec(spec, self.now);
         // Injected network loss decides on the flow's identity (see
         // `crate::fault`).
         if let Some(loss) = self.flow_loss {
@@ -284,11 +283,6 @@ impl Engine {
         self.listeners.push(listener);
     }
 
-    /// Number of registered agents (retired agents included).
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
-
     /// Earliest pending wake time, if any work remains queued.
     ///
     /// After [`Engine::run`]`(until)` returns, any value here is `>= until`
@@ -323,7 +317,6 @@ impl Engine {
             let next = {
                 let mut ctx = NetworkCtx {
                     now: t,
-                    agent: id,
                     routes: &self.routes,
                     listeners: &self.listeners,
                     stats: &mut self.stats,

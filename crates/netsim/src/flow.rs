@@ -108,14 +108,11 @@ pub struct FlowSpec {
     pub intent: ConnectionIntent,
 }
 
-/// A delivered flow: a [`FlowSpec`] stamped with time and the sending agent.
+/// A delivered flow: a [`FlowSpec`] stamped with its delivery time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Flow {
     /// Delivery time.
     pub time: SimTime,
-    /// Engine-assigned id of the sending agent (ground truth for tests;
-    /// analyses must not use it).
-    pub agent: u32,
     /// Source address.
     pub src: Ipv4Addr,
     /// Source autonomous system.
@@ -129,11 +126,10 @@ pub struct Flow {
 }
 
 impl Flow {
-    /// Assemble a [`Flow`] from its spec plus engine-provided stamps.
-    pub fn from_spec(spec: FlowSpec, time: SimTime, agent: u32) -> Self {
+    /// Assemble a [`Flow`] from its spec plus the engine's delivery time.
+    pub fn from_spec(spec: FlowSpec, time: SimTime) -> Self {
         Flow {
             time,
-            agent,
             src: spec.src,
             src_asn: spec.src_asn,
             dst: spec.dst,
@@ -215,9 +211,8 @@ mod tests {
             dst_port: 22,
             intent: ConnectionIntent::ProbeOnly,
         };
-        let f = Flow::from_spec(spec, SimTime(77), 9);
+        let f = Flow::from_spec(spec, SimTime(77));
         assert_eq!(f.time, SimTime(77));
-        assert_eq!(f.agent, 9);
         assert_eq!(f.dst_port, 22);
     }
 }

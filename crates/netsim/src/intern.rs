@@ -24,14 +24,12 @@
 //! order (the lookup table is only an accelerator; ids come from the
 //! arena's `Vec` length).
 //!
-//! # Remapping into another id space
+//! # One id space per world
 //!
-//! The dataset keeps its own interner. [`Interner::extend_remap_from`]
-//! re-interns another interner's distinct values *in that interner's
-//! insertion order*, producing an old-id → new-id [`Remap`] applied to the
-//! incoming events. The streaming dataset build calls it at every window
-//! boundary, so the dataset's ids are a pure function of the capture
-//! interner's insertion order, whatever the window size.
+//! Every listener of a deployment records into one shared interner, and
+//! the dataset build takes that interner over whole after the run: the
+//! ids a capture recorded are the ids the dataset and its snapshot carry.
+//! No id is ever translated between two interners.
 
 use crate::rng::fnv1a;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
@@ -157,7 +155,7 @@ where
 
 /// The shared intern tables for payload blobs and credential strings.
 ///
-/// See the [module docs](self) for the id-determinism and remapping rules.
+/// See the [module docs](self) for the id-determinism rules.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     payloads: Arena<[u8]>,
@@ -204,7 +202,7 @@ impl Interner {
     ///
     /// # Panics
     /// Panics if the id was minted by a different interner and is out of
-    /// range here — resolve ids only against the interner (or remapped
+    /// range here — resolve ids only against the interner (or its
     /// snapshot) that produced them.
     pub fn payload(&self, id: PayloadId) -> &[u8] {
         &self.payloads.values[id.index()]
@@ -269,58 +267,6 @@ impl Interner {
         }
         Ok(out)
     }
-
-    /// Extend a [`Remap`] previously built against a shorter prefix of
-    /// `other` so it covers every value `other` holds now.
-    ///
-    /// Interners are append-only, so the ids of `other` that `remap`
-    /// already covers still mean what they meant when it was built; only
-    /// the tail `other` has grown since needs interning. This is the
-    /// streaming dataset build's per-window step: one remap table follows
-    /// the shared capture interner across windows, and the total work over
-    /// a run is exactly one intern per distinct value — the same as one
-    /// call on the finished interner with an empty remap.
-    pub fn extend_remap_from(&mut self, other: &Interner, remap: &mut Remap) {
-        for i in remap.payloads.len()..other.payloads.values.len() {
-            let id = self.intern_payload(&other.payloads.values[i]);
-            remap.payloads.push(id.0);
-        }
-        for i in remap.creds.len()..other.creds.values.len() {
-            let id = self.intern_cred(&other.creds.values[i]);
-            remap.creds.push(id.0);
-        }
-    }
-}
-
-/// Old-id → new-id translation tables built by
-/// [`Interner::extend_remap_from`].
-#[derive(Debug, Clone, Default)]
-pub struct Remap {
-    payloads: Vec<u32>,
-    creds: Vec<u32>,
-}
-
-impl Remap {
-    /// The identity remap for ids that are already in the target space.
-    pub fn identity() -> Self {
-        Remap::default()
-    }
-
-    /// Translate a payload id from the source interner's space.
-    pub fn payload(&self, id: PayloadId) -> PayloadId {
-        match self.payloads.get(id.index()) {
-            Some(&new) => PayloadId(new),
-            None => id, // identity remap
-        }
-    }
-
-    /// Translate a credential id from the source interner's space.
-    pub fn cred(&self, id: CredId) -> CredId {
-        match self.creds.get(id.index()) {
-            Some(&new) => CredId(new),
-            None => id, // identity remap
-        }
-    }
 }
 
 #[cfg(test)]
@@ -361,68 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn remap_translates_into_the_target_space() {
-        let mut a = Interner::new();
-        a.intern_payload(b"x");
-        a.intern_cred("u1");
-        let mut b = Interner::new();
-        let bx = b.intern_payload(b"y");
-        let by = b.intern_payload(b"x");
-        let bu = b.intern_cred("u2");
-        let mut remap = Remap::default();
-        a.extend_remap_from(&b, &mut remap);
-        // b's "y" is new to a (gets id 1); b's "x" already exists (id 0).
-        assert_eq!(remap.payload(bx), PayloadId(1));
-        assert_eq!(remap.payload(by), PayloadId(0));
-        assert_eq!(remap.cred(bu), CredId(1));
-        assert_eq!(a.payload_count(), 2);
-        assert_eq!(a.payload(PayloadId(1)), b"y");
-    }
-
-    /// The one-shot oracle: remap every value of `other` at once, by
-    /// re-interning its arena in insertion order.
-    fn remap_from(target: &mut Interner, other: &Interner) -> Remap {
-        let mut remap = Remap::default();
-        for bytes in &other.payloads.values {
-            remap.payloads.push(target.intern_payload(bytes).0);
-        }
-        for s in &other.creds.values {
-            remap.creds.push(target.intern_cred(s).0);
-        }
-        remap
-    }
-
-    #[test]
-    fn extend_remap_from_matches_one_shot_remap() {
-        // Growing a remap prefix-by-prefix must land on the same tables —
-        // and the same target ids — as one remap over the final arena.
-        let mut src = Interner::new();
-        src.intern_payload(b"a");
-        src.intern_cred("u");
-        let mut target_inc = Interner::new();
-        let mut remap_inc = Remap::default();
-        target_inc.extend_remap_from(&src, &mut remap_inc);
-        src.intern_payload(b"b");
-        src.intern_payload(b"a"); // no-op: already interned
-        src.intern_cred("v");
-        target_inc.extend_remap_from(&src, &mut remap_inc);
-
-        let mut target_once = Interner::new();
-        let remap_once = remap_from(&mut target_once, &src);
-        assert_eq!(target_inc.payload_count(), target_once.payload_count());
-        assert_eq!(target_inc.cred_count(), target_once.cred_count());
-        for i in 0..src.payload_count() as u32 {
-            assert_eq!(
-                remap_inc.payload(PayloadId(i)),
-                remap_once.payload(PayloadId(i))
-            );
-        }
-        for i in 0..src.cred_count() as u32 {
-            assert_eq!(remap_inc.cred(CredId(i)), remap_once.cred(CredId(i)));
-        }
-    }
-
-    #[test]
     fn reserve_changes_no_ids() {
         let mut a = Interner::new();
         a.intern_payload(b"x");
@@ -430,13 +314,6 @@ mod tests {
         assert_eq!(a.intern_payload(b"x"), PayloadId(0));
         assert_eq!(a.intern_payload(b"y"), PayloadId(1));
         assert_eq!(a.payload_count(), 2);
-    }
-
-    #[test]
-    fn identity_remap_is_a_noop() {
-        let r = Remap::identity();
-        assert_eq!(r.payload(PayloadId(7)), PayloadId(7));
-        assert_eq!(r.cred(CredId(3)), CredId(3));
     }
 
     #[test]

@@ -126,24 +126,13 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Same as [`derive`](Self::derive) but keyed by an integer (agent ids).
-    pub fn derive_u64(&self, stream: u64) -> SimRng {
-        let mut sm = SplitMix64::new(self.s[1] ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut s = [0u64; 4];
-        for slot in &mut s {
-            *slot = sm.next_u64();
-        }
-        SimRng { s }
-    }
-
     /// Split off the independent generator for stream `stream_id`.
     ///
-    /// Like [`derive_u64`](Self::derive_u64) this does not advance `self`;
-    /// unlike it, `fork` is specified as *the* seed-splitting API for
-    /// parallel fleets: the forked stream is a pure function of the current
-    /// state and `stream_id`, so consuming forks from different worker
-    /// threads — in any order — yields exactly the values a serial loop
-    /// would see.
+    /// Like [`derive`](Self::derive) this does not advance `self`; `fork`
+    /// is specified as *the* seed-splitting API for parallel fleets: the
+    /// forked stream is a pure function of the current state and
+    /// `stream_id`, so consuming forks from different worker threads — in
+    /// any order — yields exactly the values a serial loop would see.
     ///
     /// # Example
     ///
@@ -186,11 +175,6 @@ impl SimRng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
-    }
-
-    /// Next 32 uniformly random bits (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Uniform integer in `[0, n)` via Lemire's multiply-shift rejection

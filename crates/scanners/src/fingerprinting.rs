@@ -62,12 +62,6 @@ impl FingerprintingScanner {
         }
     }
 
-    /// Override the signature list (builder style).
-    pub fn with_signatures(mut self, signatures: Vec<String>) -> Self {
-        self.signatures = signatures;
-        self
-    }
-
     /// Targets avoided because the banner matched a signature.
     pub fn avoided(&self) -> &[Ipv4Addr] {
         &self.avoided

@@ -72,17 +72,6 @@ pub struct PopulationConfig {
     pub scale: f64,
 }
 
-impl PopulationConfig {
-    /// The paper's primary window at full scale.
-    pub fn paper_2021(seed: u64) -> Self {
-        PopulationConfig {
-            year: ScenarioYear::Y2021,
-            seed,
-            scale: 1.0,
-        }
-    }
-}
-
 /// The assembled population.
 pub struct Population {
     /// Agents with their first wake times.

@@ -159,11 +159,6 @@ impl IndexerAgent {
         }
     }
 
-    /// The engine's source addresses (for honeypot blocklists).
-    pub fn source_ips(&self) -> &[Ipv4Addr] {
-        &self.identity.ips
-    }
-
     fn probe_intent(&mut self, port: u16) -> ConnectionIntent {
         use cw_protocols::ProtocolId;
         match cw_protocols::assigned_protocol(port) {

@@ -84,14 +84,13 @@ fn different_seeds_different_worlds() {
 }
 
 /// The reference build every equivalence test compares against: one window
-/// covering the whole horizon, so the week's captures are complete before
-/// the dataset absorbs them.
+/// covering the whole horizon.
 fn one_window_reference(config: ScenarioConfig) -> Scenario {
     Scenario::run_with_window(config, config.horizon)
 }
 
-/// The streaming-build contract: chunking the engine run into time windows
-/// and absorbing each window's capture incrementally must reproduce the
+/// The windowed-build contract: chunking the engine run into time windows
+/// and folding the telescope at each boundary must reproduce the
 /// one-window reference build byte-for-byte, for a small and the default
 /// window size.
 #[test]
@@ -188,8 +187,7 @@ fn render_all(threads: usize) -> BTreeMap<&'static str, String> {
 }
 
 /// All 25 exhibits render the exact same bytes whether the worlds behind
-/// them were streamed in day windows or materialized by the one-window
-/// reference build.
+/// them ran in day windows or in the one-window reference build.
 #[test]
 fn exhibits_byte_identical_streaming_vs_materialized() {
     let materialized = render_all_with(0.02, 1, |c| one_window_reference(c).into_bundle());

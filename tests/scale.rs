@@ -1,12 +1,12 @@
 //! Scale-10 smoke tier — opt-in via `CW_SCALE_TESTS=1`.
 //!
 //! Tier-1 CI exercises tiny fast-config worlds; this tier grows the same
-//! world 10× through the streaming dataset build and checks the
+//! world 10× through the windowed scenario build and checks the
 //! scale-sensitivity machinery end to end: the event count grows roughly
-//! linearly, capture-side buffering stays bounded by one window (the
-//! streaming build's memory contract), the grown bundle round-trips
-//! through the snapshot cache, and a `cw sweep` over scales {×1, ×10}
-//! resolves every cell from the cache once both worlds are stored.
+//! linearly, the run is chunked into windows that each record only part
+//! of the world, the grown bundle round-trips through the snapshot cache,
+//! and a `cw sweep` over scales {×1, ×10} resolves every cell from the
+//! cache once both worlds are stored.
 //!
 //! Without `CW_SCALE_TESTS=1` every test returns immediately (and says so
 //! on stderr), keeping the default `cargo test` wall time unchanged.
@@ -68,9 +68,8 @@ fn scale_10_world_grows_linearly_with_bounded_window_buffering() {
         "the x10 world must dwarf the x1 world"
     );
 
-    // The streaming build's memory contract: capture-side buffering is
-    // bounded by one window, so the peak undrained window holds a fraction
-    // of the world — not the whole run.
+    // The windows chunk the run: the busiest window records a fraction of
+    // the world, not the whole run.
     let stream = big.stream.expect("streaming run records window stats");
     assert_eq!(stream.windows, 7, "a week at day windows is 7 windows");
     assert!(stream.peak_window_rows > 0);
@@ -97,7 +96,7 @@ fn scale_10_sweep_resolves_from_the_snapshot_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Prime the cache with both worlds through the public cache entry
-    // point (which itself runs the streaming build).
+    // point (which itself runs the scenario build).
     let b = base();
     let sims0 = snapshot::simulations_performed();
     snapshot::load_or_run_in(&dir, b, true);
