@@ -113,7 +113,10 @@ fn obtain(config: ScenarioConfig, use_cache: bool) -> SimBundle {
             read_secs * 1e3,
             bundle.dataset.len()
         ),
-        Provenance::Simulated { sim_secs, write_secs } => eprintln!(
+        Provenance::Simulated {
+            sim_secs,
+            write_secs,
+        } => eprintln!(
             "[cw] {} world: simulated in {:.1}s ({} events{})",
             config.year.year(),
             sim_secs,
@@ -274,8 +277,8 @@ fn cmd_all(opts: RunOptions) -> i32 {
         match r {
             Ok(text) => {
                 let path = format!("out/{}.txt", e.name());
-                let write = std::fs::File::create(&path)
-                    .and_then(|mut f| f.write_all(text.as_bytes()));
+                let write =
+                    std::fs::File::create(&path).and_then(|mut f| f.write_all(text.as_bytes()));
                 match write {
                     Ok(()) => written += 1,
                     Err(e) => {

@@ -59,7 +59,8 @@ impl Default for RunOptions {
 }
 
 /// The flag summary shared by usage/error messages.
-pub const USAGE: &str = "usage: cw <exhibit|list|all|export|degrade|sweep> [--scale <f64>] [--seed <u64>] \
+pub const USAGE: &str =
+    "usage: cw <exhibit|list|all|export|degrade|sweep> [--scale <f64>] [--seed <u64>] \
      [--year <2020|2021|2022>] [--threads <N>] [--no-cache] [--trace-scans] \
      [--loss <f64>] [--outage <f64>] [--outage-windows <N>] \
      [--truncate <f64>] [--truncate-to <bytes>] [--telescope-sample <N>]\n\
@@ -139,7 +140,9 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> RunOptions {
                     "2020" => ScenarioYear::Y2020,
                     "2021" => ScenarioYear::Y2021,
                     "2022" => ScenarioYear::Y2022,
-                    other => usage_exit(&format!("unknown year '{other}' (use 2020, 2021 or 2022)")),
+                    other => {
+                        usage_exit(&format!("unknown year '{other}' (use 2020, 2021 or 2022)"))
+                    }
                 })
             }
             "--threads" => {
@@ -196,11 +199,9 @@ pub fn parse_from(args: impl Iterator<Item = String>) -> RunOptions {
                     .unwrap_or_else(|_| usage_exit("--truncate-to expects a byte count"));
             }
             "--telescope-sample" => {
-                let n: u32 = value("--telescope-sample")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        usage_exit("--telescope-sample expects an unsigned integer")
-                    });
+                let n: u32 = value("--telescope-sample").parse().unwrap_or_else(|_| {
+                    usage_exit("--telescope-sample expects an unsigned integer")
+                });
                 if n == 0 {
                     usage_exit("--telescope-sample must be at least 1");
                 }
@@ -241,7 +242,15 @@ mod tests {
         assert!(!d.trace_scans);
 
         let o = parse_from(strs(&[
-            "--scale", "0.25", "--seed", "7", "--year", "2020", "--threads", "3", "--no-cache",
+            "--scale",
+            "0.25",
+            "--seed",
+            "7",
+            "--year",
+            "2020",
+            "--threads",
+            "3",
+            "--no-cache",
             "--trace-scans",
         ]));
         assert_eq!(o.scale, 0.25);
@@ -269,7 +278,11 @@ mod tests {
         // Linear in scale with a fixed part, so fewer than 2^12 draws at
         // scale 1 bound the draws at MAX_SCALE by 2^24.
         let d = cw_honeypot::deployment::Deployment::standard();
-        for year in [ScenarioYear::Y2020, ScenarioYear::Y2021, ScenarioYear::Y2022] {
+        for year in [
+            ScenarioYear::Y2020,
+            ScenarioYear::Y2021,
+            ScenarioYear::Y2022,
+        ] {
             let config = cw_scanners::population::PopulationConfig {
                 year,
                 seed: DEFAULT_SEED,

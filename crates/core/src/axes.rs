@@ -34,14 +34,20 @@ pub fn as_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
 /// Frequency of attempted usernames ("what", SSH/Telnet).
 pub fn username_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
     with_interner(events, |interner| {
-        count_creds(events.iter().filter_map(|e| username(e.event.observed)), interner)
+        count_creds(
+            events.iter().filter_map(|e| username(e.event.observed)),
+            interner,
+        )
     })
 }
 
 /// Frequency of attempted passwords ("what", SSH/Telnet).
 pub fn password_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
     with_interner(events, |interner| {
-        count_creds(events.iter().filter_map(|e| password(e.event.observed)), interner)
+        count_creds(
+            events.iter().filter_map(|e| password(e.event.observed)),
+            interner,
+        )
     })
 }
 
@@ -54,7 +60,10 @@ pub fn password_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
 /// per-event string keying grouped them.
 pub fn payload_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
     with_interner(events, |interner| {
-        count_payloads(events.iter().filter_map(|e| e.event.observed.payload()), interner)
+        count_payloads(
+            events.iter().filter_map(|e| e.event.observed.payload()),
+            interner,
+        )
     })
 }
 
@@ -83,7 +92,9 @@ fn with_interner(
     events: &[ClassifiedEvent<'_>],
     f: impl FnOnce(&Interner) -> BTreeMap<String, u64>,
 ) -> BTreeMap<String, u64> {
-    events.first().map_or_else(BTreeMap::new, |e| f(e.interner()))
+    events
+        .first()
+        .map_or_else(BTreeMap::new, |e| f(e.interner()))
 }
 
 fn username(observed: Observed) -> Option<CredId> {

@@ -192,7 +192,10 @@ mod tests {
         assert!(back.matches(&config));
         assert_eq!(back.stats, bundle.stats);
         assert_eq!(back.dataset.len(), bundle.dataset.len());
-        assert_eq!(back.telescope.total_packets(), bundle.telescope.total_packets());
+        assert_eq!(
+            back.telescope.total_packets(),
+            bundle.telescope.total_packets()
+        );
         assert_eq!(back.reputation.counts(), bundle.reputation.counts());
         assert_eq!(back.censys_indexed, bundle.censys_indexed);
         assert_eq!(back.shodan_indexed, bundle.shodan_indexed);

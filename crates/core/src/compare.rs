@@ -87,12 +87,7 @@ pub fn characteristic_table(
         let categories = vec!["malicious".to_string(), "not-malicious".to_string()];
         let counts = group_freqs
             .iter()
-            .map(|g| {
-                categories
-                    .iter()
-                    .map(|c| *g.get(c).unwrap_or(&0))
-                    .collect()
-            })
+            .map(|g| categories.iter().map(|c| *g.get(c).unwrap_or(&0)).collect())
             .collect();
         ContingencyTable::new(categories, counts)
     }

@@ -104,7 +104,10 @@ impl<'a> ClassifiedEvent<'a> {
 
     /// The observed payload bytes, if any.
     pub fn payload_bytes(&self) -> Option<&'a [u8]> {
-        self.event.observed.payload().map(|p| self.interner.payload(p))
+        self.event
+            .observed
+            .payload()
+            .map(|p| self.interner.payload(p))
     }
 
     /// The harvested username, if this was a credential observation.
@@ -440,7 +443,9 @@ impl Dataset {
                     LoginService::Telnet => (TELNET_NEGOTIATION, false),
                 },
             };
-            pcap.write_tcp(e.time, e.src, src_port, e.dst, e.dst_port, payload, syn_only)?;
+            pcap.write_tcp(
+                e.time, e.src, src_port, e.dst, e.dst_port, payload, syn_only,
+            )?;
         }
         pcap.finish()?;
         Ok(())
@@ -673,7 +678,10 @@ mod tests {
         for _ in 0..3 {
             b.push(80, Raw::Payload(cw_scanners::exploits::log4shell("x")));
             b.push(80, Raw::Payload(cw_scanners::exploits::benign_get("zgrab")));
-            b.push(8080, Raw::Payload(cw_scanners::exploits::benign_get("zgrab")));
+            b.push(
+                8080,
+                Raw::Payload(cw_scanners::exploits::benign_get("zgrab")),
+            );
             b.push(22, Raw::Creds(LoginService::Ssh, "root", "root"));
             b.push(443, Raw::Syn);
         }
@@ -698,8 +706,12 @@ mod tests {
         let ds = b.build();
         let exec = ScanExec::unplanned(&ds);
         let n = |slice| {
-            exec.run(&Plan::at(&[Ipv4Addr::new(20, 10, 0, 0)]).slice(slice).count())
-                .into_count()
+            exec.run(
+                &Plan::at(&[Ipv4Addr::new(20, 10, 0, 0)])
+                    .slice(slice)
+                    .count(),
+            )
+            .into_count()
         };
         assert_eq!(n(TrafficSlice::SshPort22), 1);
         assert_eq!(n(TrafficSlice::TelnetPort23), 1);

@@ -201,9 +201,7 @@ pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
         let fold = |group: LeakGroup| {
             leak.cells
                 .iter()
-                .find(|c| {
-                    c.service == LeakService::Http80 && c.group == group && !c.malicious_only
-                })
+                .find(|c| c.service == LeakService::Http80 && c.group == group && !c.malicious_only)
                 .map(|c| c.fold)
                 .unwrap_or(0.0)
         };

@@ -11,9 +11,7 @@ use crate::query::Plan;
 use crate::report::{header_str, paper_note_str, TextTable};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
 use cw_scanners::population::ScenarioYear;
-use cw_stats::{
-    bonferroni_alpha, chi_squared_from_table, cramers_v, top_k_union_table, TopKSpec,
-};
+use cw_stats::{bonferroni_alpha, chi_squared_from_table, cramers_v, top_k_union_table, TopKSpec};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -70,9 +68,8 @@ impl Exhibit for AblationMedian {
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         let d = Deployment::standard();
-        let mut out = header_str(
-            "Ablation: §4.4 median filtering vs naive pooling (Linode SSH/22 Top-AS)",
-        );
+        let mut out =
+            header_str("Ablation: §4.4 median filtering vs naive pooling (Linode SSH/22 Top-AS)");
         out.push_str(&paper_note_str(
             "the Axtel (AS6503) flood hits one of four Linode AP-SG honeypots with ~3 orders of \
              magnitude more IPs (§4.1); naive pooling attributes it to the whole region",
@@ -131,17 +128,16 @@ impl Exhibit for AblationMedian {
         }
         out.push_str(&format!("{}\n", t.render()));
         // The flood itself, for context.
-        let per_honeypot: Vec<u64> = sg
-            .1
-            .iter()
-            .map(|&ip| {
-                *exec
-                    .run(&char_plan(ip, TrafficSlice::SshPort22, CharKind::TopAs))
-                    .into_char_freqs()
-                    .get("AS6503")
-                    .unwrap_or(&0)
-            })
-            .collect();
+        let per_honeypot: Vec<u64> =
+            sg.1.iter()
+                .map(|&ip| {
+                    *exec
+                        .run(&char_plan(ip, TrafficSlice::SshPort22, CharKind::TopAs))
+                        .into_char_freqs()
+                        .get("AS6503")
+                        .unwrap_or(&0)
+                })
+                .collect();
         out.push_str(&format!(
             "AS6503 (Axtel) SSH events per AP-SG honeypot: {per_honeypot:?} — the anomaly the \
              median filter suppresses\n"
@@ -187,7 +183,8 @@ impl Exhibit for AblationTopk {
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         let d = Deployment::standard();
-        let mut out = header_str("Ablation: top-k choice for the §3.3 comparison (SSH/22, Top ASes)");
+        let mut out =
+            header_str("Ablation: top-k choice for the §3.3 comparison (SSH/22, Top ASes)");
         out.push_str(&paper_note_str(
             "top-5 inflates near-zero frequency variables by >200% vs top-3, biasing the test \
              toward small distributional differences — expect union size (df) to balloon and the \
@@ -224,12 +221,7 @@ impl Exhibit for AblationTopk {
                 }
                 let table = top_k_union_table(&groups, TopKSpec { k });
                 union_sizes.push(table.n_cols() as f64);
-                let nz = table
-                    .counts
-                    .iter()
-                    .flatten()
-                    .filter(|&&c| c <= 2)
-                    .count() as f64;
+                let nz = table.counts.iter().flatten().filter(|&&c| c <= 2).count() as f64;
                 near_zero.push(nz);
                 tables.push(table);
             }
@@ -297,7 +289,8 @@ impl Exhibit for AblationBonferroni {
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         let d = Deployment::standard();
-        let mut out = header_str("Ablation: raw p<0.05 vs Bonferroni-corrected (Table 2 comparisons)");
+        let mut out =
+            header_str("Ablation: raw p<0.05 vs Bonferroni-corrected (Table 2 comparisons)");
         out.push_str(&paper_note_str(
             "uncorrected comparisons overstate differences; the paper corrects across all \
              vantage-point comparisons (often shrinking p-value thresholds by orders of magnitude)",
@@ -341,7 +334,10 @@ impl Exhibit for AblationBonferroni {
                 kind.label().to_string(),
                 n.to_string(),
                 format!("{raw} ({:.0}%)", 100.0 * raw as f64 / n.max(1) as f64),
-                format!("{corrected} ({:.0}%)", 100.0 * corrected as f64 / n.max(1) as f64),
+                format!(
+                    "{corrected} ({:.0}%)",
+                    100.0 * corrected as f64 / n.max(1) as f64
+                ),
                 (raw - corrected).to_string(),
             ]);
         }

@@ -240,9 +240,7 @@ impl Exhibit for TemporalStability {
         let d = Deployment::standard();
         self.needs()
             .iter()
-            .flat_map(|&need| {
-                PlanRequest::all_for(need, crate::overlap::table8_and_9_plans(&d))
-            })
+            .flat_map(|&need| PlanRequest::all_for(need, crate::overlap::table8_and_9_plans(&d)))
             .collect()
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {

@@ -49,14 +49,22 @@ struct Table1Fleet {
 /// the deployment are dropped, as the render skips them anyway).
 fn table1_fleets(d: &Deployment) -> Vec<Table1Fleet> {
     let rows: [(&'static str, Provider, CollectorKind); 9] = [
-        ("Hurricane Electric", Provider::HurricaneElectric, CollectorKind::GreyNoise),
+        (
+            "Hurricane Electric",
+            Provider::HurricaneElectric,
+            CollectorKind::GreyNoise,
+        ),
         ("AWS", Provider::Aws, CollectorKind::GreyNoise),
         ("Azure", Provider::Azure, CollectorKind::GreyNoise),
         ("Google", Provider::Google, CollectorKind::GreyNoise),
         ("Linode", Provider::Linode, CollectorKind::GreyNoise),
         ("Stanford", Provider::Stanford, CollectorKind::Honeytrap),
         ("AWS (Honeytrap)", Provider::Aws, CollectorKind::Honeytrap),
-        ("Google (Honeytrap)", Provider::Google, CollectorKind::Honeytrap),
+        (
+            "Google (Honeytrap)",
+            Provider::Google,
+            CollectorKind::Honeytrap,
+        ),
         ("Merit", Provider::Merit, CollectorKind::Honeytrap),
     ];
     rows.into_iter()
@@ -69,8 +77,7 @@ fn table1_fleets(d: &Deployment) -> Vec<Table1Fleet> {
             if vantages.is_empty() {
                 return None;
             }
-            let mut regions: Vec<&str> =
-                vantages.iter().map(|v| v.region.code.as_str()).collect();
+            let mut regions: Vec<&str> = vantages.iter().map(|v| v.region.code.as_str()).collect();
             regions.sort();
             regions.dedup();
             Some(Table1Fleet {
@@ -170,7 +177,13 @@ pub(super) fn table2_requests(need: Need) -> Vec<PlanRequest> {
 pub(super) fn table2_render(cx: &ExhibitCx<'_>, need: Need, header: &str, note: &str) -> String {
     let mut out = header_str(header);
     out.push_str(&paper_note_str(note));
-    let mut t = TextTable::new(&["Slice", "Characteristic", "n", "% dif neighborhoods", "Avg phi"]);
+    let mut t = TextTable::new(&[
+        "Slice",
+        "Characteristic",
+        "n",
+        "% dif neighborhoods",
+        "Avg phi",
+    ]);
     for r in cx.table2_rows(need) {
         t.row(vec![
             r.slice.label().to_string(),
@@ -237,8 +250,13 @@ pub(super) fn table4_render(
 ) -> String {
     let mut out = header_str(header);
     out.push_str(&paper_note_str(note));
-    let mut t =
-        TextTable::new(&["Characteristic", "Slice", "Provider", "Most Dif. Region", "Avg phi"]);
+    let mut t = TextTable::new(&[
+        "Characteristic",
+        "Slice",
+        "Provider",
+        "Most Dif. Region",
+        "Avg phi",
+    ]);
     let mut ap_hits = 0usize;
     let mut named = 0usize;
     for r in cx.table4_rows(need) {
@@ -448,7 +466,10 @@ fn network_cell_str(c: &NetworkCell) -> [String; 2] {
     if c.uncomputable {
         ["×".to_string(), "×".to_string()]
     } else {
-        [format!("{}/{}", c.n_different, c.n), phi_value(c.avg_phi, 1)]
+        [
+            format!("{}/{}", c.n_different, c.n),
+            phi_value(c.avg_phi, 1),
+        ]
     }
 }
 
@@ -542,8 +563,12 @@ impl Exhibit for Table8 {
              7547→33%, 22→13%, 443→30%; Tel∩EDU higher everywhere; Cloud∩EDU 81-97%",
         ));
         let rows = cx.table8_rows(NEEDS[0]);
-        let mut t =
-            TextTable::new(&["Port", "Tel∩Cloud / Cloud", "Tel∩EDU / EDU", "Cloud∩EDU / Cloud"]);
+        let mut t = TextTable::new(&[
+            "Port",
+            "Tel∩Cloud / Cloud",
+            "Tel∩EDU / EDU",
+            "Cloud∩EDU / Cloud",
+        ]);
         for r in rows {
             t.row(vec![
                 r.port.to_string(),
@@ -741,8 +766,13 @@ impl Exhibit for Table11 {
              HTTP/8080 84% (22%, 77%) vs ~HTTP/8080 16% (35%, 49%); \
              ~HTTP split: TLS 7%, Telnet 0.5%, SQL 0.4%, RTSP 0.3%, SMB 0.3%, …",
         ));
-        let mut t =
-            TextTable::new(&["Protocol/Port", "Breakdown", "% Benign", "% Malicious", "Scanners"]);
+        let mut t = TextTable::new(&[
+            "Protocol/Port",
+            "Breakdown",
+            "% Benign",
+            "% Malicious",
+            "Scanners",
+        ]);
         // The binary printed the ~HTTP/80 share lines *while* filling the
         // table, so they precede the rendered table in the output stream.
         for port in BreakdownPort::BOTH {
@@ -863,8 +893,7 @@ impl Exhibit for Figure1 {
             ));
             let path = format!("out/figure1_port{port}.csv");
             let file = std::fs::File::create(&path).expect("create csv");
-            crate::figure1::write_csv(tel, &fig, std::io::BufWriter::new(file))
-                .expect("write csv");
+            crate::figure1::write_csv(tel, &fig, std::io::BufWriter::new(file)).expect("write csv");
             out.push_str(&format!("      series written to {path}\n"));
         }
         out.push('\n');

@@ -436,10 +436,7 @@ pub fn find(name: &str) -> Option<&'static dyn Exhibit> {
 
 /// The distinct scenario configurations needed to render `exhibits` under
 /// `opts` — the deduped simulation job list. Order follows scenario year.
-pub fn required_configs(
-    exhibits: &[&dyn Exhibit],
-    opts: &ExhibitOptions,
-) -> Vec<ScenarioConfig> {
+pub fn required_configs(exhibits: &[&dyn Exhibit], opts: &ExhibitOptions) -> Vec<ScenarioConfig> {
     let mut years: Vec<u16> = exhibits
         .iter()
         .flat_map(|e| e.needs())

@@ -56,7 +56,11 @@ impl Exhibit for Table3 {
                         .unwrap_or_else(|| "-".into())
                 };
                 t.row(vec![
-                    if malicious { String::new() } else { svc.label().to_string() },
+                    if malicious {
+                        String::new()
+                    } else {
+                        svc.label().to_string()
+                    },
                     if malicious { "Malicious" } else { "All" }.to_string(),
                     cell(LeakGroup::CensysLeaked(svc)),
                     cell(LeakGroup::ShodanLeaked(svc)),
@@ -101,14 +105,15 @@ impl Exhibit for Table6 {
         codes.sort();
         codes.dedup();
 
-        let providers = [Provider::Aws, Provider::Google, Provider::Linode, Provider::Azure];
+        let providers = [
+            Provider::Aws,
+            Provider::Google,
+            Provider::Linode,
+            Provider::Azure,
+        ];
         let mut t = TextTable::new(&["Region", "AWS", "Google", "Linode", "Azure"]);
         for code in codes {
-            let has = |p: Provider| {
-                regions
-                    .iter()
-                    .any(|(pp, r)| *pp == p && r.code == code)
-            };
+            let has = |p: Provider| regions.iter().any(|(pp, r)| *pp == p && r.code == code);
             let marks: Vec<bool> = providers.iter().map(|&p| has(p)).collect();
             if marks.iter().filter(|&&m| m).count() >= 2 {
                 t.row(vec![
@@ -322,7 +327,10 @@ fn render_appendix(cx: &ExhibitCx<'_>, need: Need) -> String {
         let port = BreakdownPort::P80;
         let (rows, _) = cx.breakdown(need, port);
         if let Some(r) = rows.iter().find(|r| !r.is_http) {
-            out.push_str(&format!("  ~HTTP/{port} share: {:.0}%\n", r.pct_of_scanners));
+            out.push_str(&format!(
+                "  ~HTTP/{port} share: {:.0}%\n",
+                r.pct_of_scanners
+            ));
         }
     }
     out

@@ -251,7 +251,10 @@ mod tests {
             let first = got.iter().zip(&want).position(|(a, b)| a != b);
             let at = first.unwrap_or(got.len().min(want.len()));
             let line = want[..at].iter().filter(|&&b| b == b'\n').count();
-            panic!("port {} CSV differs from the reference at line {line}", s.port);
+            panic!(
+                "port {} CSV differs from the reference at line {line}",
+                s.port
+            );
         }
     }
 

@@ -399,7 +399,10 @@ mod tests {
         let err = outcome.unwrap_err();
         let msg = panic_message(err);
         assert!(msg.contains("1 fleet job(s) failed"), "got: {msg}");
-        assert!(msg.contains("job 1 failed after 2 attempts: boom"), "got: {msg}");
+        assert!(
+            msg.contains("job 1 failed after 2 attempts: boom"),
+            "got: {msg}"
+        );
         // The three healthy jobs all ran to completion before the panic.
         assert_eq!(completed.load(Ordering::SeqCst), 3);
     }

@@ -206,8 +206,12 @@ pub struct SimilarityCell {
 }
 
 /// Table 5's provider list (Table 4's three plus Azure).
-const TABLE5_PROVIDERS: [Provider; 4] =
-    [Provider::Aws, Provider::Google, Provider::Linode, Provider::Azure];
+const TABLE5_PROVIDERS: [Provider; 4] = [
+    Provider::Aws,
+    Provider::Google,
+    Provider::Linode,
+    Provider::Azure,
+];
 
 /// The declared plans behind one Table 5 (slice, characteristic) cell.
 pub fn table5_plans(deployment: &Deployment, slice: TrafficSlice, kind: CharKind) -> Vec<Plan> {

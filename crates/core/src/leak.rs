@@ -49,7 +49,11 @@ pub enum LeakService {
 
 impl LeakService {
     /// All three services.
-    pub const ALL: [LeakService; 3] = [LeakService::Http80, LeakService::Ssh22, LeakService::Telnet23];
+    pub const ALL: [LeakService; 3] = [
+        LeakService::Http80,
+        LeakService::Ssh22,
+        LeakService::Telnet23,
+    ];
 
     /// The service port.
     pub fn port(&self) -> u16 {
@@ -284,7 +288,12 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
     {
         let rng = root.derive("leak/indexers");
         let censys_agent = IndexerAgent::new(
-            ActorIdentity::new("censys", cw_netsim::asn::Asn(398_324), "US", censys_srcs.clone()),
+            ActorIdentity::new(
+                "censys",
+                cw_netsim::asn::Asn(398_324),
+                "US",
+                censys_srcs.clone(),
+            ),
             rng.derive("censys"),
             censys.clone(),
             all_ips.clone(),
@@ -293,7 +302,12 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
             0.0,
         );
         let shodan_agent = IndexerAgent::new(
-            ActorIdentity::new("shodan", cw_netsim::asn::Asn(10_439), "US", shodan_srcs.clone()),
+            ActorIdentity::new(
+                "shodan",
+                cw_netsim::asn::Asn(10_439),
+                "US",
+                shodan_srcs.clone(),
+            ),
             rng.derive("shodan"),
             shodan.clone(),
             all_ips.clone(),
@@ -325,7 +339,12 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
             let malicious = i % 2 == 0;
             let pacing = Pacing::spread(&mut crng, targets.len(), config.horizon);
             let c = Campaign::new(
-                ActorIdentity::new(&format!("bg-http/{i}"), cw_netsim::asn::Asn(64_600 + i as u32), "US", srcs),
+                ActorIdentity::new(
+                    &format!("bg-http/{i}"),
+                    cw_netsim::asn::Asn(64_600 + i as u32),
+                    "US",
+                    srcs,
+                ),
                 crng,
                 targets,
                 pacing,
@@ -381,23 +400,108 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
     {
         let mut rng = root.derive("leak/miners");
         let specs: Vec<(&str, SearchEngine, MinerAttack, f64)> = vec![
-            ("miner/c-http-0", SearchEngine::Censys, MinerAttack::HttpExploits { attempts: 5 }, 0.5),
-            ("miner/c-http-1", SearchEngine::Censys, MinerAttack::HttpExploits { attempts: 5 }, 0.5),
-            ("miner/c-http-2", SearchEngine::Censys, MinerAttack::HttpExploits { attempts: 4 }, 0.4),
-            ("miner/c-http-3", SearchEngine::Censys, MinerAttack::HttpExploits { attempts: 4 }, 0.4),
-            ("miner/s-http-0", SearchEngine::Shodan, MinerAttack::HttpExploits { attempts: 5 }, 0.6),
-            ("miner/s-http-1", SearchEngine::Shodan, MinerAttack::HttpExploits { attempts: 5 }, 0.6),
-            ("miner/s-http-2", SearchEngine::Shodan, MinerAttack::HttpExploits { attempts: 5 }, 0.6),
-            ("miner/s-http-3", SearchEngine::Shodan, MinerAttack::HttpExploits { attempts: 5 }, 0.6),
-            ("miner/s-http-4", SearchEngine::Shodan, MinerAttack::HttpExploits { attempts: 4 }, 0.6),
-            ("miner/s-ssh-0", SearchEngine::Shodan, MinerAttack::SshBruteforce { attempts: 8 }, 0.5),
-            ("miner/s-ssh-1", SearchEngine::Shodan, MinerAttack::SshBruteforce { attempts: 7 }, 0.5),
-            ("miner/s-ssh-2", SearchEngine::Shodan, MinerAttack::SshBruteforce { attempts: 6 }, 0.4),
-            ("miner/c-ssh-0", SearchEngine::Censys, MinerAttack::SshBruteforce { attempts: 7 }, 0.4),
-            ("miner/c-ssh-1", SearchEngine::Censys, MinerAttack::SshBruteforce { attempts: 6 }, 0.4),
-            ("miner/c-telnet-0", SearchEngine::Censys, MinerAttack::TelnetBruteforce { attempts: 4 }, 0.3),
-            ("miner/c-telnet-1", SearchEngine::Censys, MinerAttack::TelnetBruteforce { attempts: 4 }, 0.3),
-            ("miner/s-telnet-0", SearchEngine::Shodan, MinerAttack::TelnetBruteforce { attempts: 3 }, 0.3),
+            (
+                "miner/c-http-0",
+                SearchEngine::Censys,
+                MinerAttack::HttpExploits { attempts: 5 },
+                0.5,
+            ),
+            (
+                "miner/c-http-1",
+                SearchEngine::Censys,
+                MinerAttack::HttpExploits { attempts: 5 },
+                0.5,
+            ),
+            (
+                "miner/c-http-2",
+                SearchEngine::Censys,
+                MinerAttack::HttpExploits { attempts: 4 },
+                0.4,
+            ),
+            (
+                "miner/c-http-3",
+                SearchEngine::Censys,
+                MinerAttack::HttpExploits { attempts: 4 },
+                0.4,
+            ),
+            (
+                "miner/s-http-0",
+                SearchEngine::Shodan,
+                MinerAttack::HttpExploits { attempts: 5 },
+                0.6,
+            ),
+            (
+                "miner/s-http-1",
+                SearchEngine::Shodan,
+                MinerAttack::HttpExploits { attempts: 5 },
+                0.6,
+            ),
+            (
+                "miner/s-http-2",
+                SearchEngine::Shodan,
+                MinerAttack::HttpExploits { attempts: 5 },
+                0.6,
+            ),
+            (
+                "miner/s-http-3",
+                SearchEngine::Shodan,
+                MinerAttack::HttpExploits { attempts: 5 },
+                0.6,
+            ),
+            (
+                "miner/s-http-4",
+                SearchEngine::Shodan,
+                MinerAttack::HttpExploits { attempts: 4 },
+                0.6,
+            ),
+            (
+                "miner/s-ssh-0",
+                SearchEngine::Shodan,
+                MinerAttack::SshBruteforce { attempts: 8 },
+                0.5,
+            ),
+            (
+                "miner/s-ssh-1",
+                SearchEngine::Shodan,
+                MinerAttack::SshBruteforce { attempts: 7 },
+                0.5,
+            ),
+            (
+                "miner/s-ssh-2",
+                SearchEngine::Shodan,
+                MinerAttack::SshBruteforce { attempts: 6 },
+                0.4,
+            ),
+            (
+                "miner/c-ssh-0",
+                SearchEngine::Censys,
+                MinerAttack::SshBruteforce { attempts: 7 },
+                0.4,
+            ),
+            (
+                "miner/c-ssh-1",
+                SearchEngine::Censys,
+                MinerAttack::SshBruteforce { attempts: 6 },
+                0.4,
+            ),
+            (
+                "miner/c-telnet-0",
+                SearchEngine::Censys,
+                MinerAttack::TelnetBruteforce { attempts: 4 },
+                0.3,
+            ),
+            (
+                "miner/c-telnet-1",
+                SearchEngine::Censys,
+                MinerAttack::TelnetBruteforce { attempts: 4 },
+                0.3,
+            ),
+            (
+                "miner/s-telnet-0",
+                SearchEngine::Shodan,
+                MinerAttack::TelnetBruteforce { attempts: 3 },
+                0.3,
+            ),
         ];
         for (name, eng, attack, repeat) in specs {
             let srcs = alloc.alloc(3);

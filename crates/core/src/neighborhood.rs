@@ -57,15 +57,9 @@ pub fn neighborhoods(deployment: &Deployment) -> Vec<(String, Vec<Ipv4Addr>)> {
 
 /// The honeypots of a neighborhood that can observe a slice (HTTP slices
 /// need the payload ports, which only 2 of 4 GreyNoise IPs expose).
-fn observing_ips(
-    deployment: &Deployment,
-    ips: &[Ipv4Addr],
-    slice: TrafficSlice,
-) -> Vec<Ipv4Addr> {
-    let needs_payload_ports = matches!(
-        slice,
-        TrafficSlice::HttpPort80 | TrafficSlice::HttpAllPorts
-    );
+fn observing_ips(deployment: &Deployment, ips: &[Ipv4Addr], slice: TrafficSlice) -> Vec<Ipv4Addr> {
+    let needs_payload_ports =
+        matches!(slice, TrafficSlice::HttpPort80 | TrafficSlice::HttpAllPorts);
     ips.iter()
         .copied()
         .filter(|ip| {

@@ -42,7 +42,9 @@ pub fn city_pairs(deployment: &Deployment) -> Vec<CityPair> {
         for j in i + 1..regions.len() {
             let (pa, ra) = &regions[i];
             let (pb, rb) = &regions[j];
-            if pa != pb && ra.code == rb.code && *pa != Provider::HurricaneElectric
+            if pa != pb
+                && ra.code == rb.code
+                && *pa != Provider::HurricaneElectric
                 && *pb != Provider::HurricaneElectric
             {
                 out.push(CityPair {

@@ -59,11 +59,7 @@ pub fn edu_ips(deployment: &Deployment) -> Vec<Ipv4Addr> {
         .collect()
 }
 
-fn overlap_fraction(
-    sources: &BTreeSet<Ipv4Addr>,
-    telescope: &Telescope,
-    port: u16,
-) -> Option<f64> {
+fn overlap_fraction(sources: &BTreeSet<Ipv4Addr>, telescope: &Telescope, port: u16) -> Option<f64> {
     if sources.is_empty() {
         return None;
     }

@@ -73,7 +73,9 @@ pub fn protocol_breakdown(
     reputation: &ReputationDb,
     port: u16,
 ) -> (Vec<ProtocolBreakdownRow>, Vec<UnexpectedShare>) {
-    let plan = protocol_breakdown_plans(deployment, port).pop().expect("one plan");
+    let plan = protocol_breakdown_plans(deployment, port)
+        .pop()
+        .expect("one plan");
     let by_proto = exec.run(&plan).into_fingerprint_srcs();
     let total: usize = by_proto.values().map(|s| s.len()).sum();
     if total == 0 {
@@ -227,7 +229,9 @@ pub fn composition_stats(exec: &ScanExec<'_>, deployment: &Deployment) -> Compos
             if seen_ids.insert(p) {
                 let normalized = cw_protocols::http::normalize(interner.payload(p));
                 let key = crate::axes::payload_key(&normalized);
-                distinct.entry(key).or_insert((p, dataset.table().dst_ports()[i]));
+                distinct
+                    .entry(key)
+                    .or_insert((p, dataset.table().dst_ports()[i]));
             }
         }
     }
@@ -282,9 +286,18 @@ mod tests {
         let c = composition_stats(&ScanExec::with_store(&s.dataset, &store), &s.deployment);
         // Non-trivial non-auth fractions on login ports; the majority of
         // HTTP/80 payloads benign.
-        assert!(c.ssh_non_auth_pct > 5.0 && c.ssh_non_auth_pct < 80.0, "{c:?}");
-        assert!(c.telnet_non_auth_pct > 5.0 && c.telnet_non_auth_pct < 80.0, "{c:?}");
+        assert!(
+            c.ssh_non_auth_pct > 5.0 && c.ssh_non_auth_pct < 80.0,
+            "{c:?}"
+        );
+        assert!(
+            c.telnet_non_auth_pct > 5.0 && c.telnet_non_auth_pct < 80.0,
+            "{c:?}"
+        );
         assert!(c.http80_benign_pct > 50.0, "{c:?}");
-        assert!(c.distinct_http_malicious_pct > 0.0 && c.distinct_http_malicious_pct < 60.0, "{c:?}");
+        assert!(
+            c.distinct_http_malicious_pct > 0.0 && c.distinct_http_malicious_pct < 60.0,
+            "{c:?}"
+        );
     }
 }

@@ -537,10 +537,9 @@ impl Acc {
             Acc::Count(n) => PlanResult::Count(n),
             Acc::Rows(v) => PlanResult::Rows(v),
             Acc::DistinctSrcs(srcs) => PlanResult::DistinctSrcs(into_addrs(srcs)),
-            Acc::SrcAsn(srcs, asns) => PlanResult::UniqueSrcAndAsn(
-                srcs.into_sorted().len(),
-                asns.into_sorted().len(),
-            ),
+            Acc::SrcAsn(srcs, asns) => {
+                PlanResult::UniqueSrcAndAsn(srcs.into_sorted().len(), asns.into_sorted().len())
+            }
             // The one resolution point: IDs → strings per distinct ID,
             // after the scan.
             Acc::CharFreqs(kind, rows) => PlanResult::CharFreqs(axes::row_freqs(kind, ds, &rows)),
@@ -1050,7 +1049,10 @@ mod tests {
     fn buckets_are_longest_first_and_cover_every_job_once() {
         // Costs 5, 4, 3 go to buckets 0, 1, 1; then 2 to bucket 0 (5 < 7)
         // and 1 to bucket 0 again (7 = 7, lowest index wins).
-        assert_eq!(buckets(&[5, 1, 4, 2, 3], 2), vec![vec![0, 3, 1], vec![2, 4]]);
+        assert_eq!(
+            buckets(&[5, 1, 4, 2, 3], 2),
+            vec![vec![0, 3, 1], vec![2, 4]]
+        );
         assert_eq!(buckets(&[2, 2], 8).len(), 2, "no more buckets than jobs");
         assert_eq!(buckets(&[], 4), vec![Vec::<usize>::new()]);
         let costs: Vec<u64> = (0..40).map(|j| (j * 7919) % 101).collect();

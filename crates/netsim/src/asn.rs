@@ -89,7 +89,12 @@ impl AsRegistry {
             (135377, "UCloud HK", "HK", AsCategory::Cloud),
             (212283, "ROUTERHOSTING", "RU", AsCategory::Bulletproof),
             (24961, "myLoc managed IT", "DE", AsCategory::Hosting),
-            (262187, "Tsunami botnet hosting", "BR", AsCategory::Bulletproof),
+            (
+                262187,
+                "Tsunami botnet hosting",
+                "BR",
+                AsCategory::Bulletproof,
+            ),
             // Instruments.
             (398324, "Censys", "US", AsCategory::SecurityVendor),
             (10439, "Shodan (CariNet)", "US", AsCategory::SecurityVendor),

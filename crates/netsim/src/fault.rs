@@ -436,7 +436,10 @@ mod tests {
         assert_eq!(a.windows().len(), 4);
         let down = a.total_downtime().secs() as f64;
         let want = WEEK.secs() as f64 * 0.25;
-        assert!((down - want).abs() / want < 0.01, "down {down}, want {want}");
+        assert!(
+            (down - want).abs() / want < 0.01,
+            "down {down}, want {want}"
+        );
         // Windows are sorted, non-overlapping, inside the horizon.
         let mut last_end = 0;
         for &(from, to) in a.windows() {

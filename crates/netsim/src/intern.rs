@@ -255,7 +255,9 @@ impl Interner {
             out.intern_payload(bytes);
         }
         if out.payload_count() != n_payloads {
-            return Err(SnapError::Malformed("duplicate payload in interner snapshot"));
+            return Err(SnapError::Malformed(
+                "duplicate payload in interner snapshot",
+            ));
         }
         let n_creds = r.get_count()?;
         for _ in 0..n_creds {

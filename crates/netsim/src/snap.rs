@@ -437,7 +437,10 @@ mod tests {
     #[test]
     fn unseal_rejects_truncation() {
         let sealed = seal(b"data");
-        assert_eq!(unseal(&sealed[..sealed.len() - 1]), Err(SnapError::Truncated));
+        assert_eq!(
+            unseal(&sealed[..sealed.len() - 1]),
+            Err(SnapError::Truncated)
+        );
         // Trailing garbage is equally fatal: length must match exactly.
         let mut padded = sealed.clone();
         padded.push(0);

@@ -204,10 +204,7 @@ mod tests {
         t.add(AddressBlock::new("a", vec![cidr(10, 0, 0, 0, 24)]));
         t.add(AddressBlock::new("b", vec![cidr(10, 0, 1, 0, 24)]));
         assert_eq!(t.block("a").unwrap().size(), 256);
-        assert_eq!(
-            t.block_of(Ipv4Addr::new(10, 0, 1, 200)).unwrap().name,
-            "b"
-        );
+        assert_eq!(t.block_of(Ipv4Addr::new(10, 0, 1, 200)).unwrap().name, "b");
         assert!(t.block_of(Ipv4Addr::new(10, 0, 2, 1)).is_none());
     }
 
@@ -232,7 +229,10 @@ mod tests {
         let mut t = Topology::new();
         t.add(AddressBlock::new("aws/US-OR", vec![cidr(20, 0, 0, 0, 28)]));
         t.add(AddressBlock::new("aws/AP-SG", vec![cidr(20, 0, 1, 0, 28)]));
-        t.add(AddressBlock::new("google/US-NV", vec![cidr(20, 1, 0, 0, 28)]));
+        t.add(AddressBlock::new(
+            "google/US-NV",
+            vec![cidr(20, 1, 0, 0, 28)],
+        ));
         assert_eq!(t.names_with_prefix("aws/").len(), 2);
         assert_eq!(t.names_with_prefix("google/").len(), 1);
     }

@@ -65,7 +65,9 @@ mod tests {
         vec![
             (
                 ProtocolId::Http,
-                http::HttpRequest::new("GET", "/").header("Host", "x").to_bytes(),
+                http::HttpRequest::new("GET", "/")
+                    .header("Host", "x")
+                    .to_bytes(),
             ),
             (ProtocolId::Tls, tls::build_client_hello(1, Some("h"))),
             (ProtocolId::Ssh, ssh::build_banner("OpenSSH_8.9")),

@@ -123,11 +123,12 @@ pub fn looks_like_http(payload: &[u8]) -> bool {
         Err(_) => return false,
     };
     let mut parts = line.split(' ');
-    let method_ok = parts
+    let method_ok = parts.next().map(|m| METHODS.contains(&m)).unwrap_or(false);
+    let version_ok = line
+        .rsplit(' ')
         .next()
-        .map(|m| METHODS.contains(&m))
+        .map(|v| v.starts_with("HTTP/"))
         .unwrap_or(false);
-    let version_ok = line.rsplit(' ').next().map(|v| v.starts_with("HTTP/")).unwrap_or(false);
     method_ok && version_ok
 }
 
@@ -160,9 +161,7 @@ pub(crate) fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     if needle.is_empty() || haystack.len() < needle.len() {
         return None;
     }
-    haystack
-        .windows(needle.len())
-        .position(|w| w == needle)
+    haystack.windows(needle.len()).position(|w| w == needle)
 }
 
 #[cfg(test)]

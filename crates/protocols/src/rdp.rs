@@ -37,7 +37,7 @@ mod tests {
     fn rejects_others() {
         assert!(!is_rdp(b"GET / HTTP/1.1"));
         assert!(!is_rdp(&[0x03, 0x00, 0x00])); // truncated
-        // TPKT but not a connection request.
+                                               // TPKT but not a connection request.
         assert!(!is_rdp(&[0x03, 0x00, 0x00, 0x08, 0x02, 0xF0, 0x80]));
     }
 }

@@ -2,10 +2,8 @@
 
 /// Build a SIP OPTIONS request.
 pub fn build_options(target: &str) -> Vec<u8> {
-    format!(
-        "OPTIONS sip:{target} SIP/2.0\r\nVia: SIP/2.0/TCP scanner\r\nMax-Forwards: 70\r\n\r\n"
-    )
-    .into_bytes()
+    format!("OPTIONS sip:{target} SIP/2.0\r\nVia: SIP/2.0/TCP scanner\r\nMax-Forwards: 70\r\n\r\n")
+        .into_bytes()
 }
 
 /// Does this first payload look like a SIP request?

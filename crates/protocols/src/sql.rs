@@ -4,7 +4,9 @@
 pub fn build_prelogin() -> Vec<u8> {
     // Option: VERSION (token 0, offset 6, length 6) + terminator 0xFF,
     // then 6 bytes of version data.
-    let body: [u8; 12] = [0x00, 0x00, 0x06, 0x00, 0x06, 0xFF, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00];
+    let body: [u8; 12] = [
+        0x00, 0x00, 0x06, 0x00, 0x06, 0xFF, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00,
+    ];
     let total = 8 + body.len();
     let mut p = Vec::with_capacity(total);
     p.push(0x12); // type: PRELOGIN

@@ -27,9 +27,7 @@ pub fn build_negotiation(options: &[u8]) -> Vec<u8> {
 
 /// Does this first payload look like Telnet negotiation?
 pub fn is_telnet_negotiation(payload: &[u8]) -> bool {
-    payload.len() >= 3
-        && payload[0] == IAC
-        && matches!(payload[1], WILL | WONT | DO | DONT)
+    payload.len() >= 3 && payload[0] == IAC && matches!(payload[1], WILL | WONT | DO | DONT)
 }
 
 #[cfg(test)]

@@ -142,7 +142,9 @@ mod tests {
         assert!(!is_client_hello(b"SSH-2.0-x\r\n"));
         assert!(!is_client_hello(&[0x16, 0x03]));
         // Handshake record but ServerHello (type 2) — not a client payload.
-        assert!(!is_client_hello(&[0x16, 0x03, 0x03, 0x00, 0x05, 0x02, 0, 0, 0, 0]));
+        assert!(!is_client_hello(&[
+            0x16, 0x03, 0x03, 0x00, 0x05, 0x02, 0, 0, 0, 0
+        ]));
     }
 
     #[test]

@@ -91,7 +91,13 @@ pub fn dictionary_subset(
         rng.range(1, 7) as usize
     };
     let weights: Vec<f64> = (0..dictionary.len())
-        .map(|i| if head_bias { 1.0 / (i as f64 + 1.0) } else { 1.0 })
+        .map(|i| {
+            if head_bias {
+                1.0 / (i as f64 + 1.0)
+            } else {
+                1.0
+            }
+        })
         .collect();
     let mut picked: Vec<usize> = Vec::new();
     let mut guard = 0;
@@ -120,12 +126,8 @@ pub fn build(
     for i in 0..profile.count {
         let mut crng = rng.derive(&format!("{}/{}", profile.name, i));
         let (asn, country) = asn_picker(&mut crng);
-        let identity = ActorIdentity::new(
-            &format!("{}/{}", profile.name, i),
-            asn,
-            &country,
-            alloc(1),
-        );
+        let identity =
+            ActorIdentity::new(&format!("{}/{}", profile.name, i), asn, &country, alloc(1));
         let base =
             universe.sample_services(&mut crng, profile.service_rate, |t| profile.scope.admits(t));
         // Heavy-tailed per-campaign volume (§4.1 neighbor asymmetry).

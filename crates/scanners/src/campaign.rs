@@ -290,7 +290,9 @@ mod tests {
     #[test]
     fn pacing_spreads_over_window() {
         let mut rng = SimRng::seed_from_u64(2);
-        let ips: Vec<Ipv4Addr> = (0..200).map(|i| Ipv4Addr::new(10, 0, (i / 250) as u8, (i % 250) as u8)).collect();
+        let ips: Vec<Ipv4Addr> = (0..200)
+            .map(|i| Ipv4Addr::new(10, 0, (i / 250) as u8, (i % 250) as u8))
+            .collect();
         let targets = Campaign::cross(&ips, &[23]);
         let pacing = Pacing::spread(&mut rng, targets.len(), SimDuration::WEEK);
         let c = Campaign::new(
@@ -364,10 +366,19 @@ mod tests {
         let srcs: Vec<Ipv4Addr> = (0..8).map(|i| Ipv4Addr::new(100, 0, 0, i)).collect();
         let identity = ActorIdentity::new("bot", Asn(1), "CN", srcs.clone());
         let targets = vec![(Ipv4Addr::new(10, 0, 0, 1), 23); 100];
-        let c = Campaign::new(identity, rng, targets, Pacing::burst_at(SimTime(0), 100), probe_only());
+        let c = Campaign::new(
+            identity,
+            rng,
+            targets,
+            Pacing::burst_at(SimTime(0), 100),
+            probe_only(),
+        );
         let flows = run_campaign(c);
-        let distinct: std::collections::BTreeSet<Ipv4Addr> =
-            flows.iter().map(|f| f.src).collect();
-        assert!(distinct.len() >= 6, "only {} distinct sources", distinct.len());
+        let distinct: std::collections::BTreeSet<Ipv4Addr> = flows.iter().map(|f| f.src).collect();
+        assert!(
+            distinct.len() >= 6,
+            "only {} distinct sources",
+            distinct.len()
+        );
     }
 }

@@ -150,12 +150,8 @@ mod tests {
 
         // The honeypot presents the default Cowrie banner (via the
         // Interactive greeting); the "real" server presents a custom one.
-        let hp = HoneypotListener::new(
-            "cowrie",
-            [honeypot_ip],
-            PortPolicy::Closed,
-        )
-        .with_policy(22, PortPolicy::Interactive(LoginService::Ssh));
+        let hp = HoneypotListener::new("cowrie", [honeypot_ip], PortPolicy::Closed)
+            .with_policy(22, PortPolicy::Interactive(LoginService::Ssh));
         let hp_cap = hp.capture();
         engine.add_listener(Rc::new(RefCell::new(hp)));
 
@@ -181,14 +177,16 @@ mod tests {
 
         // The honeypot saw only the banner grab — never a credential.
         let hp_cap = hp_cap.borrow();
-        assert!(hp_cap
-            .events()
-            .all(|e| !matches!(e.observed, cw_honeypot::capture::Observed::Credentials { .. })));
+        assert!(hp_cap.events().all(|e| !matches!(
+            e.observed,
+            cw_honeypot::capture::Observed::Credentials { .. }
+        )));
         // The "real" server got attacked.
         let real_cap = real_cap.borrow();
-        assert!(real_cap
-            .events()
-            .any(|e| matches!(e.observed, cw_honeypot::capture::Observed::Credentials { .. })));
+        assert!(real_cap.events().any(|e| matches!(
+            e.observed,
+            cw_honeypot::capture::Observed::Credentials { .. }
+        )));
     }
 
     #[test]

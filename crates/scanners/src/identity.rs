@@ -25,7 +25,10 @@ pub struct ActorIdentity {
 impl ActorIdentity {
     /// Build an identity.
     pub fn new(name: &str, asn: Asn, country: &str, ips: Vec<Ipv4Addr>) -> Self {
-        assert!(!ips.is_empty(), "actor '{name}' needs at least one source IP");
+        assert!(
+            !ips.is_empty(),
+            "actor '{name}' needs at least one source IP"
+        );
         ActorIdentity {
             name: name.to_string(),
             asn,
@@ -92,11 +95,14 @@ mod tests {
         let mut a = SrcAllocator::new();
         let x = a.alloc(3);
         let y = a.alloc(2);
-        assert_eq!(x, vec![
-            Ipv4Addr::new(100, 0, 0, 0),
-            Ipv4Addr::new(100, 0, 0, 1),
-            Ipv4Addr::new(100, 0, 0, 2),
-        ]);
+        assert_eq!(
+            x,
+            vec![
+                Ipv4Addr::new(100, 0, 0, 0),
+                Ipv4Addr::new(100, 0, 0, 1),
+                Ipv4Addr::new(100, 0, 0, 2),
+            ]
+        );
         assert_eq!(y[0], Ipv4Addr::new(100, 0, 0, 3));
         assert_eq!(a.allocated(), 5);
     }

@@ -204,12 +204,7 @@ impl Agent for MinerAgent {
                 .into_iter()
                 .filter(|e| self.use_historical || !e.historical)
                 .map(|e| e.ip)
-                .filter(|ip| {
-                    self.scope
-                        .as_ref()
-                        .map(|s| s.contains(ip))
-                        .unwrap_or(true)
-                })
+                .filter(|ip| self.scope.as_ref().map(|s| s.contains(ip)).unwrap_or(true))
                 .collect()
         };
         for ip in discovered {

@@ -119,7 +119,12 @@ mod tests {
         engine.add_listener(Rc::new(RefCell::new(hp)));
 
         let campaign = NmapCampaign::new(
-            ActorIdentity::new("avast", Asn(198_605), "CZ", vec![Ipv4Addr::new(100, 2, 0, 1)]),
+            ActorIdentity::new(
+                "avast",
+                Asn(198_605),
+                "CZ",
+                vec![Ipv4Addr::new(100, 2, 0, 1)],
+            ),
             SimRng::seed_from_u64(1),
             index,
             vec![live, historical, unlisted],

@@ -134,9 +134,7 @@ struct AsnPool {
 
 impl AsnPool {
     fn new(entries: Vec<(Asn, String)>) -> Self {
-        let weights = (0..entries.len())
-            .map(|i| 1.0 / (i as f64 + 1.0))
-            .collect();
+        let weights = (0..entries.len()).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         AsnPool { entries, weights }
     }
 
@@ -287,16 +285,11 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
                 service_rate: 1.0,
                 ..profile
             };
-            let mut steady_campaigns = crate::zmap::build(
-                &steady,
-                &universe,
-                &mut rng,
-                |n| alloc.alloc(n),
-                &mut |r| {
+            let mut steady_campaigns =
+                crate::zmap::build(&steady, &universe, &mut rng, |n| alloc.alloc(n), &mut |r| {
                     let (a, c) = general_pool.pick(r);
                     (a, c)
-                },
-            );
+                });
             let mut campaigns = crate::zmap::build(
                 &profile,
                 &universe,
@@ -373,8 +366,13 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
         for ip in &bot_ips {
             reputation.observe_malicious(*ip);
         }
-        let tsunami =
-            crate::tsunami::build_tsunami(&mut rng, bot_ips, Asn(262_187), victim, scaled(2_000, s));
+        let tsunami = crate::tsunami::build_tsunami(
+            &mut rng,
+            bot_ips,
+            Asn(262_187),
+            victim,
+            scaled(2_000, s),
+        );
         let start = tsunami.start_time();
         agents.push((Box::new(tsunami), start));
 
@@ -631,16 +629,11 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
             });
         }
         for profile in &profiles {
-            let campaigns = webexploit::build(
-                profile,
-                &universe,
-                &mut rng,
-                |n| alloc.alloc(n),
-                &mut |r| {
+            let campaigns =
+                webexploit::build(profile, &universe, &mut rng, |n| alloc.alloc(n), &mut |r| {
                     let (a, c) = attacker_pool.pick(r);
                     (a, c)
-                },
-            );
+                });
             for c in campaigns {
                 for ip in &c.identity().ips {
                     reputation.observe_malicious(*ip);
@@ -733,9 +726,8 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
         // 2022-only anomaly (Appendix C.2): router-software bruteforce that
         // hits Merit but avoids Stanford.
         if config.year == ScenarioYear::Y2022 {
-            let merit_ips = universe.service_ips(|t| {
-                t.provider == cw_honeypot::deployment::Provider::Merit
-            });
+            let merit_ips =
+                universe.service_ips(|t| t.provider == cw_honeypot::deployment::Provider::Merit);
             let srcs = alloc.alloc(scaled(60, s));
             for ip in &srcs {
                 reputation.observe_malicious(*ip);
@@ -776,16 +768,10 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
         for m in &mut mix {
             m.count = scaled(m.count, s);
         }
-        let fleet = unexpected::build(
-            &mix,
-            &universe,
-            &mut rng,
-            |n| alloc.alloc(n),
-            &mut |r| {
-                let (a, c) = attacker_pool.pick(r);
-                (a, c)
-            },
-        );
+        let fleet = unexpected::build(&mix, &universe, &mut rng, |n| alloc.alloc(n), &mut |r| {
+            let (a, c) = attacker_pool.pick(r);
+            (a, c)
+        });
         for (ip, malicious) in &fleet.labels {
             if *malicious {
                 reputation.observe_malicious(*ip);
@@ -802,20 +788,74 @@ pub fn build(config: &PopulationConfig, deployment: &Deployment) -> Population {
         let mut rng = root.derive("miners");
         let specs: &[(&str, MinerAttack, bool, u64)] = &[
             // HTTP miners lean on Censys; SSH miners on Shodan (Table 3).
-            ("miner/censys-http-0", MinerAttack::HttpExploits { attempts: 4 }, true, 0),
-            ("miner/censys-http-1", MinerAttack::HttpExploits { attempts: 4 }, true, 0),
-            ("miner/censys-http-2", MinerAttack::HttpExploits { attempts: 3 }, true, 0),
-            ("miner/shodan-http-0", MinerAttack::HttpExploits { attempts: 4 }, false, 1),
-            ("miner/shodan-http-1", MinerAttack::HttpExploits { attempts: 3 }, false, 1),
-            ("miner/shodan-ssh-0", MinerAttack::SshBruteforce { attempts: 6 }, false, 1),
-            ("miner/shodan-ssh-1", MinerAttack::SshBruteforce { attempts: 6 }, false, 1),
-            ("miner/shodan-ssh-2", MinerAttack::SshBruteforce { attempts: 5 }, false, 1),
-            ("miner/censys-ssh-0", MinerAttack::SshBruteforce { attempts: 5 }, true, 0),
-            ("miner/censys-telnet-0", MinerAttack::TelnetBruteforce { attempts: 4 }, true, 0),
-            ("miner/shodan-telnet-0", MinerAttack::TelnetBruteforce { attempts: 3 }, false, 1),
+            (
+                "miner/censys-http-0",
+                MinerAttack::HttpExploits { attempts: 4 },
+                true,
+                0,
+            ),
+            (
+                "miner/censys-http-1",
+                MinerAttack::HttpExploits { attempts: 4 },
+                true,
+                0,
+            ),
+            (
+                "miner/censys-http-2",
+                MinerAttack::HttpExploits { attempts: 3 },
+                true,
+                0,
+            ),
+            (
+                "miner/shodan-http-0",
+                MinerAttack::HttpExploits { attempts: 4 },
+                false,
+                1,
+            ),
+            (
+                "miner/shodan-http-1",
+                MinerAttack::HttpExploits { attempts: 3 },
+                false,
+                1,
+            ),
+            (
+                "miner/shodan-ssh-0",
+                MinerAttack::SshBruteforce { attempts: 6 },
+                false,
+                1,
+            ),
+            (
+                "miner/shodan-ssh-1",
+                MinerAttack::SshBruteforce { attempts: 6 },
+                false,
+                1,
+            ),
+            (
+                "miner/shodan-ssh-2",
+                MinerAttack::SshBruteforce { attempts: 5 },
+                false,
+                1,
+            ),
+            (
+                "miner/censys-ssh-0",
+                MinerAttack::SshBruteforce { attempts: 5 },
+                true,
+                0,
+            ),
+            (
+                "miner/censys-telnet-0",
+                MinerAttack::TelnetBruteforce { attempts: 4 },
+                true,
+                0,
+            ),
+            (
+                "miner/shodan-telnet-0",
+                MinerAttack::TelnetBruteforce { attempts: 3 },
+                false,
+                1,
+            ),
         ];
-        for (name, attack, use_censys, _tag) in specs.iter().take(scaled(specs.len(), s)).cloned()
-        {
+        for (name, attack, use_censys, _tag) in specs.iter().take(scaled(specs.len(), s)).cloned() {
             let srcs = alloc.alloc(4);
             for ip in &srcs {
                 reputation.observe_malicious(*ip);

@@ -247,7 +247,12 @@ mod tests {
 
         let index: SharedIndex = Rc::new(RefCell::new(SearchIndex::new()));
         let agent = IndexerAgent::new(
-            ActorIdentity::new("censys", Asn(398_324), "US", vec![Ipv4Addr::new(100, 0, 0, 1)]),
+            ActorIdentity::new(
+                "censys",
+                Asn(398_324),
+                "US",
+                vec![Ipv4Addr::new(100, 0, 0, 1)],
+            ),
             SimRng::seed_from_u64(1),
             index.clone(),
             vec![hp_ip],

@@ -70,7 +70,11 @@ impl TargetUniverse {
 
     /// Service addresses passing a filter.
     pub fn service_ips<F: Fn(&ServiceTarget) -> bool>(&self, f: F) -> Vec<Ipv4Addr> {
-        self.services.iter().filter(|t| f(t)).map(|t| t.ip).collect()
+        self.services
+            .iter()
+            .filter(|t| f(t))
+            .map(|t| t.ip)
+            .collect()
     }
 
     /// All service addresses.

@@ -123,7 +123,14 @@ pub const SCANNER_USER_AGENTS: [&str; 16] = [
 ];
 
 /// Paths benign scanners fetch.
-pub const SCANNER_PATHS: [&str; 6] = ["/", "/robots.txt", "/favicon.ico", "/index.html", "/sitemap.xml", "/.well-known/security.txt"];
+pub const SCANNER_PATHS: [&str; 6] = [
+    "/",
+    "/robots.txt",
+    "/favicon.ico",
+    "/index.html",
+    "/sitemap.xml",
+    "/.well-known/security.txt",
+];
 
 /// The benign first payload an assigned-protocol scanner sends on a port.
 pub fn benign_intent_for_port(port: u16, rng: &mut SimRng) -> IntentFn {

@@ -95,7 +95,11 @@ mod tests {
         // chi2 = 100 * (10*40 - 20*30)^2 / (30*70*40*60) = 0.7936507936...
         let t = ContingencyTable::new(cats(&["a", "b"]), vec![vec![10, 20], vec![30, 40]]);
         let r = chi_squared_from_table(&t).unwrap();
-        assert!((r.statistic - 0.793_650_793_650_79).abs() < 1e-9, "{}", r.statistic);
+        assert!(
+            (r.statistic - 0.793_650_793_650_79).abs() < 1e-9,
+            "{}",
+            r.statistic
+        );
         assert_eq!(r.df, 1);
         // For df = 1, sf(x) = erfc(√(x/2)); erfc is independently validated
         // against reference values in `special`.
@@ -106,10 +110,7 @@ mod tests {
 
     #[test]
     fn strongly_different_rows_are_significant() {
-        let t = ContingencyTable::new(
-            cats(&["a", "b"]),
-            vec![vec![100, 5], vec![5, 100]],
-        );
+        let t = ContingencyTable::new(cats(&["a", "b"]), vec![vec![100, 5], vec![5, 100]]);
         let r = chi_squared_from_table(&t).unwrap();
         assert!(r.significant(0.001));
         assert!(r.statistic > 100.0);

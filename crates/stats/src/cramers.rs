@@ -134,7 +134,10 @@ mod tests {
     #[test]
     fn same_phi_different_magnitude_across_df() {
         // The paper's caveat: identical φ can be different magnitudes.
-        assert_eq!(magnitude_for(0.25, 1), EffectMagnitude::Negligible.max(EffectMagnitude::Small));
+        assert_eq!(
+            magnitude_for(0.25, 1),
+            EffectMagnitude::Negligible.max(EffectMagnitude::Small)
+        );
         assert_eq!(magnitude_for(0.25, 1), EffectMagnitude::Small);
         assert_eq!(magnitude_for(0.25, 4), EffectMagnitude::Large);
     }

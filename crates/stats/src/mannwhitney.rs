@@ -170,8 +170,12 @@ mod tests {
     fn tie_correction_reduces_variance() {
         // With heavy ties, the tie-corrected test should still flag a clear
         // shift as significant.
-        let x: Vec<f64> = std::iter::repeat_n(2.0, 30).chain(std::iter::repeat_n(3.0, 30)).collect();
-        let y: Vec<f64> = std::iter::repeat_n(1.0, 30).chain(std::iter::repeat_n(2.0, 30)).collect();
+        let x: Vec<f64> = std::iter::repeat_n(2.0, 30)
+            .chain(std::iter::repeat_n(3.0, 30))
+            .collect();
+        let y: Vec<f64> = std::iter::repeat_n(1.0, 30)
+            .chain(std::iter::repeat_n(2.0, 30))
+            .collect();
         let r = mann_whitney_u(&x, &y, Alternative::Greater).unwrap();
         assert!(r.p_value < 1e-6, "p = {}", r.p_value);
     }

@@ -219,7 +219,13 @@ mod tests {
 
     #[test]
     fn gamma_p_q_complementary() {
-        for &(a, x) in &[(0.5, 0.3), (1.0, 1.0), (2.5, 4.0), (10.0, 3.0), (10.0, 30.0)] {
+        for &(a, x) in &[
+            (0.5, 0.3),
+            (1.0, 1.0),
+            (2.5, 4.0),
+            (10.0, 3.0),
+            (10.0, 30.0),
+        ] {
             let p = gamma_p(a, x);
             let q = gamma_q(a, x);
             assert_close(p + q, 1.0, 1e-10);

@@ -117,7 +117,9 @@ mod tests {
     #[test]
     fn noisy_but_unspiked_series_stays_quiet() {
         // Alternating 4/6 around median 5 — well inside 3 robust sigmas.
-        let series: Vec<f64> = (0..168).map(|h| if h % 2 == 0 { 4.0 } else { 6.0 }).collect();
+        let series: Vec<f64> = (0..168)
+            .map(|h| if h % 2 == 0 { 4.0 } else { 6.0 })
+            .collect();
         assert!(detect_spikes(&series, 3.0).is_empty());
     }
 }

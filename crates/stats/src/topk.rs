@@ -37,7 +37,11 @@ impl TopKSpec {
 pub fn top_k_of(freqs: &BTreeMap<String, u64>, k: usize) -> Vec<String> {
     let mut entries: Vec<(&String, &u64)> = freqs.iter().filter(|(_, &c)| c > 0).collect();
     entries.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
-    entries.into_iter().take(k).map(|(s, _)| s.clone()).collect()
+    entries
+        .into_iter()
+        .take(k)
+        .map(|(s, _)| s.clone())
+        .collect()
 }
 
 /// Build the §3.3 union contingency table from per-group frequency maps.

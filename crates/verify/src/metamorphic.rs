@@ -42,7 +42,11 @@ pub fn comparison_fingerprint(c: &GroupComparison) -> (u64, usize, u64, u64, boo
 
 /// Extract a characteristic's frequency map from an event subset given by
 /// indices — the order of `idx` is the "event order" under test.
-pub fn freqs_at(kind: CharKind, events: &[ClassifiedEvent<'_>], idx: &[usize]) -> BTreeMap<String, u64> {
+pub fn freqs_at(
+    kind: CharKind,
+    events: &[ClassifiedEvent<'_>],
+    idx: &[usize],
+) -> BTreeMap<String, u64> {
     let subset: Vec<ClassifiedEvent<'_>> = idx.iter().map(|&i| events[i]).collect();
     kind.freqs(&subset)
 }

@@ -58,21 +58,12 @@ fn main() {
         .topology
         .block("greynoise/he/US-OH")
         .expect("HE block");
-    let targets: Vec<Ipv4Addr> = he
-        .iter()
-        .filter(|ip| is_prime(ip.octets()[3]))
-        .collect();
+    let targets: Vec<Ipv4Addr> = he.iter().filter(|ip| is_prime(ip.octets()[3])).collect();
     println!("prime-addressed targets in the /24: {}", targets.len());
 
     let mut engine = Engine::new();
     deployment.register(&mut engine);
-    engine.add_agent(
-        Box::new(PrimeScanner {
-            targets,
-            cursor: 0,
-        }),
-        SimTime::ZERO,
-    );
+    engine.add_agent(Box::new(PrimeScanner { targets, cursor: 0 }), SimTime::ZERO);
     engine.run(SimTime::ZERO + SimDuration::DAY);
 
     // Measure: do prime and non-prime honeypots see different volumes?

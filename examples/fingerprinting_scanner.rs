@@ -50,7 +50,12 @@ fn main() {
     }
 
     let fp = FingerprintingScanner::new(
-        ActorIdentity::new("careful-bf", Asn(53_667), "US", vec![Ipv4Addr::new(100, 61, 0, 1)]),
+        ActorIdentity::new(
+            "careful-bf",
+            Asn(53_667),
+            "US",
+            vec![Ipv4Addr::new(100, 61, 0, 1)],
+        ),
         SimRng::seed_from_u64(7),
         universe.all_service_ips(),
     );

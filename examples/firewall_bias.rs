@@ -147,5 +147,8 @@ fn main() {
          attacked {:.1}x less — §7's confound, now quantified.",
         pct_a / pct_b.max(1.0)
     );
-    assert!(pct_a > pct_b, "the IPS must suppress measured maliciousness");
+    assert!(
+        pct_a > pct_b,
+        "the IPS must suppress measured maliciousness"
+    );
 }

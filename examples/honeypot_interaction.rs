@@ -41,10 +41,22 @@ fn main() {
     // 2. LZR-style fingerprinting: what protocol is this first payload?
     println!("— first-payload fingerprinting (§6) —");
     let samples: Vec<(&str, Vec<u8>)> = vec![
-        ("plain GET to port 80", protocols::HttpRequest::new("GET", "/").to_bytes()),
-        ("TLS ClientHello to port 80", protocols::tls::build_client_hello(7, None)),
-        ("SMB negotiate to port 8080", protocols::smb::build_negotiate()),
-        ("Redis command to port 80", protocols::redis::build_command(&["INFO"])),
+        (
+            "plain GET to port 80",
+            protocols::HttpRequest::new("GET", "/").to_bytes(),
+        ),
+        (
+            "TLS ClientHello to port 80",
+            protocols::tls::build_client_hello(7, None),
+        ),
+        (
+            "SMB negotiate to port 8080",
+            protocols::smb::build_negotiate(),
+        ),
+        (
+            "Redis command to port 80",
+            protocols::redis::build_command(&["INFO"]),
+        ),
     ];
     for (desc, payload) in &samples {
         println!(

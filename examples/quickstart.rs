@@ -44,9 +44,12 @@ fn main() {
             "  {:<10} {:>6} connections  ({})",
             asn,
             who[&asn],
-            scenario.handles.registry.name_of(cloud_watching::netsim::asn::Asn(
-                asn.trim_start_matches("AS").parse().unwrap()
-            ))
+            scenario
+                .handles
+                .registry
+                .name_of(cloud_watching::netsim::asn::Asn(
+                    asn.trim_start_matches("AS").parse().unwrap()
+                ))
         );
     }
 

@@ -34,7 +34,10 @@ fn main() {
     println!("\n— attacker avoidance (Table 9 shape) —");
     for row in t9 {
         if let Some(tc) = row.tel_cloud {
-            println!("  port {:>5}: {:>4.0}% of *attacker* IPs hit the telescope", row.port, tc);
+            println!(
+                "  port {:>5}: {:>4.0}% of *attacker* IPs hit the telescope",
+                row.port, tc
+            );
         }
     }
 

@@ -152,7 +152,11 @@ fn worlds_with(
         fault: FaultPlan::none(),
         ..ExhibitOptions::default()
     };
-    let years = [ScenarioYear::Y2020, ScenarioYear::Y2021, ScenarioYear::Y2022];
+    let years = [
+        ScenarioYear::Y2020,
+        ScenarioYear::Y2021,
+        ScenarioYear::Y2022,
+    ];
     let configs: Vec<ScenarioConfig> = years
         .iter()
         .map(|&y| ScenarioConfig::fast(y).with_scale(opts.scale))
@@ -217,7 +221,10 @@ fn exhibits_byte_identical_across_shard_and_thread_matrix() {
     cx.prefetch(REGISTRY);
     let prefetched = render_registry(&cx);
     for (name, text) in &baseline {
-        assert_eq!(text, &prefetched[name], "exhibit {name} drifted under prefetch");
+        assert_eq!(
+            text, &prefetched[name],
+            "exhibit {name} drifted under prefetch"
+        );
     }
     for threads in [2, 8] {
         let rendered = render_all(threads);

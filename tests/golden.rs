@@ -31,8 +31,7 @@ fn golden_manifest_gate() {
     }
     let drifts = golden::check(&root).expect("exhibits readable");
     if !drifts.is_empty() {
-        let mut msg =
-            String::from("golden exhibits drifted from tests/golden/MANIFEST.sha256:\n");
+        let mut msg = String::from("golden exhibits drifted from tests/golden/MANIFEST.sha256:\n");
         for d in &drifts {
             msg.push_str(&format!("  {d}\n"));
         }

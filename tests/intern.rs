@@ -128,8 +128,7 @@ fn id_keyed_axes_match_per_event_string_reference() {
                     .or_insert(0) += 1;
             }
             Observed::Payload(p) => {
-                let normalized =
-                    cloud_watching::protocols::http::normalize(interner.payload(p));
+                let normalized = cloud_watching::protocols::http::normalize(interner.payload(p));
                 *ref_payload
                     .entry(axes::payload_key(&normalized))
                     .or_insert(0) += 1;

@@ -38,10 +38,7 @@ fn event_order_permutation_leaves_every_comparison_bit_identical() {
     let g1: Vec<usize> = (0..events.len()).step_by(2).collect();
     let g2: Vec<usize> = (1..events.len()).step_by(2).collect();
     for (k, kind) in KINDS.into_iter().enumerate() {
-        let base = [
-            freqs_at(kind, &events, &g1),
-            freqs_at(kind, &events, &g2),
-        ];
+        let base = [freqs_at(kind, &events, &g1), freqs_at(kind, &events, &g2)];
         let perm = [
             freqs_at(kind, &events, &shuffled(&g1, 1000 + k as u64)),
             freqs_at(kind, &events, &shuffled(&g2, 2000 + k as u64)),

@@ -41,7 +41,8 @@ fn null_calibration_p_values_are_uniform() {
         report.ks_p_value
     );
     assert_eq!(
-        report.significant_bonferroni, 0,
+        report.significant_bonferroni,
+        0,
         "Bonferroni must not hallucinate vantage differences on \
          exchangeable inputs (p-values: min = {:.5})",
         report

@@ -10,8 +10,7 @@ use cloud_watching::stats::special::{
     chi2_sf, erf, erfc, kolmogorov_sf, ln_gamma, normal_cdf, normal_sf,
 };
 use cloud_watching::stats::{
-    chi_squared_from_table, cramers_v, ks_two_sample, mann_whitney_u, Alternative,
-    ContingencyTable,
+    chi_squared_from_table, cramers_v, ks_two_sample, mann_whitney_u, Alternative, ContingencyTable,
 };
 use cw_verify::oracle;
 
@@ -203,7 +202,11 @@ fn chi_squared_from_table_matches_bruteforce() {
         let (stat_ref, df_ref) = oracle::chi2_stat_bruteforce(&counts).expect("computable");
         assert_close(r.statistic, stat_ref, "chi2 statistic");
         assert_eq!(r.df, df_ref, "chi2 df");
-        assert_close(r.p_value, oracle::chi2_sf_ref(stat_ref, df_ref as u32), "chi2 p");
+        assert_close(
+            r.p_value,
+            oracle::chi2_sf_ref(stat_ref, df_ref as u32),
+            "chi2 p",
+        );
         // Cramér's V from the same table, reference route.
         let v_ref = oracle::cramers_v_bruteforce(&counts).expect("computable");
         assert_close(cramers_v(&r).phi, v_ref, "cramers v");

@@ -64,12 +64,7 @@ fn headline_telescope_blind_spot() {
         let ssh = get(22).tel_cloud.unwrap();
         assert!(telnet > ssh + 25.0, "telnet {telnet:.0}% vs ssh {ssh:.0}%");
 
-        let mal_ssh = t9
-            .iter()
-            .find(|r| r.port == 22)
-            .unwrap()
-            .tel_cloud
-            .unwrap();
+        let mal_ssh = t9.iter().find(|r| r.port == 22).unwrap().tel_cloud.unwrap();
         assert!(mal_ssh < 20.0, "malicious ssh overlap {mal_ssh:.0}%");
     });
 }
@@ -103,8 +98,10 @@ fn headline_apac_discrimination() {
         let cells = geography::table5(&exec, &s.deployment, slice, kind);
         use cloud_watching::netsim::geo::RegionPairKind;
         let get = |b: RegionPairKind| cells.iter().find(|c| c.bucket == b).map(|c| c.pct_similar);
-        if let (Some(us), Some(apac)) = (get(RegionPairKind::WithinUs), get(RegionPairKind::WithinApac))
-        {
+        if let (Some(us), Some(apac)) = (
+            get(RegionPairKind::WithinUs),
+            get(RegionPairKind::WithinApac),
+        ) {
             assert!(
                 us >= apac,
                 "US pairs ({us:.0}%) should be at least as similar as APAC ({apac:.0}%)"
@@ -142,7 +139,11 @@ fn headline_structure_preferences() {
         let pref = figure1::slash16_first_preference(&tel, 22).unwrap();
         assert!(pref > 3.0, "slash16-first preference {pref:.1}x");
         let avoid = figure1::structure_stats(&tel, 445, |ip| ip.has_255_octet()).unwrap();
-        assert!(avoid.avoidance_factor > 2.0, "{:.2}x", avoid.avoidance_factor);
+        assert!(
+            avoid.avoidance_factor > 2.0,
+            "{:.2}x",
+            avoid.avoidance_factor
+        );
     });
 }
 

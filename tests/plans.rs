@@ -84,7 +84,9 @@ fn plan_pool() -> Vec<Plan> {
         Plan::at(&g)
             .slice(TrafficSlice::TelnetPort23)
             .char_freqs(CharKind::TopPassword),
-        Plan::at(&e).slice(TrafficSlice::SshPort22).char_freqs(CharKind::TopAs),
+        Plan::at(&e)
+            .slice(TrafficSlice::SshPort22)
+            .char_freqs(CharKind::TopAs),
         Plan::at(&e).fingerprinted().count(),
         Plan::at(&e).port(80).srcs_by_fingerprint(),
         Plan::at(&e).not_kind(ObsKind::Syn).rows(),
@@ -154,9 +156,9 @@ fn reference_freqs(ds: &Dataset, rows: &[usize], kind: CharKind) -> BTreeMap<Str
             }),
             CharKind::TopUsername => e.username().map(str::to_string),
             CharKind::TopPassword => e.password().map(str::to_string),
-            CharKind::TopPayload => e.payload_bytes().map(|p| {
-                axes::payload_key(&cloud_watching::protocols::http::normalize(p))
-            }),
+            CharKind::TopPayload => e
+                .payload_bytes()
+                .map(|p| axes::payload_key(&cloud_watching::protocols::http::normalize(p))),
         };
         if let Some(key) = key {
             *m.entry(key).or_insert(0) += 1;
@@ -221,7 +223,10 @@ fn every_terminal_matches_a_per_row_reference_on_a_real_world() {
                 run(base.clone().unique_src_and_asn()).into_unique_src_and_asn(),
                 (srcs.len(), asns.len())
             );
-            assert_eq!(run(base.clone().srcs_by_port(&keys)).into_port_srcs(), by_port);
+            assert_eq!(
+                run(base.clone().srcs_by_port(&keys)).into_port_srcs(),
+                by_port
+            );
             assert!(by_port[&9].is_empty() && !by_port[&22].is_empty());
             assert_eq!(
                 run(base.clone().srcs_by_fingerprint()).into_fingerprint_srcs(),
@@ -349,8 +354,14 @@ fn ported_products_match_unplanned_execution() {
     );
     for port in [80u16, 8080] {
         assert_eq!(
-            format!("{:?}", ports::protocol_breakdown(&fused, &d, &s.reputation, port)),
-            format!("{:?}", ports::protocol_breakdown(&alone, &d, &s.reputation, port)),
+            format!(
+                "{:?}",
+                ports::protocol_breakdown(&fused, &d, &s.reputation, port)
+            ),
+            format!(
+                "{:?}",
+                ports::protocol_breakdown(&alone, &d, &s.reputation, port)
+            ),
             "breakdown port {port}"
         );
     }
@@ -384,8 +395,14 @@ fn ported_products_match_unplanned_execution() {
     for (slice, kind) in GRID14 {
         for pairs in [&network::CLOUD_EDU_PAIRS[..], &edu_edu] {
             assert_eq!(
-                format!("{:?}", network::honeytrap_cell(&t5, &d, pairs, slice, kind, 0.05)),
-                format!("{:?}", network::honeytrap_cell(&alone, &d, pairs, slice, kind, 0.05)),
+                format!(
+                    "{:?}",
+                    network::honeytrap_cell(&t5, &d, pairs, slice, kind, 0.05)
+                ),
+                format!(
+                    "{:?}",
+                    network::honeytrap_cell(&alone, &d, pairs, slice, kind, 0.05)
+                ),
                 "honeytrap cell {pairs:?} {slice:?} {kind:?}"
             );
         }
@@ -395,7 +412,11 @@ fn ported_products_match_unplanned_execution() {
             let cmp = |exec: &ScanExec<'_>| {
                 network::telescope_vs_fleet(exec, &d, &s.telescope, fleet, slice, 0.05, 2)
             };
-            assert_eq!(format!("{:?}", cmp(&t5)), format!("{:?}", cmp(&alone)), "{fleet}");
+            assert_eq!(
+                format!("{:?}", cmp(&t5)),
+                format!("{:?}", cmp(&alone)),
+                "{fleet}"
+            );
         }
     }
     let t8 = overlap::table8_and_9(&alone, &d, &s.telescope).0;
@@ -407,7 +428,10 @@ fn ported_products_match_unplanned_execution() {
         };
         temporal::stability(&d, view, view, &t8, &t8)
     };
-    assert_eq!(format!("{:?}", stability(t5)), format!("{:?}", stability(alone)));
+    assert_eq!(
+        format!("{:?}", stability(t5)),
+        format!("{:?}", stability(alone))
+    );
 }
 
 /// Every exhibit satisfied by the one 2021 world (the multi-year and leak
@@ -420,7 +444,11 @@ fn singles(opts: &ExhibitOptions) -> Vec<&'static dyn Exhibit> {
             !e.needs().is_empty() && e.needs().iter().all(|n| n.resolve(opts).year() == 2021)
         })
         .collect();
-    assert!(singles.len() >= 15, "expected most of the registry, got {}", singles.len());
+    assert!(
+        singles.len() >= 15,
+        "expected most of the registry, got {}",
+        singles.len()
+    );
     singles
 }
 
@@ -443,9 +471,18 @@ fn declared_plans_cover_each_render() {
         e.run(&cx);
         let fused = scan_counters().since(before).fused;
         if UNDECLARED.contains(&e.name()) {
-            assert!(fused > 0, "{} scans nothing on demand: drop it from UNDECLARED", e.name());
+            assert!(
+                fused > 0,
+                "{} scans nothing on demand: drop it from UNDECLARED",
+                e.name()
+            );
         } else {
-            assert_eq!(fused, 0, "{} ran {fused} passes its plans do not declare", e.name());
+            assert_eq!(
+                fused,
+                0,
+                "{} ran {fused} passes its plans do not declare",
+                e.name()
+            );
         }
     }
 }
@@ -472,13 +509,17 @@ fn prefetched_registry_renders_are_byte_identical() {
         let mut cx = ExhibitCx::new(opts, worlds).with_threads(threads);
         let stats = cx.prefetch(&singles);
         assert_eq!(stats.len(), 1, "one bundle, one prefetched store");
-        assert!(stats[0].passes < stats[0].plans, "prefetch must fuse: {stats:?}");
+        assert!(
+            stats[0].passes < stats[0].plans,
+            "prefetch must fuse: {stats:?}"
+        );
         let rendered: Vec<String> = singles.iter().map(|e| e.run(&cx)).collect();
         let fused = scan_counters().since(c1);
 
         for (i, e) in singles.iter().enumerate() {
             assert_eq!(
-                plain[i], rendered[i],
+                plain[i],
+                rendered[i],
                 "{} changed under prefetch at {threads} threads",
                 e.name()
             );

@@ -8,7 +8,10 @@ use cw_verify::golden::{exhibit_files, manifest_path, parse_manifest, workspace_
 
 /// Registry names + `.txt`, in registry order.
 fn registry_files() -> Vec<String> {
-    REGISTRY.iter().map(|e| format!("{}.txt", e.name())).collect()
+    REGISTRY
+        .iter()
+        .map(|e| format!("{}.txt", e.name()))
+        .collect()
 }
 
 #[test]
@@ -27,7 +30,10 @@ fn registry_matches_committed_manifest() {
     let root = workspace_root();
     let text = std::fs::read_to_string(manifest_path(&root))
         .expect("tests/golden/MANIFEST.sha256 must exist");
-    let manifest: Vec<String> = parse_manifest(&text).into_iter().map(|(name, _)| name).collect();
+    let manifest: Vec<String> = parse_manifest(&text)
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
     let mut registry = registry_files();
     registry.sort();
     let mut sorted_manifest = manifest.clone();
@@ -47,7 +53,9 @@ fn cw_list_inventory_is_the_registry() {
         assert!(!e.name().is_empty());
         assert!(!e.title().is_empty());
         assert!(
-            e.name().chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
+            e.name()
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
             "exhibit name '{}' must be a valid out/<name>.txt stem",
             e.name()
         );

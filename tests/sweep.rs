@@ -24,10 +24,7 @@ static SIM_LOCK: Mutex<()> = Mutex::new(());
 
 /// A private, empty cache directory for one test.
 fn scratch_cache(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "cw-sweep-test-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("cw-sweep-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
