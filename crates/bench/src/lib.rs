@@ -70,17 +70,23 @@ sweep only: [--scales <csv of f64, default 1,10,100>] [--years <csv of years>] \
 /// The largest scale a world can be built at: `--scale`, and every
 /// `cw sweep` base × multiplier, must stay at or below it.
 ///
+/// A world's dataset numbers its rows with `u32` (its destination index
+/// holds one `u32` per row), and a scale-1 world records fewer than 1.6M
+/// rows, linearly in scale. So every world up to 2048 records fewer than
+/// 2048 × 1.6M ≈ 3.3 × 10^9 rows, inside the 2^32 that `u32` numbers.
+///
 /// The population draws every scanner's source addresses from one /8
 /// ([`cw_scanners::SrcAllocator`], 2^24 addresses), linearly in scale, and
 /// each paper year draws fewer than 2^12 of them at scale 1 (2022 draws the
-/// most, 3,950). So a world above 2^24 / 2^12 = 4096 would exhaust the /8.
-/// The pre-sized allocations stay small up to it: the indexers' telescope
-/// sample takes 2,000 addresses per unit of scale (32 MB at 4096), and the
-/// interner reserves 10,000 payload slots per unit, far inside its `u32`
-/// ids. Above the ceiling those sizes grow unchecked: `--scale 1e7` used
-/// to abort the process on one 80 GB allocation. A world below the
-/// ceiling can still need more memory than a given machine has.
-pub const MAX_SCALE: f64 = 4096.0;
+/// most, 3,950), so the /8 would last up to 2^24 / 2^12 = 4096. The
+/// pre-sized allocations stay small up to the ceiling: the indexers'
+/// telescope sample takes 2,000 addresses per unit of scale (16 MB at
+/// 2048), and the interner reserves 10,000 payload slots per unit, far
+/// inside its `u32` ids. Above the ceiling those sizes grow unchecked:
+/// `--scale 1e7` used to abort the process on one 80 GB allocation. A
+/// world below the ceiling can still need more memory than a given machine
+/// has.
+pub const MAX_SCALE: f64 = 2048.0;
 
 fn usage_exit(problem: &str) -> ! {
     eprintln!("error: {problem}");

@@ -25,6 +25,8 @@ use cw_netsim::fault::FaultPlan;
 use cw_netsim::snap::{SnapError, SnapReader, SnapWriter};
 use cw_netsim::time::{SimDuration, SimTime};
 use cw_scanners::population::ScenarioYear;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Everything the analyses need from one scenario run, with no `Rc` in
 /// sight. See the module docs for what is included and why.
@@ -34,8 +36,9 @@ pub struct SimBundle {
     pub config: ScenarioConfig,
     /// The classified event store.
     pub dataset: Dataset,
-    /// The telescope with its per-port counters (analysis state only —
-    /// see [`Telescope::snap_write`] for what a restored copy omits).
+    /// The telescope with its per-port counters: analysis state only, the
+    /// same whether the bundle was simulated or restored (see
+    /// [`Telescope::into_analysis`]).
     pub telescope: Telescope,
     /// The GreyNoise-style reputation oracle.
     pub reputation: ReputationDb,
@@ -50,12 +53,20 @@ pub struct SimBundle {
 impl Scenario {
     /// Extract the `Send + Sync` analysis subset of a completed run.
     ///
-    /// The telescope is cloned out of its shared handle; the reputation
-    /// database is moved out of the population handles; the search-engine
-    /// indexes are folded to their sizes (the only thing any exhibit reads
-    /// from them).
+    /// The telescope is moved out of its shared cell, not cloned: the
+    /// deployment holds its only other handle (the engine that routed to
+    /// it is gone), so the deployment is dropped first. A caller that kept
+    /// a handle of its own gets a copy instead. The telescope then sheds
+    /// its collection-only state ([`Telescope::into_analysis`]), so a cold
+    /// bundle holds exactly what one restored from its snapshot holds. The
+    /// reputation database is moved out of the population handles; the
+    /// search-engine indexes are folded to their sizes (the only thing any
+    /// exhibit reads from them).
     pub fn into_bundle(self) -> SimBundle {
-        let telescope = self.telescope.borrow().clone();
+        drop(self.deployment);
+        let telescope = Rc::try_unwrap(self.telescope)
+            .map_or_else(|shared| shared.borrow().clone(), RefCell::into_inner)
+            .into_analysis();
         let censys_indexed = self.handles.censys.borrow().len() as u64;
         let shodan_indexed = self.handles.shodan.borrow().len() as u64;
         SimBundle {

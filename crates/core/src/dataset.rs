@@ -28,6 +28,7 @@ use cw_protocols::ProtocolId;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// The §3.3 traffic slices.
@@ -135,25 +136,77 @@ pub struct Dataset {
     fingerprints: Vec<Option<ProtocolId>>,
     interner: Interner,
     vantage_by_ip: BTreeMap<Ipv4Addr, VantagePoint>,
-    by_dst: BTreeMap<Ipv4Addr, Vec<usize>>,
+    by_dst: DstIndex,
 }
 
 /// Per-distinct classification memo: `(payload id, port)` → verdict +
 /// fingerprint, for ids of one interner.
 pub(crate) type ClassifyMemo = HashMap<(PayloadId, u16), (Verdict, Option<ProtocolId>)>;
 
-/// The per-destination row index: each destination's row numbers, in
-/// ascending order. Rows are grouped through a hash map, which is several
-/// times cheaper per row than a `BTreeMap` entry over ~1.5M rows, and the
-/// few distinct destinations are then sorted into the `BTreeMap` the
-/// lookups use. The default (randomly keyed) hasher stays: the addresses
-/// come from snapshot files, and its order never reaches the result.
-fn index_by_dst(dsts: &[Ipv4Addr]) -> BTreeMap<Ipv4Addr, Vec<usize>> {
-    let mut groups: HashMap<Ipv4Addr, Vec<usize>> = HashMap::new();
-    for (i, &dst) in dsts.iter().enumerate() {
-        groups.entry(dst).or_default().push(i);
+/// The per-destination row index: every row number, grouped by
+/// destination in address order and ascending within a destination, in
+/// one exact-size array, with a sorted map from each destination to its
+/// range of that array. Row numbers are `u32`: `cw_bench::MAX_SCALE` keeps
+/// every world that can be built below `u32::MAX` rows, and
+/// [`Dataset::snap_read`] rejects a larger table.
+#[derive(Debug, Clone)]
+struct DstIndex {
+    ranges: BTreeMap<Ipv4Addr, Range<usize>>,
+    rows: Vec<u32>,
+}
+
+/// Index the destination column `dsts` in three passes: number each
+/// row's destination (first-seen order) and count the rows per number, lay
+/// the destinations' ranges out in address order, then place each row at
+/// its destination's cursor. Destinations are numbered through a hash map,
+/// several times cheaper per row than a `BTreeMap` entry over ~1.5M rows;
+/// the default (randomly keyed) hasher stays, since the addresses come from
+/// snapshot files and its order never reaches the result.
+///
+/// # Panics
+/// Panics on more than `u32::MAX` rows (see [`DstIndex`]).
+fn index_by_dst(dsts: &[Ipv4Addr]) -> DstIndex {
+    assert!(
+        u32::try_from(dsts.len()).is_ok(),
+        "more rows than u32 row numbers"
+    );
+    let mut number_of: HashMap<Ipv4Addr, usize> = HashMap::new();
+    let mut counts: Vec<usize> = Vec::new();
+    let dst_numbers: Vec<u32> = dsts
+        .iter()
+        .map(|&dst| {
+            let n = *number_of.entry(dst).or_insert_with(|| {
+                counts.push(0);
+                counts.len() - 1
+            });
+            counts[n] += 1;
+            n as u32
+        })
+        .collect();
+    let mut by_address: Vec<(Ipv4Addr, usize)> = number_of.into_iter().collect();
+    by_address.sort_unstable();
+    let mut cursors = vec![0; counts.len()];
+    let mut ranges = BTreeMap::new();
+    let mut start = 0;
+    for (dst, n) in by_address {
+        cursors[n] = start;
+        ranges.insert(dst, start..start + counts[n]);
+        start += counts[n];
     }
-    groups.into_iter().collect()
+    let mut rows = vec![0; dsts.len()];
+    for (row, &n) in dst_numbers.iter().enumerate() {
+        let at = &mut cursors[n as usize];
+        rows[*at] = row as u32;
+        *at += 1;
+    }
+    DstIndex { ranges, rows }
+}
+
+impl DstIndex {
+    /// The rows destined to `ip`, ascending.
+    fn get(&self, ip: Ipv4Addr) -> Option<&[u32]> {
+        self.ranges.get(&ip).map(|range| &self.rows[range.clone()])
+    }
 }
 
 /// The deployment's vantage metadata, keyed by address.
@@ -259,8 +312,8 @@ impl Dataset {
 
     /// Row indices destined to `ip`, in capture order — the pushdown index
     /// behind [`crate::query::Plan::at`].
-    pub(crate) fn dst_index(&self, ip: Ipv4Addr) -> Option<&[usize]> {
-        self.by_dst.get(&ip).map(|v| v.as_slice())
+    pub(crate) fn dst_index(&self, ip: Ipv4Addr) -> Option<&[u32]> {
+        self.by_dst.get(ip)
     }
 
     /// Event `i` with its classification.
@@ -325,6 +378,9 @@ impl Dataset {
     ) -> Result<Dataset, SnapError> {
         let interner = Interner::snap_read(r)?;
         let table = EventTable::snap_read(r)?;
+        if u32::try_from(table.len()).is_err() {
+            return Err(SnapError::Malformed("more rows than u32 row numbers"));
+        }
         for o in table.observed() {
             match *o {
                 Observed::Payload(p) => {
@@ -855,6 +911,33 @@ mod tests {
         let deployment = Deployment::standard();
         let err = Dataset::snap_read(&mut cw_netsim::snap::SnapReader::new(&bytes), &deployment);
         assert!(matches!(err, Err(SnapError::Malformed(_))));
+    }
+
+    #[test]
+    fn dst_index_matches_per_destination_lists_on_a_small_world() {
+        use crate::scenario::{Scenario, ScenarioConfig};
+        let config =
+            ScenarioConfig::fast(cw_scanners::population::ScenarioYear::Y2021).with_scale(0.01);
+        let ds = Scenario::run(config).dataset;
+        // The per-destination lists the flat index replaced, as the oracle.
+        let mut oracle: BTreeMap<Ipv4Addr, Vec<usize>> = BTreeMap::new();
+        for (i, &dst) in ds.table().dsts().iter().enumerate() {
+            oracle.entry(dst).or_default().push(i);
+        }
+        assert!(oracle.len() > 100, "{} destinations", oracle.len());
+        for (&dst, want) in &oracle {
+            let got: Vec<usize> = ds
+                .dst_index(dst)
+                .unwrap()
+                .iter()
+                .map(|&i| i as usize)
+                .collect();
+            assert_eq!(&got, want, "rows of {dst}");
+        }
+        assert!(ds.by_dst.ranges.keys().eq(oracle.keys()));
+        assert_eq!(ds.by_dst.rows.len(), ds.len());
+        assert_eq!(ds.by_dst.rows.capacity(), ds.len(), "exact-size row array");
+        assert!(ds.dst_index(Ipv4Addr::new(9, 9, 9, 9)).is_none());
     }
 
     #[test]

@@ -623,7 +623,7 @@ impl<'a> Pass<'a> {
         match self.domain {
             Some(ips) => {
                 for idxs in ips.iter().filter_map(|&ip| ds.dst_index(ip)) {
-                    idxs.iter().for_each(|&i| visit(i));
+                    idxs.iter().for_each(|&i| visit(i as usize));
                 }
             }
             None => (0..ds.len()).for_each(visit),

@@ -44,7 +44,8 @@ use crate::bundle::SimBundle;
 use crate::scenario::ScenarioConfig;
 use cw_honeypot::deployment::Deployment;
 use cw_netsim::sha256::sha256_hex;
-use cw_netsim::snap::{self, SnapReader, SnapWriter};
+use cw_netsim::snap::{self, SnapReader};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -106,22 +107,32 @@ pub fn snapshot_path_in(dir: &Path, config: &ScenarioConfig) -> PathBuf {
     dir.join(format!("{}.cwsnap", cache_key(config)))
 }
 
+/// The temp file [`store_in`] writes `config`'s snapshot to before it
+/// renames it into place. The name is unique per process: two concurrent
+/// writers race benignly, since rename is atomic and both carry identical
+/// bytes.
+fn temp_path_in(dir: &Path, config: &ScenarioConfig) -> PathBuf {
+    dir.join(format!("{}.tmp.{}", cache_key(config), std::process::id()))
+}
+
 /// Seal and atomically write `bundle` into `dir`, returning the path.
+///
+/// The snapshot is encoded, hashed and written in one pass
+/// ([`snap::seal_into`]) into a temp file, which is then renamed into
+/// place; neither the payload nor the sealed container is held in memory.
+/// On any error the temp file is removed before the error is returned, so
+/// a failed write (a full disk, say) leaves no partial file behind.
 pub fn store_in(dir: &Path, bundle: &SimBundle) -> std::io::Result<PathBuf> {
-    let mut w = SnapWriter::new();
-    bundle.snap_write(&mut w);
-    let sealed = snap::seal(&w.into_bytes());
     std::fs::create_dir_all(dir)?;
     let path = snapshot_path_in(dir, &bundle.config);
-    // Unique temp name per process: two concurrent writers race benignly —
-    // rename is atomic and both carry identical bytes.
-    let tmp = dir.join(format!(
-        "{}.tmp.{}",
-        cache_key(&bundle.config),
-        std::process::id()
-    ));
-    std::fs::write(&tmp, &sealed)?;
-    std::fs::rename(&tmp, &path)?;
+    let tmp = temp_path_in(dir, &bundle.config);
+    let written = File::create(&tmp)
+        .and_then(|mut file| snap::seal_into(&mut file, |w| bundle.snap_write(w)))
+        .and_then(|()| std::fs::rename(&tmp, &path));
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
     Ok(path)
 }
 
@@ -367,6 +378,25 @@ mod tests {
         .unwrap();
         let deployment = Deployment::standard();
         assert!(load_from(&dir, &cfg_b, &deployment).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write that fails partway (here on a full device) returns the
+    /// error and leaves neither the temp file nor a snapshot behind.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_store_removes_its_temp_file() {
+        let dir = test_dir("full");
+        let bundle = SimBundle::run(test_config(47));
+        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = temp_path_in(&dir, &bundle.config);
+        std::os::unix::fs::symlink("/dev/full", &tmp).unwrap();
+        assert!(store_in(&dir, &bundle).is_err());
+        assert!(
+            std::fs::symlink_metadata(&tmp).is_err(),
+            "temp file left behind"
+        );
+        assert!(!snapshot_path_in(&dir, &bundle.config).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -88,9 +88,10 @@ pub struct Telescope {
 struct TrackedPort {
     /// Per telescope IP (block offset order): the distinct sources seen.
     counts: Vec<u32>,
-    /// The keys folded so far, ascending and distinct. Not serialized: it
-    /// only dedups during collection, and no analysis reads it, so a
-    /// restored telescope carries the finished counts and no keys.
+    /// The keys folded so far, ascending and distinct. They exist only
+    /// while collecting: they dedup the counts, no analysis reads them,
+    /// and neither the snapshot nor [`Telescope::into_analysis`] keeps
+    /// them, so a finished telescope carries the counts and no keys.
     seen: Vec<u64>,
     /// One key per packet on this port since the last fold.
     pending: Keys<u64>,
@@ -205,6 +206,26 @@ impl Telescope {
         self.src_ports.is_empty()
             && self.port_asns.is_empty()
             && self.tracked.values().all(|t| t.pending.is_empty())
+    }
+
+    /// The telescope as an analysis input: its state as of the last
+    /// [`Telescope::fold`], without what only collection needs (the
+    /// tracked ports' dedup keys, the key lists and the injected faults).
+    /// It holds exactly what [`Telescope::snap_read`] restores from its
+    /// snapshot.
+    pub fn into_analysis(self) -> Telescope {
+        debug_assert!(self.is_folded(), "analysis state of an unfolded telescope");
+        Telescope {
+            tracked: self
+                .tracked
+                .into_iter()
+                .map(|(port, t)| (port, TrackedPort::new(t.counts)))
+                .collect(),
+            src_ports: Keys::default(),
+            port_asns: Vec::new(),
+            faults: None,
+            ..self
+        }
     }
 
     /// Inject measurement faults. Called by the deployment when a
@@ -524,6 +545,25 @@ mod tests {
         assert_eq!(back.asn_freqs_on_port(22), t.asn_freqs_on_port(22));
         assert_eq!(back.asn_freqs_all(), t.asn_freqs_all());
         assert!(back.saw_source_on_port(Ipv4Addr::new(3, 3, 3, 3), 80));
+    }
+
+    #[test]
+    fn analysis_state_is_what_a_restored_telescope_holds() {
+        let mut t = scope();
+        t.set_faults(TelescopeFaults::default());
+        let dst = Ipv4Addr::new(10, 0, 0, 9);
+        t.on_flow(&flow(Ipv4Addr::new(1, 1, 1, 1), dst, 22));
+        t.on_flow(&flow(Ipv4Addr::new(2, 2, 2, 2), dst, 445));
+        t.on_flow(&flow(Ipv4Addr::new(3, 3, 3, 3), dst, 80));
+        t.fold();
+        assert!(t.tracked.values().any(|tp| !tp.seen.is_empty()));
+        let bytes = snap_bytes(&t);
+        let restored = Telescope::snap_read(&mut SnapReader::new(&bytes)).unwrap();
+        let analysis = t.into_analysis();
+        assert!(snap_bytes(&analysis) == bytes);
+        // Every field, the collection-only ones included, as restored.
+        assert_eq!(format!("{analysis:?}"), format!("{restored:?}"));
+        assert!(analysis.tracked.values().all(|tp| tp.seen.capacity() == 0));
     }
 
     #[test]

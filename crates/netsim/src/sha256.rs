@@ -12,17 +12,20 @@
 //!
 //! # Two block functions
 //!
-//! [`sha256`] hashes the input's whole 64-byte blocks in place and pads
-//! only the tail, in a stack buffer, so hashing a ~52 MB snapshot payload
-//! copies nothing. The blocks go through one of two block functions that
-//! compute the same compression function:
+//! [`Sha256`] hashes a message given in pieces (the snapshot writer feeds
+//! it one chunk at a time), and [`sha256`] is that hasher fed the whole
+//! message at once, so the padding code exists once. Each piece's whole
+//! 64-byte blocks are hashed in place and only the bytes of a block that
+//! straddles two pieces are copied, so hashing a ~52 MB snapshot payload
+//! copies almost nothing. The blocks go through one of two block functions
+//! that compute the same compression function:
 //!
 //! - a portable scalar one, the only path on CPUs without the SHA
 //!   extensions and the reference the tests compare against;
 //! - on x86-64, one built on the SHA extensions (`sha256rnds2`,
 //!   `sha256msg1`, `sha256msg2`), several times faster.
 //!
-//! The choice is made at run time, per call, from
+//! The choice is made at run time, per hasher, from
 //! `is_x86_feature_detected!` (`sha`, `ssse3` and `sse4.1`); there is no
 //! setting to force either path. Both produce the same digest, so cache
 //! keys, snapshot trailers and the golden manifest do not depend on the
@@ -60,34 +63,93 @@ mod shani;
 
 /// SHA-256 digest of `data` as 32 raw bytes.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    #[cfg(target_arch = "x86_64")]
-    if shani::is_supported() {
-        return digest(data, shani::compress);
-    }
-    digest(data, compress_scalar)
+    let mut hasher = Sha256::new();
+    hasher.update(data);
+    hasher.finalize()
 }
 
-/// SHA-256 of `data` with the given block function: the whole blocks are
-/// hashed in place, then the tail is padded (0x80, zeros, the 64-bit
-/// big-endian bit length) to one or two blocks in a stack buffer.
-fn digest(data: &[u8], compress: BlockFn) -> [u8; 32] {
-    let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
-    let mut h = H0;
-    compress(&mut h, blocks);
+/// An incremental SHA-256: [`Sha256::update`] takes the message in pieces
+/// of any size, and [`Sha256::finalize`] returns the digest of their
+/// concatenation, the same as [`sha256`] of the whole message. Each
+/// piece's whole blocks are hashed in place; only the bytes of a block
+/// that straddles two pieces are copied, into a one-block buffer.
+#[derive(Debug)]
+pub struct Sha256 {
+    h: [u32; 8],
+    /// The start of the next block, until the next piece completes it.
+    partial: [u8; 64],
+    /// How many bytes of `partial` are filled (always below 64).
+    filled: usize,
+    /// Message bytes so far.
+    len: u64,
+    compress: BlockFn,
+}
 
-    let mut pad = [0u8; 128];
-    pad[..tail.len()].copy_from_slice(tail);
-    pad[tail.len()] = 0x80;
-    let pad_len = if tail.len() < 56 { 64 } else { 128 };
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    pad[pad_len - 8..pad_len].copy_from_slice(&bit_len.to_be_bytes());
-    compress(&mut h, &pad[..pad_len]);
-
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+impl Default for Sha256 {
+    fn default() -> Self {
+        Sha256::new()
     }
-    out
+}
+
+impl Sha256 {
+    /// A hasher over the empty message, on the fastest block function this
+    /// CPU supports.
+    pub fn new() -> Sha256 {
+        #[cfg(target_arch = "x86_64")]
+        if shani::is_supported() {
+            return Sha256::with_block_fn(shani::compress);
+        }
+        Sha256::with_block_fn(compress_scalar)
+    }
+
+    fn with_block_fn(compress: BlockFn) -> Sha256 {
+        Sha256 {
+            h: H0,
+            partial: [0; 64],
+            filled: 0,
+            len: 0,
+            compress,
+        }
+    }
+
+    /// Append `data` to the message.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.filled > 0 {
+            let n = data.len().min(64 - self.filled);
+            self.partial[self.filled..self.filled + n].copy_from_slice(&data[..n]);
+            self.filled += n;
+            data = &data[n..];
+            if self.filled < 64 {
+                return;
+            }
+            (self.compress)(&mut self.h, &self.partial);
+            self.filled = 0;
+        }
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
+        (self.compress)(&mut self.h, blocks);
+        self.partial[..tail.len()].copy_from_slice(tail);
+        self.filled = tail.len();
+    }
+
+    /// The digest of the message: the last partial block is padded (0x80,
+    /// zeros, the 64-bit big-endian bit length) to one or two blocks in a
+    /// stack buffer and hashed.
+    pub fn finalize(mut self) -> [u8; 32] {
+        let mut pad = [0u8; 128];
+        pad[..self.filled].copy_from_slice(&self.partial[..self.filled]);
+        pad[self.filled] = 0x80;
+        let pad_len = if self.filled < 56 { 64 } else { 128 };
+        let bit_len = self.len.wrapping_mul(8);
+        pad[pad_len - 8..pad_len].copy_from_slice(&bit_len.to_be_bytes());
+        (self.compress)(&mut self.h, &pad[..pad_len]);
+
+        let mut out = [0u8; 32];
+        for (i, word) in self.h.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
 }
 
 /// The portable block function: FIPS 180-4 §6.2.2, one block at a time.
@@ -179,11 +241,59 @@ mod tests {
         (0..len).map(|_| rng.next_u64() as u8).collect()
     }
 
+    /// Every block function this CPU can run: the scalar one, and the
+    /// SHA-extension one where it is supported.
+    fn block_fns() -> Vec<(&'static str, BlockFn)> {
+        #[allow(unused_mut)]
+        let mut fns: Vec<(&'static str, BlockFn)> = vec![("scalar", compress_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if shani::is_supported() {
+            fns.push(("sha-ni", shani::compress));
+        }
+        fns
+    }
+
+    /// The digest of `msg` fed to a `compress` hasher in one piece.
+    fn one_shot(msg: &[u8], compress: BlockFn) -> [u8; 32] {
+        let mut h = Sha256::with_block_fn(compress);
+        h.update(msg);
+        h.finalize()
+    }
+
+    /// The digest of `msg` fed to a `compress` hasher in pieces whose sizes
+    /// `next_piece` picks.
+    fn in_pieces(msg: &[u8], compress: BlockFn, mut next_piece: impl FnMut() -> usize) -> [u8; 32] {
+        let mut h = Sha256::with_block_fn(compress);
+        let mut rest = msg;
+        while !rest.is_empty() {
+            let (piece, tail) = rest.split_at(next_piece().min(rest.len()));
+            h.update(piece);
+            rest = tail;
+        }
+        h.finalize()
+    }
+
+    /// `msg` fed in pieces of 1, 63, 64 and 65 bytes and of random sizes
+    /// (empty pieces included) gives its one-shot digest.
+    fn assert_pieces_match_one_shot(msg: &[u8], compress: BlockFn, what: &str) {
+        let want = one_shot(msg, compress);
+        for size in [1, 63, 64, 65] {
+            assert_eq!(
+                in_pieces(msg, compress, || size),
+                want,
+                "{what}: pieces of {size}"
+            );
+        }
+        let mut rng = crate::rng::SimRng::seed_from_u64(msg.len() as u64);
+        let random = in_pieces(msg, compress, || rng.below(200) as usize);
+        assert_eq!(random, want, "{what}: random pieces");
+    }
+
     #[test]
     fn fips_vectors_through_the_scalar_block_function() {
         for (msg, want) in fips_vectors() {
             assert_eq!(
-                hex(digest(&msg, compress_scalar)),
+                hex(one_shot(&msg, compress_scalar)),
                 want,
                 "len {}",
                 msg.len()
@@ -205,7 +315,26 @@ mod tests {
         let data = noise(300, 1);
         for len in 0..=300 {
             let msg = &data[..len];
-            assert_eq!(sha256(msg), digest(msg, compress_scalar), "len {len}");
+            assert_eq!(sha256(msg), one_shot(msg, compress_scalar), "len {len}");
+        }
+    }
+
+    #[test]
+    fn pieces_give_the_one_shot_digest_through_every_block_function() {
+        let short = noise(300, 3);
+        for (name, compress) in block_fns() {
+            for (msg, want) in fips_vectors() {
+                let what = format!("{name}, FIPS vector of len {}", msg.len());
+                assert_eq!(hex(one_shot(&msg, compress)), want, "{what}");
+                assert_pieces_match_one_shot(&msg, compress, &what);
+            }
+            for len in 0..=300 {
+                assert_pieces_match_one_shot(
+                    &short[..len],
+                    compress,
+                    &format!("{name}, len {len}"),
+                );
+            }
         }
     }
 
@@ -214,7 +343,7 @@ mod tests {
         let data = noise(3 << 20, 2);
         for len in [4095, 4096, 4097, data.len()] {
             let msg = &data[..len];
-            assert_eq!(sha256(msg), digest(msg, compress_scalar), "len {len}");
+            assert_eq!(sha256(msg), one_shot(msg, compress_scalar), "len {len}");
         }
     }
 

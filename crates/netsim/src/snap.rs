@@ -3,10 +3,9 @@
 //! The paper's pipeline is one observation campaign feeding many analyses;
 //! this module provides the wire format that lets the reproduction do the
 //! same. A simulation's captured state (interned event table, telescope
-//! counters, reputation labels, …) is encoded with [`SnapWriter`], sealed
-//! into a self-verifying container by [`seal`], and written under
-//! `out/.cache/`. Later runs [`unseal`] and decode with [`SnapReader`]
-//! instead of re-simulating.
+//! counters, reputation labels, …) is encoded with [`SnapWriter`] and
+//! sealed into a self-verifying container under `out/.cache/`. Later runs
+//! [`unseal`] and decode with [`SnapReader`] instead of re-simulating.
 //!
 //! # Container format
 //!
@@ -18,6 +17,14 @@
 //! 20      N     payload (SnapWriter-encoded body)
 //! 20+N    32    SHA-256 of the payload bytes
 //! ```
+//!
+//! [`seal_into`] writes a container in one pass: the header with a zero
+//! length, then the payload [`CHUNK`] by chunk as the encoder fills it,
+//! each chunk hashed on its way out, then the digest, and one seek back
+//! fills in the length. Neither the payload nor the container is ever
+//! held whole. [`seal`] wraps a payload already in memory (one
+//! [`SnapWriter::new`] encoded) and is the reference the streamed
+//! container is tested against: both give the same bytes.
 //!
 //! [`unseal`] fails closed: a bad magic, unknown version, truncated body,
 //! or digest mismatch all return a [`SnapError`] and the caller silently
@@ -44,7 +51,8 @@
 //! than the bytes left, and [`SnapReader::get_column`] one larger than the
 //! bytes left divided by the value width.
 
-use crate::sha256::sha256;
+use crate::sha256::{sha256, Sha256};
+use std::io::{self, Seek, SeekFrom, Write};
 
 /// Leading bytes of every sealed snapshot container.
 pub const MAGIC: [u8; 8] = *b"CWSNAP\x00\x01";
@@ -97,29 +105,35 @@ impl std::fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
+/// How many payload bytes the writer of [`seal_into`] gathers before it
+/// hashes them and writes them out.
+pub const CHUNK: usize = 64 << 10;
+
 /// Append-only encoder for the snapshot payload.
 ///
 /// Symmetric with [`SnapReader`]: every `put_*` here has a matching
 /// `get_*` there, and a round trip reproduces the values exactly.
-#[derive(Debug, Default)]
-pub struct SnapWriter {
+///
+/// A writer from [`SnapWriter::new`] keeps the whole payload for
+/// [`SnapWriter::into_bytes`]. The one [`seal_into`] lends its encoder
+/// passes the payload on each time it has gathered [`CHUNK`] bytes, so it
+/// holds at most one chunk and one value. Either way the `put_*` calls
+/// cannot fail.
+#[derive(Default)]
+pub struct SnapWriter<'s> {
     buf: Vec<u8>,
+    /// Where a sealing writer passes each chunk; `None` keeps the payload
+    /// in `buf`.
+    sink: Option<ChunkSink<'s>>,
 }
 
-impl SnapWriter {
-    /// An empty writer.
+/// What a sealing [`SnapWriter`] hands each full chunk to.
+type ChunkSink<'s> = &'s mut dyn FnMut(&[u8]);
+
+impl SnapWriter<'_> {
+    /// An empty writer that keeps the payload in memory.
     pub fn new() -> Self {
         SnapWriter::default()
-    }
-
-    /// Encoded payload size so far, in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Consume the writer, returning the raw payload bytes.
@@ -127,24 +141,36 @@ impl SnapWriter {
         self.buf
     }
 
+    /// Append raw bytes, passing them on once they fill a chunk of a
+    /// sealing writer.
+    fn put_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+        if self.buf.len() >= CHUNK {
+            if let Some(sink) = &mut self.sink {
+                sink(&self.buf);
+                self.buf.clear();
+            }
+        }
+    }
+
     /// Append a `u8`.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put_raw(&[v]);
     }
 
     /// Append a `u16` (little-endian).
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Append a `u32` (little-endian).
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Append a `u64` (little-endian).
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Append an `f64` as its IEEE-754 bit pattern (exact round trip).
@@ -155,7 +181,7 @@ impl SnapWriter {
     /// Append a byte string: `u64` length prefix, then the raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
+        self.put_raw(v);
     }
 
     /// Append a UTF-8 string (same wire form as [`SnapWriter::put_bytes`]).
@@ -267,16 +293,71 @@ impl<'a> SnapReader<'a> {
     }
 }
 
+/// Bytes ahead of the payload: magic, format version, payload length.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
+
+/// The container header of a `payload_len`-byte payload.
+fn header(payload_len: u64) -> [u8; HEADER_LEN] {
+    let mut h = [0; HEADER_LEN];
+    h[..8].copy_from_slice(&MAGIC);
+    h[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    h[12..].copy_from_slice(&payload_len.to_le_bytes());
+    h
+}
+
 /// Wrap an encoded payload in the self-verifying container: magic,
-/// format version, length, payload, SHA-256 trailer.
+/// format version, length, payload, SHA-256 trailer. The in-memory
+/// reference for [`seal_into`], which writes the same bytes.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 12 + payload.len() + 32);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 32);
+    out.extend_from_slice(&header(payload.len() as u64));
     out.extend_from_slice(payload);
     out.extend_from_slice(&sha256(payload));
     out
+}
+
+/// Encode a payload with `encode` and seal it into `out`, at its current
+/// position, in one pass: the bytes written are [`seal`] of the payload
+/// `encode` writes.
+///
+/// The header goes out with a zero length. `encode` then writes into a
+/// [`SnapWriter`] that hashes and writes out every [`CHUNK`] it gathers,
+/// the digest follows the last chunk, and one seek back fills in the
+/// length, which leaves `out` positioned after the length field. The
+/// `put_*` calls cannot fail: the first write error is kept, later chunks
+/// are dropped, and the error is returned once `encode` is done. On an
+/// error `out` holds a partial container, which the caller discards.
+pub fn seal_into<W: Write + Seek>(
+    out: &mut W,
+    encode: impl FnOnce(&mut SnapWriter<'_>),
+) -> io::Result<()> {
+    let start = out.stream_position()?;
+    out.write_all(&header(0))?;
+    let (mut hasher, mut len, mut written) = (Sha256::new(), 0u64, Ok(()));
+    let mut pass_on = |chunk: &[u8]| {
+        if written.is_ok() {
+            hasher.update(chunk);
+            len += chunk.len() as u64;
+            written = out.write_all(chunk);
+        }
+    };
+    let mut w = SnapWriter {
+        buf: Vec::with_capacity(CHUNK + 64),
+        sink: Some(&mut pass_on),
+    };
+    encode(&mut w);
+    let SnapWriter {
+        buf,
+        sink: Some(pass_on),
+    } = w
+    else {
+        return Err(io::Error::other("the encoder replaced its sealing writer"));
+    };
+    pass_on(&buf);
+    written?;
+    out.write_all(&hasher.finalize())?;
+    out.seek(SeekFrom::Start(start + (HEADER_LEN - 8) as u64))?;
+    out.write_all(&len.to_le_bytes())
 }
 
 /// Verify a sealed container and return its payload slice.
@@ -459,5 +540,75 @@ mod tests {
     fn empty_payload_seals_fine() {
         let sealed = seal(b"");
         assert_eq!(unseal(&sealed).unwrap(), b"");
+    }
+
+    /// Write exactly `len` payload bytes as values of every width, so chunk
+    /// boundaries fall inside values as well as between them.
+    fn encode_len(w: &mut SnapWriter<'_>, len: usize) {
+        let (mut left, mut i) = (len, 0u64);
+        while left > 0 {
+            left -= match (i % 5, left) {
+                (0, 8..) => {
+                    w.put_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    8
+                }
+                (1, 4..) => {
+                    w.put_u32(i as u32 ^ 0xA5A5_5A5A);
+                    4
+                }
+                (2, 2..) => {
+                    w.put_u16(i as u16);
+                    2
+                }
+                (3, 20..) => {
+                    w.put_str("twelve bytes");
+                    20
+                }
+                _ => {
+                    w.put_u8(i as u8);
+                    1
+                }
+            };
+            i += 1;
+        }
+    }
+
+    #[test]
+    fn streamed_container_equals_the_sealed_payload() {
+        for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+            let mut payload = SnapWriter::new();
+            encode_len(&mut payload, len);
+            let payload = payload.into_bytes();
+            assert_eq!(payload.len(), len);
+            // Behind a prefix, to check the length lands in the container's
+            // own header.
+            let mut out = io::Cursor::new(b"prefix".to_vec());
+            out.seek(SeekFrom::End(0)).unwrap();
+            seal_into(&mut out, |w| encode_len(w, len)).unwrap();
+            let out = out.into_inner();
+            assert_eq!(&out[..6], b"prefix");
+            assert!(out[6..] == seal(&payload), "payload of {len} bytes");
+        }
+    }
+
+    #[test]
+    fn streamed_container_returns_the_first_write_error() {
+        // Room for the header and not for the first chunk.
+        let mut room = [0u8; HEADER_LEN + 100];
+        let mut out = io::Cursor::new(&mut room[..]);
+        let mut encoded = 0;
+        let result = seal_into(&mut out, |w| {
+            encode_len(w, 3 * CHUNK + 7);
+            encoded = 3 * CHUNK + 7;
+        });
+        assert_eq!(result.unwrap_err().kind(), io::ErrorKind::WriteZero);
+        assert_eq!(encoded, 3 * CHUNK + 7, "the puts ran on after the error");
+    }
+
+    #[test]
+    fn an_encoder_that_replaces_its_sealing_writer_is_an_error() {
+        let mut out = io::Cursor::new(Vec::new());
+        let result = seal_into(&mut out, |w| *w = SnapWriter::new());
+        assert!(result.is_err());
     }
 }

@@ -1,5 +1,6 @@
 #!/bin/sh
 # Full verification gate for the cloud-watching workspace:
+#   formatting (`cargo fmt --all -- --check`, default rustfmt settings),
 #   build, lints (clippy warnings are errors), the tests of every workspace
 #   crate (`cargo test --workspace`: the root package's suites in tests/,
 #   including the statistical oracle, metamorphic, null-calibration, and
@@ -37,6 +38,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 scale="${1:-0.05}"
+
+echo "==> cargo fmt --all -- --check (the workspace is rustfmt-clean)"
+cargo fmt --all -- --check
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace --quiet

@@ -7,11 +7,12 @@ use cloud_watching::core::exhibit::{ExhibitCx, ExhibitOptions, REGISTRY};
 use cloud_watching::core::fleet;
 use cloud_watching::core::neighborhood;
 use cloud_watching::core::scenario::{Scenario, ScenarioConfig, DEFAULT_SEED, DEFAULT_WINDOW};
+use cloud_watching::core::snapshot;
 use cloud_watching::core::{PlanStore, ScanExec};
 use cloud_watching::netsim::fault::FaultPlan;
 use cloud_watching::netsim::rng::{fork_seed, SimRng};
 use cloud_watching::netsim::sha256::sha256_hex;
-use cloud_watching::netsim::snap::SnapWriter;
+use cloud_watching::netsim::snap::{self, SnapWriter};
 use cloud_watching::netsim::time::SimDuration;
 use cloud_watching::scanners::population::ScenarioYear;
 use proptest::prelude::*;
@@ -373,14 +374,22 @@ fn world_bytes_match_pinned_digests() {
         .map(|&y| ScenarioConfig::fast(y).with_scale(0.01))
         .collect();
     configs.push(faulted_world());
+    // Each world also goes through the streamed snapshot write `cw` uses,
+    // so the pinned digests pin the cached file too.
+    let dir = std::env::temp_dir().join(format!("cw-pinned-worlds-{}", std::process::id()));
     let worlds = fleet::map(configs, 2, |_, c| {
         let b = SimBundle::run(*c);
-        (
-            sha256_hex(&bundle_bytes(&b)),
-            b.stats.flows_lost,
-            b.dataset.len(),
-        )
+        let bytes = bundle_bytes(&b);
+        let path = snapshot::store_in(&dir, &b).expect("snapshot written");
+        let file = std::fs::read(path).expect("snapshot read back");
+        assert!(
+            file == snap::seal(&bytes),
+            "{:?}: the stored snapshot is not the sealed payload",
+            c.year
+        );
+        (sha256_hex(&bytes), b.stats.flows_lost, b.dataset.len())
     });
+    let _ = std::fs::remove_dir_all(&dir);
     let (_, flows_lost, events) = &worlds[3];
     assert!(*flows_lost > 0, "a 15% loss plan must actually drop flows");
     assert!(*events > 0, "the degraded world still records");
