@@ -418,6 +418,7 @@ fn parse_sweep_args(raw: Vec<String>) -> (SweepGrid, RunOptions) {
 /// Run a finding-stability grid through [`cw_core::sweep::report`] and
 /// print the report: the one path behind `cw sweep` and `cw degrade`.
 fn cmd_grid(grid: &SweepGrid, opts: RunOptions) -> i32 {
+    let before = cw_core::query::scan_counters();
     let ex_opts = exhibit_options(opts);
     let base = ex_opts.config(opts.year.unwrap_or(ScenarioYear::Y2021));
     let use_cache = !opts.no_cache;
@@ -427,7 +428,7 @@ fn cmd_grid(grid: &SweepGrid, opts: RunOptions) -> i32 {
         .ok()
         .and_then(|v| v.strip_prefix("sweep:").and_then(|i| i.parse().ok()));
     let obtained = std::cell::Cell::new(0usize);
-    let report = cw_core::sweep::report(grid, base, &|cfg| {
+    let report = cw_core::sweep::report(grid, base, threads(opts), &|cfg| {
         let i = obtained.get();
         obtained.set(i + 1);
         if inject == Some(i) {
@@ -435,6 +436,9 @@ fn cmd_grid(grid: &SweepGrid, opts: RunOptions) -> i32 {
         }
         obtain(cfg, use_cache)
     });
+    if opts.trace_scans {
+        trace_summary(before);
+    }
     print!("{report}");
     0
 }

@@ -22,7 +22,13 @@
 //! exact collection window.
 
 use crate::bundle::SimBundle;
+use crate::compare::CharKind;
+use crate::dataset::TrafficSlice;
+use crate::fleet;
 use crate::leak::{LeakGroup, LeakOutcome, LeakService, LEAK_SEED_XOR};
+use crate::network::{
+    cloud_cloud_cell, cloud_cloud_plans, honeytrap_cell, honeytrap_cell_plans, CLOUD_EDU_PAIRS,
+};
 use crate::overlap;
 use crate::query::{Plan, PlanStore, ScanExec};
 use crate::scenario::ScenarioConfig;
@@ -88,7 +94,7 @@ pub fn ladder() -> Vec<Rung> {
 }
 
 /// One directional finding evaluated on one rung's worlds.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FindingEval {
     /// Short stable name ("T8 telnet>ssh overlap", …).
     pub name: &'static str,
@@ -98,29 +104,73 @@ pub struct FindingEval {
     pub holds: bool,
 }
 
+/// T1's scan: distinct sources at the AWS GreyNoise fleet, the cloud
+/// representative.
+fn aws_fleet_plan(deployment: &Deployment) -> Plan {
+    let aws_ips: Vec<_> = deployment
+        .vantages
+        .iter()
+        .filter(|v| v.provider == Provider::Aws && v.collector == CollectorKind::GreyNoise)
+        .map(|v| v.ip)
+        .collect();
+    Plan::at(&aws_ips).unique_src_and_asn()
+}
+
+/// T7's cell: Top-AS over SSH/22, the paper's sharpest slice.
+const T7_CELL: (TrafficSlice, CharKind) = (TrafficSlice::SshPort22, CharKind::TopAs);
+
+/// Every scan [`evaluate`] runs on one world, from the builders its
+/// findings call: T1's AWS-fleet plan, T7's cloud–cloud and cloud–EDU
+/// plans, and the four Tables 8/9 plans of T8 and T9.
+pub fn evaluate_plans(deployment: &Deployment) -> Vec<Plan> {
+    let (slice, kind) = T7_CELL;
+    let mut plans = vec![aws_fleet_plan(deployment)];
+    plans.extend(cloud_cloud_plans(deployment, slice, kind));
+    plans.extend(honeytrap_cell_plans(
+        deployment,
+        &CLOUD_EDU_PAIRS,
+        slice,
+        kind,
+    ));
+    plans.extend(overlap::table8_and_9_plans(deployment));
+    plans
+}
+
 /// Evaluate the directional findings on one rung's `(scenario, leak)`
-/// worlds. Pure: same bundles → same evaluations.
-pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
+/// worlds. Pure: same bundles → same evaluations, for any `threads`.
+///
+/// Each rung's world is evaluated once, so [`evaluate_plans`] go into one
+/// [`PlanStore`] whose fused passes run on `threads` fleet workers, and
+/// every finding reads it without a further pass.
+pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome, threads: usize) -> Vec<FindingEval> {
     let deployment = Deployment::standard();
-    // Each rung's world is evaluated once. Only Tables 8 and 9 share
-    // scans, so only their four plans are stored (two fused passes); every
-    // other scan runs standalone.
-    let store = PlanStore::build(&bundle.dataset, &overlap::table8_and_9_plans(&deployment));
-    let exec = ScanExec::with_store(&bundle.dataset, &store);
+    let plans = evaluate_plans(&deployment);
+    let store = PlanStore::build_sets(&[(&bundle.dataset, &plans)], threads)
+        .pop()
+        .expect("one set in, one store out");
+    findings(
+        &ScanExec::with_store(&bundle.dataset, &store),
+        &deployment,
+        bundle,
+        leak,
+    )
+}
+
+/// The findings of [`evaluate`], scanning through `exec`.
+fn findings(
+    exec: &ScanExec<'_>,
+    deployment: &Deployment,
+    bundle: &SimBundle,
+    leak: &LeakOutcome,
+) -> Vec<FindingEval> {
     let mut out = Vec::new();
 
     // Table 1 direction: the telescope sees far more unique scanners than
     // any honeypot fleet (here: the AWS GreyNoise fleet as the cloud
     // representative).
     {
-        let aws_ips: Vec<_> = deployment
-            .vantages
-            .iter()
-            .filter(|v| v.provider == Provider::Aws && v.collector == CollectorKind::GreyNoise)
-            .map(|v| v.ip)
-            .collect();
         let (aws_srcs, _) = exec
-            .run(&Plan::at(&aws_ips).unique_src_and_asn())
+            .run(&aws_fleet_plan(deployment))
             .into_unique_src_and_asn();
         let tel_srcs = bundle.telescope.unique_source_count();
         let ratio = tel_srcs as f64 / (aws_srcs as f64).max(1.0);
@@ -132,27 +182,12 @@ pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
     }
 
     // Table 7 direction: cloud-cloud vantages look alike — the fraction of
-    // significantly different cloud-cloud pairs (Top-AS over SSH/22, the
-    // paper's sharpest slice) stays at or below the cloud-EDU fraction.
+    // significantly different cloud-cloud pairs (in `T7_CELL`) stays at or
+    // below the cloud-EDU fraction.
     {
-        use crate::compare::CharKind;
-        use crate::dataset::TrafficSlice;
-        use crate::network::{cloud_cloud_cell, honeytrap_cell, CLOUD_EDU_PAIRS};
-        let cc = cloud_cloud_cell(
-            &exec,
-            &deployment,
-            TrafficSlice::SshPort22,
-            CharKind::TopAs,
-            0.05,
-        );
-        let ce = honeytrap_cell(
-            &exec,
-            &deployment,
-            &CLOUD_EDU_PAIRS,
-            TrafficSlice::SshPort22,
-            CharKind::TopAs,
-            0.05,
-        );
+        let (slice, kind) = T7_CELL;
+        let cc = cloud_cloud_cell(exec, deployment, slice, kind, 0.05);
+        let ce = honeytrap_cell(exec, deployment, &CLOUD_EDU_PAIRS, slice, kind, 0.05);
         let frac = |n_different: usize, n: usize| n_different as f64 / n.max(1) as f64;
         let cc_frac = frac(cc.n_different, cc.n);
         let ce_frac = frac(ce.n_different, ce.n);
@@ -167,7 +202,7 @@ pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
     // while SSH/22 actors avoid it — overlap(23) exceeds overlap(22), for
     // all scanners (T8) and for verified attackers (T9).
     {
-        let (t8, t9) = overlap::table8_and_9(&exec, &deployment, &bundle.telescope);
+        let (t8, t9) = overlap::table8_and_9(exec, deployment, &bundle.telescope);
         let find8 = |port: u16| {
             t8.iter()
                 .find(|r| r.port == port)
@@ -221,8 +256,9 @@ pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome) -> Vec<FindingEval> {
 /// [`SweepGrid::ladder`] preset, byte for byte what `cw degrade` prints.
 ///
 /// A thin wrapper kept for callers of this signature (the benchmark's
-/// traced run). `leak_seed` is not a free parameter: the grid driver seeds
-/// every leak world `seed ^ LEAK_SEED_XOR`, and any other value panics.
+/// traced run); it evaluates on [`fleet::resolve_threads`]`(None)` workers.
+/// `leak_seed` is not a free parameter: the grid driver seeds every leak
+/// world `seed ^ LEAK_SEED_XOR`, and any other value panics.
 pub fn report(
     base: ScenarioConfig,
     leak_seed: u64,
@@ -233,13 +269,47 @@ pub fn report(
         base.seed ^ LEAK_SEED_XOR,
         "the leak world seed is the scenario seed ^ LEAK_SEED_XOR"
     );
-    sweep::report(&SweepGrid::ladder(base.year, base.seed), base, obtain)
+    let grid = SweepGrid::ladder(base.year, base.seed);
+    sweep::report(&grid, base, fleet::resolve_threads(None), obtain)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::leak::LeakConfig;
+    use crate::query::scan_counters;
+    use cw_netsim::time::SimDuration;
     use cw_scanners::population::ScenarioYear;
+
+    #[test]
+    fn evaluate_reads_only_its_declared_store_at_any_thread_count() {
+        let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.02);
+        let bundle = SimBundle::run(base);
+        let leak = crate::leak::run(&LeakConfig {
+            seed: base.seed ^ LEAK_SEED_XOR,
+            scale: base.scale,
+            horizon: SimDuration::WEEK,
+            fault: FaultPlan::none(),
+        });
+        let d = Deployment::standard();
+        let store = PlanStore::build(&bundle.dataset, &evaluate_plans(&d));
+        let exec = ScanExec::with_store(&bundle.dataset, &store);
+        let before = scan_counters();
+        let evals = findings(&exec, &d, &bundle, &leak);
+        assert_eq!(
+            scan_counters().since(before).fused,
+            0,
+            "a finding scanned outside evaluate_plans"
+        );
+        assert_eq!(evals.len(), 5);
+        for threads in [1, 2] {
+            assert_eq!(
+                evaluate(&bundle, &leak, threads),
+                evals,
+                "{threads} threads"
+            );
+        }
+    }
 
     #[test]
     fn ladder_starts_fault_free_and_escalates() {
@@ -259,7 +329,7 @@ mod tests {
         let obtain = |cfg| SimBundle::run(cfg);
         let a = report(base, base.seed ^ LEAK_SEED_XOR, &obtain);
         let ladder_grid = SweepGrid::ladder(base.year, base.seed);
-        assert_eq!(a, sweep::report(&ladder_grid, base, &obtain));
+        assert_eq!(a, sweep::report(&ladder_grid, base, 1, &obtain));
         assert!(a.contains("STABLE") || a.contains("BREAKS@"));
         assert!(a.contains("Cells: 4 (4 distinct worlds"));
         for rung in ladder() {

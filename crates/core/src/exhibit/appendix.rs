@@ -8,8 +8,9 @@
 //! (Table 14, temporal stability) pin their years.
 
 use super::main_year::{
-    breakdown_requests, table10_render, table2_render, table2_requests, table4_render,
-    table4_requests, table5_render, table5_requests, table7_render, year_header, Family,
+    breakdown_requests, table10_render, table10_requests, table2_render, table2_requests,
+    table4_render, table4_requests, table5_render, table5_requests, table7_render, table7_requests,
+    year_header, Family, NetworkColumn,
 };
 use super::{BreakdownPort, Exhibit, ExhibitCx, Need, PlanRequest};
 use crate::report::{header_str, paper_note_str, TextTable};
@@ -86,6 +87,17 @@ impl Exhibit for Table13 {
 /// Cloud–Cloud on 2020 data and Cloud–EDU and EDU–EDU on 2022 data.
 pub struct Table14;
 
+/// Table 14's two pinned worlds.
+const Y2020: Need = Need::Exact(ScenarioYear::Y2020);
+const Y2022: Need = Need::Exact(ScenarioYear::Y2022);
+
+/// Table 14's columns.
+const TABLE14_COLUMNS: [NetworkColumn; 3] = [
+    ("CC'20 dif", Y2020, Family::CloudCloud),
+    ("CE'22 dif", Y2022, Family::CloudEdu),
+    ("EE'22 dif", Y2022, Family::EduEdu),
+];
+
 impl Exhibit for Table14 {
     fn name(&self) -> &'static str {
         "table14"
@@ -94,24 +106,19 @@ impl Exhibit for Table14 {
         "Network differences across 2020/2022 data"
     }
     fn needs(&self) -> &'static [Need] {
-        &[
-            Need::Exact(ScenarioYear::Y2020),
-            Need::Exact(ScenarioYear::Y2022),
-        ]
+        &[Y2020, Y2022]
+    }
+    fn plans(&self) -> Vec<PlanRequest> {
+        table7_requests(TABLE14_COLUMNS)
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
-        let [y2020, y2022] = [self.needs()[0], self.needs()[1]];
         table7_render(
             cx,
             "Table 14: Cloud-Cloud (2020) / Cloud-EDU (2022) / EDU-EDU (2022)",
             "scanners are more likely to partially avoid education networks than to prefer a \
              specific cloud; the 2022 Merit router-bruteforce anomaly yields a medium (0.34) \
              EDU-EDU payload difference",
-            [
-                ("CC'20 dif", y2020, Family::CloudCloud),
-                ("CE'22 dif", y2022, Family::CloudEdu),
-                ("EE'22 dif", y2022, Family::EduEdu),
-            ],
+            TABLE14_COLUMNS,
         )
     }
 }
@@ -119,6 +126,9 @@ impl Exhibit for Table14 {
 /// Table 15 (Appendix C.2): telescope-vs-X AS differences on 2022 data —
 /// the Table 10 render over two cloud fleets.
 pub struct Table15;
+
+/// Table 15's cloud fleets.
+const TABLE15_CLOUD_FLEETS: [&str; 2] = ["honeytrap/aws-west", "honeytrap/google-west"];
 
 impl Exhibit for Table15 {
     fn name(&self) -> &'static str {
@@ -130,6 +140,9 @@ impl Exhibit for Table15 {
     fn needs(&self) -> &'static [Need] {
         &[Need::Year(ScenarioYear::Y2022)]
     }
+    fn plans(&self) -> Vec<PlanRequest> {
+        table10_requests(self.needs()[0], &TABLE15_CLOUD_FLEETS)
+    }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         table10_render(
             cx,
@@ -140,7 +153,7 @@ impl Exhibit for Table15 {
             ),
             "2022 effect sizes grow vs 2021 (e.g. Any/All: Tel-EDU 0.90, Tel-Cloud 0.89 vs 0.30 in 2021)",
             ["Slice", "Tel-EDU dif", "avg phi", "Tel-Cloud dif", "avg phi"],
-            &["honeytrap/aws-west", "honeytrap/google-west"],
+            &TABLE15_CLOUD_FLEETS,
         )
     }
 }

@@ -9,7 +9,10 @@ use super::{BreakdownPort, Exhibit, ExhibitCx, Need, PlanRequest, SimBundle};
 use crate::compare::CharKind;
 use crate::dataset::TrafficSlice;
 use crate::geography::SimilarityCell;
-use crate::network::{cloud_cloud_cell, honeytrap_cell, NetworkCell, CLOUD_EDU_PAIRS};
+use crate::network::{
+    cloud_cloud_cell, cloud_cloud_plans, honeytrap_cell, honeytrap_cell_plans, telescope_vs_fleet,
+    telescope_vs_fleet_plan, NetworkCell, CLOUD_EDU_PAIRS,
+};
 use crate::query::{Plan, ScanExec};
 use crate::report::{header_str, paper_note_str, pct, phi_value, TextTable};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
@@ -422,6 +425,9 @@ pub(super) enum Family {
     EduEdu,
 }
 
+/// The one EDU–EDU Honeytrap pair.
+const EDU_EDU_PAIRS: [(&str, &str); 1] = [("honeytrap/stanford", "honeytrap/merit")];
+
 impl Family {
     fn cell(
         self,
@@ -433,10 +439,16 @@ impl Family {
         match self {
             Family::CloudCloud => cloud_cloud_cell(exec, d, slice, kind, 0.05),
             Family::CloudEdu => honeytrap_cell(exec, d, &CLOUD_EDU_PAIRS, slice, kind, 0.05),
-            Family::EduEdu => {
-                let pairs = [("honeytrap/stanford", "honeytrap/merit")];
-                honeytrap_cell(exec, d, &pairs, slice, kind, 0.05)
-            }
+            Family::EduEdu => honeytrap_cell(exec, d, &EDU_EDU_PAIRS, slice, kind, 0.05),
+        }
+    }
+
+    /// The plans [`Family::cell`] reads.
+    fn plans(self, d: &Deployment, slice: TrafficSlice, kind: CharKind) -> Vec<Plan> {
+        match self {
+            Family::CloudCloud => cloud_cloud_plans(d, slice, kind),
+            Family::CloudEdu => honeytrap_cell_plans(d, &CLOUD_EDU_PAIRS, slice, kind),
+            Family::EduEdu => honeytrap_cell_plans(d, &EDU_EDU_PAIRS, slice, kind),
         }
     }
 }
@@ -473,15 +485,42 @@ fn network_cell_str(c: &NetworkCell) -> [String; 2] {
     }
 }
 
+/// One Table 7/14 column: its header, the world it reads and the pair
+/// family it compares.
+pub(super) type NetworkColumn = (&'static str, Need, Family);
+
+/// Table 7's columns: every family on the main-year world.
+const TABLE7_COLUMNS: [NetworkColumn; 3] = [
+    ("Cloud-Cloud dif", NEEDS[0], Family::CloudCloud),
+    ("Cloud-EDU dif", NEEDS[0], Family::CloudEdu),
+    ("EDU-EDU dif", NEEDS[0], Family::EduEdu),
+];
+
+/// The plans a Table 7 render over `columns` reads: each column's family
+/// plans over the whole grid, on the column's world (Table 14's too).
+pub(super) fn table7_requests(columns: [NetworkColumn; 3]) -> Vec<PlanRequest> {
+    let d = Deployment::standard();
+    columns
+        .into_iter()
+        .flat_map(|(_, need, family)| {
+            let plans = TABLE7_GRID
+                .iter()
+                .flat_map(|&(kind, slice)| family.plans(&d, slice, kind))
+                .collect();
+            PlanRequest::all_for(need, plans)
+        })
+        .collect()
+}
+
 /// The Table 7 render under its own header and paper note. Each of the
-/// three `columns` is a (header, world, pair family) and reads its world
-/// through the context's executor. Table 14 is this render with a 2020
-/// cloud–cloud column and two 2022 EDU columns.
+/// three `columns` reads its world through the context's executor.
+/// Table 14 is this render with a 2020 cloud–cloud column and two 2022
+/// EDU columns.
 pub(super) fn table7_render(
     cx: &ExhibitCx<'_>,
     header: &str,
     note: &str,
-    columns: [(&str, Need, Family); 3],
+    columns: [NetworkColumn; 3],
 ) -> String {
     let mut out = header_str(header);
     out.push_str(&paper_note_str(note));
@@ -517,6 +556,9 @@ impl Exhibit for Table7 {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
+    fn plans(&self) -> Vec<PlanRequest> {
+        table7_requests(TABLE7_COLUMNS)
+    }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         table7_render(
             cx,
@@ -524,11 +566,7 @@ impl Exhibit for Table7 {
             "cloud-cloud differences are small (avg phi ≤ 0.23); cloud-EDU mostly similar except \
              SSH/22 Top-AS in 2021 (phi 0.48: Chinanet→EDU, Cogent→cloud); EDU-EDU never different; \
              credentials are × for Honeytrap fleets",
-            [
-                ("Cloud-Cloud dif", NEEDS[0], Family::CloudCloud),
-                ("Cloud-EDU dif", NEEDS[0], Family::CloudEdu),
-                ("EDU-EDU dif", NEEDS[0], Family::EduEdu),
-            ],
+            TABLE7_COLUMNS,
         )
     }
 }
@@ -632,6 +670,28 @@ const TABLE10_SLICES: [TrafficSlice; 4] = [
     TrafficSlice::AnyAll,
 ];
 
+/// The university fleets Tables 10 and 15 compare with the telescope.
+const EDU_FLEETS: [&str; 2] = ["honeytrap/stanford", "honeytrap/merit"];
+
+/// Table 10's cloud fleets.
+const TABLE10_CLOUD_FLEETS: [&str; 3] = [
+    "honeytrap/aws-west",
+    "honeytrap/google-west",
+    "honeytrap/google-east",
+];
+
+/// The fleet plans a Table 10 render over `cloud_fleets` reads on
+/// `need`'s world (Table 15's too).
+pub(super) fn table10_requests(need: Need, cloud_fleets: &[&str]) -> Vec<PlanRequest> {
+    let d = Deployment::standard();
+    let fleets: Vec<&str> = EDU_FLEETS.iter().chain(cloud_fleets).copied().collect();
+    let mut plans = Vec::new();
+    for slice in TABLE10_SLICES {
+        plans.extend(fleets.iter().map(|f| telescope_vs_fleet_plan(&d, f, slice)));
+    }
+    PlanRequest::all_for(need, plans)
+}
+
 /// The Table 10 render on `need`'s world under its own header, paper note
 /// and column headers: the telescope against the two university fleets
 /// and against `cloud_fleets`. Table 15 is this render on 2022 data with
@@ -649,7 +709,6 @@ pub(super) fn table10_render(
     let exec = cx.exec(need);
     let mut out = header_str(header);
     out.push_str(&paper_note_str(note));
-    let edu_fleets = ["honeytrap/stanford", "honeytrap/merit"];
     let mut t = TextTable::new(&columns);
     for slice in TABLE10_SLICES {
         let run = |fleets: &[&str]| -> (usize, usize, Option<f64>) {
@@ -657,15 +716,9 @@ pub(super) fn table10_render(
             let mut dif = 0;
             let mut phis = Vec::new();
             for f in fleets {
-                if let Some(cmp) = crate::network::telescope_vs_fleet(
-                    &exec,
-                    &d,
-                    &s.telescope,
-                    f,
-                    slice,
-                    0.05,
-                    fleets.len(),
-                ) {
+                if let Some(cmp) =
+                    telescope_vs_fleet(&exec, &d, &s.telescope, f, slice, 0.05, fleets.len())
+                {
                     n += 1;
                     if cmp.significant {
                         dif += 1;
@@ -675,7 +728,7 @@ pub(super) fn table10_render(
             }
             (n, dif, cw_stats::descriptive::mean(&phis))
         };
-        let (en, ed, ephi) = run(&edu_fleets);
+        let (en, ed, ephi) = run(&EDU_FLEETS);
         let (cn, cd, cphi) = run(cloud_fleets);
         t.row(vec![
             slice.label().to_string(),
@@ -699,6 +752,9 @@ impl Exhibit for Table10 {
     fn needs(&self) -> &'static [Need] {
         NEEDS
     }
+    fn plans(&self) -> Vec<PlanRequest> {
+        table10_requests(NEEDS[0], &TABLE10_CLOUD_FLEETS)
+    }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         table10_render(
             cx,
@@ -717,11 +773,7 @@ impl Exhibit for Table10 {
                 "Tel-Cloud dif",
                 "Tel-Cloud avg phi",
             ],
-            &[
-                "honeytrap/aws-west",
-                "honeytrap/google-west",
-                "honeytrap/google-east",
-            ],
+            &TABLE10_CLOUD_FLEETS,
         )
     }
 }

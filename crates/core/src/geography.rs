@@ -42,7 +42,11 @@ fn provider_region_ips(
 
 /// The declared per-honeypot frequency plans behind one [`region_freqs`]
 /// call: the plan shape Tables 2, 4, 5 and 7 share.
-fn region_freq_plans(ips: &[Ipv4Addr], slice: TrafficSlice, kind: CharKind) -> Vec<Plan> {
+pub(crate) fn region_freq_plans(
+    ips: &[Ipv4Addr],
+    slice: TrafficSlice,
+    kind: CharKind,
+) -> Vec<Plan> {
     ips.iter()
         .map(|&ip| Plan::at(&[ip]).slice(slice).char_freqs(kind))
         .collect()

@@ -10,13 +10,16 @@
 //! - **Telescope–X** — the telescope observes no payloads, so only the
 //!   "who" (top ASes per port) axis is comparable (Table 10).
 //!
-//! Every comparison scans through the caller's [`ScanExec`], so a render
-//! reads its prefetched plans: a cloud–cloud cell's per-honeypot frequency
-//! scans are exactly Table 5's plans.
+//! Every comparison scans through the caller's [`ScanExec`], and each
+//! family's plans come from one builder next to it ([`cloud_cloud_plans`],
+//! [`honeytrap_cell_plans`], [`telescope_vs_fleet_plan`]) that both the
+//! comparison and the renders' declarations call, so a render reads its
+//! prefetched plans. A cloud–cloud cell's per-honeypot frequency scans are
+//! a subset of Table 5's plans.
 
 use crate::compare::{compare_freqs, CharKind, GroupComparison};
 use crate::dataset::TrafficSlice;
-use crate::geography::region_freqs;
+use crate::geography::{region_freq_plans, region_freqs};
 use crate::query::{Plan, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
 use cw_honeypot::telescope::Telescope;
@@ -99,6 +102,37 @@ fn greynoise_region_ips(
         .collect()
 }
 
+/// The two regions' honeypots of every city pair that can observe
+/// `slice` on both sides, in [`city_pairs`] order.
+fn city_pair_ips(
+    deployment: &Deployment,
+    slice: TrafficSlice,
+) -> Vec<(Vec<Ipv4Addr>, Vec<Ipv4Addr>)> {
+    city_pairs(deployment)
+        .iter()
+        .map(|p| {
+            (
+                greynoise_region_ips(deployment, p.a, &p.code, slice),
+                greynoise_region_ips(deployment, p.b, &p.code, slice),
+            )
+        })
+        .filter(|(a, b)| !a.is_empty() && !b.is_empty())
+        .collect()
+}
+
+/// The per-honeypot frequency plans one [`cloud_cloud_cell`] reads.
+pub fn cloud_cloud_plans(
+    deployment: &Deployment,
+    slice: TrafficSlice,
+    kind: CharKind,
+) -> Vec<Plan> {
+    city_pair_ips(deployment, slice)
+        .iter()
+        .flat_map(|(a, b)| [a, b])
+        .flat_map(|ips| region_freq_plans(ips, slice, kind))
+        .collect()
+}
+
 /// Compare city-matched cloud pairs for one characteristic × slice.
 pub fn cloud_cloud_cell(
     exec: &ScanExec<'_>,
@@ -107,17 +141,11 @@ pub fn cloud_cloud_cell(
     kind: CharKind,
     alpha: f64,
 ) -> NetworkCell {
-    let pairs = city_pairs(deployment);
-    let m = pairs.len().max(1);
+    let m = city_pairs(deployment).len().max(1);
     let mut tested = 0;
     let mut different = 0;
     let mut phis = Vec::new();
-    for p in &pairs {
-        let a_ips = greynoise_region_ips(deployment, p.a, &p.code, slice);
-        let b_ips = greynoise_region_ips(deployment, p.b, &p.code, slice);
-        if a_ips.is_empty() || b_ips.is_empty() {
-            continue;
-        }
+    for (a_ips, b_ips) in city_pair_ips(deployment, slice) {
         let fa = region_freqs(exec, &a_ips, slice, kind);
         let fb = region_freqs(exec, &b_ips, slice, kind);
         if let Some(cmp) = compare_freqs(kind, &[fa, fb], alpha, m) {
@@ -148,6 +176,34 @@ pub fn honeytrap_fleet_ips(deployment: &Deployment, name: &str) -> Vec<Ipv4Addr>
         .collect()
 }
 
+/// Honeytrap never observes credentials: the paper's ×.
+fn honeytrap_observes(kind: CharKind) -> bool {
+    !matches!(kind, CharKind::TopUsername | CharKind::TopPassword)
+}
+
+/// The fleet plans a [`honeytrap_cell`] over `pairs` reads: per pair, one
+/// plan per fleet (push the fleet down, slice, fold by interned id), in
+/// pair order; no plan for a characteristic Honeytrap cannot observe.
+pub fn honeytrap_cell_plans(
+    deployment: &Deployment,
+    pairs: &[(&str, &str)],
+    slice: TrafficSlice,
+    kind: CharKind,
+) -> Vec<Plan> {
+    if !honeytrap_observes(kind) {
+        return Vec::new();
+    }
+    pairs
+        .iter()
+        .flat_map(|&(a, b)| [a, b])
+        .map(|fleet| {
+            Plan::at(&honeytrap_fleet_ips(deployment, fleet))
+                .slice(slice)
+                .char_freqs(kind)
+        })
+        .collect()
+}
+
 /// Compare two pooled Honeytrap fleets for one characteristic × slice.
 /// Returns `None` when the characteristic is unobservable for Honeytrap
 /// (credentials: the paper's ×).
@@ -162,17 +218,15 @@ pub fn honeytrap_pair(
     alpha: f64,
     family: usize,
 ) -> Option<GroupComparison> {
-    if matches!(kind, CharKind::TopUsername | CharKind::TopPassword) {
-        return None; // Honeytrap never observes credentials.
+    let freqs: Vec<BTreeMap<String, u64>> =
+        honeytrap_cell_plans(deployment, &[(fleet_a, fleet_b)], slice, kind)
+            .iter()
+            .map(|plan| exec.run(plan).into_char_freqs())
+            .collect();
+    if freqs.is_empty() {
+        return None;
     }
-    // One plan per fleet: push the fleet down, slice, fold by interned id.
-    let freqs = |fleet| {
-        let plan = Plan::at(&honeytrap_fleet_ips(deployment, fleet))
-            .slice(slice)
-            .char_freqs(kind);
-        exec.run(&plan).into_char_freqs()
-    };
-    compare_freqs(kind, &[freqs(fleet_a), freqs(fleet_b)], alpha, family)
+    compare_freqs(kind, &freqs, alpha, family)
 }
 
 /// The cloud–EDU pair list (geographically matched, §5.2 methodology).
@@ -192,7 +246,7 @@ pub fn honeytrap_cell(
     kind: CharKind,
     alpha: f64,
 ) -> NetworkCell {
-    if matches!(kind, CharKind::TopUsername | CharKind::TopPassword) {
+    if !honeytrap_observes(kind) {
         return NetworkCell {
             characteristic: kind,
             slice,
@@ -225,6 +279,23 @@ pub fn honeytrap_cell(
     }
 }
 
+/// The fleet-side top-AS plan of one [`telescope_vs_fleet`] comparison.
+pub fn telescope_vs_fleet_plan(deployment: &Deployment, fleet: &str, slice: TrafficSlice) -> Plan {
+    let ips = honeytrap_fleet_ips(deployment, fleet);
+    let ips = if ips.is_empty() {
+        // GreyNoise fleets are addressed by block prefix instead.
+        deployment
+            .vantages
+            .iter()
+            .filter(|v| v.id.starts_with(fleet))
+            .map(|v| v.ip)
+            .collect()
+    } else {
+        ips
+    };
+    Plan::at(&ips).slice(slice).char_freqs(CharKind::TopAs)
+}
+
 /// Table 10: telescope vs honeypot fleets, top-AS axis per port.
 ///
 /// `slice` determines the port (SSH/22, Telnet/23, HTTP/80) or all ports.
@@ -243,19 +314,7 @@ pub fn telescope_vs_fleet(
         TrafficSlice::HttpPort80 => telescope.asn_freqs_on_port(80),
         TrafficSlice::HttpAllPorts | TrafficSlice::AnyAll => telescope.asn_freqs_all(),
     };
-    let ips = honeytrap_fleet_ips(deployment, fleet);
-    let ips = if ips.is_empty() {
-        // GreyNoise fleets are addressed by block prefix instead.
-        deployment
-            .vantages
-            .iter()
-            .filter(|v| v.id.starts_with(fleet))
-            .map(|v| v.ip)
-            .collect()
-    } else {
-        ips
-    };
-    let plan = Plan::at(&ips).slice(slice).char_freqs(CharKind::TopAs);
+    let plan = telescope_vs_fleet_plan(deployment, fleet, slice);
     let fleet_freqs = exec.run(&plan).into_char_freqs();
     compare_freqs(CharKind::TopAs, &[tel_freqs, fleet_freqs], alpha, family)
 }
@@ -304,12 +363,8 @@ mod tests {
     #[test]
     fn cloud_cloud_cells_run() {
         let s = scenario();
-        // A cloud-cloud cell reads exactly Table 5's per-honeypot plans.
         let (slice, kind) = (TrafficSlice::SshPort22, CharKind::TopAs);
-        let store = PlanStore::build(
-            &s.dataset,
-            &crate::geography::table5_plans(&s.deployment, slice, kind),
-        );
+        let store = PlanStore::build(&s.dataset, &cloud_cloud_plans(&s.deployment, slice, kind));
         let cell = cloud_cloud_cell(
             &ScanExec::with_store(&s.dataset, &store),
             &s.deployment,
@@ -327,9 +382,7 @@ mod tests {
         let s = scenario();
         let tel = s.telescope.borrow();
         let fleet = "honeytrap/stanford";
-        let plan = Plan::at(&honeytrap_fleet_ips(&s.deployment, fleet))
-            .slice(TrafficSlice::TelnetPort23)
-            .char_freqs(CharKind::TopAs);
+        let plan = telescope_vs_fleet_plan(&s.deployment, fleet, TrafficSlice::TelnetPort23);
         let store = PlanStore::build(&s.dataset, &[plan]);
         let cmp = telescope_vs_fleet(
             &ScanExec::with_store(&s.dataset, &store),

@@ -247,7 +247,9 @@ impl Plan {
     /// A plan over the rows destined to `ips`: only those rows are
     /// visited, through the dataset's per-destination row index, without
     /// scanning the destination column. Rows are enumerated per IP **in
-    /// the order given**, then in capture order within an IP.
+    /// the order given**, then in capture order within an IP; only
+    /// [`Plan::rows`] observes that order, and a dense domain of the other
+    /// terminals is read in table order instead ([`TABLE_ORDER_SHARE`]).
     pub fn at(ips: &[Ipv4Addr]) -> Self {
         Plan {
             dsts: Some(ips.to_vec()),
@@ -574,6 +576,15 @@ fn partitions(plans: &[Plan]) -> Vec<Vec<usize>> {
     out
 }
 
+/// The density floor of table-order reads: a pass whose domain holds at
+/// least `1 / TABLE_ORDER_SHARE` of the table's rows, lists no destination
+/// twice and has no [`Plan::rows`] member visits its rows in ascending row
+/// order instead of per destination. Every other terminal sorts or counts,
+/// so only `rows()` observes the order. Below the floor the row bitset
+/// costs more than the sequential reads save (measurements in
+/// `docs/QUERY.md`).
+pub const TABLE_ORDER_SHARE: u64 = 16;
+
 /// One fused pass to run: a partition of one set's plans.
 struct Pass<'a> {
     set: usize,
@@ -607,8 +618,29 @@ impl<'a> Pass<'a> {
         }
     }
 
+    /// Whether the pass reads its destination domain in table order (see
+    /// [`TABLE_ORDER_SHARE`]): a domain listing an IP twice enumerates that
+    /// IP's rows twice, which a row set cannot.
+    fn in_table_order(&self) -> bool {
+        let Some(ips) = self.domain else {
+            return false;
+        };
+        if self.rows * TABLE_ORDER_SHARE < self.dataset.len() as u64
+            || self
+                .members
+                .iter()
+                .any(|&p| self.plans[p].terminal == Terminal::Rows)
+        {
+            return false;
+        }
+        let mut sorted = ips.clone();
+        sorted.sort_unstable();
+        sorted.windows(2).all(|w| w[0] != w[1])
+    }
+
     /// Run the pass: every member plan's accumulator sees the domain's
-    /// rows in enumeration order. Results follow `members`.
+    /// rows in enumeration order, or in table order when
+    /// [`Pass::in_table_order`]. Results follow `members`.
     fn run(&self) -> Vec<PlanResult> {
         let ds = self.dataset;
         FUSED_PASSES.fetch_add(1, Ordering::Relaxed);
@@ -621,6 +653,20 @@ impl<'a> Pass<'a> {
             }
         };
         match self.domain {
+            Some(ips) if self.in_table_order() => {
+                let mut marked = vec![0u64; ds.len().div_ceil(64)];
+                for idxs in ips.iter().filter_map(|&ip| ds.dst_index(ip)) {
+                    for &i in idxs {
+                        marked[i as usize / 64] |= 1 << (i % 64);
+                    }
+                }
+                for (w, mut bits) in marked.into_iter().enumerate() {
+                    while bits != 0 {
+                        visit(w * 64 + bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                    }
+                }
+            }
             Some(ips) => {
                 for idxs in ips.iter().filter_map(|&ip| ds.dst_index(ip)) {
                     idxs.iter().for_each(|&i| visit(i as usize));
@@ -1043,6 +1089,34 @@ mod tests {
             exec.run(&Plan::at(&[DST]).port(2323).count()).into_count(),
             1
         );
+    }
+
+    #[test]
+    fn table_order_needs_a_dense_duplicate_free_order_free_domain() {
+        let ds = dataset();
+        let in_table_order =
+            |plans: &[Plan]| Pass::new(0, &ds, plans, (0..plans.len()).collect()).in_table_order();
+        let absent = Ipv4Addr::new(9, 9, 9, 9);
+        assert!(in_table_order(&[
+            Plan::at(&[DST]).count(),
+            Plan::at(&[DST]).malicious().distinct_srcs(),
+        ]));
+        assert!(in_table_order(&[
+            Plan::at(&[absent, DST]).char_freqs(CharKind::TopAs)
+        ]));
+        assert!(
+            !in_table_order(&[Plan::at(&[DST]).count(), Plan::at(&[DST]).rows()]),
+            "rows() observes the enumeration order"
+        );
+        assert!(
+            !in_table_order(&[Plan::at(&[DST, absent, DST]).count()]),
+            "a repeated IP's rows are enumerated twice"
+        );
+        assert!(
+            !in_table_order(&[Plan::at(&[absent]).count()]),
+            "below the density floor"
+        );
+        assert!(!in_table_order(&[Plan::scan().count()]), "no domain");
     }
 
     #[test]

@@ -158,11 +158,16 @@ fn verdict(first_break: Option<&str>) -> String {
 /// inline (they never touch the snapshot cache), and are memoized per
 /// distinct `(seed, scale, variant)` — they don't depend on the year.
 ///
+/// Cells are obtained and evaluated one at a time, in grid order, so at
+/// most one cell's world is resident; each evaluation spreads its fused
+/// scans over `threads` fleet workers ([`degrade::evaluate`]).
+///
 /// The report is a pure function of `(grid, base)`: same inputs → same
 /// bytes, cold or warm, for any thread count or window size.
 pub fn report(
     grid: &SweepGrid,
     base: ScenarioConfig,
+    threads: usize,
     obtain: &dyn Fn(ScenarioConfig) -> SimBundle,
 ) -> String {
     let groups = grid.groups();
@@ -247,7 +252,7 @@ pub fn report(
                 bundle.telescope.unique_source_count().to_string(),
                 bundle.stats.flows_lost.to_string(),
             ]);
-            evals.push(degrade::evaluate(&bundle, leak));
+            evals.push(degrade::evaluate(&bundle, leak, threads));
         }
         out.push_str(&format!("{}\n", worlds.render()));
 
@@ -336,7 +341,7 @@ mod tests {
             variants: vec![degrade::ladder().remove(0)],
             scales: vec![1.0, 2.0],
         };
-        let render = || report(&grid, base, &|cfg| SimBundle::run(cfg));
+        let render = || report(&grid, base, 1, &|cfg| SimBundle::run(cfg));
         let a = render();
         assert_eq!(a, render());
         // Every tracked finding gets exactly one verdict token per group.

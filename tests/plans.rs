@@ -452,14 +452,8 @@ fn singles(opts: &ExhibitOptions) -> Vec<&'static dyn Exhibit> {
     singles
 }
 
-/// The exhibits whose renders still scan on demand: their cloud–EDU,
-/// EDU–EDU and telescope-vs-fleet cells declare no plans.
-const UNDECLARED: [&str; 2] = ["table7", "table10"];
-
 /// Each exhibit's declared plans cover its render: after prefetching that
-/// exhibit's plans alone, its render runs no column pass. The exhibits in
-/// [`UNDECLARED`] must still run some, so the list shrinks once they
-/// declare their scans.
+/// exhibit's plans alone, its render runs no column pass.
 #[test]
 fn declared_plans_cover_each_render() {
     let _g = counter_lock();
@@ -470,20 +464,12 @@ fn declared_plans_cover_each_render() {
         let before = scan_counters();
         e.run(&cx);
         let fused = scan_counters().since(before).fused;
-        if UNDECLARED.contains(&e.name()) {
-            assert!(
-                fused > 0,
-                "{} scans nothing on demand: drop it from UNDECLARED",
-                e.name()
-            );
-        } else {
-            assert_eq!(
-                fused,
-                0,
-                "{} ran {fused} passes its plans do not declare",
-                e.name()
-            );
-        }
+        assert_eq!(
+            fused,
+            0,
+            "{} ran {fused} passes its plans do not declare",
+            e.name()
+        );
     }
 }
 

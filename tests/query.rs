@@ -7,6 +7,7 @@
 
 use cloud_watching::core::compare::CharKind;
 use cloud_watching::core::dataset::{Dataset, TrafficSlice};
+use cloud_watching::core::query::TABLE_ORDER_SHARE;
 use cloud_watching::core::scenario::ScenarioConfig;
 use cloud_watching::core::{Plan, PlanResult, PlanStore, ScanExec, SimBundle};
 use cloud_watching::detection::Verdict;
@@ -185,4 +186,84 @@ fn ports_fingerprint_grouping_matches_hand_rolled() {
     assert!(expected.contains_key(&ProtocolId::Http));
     let got = run(Plan::at(&ips).port(80).srcs_by_fingerprint()).into_fingerprint_srcs();
     assert_eq!(got, expected);
+}
+
+/// Only `rows()` observes enumeration order: a dense, duplicate-free fleet
+/// domain read in table order must return, for every other terminal, what
+/// the per-destination enumeration returns. `rows()` keeps per-destination
+/// order, an IP listed twice still counts its rows twice, and a sparse
+/// domain (below the `TABLE_ORDER_SHARE` floor) agrees too.
+#[test]
+fn order_free_terminals_match_per_destination_enumeration() {
+    let ds = &bundle().dataset;
+    let table = ds.table();
+    let fleet = greynoise_ips();
+    let mut repeated = fleet.clone();
+    repeated.push(fleet[0]);
+    let honeypot = ips_where(|v| v.id.starts_with("honeytrap/stanford"))[..1].to_vec();
+    let mut counts = Vec::new();
+    for (ips, dense) in [(&fleet, true), (&repeated, true), (&honeypot, false)] {
+        let rows = hand_rolled_indices(ds, ips, TrafficSlice::AnyAll);
+        assert!(!rows.is_empty());
+        assert_eq!(
+            rows.len() as u64 * TABLE_ORDER_SHARE >= ds.len() as u64,
+            dense,
+            "{} of {} rows",
+            rows.len(),
+            ds.len()
+        );
+        let domain = Plan::at(ips);
+        assert_eq!(run(domain.clone().rows()).into_rows(), rows);
+        assert_eq!(run(domain.clone().count()).into_count(), rows.len());
+        counts.push(rows.len());
+
+        let srcs: BTreeSet<Ipv4Addr> = rows.iter().map(|&i| table.srcs()[i]).collect();
+        let asns: BTreeSet<u32> = rows.iter().map(|&i| table.src_asns()[i].0).collect();
+        assert_eq!(
+            run(domain.clone().distinct_srcs()).into_distinct_srcs(),
+            srcs
+        );
+        assert_eq!(
+            run(domain.clone().unique_src_and_asn()).into_unique_src_and_asn(),
+            (srcs.len(), asns.len())
+        );
+        let events: Vec<_> = rows.iter().map(|&i| ds.event(i)).collect();
+        for kind in [
+            CharKind::TopAs,
+            CharKind::FracMalicious,
+            CharKind::TopUsername,
+            CharKind::TopPassword,
+            CharKind::TopPayload,
+        ] {
+            assert_eq!(
+                run(domain.clone().char_freqs(kind)).into_char_freqs(),
+                kind.freqs(&events),
+                "{kind:?}"
+            );
+        }
+        let mut by_port: BTreeMap<u16, BTreeSet<Ipv4Addr>> = POPULAR_PORTS
+            .iter()
+            .map(|&p| (p, BTreeSet::new()))
+            .collect();
+        let mut by_fp: BTreeMap<ProtocolId, BTreeSet<Ipv4Addr>> = BTreeMap::new();
+        for &i in &rows {
+            if let Some(set) = by_port.get_mut(&table.dst_ports()[i]) {
+                set.insert(table.srcs()[i]);
+            }
+            if let Some(fp) = ds.fingerprints()[i] {
+                by_fp.entry(fp).or_default().insert(table.srcs()[i]);
+            }
+        }
+        assert_eq!(
+            run(domain.clone().srcs_by_port(&POPULAR_PORTS)).into_port_srcs(),
+            by_port
+        );
+        assert_eq!(
+            run(domain.srcs_by_fingerprint()).into_fingerprint_srcs(),
+            by_fp
+        );
+    }
+    let first = hand_rolled_indices(ds, &fleet[..1], TrafficSlice::AnyAll).len();
+    assert!(first > 0);
+    assert_eq!(counts[1], counts[0] + first, "the repeated IP counts twice");
 }

@@ -110,7 +110,9 @@ fn scale_10_sweep_resolves_from_the_snapshot_cache() {
         variants: vec![degrade::ladder().remove(0)],
         scales: vec![1.0, 10.0],
     };
-    let report = sweep::report(&grid, b, &|cfg| snapshot::load_or_run_in(&dir, cfg, true).0);
+    let report = sweep::report(&grid, b, 1, &|cfg| {
+        snapshot::load_or_run_in(&dir, cfg, true).0
+    });
     assert_eq!(
         snapshot::simulations_performed() - sims0,
         2,

@@ -65,7 +65,7 @@ fn cold_sweep_simulates_each_distinct_cell_exactly_once_and_warm_none() {
         let distinct = grid.distinct_configs(&base) as u64;
         assert_eq!(distinct, cells, "test grid names {cells} distinct worlds");
         let run = || {
-            sweep::report(&grid, base, &|cfg| {
+            sweep::report(&grid, base, 1, &|cfg| {
                 snapshot::load_or_run_in(&dir, cfg, true).0
             })
         };
@@ -117,7 +117,7 @@ fn duplicate_grid_axes_never_cost_extra_simulations() {
     assert_eq!(grid.distinct_configs(&base), 2);
 
     let sims0 = snapshot::simulations_performed();
-    let report = sweep::report(&grid, base, &|cfg| {
+    let report = sweep::report(&grid, base, 1, &|cfg| {
         snapshot::load_or_run_in(&dir, cfg, true).0
     });
     assert_eq!(
@@ -141,7 +141,7 @@ fn interrupted_sweep_resumes_without_recomputing_completed_cells() {
     // cell's simulation already landed in the cache.
     let obtained = std::cell::Cell::new(0usize);
     let interrupted = catch_unwind(AssertUnwindSafe(|| {
-        sweep::report(&grid, base, &|cfg| {
+        sweep::report(&grid, base, 1, &|cfg| {
             let i = obtained.get();
             obtained.set(i + 1);
             if i == 1 {
@@ -156,7 +156,7 @@ fn interrupted_sweep_resumes_without_recomputing_completed_cells() {
 
     // The rerun resumes: the completed cell is a cache hit, only the
     // remaining cell simulates — the world total stays at distinct_configs.
-    let resumed = sweep::report(&grid, base, &|cfg| {
+    let resumed = sweep::report(&grid, base, 1, &|cfg| {
         snapshot::load_or_run_in(&dir, cfg, true).0
     });
     let total = snapshot::simulations_performed() - sims0;
@@ -167,11 +167,25 @@ fn interrupted_sweep_resumes_without_recomputing_completed_cells() {
     );
 
     // And the resumed report equals a from-scratch warm report.
-    let warm = sweep::report(&grid, base, &|cfg| {
+    let warm = sweep::report(&grid, base, 1, &|cfg| {
         snapshot::load_or_run_in(&dir, cfg, true).0
     });
     assert_eq!(resumed, warm);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn report_bytes_are_the_same_at_any_thread_count() {
+    let _guard = SIM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = scratch_cache("threads");
+    let (grid, base) = tiny_grid();
+    let run = |threads| {
+        sweep::report(&grid, base, threads, &|cfg| {
+            snapshot::load_or_run_in(&dir, cfg, true).0
+        })
+    };
+    assert_eq!(run(1), run(4));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -182,7 +196,7 @@ fn leak_worlds_never_touch_the_simulate_counter() {
     // Obtain without the cache layer: the counter must stay untouched even
     // though the sweep simulates cell worlds (inline) and leak worlds.
     let sims0 = snapshot::simulations_performed();
-    let report = sweep::report(&grid, base, &|cfg| SimBundle::run(cfg));
+    let report = sweep::report(&grid, base, 1, &|cfg| SimBundle::run(cfg));
     assert_eq!(
         snapshot::simulations_performed() - sims0,
         0,
