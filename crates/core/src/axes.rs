@@ -11,14 +11,17 @@
 //! including the §3.3 payload normalization (Date/Host/Content-Length
 //! stripped) — are resolved once per *distinct* id when the final map is
 //! assembled. These extractors sit on the render side of the id↔string
-//! boundary documented in `docs/QUERY.md`. Each axis has one ID-counting
-//! core, fed either by an event slice (the extractors below, and
-//! [`CharKind::freqs`]) or by the admitted rows of a
-//! [`crate::query::Plan::char_freqs`] scan, read straight off the ID
-//! columns.
+//! boundary documented in `docs/QUERY.md`. Every axis is counted by ID,
+//! with one core for each step: `axis_id` picks the ID a row adds to an
+//! axis, and `label_counts` turns an axis's ID counts into its labelled
+//! map. An event slice feeds them here (the extractors below, and
+//! [`CharKind::freqs`]); a [`crate::query::Plan::char_freqs`] pass feeds
+//! them the same IDs straight off the dataset's columns, counts them
+//! while it scans, and labels payloads through the dataset's per-payload
+//! memo.
 
 use crate::compare::CharKind;
-use crate::dataset::{ClassifiedEvent, Dataset};
+use crate::dataset::ClassifiedEvent;
 use cw_detection::Verdict;
 use cw_honeypot::capture::Observed;
 use cw_netsim::asn::Asn;
@@ -28,27 +31,17 @@ use std::collections::BTreeMap;
 
 /// Frequency of traffic per source AS ("who").
 pub fn as_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
-    count_asns(events.iter().map(|e| e.event.src_asn))
+    event_freqs(CharKind::TopAs, events)
 }
 
 /// Frequency of attempted usernames ("what", SSH/Telnet).
 pub fn username_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
-    with_interner(events, |interner| {
-        count_creds(
-            events.iter().filter_map(|e| username(e.event.observed)),
-            interner,
-        )
-    })
+    event_freqs(CharKind::TopUsername, events)
 }
 
 /// Frequency of attempted passwords ("what", SSH/Telnet).
 pub fn password_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
-    with_interner(events, |interner| {
-        count_creds(
-            events.iter().filter_map(|e| password(e.event.observed)),
-            interner,
-        )
-    })
+    event_freqs(CharKind::TopPassword, events)
 }
 
 /// Frequency of normalized payloads ("what", HTTP and friends).
@@ -59,42 +52,100 @@ pub fn password_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
 /// form collides fold into one category (their counts add), exactly as
 /// per-event string keying grouped them.
 pub fn payload_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
-    with_interner(events, |interner| {
-        count_payloads(
-            events.iter().filter_map(|e| e.event.observed.payload()),
-            interner,
-        )
+    event_freqs(CharKind::TopPayload, events)
+}
+
+/// `kind`'s frequency map over an event slice: the axis IDs of its
+/// events, tallied after one sort and labelled by [`label_counts`].
+fn event_freqs(kind: CharKind, events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
+    let ids = events
+        .iter()
+        .filter_map(|e| axis_id(kind, || e.event.src_asn, || e.verdict, || e.event.observed));
+    let counts = tally(ids);
+    // An empty slice has no interner, and no ID to resolve through one.
+    let empty = Interner::new();
+    let interner = events.first().map_or(&empty, |e| e.interner());
+    label_counts(kind, counts, interner, |id| {
+        payload_label(interner.payload(id))
     })
 }
 
-/// `kind`'s frequency map over dataset `rows`, counted straight off the
-/// ID columns — the plan-side feed of the same per-axis cores
-/// [`CharKind::freqs`] feeds from an event slice.
-pub(crate) fn row_freqs(kind: CharKind, ds: &Dataset, rows: &[usize]) -> BTreeMap<String, u64> {
-    let t = ds.table();
-    let observed = || rows.iter().map(|&i| t.observed()[i]);
+/// The ID one row or event adds to `kind`'s counts, if any: its AS
+/// number, its verdict ([`ATTACKER`] or [`SCANNER`]), its username or
+/// password [`CredId`], or its [`PayloadId`]. Each closure reads one
+/// column, and only the one `kind` needs is called. A row without
+/// credentials adds nothing to the credential axes, and a row without a
+/// payload nothing to the payload axis.
+pub(crate) fn axis_id(
+    kind: CharKind,
+    asn: impl FnOnce() -> Asn,
+    verdict: impl FnOnce() -> Verdict,
+    observed: impl FnOnce() -> Observed,
+) -> Option<u32> {
     match kind {
-        CharKind::TopAs => count_asns(rows.iter().map(|&i| t.src_asns()[i])),
-        CharKind::FracMalicious => {
-            malicious_map(count_verdicts(rows.iter().map(|&i| ds.verdicts()[i])))
-        }
-        CharKind::TopUsername => count_creds(observed().filter_map(username), ds.interner()),
-        CharKind::TopPassword => count_creds(observed().filter_map(password), ds.interner()),
-        CharKind::TopPayload => {
-            count_payloads(observed().filter_map(|o| o.payload()), ds.interner())
-        }
+        CharKind::TopAs => Some(asn().0),
+        CharKind::FracMalicious => Some(match verdict() {
+            Verdict::Attacker => ATTACKER,
+            Verdict::Scanner => SCANNER,
+        }),
+        CharKind::TopUsername => username(observed()).map(|id| id.0),
+        CharKind::TopPassword => password(observed()).map(|id| id.0),
+        CharKind::TopPayload => observed().payload().map(|id| id.0),
     }
 }
 
-/// The interner of a non-empty event slice; an empty slice has no
+/// The "why" axis ID of attacker traffic.
+const ATTACKER: u32 = 0;
+/// The "why" axis ID of scanner traffic.
+const SCANNER: u32 = 1;
+
+/// The labelling core: `kind`'s per-ID counts (from [`axis_id`], in any
+/// order) → its frequency map. Each distinct ID is labelled once: an AS
+/// as `AS<n>`, a credential through `interner`, a payload through
+/// `payload_label`. Distinct payloads whose labels collide fold into one
+/// category, their counts added. The "why" axis always has both of its
 /// categories.
-fn with_interner(
-    events: &[ClassifiedEvent<'_>],
-    f: impl FnOnce(&Interner) -> BTreeMap<String, u64>,
+pub(crate) fn label_counts<L: AsRef<str>>(
+    kind: CharKind,
+    counts: impl IntoIterator<Item = (u32, u64)>,
+    interner: &Interner,
+    mut payload_label: impl FnMut(PayloadId) -> L,
 ) -> BTreeMap<String, u64> {
-    events
-        .first()
-        .map_or_else(BTreeMap::new, |e| f(e.interner()))
+    match kind {
+        CharKind::TopAs => labelled(counts, |asn| Asn(asn).to_string()),
+        CharKind::FracMalicious => {
+            let (mut attacker, mut scanner) = (0, 0);
+            for (id, n) in counts {
+                match id {
+                    ATTACKER => attacker += n,
+                    _ => scanner += n,
+                }
+            }
+            malicious_map((attacker, scanner))
+        }
+        CharKind::TopUsername | CharKind::TopPassword => {
+            labelled(counts, |id| interner.cred(CredId(id)))
+        }
+        CharKind::TopPayload => labelled(counts, |id| payload_label(PayloadId(id))),
+    }
+}
+
+/// ID counts summed per label.
+fn labelled<L: AsRef<str>>(
+    counts: impl IntoIterator<Item = (u32, u64)>,
+    mut label: impl FnMut(u32) -> L,
+) -> BTreeMap<String, u64> {
+    let mut m: BTreeMap<String, u64> = BTreeMap::new();
+    for (id, n) in counts {
+        let label = label(id);
+        match m.get_mut(label.as_ref()) {
+            Some(total) => *total += n,
+            None => {
+                m.insert(label.as_ref().to_owned(), n);
+            }
+        }
+    }
+    m
 }
 
 fn username(observed: Observed) -> Option<CredId> {
@@ -125,36 +176,9 @@ fn tally<K: Ord + Copy>(keys: impl Iterator<Item = K>) -> Vec<(K, u64)> {
     out
 }
 
-/// The "who" core: counts per AS number, labelled once per distinct AS.
-fn count_asns(asns: impl Iterator<Item = Asn>) -> BTreeMap<String, u64> {
-    tally(asns.map(|a| a.0))
-        .into_iter()
-        .map(|(asn, n)| (Asn(asn).to_string(), n))
-        .collect()
-}
-
-/// The credential core: counts per [`CredId`]; strings resolve once per
-/// distinct id. A `CredId` ↔ string mapping is bijective within one
-/// interner, so the map has exactly one entry per distinct credential.
-fn count_creds(ids: impl Iterator<Item = CredId>, interner: &Interner) -> BTreeMap<String, u64> {
-    tally(ids)
-        .into_iter()
-        .map(|(id, n)| (interner.cred(id).to_string(), n))
-        .collect()
-}
-
-/// The payload core: counts per [`PayloadId`], then one normalization and
-/// key per distinct id; colliding keys add.
-fn count_payloads(
-    ids: impl Iterator<Item = PayloadId>,
-    interner: &Interner,
-) -> BTreeMap<String, u64> {
-    let mut m = BTreeMap::new();
-    for (id, n) in tally(ids) {
-        let normalized = cw_protocols::http::normalize(interner.payload(id));
-        *m.entry(payload_key(&normalized)).or_insert(0) += n;
-    }
-    m
+/// A payload's §3.3 category: normalized, then keyed by [`payload_key`].
+pub(crate) fn payload_label(bytes: &[u8]) -> String {
+    payload_key(&cw_protocols::http::normalize(bytes))
 }
 
 /// Render a normalized payload as a stable, human-readable category key.
@@ -194,7 +218,7 @@ fn count_verdicts(verdicts: impl Iterator<Item = Verdict>) -> (u64, u64) {
 
 /// The "why" axis as a two-category frequency map for chi-squared testing.
 pub fn maliciousness_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
-    malicious_map(maliciousness_counts(events))
+    event_freqs(CharKind::FracMalicious, events)
 }
 
 fn malicious_map((attacker, scanner): (u64, u64)) -> BTreeMap<String, u64> {

@@ -30,6 +30,7 @@ use std::io::Write;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// The §3.3 traffic slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -137,6 +138,16 @@ pub struct Dataset {
     interner: Interner,
     vantage_by_ip: BTreeMap<Ipv4Addr, VantagePoint>,
     by_dst: DstIndex,
+    /// One lazily filled §3.3 category label per interned payload (see
+    /// [`Dataset::payload_label`]). Derived, so no snapshot holds it.
+    payload_labels: Box<[OnceLock<Box<str>>]>,
+}
+
+/// One empty payload-label slot per payload of `interner`.
+fn label_slots(interner: &Interner) -> Box<[OnceLock<Box<str>>]> {
+    (0..interner.payload_count())
+        .map(|_| OnceLock::new())
+        .collect()
 }
 
 /// Per-distinct classification memo: `(payload id, port)` → verdict +
@@ -272,6 +283,7 @@ impl Dataset {
         }
         Dataset {
             by_dst: index_by_dst(table.dsts()),
+            payload_labels: label_slots(&interner),
             table,
             verdicts,
             fingerprints,
@@ -316,6 +328,18 @@ impl Dataset {
         self.by_dst.get(ip)
     }
 
+    /// The §3.3 category label of payload `id` (normalized, then
+    /// [`crate::axes::payload_key`]), computed on first use and then
+    /// shared: once per distinct payload per dataset, from any thread.
+    ///
+    /// `id` must be one of this dataset's payload ids, as every id in its
+    /// table is: the build takes the interner the captures recorded into,
+    /// and [`Dataset::snap_read`] rejects a table id outside its interner.
+    pub(crate) fn payload_label(&self, id: PayloadId) -> &str {
+        self.payload_labels[id.index()]
+            .get_or_init(|| crate::axes::payload_label(self.interner.payload(id)).into_boxed_str())
+    }
+
     /// Event `i` with its classification.
     pub fn event(&self, i: usize) -> ClassifiedEvent<'_> {
         ClassifiedEvent {
@@ -340,7 +364,8 @@ impl Dataset {
     /// columnar table, and both classification columns. The derived
     /// indexes (`vantage_by_ip`, `by_dst`) are *not* written — they are
     /// pure functions of the table and the deployment, so
-    /// [`Dataset::snap_read`] rebuilds them instead of trusting the disk.
+    /// [`Dataset::snap_read`] rebuilds them instead of trusting the disk —
+    /// and neither are the payload labels, which fill on first use.
     pub fn snap_write(&self, w: &mut SnapWriter) {
         self.interner.snap_write(w);
         self.table.snap_write(w);
@@ -424,6 +449,7 @@ impl Dataset {
         }
         Ok(Dataset {
             by_dst: index_by_dst(table.dsts()),
+            payload_labels: label_slots(&interner),
             table,
             verdicts,
             fingerprints,

@@ -277,7 +277,7 @@ pub fn report(
 mod tests {
     use super::*;
     use crate::leak::LeakConfig;
-    use crate::query::scan_counters;
+    use crate::query::thread_passes;
     use cw_netsim::time::SimDuration;
     use cw_scanners::population::ScenarioYear;
 
@@ -294,11 +294,13 @@ mod tests {
         let d = Deployment::standard();
         let store = PlanStore::build(&bundle.dataset, &evaluate_plans(&d));
         let exec = ScanExec::with_store(&bundle.dataset, &store);
-        let before = scan_counters();
+        // Passes of this thread: a store miss runs here, while other
+        // tests' passes move the process-wide counters.
+        let before = thread_passes();
         let evals = findings(&exec, &d, &bundle, &leak);
         assert_eq!(
-            scan_counters().since(before).fused,
-            0,
+            thread_passes(),
+            before,
             "a finding scanned outside evaluate_plans"
         );
         assert_eq!(evals.len(), 5);

@@ -68,11 +68,13 @@ use crate::dataset::{Dataset, TrafficSlice};
 use crate::fleet;
 use cw_detection::Verdict;
 use cw_honeypot::capture::Observed;
-use cw_netsim::keys::Keys;
 use cw_protocols::ProtocolId;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide column passes actually executed (each partition pass
 /// counts one).
@@ -82,6 +84,20 @@ static FUSED_PASSES: AtomicU64 = AtomicU64::new(0);
 static PLANNED_SCANS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide candidate rows enumerated across all passes.
 static SCANNED_ROWS: AtomicU64 = AtomicU64::new(0);
+
+#[cfg(test)]
+thread_local! {
+    /// Passes run on this thread. A unit test that asserts no pass ran
+    /// reads this instead of the process-wide counters, which the tests
+    /// scanning on other threads move.
+    static THREAD_PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The passes run on the calling thread so far (tests only).
+#[cfg(test)]
+pub(crate) fn thread_passes() -> u64 {
+    THREAD_PASSES.with(std::cell::Cell::get)
+}
 
 /// A snapshot of the process-wide scan counters (monotonic; subtract two
 /// snapshots with [`ScanCounters::since`] to meter one phase).
@@ -161,24 +177,67 @@ enum Pred {
     NotKind(ObsKind),
 }
 
-fn admits(preds: &[Pred], ds: &Dataset, i: usize) -> bool {
-    let table = ds.table();
-    preds.iter().all(|p| match p {
-        Pred::Port(port) => table.dst_ports()[i] == *port,
-        Pred::PortIn(ports) => ports.contains(&table.dst_ports()[i]),
-        Pred::Slice(slice) => match slice {
-            TrafficSlice::SshPort22 => table.dst_ports()[i] == 22,
-            TrafficSlice::TelnetPort23 => table.dst_ports()[i] == 23,
-            TrafficSlice::HttpPort80 => table.dst_ports()[i] == 80,
-            TrafficSlice::HttpAllPorts => ds.fingerprints()[i] == Some(ProtocolId::Http),
-            TrafficSlice::AnyAll => true,
-        },
-        Pred::Verdict(v) => ds.verdicts()[i] == *v,
-        Pred::Fingerprint(proto) => ds.fingerprints()[i] == Some(*proto),
-        Pred::Fingerprinted => ds.fingerprints()[i].is_some(),
-        Pred::Kind(k) => k.matches(&table.observed()[i]),
-        Pred::NotKind(k) => !k.matches(&table.observed()[i]),
+impl Pred {
+    /// The predicate over one chunk of at most 64 rows: bit `k` is set
+    /// iff row `rows[k]` passes. It reads one column across the chunk.
+    fn mask(&self, ds: &Dataset, rows: &[u32]) -> u64 {
+        let table = ds.table();
+        let ports = table.dst_ports();
+        let fingerprints = ds.fingerprints();
+        match self {
+            Pred::Port(port) => column_mask(rows, ports, |p| p == port),
+            Pred::PortIn(list) => column_mask(rows, ports, |p| list.contains(p)),
+            Pred::Slice(slice) => match slice {
+                TrafficSlice::SshPort22 => column_mask(rows, ports, |&p| p == 22),
+                TrafficSlice::TelnetPort23 => column_mask(rows, ports, |&p| p == 23),
+                TrafficSlice::HttpPort80 => column_mask(rows, ports, |&p| p == 80),
+                TrafficSlice::HttpAllPorts => {
+                    column_mask(rows, fingerprints, |&f| f == Some(ProtocolId::Http))
+                }
+                TrafficSlice::AnyAll => u64::MAX,
+            },
+            Pred::Verdict(v) => column_mask(rows, ds.verdicts(), |x| x == v),
+            Pred::Fingerprint(proto) => column_mask(rows, fingerprints, |&f| f == Some(*proto)),
+            Pred::Fingerprinted => column_mask(rows, fingerprints, Option::is_some),
+            Pred::Kind(k) => column_mask(rows, table.observed(), |o| k.matches(o)),
+            Pred::NotKind(k) => column_mask(rows, table.observed(), |o| !k.matches(o)),
+        }
+    }
+}
+
+/// Bit `k` set iff `keep(&column[rows[k]])`, over a chunk of at most 64
+/// rows.
+///
+/// The index cannot leave the column: a pass enumerates row numbers from
+/// `0..ds.len()` or from the destination index built over the table, and
+/// every column holds `ds.len()` cells (`Dataset::snap_read` rejects a
+/// snapshot whose classification columns disagree with its table).
+fn column_mask<T>(rows: &[u32], column: &[T], keep: impl Fn(&T) -> bool) -> u64 {
+    rows.iter().enumerate().fold(0, |mask, (k, &i)| {
+        mask | (u64::from(keep(&column[i as usize])) << k)
     })
+}
+
+/// A filter over one chunk: its predicates ANDed in order into the
+/// chunk's mask `all`, stopping at the first empty mask.
+fn select(preds: &[Pred], ds: &Dataset, rows: &[u32], all: u64) -> u64 {
+    let mut mask = all;
+    for pred in preds {
+        if mask == 0 {
+            break;
+        }
+        mask &= pred.mask(ds, rows);
+    }
+    mask
+}
+
+/// The mask of a chunk of `n` rows: its low `n` bits (all 64 from 64 on).
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
 }
 
 /// The terminal aggregate of a [`Plan`] — what one pass folds the admitted
@@ -378,6 +437,10 @@ pub enum PlanResult {
 }
 
 impl PlanResult {
+    /// The `into_*` contract: a caller unwraps the variant of the terminal
+    /// it set on its own plan, so a mismatch is a bug in the calling code.
+    /// Data never chooses the variant: a plan's terminal picks it, and
+    /// every terminal produces its variant on any dataset.
     fn mismatch(&self, wanted: &str) -> ! {
         panic!("plan result holds {self:?}, caller expected {wanted}")
     }
@@ -460,28 +523,157 @@ impl PlanResult {
     }
 }
 
-/// The in-flight accumulator for one plan inside a fused partition pass.
+/// The process's multiply-shift multiplier: odd, and drawn once from
+/// [`RandomState`]'s per-process random keys.
+fn id_multiplier() -> u64 {
+    static MULTIPLIER: OnceLock<u64> = OnceLock::new();
+    *MULTIPLIER.get_or_init(|| RandomState::new().hash_one(0u64) | 1)
+}
+
+/// The keyed hasher of the kernel's `u32` ID sets and counts: source
+/// addresses, AS numbers, verdicts, credential and payload IDs.
 ///
-/// The distinct-set terminals append `u32` keys (source addresses as
-/// integers, AS numbers) to [`Keys`] lists during the pass;
-/// [`Acc::finish`] sorts and dedups each list. `Ipv4Addr` orders like its
-/// `u32`, so the sets built from the sorted keys are the ones per-row
-/// inserts would have built.
+/// It is multiply-shift: a key `x` hashes to `x·k` for the process's odd
+/// multiplier `k`, rotated so that the product's high half, where every
+/// bit of `x` has mixed, feeds the low bits a hash table takes its bucket
+/// from. A plain `x·k` would put every address of a /16 (`a.b.0.0`, whose
+/// low 16 bits are zero) in one bucket. The multiplier is random per
+/// process, as the destination index's hasher is, because the addresses
+/// come from snapshot files. No result depends on it: every set is sorted
+/// and every count map labelled into a `BTreeMap` when its pass finishes.
+#[derive(Clone, Copy)]
+struct IdHash(u64);
+
+impl Default for IdHash {
+    fn default() -> Self {
+        IdHash(id_multiplier())
+    }
+}
+
+impl BuildHasher for IdHash {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher {
+            multiplier: self.0,
+            state: 0,
+        }
+    }
+}
+
+/// The running state of one [`IdHash`] hash.
+struct IdHasher {
+    multiplier: u64,
+    state: u64,
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.state = (self.state ^ x).wrapping_mul(self.multiplier);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state.rotate_left(32)
+    }
+}
+
+/// The distinct `u32` keys a member admits, in a hash set under
+/// [`IdHash`] that grows with them. A key equal to the last one inserted
+/// skips the hash: consecutive admitted rows often share their source (a
+/// scanner's burst at one honeypot), for 61% of the GreyNoise fleet's
+/// per-port inserts in a warm scale-1 `cw all`.
+#[derive(Default)]
+struct Distinct {
+    keys: HashSet<u32, IdHash>,
+    last: Option<u32>,
+}
+
+impl Distinct {
+    fn insert(&mut self, key: u32) {
+        if self.last != Some(key) {
+            self.keys.insert(key);
+            self.last = Some(key);
+        }
+    }
+
+    /// The keys as source addresses, sorted once: `Ipv4Addr` orders like
+    /// its `u32`, so this is the set per-row inserts would have built.
+    fn into_addrs(self) -> BTreeSet<Ipv4Addr> {
+        let mut keys: Vec<u32> = self.keys.into_iter().collect();
+        keys.sort_unstable();
+        keys.into_iter().map(Ipv4Addr::from).collect()
+    }
+}
+
+/// Per-ID counts under [`IdHash`]. A run of one ID is counted before it
+/// reaches the map, as [`Distinct`] skips a repeated key.
+#[derive(Default)]
+struct IdCounts {
+    counts: HashMap<u32, u64, IdHash>,
+    run: Option<(u32, u64)>,
+}
+
+impl IdCounts {
+    fn add(&mut self, id: u32) {
+        match &mut self.run {
+            Some((last, n)) if *last == id => *n += 1,
+            run => {
+                if let Some((done, n)) = run.replace((id, 1)) {
+                    *self.counts.entry(done).or_insert(0) += n;
+                }
+            }
+        }
+    }
+
+    /// Each distinct ID with its count, in no particular order.
+    fn into_counts(mut self) -> HashMap<u32, u64, IdHash> {
+        if let Some((id, n)) = self.run {
+            *self.counts.entry(id).or_insert(0) += n;
+        }
+        self.counts
+    }
+}
+
+/// The in-flight accumulator of one member plan inside a pass.
+///
+/// The distinct-set terminals insert `u32` keys (source addresses as
+/// integers, AS numbers) into [`Distinct`] sets, which grow with the
+/// distinct keys, and [`Acc::finish`] sorts each set's keys once.
+/// `char_freqs` counts its axis's IDs (see [`axes::axis_id`]) and labels
+/// each distinct ID once, at finish.
 enum Acc {
     Count(usize),
     Rows(Vec<usize>),
-    DistinctSrcs(Keys<u32>),
-    SrcAsn(Keys<u32>, Keys<u32>),
-    CharFreqs(CharKind, Vec<usize>),
-    /// The distinct key ports, in first-listed order, and one key list
-    /// per port.
-    PortSrcs(Vec<u16>, Vec<Keys<u32>>),
-    FingerprintSrcs(BTreeMap<ProtocolId, Keys<u32>>),
+    DistinctSrcs(Distinct),
+    SrcAsn(Distinct, Distinct),
+    CharFreqs(CharKind, IdCounts),
+    /// One set per distinct key port, in first-listed order.
+    PortSrcs(Vec<(u16, Distinct)>),
+    /// One set per fingerprint, in first-admitted order: found by value,
+    /// so no `ProtocolId` maps to a slot index.
+    FingerprintSrcs(Vec<(ProtocolId, Distinct)>),
 }
 
-/// The distinct keys of `keys` as source addresses.
-fn into_addrs(keys: Keys<u32>) -> BTreeSet<Ipv4Addr> {
-    keys.into_sorted().into_iter().map(Ipv4Addr::from).collect()
+/// The rows of a chunk whose bit is set in `mask`, ascending, which is
+/// the chunk's enumeration order. `mask` holds no bit at or above
+/// `rows.len()`: every mask is a filter's, ANDed into its chunk's
+/// [`low_bits`].
+fn admitted(rows: &[u32], mut mask: u64) -> impl Iterator<Item = usize> + '_ {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let k = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            rows[k] as usize
+        })
+    })
 }
 
 impl Acc {
@@ -489,46 +681,76 @@ impl Acc {
         match &plan.terminal {
             Terminal::Count => Acc::Count(0),
             Terminal::Rows => Acc::Rows(Vec::new()),
-            Terminal::DistinctSrcs => Acc::DistinctSrcs(Keys::default()),
-            Terminal::UniqueSrcAndAsn => Acc::SrcAsn(Keys::default(), Keys::default()),
-            Terminal::CharFreqs(kind) => Acc::CharFreqs(*kind, Vec::new()),
+            Terminal::DistinctSrcs => Acc::DistinctSrcs(Distinct::default()),
+            Terminal::UniqueSrcAndAsn => Acc::SrcAsn(Distinct::default(), Distinct::default()),
+            Terminal::CharFreqs(kind) => Acc::CharFreqs(*kind, IdCounts::default()),
             Terminal::SrcsByPort(ports) => {
-                let mut keys: Vec<u16> = Vec::with_capacity(ports.len());
+                let mut by_port: Vec<(u16, Distinct)> = Vec::with_capacity(ports.len());
                 for &p in ports {
-                    if !keys.contains(&p) {
-                        keys.push(p);
+                    if by_port.iter().all(|(q, _)| *q != p) {
+                        by_port.push((p, Distinct::default()));
                     }
                 }
-                let srcs = vec![Keys::default(); keys.len()];
-                Acc::PortSrcs(keys, srcs)
+                Acc::PortSrcs(by_port)
             }
-            Terminal::SrcsByFingerprint => Acc::FingerprintSrcs(BTreeMap::new()),
+            Terminal::SrcsByFingerprint => Acc::FingerprintSrcs(Vec::new()),
         }
     }
 
-    fn update(&mut self, plan: &Plan, ds: &Dataset, i: usize) {
-        if !admits(&plan.preds, ds, i) {
-            return;
-        }
+    /// Fold one chunk: the rows of `rows` whose bit is set in `mask`, in
+    /// ascending bit order. Each row number indexes the columns in range,
+    /// as in [`column_mask`].
+    fn fold(&mut self, ds: &Dataset, rows: &[u32], mask: u64) {
         let table = ds.table();
-        let src = || u32::from(table.srcs()[i]);
+        let srcs = table.srcs();
+        let src = |i: usize| u32::from(srcs[i]);
+        let each = admitted(rows, mask);
         match self {
-            Acc::Count(n) => *n += 1,
-            Acc::Rows(v) | Acc::CharFreqs(_, v) => v.push(i),
-            Acc::DistinctSrcs(srcs) => srcs.push(src()),
+            Acc::Count(n) => *n += mask.count_ones() as usize,
+            Acc::Rows(v) => v.extend(each),
+            Acc::DistinctSrcs(set) => each.for_each(|i| set.insert(src(i))),
             Acc::SrcAsn(srcs, asns) => {
-                srcs.push(src());
-                asns.push(table.src_asns()[i].0);
-            }
-            Acc::PortSrcs(ports, srcs) => {
-                let port = table.dst_ports()[i];
-                if let Some(k) = ports.iter().position(|&p| p == port) {
-                    srcs[k].push(src());
+                for i in each {
+                    srcs.insert(src(i));
+                    asns.insert(table.src_asns()[i].0);
                 }
             }
-            Acc::FingerprintSrcs(map) => {
-                if let Some(fp) = ds.fingerprints()[i] {
-                    map.entry(fp).or_default().push(src());
+            Acc::CharFreqs(kind, counts) => {
+                for i in each {
+                    let id = axes::axis_id(
+                        *kind,
+                        || table.src_asns()[i],
+                        || ds.verdicts()[i],
+                        || table.observed()[i],
+                    );
+                    if let Some(id) = id {
+                        counts.add(id);
+                    }
+                }
+            }
+            Acc::PortSrcs(by_port) => {
+                for i in each {
+                    let port = table.dst_ports()[i];
+                    if let Some((_, set)) = by_port.iter_mut().find(|(p, _)| *p == port) {
+                        set.insert(src(i));
+                    }
+                }
+            }
+            Acc::FingerprintSrcs(by_fp) => {
+                for i in each {
+                    let Some(fp) = ds.fingerprints()[i] else {
+                        continue;
+                    };
+                    match by_fp.iter_mut().find(|(p, _)| *p == fp) {
+                        Some((_, set)) => {
+                            set.insert(src(i));
+                        }
+                        None => {
+                            let mut set = Distinct::default();
+                            set.insert(src(i));
+                            by_fp.push((fp, set));
+                        }
+                    }
                 }
             }
         }
@@ -538,22 +760,28 @@ impl Acc {
         match self {
             Acc::Count(n) => PlanResult::Count(n),
             Acc::Rows(v) => PlanResult::Rows(v),
-            Acc::DistinctSrcs(srcs) => PlanResult::DistinctSrcs(into_addrs(srcs)),
+            Acc::DistinctSrcs(srcs) => PlanResult::DistinctSrcs(srcs.into_addrs()),
             Acc::SrcAsn(srcs, asns) => {
-                PlanResult::UniqueSrcAndAsn(srcs.into_sorted().len(), asns.into_sorted().len())
+                PlanResult::UniqueSrcAndAsn(srcs.keys.len(), asns.keys.len())
             }
-            // The one resolution point: IDs → strings per distinct ID,
-            // after the scan.
-            Acc::CharFreqs(kind, rows) => PlanResult::CharFreqs(axes::row_freqs(kind, ds, &rows)),
-            Acc::PortSrcs(ports, srcs) => PlanResult::PortSrcs(
-                ports
+            // The one resolution point: IDs → labels per distinct ID,
+            // after the scan, payloads through the dataset's label memo.
+            Acc::CharFreqs(kind, counts) => PlanResult::CharFreqs(axes::label_counts(
+                kind,
+                counts.into_counts(),
+                ds.interner(),
+                |id| ds.payload_label(id),
+            )),
+            Acc::PortSrcs(by_port) => PlanResult::PortSrcs(
+                by_port
                     .into_iter()
-                    .zip(srcs.into_iter().map(into_addrs))
+                    .map(|(port, srcs)| (port, srcs.into_addrs()))
                     .collect(),
             ),
-            Acc::FingerprintSrcs(map) => PlanResult::FingerprintSrcs(
-                map.into_iter()
-                    .map(|(fp, srcs)| (fp, into_addrs(srcs)))
+            Acc::FingerprintSrcs(by_fp) => PlanResult::FingerprintSrcs(
+                by_fp
+                    .into_iter()
+                    .map(|(fp, srcs)| (fp, srcs.into_addrs()))
                     .collect(),
             ),
         }
@@ -595,10 +823,18 @@ struct Pass<'a> {
     domain: &'a Option<Vec<Ipv4Addr>>,
     /// Rows the pass enumerates, read off the destination index.
     rows: u64,
+    /// The members' distinct predicate lists, in first-member order.
+    filters: Vec<&'a [Pred]>,
+    /// Each member's filter, as an index into `filters`.
+    filter_of: Vec<usize>,
 }
 
 impl<'a> Pass<'a> {
+    /// The pass over `members`, a partition: a non-empty list of indices
+    /// into `plans` that share one domain.
     fn new(set: usize, dataset: &'a Dataset, plans: &'a [Plan], members: Vec<usize>) -> Self {
+        // `partitions` opens a partition with its first plan, so
+        // `members[0]` exists.
         let domain = &plans[members[0]].dsts;
         let rows = match domain {
             Some(ips) => ips
@@ -608,6 +844,18 @@ impl<'a> Pass<'a> {
                 .sum(),
             None => dataset.len() as u64,
         };
+        let mut slot: HashMap<&[Pred], usize> = HashMap::new();
+        let mut filters: Vec<&[Pred]> = Vec::new();
+        let filter_of = members
+            .iter()
+            .map(|&p| {
+                let preds = plans[p].preds.as_slice();
+                *slot.entry(preds).or_insert_with(|| {
+                    filters.push(preds);
+                    filters.len() - 1
+                })
+            })
+            .collect();
         Pass {
             set,
             dataset,
@@ -615,7 +863,22 @@ impl<'a> Pass<'a> {
             members,
             domain,
             rows,
+            filters,
+            filter_of,
         }
+    }
+
+    /// The kernel's work on this pass, in row visits: every distinct filter
+    /// reads each row, and every member but a `count` (one popcount per
+    /// chunk) folds each row its filter admits.
+    fn cost(&self) -> u64 {
+        let folds = self
+            .members
+            .iter()
+            .filter(|&&p| self.plans[p].terminal != Terminal::Count)
+            .count();
+        self.rows
+            .saturating_mul((self.filters.len() + folds) as u64)
     }
 
     /// Whether the pass reads its destination domain in table order (see
@@ -638,41 +901,75 @@ impl<'a> Pass<'a> {
         sorted.windows(2).all(|w| w[0] != w[1])
     }
 
-    /// Run the pass: every member plan's accumulator sees the domain's
-    /// rows in enumeration order, or in table order when
-    /// [`Pass::in_table_order`]. Results follow `members`.
+    /// Run the pass, a chunk of at most 64 rows at a time, the chunks in
+    /// enumeration order (or table order when [`Pass::in_table_order`]).
+    /// Per chunk, each distinct filter turns into one mask, and each
+    /// member folds its filter's mask. Results follow `members`.
     fn run(&self) -> Vec<PlanResult> {
         let ds = self.dataset;
         FUSED_PASSES.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        THREAD_PASSES.with(|n| n.set(n.get() + 1));
         SCANNED_ROWS.fetch_add(self.rows, Ordering::Relaxed);
-        let plans: Vec<&Plan> = self.members.iter().map(|&p| &self.plans[p]).collect();
-        let mut accs: Vec<Acc> = plans.iter().map(|p| Acc::for_plan(p)).collect();
-        let mut visit = |i: usize| {
-            for (acc, plan) in accs.iter_mut().zip(&plans) {
-                acc.update(plan, ds, i);
+        let mut accs: Vec<Acc> = self
+            .members
+            .iter()
+            .map(|&p| Acc::for_plan(&self.plans[p]))
+            .collect();
+        let mut masks = vec![0u64; self.filters.len()];
+        let mut fold = |rows: &[u32]| {
+            let all = low_bits(rows.len());
+            for (mask, preds) in masks.iter_mut().zip(&self.filters) {
+                *mask = select(preds, ds, rows, all);
+            }
+            // Every `filter_of` entry indexes `filters`, which `masks`
+            // matches in length.
+            for (acc, &f) in accs.iter_mut().zip(&self.filter_of) {
+                if masks[f] != 0 {
+                    acc.fold(ds, rows, masks[f]);
+                }
             }
         };
+        // Row numbers fit `u32`: a dataset holds at most `u32::MAX` rows.
+        let mut chunk = [0u32; 64];
         match self.domain {
             Some(ips) if self.in_table_order() => {
+                // One bit per table row: every indexed row is below `ds.len()`.
                 let mut marked = vec![0u64; ds.len().div_ceil(64)];
                 for idxs in ips.iter().filter_map(|&ip| ds.dst_index(ip)) {
                     for &i in idxs {
                         marked[i as usize / 64] |= 1 << (i % 64);
                     }
                 }
-                for (w, mut bits) in marked.into_iter().enumerate() {
+                for (w, &word) in marked.iter().enumerate() {
+                    let base = (w * 64) as u32;
+                    let mut n = 0;
+                    let mut bits = word;
+                    // A word has at most 64 set bits, so `n` stays below 64.
                     while bits != 0 {
-                        visit(w * 64 + bits.trailing_zeros() as usize);
+                        chunk[n] = base + bits.trailing_zeros();
+                        n += 1;
                         bits &= bits - 1;
+                    }
+                    if n > 0 {
+                        fold(&chunk[..n]);
                     }
                 }
             }
             Some(ips) => {
                 for idxs in ips.iter().filter_map(|&ip| ds.dst_index(ip)) {
-                    idxs.iter().for_each(|&i| visit(i as usize));
+                    idxs.chunks(64).for_each(&mut fold);
                 }
             }
-            None => (0..ds.len()).for_each(visit),
+            None => {
+                for start in (0..ds.len()).step_by(64) {
+                    let n = (ds.len() - start).min(64);
+                    for (k, row) in chunk[..n].iter_mut().enumerate() {
+                        *row = (start + k) as u32;
+                    }
+                    fold(&chunk[..n]);
+                }
+            }
         }
         accs.into_iter().map(|acc| acc.finish(ds)).collect()
     }
@@ -689,6 +986,7 @@ fn buckets(costs: &[u64], n: usize) -> Vec<Vec<usize>> {
     let mut load = vec![0u64; n];
     let mut out = vec![Vec::new(); n];
     for j in order {
+        // `n` is clamped to at least 1, so there is a least-loaded bucket.
         let b = (0..n).min_by_key(|&b| (load[b], b)).expect("n >= 1");
         load[b] += costs[j];
         out[b].push(j);
@@ -697,11 +995,11 @@ fn buckets(costs: &[u64], n: usize) -> Vec<Vec<usize>> {
 }
 
 /// Execute several plan sets, each over its own dataset. Every set's
-/// partitions join one job list; the jobs, costed as candidate rows ×
-/// member plans, go into `threads` longest-first buckets on
-/// [`fleet::map`], and each pass's results land by index. Returns, per
-/// set, its results in submission order and its pass count. `threads = 1`
-/// runs every pass on the calling thread.
+/// partitions join one job list; the jobs, costed by [`Pass::cost`], go
+/// into `threads` longest-first buckets on [`fleet::map`], and each
+/// pass's results land by index. Returns, per set, its results in
+/// submission order and its pass count. `threads = 1` runs every pass on
+/// the calling thread.
 fn execute_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<(Vec<PlanResult>, usize)> {
     let mut passes: Vec<Pass<'_>> = Vec::new();
     let mut pass_counts = vec![0; sets.len()];
@@ -715,10 +1013,7 @@ fn execute_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<(Vec<PlanRe
                 .map(|members| Pass::new(set, dataset, plans, members)),
         );
     }
-    let costs: Vec<u64> = passes
-        .iter()
-        .map(|p| p.rows * p.members.len() as u64)
-        .collect();
+    let costs: Vec<u64> = passes.iter().map(Pass::cost).collect();
     let run = |bucket: &Vec<usize>| -> Vec<(usize, Vec<PlanResult>)> {
         bucket.iter().map(|&j| (j, passes[j].run())).collect()
     };
@@ -732,6 +1027,8 @@ fn execute_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<(Vec<PlanRe
         .iter()
         .map(|(_, plans)| (0..plans.len()).map(|_| None).collect())
         .collect();
+    // Every job index came from `passes`, every pass from a set of
+    // `sets`, and every member is a plan index of its set.
     for (j, out) in done.into_iter().flatten() {
         let pass = &passes[j];
         for (&p, r) in pass.members.iter().zip(out) {
@@ -742,6 +1039,9 @@ fn execute_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<(Vec<PlanRe
         .into_iter()
         .zip(pass_counts)
         .map(|(rs, passes)| {
+            // `partitions` puts each plan index in exactly one partition,
+            // and a pass returns one result per member, so every slot is
+            // filled.
             let rs = rs
                 .into_iter()
                 .map(|r| r.expect("every plan belongs to exactly one partition"))
@@ -773,6 +1073,7 @@ impl PlanStore {
     /// the calling thread, and memoize the results.
     pub fn build(dataset: &Dataset, plans: &[Plan]) -> PlanStore {
         let mut stores = PlanStore::build_sets(&[(dataset, plans)], 1);
+        // `build_sets` returns one store per set.
         stores.pop().expect("one set in, one store out")
     }
 
@@ -863,6 +1164,8 @@ impl<'a> ScanExec<'a> {
             return hit.clone();
         }
         let mut done = execute_sets(&[(self.dataset, std::slice::from_ref(plan))], 1);
+        // `execute_sets` returns one result list per set, one result per
+        // plan of the set.
         let (mut results, _) = done.pop().expect("one set in, one result list out");
         results.pop().expect("one plan in, one result out")
     }
@@ -1075,14 +1378,10 @@ mod tests {
         let store = PlanStore::build(&ds, &[plan.clone(), other.clone(), plan.clone()]);
         assert_eq!(store.plans(), 2, "duplicate plan must collapse");
         assert_eq!(store.passes(), 1, "same domain must fuse into one pass");
-        let before = scan_counters();
+        let before = thread_passes();
         let exec = ScanExec::with_store(&ds, &store);
         let hit = exec.run(&plan).into_distinct_srcs();
-        assert_eq!(
-            scan_counters().since(before).fused,
-            0,
-            "a store hit never scans"
-        );
+        assert_eq!(thread_passes(), before, "a store hit never scans");
         assert_eq!(hit, run(&ds, plan).into_distinct_srcs());
         // A plan outside the store falls back to standalone execution.
         assert_eq!(
@@ -1117,6 +1416,307 @@ mod tests {
             "below the density floor"
         );
         assert!(!in_table_order(&[Plan::scan().count()]), "no domain");
+    }
+
+    #[test]
+    fn pass_cost_counts_shared_filters_once_and_skips_counts() {
+        let ds = dataset();
+        let at = || Plan::at(&[DST]);
+        let plans = [
+            at().port(80).count(),
+            at().port(80).distinct_srcs(),
+            at().port(80).char_freqs(CharKind::TopAs),
+            at().malicious().count(),
+            at().count(),
+            at().rows(),
+        ];
+        let pass = Pass::new(0, &ds, &plans, (0..plans.len()).collect());
+        assert_eq!(pass.rows, 7);
+        // Three distinct filters ([port 80], [malicious], []) and three
+        // members that fold rows (distinct_srcs, char_freqs, rows).
+        assert_eq!(pass.filter_of, vec![0, 0, 0, 1, 2, 2]);
+        assert_eq!(pass.cost(), 7 * (3 + 3));
+        let counts_only = [at().port(80).count(), at().port(80).count().malicious()];
+        let pass = Pass::new(0, &ds, &counts_only, vec![0, 1]);
+        assert_eq!(pass.cost(), 7 * 2, "a count costs its filter, not a fold");
+    }
+
+    #[test]
+    fn id_hash_is_odd_keyed_once_and_spreads_a_slash16_progression() {
+        let k = id_multiplier();
+        assert_eq!(k % 2, 1, "the multiplier must be odd");
+        let (a, b) = (IdHash::default(), IdHash::default());
+        for x in [0u32, 1, 0x0A00_0000, 0xC0A8_0000, u32::MAX] {
+            assert_eq!(a.hash_one(x), b.hash_one(x), "one multiplier per process");
+            assert_eq!(a.hash_one(x), IdHash(k).hash_one(x));
+        }
+        // 1024 addresses a.b.0.0: they differ only in their high 16 bits.
+        let keys: Vec<u32> = (0..1024u32).map(|ab| ab << 16).collect();
+        let low10 = |hash: &dyn Fn(u32) -> u64| {
+            keys.iter()
+                .map(|&x| hash(x) & 1023)
+                .collect::<HashSet<_>>()
+                .len()
+        };
+        // The product's low half keeps their zero low bits: one bucket.
+        assert_eq!(low10(&|x| u64::from(x).wrapping_mul(k)), 1);
+        // Its high half spreads them. Over 2M random odd multipliers, 99.75%
+        // reached 64 distinct values (the median was 774), so these fixed
+        // draws pin the rotation, not a lucky multiplier.
+        let mut rng = cw_netsim::rng::SimRng::seed_from_u64(0x1D_4A54);
+        for _ in 0..16 {
+            let hash = IdHash(rng.next_u64() | 1);
+            let spread = low10(&|x| hash.hash_one(x));
+            assert!(spread >= 64, "{spread} low-10-bit values");
+        }
+    }
+
+    /// Destinations with 63, 64, 65 and 130 rows, interleaved in the table.
+    const CHUNKY: [(Ipv4Addr, usize); 4] = [
+        (Ipv4Addr::new(20, 10, 0, 1), 63),
+        (Ipv4Addr::new(20, 10, 0, 2), 64),
+        (Ipv4Addr::new(20, 10, 0, 3), 65),
+        (Ipv4Addr::new(20, 10, 0, 4), 130),
+    ];
+
+    /// 322 rows over [`CHUNKY`]'s destinations, so every domain spans
+    /// several chunks and a chunk of 63, 64 or 65 rows ends mid-destination.
+    /// Sources repeat in runs, two payloads normalize alike, and every
+    /// observation kind, verdict and several fingerprints occur.
+    fn chunky() -> Dataset {
+        let mut cap = Capture::new("chunky");
+        let http = |host: &str| {
+            cw_protocols::HttpRequest::new("GET", "/")
+                .header("Host", host)
+                .to_bytes()
+        };
+        let payloads: Vec<Observed> = [
+            http("20.10.0.1"),
+            http("20.10.0.9"),
+            cw_scanners::exploits::log4shell("x"),
+            cw_protocols::tls::build_client_hello(1, None),
+        ]
+        .iter()
+        .map(|p| Observed::Payload(cap.intern_payload(p)))
+        .collect();
+        let mut left: Vec<usize> = CHUNKY.iter().map(|&(_, n)| n).collect();
+        let mut r = 0usize;
+        while left.iter().any(|&n| n > 0) {
+            let d = (r * 7 + r / 5) % CHUNKY.len();
+            if left[d] == 0 {
+                r += 1;
+                continue;
+            }
+            left[d] -= 1;
+            let observed = match r % 6 {
+                0 => Observed::Syn,
+                1 => Observed::Handshake,
+                2 | 3 => payloads[(r / 6) % payloads.len()],
+                _ => Observed::Credentials {
+                    service: LoginService::Telnet,
+                    username: cap.intern_cred(["root", "admin"][r % 2]),
+                    password: cap.intern_cred(["1234", "admin", "root"][(r / 4) % 3]),
+                },
+            };
+            cap.record(ScanEvent {
+                time: SimTime(r as u64),
+                src: Ipv4Addr::new(100, (r % 3) as u8, 0, (r / 4 % 9) as u8),
+                src_asn: Asn(64_500 + (r / 10 % 4) as u32),
+                dst: CHUNKY[d].0,
+                dst_port: [23, 80, 22, 8080, 2323, 443, 80][r % 7],
+                observed,
+            });
+            r += 1;
+        }
+        Dataset::from_captures(&[&cap], &Deployment::standard())
+    }
+
+    /// A terminal, applied to a plan and computed the hand-rolled way.
+    #[derive(Clone, Copy, Debug)]
+    enum Term {
+        Count,
+        Rows,
+        Srcs,
+        SrcAsn,
+        Freqs(CharKind),
+        Ports,
+        Fingerprints,
+    }
+
+    /// A repeated key port and one absent from the data.
+    const KEY_PORTS: [u16; 4] = [23, 80, 23, 9];
+
+    impl Term {
+        const ALL: [Term; 11] = [
+            Term::Count,
+            Term::Rows,
+            Term::Srcs,
+            Term::SrcAsn,
+            Term::Freqs(CharKind::TopAs),
+            Term::Freqs(CharKind::FracMalicious),
+            Term::Freqs(CharKind::TopUsername),
+            Term::Freqs(CharKind::TopPassword),
+            Term::Freqs(CharKind::TopPayload),
+            Term::Ports,
+            Term::Fingerprints,
+        ];
+
+        fn apply(self, plan: Plan) -> Plan {
+            match self {
+                Term::Count => plan.count(),
+                Term::Rows => plan.rows(),
+                Term::Srcs => plan.distinct_srcs(),
+                Term::SrcAsn => plan.unique_src_and_asn(),
+                Term::Freqs(kind) => plan.char_freqs(kind),
+                Term::Ports => plan.srcs_by_port(&KEY_PORTS),
+                Term::Fingerprints => plan.srcs_by_fingerprint(),
+            }
+        }
+
+        /// The result over `rows`, the admitted rows in enumeration order.
+        fn hand_rolled(self, ds: &Dataset, rows: &[usize]) -> PlanResult {
+            let t = ds.table();
+            let srcs = |keep: &dyn Fn(usize) -> bool| -> BTreeSet<Ipv4Addr> {
+                rows.iter()
+                    .filter(|&&i| keep(i))
+                    .map(|&i| t.srcs()[i])
+                    .collect()
+            };
+            match self {
+                Term::Count => PlanResult::Count(rows.len()),
+                Term::Rows => PlanResult::Rows(rows.to_vec()),
+                Term::Srcs => PlanResult::DistinctSrcs(srcs(&|_| true)),
+                Term::SrcAsn => {
+                    let asns: BTreeSet<Asn> = rows.iter().map(|&i| t.src_asns()[i]).collect();
+                    PlanResult::UniqueSrcAndAsn(srcs(&|_| true).len(), asns.len())
+                }
+                Term::Freqs(kind) => {
+                    let events: Vec<_> = rows.iter().map(|&i| ds.event(i)).collect();
+                    PlanResult::CharFreqs(kind.freqs(&events))
+                }
+                Term::Ports => PlanResult::PortSrcs(
+                    KEY_PORTS
+                        .iter()
+                        .map(|&p| (p, srcs(&|i| t.dst_ports()[i] == p)))
+                        .collect(),
+                ),
+                Term::Fingerprints => PlanResult::FingerprintSrcs(
+                    ProtocolId::ALL
+                        .iter()
+                        .map(|&fp| (fp, srcs(&|i| ds.fingerprints()[i] == Some(fp))))
+                        .filter(|(_, s)| !s.is_empty())
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn multi_chunk_passes_match_hand_rolled_for_every_terminal() {
+        let ds = chunky();
+        let t = ds.table();
+        assert_eq!(ds.len(), 322);
+        for (ip, n) in CHUNKY {
+            assert_eq!(ds.dst_index(ip).map(<[u32]>::len), Some(n));
+        }
+        for proto in [ProtocolId::Http, ProtocolId::Tls, ProtocolId::Telnet] {
+            assert!(ds.fingerprints().contains(&Some(proto)), "{proto:?}");
+        }
+        assert!(ds.verdicts().contains(&Verdict::Attacker));
+        let events: Vec<_> = ds.events().collect();
+        let categories = CharKind::TopPayload.freqs(&events).len();
+        assert_eq!(categories + 1, ds.interner().payload_count(), "one fold");
+        let port = |i: usize| t.dst_ports()[i];
+        let fp = |i: usize| ds.fingerprints()[i];
+        let kind = |i: usize, k: ObsKind| k.matches(&t.observed()[i]);
+        let attacker = |i: usize| ds.verdicts()[i] == Verdict::Attacker;
+        // (filter, the same filter as a row test): two share a first
+        // predicate, and every terminal shares each filter.
+        type Filter<'a> = (fn(Plan) -> Plan, Box<dyn Fn(usize) -> bool + 'a>);
+        let filters: Vec<Filter<'_>> = vec![
+            (|p| p, Box::new(|_| true)),
+            (|p| p.port(23), Box::new(move |i| port(i) == 23)),
+            (
+                |p| p.port(23).malicious(),
+                Box::new(move |i| port(i) == 23 && attacker(i)),
+            ),
+            (
+                |p| p.port_in(&[22, 2323, 8080]),
+                Box::new(move |i| [22, 2323, 8080].contains(&port(i))),
+            ),
+            (
+                |p| p.slice(TrafficSlice::HttpAllPorts),
+                Box::new(move |i| fp(i) == Some(ProtocolId::Http)),
+            ),
+            (
+                |p| p.fingerprint(ProtocolId::Tls),
+                Box::new(move |i| fp(i) == Some(ProtocolId::Tls)),
+            ),
+            (|p| p.malicious(), Box::new(attacker)),
+            (
+                |p| p.not_kind(ObsKind::Syn),
+                Box::new(move |i| !kind(i, ObsKind::Syn)),
+            ),
+            (
+                |p| p.kind(ObsKind::Payload).port(80),
+                Box::new(move |i| kind(i, ObsKind::Payload) && port(i) == 80),
+            ),
+            (
+                |p| p.fingerprinted().verdict(Verdict::Scanner),
+                Box::new(|i| fp(i).is_some() && ds.verdicts()[i] == Verdict::Scanner),
+            ),
+            (
+                |p| {
+                    p.kind(ObsKind::Credentials)
+                        .slice(TrafficSlice::TelnetPort23)
+                },
+                Box::new(move |i| kind(i, ObsKind::Credentials) && port(i) == 23),
+            ),
+            (|p| p.port(9), Box::new(|_| false)),
+        ];
+        let ip = |d: usize| CHUNKY[d].0;
+        let domains: [Option<Vec<Ipv4Addr>>; 4] = [
+            Some(vec![ip(3), ip(0), ip(2), ip(1)]),
+            Some(vec![ip(1), ip(0), ip(1)]),
+            Some(vec![ip(2)]),
+            None,
+        ];
+        for dsts in &domains {
+            // The rows a domain enumerates, per destination in the order
+            // given, then in table order.
+            let enumerated: Vec<usize> = match dsts {
+                Some(ips) => ips
+                    .iter()
+                    .flat_map(|&ip| hand_rolled(&ds, move |i| t.dsts()[i] == ip))
+                    .collect(),
+                None => (0..ds.len()).collect(),
+            };
+            for with_rows in [true, false] {
+                let mut members: Vec<(Plan, PlanResult)> = Vec::new();
+                for (filter, keep) in &filters {
+                    let base = filter(dsts.as_deref().map_or_else(Plan::scan, Plan::at));
+                    let rows: Vec<usize> =
+                        enumerated.iter().copied().filter(|&i| keep(i)).collect();
+                    for term in Term::ALL {
+                        if with_rows || !matches!(term, Term::Rows) {
+                            let plan = term.apply(base.clone());
+                            members.push((plan, term.hand_rolled(&ds, &rows)));
+                        }
+                    }
+                }
+                assert!(members.len() > 64, "{} members", members.len());
+                let plans: Vec<Plan> = members.iter().map(|(p, _)| p.clone()).collect();
+                let pass = Pass::new(0, &ds, &plans, (0..plans.len()).collect());
+                assert_eq!(pass.filters.len(), filters.len(), "shared filters");
+                let table_order = dsts.is_some() && !with_rows && dsts != &domains[1];
+                assert_eq!(pass.in_table_order(), table_order, "{dsts:?}");
+                let store = PlanStore::build(&ds, &plans);
+                assert_eq!(store.passes(), 1);
+                for (plan, want) in &members {
+                    assert_eq!(store.get(plan), Some(want), "{plan:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! addresses, `(source, port)` pairs packed into one integer, …) appends
 //! integer keys to a [`Keys`] list instead of inserting each one into an
 //! ordered set, and sorts and dedups them once, when it needs them. The
-//! query layer's distinct-set terminals and the telescope's per-packet
-//! counters both count this way.
+//! telescope's per-packet counters count this way, merging each window's
+//! sorted keys into their totals. (The query layer's distinct-set
+//! terminals insert into hash sets instead: a fleet pass reads about a
+//! million rows from a few thousand sources, so a set that grows with the
+//! distinct keys beats a list that grows with the rows.)
 
 /// A list of integer keys (`u32`, `u64`, …) that sorts and dedups itself
 /// in place once it holds 2¹⁶ keys, and again whenever it has doubled

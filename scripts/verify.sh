@@ -57,6 +57,9 @@ cargo test -q --workspace
 echo "==> cargo test --release (the SHA-extension block function, bulk snapshot decoders, cw CLI parser and malformed-flag table, optimised)"
 cargo test --release -q -p cw-netsim -p cw-honeypot -p cw-core -p cw-bench
 
+echo "==> cargo test --release tests/query.rs tests/plans.rs (the scan kernel's chunk loops in the profile the benchmark times)"
+cargo test --release -q -p cloud-watching --test query --test plans
+
 echo "==> cargo build --release cwbench/ (the benchmark builds against this API)"
 cargo build --release --quiet --manifest-path cwbench/Cargo.toml --target-dir target/cwbench
 

@@ -16,7 +16,8 @@ use cloud_watching::core::query::{scan_counters, ObsKind};
 use cloud_watching::core::scenario::ScenarioConfig;
 use cloud_watching::core::temporal::{self, YearView};
 use cloud_watching::core::{
-    geography, neighborhood, network, overlap, ports, Plan, PlanStore, ScanExec, SimBundle,
+    geography, neighborhood, network, overlap, ports, Plan, PlanResult, PlanStore, ScanExec,
+    SimBundle,
 };
 use cloud_watching::detection::Verdict;
 use cloud_watching::honeypot::capture::Observed;
@@ -65,32 +66,274 @@ fn edu_ips(d: &Deployment) -> Vec<Ipv4Addr> {
         .collect()
 }
 
-/// A structurally diverse plan pool: every terminal, overlapping and
-/// distinct destination domains, stacked predicates.
-fn plan_pool() -> Vec<Plan> {
+/// A predicate as the oracle specs write it: applied to a [`Plan`], and
+/// checked row by row against the dataset's columns.
+#[derive(Clone, Debug)]
+enum Pred {
+    Port(u16),
+    PortIn(&'static [u16]),
+    Slice(TrafficSlice),
+    Verdict(Verdict),
+    Fingerprint(ProtocolId),
+    Fingerprinted,
+    Kind(ObsKind),
+    NotKind(ObsKind),
+}
+
+/// A terminal as the oracle specs write it.
+#[derive(Clone, Debug)]
+enum Term {
+    Count,
+    Rows,
+    DistinctSrcs,
+    UniqueSrcAndAsn,
+    CharFreqs(CharKind),
+    SrcsByPort(&'static [u16]),
+    SrcsByFingerprint,
+}
+
+/// One pool plan, spelled out so the test can both build it and compute
+/// its result the per-row way, without the scan kernel.
+#[derive(Clone, Debug)]
+struct Spec {
+    dsts: Option<Vec<Ipv4Addr>>,
+    preds: Vec<Pred>,
+    term: Term,
+}
+
+fn spec(dsts: Option<&[Ipv4Addr]>, preds: Vec<Pred>, term: Term) -> Spec {
+    Spec {
+        dsts: dsts.map(<[Ipv4Addr]>::to_vec),
+        preds,
+        term,
+    }
+}
+
+impl Spec {
+    fn plan(&self) -> Plan {
+        let mut plan = self.dsts.as_deref().map_or_else(Plan::scan, Plan::at);
+        for pred in &self.preds {
+            plan = match *pred {
+                Pred::Port(p) => plan.port(p),
+                Pred::PortIn(ps) => plan.port_in(ps),
+                Pred::Slice(s) => plan.slice(s),
+                Pred::Verdict(v) => plan.verdict(v),
+                Pred::Fingerprint(fp) => plan.fingerprint(fp),
+                Pred::Fingerprinted => plan.fingerprinted(),
+                Pred::Kind(k) => plan.kind(k),
+                Pred::NotKind(k) => plan.not_kind(k),
+            };
+        }
+        match self.term {
+            Term::Count => plan.count(),
+            Term::Rows => plan.rows(),
+            Term::DistinctSrcs => plan.distinct_srcs(),
+            Term::UniqueSrcAndAsn => plan.unique_src_and_asn(),
+            Term::CharFreqs(kind) => plan.char_freqs(kind),
+            Term::SrcsByPort(ports) => plan.srcs_by_port(ports),
+            Term::SrcsByFingerprint => plan.srcs_by_fingerprint(),
+        }
+    }
+
+    /// Whether row `i` passes every predicate, read per row.
+    fn admits(&self, ds: &Dataset, i: usize) -> bool {
+        let t = ds.table();
+        let (port, fp) = (t.dst_ports()[i], ds.fingerprints()[i]);
+        let kind = |k: ObsKind| {
+            matches!(
+                (k, t.observed()[i]),
+                (ObsKind::Syn, Observed::Syn)
+                    | (ObsKind::Handshake, Observed::Handshake)
+                    | (ObsKind::Payload, Observed::Payload(_))
+                    | (ObsKind::Credentials, Observed::Credentials { .. })
+            )
+        };
+        self.preds.iter().all(|pred| match *pred {
+            Pred::Port(p) => port == p,
+            Pred::PortIn(ps) => ps.contains(&port),
+            Pred::Slice(TrafficSlice::SshPort22) => port == 22,
+            Pred::Slice(TrafficSlice::TelnetPort23) => port == 23,
+            Pred::Slice(TrafficSlice::HttpPort80) => port == 80,
+            Pred::Slice(TrafficSlice::HttpAllPorts) => fp == Some(ProtocolId::Http),
+            Pred::Slice(TrafficSlice::AnyAll) => true,
+            Pred::Verdict(v) => ds.verdicts()[i] == v,
+            Pred::Fingerprint(want) => fp == Some(want),
+            Pred::Fingerprinted => fp.is_some(),
+            Pred::Kind(k) => kind(k),
+            Pred::NotKind(k) => !kind(k),
+        })
+    }
+
+    /// The result computed the per-row way: the domain's rows from the
+    /// destination column, each predicate per row, then `BTreeSet` inserts
+    /// and string-keyed folds over `ds.event(i)`.
+    fn reference(&self, ds: &Dataset) -> PlanResult {
+        let t = ds.table();
+        let rows: Vec<usize> = domain_rows(ds, self.dsts.as_deref())
+            .into_iter()
+            .filter(|&i| self.admits(ds, i))
+            .collect();
+        let srcs_where = |keep: &dyn Fn(usize) -> bool| -> BTreeSet<Ipv4Addr> {
+            let mut set = BTreeSet::new();
+            for &i in rows.iter().filter(|&&i| keep(i)) {
+                set.insert(t.srcs()[i]);
+            }
+            set
+        };
+        match self.term {
+            Term::Count => PlanResult::Count(rows.len()),
+            Term::Rows => PlanResult::Rows(rows),
+            Term::DistinctSrcs => PlanResult::DistinctSrcs(srcs_where(&|_| true)),
+            Term::UniqueSrcAndAsn => {
+                let mut asns = BTreeSet::new();
+                for &i in &rows {
+                    asns.insert(t.src_asns()[i]);
+                }
+                PlanResult::UniqueSrcAndAsn(srcs_where(&|_| true).len(), asns.len())
+            }
+            Term::CharFreqs(kind) => PlanResult::CharFreqs(reference_freqs(ds, &rows, kind)),
+            Term::SrcsByPort(ports) => PlanResult::PortSrcs(
+                ports
+                    .iter()
+                    .map(|&p| (p, srcs_where(&|i| t.dst_ports()[i] == p)))
+                    .collect(),
+            ),
+            Term::SrcsByFingerprint => {
+                let mut by_fp: BTreeMap<ProtocolId, BTreeSet<Ipv4Addr>> = BTreeMap::new();
+                for &i in &rows {
+                    if let Some(fp) = ds.fingerprints()[i] {
+                        by_fp.entry(fp).or_default().insert(t.srcs()[i]);
+                    }
+                }
+                PlanResult::FingerprintSrcs(by_fp)
+            }
+        }
+    }
+}
+
+/// Plans in [`spec_pool`].
+const POOL_LEN: usize = 28;
+
+/// A structurally diverse plan pool: every terminal and all five
+/// characteristics, every predicate kind, overlapping and distinct
+/// destination domains (dense fleets, one honeypot, a repeated IP and the
+/// whole table), and stacked predicates.
+fn spec_pool() -> Vec<Spec> {
+    use Pred::*;
+    use Term::*;
     let d = Deployment::standard();
-    let g = greynoise_ips(&d);
-    let e = edu_ips(&d);
-    vec![
-        Plan::scan().count(),
-        Plan::scan().kind(ObsKind::Syn).count(),
-        Plan::at(&g).count(),
-        Plan::at(&g).malicious().count(),
-        Plan::at(&g).port(23).distinct_srcs(),
-        Plan::at(&g).port_in(&[22, 23, 80]).rows(),
-        Plan::at(&g).unique_src_and_asn(),
-        Plan::at(&g).srcs_by_port(&POPULAR_PORTS),
-        Plan::at(&g).malicious().srcs_by_port(&[80, 8080]),
-        Plan::at(&g)
-            .slice(TrafficSlice::TelnetPort23)
-            .char_freqs(CharKind::TopPassword),
-        Plan::at(&e)
-            .slice(TrafficSlice::SshPort22)
-            .char_freqs(CharKind::TopAs),
-        Plan::at(&e).fingerprinted().count(),
-        Plan::at(&e).port(80).srcs_by_fingerprint(),
-        Plan::at(&e).not_kind(ObsKind::Syn).rows(),
-    ]
+    let (g, e) = (greynoise_ips(&d), edu_ips(&d));
+    let one = [g[0]];
+    let repeat = [g[0], g[1], g[0]];
+    let (all, g, e, one, repeat) = (
+        None,
+        Some(&g[..]),
+        Some(&e[..]),
+        Some(&one[..]),
+        Some(&repeat[..]),
+    );
+    let attacker = || Verdict(cloud_watching::detection::Verdict::Attacker);
+    let pool = vec![
+        spec(all, vec![], Count),
+        spec(all, vec![Kind(ObsKind::Syn)], Count),
+        spec(g, vec![], Count),
+        spec(g, vec![attacker()], Count),
+        spec(g, vec![Port(23)], DistinctSrcs),
+        spec(g, vec![PortIn(&[22, 23, 80])], Rows),
+        spec(g, vec![], UniqueSrcAndAsn),
+        spec(g, vec![], SrcsByPort(&POPULAR_PORTS)),
+        spec(g, vec![attacker()], SrcsByPort(&[80, 8080])),
+        spec(
+            g,
+            vec![Slice(TrafficSlice::TelnetPort23)],
+            CharFreqs(CharKind::TopPassword),
+        ),
+        spec(
+            e,
+            vec![Slice(TrafficSlice::SshPort22)],
+            CharFreqs(CharKind::TopAs),
+        ),
+        spec(e, vec![Fingerprinted], Count),
+        spec(e, vec![Port(80)], SrcsByFingerprint),
+        spec(e, vec![NotKind(ObsKind::Syn)], Rows),
+        // The other characteristics and predicates (two filters sharing a
+        // first predicate), one honeypot, and a domain that lists an IP
+        // twice.
+        spec(
+            g,
+            vec![Kind(ObsKind::Credentials), PortIn(&[22, 2323])],
+            CharFreqs(CharKind::TopUsername),
+        ),
+        spec(
+            g,
+            vec![Fingerprint(ProtocolId::Http)],
+            CharFreqs(CharKind::TopPayload),
+        ),
+        spec(
+            g,
+            vec![Kind(ObsKind::Credentials)],
+            CharFreqs(CharKind::FracMalicious),
+        ),
+        spec(
+            e,
+            vec![NotKind(ObsKind::Handshake)],
+            CharFreqs(CharKind::TopPayload),
+        ),
+        spec(
+            all,
+            vec![Kind(ObsKind::Payload)],
+            CharFreqs(CharKind::TopPayload),
+        ),
+        spec(all, vec![Fingerprint(ProtocolId::Tls)], DistinctSrcs),
+        spec(e, vec![PortIn(&[80, 8080])], SrcsByFingerprint),
+        spec(g, vec![NotKind(ObsKind::Syn)], UniqueSrcAndAsn),
+        spec(g, vec![Kind(ObsKind::Payload)], CharFreqs(CharKind::TopAs)),
+        spec(one, vec![Port(23)], CharFreqs(CharKind::FracMalicious)),
+        spec(
+            one,
+            vec![Slice(TrafficSlice::AnyAll)],
+            CharFreqs(CharKind::TopUsername),
+        ),
+        spec(repeat, vec![Kind(ObsKind::Handshake)], Rows),
+        spec(repeat, vec![], SrcsByPort(&[23, 22, 9, 23])),
+        spec(
+            repeat,
+            vec![NotKind(ObsKind::Credentials)],
+            CharFreqs(CharKind::TopAs),
+        ),
+    ];
+    assert_eq!(pool.len(), POOL_LEN);
+    pool
+}
+
+/// The pool's plans.
+fn plan_pool() -> Vec<Plan> {
+    spec_pool().iter().map(Spec::plan).collect()
+}
+
+/// Each pool plan's per-row reference result on the shared world,
+/// computed once.
+fn references() -> &'static [PlanResult] {
+    static REFERENCES: OnceLock<Vec<PlanResult>> = OnceLock::new();
+    REFERENCES.get_or_init(|| {
+        let ds = &bundle().dataset;
+        let refs: Vec<PlanResult> = spec_pool().iter().map(|s| s.reference(ds)).collect();
+        for (i, r) in refs.iter().enumerate() {
+            let seen = match r {
+                PlanResult::Count(n) => *n > 0,
+                PlanResult::Rows(v) => !v.is_empty(),
+                PlanResult::DistinctSrcs(s) => !s.is_empty(),
+                PlanResult::UniqueSrcAndAsn(s, a) => *s > 0 && *a > 0,
+                PlanResult::CharFreqs(m) => m.values().any(|&n| n > 0),
+                PlanResult::PortSrcs(m) => m.values().any(|s| !s.is_empty()),
+                PlanResult::FingerprintSrcs(m) => !m.is_empty(),
+            };
+            // Plan 1 counts SYN-only rows, which this world's honeypots
+            // never record: the empty result is its edge case.
+            assert!(seen || i == 1, "pool plan {i} sees no data: {r:?}");
+        }
+        refs
+    })
 }
 
 proptest! {
@@ -102,7 +345,7 @@ proptest! {
     /// distinct plans.
     #[test]
     fn fused_plan_sets_match_standalone_execution(
-        picks in proptest::collection::vec(0usize..14, 1..12),
+        picks in proptest::collection::vec(0usize..POOL_LEN, 1..12),
     ) {
         let _g = counter_lock();
         let s = bundle();
@@ -119,6 +362,22 @@ proptest! {
         prop_assert!(store.passes() <= distinct.len());
         for plan in &plans {
             prop_assert_eq!(store.get(plan), Some(&alone.run(plan)));
+        }
+    }
+
+    /// The scan kernel against an oracle that is not the kernel: a store
+    /// built from any fused subset of the pool serves, for each plan, the
+    /// result its per-row reference computes.
+    #[test]
+    fn fused_plan_sets_match_per_row_references(
+        picks in proptest::collection::vec(0usize..POOL_LEN, 1..16),
+    ) {
+        let _g = counter_lock();
+        let pool = plan_pool();
+        let plans: Vec<Plan> = picks.iter().map(|&i| pool[i].clone()).collect();
+        let store = PlanStore::build(&bundle().dataset, &plans);
+        for &i in &picks {
+            prop_assert_eq!(store.get(&pool[i]), Some(&references()[i]));
         }
     }
 }
@@ -182,7 +441,7 @@ fn every_terminal_matches_a_per_row_reference_on_a_real_world() {
     // A repeated key (22) and a key absent from the data (9).
     let keys = [23, 22, 80, 22, 9];
     assert!(!t.dst_ports().contains(&9));
-    // Long enough for the whole-table key lists to compact mid-pass.
+    // Long enough for the whole-table sets to grow through many chunks.
     assert!(ds.len() > 1 << 16, "{} rows", ds.len());
     let mut nonempty = BTreeSet::new();
     for (dsts, domain) in [
