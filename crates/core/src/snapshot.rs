@@ -18,12 +18,13 @@
 //! # Integrity
 //!
 //! Snapshots use the sealed container of [`cw_netsim::snap`]: magic bytes,
-//! format version, exact payload length, and a SHA-256 trailer. A missing,
-//! truncated, corrupted, version-mismatched, or wrong-config file is
-//! treated identically: the load quietly fails and [`load_or_run`]
-//! re-simulates. The cache can therefore never change results, only
-//! wall-clock time — the same contract the fleet runner makes for thread
-//! count.
+//! format version, exact payload length, and a SHA-256 trailer. A load
+//! reads the file once, hashing and decoding as it goes, and keeps nothing
+//! it decoded until the trailer matches. A missing, truncated, corrupted,
+//! version-mismatched, or wrong-config file is treated identically: the
+//! load quietly fails and [`load_or_run`] re-simulates. The cache can
+//! therefore never change results, only wall-clock time — the same
+//! contract the fleet runner makes for thread count.
 //!
 //! A file that *exists* at the right address but fails to load is not
 //! silently re-simulated over: [`load_or_run`] renames it to
@@ -137,21 +138,25 @@ pub fn store_in(dir: &Path, bundle: &SimBundle) -> std::io::Result<PathBuf> {
 }
 
 /// Load the snapshot for `config` from `dir`, or `None` if it is missing
-/// or fails *any* integrity check (container hash, format version, decode,
-/// trailing bytes, config match). Every failure is silent by design — the
-/// caller's recovery is always the same: re-simulate.
+/// or fails *any* integrity check (container header and length, decode,
+/// trailing bytes, container hash, config match). Every failure is silent
+/// by design — the caller's recovery is always the same: re-simulate.
+///
+/// The file is read once, as a stream ([`SnapReader::open`]): the header
+/// is checked against the file's size before anything is decoded, and the
+/// payload is hashed and decoded a chunk at a time, so the file is never
+/// held whole beside the world it decodes. The decoded bundle is returned
+/// only after [`SnapReader::finish`] has matched the SHA-256 trailer.
 pub fn load_from(
     dir: &Path,
     config: &ScenarioConfig,
     deployment: &Deployment,
 ) -> Option<SimBundle> {
-    let bytes = std::fs::read(snapshot_path_in(dir, config)).ok()?;
-    let payload = snap::unseal(&bytes).ok()?;
-    let mut r = SnapReader::new(payload);
+    let file = File::open(snapshot_path_in(dir, config)).ok()?;
+    let size = file.metadata().ok()?.len();
+    let mut r = SnapReader::open(file, size).ok()?;
     let bundle = SimBundle::snap_read(&mut r, deployment).ok()?;
-    if !r.is_exhausted() {
-        return None;
-    }
+    r.finish().ok()?;
     // Hash collisions aside, this catches a mis-filed snapshot (e.g. a
     // copied cache file) — the decoded config must be the requested one.
     if !bundle.matches(config) {

@@ -238,59 +238,83 @@ impl EventTable {
 
     /// Decode a table from a snapshot payload. Interned ids are copied
     /// verbatim: they resolve against the interner snapshotted alongside
-    /// the table, whose insertion-order ids round-trip exactly.
+    /// the table, whose insertion-order ids round-trip exactly. Every id
+    /// must resolve in `interner`; one outside it is
+    /// [`SnapError::Malformed`].
     ///
     /// The five fixed-width columns are each read as one bounds-checked
-    /// run ([`SnapReader::get_column`]); the tagged `observed` column is
-    /// decoded row by row. Each column is allocated only after its bytes
-    /// are known to be present, so a corrupt row count fails before it
-    /// can reserve memory.
-    pub fn snap_read(r: &mut SnapReader<'_>) -> Result<EventTable, SnapError> {
+    /// run ([`SnapReader::column`]), and the tagged `observed` column as
+    /// records of at most ten bytes ([`SnapReader::records`]), each
+    /// checked against the interner as it is decoded. Each column is
+    /// allocated only after its bytes are known to be present, so a
+    /// corrupt row count fails before it can reserve memory.
+    pub fn snap_read(r: &mut SnapReader<'_>, interner: &Interner) -> Result<EventTable, SnapError> {
         let n = r.get_count()?;
-        let mut t = EventTable {
-            times: r
-                .get_column(n)?
-                .map(|b| SimTime(u64::from_le_bytes(b)))
-                .collect(),
-            srcs: r
-                .get_column(n)?
-                .map(|b| Ipv4Addr::from(u32::from_le_bytes(b)))
-                .collect(),
-            src_asns: r
-                .get_column(n)?
-                .map(|b| Asn(u32::from_le_bytes(b)))
-                .collect(),
-            dsts: r
-                .get_column(n)?
-                .map(|b| Ipv4Addr::from(u32::from_le_bytes(b)))
-                .collect(),
-            dst_ports: r.get_column(n)?.map(u16::from_le_bytes).collect(),
-            // The times column alone took 8n bytes, so n is bounded here.
-            observed: Vec::with_capacity(n),
-        };
-        for _ in 0..n {
-            let o = match r.get_u8()? {
-                0 => Observed::Syn,
-                1 => Observed::Handshake,
-                2 => Observed::Payload(PayloadId(r.get_u32()?)),
-                3 => {
-                    let service = match r.get_u8()? {
-                        0 => LoginService::Ssh,
-                        1 => LoginService::Telnet,
-                        _ => return Err(SnapError::Malformed("unknown login service tag")),
-                    };
-                    Observed::Credentials {
-                        service,
-                        username: CredId(r.get_u32()?),
-                        password: CredId(r.get_u32()?),
-                    }
-                }
-                _ => return Err(SnapError::Malformed("unknown observation tag")),
-            };
-            t.observed.push(o);
-        }
-        Ok(t)
+        let (payloads, creds) = (interner.payload_count(), interner.cred_count());
+        Ok(EventTable {
+            times: r.column(n, |b| SimTime(u64::from_le_bytes(b)))?,
+            srcs: r.column(n, |b| Ipv4Addr::from(u32::from_le_bytes(b)))?,
+            src_asns: r.column(n, |b| Asn(u32::from_le_bytes(b)))?,
+            dsts: r.column(n, |b| Ipv4Addr::from(u32::from_le_bytes(b)))?,
+            dst_ports: r.column(n, u16::from_le_bytes)?,
+            observed: r.records(n, MAX_OBSERVED_LEN, |bytes| {
+                decode_observed(bytes, payloads, creds)
+            })?,
+        })
     }
+}
+
+/// The longest `observed` record: a tag, a service byte and two `u32`
+/// credential ids.
+const MAX_OBSERVED_LEN: usize = 10;
+
+/// Decode one `observed` record from the front of `bytes` and move `bytes`
+/// past it. A payload id must be below `payloads` and a credential id
+/// below `creds`, the sizes of the interner they resolve against.
+fn decode_observed(
+    bytes: &mut &[u8],
+    payloads: usize,
+    creds: usize,
+) -> Result<Observed, SnapError> {
+    let resolves = |id: [u8; 4], count: usize| {
+        let id = u32::from_le_bytes(id);
+        usize::try_from(id).is_ok_and(|i| i < count).then_some(id)
+    };
+    let (&tag, rest) = bytes.split_first().ok_or(SnapError::Truncated)?;
+    let (observed, rest) = match tag {
+        0 => (Observed::Syn, rest),
+        1 => (Observed::Handshake, rest),
+        2 => {
+            let (&id, rest) = rest.split_first_chunk().ok_or(SnapError::Truncated)?;
+            let id = resolves(id, payloads)
+                .ok_or(SnapError::Malformed("payload id out of interner range"))?;
+            (Observed::Payload(PayloadId(id)), rest)
+        }
+        3 => {
+            let (&[service, u0, u1, u2, u3, p0, p1, p2, p3], rest) =
+                rest.split_first_chunk().ok_or(SnapError::Truncated)?;
+            let service = match service {
+                0 => LoginService::Ssh,
+                1 => LoginService::Telnet,
+                _ => return Err(SnapError::Malformed("unknown login service tag")),
+            };
+            let (Some(username), Some(password)) = (
+                resolves([u0, u1, u2, u3], creds),
+                resolves([p0, p1, p2, p3], creds),
+            ) else {
+                return Err(SnapError::Malformed("credential id out of interner range"));
+            };
+            let credentials = Observed::Credentials {
+                service,
+                username: CredId(username),
+                password: CredId(password),
+            };
+            (credentials, rest)
+        }
+        _ => return Err(SnapError::Malformed("unknown observation tag")),
+    };
+    *bytes = rest;
+    Ok(observed)
 }
 
 /// Everything one vantage point recorded, plus the interner its ids
@@ -495,6 +519,18 @@ mod tests {
         assert_eq!(shared.borrow().payload_count(), 1);
     }
 
+    /// An interner with `payloads` payloads and `creds` credentials.
+    fn interner_of(payloads: u8, creds: u8) -> Interner {
+        let mut interner = Interner::new();
+        for i in 0..payloads {
+            interner.intern_payload(&[i]);
+        }
+        for i in 0..creds {
+            interner.intern_cred(&i.to_string());
+        }
+        interner
+    }
+
     #[test]
     fn table_snapshot_round_trip() {
         let mut t = EventTable::new();
@@ -518,11 +554,16 @@ mod tests {
         t.snap_write(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let back = EventTable::snap_read(&mut r).unwrap();
+        let back = EventTable::snap_read(&mut r, &interner_of(5, 10)).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(back.len(), t.len());
         for i in 0..t.len() {
             assert_eq!(back.get(i), t.get(i));
+        }
+        // One payload or credential fewer, and an id is out of range.
+        for interner in [interner_of(4, 10), interner_of(5, 9)] {
+            let err = EventTable::snap_read(&mut SnapReader::new(&bytes), &interner).unwrap_err();
+            assert!(matches!(err, SnapError::Malformed(_)), "{err}");
         }
     }
 
@@ -551,7 +592,8 @@ mod tests {
         w.put_u16(0); // port
         w.put_u8(9); // bogus observation tag
         let bytes = w.into_bytes();
-        let err = EventTable::snap_read(&mut SnapReader::new(&bytes)).unwrap_err();
+        let err =
+            EventTable::snap_read(&mut SnapReader::new(&bytes), &Interner::new()).unwrap_err();
         assert!(matches!(err, SnapError::Malformed(_)));
     }
 
@@ -565,7 +607,8 @@ mod tests {
         // Rewrite the row count to remaining() + 1: the bytes after it.
         let remaining = bytes.len() - 8;
         bytes[..8].copy_from_slice(&(remaining as u64 + 1).to_le_bytes());
-        let err = EventTable::snap_read(&mut SnapReader::new(&bytes)).unwrap_err();
+        let err =
+            EventTable::snap_read(&mut SnapReader::new(&bytes), &Interner::new()).unwrap_err();
         assert_eq!(err, SnapError::Truncated);
     }
 }

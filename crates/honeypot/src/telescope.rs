@@ -345,48 +345,50 @@ impl Telescope {
     }
 
     /// Decode a telescope from a snapshot payload (see
-    /// [`Telescope::snap_write`] for what travels).
+    /// [`Telescope::snap_write`] for what travels). Every run of
+    /// fixed-width entries is read as one column and collected into its
+    /// set or map at once.
     pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Telescope, SnapError> {
+        /// An `(asn, count)` entry: a `u32` and a `u64`.
+        fn asn_count([a0, a1, a2, a3, c @ ..]: [u8; 12]) -> (u32, u64) {
+            (u32::from_le_bytes([a0, a1, a2, a3]), u64::from_le_bytes(c))
+        }
         let name = r.get_str()?.to_string();
         let block = AddressBlock::snap_read(r)?;
         let mut tracked = BTreeMap::new();
         for _ in 0..r.get_count()? {
             let port = r.get_u16()?;
+            // One count per block address: renders index the block by them.
             let n = r.get_count()?;
-            let counts = r.get_column(n)?.map(u32::from_le_bytes).collect();
-            tracked.insert(port, TrackedPort::new(counts));
+            if u64::try_from(n) != Ok(block.size()) {
+                return Err(SnapError::Malformed(
+                    "tracked port counts do not cover the block",
+                ));
+            }
+            tracked.insert(port, TrackedPort::new(r.column(n, u32::from_le_bytes)?));
         }
-        let mut seen_src_port = BTreeSet::new();
-        for _ in 0..r.get_count()? {
-            let src = r.get_u32()?;
-            let port = r.get_u16()?;
-            seen_src_port.insert((src, port));
-        }
-        let mut unique_srcs = BTreeSet::new();
-        for _ in 0..r.get_count()? {
-            unique_srcs.insert(r.get_u32()?);
-        }
-        let mut unique_asns = BTreeSet::new();
-        for _ in 0..r.get_count()? {
-            unique_asns.insert(r.get_u32()?);
-        }
+        let n = r.get_count()?;
+        let seen_src_port = r
+            .column(n, |[s0, s1, s2, s3, p0, p1]: [u8; 6]| {
+                (
+                    u32::from_le_bytes([s0, s1, s2, s3]),
+                    u16::from_le_bytes([p0, p1]),
+                )
+            })?
+            .into_iter()
+            .collect();
+        let n = r.get_count()?;
+        let unique_srcs = r.column(n, u32::from_le_bytes)?.into_iter().collect();
+        let n = r.get_count()?;
+        let unique_asns = r.column(n, u32::from_le_bytes)?.into_iter().collect();
         let mut asn_counts = BTreeMap::new();
         for _ in 0..r.get_count()? {
             let port = r.get_u16()?;
-            let mut by_asn = BTreeMap::new();
-            for _ in 0..r.get_count()? {
-                let asn = r.get_u32()?;
-                let count = r.get_u64()?;
-                by_asn.insert(asn, count);
-            }
-            asn_counts.insert(port, by_asn);
+            let n = r.get_count()?;
+            asn_counts.insert(port, r.column(n, asn_count)?.into_iter().collect());
         }
-        let mut asn_counts_all = BTreeMap::new();
-        for _ in 0..r.get_count()? {
-            let asn = r.get_u32()?;
-            let count = r.get_u64()?;
-            asn_counts_all.insert(asn, count);
-        }
+        let n = r.get_count()?;
+        let asn_counts_all = r.column(n, asn_count)?.into_iter().collect();
         let total_packets = r.get_u64()?;
         Ok(Telescope {
             name,
@@ -564,6 +566,22 @@ mod tests {
         // Every field, the collection-only ones included, as restored.
         assert_eq!(format!("{analysis:?}"), format!("{restored:?}"));
         assert!(analysis.tracked.values().all(|tp| tp.seen.capacity() == 0));
+    }
+
+    #[test]
+    fn snapshot_rejects_tracked_counts_that_do_not_cover_the_block() {
+        let mut bytes = snap_bytes(&scope());
+        // The name, the block (its name, one CIDR), the tracked-port count
+        // and the first port precede that port's count of per-IP counts.
+        let at = (8 + 3) + (8 + 3 + 8 + 5) + 8 + 2;
+        assert_eq!(
+            bytes[at..at + 8],
+            256u64.to_le_bytes(),
+            "one per /24 address"
+        );
+        bytes[at..at + 8].copy_from_slice(&255u64.to_le_bytes());
+        let err = Telescope::snap_read(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapError::Malformed(_)), "{err}");
     }
 
     #[test]

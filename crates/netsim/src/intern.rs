@@ -146,6 +146,8 @@ where
                 return idx;
             }
         }
+        // Ids are `u32`: a world interns a few thousand values, and
+        // `Interner::snap_read` refuses a snapshot listing more than fit.
         let idx = u32::try_from(self.values.len()).expect("interner arena overflow");
         candidates.push(idx);
         self.values.push(value.to_owned());
@@ -250,6 +252,9 @@ impl Interner {
     pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Interner, SnapError> {
         let mut out = Interner::new();
         let n_payloads = r.get_count()?;
+        if u32::try_from(n_payloads).is_err() {
+            return Err(SnapError::Malformed("more payloads than u32 ids"));
+        }
         for _ in 0..n_payloads {
             let bytes = r.get_bytes()?;
             out.intern_payload(bytes);
@@ -260,6 +265,9 @@ impl Interner {
             ));
         }
         let n_creds = r.get_count()?;
+        if u32::try_from(n_creds).is_err() {
+            return Err(SnapError::Malformed("more credentials than u32 ids"));
+        }
         for _ in 0..n_creds {
             let s = r.get_str()?;
             out.intern_cred(s);

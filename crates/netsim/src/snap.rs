@@ -5,7 +5,7 @@
 //! same. A simulation's captured state (interned event table, telescope
 //! counters, reputation labels, …) is encoded with [`SnapWriter`] and
 //! sealed into a self-verifying container under `out/.cache/`. Later runs
-//! [`unseal`] and decode with [`SnapReader`] instead of re-simulating.
+//! decode it with [`SnapReader`] instead of re-simulating.
 //!
 //! # Container format
 //!
@@ -26,10 +26,23 @@
 //! [`SnapWriter::new`] encoded) and is the reference the streamed
 //! container is tested against: both give the same bytes.
 //!
-//! [`unseal`] fails closed: a bad magic, unknown version, truncated body,
-//! or digest mismatch all return a [`SnapError`] and the caller silently
-//! falls back to re-simulating. Corruption can therefore cost time but
-//! never correctness.
+//! [`SnapReader::open`] reads a container the same way, in one pass. It
+//! checks the header (magic, version, and that the payload length fits
+//! the file's size exactly) before anything is decoded, then reads the
+//! payload [`CHUNK`] by chunk into one reused buffer as the decoders ask
+//! for it, hashing each piece as it arrives; [`SnapReader::finish`]
+//! requires the payload to be fully consumed and compares the SHA-256
+//! trailer. A caller keeps nothing it decoded until `finish` returns `Ok`,
+//! so damaged bytes can reach the decoders but never a result, and every
+//! decoder fails on them with a [`SnapError`] instead of panicking.
+//! [`unseal`] verifies a container already in memory and returns its
+//! payload for [`SnapReader::new`]; the two are the in-memory reference
+//! the streamed load is tested against.
+//!
+//! Every failure — a bad magic, unknown version, truncated body, digest
+//! mismatch or malformed value — is a [`SnapError`], and the caller falls
+//! back to re-simulating. Corruption can therefore cost time but never
+//! correctness.
 //!
 //! # Encoding rules
 //!
@@ -41,18 +54,22 @@
 //!
 //! A column of fixed-width values (an event table's times, addresses,
 //! ASNs and ports) is written value by value but read in bulk:
-//! [`SnapReader::get_column`] bounds-checks the whole `n × width` run once
-//! and decodes it with `from_le_bytes`, instead of one checked read per
-//! value. Both readers see the same bytes, so reading in bulk is not a
-//! format change: the format is version 2 either way.
+//! [`SnapReader::column`] bounds-checks the whole `n × width` run once and
+//! decodes it batch by batch, as many whole values at a time as the
+//! reader has buffered. A column of variable-length records (the event
+//! table's tagged observations) is read the same way through
+//! [`SnapReader::records`]. Reading in bulk is not a format change: the
+//! format is version 2 either way.
 //!
 //! Counts come from disk, so they are checked before anything is
 //! allocated for them: [`SnapReader::get_count`] rejects a count larger
-//! than the bytes left, and [`SnapReader::get_column`] one larger than the
-//! bytes left divided by the value width.
+//! than the payload bytes left, and [`SnapReader::column`] one larger than
+//! the bytes left divided by the value width. The bytes left are known
+//! from the checked header, so no allocation exceeds the file's size.
 
 use crate::sha256::{sha256, Sha256};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::borrow::Cow;
+use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// Leading bytes of every sealed snapshot container.
 pub const MAGIC: [u8; 8] = *b"CWSNAP\x00\x01";
@@ -71,7 +88,9 @@ pub const FORMAT_VERSION: u32 = 2;
 /// the snapshot and re-simulates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
-    /// The container or payload ended before an expected field.
+    /// The container or payload ended before an expected field, a
+    /// container's declared length disagrees with its size, or its bytes
+    /// could not be read.
     Truncated,
     /// The leading magic bytes are not [`MAGIC`].
     BadMagic,
@@ -106,7 +125,8 @@ impl std::fmt::Display for SnapError {
 impl std::error::Error for SnapError {}
 
 /// How many payload bytes the writer of [`seal_into`] gathers before it
-/// hashes them and writes them out.
+/// hashes them and writes them out, and how many a streamed
+/// [`SnapReader`] reads and hashes at a time.
 pub const CHUNK: usize = 64 << 10;
 
 /// Append-only encoder for the snapshot payload.
@@ -190,61 +210,208 @@ impl SnapWriter<'_> {
     }
 }
 
-/// Cursor-based decoder over a snapshot payload.
+/// Cursor-based decoder over a snapshot payload, held in memory
+/// ([`SnapReader::new`]) or streamed from a sealed container
+/// ([`SnapReader::open`]).
 ///
 /// Reads fail with [`SnapError::Truncated`] rather than panicking, so a
-/// damaged cache file can never take down an analysis run.
-#[derive(Debug)]
+/// damaged cache file can never take down an analysis run. One set of
+/// decoders serves both sources: a streamed reader refills its buffer
+/// when a read runs past it, and an in-memory reader holds the whole
+/// payload, so its refills are no-ops.
 pub struct SnapReader<'a> {
-    data: &'a [u8],
+    /// The payload bytes in hand: the whole payload of an in-memory
+    /// reader, or a streamed reader's refill buffer, reused from refill to
+    /// refill. Always `pos <= end <= buf.len()`.
+    buf: Cow<'a, [u8]>,
+    /// The next unread byte of `buf`.
     pos: usize,
+    /// The end of the payload bytes in `buf`.
+    end: usize,
+    /// Where a streamed reader's payload comes from; `None` in memory.
+    source: Option<Source<'a>>,
+}
+
+/// The input of a streamed [`SnapReader`], positioned after the payload
+/// bytes read so far.
+struct Source<'a> {
+    input: Box<dyn Read + 'a>,
+    /// Payload bytes not yet read from `input`.
+    unread: usize,
+    /// SHA-256 of the payload bytes read so far.
+    hasher: Sha256,
+}
+
+/// Read exactly `buf.len()` bytes; an input that ends early or fails is
+/// a truncated snapshot.
+fn read_full(input: &mut dyn Read, buf: &mut [u8]) -> Result<(), SnapError> {
+    input.read_exact(buf).map_err(|_| SnapError::Truncated)
 }
 
 impl<'a> SnapReader<'a> {
-    /// A reader positioned at the start of `data`.
+    /// A reader positioned at the start of `data`, a payload in memory.
     pub fn new(data: &'a [u8]) -> Self {
-        SnapReader { data, pos: 0 }
+        SnapReader {
+            buf: Cow::Borrowed(data),
+            pos: 0,
+            end: data.len(),
+            source: None,
+        }
     }
 
-    /// Bytes not yet consumed.
+    /// A reader of the payload of the sealed container that `input`
+    /// yields, `size` bytes in all.
+    ///
+    /// The header is checked first, as [`unseal`] checks it: the magic,
+    /// the format version, and that the header, the payload length it
+    /// declares and the 32-byte trailer add up to exactly `size` (a
+    /// shorter or longer file is [`SnapError::Truncated`]). Nothing is
+    /// decoded before that. The payload is then read as the decoders ask
+    /// for it, up to [`CHUNK`] bytes at a time, and hashed as it arrives;
+    /// [`SnapReader::finish`] checks the digest.
+    pub fn open(input: impl Read + 'a, size: u64) -> Result<SnapReader<'a>, SnapError> {
+        let mut input: Box<dyn Read + 'a> = Box::new(input);
+        let mut head = Vec::with_capacity(HEADER_LEN);
+        (&mut input)
+            .take(HEADER_LEN as u64)
+            .read_to_end(&mut head)
+            .map_err(|_| SnapError::Truncated)?;
+        let len = read_header(&mut SnapReader::new(&head))?;
+        let sealed = (len as u64).checked_add((HEADER_LEN + DIGEST_LEN) as u64);
+        if sealed != Some(size) {
+            return Err(SnapError::Truncated);
+        }
+        Ok(SnapReader {
+            buf: Cow::Owned(vec![0; CHUNK.min(len)]),
+            pos: 0,
+            end: 0,
+            source: Some(Source {
+                input,
+                unread: len,
+                hasher: Sha256::new(),
+            }),
+        })
+    }
+
+    /// Payload bytes not yet consumed: those buffered plus, for a streamed
+    /// reader, those not yet read from its input.
     pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        let unread = self.source.as_ref().map_or(0, |s| s.unread);
+        self.end - self.pos + unread
     }
 
     /// Whether the payload has been fully consumed (decoders check this
     /// at the end so trailing garbage is treated as corruption).
     pub fn is_exhausted(&self) -> bool {
-        self.pos == self.data.len()
+        self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        let end = self.pos.checked_add(n).ok_or(SnapError::Truncated)?;
-        if end > self.data.len() {
+    /// Finish a read: the payload must be fully consumed, and a streamed
+    /// reader then reads the SHA-256 trailer, which must match the digest
+    /// of the payload it read, and requires its input to end there. Only
+    /// after `finish` returns `Ok` has a streamed payload been verified.
+    pub fn finish(self) -> Result<(), SnapError> {
+        if !self.is_exhausted() {
+            return Err(SnapError::Malformed("payload bytes left undecoded"));
+        }
+        let Some(mut source) = self.source else {
+            return Ok(());
+        };
+        let mut stored = [0; DIGEST_LEN];
+        read_full(&mut source.input, &mut stored)?;
+        if source.hasher.finalize() != stored {
+            return Err(SnapError::HashMismatch);
+        }
+        let mut beyond = Vec::new();
+        source
+            .input
+            .take(1)
+            .read_to_end(&mut beyond)
+            .map_err(|_| SnapError::Truncated)?;
+        if !beyond.is_empty() {
             return Err(SnapError::Truncated);
         }
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        Ok(())
+    }
+
+    /// Make at least `need` bytes available from `pos` on. A streamed
+    /// reader moves its unconsumed bytes to the front of the buffer (growing
+    /// it if `need` exceeds it) and fills the rest from its input, hashing
+    /// what it reads. Fails with [`SnapError::Truncated`] when fewer than
+    /// `need` payload bytes are left.
+    fn fill(&mut self, need: usize) -> Result<(), SnapError> {
+        if self.end - self.pos >= need {
+            return Ok(());
+        }
+        if need > self.remaining() {
+            return Err(SnapError::Truncated);
+        }
+        // `need` is within `remaining()` yet beyond the buffered bytes, so
+        // some are still unread: this is a streamed reader.
+        let Some(source) = &mut self.source else {
+            return Err(SnapError::Truncated);
+        };
+        // A streamed reader's buffer is owned: `to_mut` copies nothing.
+        let buf = self.buf.to_mut();
+        // Both ranges lie inside `buf`: `pos <= end <= buf.len()`, and
+        // `fresh` is at most the room after `end`.
+        buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        if buf.len() < need {
+            buf.resize(need, 0);
+        }
+        let fresh = (buf.len() - self.end).min(source.unread);
+        let piece = &mut buf[self.end..self.end + fresh];
+        read_full(&mut source.input, piece)?;
+        source.hasher.update(piece);
+        source.unread -= fresh;
+        self.end += fresh;
+        Ok(())
+    }
+
+    /// The bytes in hand, from the cursor on.
+    fn buffered(&self) -> &[u8] {
+        // In range: `pos <= end <= buf.len()` always.
+        &self.buf[self.pos..self.end]
+    }
+
+    /// Consume the next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&[u8], SnapError> {
+        self.fill(n)?;
+        let start = self.pos;
+        // `fill` left at least `n` bytes between `pos` and `end`.
+        self.pos += n;
+        Ok(&self.buf[start..self.pos])
+    }
+
+    /// Consume the next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
+        self.take(N)?
+            .first_chunk()
+            .copied()
+            .ok_or(SnapError::Truncated)
     }
 
     /// Read a `u8`.
     pub fn get_u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
+        let [v] = self.array()?;
+        Ok(v)
     }
 
     /// Read a `u16` (little-endian).
     pub fn get_u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Read a `u32` (little-endian).
     pub fn get_u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Read a `u64` (little-endian).
     pub fn get_u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Read an `f64` from its bit pattern.
@@ -252,15 +419,17 @@ impl<'a> SnapReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    /// Read a length-prefixed byte string.
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapError> {
+    /// Read a length-prefixed byte string. The slice borrows the reader:
+    /// copy it before the next read.
+    pub fn get_bytes(&mut self) -> Result<&[u8], SnapError> {
         let len = self.get_u64()?;
         let len = usize::try_from(len).map_err(|_| SnapError::Truncated)?;
         self.take(len)
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<&'a str, SnapError> {
+    /// Read a length-prefixed UTF-8 string, borrowing the reader as
+    /// [`SnapReader::get_bytes`] does.
+    pub fn get_str(&mut self) -> Result<&str, SnapError> {
         std::str::from_utf8(self.get_bytes()?).map_err(|_| SnapError::Malformed("non-UTF-8 string"))
     }
 
@@ -276,25 +445,71 @@ impl<'a> SnapReader<'a> {
         Ok(n)
     }
 
-    /// Read a column of `n` fixed-width `W`-byte values as one
-    /// bounds-checked `n × W` slice, yielding each value's bytes in order
-    /// (decode them with `from_le_bytes`). Fails with
-    /// [`SnapError::Truncated`], before anything is allocated, when
-    /// `n × W` overflows or exceeds `remaining()`.
-    pub fn get_column<const W: usize>(
+    /// Read a column of `n` fixed-width `W`-byte values, decoding each
+    /// value's bytes with `decode` (a `from_le_bytes`, say). Fails with
+    /// [`SnapError::Truncated`], before anything is allocated, when `n × W`
+    /// overflows or exceeds `remaining()`. The values are decoded in
+    /// batches: every whole value the reader holds at once, then a refill.
+    pub fn column<const W: usize, T>(
         &mut self,
         n: usize,
-    ) -> Result<impl ExactSizeIterator<Item = [u8; W]> + 'a, SnapError> {
+        mut decode: impl FnMut([u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapError> {
+        const { assert!(W > 0, "a column value has at least one byte") };
         let len = n.checked_mul(W).ok_or(SnapError::Truncated)?;
-        Ok(self
-            .take(len)?
-            .chunks_exact(W)
-            .map(|value| value.try_into().expect("chunks_exact yields W-byte chunks")))
+        if len > self.remaining() {
+            return Err(SnapError::Truncated);
+        }
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            self.fill(W)?;
+            let (values, _) = self.buffered().as_chunks::<W>();
+            let batch = values.len().min(n - out.len());
+            out.extend(values.iter().take(batch).map(|&v| decode(v)));
+            self.pos += batch * W;
+        }
+        Ok(out)
+    }
+
+    /// Read `n` variable-length records of at most `max_len` bytes each.
+    /// `decode` reads one record from the front of the slice it is given
+    /// and moves the slice past it; it fails on a slice that ends inside
+    /// the record. It is given at least `max_len` bytes, or every payload
+    /// byte left, so a record never straddles a refill: the reader hands it
+    /// each buffered batch and advances once per batch. Fails with
+    /// [`SnapError::Truncated`], before anything is allocated, when `n`
+    /// exceeds `remaining()` (every record takes at least one byte).
+    pub fn records<T>(
+        &mut self,
+        n: usize,
+        max_len: usize,
+        mut decode: impl FnMut(&mut &[u8]) -> Result<T, SnapError>,
+    ) -> Result<Vec<T>, SnapError> {
+        if n > self.remaining() {
+            return Err(SnapError::Truncated);
+        }
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            self.fill(max_len.min(self.remaining()))?;
+            let window = self.buffered();
+            // The batch holds every payload byte left: records may end at
+            // its end, and `decode` reports one cut short.
+            let last = self.end - self.pos == self.remaining();
+            let mut rest = window;
+            while out.len() < n && (last || rest.len() >= max_len) {
+                out.push(decode(&mut rest)?);
+            }
+            self.pos += window.len().saturating_sub(rest.len());
+        }
+        Ok(out)
     }
 }
 
 /// Bytes ahead of the payload: magic, format version, payload length.
 const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
+
+/// Bytes of the SHA-256 trailer after the payload.
+const DIGEST_LEN: usize = 32;
 
 /// The container header of a `payload_len`-byte payload.
 fn header(payload_len: u64) -> [u8; HEADER_LEN] {
@@ -303,6 +518,22 @@ fn header(payload_len: u64) -> [u8; HEADER_LEN] {
     h[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     h[12..].copy_from_slice(&payload_len.to_le_bytes());
     h
+}
+
+/// Check a container header's magic and format version, in that order,
+/// and return the payload length it declares.
+fn read_header(r: &mut SnapReader<'_>) -> Result<usize, SnapError> {
+    if r.array()? != MAGIC {
+        return Err(SnapError::BadMagic);
+    }
+    let version = r.get_u32()?;
+    if version != FORMAT_VERSION {
+        return Err(SnapError::VersionMismatch {
+            found: version,
+            expected: FORMAT_VERSION,
+        });
+    }
+    usize::try_from(r.get_u64()?).map_err(|_| SnapError::Truncated)
 }
 
 /// Wrap an encoded payload in the self-verifying container: magic,
@@ -360,7 +591,8 @@ pub fn seal_into<W: Write + Seek>(
     out.write_all(&len.to_le_bytes())
 }
 
-/// Verify a sealed container and return its payload slice.
+/// Verify a sealed container already in memory and return its payload
+/// slice: the in-memory reference for [`SnapReader::open`].
 ///
 /// Checks, in order: magic bytes, format version, declared length vs
 /// actual size (exact — trailing bytes are corruption), and the SHA-256
@@ -368,22 +600,12 @@ pub fn seal_into<W: Write + Seek>(
 /// treats as a cache miss.
 pub fn unseal(container: &[u8]) -> Result<&[u8], SnapError> {
     let mut r = SnapReader::new(container);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(SnapError::BadMagic);
-    }
-    let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(SnapError::VersionMismatch {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    let len = usize::try_from(r.get_u64()?).map_err(|_| SnapError::Truncated)?;
-    if r.remaining() != len + 32 {
+    let len = read_header(&mut r)?;
+    if len.checked_add(DIGEST_LEN) != Some(r.remaining()) {
         return Err(SnapError::Truncated);
     }
-    let payload = r.take(len)?;
-    let stored: [u8; 32] = r.take(32)?.try_into().unwrap();
+    let body = container.get(HEADER_LEN..).ok_or(SnapError::Truncated)?;
+    let (payload, stored) = body.split_at_checked(len).ok_or(SnapError::Truncated)?;
     if sha256(payload) != stored {
         return Err(SnapError::HashMismatch);
     }
@@ -464,21 +686,17 @@ mod tests {
         w.put_u8(0xAA);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let col: Vec<u32> = r
-            .get_column::<4>(3)
-            .unwrap()
-            .map(u32::from_le_bytes)
-            .collect();
+        let col = r.column(3, u32::from_le_bytes).unwrap();
         assert_eq!(col, [1, 0xDEAD_BEEF, 7]);
         assert_eq!(r.get_u8(), Ok(0xAA));
         assert!(r.is_exhausted());
         // One value more than remaining() / W, and an n × W that overflows.
         let mut r = SnapReader::new(&bytes);
-        assert!(matches!(r.get_column::<4>(4), Err(SnapError::Truncated)));
-        assert!(matches!(
-            r.get_column::<8>(usize::MAX / 4),
+        assert_eq!(r.column(4, u32::from_le_bytes), Err(SnapError::Truncated));
+        assert_eq!(
+            r.column(usize::MAX / 4, u64::from_le_bytes),
             Err(SnapError::Truncated)
-        ));
+        );
         assert_eq!(r.remaining(), bytes.len());
     }
 
@@ -610,5 +828,272 @@ mod tests {
         let mut out = io::Cursor::new(Vec::new());
         let result = seal_into(&mut out, |w| *w = SnapWriter::new());
         assert!(result.is_err());
+    }
+
+    /// A `Read` that hands out 1 to 7 bytes per call, so every value of
+    /// every width lands across refills somewhere.
+    struct Trickle<'b> {
+        data: &'b [u8],
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = (self.calls % 7 + 1).min(buf.len()).min(self.data.len());
+            let (head, rest) = self.data.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.data = rest;
+            Ok(n)
+        }
+    }
+
+    /// A streamed reader of `sealed`, fed through a [`Trickle`].
+    fn trickle(sealed: &[u8]) -> Result<SnapReader<'_>, SnapError> {
+        let input = Trickle {
+            data: sealed,
+            calls: 0,
+        };
+        SnapReader::open(input, sealed.len() as u64)
+    }
+
+    /// Read back the `len` bytes [`encode_len`] wrote, each value widened
+    /// to a `u64`.
+    fn decode_len(r: &mut SnapReader<'_>, len: usize) -> Result<Vec<u64>, SnapError> {
+        let (mut left, mut i, mut values) = (len, 0u64, Vec::new());
+        while left > 0 {
+            let (value, width) = match (i % 5, left) {
+                (0, 8..) => (r.get_u64()?, 8),
+                (1, 4..) => (u64::from(r.get_u32()?), 4),
+                (2, 2..) => (u64::from(r.get_u16()?), 2),
+                (3, 20..) => (r.get_str()?.len() as u64, 20),
+                _ => (u64::from(r.get_u8()?), 1),
+            };
+            values.push(value);
+            left -= width;
+            i += 1;
+        }
+        Ok(values)
+    }
+
+    #[test]
+    fn streamed_values_equal_the_in_memory_ones() {
+        for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+            let mut w = SnapWriter::new();
+            encode_len(&mut w, len);
+            let payload = w.into_bytes();
+            let sealed = seal(&payload);
+            let mut reference = SnapReader::new(&payload);
+            let want = decode_len(&mut reference, len).unwrap();
+            assert_eq!(reference.finish(), Ok(()));
+            let from_file = {
+                let mut r = SnapReader::open(&sealed[..], sealed.len() as u64).unwrap();
+                let values = decode_len(&mut r, len).unwrap();
+                r.finish().map(|()| values)
+            };
+            let trickled = {
+                let mut r = trickle(&sealed).unwrap();
+                assert_eq!(r.remaining(), len, "the header's length");
+                let values = decode_len(&mut r, len).unwrap();
+                assert!(r.is_exhausted());
+                r.finish().map(|()| values)
+            };
+            assert_eq!(from_file.as_ref(), Ok(&want), "payload of {len} bytes");
+            assert_eq!(trickled.as_ref(), Ok(&want), "payload of {len} bytes");
+        }
+    }
+
+    #[test]
+    fn streamed_columns_equal_the_in_memory_ones() {
+        // One odd byte first, so no width lines up with a refill.
+        for n in [0, 1, CHUNK / 20 + 1, CHUNK / 5 + 3] {
+            let mut w = SnapWriter::new();
+            w.put_u8(7);
+            let n64 = n as u64;
+            (0..n64).for_each(|i| w.put_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+            (0..n64).for_each(|i| w.put_u32(i as u32 ^ 0xA5A5_5A5A));
+            (0..n64).for_each(|i| w.put_u16(i as u16));
+            (0..n64).for_each(|i| {
+                w.put_u32(!(i as u32));
+                w.put_u16(i as u16 ^ 0x0F0F);
+            });
+            let payload = w.into_bytes();
+            let sealed = seal(&payload);
+            type Columns = (Vec<u64>, Vec<u32>, Vec<u16>, Vec<(u32, u16)>);
+            let read = |r: &mut SnapReader<'_>| -> Result<Columns, SnapError> {
+                assert_eq!(r.get_u8()?, 7);
+                Ok((
+                    r.column(n, u64::from_le_bytes)?,
+                    r.column(n, u32::from_le_bytes)?,
+                    r.column(n, u16::from_le_bytes)?,
+                    r.column(n, |[a, b, c, d, e, f]: [u8; 6]| {
+                        (u32::from_le_bytes([a, b, c, d]), u16::from_le_bytes([e, f]))
+                    })?,
+                ))
+            };
+            let mut reference = SnapReader::new(&payload);
+            let want = read(&mut reference).unwrap();
+            assert!(reference.is_exhausted());
+            assert_eq!(want.0.len(), n);
+            let mut r = trickle(&sealed).unwrap();
+            let got = read(&mut r).unwrap();
+            assert_eq!(r.finish(), Ok(()));
+            assert_eq!(got, want, "columns of {n} values");
+        }
+    }
+
+    #[test]
+    fn streamed_records_equal_the_in_memory_ones() {
+        // Records of 1 to 9 bytes (a length byte, then that many minus one
+        // bytes), so the batches end inside records as well as between them.
+        let lens: Vec<usize> = (0..40_000).map(|i| i * 7 % 9 + 1).collect();
+        let mut w = SnapWriter::new();
+        for (i, &len) in lens.iter().enumerate() {
+            w.put_u8(len as u8);
+            (1..len).for_each(|_| w.put_u8(i as u8));
+        }
+        let payload = w.into_bytes();
+        let sealed = seal(&payload);
+        let record = |bytes: &mut &[u8]| -> Result<(usize, u8), SnapError> {
+            let (&len, _) = bytes.split_first().ok_or(SnapError::Truncated)?;
+            let (rec, rest) = bytes
+                .split_at_checked(len as usize)
+                .ok_or(SnapError::Truncated)?;
+            *bytes = rest;
+            Ok((rec.len(), rec.last().copied().unwrap_or(0)))
+        };
+        let want = SnapReader::new(&payload)
+            .records(lens.len(), 9, record)
+            .unwrap();
+        assert_eq!(want.iter().map(|r| r.0).collect::<Vec<_>>(), lens);
+        let mut r = trickle(&sealed).unwrap();
+        assert_eq!(r.records(lens.len(), 9, record), Ok(want));
+        assert_eq!(r.finish(), Ok(()));
+        // A payload that ends inside its last record is truncated, in
+        // memory and streamed.
+        let cut = &payload[..payload.len() - 1];
+        let mut r = SnapReader::new(cut);
+        assert_eq!(r.records(lens.len(), 9, record), Err(SnapError::Truncated));
+        let sealed_cut = seal(cut);
+        let mut r = trickle(&sealed_cut).unwrap();
+        assert_eq!(r.records(lens.len(), 9, record), Err(SnapError::Truncated));
+    }
+
+    #[test]
+    fn a_file_shorter_or_longer_than_its_header_is_truncated() {
+        let mut w = SnapWriter::new();
+        encode_len(&mut w, CHUNK + 1);
+        let sealed = seal(&w.into_bytes());
+        let short = &sealed[..sealed.len() - 1];
+        assert_eq!(trickle(short).err(), Some(SnapError::Truncated));
+        let mut long = sealed.clone();
+        long.push(0);
+        assert_eq!(trickle(&long).err(), Some(SnapError::Truncated));
+        // A header cut short, a bad magic and an unknown version fail as
+        // `unseal` fails on them.
+        for bad in [&sealed[..HEADER_LEN - 1], &sealed[..5]] {
+            assert_eq!(trickle(bad).err(), unseal(bad).err());
+        }
+        let mut magic = sealed.clone();
+        magic[0] ^= 1;
+        assert_eq!(trickle(&magic).err(), Some(SnapError::BadMagic));
+        let mut version = sealed.clone();
+        version[8] = 0xFE;
+        assert!(matches!(
+            trickle(&version),
+            Err(SnapError::VersionMismatch { found: 0xFE, .. })
+        ));
+        // An input that ends before the size it was opened with: inside
+        // the payload, or inside the trailer.
+        let inside = &sealed[..HEADER_LEN + CHUNK];
+        let mut r = SnapReader::open(inside, sealed.len() as u64).unwrap();
+        assert_eq!(decode_len(&mut r, CHUNK + 1), Err(SnapError::Truncated));
+        let mut r = SnapReader::open(short, sealed.len() as u64).unwrap();
+        decode_len(&mut r, CHUNK + 1).unwrap();
+        assert_eq!(r.finish(), Err(SnapError::Truncated));
+        // And one that runs on past it.
+        let mut r = SnapReader::open(&long[..], sealed.len() as u64).unwrap();
+        decode_len(&mut r, CHUNK + 1).unwrap();
+        assert_eq!(r.finish(), Err(SnapError::Truncated));
+    }
+
+    #[test]
+    fn a_changed_trailer_or_payload_byte_is_a_hash_mismatch() {
+        let len = 3 * CHUNK + 7;
+        let mut w = SnapWriter::new();
+        encode_len(&mut w, len);
+        let sealed = seal(&w.into_bytes());
+        for at in [sealed.len() - 1, sealed.len() - 32, HEADER_LEN + 2 * CHUNK] {
+            let mut damaged = sealed.clone();
+            damaged[at] ^= 0x10;
+            let mut r = trickle(&damaged).unwrap();
+            // The payload bytes still decode: only the digest catches them.
+            decode_len(&mut r, len).unwrap();
+            assert_eq!(r.finish(), Err(SnapError::HashMismatch), "byte {at}");
+        }
+    }
+
+    #[test]
+    fn unconsumed_payload_bytes_are_an_error() {
+        let mut w = SnapWriter::new();
+        encode_len(&mut w, CHUNK + 9);
+        let payload = w.into_bytes();
+        let sealed = seal(&payload);
+        let mut r = trickle(&sealed).unwrap();
+        decode_len(&mut r, CHUNK).unwrap();
+        assert!(matches!(r.finish(), Err(SnapError::Malformed(_))));
+        let mut r = SnapReader::new(&payload);
+        decode_len(&mut r, CHUNK).unwrap();
+        assert!(matches!(r.finish(), Err(SnapError::Malformed(_))));
+    }
+
+    #[test]
+    fn a_count_beyond_the_header_length_is_truncated() {
+        // A count well past the first refill's bytes, yet within the
+        // header's length, is fine; one past the header's length is not.
+        let mut w = SnapWriter::new();
+        w.put_u64(3 * CHUNK as u64);
+        (0..3 * CHUNK).for_each(|_| w.put_u8(0));
+        w.put_u64(u64::MAX);
+        let sealed = seal(&w.into_bytes());
+        let mut r = trickle(&sealed).unwrap();
+        assert_eq!(r.get_count(), Ok(3 * CHUNK));
+        assert_eq!(r.remaining(), 3 * CHUNK + 8);
+        // One value or record more than the bytes left, refused unread.
+        let values = 3 * CHUNK / 8 + 1;
+        assert_eq!(
+            r.column(values + 1, u64::from_le_bytes),
+            Err(SnapError::Truncated)
+        );
+        assert_eq!(
+            r.records(3 * CHUNK + 9, 1, |_| Ok(())),
+            Err(SnapError::Truncated)
+        );
+        assert_eq!(r.remaining(), 3 * CHUNK + 8);
+        r.column(values - 1, u64::from_le_bytes).unwrap();
+        // The last u64 as a count, or as a string's length.
+        let at_last = |sealed| {
+            let mut r = trickle(sealed).unwrap();
+            r.get_u64().unwrap();
+            r.column(values - 1, u64::from_le_bytes).unwrap();
+            r
+        };
+        assert_eq!(at_last(&sealed).get_count(), Err(SnapError::Truncated));
+        assert_eq!(at_last(&sealed).get_bytes(), Err(SnapError::Truncated));
+    }
+
+    #[test]
+    fn a_string_longer_than_a_chunk_streams() {
+        let long: Vec<u8> = (0..3 * CHUNK + 5).map(|i| i as u8).collect();
+        let mut w = SnapWriter::new();
+        w.put_u8(1);
+        w.put_bytes(&long);
+        w.put_str("after");
+        let sealed = seal(&w.into_bytes());
+        let mut r = trickle(&sealed).unwrap();
+        assert_eq!(r.get_u8(), Ok(1));
+        assert_eq!(r.get_bytes(), Ok(&long[..]));
+        assert_eq!(r.get_str(), Ok("after"));
+        assert_eq!(r.finish(), Ok(()));
     }
 }

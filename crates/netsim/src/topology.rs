@@ -88,6 +88,7 @@ impl AddressBlock {
         for _ in 0..n {
             let base = Ipv4Addr::from(r.get_u32()?);
             let prefix = r.get_u8()?;
+            // `Cidr::new` asserts a prefix of at most 32.
             if prefix > 32 {
                 return Err(SnapError::Malformed("CIDR prefix > 32"));
             }

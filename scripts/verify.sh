@@ -34,7 +34,9 @@
 #   rendered, with exit code 4 and a failure summary.
 # Plus the sweep gates: `cw sweep` must be byte-identical cold vs warm and
 #   an interrupted sweep (CW_INJECT_PANIC=sweep:<i>) must resume from the
-#   snapshot cache. Setting CW_SCALE_TESTS=1 additionally runs the opt-in
+#   snapshot cache. And the quarantine gate: `cw table1` on a warm cache
+#   with one flipped payload byte must exit 0, warn, print the baseline
+#   bytes and keep the damaged file as <name>.cwsnap.corrupt. Setting CW_SCALE_TESTS=1 additionally runs the opt-in
 #   scale-10 smoke tier (tests/scale.rs).
 # Usage: scripts/verify.sh [scale]   (default scale 0.05 for a quick run)
 set -eu
@@ -57,8 +59,8 @@ cargo test -q --workspace
 echo "==> cargo test --release (the SHA-extension block function, bulk snapshot decoders, cw CLI parser and malformed-flag table, optimised)"
 cargo test --release -q -p cw-netsim -p cw-honeypot -p cw-core -p cw-bench
 
-echo "==> cargo test --release tests/query.rs tests/plans.rs (the scan kernel's chunk loops in the profile the benchmark times)"
-cargo test --release -q -p cloud-watching --test query --test plans
+echo "==> cargo test --release tests/query.rs tests/plans.rs tests/snapshot.rs (the scan kernel's chunk loops, the streamed snapshot reader and its batch decoders, in the profile the benchmark times)"
+cargo test --release -q -p cloud-watching --test query --test plans --test snapshot
 
 echo "==> cargo build --release cwbench/ (the benchmark builds against this API)"
 cargo build --release --quiet --manifest-path cwbench/Cargo.toml --target-dir target/cwbench
@@ -267,6 +269,33 @@ grep -q "snapshot hit" "$work/swr/stderr.log" || {
     exit 1
 }
 echo "    sweep report byte-identical cold vs warm; interrupted sweep resumed from cache"
+
+echo "==> quarantine: a snapshot with one flipped payload byte is set aside and re-simulated"
+# A cold `cw table1` caches exactly the worlds table1 reads, so whichever
+# snapshot is damaged, the warm run below streams it, fails its digest,
+# quarantines it and re-simulates: same stdout, exit 0, a warning, and
+# the damaged file kept as <name>.cwsnap.corrupt.
+mkdir -p "$work/q0" "$work/q1/out"
+(cd "$work/q0" && "$cw" table1 --scale "$scale" >table1.txt 2>/dev/null)
+cp -r "$work/q0/out/.cache" "$work/q1/out/.cache"
+snapq=$(ls "$work/q1/out/.cache"/*.cwsnap | head -n 1)
+at=$(($(wc -c <"$snapq") / 2))
+byte=$(dd if="$snapq" bs=1 skip="$at" count=1 2>/dev/null | od -An -tu1 | tr -d ' ')
+printf "$(printf '\\%03o' $((byte ^ 1)))" |
+    dd of="$snapq" bs=1 seek="$at" count=1 conv=notrunc 2>/dev/null
+if cmp -s "$snapq" "$work/q0/out/.cache/${snapq##*/}"; then
+    echo "    the payload byte was not flipped" >&2
+    exit 1
+fi
+(cd "$work/q1" && "$cw" table1 --scale "$scale" >table1.txt 2>stderr.log)
+grep -q "quarantined corrupt snapshot" "$work/q1/stderr.log" || {
+    echo "    no quarantine warning for the damaged snapshot" >&2
+    exit 1
+}
+cmp "$work/q0/table1.txt" "$work/q1/table1.txt"
+[ -f "$snapq.corrupt" ] || { echo "    ${snapq##*/}.corrupt was not kept" >&2; exit 1; }
+cmp "$work/q0/out/.cache/${snapq##*/}" "$snapq"
+echo "    quarantined ${snapq##*/}: exit 0, warning, stdout unchanged, cache healed"
 
 echo "==> scale tier (opt-in): CW_SCALE_TESTS=1 runs the scale-10 smoke tests"
 if [ "${CW_SCALE_TESTS:-0}" = "1" ]; then

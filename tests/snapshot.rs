@@ -8,6 +8,10 @@
 //!   never loads, and a load through the cache quarantines the file and
 //!   re-simulates the same world; flipped bits in a bare payload handed
 //!   straight to the decoder give `Ok` or `Err`, never a panic.
+//! - Streaming: `load_from` reads the file as a stream and decodes before
+//!   the digest is checked, so damaged payloads sealed afresh (a valid
+//!   trailer) must load exactly as the in-memory decode of the same
+//!   bytes, or fail, and never panic.
 //!
 //! Random bits are drawn region by region (pick a section, then a bit
 //! inside it), so the small count and header fields are hit as often as
@@ -109,10 +113,10 @@ fn section_ends() -> &'static [usize] {
         ends.push(at(&r));
         Telescope::snap_read(&mut r).unwrap();
         ends.push(at(&r));
-        Interner::snap_read(&mut r).unwrap();
+        let interner = Interner::snap_read(&mut r).unwrap();
         let table_start = at(&r);
         ends.push(table_start);
-        let rows = EventTable::snap_read(&mut r).unwrap().len();
+        let rows = EventTable::snap_read(&mut r, &interner).unwrap().len();
         assert!(rows > 0, "the test world has events");
         let mut end = table_start + 8;
         ends.push(end);
@@ -125,7 +129,7 @@ fn section_ends() -> &'static [usize] {
             ends.push(at(&r) + 8);
             ends.push(at(&r) + 8 + rows);
             assert_eq!(r.get_count().unwrap(), rows);
-            assert_eq!(r.get_column::<1>(rows).unwrap().len(), rows);
+            assert_eq!(r.column(rows, |[tag]: [u8; 1]| tag).unwrap().len(), rows);
         }
         assert!(r.is_exhausted(), "the walk covers the whole payload");
         ends
@@ -185,6 +189,31 @@ fn decode_then_encode_is_byte_identical() {
     );
 }
 
+/// The bundle `SimBundle::snap_read` decodes from `payload` in memory,
+/// re-encoded, if it decodes whole and is [`config`]'s world: what a load
+/// of `payload` sealed must give.
+fn decoded_in_memory(payload: &[u8]) -> Option<Vec<u8>> {
+    let mut r = SnapReader::new(payload);
+    let bundle = SimBundle::snap_read(&mut r, &Deployment::standard()).ok()?;
+    (r.is_exhausted() && bundle.matches(&config())).then(|| encode(&bundle))
+}
+
+/// The bundle `load_from` streams out of `sealed` planted in a private
+/// directory, re-encoded.
+fn loaded(tag: &str, sealed: &[u8]) -> Option<Vec<u8>> {
+    let dir = private_dir(tag);
+    plant(&dir, sealed);
+    let bundle = load_from(&dir, &config(), &Deployment::standard());
+    let _ = std::fs::remove_dir_all(&dir);
+    bundle.as_ref().map(encode)
+}
+
+#[test]
+fn a_streamed_load_re_encodes_to_the_payload() {
+    let again = loaded("stream", sealed()).expect("the intact snapshot loads");
+    assert!(again == payload(), "re-encoded payload differs");
+}
+
 #[test]
 fn truncation_at_any_section_boundary_never_loads() {
     let dir = private_dir("truncate");
@@ -241,6 +270,29 @@ proptest! {
         }
         // Ok and Err are both fine; a panic fails the case.
         let _ = SimBundle::snap_read(&mut SnapReader::new(&damaged), &Deployment::standard());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Damage the digest cannot catch: flipped payload bits sealed afresh,
+    /// so the streamed decoders meet them before the trailer check passes.
+    #[test]
+    fn resealed_flipped_payload_bits_load_as_the_in_memory_decode(
+        picks in prop::collection::vec(any::<u64>(), 1..=4)
+    ) {
+        let regions = payload_regions();
+        let mut damaged = payload().to_vec();
+        for &pick in &picks {
+            flip(&mut damaged, &regions, pick);
+        }
+        // A panic fails the case; a load must be the in-memory decode.
+        let streamed = loaded(&format!("reseal-{}", picks[0]), &snap::seal(&damaged));
+        prop_assert!(
+            streamed == decoded_in_memory(&damaged),
+            "streamed and in-memory decodes differ"
+        );
     }
 }
 
