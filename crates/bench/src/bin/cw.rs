@@ -40,7 +40,7 @@
 //! sweep-resume contract is tested with: rerunning after the abort resumes
 //! from the snapshot cache without recomputing completed cells.
 
-use cw_bench::{check_scale, parse_from, parse_scale, threads, RunOptions, USAGE};
+use cw_bench::{check_scale, parse_from, parse_scale, threads, RunOptions, MAX_REPLICATES, USAGE};
 use cw_core::exhibit::{self, Exhibit, ExhibitCx, ExhibitOptions};
 use cw_core::fleet::{self, JobError};
 use cw_core::scenario::ScenarioConfig;
@@ -368,6 +368,9 @@ fn parse_sweep_args(raw: Vec<String>) -> (SweepGrid, RunOptions) {
             }
             "--replicates" => {
                 replicates = match value("--replicates").parse::<u64>() {
+                    Ok(n) if n > MAX_REPLICATES => grid_usage_exit(&format!(
+                        "--replicates must be at most {MAX_REPLICATES}, the most seeds a sweep runs"
+                    )),
                     Ok(n) if n >= 1 => Some(n),
                     _ => grid_usage_exit("--replicates expects an integer >= 1"),
                 };
@@ -400,14 +403,22 @@ fn parse_sweep_args(raw: Vec<String>) -> (SweepGrid, RunOptions) {
         years.unwrap_or_else(|| vec![opts.year.unwrap_or(ScenarioYear::Y2021)]),
         opts.seed,
     );
-    if let Some(n) = replicates {
-        grid.seeds = (0..n).map(|i| opts.seed.wrapping_add(i)).collect();
-    }
     if let Some(variants) = variants {
         grid.variants = variants;
     }
     if let Some(scales) = scales {
         grid.scales = scales;
+    }
+    // The grid's world count, checked before the seed list is allocated.
+    let seeds = replicates.unwrap_or(grid.seeds.len() as u64);
+    let worlds = [grid.years.len(), grid.variants.len(), grid.scales.len()]
+        .into_iter()
+        .try_fold(seeds, |n, axis| n.checked_mul(axis as u64));
+    if worlds.is_none() {
+        grid_usage_exit("the sweep grid names more worlds than a u64 counts");
+    }
+    if let Some(n) = replicates {
+        grid.seeds = (0..n).map(|i| opts.seed.wrapping_add(i)).collect();
     }
     for &mult in &grid.scales {
         check_scale("--scale × every --scales entry", opts.scale * mult);

@@ -88,6 +88,14 @@ sweep only: [--scales <csv of f64, default 1,10,100>] [--years <csv of years>] \
 /// has.
 pub const MAX_SCALE: f64 = 2048.0;
 
+/// The most replicates `cw sweep --replicates` accepts. Each one is one
+/// more world per (year, variant, scale) cell, built one after another: a
+/// scale-1 world takes 1.1–1.4 s on a 2-vCPU box and caches a ~52 MB
+/// snapshot, so 1,000 replicates at ×1 are already about 20 minutes and
+/// 52 GB, while a seed-noise calibration needs tens to hundreds. Unbounded,
+/// `--replicates 100000000000000000` aborted on an 800 PB allocation.
+pub const MAX_REPLICATES: u64 = 1_000;
+
 fn usage_exit(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!("{USAGE}");
@@ -294,7 +302,7 @@ mod tests {
                 seed: DEFAULT_SEED,
                 scale: 1.0,
             };
-            let drawn = cw_scanners::population::build(&config, &d).source_addrs;
+            let drawn = cw_scanners::population::build(&config, d).source_addrs;
             assert!(
                 f64::from(drawn) * MAX_SCALE <= f64::from(1u32 << 24),
                 "{year:?} draws {drawn} source addresses at scale 1"

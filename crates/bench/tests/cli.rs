@@ -3,7 +3,7 @@
 //! Plus the exit class of a panicking render and the dataset export's file
 //! names and time origin.
 
-use cw_bench::MAX_SCALE;
+use cw_bench::{MAX_REPLICATES, MAX_SCALE};
 use std::process::Command;
 
 /// One argument list per malformed input. `--scale 0.001` rides along
@@ -30,6 +30,13 @@ const CASES: &[&[&str]] = &[
     &["sweep", "--scale", "0.001", "--scales", "1,,2"],
     &["sweep", "--scale", "0.001", "--scales", "inf"],
     &["sweep", "--scale", "0.001", "--replicates", "0"],
+    &[
+        "sweep",
+        "--scale",
+        "0.001",
+        "--replicates",
+        "100000000000000000",
+    ],
     &["sweep", "--scale", "0.001", "--variants", "bogus"],
     &["sweep", "--scale", "0.001", "--years", "2019"],
     &["sweep", "--scale", "10", "--scales", "1,1e300"],
@@ -63,6 +70,14 @@ fn malformed_flags_exit_2_with_an_error_line_and_no_panic() {
             error.is_some(),
             "cw {case:?} printed no error line; stderr:\n{stderr}"
         );
+        if let [.., "--replicates", n] = case {
+            if n.parse::<u64>().is_ok_and(|n| n > MAX_REPLICATES) {
+                assert!(
+                    error.is_some_and(|l| l.contains(&MAX_REPLICATES.to_string())),
+                    "cw {case:?} must name the bound {MAX_REPLICATES}; stderr:\n{stderr}"
+                );
+            }
+        }
         if over_the_ceiling(case) {
             assert!(
                 error.is_some_and(|l| l.contains(&MAX_SCALE.to_string())),

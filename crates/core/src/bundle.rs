@@ -9,11 +9,10 @@
 //! same (year, seed), and round-trip through the snapshot cache
 //! ([`crate::snapshot`]).
 //!
-//! What a bundle does *not* carry is the [`Deployment`]: it holds `Rc`
-//! honeypot handles, and `Deployment::standard()` is a cheap deterministic
-//! pure function (a few milliseconds against a multi-second simulation), so
-//! consumers rebuild it at the use site instead of shipping it across
-//! threads or to disk.
+//! What a bundle does *not* carry is the [`Deployment`]: the Table 1
+//! layout is the same for every world, so it is built once per process and
+//! every consumer reads that one instance ([`Deployment::standard`])
+//! instead of shipping a copy across threads or to disk.
 
 use crate::dataset::Dataset;
 use crate::scenario::{Scenario, ScenarioConfig};
@@ -54,8 +53,8 @@ impl Scenario {
     /// Extract the `Send + Sync` analysis subset of a completed run.
     ///
     /// The telescope is moved out of its shared cell, not cloned: the
-    /// deployment holds its only other handle (the engine that routed to
-    /// it is gone), so the deployment is dropped first. A caller that kept
+    /// world's instruments hold its only other handle (the engine that
+    /// routed to it is gone), so they are dropped first. A caller that kept
     /// a handle of its own gets a copy instead. The telescope then sheds
     /// its collection-only state ([`Telescope::into_analysis`]), so a cold
     /// bundle holds exactly what one restored from its snapshot holds. The
@@ -63,7 +62,7 @@ impl Scenario {
     /// search-engine indexes are folded to their sizes (the only thing any
     /// exhibit reads from them).
     pub fn into_bundle(self) -> SimBundle {
-        drop(self.deployment);
+        drop(self.instruments);
         let telescope = Rc::try_unwrap(self.telescope)
             .map_or_else(|shared| shared.borrow().clone(), RefCell::into_inner)
             .into_analysis();
@@ -126,11 +125,11 @@ impl SimBundle {
         self.dataset.snap_write(w);
     }
 
-    /// Decode a bundle from a snapshot payload. `deployment` rebuilds the
-    /// dataset's derived indexes (see [`Dataset::snap_read`]).
+    /// Decode a bundle from a snapshot payload. The second argument is
+    /// ignored, kept for cwbench's calls until the next benchmark PR.
     pub fn snap_read(
         r: &mut SnapReader<'_>,
-        deployment: &Deployment,
+        _deployment: &Deployment,
     ) -> Result<SimBundle, SnapError> {
         let year = match r.get_u8()? {
             0 => ScenarioYear::Y2020,
@@ -156,7 +155,7 @@ impl SimBundle {
         let shodan_indexed = r.get_u64()?;
         let reputation = ReputationDb::snap_read(r)?;
         let telescope = Telescope::snap_read(r)?;
-        let dataset = Dataset::snap_read(r, deployment)?;
+        let dataset = Dataset::snap_read(r)?;
         Ok(SimBundle {
             config,
             dataset,
@@ -196,9 +195,8 @@ mod tests {
         let mut w = SnapWriter::new();
         bundle.snap_write(&mut w);
         let bytes = w.into_bytes();
-        let deployment = Deployment::standard();
         let mut r = SnapReader::new(&bytes);
-        let back = SimBundle::snap_read(&mut r, &deployment).unwrap();
+        let back = SimBundle::snap_read(&mut r, Deployment::standard()).unwrap();
         assert!(r.is_exhausted());
         assert!(back.matches(&config));
         assert_eq!(back.stats, bundle.stats);
@@ -217,9 +215,8 @@ mod tests {
         let mut w = SnapWriter::new();
         w.put_u8(9);
         let bytes = w.into_bytes();
-        let deployment = Deployment::standard();
         assert!(matches!(
-            SimBundle::snap_read(&mut SnapReader::new(&bytes), &deployment),
+            SimBundle::snap_read(&mut SnapReader::new(&bytes), Deployment::standard()),
             Err(SnapError::Malformed(_))
         ));
     }

@@ -1,15 +1,15 @@
 //! The queryable event store behind every analysis.
 //!
 //! A [`Dataset`] flattens all honeypot captures into one columnar
-//! [`EventTable`], attaches vantage metadata, pre-classifies every event
-//! with the vetted ruleset (§3.2), and exposes the §3.3 traffic slices.
+//! [`EventTable`], pre-classifies every event with the vetted ruleset
+//! (§3.2), indexes it by destination, and exposes the §3.3 traffic slices.
 //! It also writes the released dataset as CSV/JSONL/pcap. Analyses scan
 //! it through the typed plans of [`crate::query`].
 //!
 //! # Interned, memoized classification
 //!
 //! Events carry [`PayloadId`]/[`cw_netsim::intern::CredId`] handles instead of bytes. Every
-//! listener of a deployment records into one shared [`Interner`], and the
+//! listener of a world records into one shared [`Interner`], and the
 //! dataset takes that interner over whole once the captures are complete,
 //! so the ids a capture recorded are the dataset's ids. The build appends
 //! the capture tables in capture order and classifies + LZR-fingerprints
@@ -21,7 +21,6 @@
 use crate::query::IdHash;
 use cw_detection::{is_malicious_payload, RuleSet, Verdict};
 use cw_honeypot::capture::{Capture, EventTable, Observed, ScanEvent};
-use cw_honeypot::deployment::{Deployment, VantagePoint};
 use cw_netsim::flow::LoginService;
 use cw_netsim::intern::{Interner, PayloadId};
 use cw_netsim::snap::{SnapError, SnapReader, SnapWriter};
@@ -137,7 +136,6 @@ pub struct Dataset {
     verdicts: Vec<Verdict>,
     fingerprints: Vec<Option<ProtocolId>>,
     interner: Interner,
-    vantage_by_ip: BTreeMap<Ipv4Addr, VantagePoint>,
     by_dst: DstIndex,
     /// One lazily filled §3.3 category label per interned payload (see
     /// [`Dataset::payload_label`]). Derived, so no snapshot holds it.
@@ -234,18 +232,9 @@ impl DstIndex {
     }
 }
 
-/// The deployment's vantage metadata, keyed by address.
-fn index_vantages(deployment: &Deployment) -> BTreeMap<Ipv4Addr, VantagePoint> {
-    deployment
-        .vantages
-        .iter()
-        .map(|v| (v.ip, v.clone()))
-        .collect()
-}
-
 impl Dataset {
-    /// Build from complete captures (in order) and the deployment's
-    /// vantage metadata, copying their tables and their interner.
+    /// Build from complete captures (in order), copying their tables and
+    /// their interner.
     ///
     /// A scenario run moves its captures' tables and interner into the
     /// same build instead of copying them; this wrapper is for tests and
@@ -254,7 +243,7 @@ impl Dataset {
     /// # Panics
     /// Panics if the captures record into different interners: their ids
     /// would mean different values in one table.
-    pub fn from_captures(captures: &[&Capture], deployment: &Deployment) -> Self {
+    pub fn from_captures(captures: &[&Capture]) -> Self {
         let interner = match captures.first() {
             Some(first) => {
                 let shared = first.interner();
@@ -268,18 +257,14 @@ impl Dataset {
             None => Interner::new(),
         };
         let tables = captures.iter().map(|c| c.table().clone()).collect();
-        Dataset::assemble(tables, interner, deployment)
+        Dataset::assemble(tables, interner)
     }
 
     /// The one dataset build: append `tables` in order, classify every row
     /// through the per-distinct memo, and index the rows by destination.
     /// Every id in `tables` must resolve against `interner`, which the
     /// dataset keeps as its own.
-    pub(crate) fn assemble(
-        tables: Vec<EventTable>,
-        interner: Interner,
-        deployment: &Deployment,
-    ) -> Dataset {
+    pub(crate) fn assemble(tables: Vec<EventTable>, interner: Interner) -> Dataset {
         let total = tables.iter().map(EventTable::len).sum();
         let mut table = EventTable::with_capacity(total);
         for mut t in tables {
@@ -302,7 +287,6 @@ impl Dataset {
             verdicts,
             fingerprints,
             interner,
-            vantage_by_ip: index_vantages(deployment),
         }
     }
 
@@ -369,17 +353,12 @@ impl Dataset {
         (0..self.len()).map(move |i| self.event(i))
     }
 
-    /// Vantage metadata for an observed IP.
-    pub fn vantage(&self, ip: Ipv4Addr) -> Option<&VantagePoint> {
-        self.vantage_by_ip.get(&ip)
-    }
-
     /// Encode the dataset into a snapshot payload: the interner, the
-    /// columnar table, and both classification columns. The derived
-    /// indexes (`vantage_by_ip`, `by_dst`) are *not* written — they are
-    /// pure functions of the table and the deployment, so
-    /// [`Dataset::snap_read`] rebuilds them instead of trusting the disk —
-    /// and neither are the payload labels, which fill on first use.
+    /// columnar table, and both classification columns. The destination
+    /// index (`by_dst`) is *not* written — it is a pure function of the
+    /// table, so [`Dataset::snap_read`] rebuilds it instead of trusting
+    /// the disk — and neither are the payload labels, which fill on first
+    /// use.
     pub fn snap_write(&self, w: &mut SnapWriter) {
         self.interner.snap_write(w);
         self.table.snap_write(w);
@@ -404,18 +383,14 @@ impl Dataset {
         }
     }
 
-    /// Decode a dataset from a snapshot payload, rebuilding the derived
-    /// indexes from `deployment` (which must be the deployment the dataset
-    /// was captured on — always [`Deployment::standard`] here).
+    /// Decode a dataset from a snapshot payload, rebuilding the
+    /// destination index from the decoded table.
     ///
     /// Beyond the container hash, this validates that every interned id in
     /// the table resolves inside the decoded interner (the event table
     /// checks each id as it decodes it), so a logically inconsistent
     /// snapshot is rejected rather than panicking later.
-    pub fn snap_read(
-        r: &mut SnapReader<'_>,
-        deployment: &Deployment,
-    ) -> Result<Dataset, SnapError> {
+    pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Dataset, SnapError> {
         let interner = Interner::snap_read(r)?;
         let table = EventTable::snap_read(r, &interner)?;
         if u32::try_from(table.len()).is_err() {
@@ -456,7 +431,6 @@ impl Dataset {
             verdicts,
             fingerprints,
             interner,
-            vantage_by_ip: index_vantages(deployment),
         })
     }
 
@@ -729,8 +703,7 @@ mod tests {
         }
 
         fn build(self) -> Dataset {
-            let deployment = Deployment::standard();
-            Dataset::from_captures(&[&self.cap], &deployment)
+            Dataset::from_captures(&[&self.cap])
         }
     }
 
@@ -857,7 +830,7 @@ mod tests {
         a.push(80, Raw::Payload(b"AAAA".to_vec()));
         let mut b = Builder::new();
         b.push(80, Raw::Payload(b"BBBB".to_vec()));
-        Dataset::from_captures(&[&a.cap, &b.cap], &Deployment::standard());
+        Dataset::from_captures(&[&a.cap, &b.cap]);
     }
 
     #[test]
@@ -872,7 +845,7 @@ mod tests {
         };
         b.push(22, Raw::Syn);
         b.push(8080, Raw::Payload(b"GET / HTTP/1.1\r\n\r\n".to_vec()));
-        let ds = Dataset::from_captures(&[&a.cap, &b.cap], &Deployment::standard());
+        let ds = Dataset::from_captures(&[&a.cap, &b.cap]);
         // Capture order, then recording order; ids pass through untouched.
         let ports: Vec<u16> = ds.events().map(|e| e.event.dst_port).collect();
         assert_eq!(ports, vec![80, 22, 8080]);
@@ -897,9 +870,8 @@ mod tests {
         let mut w = cw_netsim::snap::SnapWriter::new();
         ds.snap_write(&mut w);
         let bytes = w.into_bytes();
-        let deployment = Deployment::standard();
         let mut r = cw_netsim::snap::SnapReader::new(&bytes);
-        let back = Dataset::snap_read(&mut r, &deployment).unwrap();
+        let back = Dataset::snap_read(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(back.len(), ds.len());
         for (a, b) in ds.events().zip(back.events()) {
@@ -909,10 +881,9 @@ mod tests {
             assert_eq!(a.payload_bytes(), b.payload_bytes());
             assert_eq!(a.username(), b.username());
         }
-        // Derived indexes are rebuilt, not deserialized.
+        // The destination index is rebuilt, not deserialized.
         let ip = Ipv4Addr::new(20, 10, 0, 0);
         assert_eq!(back.dst_index(ip), ds.dst_index(ip));
-        assert!(back.vantage(ip).is_some());
     }
 
     #[test]
@@ -936,8 +907,7 @@ mod tests {
         w.put_u64(1);
         w.put_u8(0xFF);
         let bytes = w.into_bytes();
-        let deployment = Deployment::standard();
-        let err = Dataset::snap_read(&mut cw_netsim::snap::SnapReader::new(&bytes), &deployment);
+        let err = Dataset::snap_read(&mut cw_netsim::snap::SnapReader::new(&bytes));
         assert!(matches!(err, Err(SnapError::Malformed(_))));
     }
 
@@ -966,13 +936,5 @@ mod tests {
         assert_eq!(ds.by_dst.rows.len(), ds.len());
         assert_eq!(ds.by_dst.rows.capacity(), ds.len(), "exact-size row array");
         assert!(ds.dst_index(Ipv4Addr::new(9, 9, 9, 9)).is_none());
-    }
-
-    #[test]
-    fn vantage_lookup() {
-        let ds = Builder::new().build();
-        let v = ds.vantage(Ipv4Addr::new(20, 10, 0, 0)).unwrap();
-        assert!(v.id.starts_with("greynoise/aws/"));
-        assert!(ds.vantage(Ipv4Addr::new(9, 9, 9, 9)).is_none());
     }
 }

@@ -144,13 +144,13 @@ pub fn evaluate_plans(deployment: &Deployment) -> Vec<Plan> {
 /// every finding reads it without a further pass.
 pub fn evaluate(bundle: &SimBundle, leak: &LeakOutcome, threads: usize) -> Vec<FindingEval> {
     let deployment = Deployment::standard();
-    let plans = evaluate_plans(&deployment);
+    let plans = evaluate_plans(deployment);
     let store = PlanStore::build_sets(&[(&bundle.dataset, &plans)], threads)
         .pop()
         .expect("one set in, one store out");
     findings(
         &ScanExec::with_store(&bundle.dataset, &store),
-        &deployment,
+        deployment,
         bundle,
         leak,
     )
@@ -278,26 +278,24 @@ mod tests {
     use super::*;
     use crate::leak::LeakConfig;
     use crate::query::thread_passes;
-    use cw_netsim::time::SimDuration;
     use cw_scanners::population::ScenarioYear;
 
     #[test]
     fn evaluate_reads_only_its_declared_store_at_any_thread_count() {
         let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.02);
         let bundle = SimBundle::run(base);
-        let leak = crate::leak::run(&LeakConfig {
-            seed: base.seed ^ LEAK_SEED_XOR,
-            scale: base.scale,
-            horizon: SimDuration::WEEK,
-            fault: FaultPlan::none(),
-        });
+        let leak = crate::leak::run(&LeakConfig::beside(
+            base.seed,
+            base.scale,
+            FaultPlan::none(),
+        ));
         let d = Deployment::standard();
-        let store = PlanStore::build(&bundle.dataset, &evaluate_plans(&d));
+        let store = PlanStore::build(&bundle.dataset, &evaluate_plans(d));
         let exec = ScanExec::with_store(&bundle.dataset, &store);
         // Passes of this thread: a store miss runs here, while other
         // tests' passes move the process-wide counters.
         let before = thread_passes();
-        let evals = findings(&exec, &d, &bundle, &leak);
+        let evals = findings(&exec, d, &bundle, &leak);
         assert_eq!(
             thread_passes(),
             before,

@@ -59,7 +59,7 @@ impl Exhibit for AblationMedian {
     fn plans(&self) -> Vec<PlanRequest> {
         PlanRequest::all_for(
             NEEDS[0],
-            linode_regions(&Deployment::standard())
+            linode_regions(Deployment::standard())
                 .iter()
                 .flat_map(|(_, ips)| ips.iter().copied())
                 .map(|ip| char_plan(ip, TrafficSlice::SshPort22, CharKind::TopAs))
@@ -76,7 +76,7 @@ impl Exhibit for AblationMedian {
         ));
 
         // Group Linode honeypots per region.
-        let regions = linode_regions(&d);
+        let regions = linode_regions(d);
         let exec = cx.exec(NEEDS[0]);
         let rep = |ips: &[Ipv4Addr], use_median: bool| -> BTreeMap<String, u64> {
             let per: Vec<BTreeMap<String, u64>> = ips
@@ -174,7 +174,7 @@ impl Exhibit for AblationTopk {
     fn plans(&self) -> Vec<PlanRequest> {
         PlanRequest::all_for(
             NEEDS[0],
-            neighborhoods(&Deployment::standard())
+            neighborhoods(Deployment::standard())
                 .iter()
                 .flat_map(|(_, ips)| ips.iter().copied())
                 .map(|ip| char_plan(ip, TrafficSlice::SshPort22, CharKind::TopAs))
@@ -191,7 +191,7 @@ impl Exhibit for AblationTopk {
              significant fraction to drift as k grows",
         ));
 
-        let hoods = neighborhoods(&d);
+        let hoods = neighborhoods(d);
         let exec = cx.exec(NEEDS[0]);
         let mut t = TextTable::new(&[
             "k",
@@ -281,7 +281,7 @@ impl Exhibit for AblationBonferroni {
         let d = Deployment::standard();
         let mut plans = Vec::new();
         for &(slice, kind) in BONFERRONI_CELLS {
-            for (_name, ips) in &neighborhoods(&d) {
+            for (_name, ips) in &neighborhoods(d) {
                 plans.extend(ips.iter().map(|&ip| char_plan(ip, slice, kind)));
             }
         }
@@ -296,7 +296,7 @@ impl Exhibit for AblationBonferroni {
              vantage-point comparisons (often shrinking p-value thresholds by orders of magnitude)",
         ));
 
-        let hoods = neighborhoods(&d);
+        let hoods = neighborhoods(d);
         let exec = cx.exec(NEEDS[0]);
         let cells: &[(TrafficSlice, CharKind)] = BONFERRONI_CELLS;
         let mut t = TextTable::new(&[

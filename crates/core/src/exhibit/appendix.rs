@@ -253,7 +253,7 @@ impl Exhibit for TemporalStability {
         let d = Deployment::standard();
         self.needs()
             .iter()
-            .flat_map(|&need| PlanRequest::all_for(need, crate::overlap::table8_and_9_plans(&d)))
+            .flat_map(|&need| PlanRequest::all_for(need, crate::overlap::table8_and_9_plans(d)))
             .collect()
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
@@ -266,7 +266,7 @@ impl Exhibit for TemporalStability {
              the biggest differences lie in one-off anomalous events",
         ));
         let r = stability(
-            &d,
+            d,
             YearView {
                 year: a.config.year.year(),
                 exec: cx.exec(self.needs()[0]),

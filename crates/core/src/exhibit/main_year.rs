@@ -107,7 +107,7 @@ impl Exhibit for Table1 {
         let d = Deployment::standard();
         PlanRequest::all_for(
             NEEDS[0],
-            table1_fleets(&d)
+            table1_fleets(d)
                 .iter()
                 .map(|f| Plan::at(&f.ips).unique_src_and_asn())
                 .collect(),
@@ -134,7 +134,7 @@ impl Exhibit for Table1 {
         ]);
 
         let exec = cx.exec(NEEDS[0]);
-        for f in table1_fleets(&d) {
+        for f in table1_fleets(d) {
             // One plan per fleet row: dst pushdown, two distinct-counts
             // in a single pass (prefetched when the driver planned it).
             let (srcs, asns) = exec
@@ -171,7 +171,7 @@ pub struct Table2;
 pub(super) fn table2_requests(need: Need) -> Vec<PlanRequest> {
     PlanRequest::all_for(
         need,
-        crate::neighborhood::table2_plans(&Deployment::standard()),
+        crate::neighborhood::table2_plans(Deployment::standard()),
     )
 }
 
@@ -235,10 +235,7 @@ pub struct Table4;
 
 /// The Table 4 grid's plans on `need`'s world (Table 16's too).
 pub(super) fn table4_requests(need: Need) -> Vec<PlanRequest> {
-    PlanRequest::all_for(
-        need,
-        crate::geography::table4_plans(&Deployment::standard()),
-    )
+    PlanRequest::all_for(need, crate::geography::table4_plans(Deployment::standard()))
 }
 
 /// The Table 4 render on `need`'s world under its own header and paper
@@ -343,7 +340,7 @@ pub(super) fn table5_requests(need: Need) -> Vec<PlanRequest> {
         need,
         TABLE5_CELLS
             .iter()
-            .flat_map(|&(slice, kind)| crate::geography::table5_plans(&d, slice, kind))
+            .flat_map(|&(slice, kind)| crate::geography::table5_plans(d, slice, kind))
             .collect(),
     )
 }
@@ -364,7 +361,7 @@ pub(super) fn table5_render(
     let mut t = TextTable::new(&["Slice", "Characteristic", "US", "EU", "APAC", "Intercont."]);
     let exec = cx.exec(need);
     for &(slice, kind) in TABLE5_CELLS {
-        let cells = crate::geography::table5(&exec, &d, slice, kind);
+        let cells = crate::geography::table5(&exec, d, slice, kind);
         let find = |b: RegionPairKind| {
             cells
                 .iter()
@@ -505,7 +502,7 @@ pub(super) fn table7_requests(columns: [NetworkColumn; 3]) -> Vec<PlanRequest> {
         .flat_map(|(_, need, family)| {
             let plans = TABLE7_GRID
                 .iter()
-                .flat_map(|&(kind, slice)| family.plans(&d, slice, kind))
+                .flat_map(|&(kind, slice)| family.plans(d, slice, kind))
                 .collect();
             PlanRequest::all_for(need, plans)
         })
@@ -534,7 +531,7 @@ pub(super) fn table7_render(
     for &(kind, slice) in TABLE7_GRID {
         let mut row = vec![kind.label().to_string(), slice.label().to_string()];
         for (exec, family) in &execs {
-            row.extend(network_cell_str(&family.cell(exec, &d, slice, kind)));
+            row.extend(network_cell_str(&family.cell(exec, d, slice, kind)));
         }
         t.row(row);
     }
@@ -587,7 +584,7 @@ impl Exhibit for Table8 {
     fn plans(&self) -> Vec<PlanRequest> {
         PlanRequest::all_for(
             NEEDS[0],
-            crate::overlap::table8_and_9_plans(&Deployment::standard()),
+            crate::overlap::table8_and_9_plans(Deployment::standard()),
         )
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
@@ -636,7 +633,7 @@ impl Exhibit for Table9 {
     fn plans(&self) -> Vec<PlanRequest> {
         PlanRequest::all_for(
             NEEDS[0],
-            crate::overlap::table8_and_9_plans(&Deployment::standard()),
+            crate::overlap::table8_and_9_plans(Deployment::standard()),
         )
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
@@ -687,7 +684,7 @@ pub(super) fn table10_requests(need: Need, cloud_fleets: &[&str]) -> Vec<PlanReq
     let fleets: Vec<&str> = EDU_FLEETS.iter().chain(cloud_fleets).copied().collect();
     let mut plans = Vec::new();
     for slice in TABLE10_SLICES {
-        plans.extend(fleets.iter().map(|f| telescope_vs_fleet_plan(&d, f, slice)));
+        plans.extend(fleets.iter().map(|f| telescope_vs_fleet_plan(d, f, slice)));
     }
     PlanRequest::all_for(need, plans)
 }
@@ -717,7 +714,7 @@ pub(super) fn table10_render(
             let mut phis = Vec::new();
             for f in fleets {
                 if let Some(cmp) =
-                    telescope_vs_fleet(&exec, &d, &s.telescope, f, slice, 0.05, fleets.len())
+                    telescope_vs_fleet(&exec, d, &s.telescope, f, slice, 0.05, fleets.len())
                 {
                     n += 1;
                     if cmp.significant {
@@ -789,7 +786,7 @@ pub(super) fn breakdown_requests(need: Need) -> Vec<PlanRequest> {
         need,
         BreakdownPort::BOTH
             .into_iter()
-            .flat_map(|port| crate::ports::protocol_breakdown_plans(&d, port.number()))
+            .flat_map(|port| crate::ports::protocol_breakdown_plans(d, port.number()))
             .collect(),
     )
 }
@@ -867,7 +864,7 @@ impl Exhibit for Section3_2 {
     fn plans(&self) -> Vec<PlanRequest> {
         PlanRequest::all_for(
             NEEDS[0],
-            crate::ports::composition_stats_plans(&Deployment::standard()),
+            crate::ports::composition_stats_plans(Deployment::standard()),
         )
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
@@ -995,15 +992,15 @@ impl Exhibit for Recommendations {
         // its Table 5 cell; they dedupe against the other exhibits'
         // requests (the cell's plans against Table 2's).
         let d = Deployment::standard();
-        let mut plans = crate::neighborhood::table2_plans(&d);
-        plans.extend(crate::geography::table4_plans(&d));
+        let mut plans = crate::neighborhood::table2_plans(d);
+        plans.extend(crate::geography::table4_plans(d));
         plans.extend(crate::geography::table5_plans(
-            &d,
+            d,
             TrafficSlice::TelnetPort23,
             CharKind::TopUsername,
         ));
-        plans.extend(crate::overlap::table8_and_9_plans(&d));
-        plans.extend(crate::ports::protocol_breakdown_plans(&d, 80));
+        plans.extend(crate::overlap::table8_and_9_plans(d));
+        plans.extend(crate::ports::protocol_breakdown_plans(d, 80));
         PlanRequest::all_for(NEEDS[0], plans)
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
@@ -1019,7 +1016,7 @@ impl Exhibit for Recommendations {
             breakdown80: &cx.breakdown(NEEDS[0], BreakdownPort::P80).0,
         };
         let exec = cx.exec(NEEDS[0]);
-        for r in crate::recommendations::evaluate(&exec, &d, &s.telescope, indexed, &products) {
+        for r in crate::recommendations::evaluate(&exec, d, &s.telescope, indexed, &products) {
             out.push_str(&format!(
                 "{} {}\n    {}\n\n",
                 if r.supported { "✔" } else { "✘" },

@@ -21,7 +21,7 @@ pub mod special;
 use crate::bundle::SimBundle;
 use crate::dataset::Dataset;
 use crate::fleet;
-use crate::leak::{LeakConfig, LeakOutcome, LEAK_SEED_XOR};
+use crate::leak::{LeakConfig, LeakOutcome};
 use crate::neighborhood::NeighborhoodRow;
 use crate::overlap::{MaliciousOverlapRow, OverlapRow};
 use crate::ports::{CompositionStats, ProtocolBreakdownRow, UnexpectedShare};
@@ -270,14 +270,14 @@ impl<'a> ExhibitCx<'a> {
     pub fn table2_rows(&self, need: Need) -> &[NeighborhoodRow] {
         let (_, m) = self.memo(need);
         m.table2
-            .get_or_init(|| crate::neighborhood::table2(&self.exec(need), &Deployment::standard()))
+            .get_or_init(|| crate::neighborhood::table2(&self.exec(need), Deployment::standard()))
     }
 
     /// `need`'s Table 4 geography grid (computed once per bundle).
     pub fn table4_rows(&self, need: Need) -> &[crate::geography::MostDifferentRegion] {
         let (_, m) = self.memo(need);
         m.table4
-            .get_or_init(|| crate::geography::table4(&self.exec(need), &Deployment::standard()))
+            .get_or_init(|| crate::geography::table4(&self.exec(need), Deployment::standard()))
     }
 
     /// `need`'s Tables 8 *and* 9, computed together once per bundle: both
@@ -287,7 +287,7 @@ impl<'a> ExhibitCx<'a> {
     fn overlap_rows(&self, need: Need) -> &(Vec<OverlapRow>, Vec<MaliciousOverlapRow>) {
         let (s, m) = self.memo(need);
         m.overlap.get_or_init(|| {
-            crate::overlap::table8_and_9(&self.exec(need), &Deployment::standard(), &s.telescope)
+            crate::overlap::table8_and_9(&self.exec(need), Deployment::standard(), &s.telescope)
         })
     }
 
@@ -316,7 +316,7 @@ impl<'a> ExhibitCx<'a> {
         cell.get_or_init(|| {
             crate::ports::protocol_breakdown(
                 &self.exec(need),
-                &Deployment::standard(),
+                Deployment::standard(),
                 &s.reputation,
                 port.number(),
             )
@@ -327,7 +327,7 @@ impl<'a> ExhibitCx<'a> {
     pub fn composition(&self, need: Need) -> CompositionStats {
         let (_, m) = self.memo(need);
         *m.composition.get_or_init(|| {
-            crate::ports::composition_stats(&self.exec(need), &Deployment::standard())
+            crate::ports::composition_stats(&self.exec(need), Deployment::standard())
         })
     }
 
@@ -342,12 +342,11 @@ impl<'a> ExhibitCx<'a> {
                 self.opts.scale, self.opts.seed
             );
             let started = std::time::Instant::now();
-            let outcome = crate::leak::run(&LeakConfig {
-                seed: self.opts.seed ^ LEAK_SEED_XOR,
-                scale: self.opts.scale,
-                horizon: cw_netsim::time::SimDuration::WEEK,
-                fault: self.opts.fault,
-            });
+            let outcome = crate::leak::run(&LeakConfig::beside(
+                self.opts.seed,
+                self.opts.scale,
+                self.opts.fault,
+            ));
             eprintln!("[cw] leak experiment complete in {:.1?}", started.elapsed());
             outcome
         })

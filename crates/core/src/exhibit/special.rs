@@ -153,23 +153,23 @@ impl Exhibit for All {
         // The main-year sections consume Tables 2, 4, 8/9, 11 (both ports), and
         // the §3.2 composition; each appendix snapshot re-reads Table 2 and
         // the port-80 breakdown on its own year.
-        let mut main = crate::neighborhood::table2_plans(&d);
-        main.extend(crate::geography::table4_plans(&d));
-        main.extend(crate::overlap::table8_and_9_plans(&d));
-        main.extend(crate::ports::protocol_breakdown_plans(&d, 80));
-        main.extend(crate::ports::protocol_breakdown_plans(&d, 8080));
-        main.extend(crate::ports::composition_stats_plans(&d));
+        let mut main = crate::neighborhood::table2_plans(d);
+        main.extend(crate::geography::table4_plans(d));
+        main.extend(crate::overlap::table8_and_9_plans(d));
+        main.extend(crate::ports::protocol_breakdown_plans(d, 80));
+        main.extend(crate::ports::protocol_breakdown_plans(d, 8080));
+        main.extend(crate::ports::composition_stats_plans(d));
         let mut reqs = PlanRequest::all_for(self.needs()[0], main);
         for &need in &self.needs()[1..] {
-            let mut side = crate::neighborhood::table2_plans(&d);
-            side.extend(crate::ports::protocol_breakdown_plans(&d, 80));
+            let mut side = crate::neighborhood::table2_plans(d);
+            side.extend(crate::ports::protocol_breakdown_plans(d, 80));
             reqs.extend(PlanRequest::all_for(need, side));
         }
         reqs
     }
     fn run(&self, cx: &ExhibitCx<'_>) -> String {
         let d = Deployment::standard();
-        let mut sections = render_main_year(cx, self.needs()[0], &d);
+        let mut sections = render_main_year(cx, self.needs()[0], d);
         let mut out = sections.remove(0); // Table 2
         out.push_str(&render_leak_section(cx)); // Table 3
         for s in sections {

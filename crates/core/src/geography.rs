@@ -317,8 +317,8 @@ mod tests {
     #[test]
     fn table4_has_full_grid() {
         let s = scenario();
-        let store = PlanStore::build(&s.dataset, &table4_plans(&s.deployment));
-        let rows = table4(&ScanExec::with_store(&s.dataset, &store), &s.deployment);
+        let store = PlanStore::build(&s.dataset, &table4_plans(s.deployment));
+        let rows = table4(&ScanExec::with_store(&s.dataset, &store), s.deployment);
         assert_eq!(rows.len(), 12 * 3);
         // Every cell with a region also carries a φ.
         for r in &rows {
@@ -330,9 +330,9 @@ mod tests {
     fn table5_buckets_cover_the_paper_grouping() {
         let s = scenario();
         let (slice, kind) = (TrafficSlice::SshPort22, CharKind::TopAs);
-        let store = PlanStore::build(&s.dataset, &table5_plans(&s.deployment, slice, kind));
+        let store = PlanStore::build(&s.dataset, &table5_plans(s.deployment, slice, kind));
         let exec = ScanExec::with_store(&s.dataset, &store);
-        let cells = table5(&exec, &s.deployment, slice, kind);
+        let cells = table5(&exec, s.deployment, slice, kind);
         let buckets: Vec<RegionPairKind> = cells.iter().map(|c| c.bucket).collect();
         assert!(buckets.contains(&RegionPairKind::WithinUs));
         assert!(buckets.contains(&RegionPairKind::WithinApac));
@@ -348,7 +348,7 @@ mod tests {
         // The Linode AP-SG region hosts the Axtel flood on one honeypot:
         // the median representative must not contain Axtel's AS volume at
         // flood scale.
-        let regions = provider_region_ips(&s.deployment, Provider::Linode, TrafficSlice::SshPort22);
+        let regions = provider_region_ips(s.deployment, Provider::Linode, TrafficSlice::SshPort22);
         let sg = regions.iter().find(|(r, _)| r.code == "AP-SG").unwrap();
         let (slice, kind) = (TrafficSlice::SshPort22, CharKind::TopAs);
         let plans = region_freq_plans(&sg.1, slice, kind);

@@ -21,7 +21,7 @@ use cw_honeypot::capture::{Capture, Observed};
 use cw_honeypot::deployment::Deployment;
 use cw_honeypot::framework::{HoneypotListener, ListenerFaults, Persona, PortPolicy};
 use cw_netsim::engine::Engine;
-use cw_netsim::fault::{domain_salt, FaultDomain, FaultPlan, OutageSchedule};
+use cw_netsim::fault::{domain_salt, FaultDomain, FaultPlan};
 use cw_netsim::flow::LoginService;
 use cw_netsim::rng::SimRng;
 use cw_netsim::time::{SimDuration, SimTime};
@@ -150,14 +150,23 @@ pub struct LeakConfig {
     pub fault: FaultPlan,
 }
 
+impl LeakConfig {
+    /// The leak world a driver runs beside the year world seeded `seed`:
+    /// seeded `seed ^ LEAK_SEED_XOR`, over one week, at `scale` and under
+    /// `fault`.
+    pub(crate) fn beside(seed: u64, scale: f64, fault: FaultPlan) -> Self {
+        LeakConfig {
+            seed: seed ^ LEAK_SEED_XOR,
+            scale,
+            horizon: SimDuration::WEEK,
+            fault,
+        }
+    }
+}
+
 impl Default for LeakConfig {
     fn default() -> Self {
-        LeakConfig {
-            seed: crate::scenario::DEFAULT_SEED ^ LEAK_SEED_XOR,
-            scale: 1.0,
-            horizon: SimDuration::WEEK,
-            fault: FaultPlan::none(),
-        }
+        LeakConfig::beside(crate::scenario::DEFAULT_SEED, 1.0, FaultPlan::none())
     }
 }
 
@@ -177,12 +186,10 @@ fn build_leak_honeypot(name: &str, ips: &[Ipv4Addr]) -> HoneypotListener {
 
 /// Run the leak experiment.
 pub fn run(config: &LeakConfig) -> LeakOutcome {
-    let deployment = Deployment::standard();
-    let block = deployment
+    let block = Deployment::standard()
         .topology
         .block("leak/stanford")
-        .expect("leak block allocated")
-        .clone();
+        .expect("leak block allocated");
     let root = SimRng::seed_from_u64(config.seed);
     let mut alloc = SrcAllocator::new();
     let mut engine = Engine::new();
@@ -197,8 +204,6 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
             domain_salt(config.seed, FaultDomain::FlowLoss),
         );
     }
-    let outage_salt = domain_salt(config.seed, FaultDomain::Outage);
-    let trunc_salt = domain_salt(config.seed, FaultDomain::Truncation);
 
     // Indexes and engine sources.
     let censys: SharedIndex = Rc::new(RefCell::new(SearchIndex::new()));
@@ -229,18 +234,12 @@ pub fn run(config: &LeakConfig) -> LeakOutcome {
         if !config.fault.is_none() {
             // Per-fleet vantage index, mirroring the scenario layout where
             // each capture point owns an independent outage schedule.
-            hp.set_faults(ListenerFaults {
-                outage: OutageSchedule::derive(
-                    outage_salt,
-                    fleet_index as u64,
-                    config.horizon,
-                    config.fault.outage,
-                    config.fault.outage_windows,
-                ),
-                truncation: config.fault.truncation,
-                truncate_to: config.fault.truncate_to,
-                trunc_salt,
-            });
+            hp.set_faults(ListenerFaults::derive(
+                &config.fault,
+                config.seed,
+                fleet_index as u64,
+                config.horizon,
+            ));
         }
         // Engine visibility per group.
         match group {

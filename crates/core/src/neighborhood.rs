@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn neighborhood_listing_has_region_granularity() {
         let d = Deployment::standard();
-        let hoods = neighborhoods(&d);
+        let hoods = neighborhoods(d);
         // 47 cloud regions + HE.
         assert_eq!(hoods.len(), 48);
         let he = hoods.iter().find(|(n, _)| n.starts_with("he/")).unwrap();
@@ -224,8 +224,8 @@ mod tests {
     #[test]
     fn table2_runs_on_a_fast_scenario() {
         let s = Scenario::run(ScenarioConfig::fast(ScenarioYear::Y2021).with_seed(3));
-        let store = PlanStore::build(&s.dataset, &table2_plans(&s.deployment));
-        let rows = table2(&ScanExec::with_store(&s.dataset, &store), &s.deployment);
+        let store = PlanStore::build(&s.dataset, &table2_plans(s.deployment));
+        let rows = table2(&ScanExec::with_store(&s.dataset, &store), s.deployment);
         assert_eq!(rows.len(), 14);
         for r in &rows {
             assert!(r.pct_different >= 0.0 && r.pct_different <= 100.0);

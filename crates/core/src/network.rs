@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn city_pairs_match_the_deployment() {
         let d = Deployment::standard();
-        let pairs = city_pairs(&d);
+        let pairs = city_pairs(d);
         assert!(pairs.len() >= 8, "only {} city pairs", pairs.len());
         assert!(pairs
             .iter()
@@ -351,7 +351,7 @@ mod tests {
         let store = PlanStore::build(&s.dataset, &[]);
         let cell = honeytrap_cell(
             &ScanExec::with_store(&s.dataset, &store),
-            &s.deployment,
+            s.deployment,
             &CLOUD_EDU_PAIRS,
             TrafficSlice::SshPort22,
             CharKind::TopUsername,
@@ -364,10 +364,10 @@ mod tests {
     fn cloud_cloud_cells_run() {
         let s = scenario();
         let (slice, kind) = (TrafficSlice::SshPort22, CharKind::TopAs);
-        let store = PlanStore::build(&s.dataset, &cloud_cloud_plans(&s.deployment, slice, kind));
+        let store = PlanStore::build(&s.dataset, &cloud_cloud_plans(s.deployment, slice, kind));
         let cell = cloud_cloud_cell(
             &ScanExec::with_store(&s.dataset, &store),
-            &s.deployment,
+            s.deployment,
             slice,
             kind,
             0.05,
@@ -382,11 +382,11 @@ mod tests {
         let s = scenario();
         let tel = s.telescope.borrow();
         let fleet = "honeytrap/stanford";
-        let plan = telescope_vs_fleet_plan(&s.deployment, fleet, TrafficSlice::TelnetPort23);
+        let plan = telescope_vs_fleet_plan(s.deployment, fleet, TrafficSlice::TelnetPort23);
         let store = PlanStore::build(&s.dataset, &[plan]);
         let cmp = telescope_vs_fleet(
             &ScanExec::with_store(&s.dataset, &store),
-            &s.deployment,
+            s.deployment,
             &tel,
             fleet,
             TrafficSlice::TelnetPort23,

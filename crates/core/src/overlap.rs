@@ -151,9 +151,9 @@ mod tests {
 
     /// Tables 8 and 9 on `s`, through a store of their four plans.
     fn tables(s: &Scenario) -> (Vec<OverlapRow>, Vec<MaliciousOverlapRow>) {
-        let store = PlanStore::build(&s.dataset, &table8_and_9_plans(&s.deployment));
+        let store = PlanStore::build(&s.dataset, &table8_and_9_plans(s.deployment));
         let exec = ScanExec::with_store(&s.dataset, &store);
-        table8_and_9(&exec, &s.deployment, &s.telescope.borrow())
+        table8_and_9(&exec, s.deployment, &s.telescope.borrow())
     }
 
     #[test]

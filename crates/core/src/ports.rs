@@ -268,7 +268,7 @@ mod tests {
     fn breakdown_finds_unexpected_protocols() {
         let s = scenario();
         let exec = ScanExec::unplanned(&s.dataset);
-        let (rows, shares) = protocol_breakdown(&exec, &s.deployment, &s.handles.reputation, 80);
+        let (rows, shares) = protocol_breakdown(&exec, s.deployment, &s.handles.reputation, 80);
         assert_eq!(rows.len(), 2);
         let http = rows.iter().find(|r| r.is_http).unwrap();
         let other = rows.iter().find(|r| !r.is_http).unwrap();
@@ -282,8 +282,8 @@ mod tests {
     #[test]
     fn composition_stats_have_the_paper_shape() {
         let s = scenario();
-        let store = PlanStore::build(&s.dataset, &composition_stats_plans(&s.deployment));
-        let c = composition_stats(&ScanExec::with_store(&s.dataset, &store), &s.deployment);
+        let store = PlanStore::build(&s.dataset, &composition_stats_plans(s.deployment));
+        let c = composition_stats(&ScanExec::with_store(&s.dataset, &store), s.deployment);
         // Non-trivial non-auth fractions on login ports; the majority of
         // HTTP/80 payloads benign.
         assert!(

@@ -36,7 +36,6 @@
 //! use cw_core::dataset::Dataset;
 //! use cw_core::{Plan, ScanExec};
 //! use cw_honeypot::capture::{Capture, Observed, ScanEvent};
-//! use cw_honeypot::deployment::Deployment;
 //! use cw_netsim::asn::Asn;
 //! use cw_netsim::time::SimTime;
 //! use std::net::Ipv4Addr;
@@ -53,8 +52,7 @@
 //!         observed: Observed::Syn,
 //!     });
 //! }
-//! let deployment = Deployment::standard();
-//! let ds = Dataset::from_captures(&[&cap], &deployment);
+//! let ds = Dataset::from_captures(&[&cap]);
 //!
 //! // Distinct Telnet-port scanners at this vantage: 2 (sources .1 and .2).
 //! let plan = Plan::at(&[dst]).port_in(&[23, 2323]).distinct_srcs();
@@ -1177,7 +1175,6 @@ impl<'a> ScanExec<'a> {
 mod tests {
     use super::*;
     use cw_honeypot::capture::{Capture, ScanEvent};
-    use cw_honeypot::deployment::Deployment;
     use cw_netsim::asn::Asn;
     use cw_netsim::flow::LoginService;
     use cw_netsim::time::SimTime;
@@ -1216,7 +1213,7 @@ mod tests {
         for e in rows {
             cap.record(e);
         }
-        Dataset::from_captures(&[&cap], &Deployment::standard())
+        Dataset::from_captures(&[&cap])
     }
 
     fn run(ds: &Dataset, plan: Plan) -> PlanResult {
@@ -1530,7 +1527,7 @@ mod tests {
             });
             r += 1;
         }
-        Dataset::from_captures(&[&cap], &Deployment::standard())
+        Dataset::from_captures(&[&cap])
     }
 
     /// A terminal, applied to a plan and computed the hand-rolled way.

@@ -16,7 +16,7 @@
 //! window are counted for [`StreamStats`]. The captures themselves keep
 //! every row until the run is over, as the paper collects a week and
 //! classifies it offline (§3.1–§3.2). Then each capture's table is taken
-//! ([`Capture::take_rows`]) in registration order, the deployment's shared
+//! ([`Capture::take_rows`]) in registration order, the instruments' shared
 //! interner is moved out, and both go to one [`Dataset`] build. The
 //! shared interner is pre-sized from [`ScenarioConfig`]'s distinct-value
 //! estimates.
@@ -26,17 +26,16 @@
 //! reproduce byte-for-byte, which `tests/determinism.rs` enforces (see
 //! docs/ARCHITECTURE.md §"Windowed run and the dataset build").
 //! Snapshots are therefore keyed without it. The build *drains* the
-//! deployment's capture tables and interner: after a run they are empty,
+//! instruments' capture tables and interner: after a run they are empty,
 //! and every row and value lives in the dataset. Independent worlds run in
 //! parallel one level up, on the [`crate::fleet`] workers.
 
 use crate::dataset::Dataset;
 use cw_honeypot::capture::{Capture, EventTable};
-use cw_honeypot::deployment::Deployment;
+use cw_honeypot::deployment::{Deployment, Instruments};
 use cw_honeypot::telescope::Telescope;
 use cw_netsim::engine::{Engine, RunStats};
 use cw_netsim::fault::{domain_salt, FaultDomain, FaultPlan};
-use cw_netsim::intern::Interner;
 use cw_netsim::time::{SimDuration, SimTime};
 use cw_scanners::population::{self, PopulationConfig, PopulationHandles, ScenarioYear};
 use std::cell::RefCell;
@@ -168,8 +167,10 @@ pub struct StreamStats {
 pub struct Scenario {
     /// The configuration used.
     pub config: ScenarioConfig,
-    /// The Table 1 deployment (vantage metadata + topology).
-    pub deployment: Deployment,
+    /// The Table 1 layout the world ran on (vantage metadata + topology).
+    pub deployment: &'static Deployment,
+    /// The world's listeners, their captures drained into the dataset.
+    pub(crate) instruments: Instruments,
     /// The classified event store.
     pub dataset: Dataset,
     /// The telescope with its counters.
@@ -188,7 +189,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// Build the world and run the collection window in
-    /// [`DEFAULT_WINDOW`]s (see the module docs). The deployment's capture
+    /// [`DEFAULT_WINDOW`]s (see the module docs). The instruments' capture
     /// tables and interner end *drained*: everything lives in the dataset.
     pub fn run(config: ScenarioConfig) -> Scenario {
         Scenario::run_with_window(config, DEFAULT_WINDOW)
@@ -199,43 +200,40 @@ impl Scenario {
     /// covering the whole horizon is the reference build the equivalence
     /// tests compare against.
     ///
-    /// Builds the standard deployment with the config's faults applied,
-    /// registers its listeners and the year's population with one engine,
-    /// then runs the engine window by window, folding the telescope and
-    /// counting the captures' rows at every boundary. After the last
-    /// window it moves the capture tables and the shared interner into
-    /// one [`Dataset`] build.
+    /// Builds one set of [`Instruments`] on the standard layout with the
+    /// config's faults applied, registers them and the year's population
+    /// with one engine, then runs the engine window by window, folding the
+    /// telescope and counting the captures' rows at every boundary. After
+    /// the last window it moves the capture tables and the shared interner
+    /// into one [`Dataset`] build.
     pub fn run_with_window(config: ScenarioConfig, window: SimDuration) -> Scenario {
         let deployment = Deployment::standard();
+        let instruments = deployment.instruments();
         // Fault schedules are pure functions of (seed, vantage index).
-        deployment.apply_faults(&config.fault, config.seed, config.horizon);
+        instruments.apply_faults(&config.fault, config.seed, config.horizon);
         let mut engine = Engine::new();
         engine.set_flow_loss(
             config.fault.flow_loss,
             domain_salt(config.seed, FaultDomain::FlowLoss),
         );
-        deployment.register(&mut engine);
+        instruments.register(&mut engine);
         let population = PopulationConfig {
             year: config.year,
             seed: config.seed,
             scale: config.scale,
         };
-        let handles = population::build(&population, &deployment).register(&mut engine);
-        // Per honeypot listener, in deployment registration order; every
-        // listener records into the one interner they share.
-        let captures: Vec<Rc<RefCell<Capture>>> = deployment
+        let handles = population::build(&population, deployment).register(&mut engine);
+        // Per honeypot listener, in registration order.
+        let captures: Vec<Rc<RefCell<Capture>>> = instruments
             .honeypots
             .iter()
             .map(|h| h.borrow().capture())
             .collect();
-        let interner = captures.first().map(|c| c.borrow().interner());
         // Pre-size the shared interner from the configured scale.
-        if let Some(rc) = &interner {
-            rc.borrow_mut().reserve(
-                config.estimated_distinct_payloads(),
-                config.estimated_distinct_creds(),
-            );
-        }
+        instruments.interner.borrow_mut().reserve(
+            config.estimated_distinct_payloads(),
+            config.estimated_distinct_creds(),
+        );
         let mut stats = RunStats::default();
         let mut stream = StreamStats::default();
         let mut rows_before = 0;
@@ -243,7 +241,7 @@ impl Scenario {
             // Engine counters are cumulative, so the last window's return
             // value is the whole run's stats.
             stats = engine.run(end);
-            deployment.telescope.borrow_mut().fold();
+            instruments.telescope.borrow_mut().fold();
             let rows: usize = captures.iter().map(|c| c.borrow().len()).sum();
             stream.windows += 1;
             stream.peak_window_rows = stream.peak_window_rows.max(rows - rows_before);
@@ -253,13 +251,13 @@ impl Scenario {
             .iter()
             .map(|c| c.borrow_mut().take_rows())
             .collect();
-        let interner =
-            interner.map_or_else(Interner::new, |rc| std::mem::take(&mut *rc.borrow_mut()));
-        let dataset = Dataset::assemble(tables, interner, &deployment);
-        let telescope = deployment.telescope.clone();
+        let interner = std::mem::take(&mut *instruments.interner.borrow_mut());
+        let dataset = Dataset::assemble(tables, interner);
+        let telescope = instruments.telescope.clone();
         Scenario {
             config,
             deployment,
+            instruments,
             dataset,
             telescope,
             handles,
@@ -366,7 +364,7 @@ mod tests {
         assert_eq!(stream.windows, 7);
         assert!(stream.peak_window_rows < s.dataset.len());
         // The build drains the captures: every row lives in the dataset.
-        assert!(s.deployment.honeypots.iter().all(|h| {
+        assert!(s.instruments.honeypots.iter().all(|h| {
             let cap = h.borrow().capture();
             let empty = cap.borrow().is_empty();
             empty

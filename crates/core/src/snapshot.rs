@@ -147,15 +147,11 @@ pub fn store_in(dir: &Path, bundle: &SimBundle) -> std::io::Result<PathBuf> {
 /// payload is hashed and decoded a chunk at a time, so the file is never
 /// held whole beside the world it decodes. The decoded bundle is returned
 /// only after [`SnapReader::finish`] has matched the SHA-256 trailer.
-pub fn load_from(
-    dir: &Path,
-    config: &ScenarioConfig,
-    deployment: &Deployment,
-) -> Option<SimBundle> {
+pub fn load_from(dir: &Path, config: &ScenarioConfig) -> Option<SimBundle> {
     let file = File::open(snapshot_path_in(dir, config)).ok()?;
     let size = file.metadata().ok()?.len();
     let mut r = SnapReader::open(file, size).ok()?;
-    let bundle = SimBundle::snap_read(&mut r, deployment).ok()?;
+    let bundle = SimBundle::snap_read(&mut r, Deployment::standard()).ok()?;
     r.finish().ok()?;
     // Hash collisions aside, this catches a mis-filed snapshot (e.g. a
     // copied cache file) — the decoded config must be the requested one.
@@ -226,8 +222,7 @@ pub fn load_or_run_in(
 ) -> (SimBundle, Provenance) {
     if use_cache {
         let start = Instant::now();
-        let deployment = Deployment::standard();
-        if let Some(bundle) = load_from(dir, &config, &deployment) {
+        if let Some(bundle) = load_from(dir, &config) {
             return (
                 bundle,
                 Provenance::CacheHit {
@@ -321,9 +316,8 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x5A;
         std::fs::write(&path, &bytes).unwrap();
-        let deployment = Deployment::standard();
         // load_from is a pure read: no quarantine side effects.
-        assert!(load_from(&dir, &cfg, &deployment).is_none());
+        assert!(load_from(&dir, &cfg).is_none());
         assert!(path.exists());
         let (again, p) = load_or_run_in(&dir, cfg, true);
         assert!(!p.is_hit());
@@ -333,7 +327,7 @@ mod tests {
         let mut corrupt = path.as_os_str().to_os_string();
         corrupt.push(".corrupt");
         assert!(PathBuf::from(corrupt).exists());
-        assert!(load_from(&dir, &cfg, &deployment).is_some());
+        assert!(load_from(&dir, &cfg).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -345,8 +339,7 @@ mod tests {
         let path = snapshot_path_in(&dir, &cfg);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
-        let deployment = Deployment::standard();
-        assert!(load_from(&dir, &cfg, &deployment).is_none());
+        assert!(load_from(&dir, &cfg).is_none());
         let (_, p) = load_or_run_in(&dir, cfg, true);
         assert!(!p.is_hit());
         let _ = std::fs::remove_dir_all(&dir);
@@ -362,8 +355,7 @@ mod tests {
         // The u32 format version sits right after the 8 magic bytes.
         bytes[8] = 0xFE;
         std::fs::write(&path, &bytes).unwrap();
-        let deployment = Deployment::standard();
-        assert!(load_from(&dir, &cfg, &deployment).is_none());
+        assert!(load_from(&dir, &cfg).is_none());
         let (_, p) = load_or_run_in(&dir, cfg, true);
         assert!(!p.is_hit());
         let _ = std::fs::remove_dir_all(&dir);
@@ -381,8 +373,7 @@ mod tests {
             snapshot_path_in(&dir, &cfg_b),
         )
         .unwrap();
-        let deployment = Deployment::standard();
-        assert!(load_from(&dir, &cfg_b, &deployment).is_none());
+        assert!(load_from(&dir, &cfg_b).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

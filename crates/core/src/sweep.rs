@@ -25,10 +25,9 @@
 
 use crate::bundle::SimBundle;
 use crate::degrade::{self, FindingEval, Rung};
-use crate::leak::{LeakConfig, LeakOutcome, LEAK_SEED_XOR};
+use crate::leak::{LeakConfig, LeakOutcome};
 use crate::report::{header_str, TextTable};
 use crate::scenario::ScenarioConfig;
-use cw_netsim::time::SimDuration;
 use cw_scanners::population::ScenarioYear;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -233,14 +232,7 @@ pub fn report(
             );
             let leak = leaks
                 .entry((seed, cell.scale.to_bits(), cell.variant.label))
-                .or_insert_with(|| {
-                    crate::leak::run(&LeakConfig {
-                        seed: seed ^ LEAK_SEED_XOR,
-                        scale: cell.scale,
-                        horizon: SimDuration::WEEK,
-                        fault: plan,
-                    })
-                });
+                .or_insert_with(|| crate::leak::run(&LeakConfig::beside(seed, cell.scale, plan)));
             worlds.row(vec![
                 cell.label.clone(),
                 format!("{:.0}%", plan.flow_loss * 100.0),

@@ -138,7 +138,7 @@ mod tests {
         let tel_b = b.telescope.borrow();
         // Each year's Table 8 plans are prefetched, as `cw` does; the
         // per-region Telnet scans run standalone.
-        let plans = overlap::table8_and_9_plans(&a.deployment);
+        let plans = overlap::table8_and_9_plans(a.deployment);
         let store_a = PlanStore::build(&a.dataset, &plans);
         let store_b = PlanStore::build(&b.dataset, &plans);
         let va = YearView {
@@ -151,9 +151,9 @@ mod tests {
             exec: ScanExec::with_store(&b.dataset, &store_b),
             telescope: &tel_b,
         };
-        let t8a = overlap::table8_and_9(&va.exec, &a.deployment, &tel_a).0;
-        let t8b = overlap::table8_and_9(&vb.exec, &b.deployment, &tel_b).0;
-        let r = stability(&a.deployment, va, vb, &t8a, &t8b);
+        let t8a = overlap::table8_and_9(&va.exec, a.deployment, &tel_a).0;
+        let t8b = overlap::table8_and_9(&vb.exec, b.deployment, &tel_b).0;
+        let r = stability(a.deployment, va, vb, &t8a, &t8b);
         assert_eq!(r.years, (2021, 2020));
         assert!(r.regions_compared > 30);
         assert!(

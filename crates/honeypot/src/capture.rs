@@ -346,7 +346,7 @@ impl Capture {
         }
     }
 
-    /// Swap in a shared interner (deployment-wide sharing: every listener
+    /// Swap in a shared interner (world-wide sharing: every listener
     /// records into the same id space, which the dataset build takes over
     /// whole).
     pub fn with_interner(mut self, interner: Rc<RefCell<Interner>>) -> Self {

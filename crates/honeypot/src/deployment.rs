@@ -1,4 +1,7 @@
-//! The Table 1 vantage-point fleet on a concrete simulated address plan.
+//! The Table 1 vantage-point fleet on a concrete simulated address plan:
+//! the static layout every analysis slices ([`Deployment`], `Send + Sync`
+//! and one per process), and the live listeners one world runs
+//! ([`Instruments`], built per world by [`Deployment::instruments`]).
 //!
 //! Networks and regions follow Table 1: GreyNoise sensors across Hurricane
 //! Electric (a /24 in Ohio), AWS (16 regions), Azure (3), Google (21) and
@@ -31,12 +34,15 @@ use cw_netsim::engine::Engine;
 use cw_netsim::fault::{domain_salt, FaultDomain, FaultPlan, OutageSchedule};
 use cw_netsim::flow::LoginService;
 use cw_netsim::geo::{Continent, Region};
+use cw_netsim::intern::Interner;
 use cw_netsim::ip::Cidr;
 use cw_netsim::time::SimDuration;
 use cw_netsim::topology::{AddressBlock, Topology};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// Network operators hosting vantage points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -137,16 +143,26 @@ pub const GREYNOISE_PAYLOAD_PORTS: [u16; 7] = [80, 8080, 443, 21, 25, 445, 7547]
 /// 7574/Oracle for the §4.2 "61× less likely" structure statistic).
 pub const TELESCOPE_TRACKED_PORTS: [u16; 5] = [22, 80, 445, 7574, 17128];
 
-/// The assembled fleet.
+/// The Table 1 layout: plain data, one instance per process
+/// ([`Deployment::standard`]).
 pub struct Deployment {
     /// The simulated address plan.
     pub topology: Topology,
+    /// Per-IP vantage metadata: the telescope, then each listener's IPs.
+    pub vantages: Vec<VantagePoint>,
+    /// Each honeypot listener's name and range of `vantages`, in order.
+    listeners: Vec<(String, Range<usize>)>,
+}
+
+/// One world's live listeners, built by [`Deployment::instruments`].
+pub struct Instruments {
     /// All honeypot listeners (GreyNoise + Honeytrap), registration order.
     pub honeypots: Vec<Rc<RefCell<HoneypotListener>>>,
     /// The telescope.
     pub telescope: Rc<RefCell<Telescope>>,
-    /// Per-IP vantage metadata.
-    pub vantages: Vec<VantagePoint>,
+    /// The one interner every listener records into; the dataset build
+    /// takes it over whole.
+    pub interner: Rc<RefCell<Interner>>,
 }
 
 /// GreyNoise provider-region lists (Table 1).
@@ -208,12 +224,13 @@ pub fn greynoise_regions(provider: Provider) -> Vec<Region> {
     }
 }
 
-fn greynoise_listener(
-    name: &str,
-    ips: Vec<Ipv4Addr>,
-    payload_ips: Vec<Ipv4Addr>,
-) -> HoneypotListener {
-    let mut hp = HoneypotListener::new(name, ips, PortPolicy::Closed)
+fn greynoise_listener(name: &str, vantages: &[VantagePoint]) -> HoneypotListener {
+    let payload_ips: Vec<Ipv4Addr> = vantages
+        .iter()
+        .filter(|v| v.payload_ports)
+        .map(|v| v.ip)
+        .collect();
+    let mut hp = HoneypotListener::new(name, vantages.iter().map(|v| v.ip), PortPolicy::Closed)
         .with_policy(22, PortPolicy::Interactive(LoginService::Ssh))
         .with_policy(2222, PortPolicy::Interactive(LoginService::Ssh))
         .with_policy(23, PortPolicy::Interactive(LoginService::Telnet))
@@ -250,21 +267,24 @@ fn greynoise_listener(
     hp
 }
 
-fn honeytrap_listener(name: &str, ips: Vec<Ipv4Addr>) -> HoneypotListener {
+fn honeytrap_listener(name: &str, vantages: &[VantagePoint]) -> HoneypotListener {
+    let ips = vantages.iter().map(|v| v.ip);
     HoneypotListener::new(name, ips, PortPolicy::FirstPayload)
 }
 
 impl Deployment {
-    /// Build the full Table 1 fleet.
-    ///
-    /// All listeners record into one deployment-shared interner, so every
-    /// capture of the fleet lives in a single id space, which the dataset
-    /// build takes over whole.
-    pub fn standard() -> Deployment {
-        let interner = cw_netsim::intern::Interner::shared();
-        let mut topology = Topology::new();
-        let mut honeypots: Vec<Rc<RefCell<HoneypotListener>>> = Vec::new();
-        let mut vantages: Vec<VantagePoint> = Vec::new();
+    /// The Table 1 layout, built on first use and shared process-wide.
+    pub fn standard() -> &'static Deployment {
+        static STANDARD: OnceLock<Deployment> = OnceLock::new();
+        STANDARD.get_or_init(Deployment::table1)
+    }
+
+    fn table1() -> Deployment {
+        let mut d = Deployment {
+            topology: Topology::new(),
+            vantages: Vec::new(),
+            listeners: Vec::new(),
+        };
 
         // --- Telescope: 7 × /16 + one /18 = 1,856 /24s (475,136 IPs). ---
         let mut tel_cidrs: Vec<Cidr> = (0u8..7)
@@ -272,13 +292,7 @@ impl Deployment {
             .collect();
         tel_cidrs.push(Cidr::new(Ipv4Addr::new(10, 7, 0, 0), 18));
         let tel_block = AddressBlock::new("telescope", tel_cidrs);
-        topology.add(tel_block.clone());
-        let telescope = Rc::new(RefCell::new(Telescope::new(
-            "telescope",
-            tel_block.clone(),
-            &TELESCOPE_TRACKED_PORTS,
-        )));
-        vantages.push(VantagePoint {
+        d.vantages.push(VantagePoint {
             id: "telescope".into(),
             provider: Provider::Orion,
             kind: NetworkKind::Telescope,
@@ -287,32 +301,24 @@ impl Deployment {
             ip: tel_block.nth(0),
             payload_ports: false,
         });
+        d.topology.add(tel_block);
 
-        // --- GreyNoise: Hurricane Electric /24. ---
-        {
-            let cidr = Cidr::new(Ipv4Addr::new(20, 9, 0, 0), 24);
-            let block = AddressBlock::new("greynoise/he/US-OH", vec![cidr]);
-            topology.add(block.clone());
-            let ips: Vec<Ipv4Addr> = block.iter().collect();
-            let region = Region::us("OH");
-            // All 256 IPs run the full sensor.
-            let hp = greynoise_listener("greynoise/he/US-OH", ips.clone(), ips.clone())
-                .with_interner(Rc::clone(&interner));
-            honeypots.push(Rc::new(RefCell::new(hp)));
-            for (i, ip) in ips.iter().enumerate() {
-                vantages.push(VantagePoint {
-                    id: format!("greynoise/he/US-OH/{i}"),
-                    provider: Provider::HurricaneElectric,
-                    kind: NetworkKind::Cloud,
-                    collector: CollectorKind::GreyNoise,
-                    region: region.clone(),
-                    ip: *ip,
-                    payload_ports: true,
-                });
-            }
-        }
+        // --- GreyNoise: Hurricane Electric /24; all 256 IPs run the full
+        // sensor. ---
+        d.add_listener(
+            AddressBlock::new(
+                "greynoise/he/US-OH",
+                vec![Cidr::new(Ipv4Addr::new(20, 9, 0, 0), 24)],
+            ),
+            256,
+            256,
+            Provider::HurricaneElectric,
+            CollectorKind::GreyNoise,
+            Region::us("OH"),
+        );
 
-        // --- GreyNoise: the four multi-region clouds. ---
+        // --- GreyNoise: the four multi-region clouds; 4 honeypot IPs per
+        // region, payload ports on the first 2. ---
         let cloud_bases: [(Provider, u8); 4] = [
             (Provider::Aws, 10),
             (Provider::Google, 11),
@@ -323,25 +329,14 @@ impl Deployment {
             for (ri, region) in greynoise_regions(provider).into_iter().enumerate() {
                 let cidr = Cidr::new(Ipv4Addr::new(20, second_octet, ri as u8, 0), 28);
                 let name = format!("greynoise/{}/{}", provider.slug(), region.code);
-                let block = AddressBlock::new(&name, vec![cidr]);
-                topology.add(block.clone());
-                // 4 honeypot IPs; payload ports on the first 2.
-                let ips: Vec<Ipv4Addr> = (0..4).map(|i| block.nth(i)).collect();
-                let payload_ips = ips[..2].to_vec();
-                let hp = greynoise_listener(&name, ips.clone(), payload_ips)
-                    .with_interner(Rc::clone(&interner));
-                honeypots.push(Rc::new(RefCell::new(hp)));
-                for (i, ip) in ips.iter().enumerate() {
-                    vantages.push(VantagePoint {
-                        id: format!("{name}/{i}"),
-                        provider,
-                        kind: NetworkKind::Cloud,
-                        collector: CollectorKind::GreyNoise,
-                        region: region.clone(),
-                        ip: *ip,
-                        payload_ports: i < 2,
-                    });
-                }
+                d.add_listener(
+                    AddressBlock::new(&name, vec![cidr]),
+                    4,
+                    2,
+                    provider,
+                    CollectorKind::GreyNoise,
+                    region,
+                );
             }
         }
 
@@ -379,47 +374,104 @@ impl Deployment {
             ),
         ];
         for (name, provider, region, cidr) in honeytrap_specs {
-            let block = AddressBlock::new(name, vec![cidr]);
-            topology.add(block.clone());
-            let ips: Vec<Ipv4Addr> = block.iter().collect();
-            let hp = honeytrap_listener(name, ips.clone()).with_interner(Rc::clone(&interner));
-            honeypots.push(Rc::new(RefCell::new(hp)));
-            for (i, ip) in ips.iter().enumerate() {
-                vantages.push(VantagePoint {
-                    id: format!("{name}/{i}"),
-                    provider,
-                    kind: provider.kind(),
-                    collector: CollectorKind::Honeytrap,
-                    region: region.clone(),
-                    ip: *ip,
-                    payload_ports: true,
-                });
-            }
+            let ips = cidr.size();
+            d.add_listener(
+                AddressBlock::new(name, vec![cidr]),
+                ips,
+                ips,
+                provider,
+                CollectorKind::Honeytrap,
+                region,
+            );
         }
 
         // --- Leak experiment block (populated by the leak harness). ---
-        topology.add(AddressBlock::new(
+        d.topology.add(AddressBlock::new(
             "leak/stanford",
             vec![Cidr::new(Ipv4Addr::new(171, 64, 10, 0), 26)],
         ));
+        d
+    }
 
-        Deployment {
-            topology,
+    /// Add `block` with one listener, named after it, over its first `ips`
+    /// addresses, the first `payload_ips` exposing the payload ports.
+    fn add_listener(
+        &mut self,
+        block: AddressBlock,
+        ips: u64,
+        payload_ips: u64,
+        provider: Provider,
+        collector: CollectorKind,
+        region: Region,
+    ) {
+        let first = self.vantages.len();
+        for i in 0..ips {
+            self.vantages.push(VantagePoint {
+                id: format!("{}/{i}", block.name),
+                provider,
+                kind: provider.kind(),
+                collector,
+                region: region.clone(),
+                ip: block.nth(i),
+                payload_ports: i < payload_ips,
+            });
+        }
+        self.listeners
+            .push((block.name.clone(), first..self.vantages.len()));
+        self.topology.add(block);
+    }
+
+    /// Build one world's instruments on one fresh interner: the honeypot
+    /// listeners in registration order (Hurricane Electric, the four
+    /// clouds' regions, the five Honeytrap fleets) and the telescope.
+    pub fn instruments(&self) -> Instruments {
+        let interner = Interner::shared();
+        let honeypots = self
+            .listeners
+            .iter()
+            .map(|(name, range)| {
+                let vantages = &self.vantages[range.clone()];
+                let hp = match vantages[0].collector {
+                    CollectorKind::GreyNoise => greynoise_listener(name, vantages),
+                    _ => honeytrap_listener(name, vantages),
+                };
+                Rc::new(RefCell::new(hp.with_interner(Rc::clone(&interner))))
+            })
+            .collect();
+        let block = self.topology.block("telescope").expect("a layout block");
+        let telescope = Telescope::new("telescope", block.clone(), &TELESCOPE_TRACKED_PORTS);
+        Instruments {
             honeypots,
-            telescope,
-            vantages,
+            telescope: Rc::new(RefCell::new(telescope)),
+            interner,
         }
     }
 
-    /// Inject a fault plan into every vantage of this deployment.
+    /// Distinct (provider, region) pairs with GreyNoise sensors.
+    pub fn greynoise_provider_regions(&self) -> Vec<(Provider, Region)> {
+        let mut out: Vec<(Provider, Region)> = Vec::new();
+        for v in &self.vantages {
+            if v.collector == CollectorKind::GreyNoise {
+                let key = (v.provider, v.region.clone());
+                if !out.contains(&key) {
+                    out.push(key);
+                }
+            }
+        }
+        out
+    }
+}
+
+impl Instruments {
+    /// Inject a fault plan into every vantage of these instruments.
     ///
     /// Vantage indices are assigned by construction order — telescope 0,
     /// then honeypot listeners 1.. in registration order — which is fixed
-    /// for a given deployment constructor, so every build of the same
-    /// deployment derives the same per-vantage outage schedules. A
-    /// trivial plan ([`FaultPlan::is_none`]) installs nothing at all: the
-    /// fault-free fast paths stay byte-identical to a world where this
-    /// method was never called.
+    /// by the layout, so every world built from it derives the same
+    /// per-vantage outage schedules. A trivial plan
+    /// ([`FaultPlan::is_none`]) installs nothing at all: the fault-free
+    /// fast paths stay byte-identical to a world where this method was
+    /// never called.
     ///
     /// `seed` is the *scenario* seed (the fault domain is forked off it
     /// internally); `horizon` is the collection window outages are placed
@@ -429,33 +481,20 @@ impl Deployment {
             return;
         }
         plan.validate();
-        let outage_salt = domain_salt(seed, FaultDomain::Outage);
-        let trunc_salt = domain_salt(seed, FaultDomain::Truncation);
-        let sample_salt = domain_salt(seed, FaultDomain::TelescopeSample);
         self.telescope.borrow_mut().set_faults(TelescopeFaults {
             outage: OutageSchedule::derive(
-                outage_salt,
+                domain_salt(seed, FaultDomain::Outage),
                 0,
                 horizon,
                 plan.outage,
                 plan.outage_windows,
             ),
             sample: plan.telescope_sample.max(1),
-            sample_salt,
+            sample_salt: domain_salt(seed, FaultDomain::TelescopeSample),
         });
         for (i, hp) in self.honeypots.iter().enumerate() {
-            hp.borrow_mut().set_faults(ListenerFaults {
-                outage: OutageSchedule::derive(
-                    outage_salt,
-                    (i + 1) as u64,
-                    horizon,
-                    plan.outage,
-                    plan.outage_windows,
-                ),
-                truncation: plan.truncation,
-                truncate_to: plan.truncate_to,
-                trunc_salt,
-            });
+            hp.borrow_mut()
+                .set_faults(ListenerFaults::derive(plan, seed, (i + 1) as u64, horizon));
         }
     }
 
@@ -475,48 +514,33 @@ impl Deployment {
             .find(|h| h.borrow().name() == name)
             .cloned()
     }
-
-    /// All vantages for a provider.
-    pub fn vantages_of(&self, provider: Provider) -> Vec<&VantagePoint> {
-        self.vantages
-            .iter()
-            .filter(|v| v.provider == provider)
-            .collect()
-    }
-
-    /// All GreyNoise cloud vantage IPs (the paper's "440 cloud vantage
-    /// points" scale).
-    pub fn greynoise_cloud_ips(&self) -> Vec<Ipv4Addr> {
-        self.vantages
-            .iter()
-            .filter(|v| v.collector == CollectorKind::GreyNoise)
-            .map(|v| v.ip)
-            .collect()
-    }
-
-    /// Distinct (provider, region) pairs with GreyNoise sensors.
-    pub fn greynoise_provider_regions(&self) -> Vec<(Provider, Region)> {
-        let mut out: Vec<(Provider, Region)> = Vec::new();
-        for v in &self.vantages {
-            if v.collector == CollectorKind::GreyNoise {
-                let key = (v.provider, v.region.clone());
-                if !out.contains(&key) {
-                    out.push(key);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::{Observed, ScanEvent};
+    use cw_netsim::asn::Asn;
+    use cw_netsim::engine::Listener as _;
+    use cw_netsim::time::SimTime;
+
+    // The layout's whole reason to be one per process is being shared by
+    // every thread that reads it.
+    #[test]
+    fn deployment_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Deployment>();
+    }
+
+    #[test]
+    fn standard_is_one_instance_per_process() {
+        assert!(std::ptr::eq(Deployment::standard(), Deployment::standard()));
+    }
 
     #[test]
     fn telescope_spans_1856_slash24s() {
-        let d = Deployment::standard();
-        assert_eq!(d.telescope.borrow().block().size(), 1_856 * 256);
+        let i = Deployment::standard().instruments();
+        assert_eq!(i.telescope.borrow().block().size(), 1_856 * 256);
     }
 
     #[test]
@@ -527,20 +551,23 @@ mod tests {
         assert_eq!(greynoise_regions(Provider::Azure).len(), 3);
         assert_eq!(greynoise_regions(Provider::Linode).len(), 7);
         // 47 regions × 4 IPs + 256 HE = 444 GreyNoise vantages.
-        assert_eq!(d.greynoise_cloud_ips().len(), 47 * 4 + 256);
+        let greynoise = d
+            .vantages
+            .iter()
+            .filter(|v| v.collector == CollectorKind::GreyNoise)
+            .count();
+        assert_eq!(greynoise, 47 * 4 + 256);
         assert_eq!(d.greynoise_provider_regions().len(), 48);
     }
 
     #[test]
     fn honeytrap_fleets_have_table1_sizes() {
         let d = Deployment::standard();
-        let stanford = d.vantages_of(Provider::Stanford);
-        assert_eq!(stanford.len(), 64);
-        let merit = d.vantages_of(Provider::Merit);
-        assert_eq!(merit.len(), 64);
+        let of = |provider| d.vantages.iter().filter(|v| v.provider == provider).count();
+        assert_eq!(of(Provider::Stanford), 64);
+        assert_eq!(of(Provider::Merit), 64);
         // Google: 21 GreyNoise regions × 4 + 64 west + 2 east honeytraps.
-        let google = d.vantages_of(Provider::Google);
-        assert_eq!(google.len(), 21 * 4 + 64 + 2);
+        assert_eq!(of(Provider::Google), 21 * 4 + 64 + 2);
     }
 
     #[test]
@@ -570,11 +597,86 @@ mod tests {
 
     #[test]
     fn registration_covers_all_networks() {
-        let d = Deployment::standard();
+        let i = Deployment::standard().instruments();
         let mut engine = Engine::new();
-        d.register(&mut engine);
+        i.register(&mut engine);
         // 1 HE + 47 cloud regions + 5 honeytrap listeners are honeypots.
-        assert_eq!(d.honeypots.len(), 1 + 47 + 5);
+        assert_eq!(i.honeypots.len(), 1 + 47 + 5);
+    }
+
+    /// The listeners cover the vantage list in order: Hurricane Electric,
+    /// the four clouds' regions, then the Honeytrap fleets, each named
+    /// after its vantages' ids.
+    #[test]
+    fn listeners_follow_the_vantage_list_in_registration_order() {
+        let d = Deployment::standard();
+        let i = d.instruments();
+        let mut vantages = d.vantages[1..].iter();
+        for hp in &i.honeypots {
+            let hp = hp.borrow();
+            let ips: Vec<Ipv4Addr> = hp.ips().collect();
+            let covered: Vec<&VantagePoint> = vantages.by_ref().take(ips.len()).collect();
+            let mut want: Vec<Ipv4Addr> = covered.iter().map(|v| v.ip).collect();
+            want.sort();
+            assert_eq!(ips, want, "{}", hp.name());
+            for (n, v) in covered.iter().enumerate() {
+                assert_eq!(v.id, format!("{}/{n}", hp.name()));
+            }
+        }
+        assert!(vantages.next().is_none(), "a vantage no listener covers");
+        let names: Vec<String> = i
+            .honeypots
+            .iter()
+            .map(|h| h.borrow().name().to_string())
+            .collect();
+        assert_eq!(names[0], "greynoise/he/US-OH");
+        assert_eq!(names[1], "greynoise/aws/US-OR");
+        assert_eq!(names[17], "greynoise/google/US-NV");
+        assert_eq!(names[38], "greynoise/azure/US-TX");
+        assert_eq!(names[41], "greynoise/linode/US-CA");
+        assert_eq!(
+            names[48..],
+            [
+                "honeytrap/stanford",
+                "honeytrap/merit",
+                "honeytrap/aws-west",
+                "honeytrap/google-west",
+                "honeytrap/google-east",
+            ]
+        );
+    }
+
+    #[test]
+    fn each_instruments_call_builds_independent_listeners() {
+        let d = Deployment::standard();
+        let (a, b) = (d.instruments(), d.instruments());
+        for i in [&a, &b] {
+            assert!(i.honeypots.iter().all(|h| {
+                let cap = h.borrow().capture();
+                let shared = Rc::ptr_eq(&cap.borrow().interner(), &i.interner);
+                shared
+            }));
+        }
+        assert!(!Rc::ptr_eq(&a.interner, &b.interner));
+        let name = "greynoise/aws/AP-SG";
+        let cap = a.honeypot(name).expect("listener").borrow().capture();
+        let payload = cap.borrow().intern_payload(b"GET / HTTP/1.1\r\n\r\n");
+        cap.borrow_mut().record(ScanEvent {
+            time: SimTime(60),
+            src: Ipv4Addr::new(100, 0, 0, 1),
+            src_asn: Asn(4134),
+            dst: d.topology.block(name).expect("block").nth(0),
+            dst_port: 80,
+            observed: Observed::Payload(payload),
+        });
+        assert_eq!(cap.borrow().len(), 1);
+        assert_eq!(a.interner.borrow().payload_count(), 1);
+        assert!(b.honeypots.iter().all(|h| {
+            let cap = h.borrow().capture();
+            let empty = cap.borrow().is_empty();
+            empty
+        }));
+        assert_eq!(b.interner.borrow().payload_count(), 0);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 use crate::capture::{Capture, Observed, ScanEvent};
 use crate::cowrie;
 use cw_netsim::engine::{FlowOutcome, Listener, ServiceReply};
-use cw_netsim::fault::{flow_coin, OutageSchedule};
+use cw_netsim::fault::{domain_salt, flow_coin, FaultDomain, FaultPlan, OutageSchedule};
 use cw_netsim::flow::{ConnectionIntent, Flow, LoginService};
 use cw_netsim::intern::Interner;
 use cw_netsim::ip::Cidr;
+use cw_netsim::time::SimDuration;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -98,6 +99,26 @@ pub struct ListenerFaults {
     pub trunc_salt: u64,
 }
 
+impl ListenerFaults {
+    /// The faults `plan` puts on vantage number `index` of a world seeded
+    /// `seed` (the salts are forked off it by [`domain_salt`]): its own
+    /// outage schedule over `horizon`, and the plan's truncation.
+    pub fn derive(plan: &FaultPlan, seed: u64, index: u64, horizon: SimDuration) -> Self {
+        ListenerFaults {
+            outage: OutageSchedule::derive(
+                domain_salt(seed, FaultDomain::Outage),
+                index,
+                horizon,
+                plan.outage,
+                plan.outage_windows,
+            ),
+            truncation: plan.truncation,
+            truncate_to: plan.truncate_to,
+            trunc_salt: domain_salt(seed, FaultDomain::Truncation),
+        }
+    }
+}
+
 /// A honeypot instance covering a set of IPs.
 pub struct HoneypotListener {
     name: String,
@@ -148,8 +169,8 @@ impl HoneypotListener {
         }
     }
 
-    /// Inject measurement faults into this vantage. Called by the
-    /// deployment when a non-trivial fault plan is active; the default
+    /// Inject measurement faults into this vantage. Called by the world's
+    /// instruments when a non-trivial fault plan is active; the default
     /// (no faults) is the perfect sensor the golden manifest assumes.
     pub fn set_faults(&mut self, faults: ListenerFaults) {
         self.faults = Some(faults);
@@ -194,8 +215,8 @@ impl HoneypotListener {
             .insert(src, allowed_ports.iter().copied().collect());
     }
 
-    /// Record into a deployment-shared interner instead of a private one
-    /// (builder style). All listeners of one deployment share an id space,
+    /// Record into a world-shared interner instead of a private one
+    /// (builder style). All listeners of one world share an id space,
     /// which the dataset build takes over whole.
     pub fn with_interner(self, interner: Rc<RefCell<cw_netsim::intern::Interner>>) -> Self {
         let replaced = {

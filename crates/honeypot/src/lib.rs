@@ -14,9 +14,9 @@
 //! - [`telescope`] — the Orion-style passive telescope: 1,856 /24s, records
 //!   the first packet only, never completes a handshake, keeps per-IP
 //!   unique-scanner counters for the Figure 1 analysis;
-//! - [`deployment`] — constructs the full Table 1 fleet (GreyNoise sensors
-//!   across 5 clouds and 23 countries, Honeytrap /26s at Stanford/Merit and
-//!   in AWS/Google, the telescope) on a concrete simulated address plan.
+//! - [`deployment`] — the Table 1 fleet (GreyNoise sensors across 5 clouds
+//!   and 23 countries, Honeytrap /26s at Stanford/Merit and in AWS/Google,
+//!   the telescope): one shared layout, and each world's live instruments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +29,7 @@ pub mod framework;
 pub mod telescope;
 
 pub use capture::{Capture, Observed, ScanEvent};
-pub use deployment::{CollectorKind, Deployment, NetworkKind, Provider, VantagePoint};
+pub use deployment::{CollectorKind, Deployment, Instruments, NetworkKind, Provider, VantagePoint};
 pub use firewall::Firewall;
 pub use framework::{HoneypotListener, ListenerFaults, Persona, PortPolicy};
 pub use telescope::{Telescope, TelescopeFaults};

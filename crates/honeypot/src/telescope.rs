@@ -228,8 +228,8 @@ impl Telescope {
         }
     }
 
-    /// Inject measurement faults. Called by the deployment when a
-    /// non-trivial fault plan is active.
+    /// Inject measurement faults. Called by the world's instruments when
+    /// a non-trivial fault plan is active.
     pub fn set_faults(&mut self, faults: TelescopeFaults) {
         self.faults = Some(faults);
     }

@@ -26,7 +26,7 @@
 //!
 //! # One id space per world
 //!
-//! Every listener of a deployment records into one shared interner, and
+//! Every listener of a world records into one shared interner, and
 //! the dataset build takes that interner over whole after the run: the
 //! ids a capture recorded are the ids the dataset and its snapshot carry.
 //! No id is ever translated between two interners.

@@ -171,7 +171,7 @@ mod tests {
     use cw_netsim::flow::ConnectionIntent;
 
     fn universe() -> TargetUniverse {
-        TargetUniverse::from_deployment(&Deployment::standard())
+        TargetUniverse::from_deployment(Deployment::standard())
     }
 
     fn build_one(profile: &BruteforceProfile, seed: u64) -> Vec<Campaign> {

@@ -126,7 +126,7 @@ mod tests {
     use cw_honeypot::deployment::Deployment;
 
     fn universe() -> TargetUniverse {
-        TargetUniverse::from_deployment(&Deployment::standard())
+        TargetUniverse::from_deployment(Deployment::standard())
     }
 
     #[test]

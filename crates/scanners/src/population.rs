@@ -906,7 +906,7 @@ mod tests {
             seed: 7,
             scale: 0.05,
         };
-        let p = build(&cfg, &d);
+        let p = build(&cfg, d);
         assert!(p.agents.len() > 50, "only {} agents", p.agents.len());
         assert!(!p.censys_srcs.is_empty());
         let (benign, malicious) = p.reputation.counts();
@@ -924,7 +924,7 @@ mod tests {
                     seed: 1,
                     scale: 0.05,
                 },
-                &d,
+                d,
             )
             .agents
             .iter()
@@ -953,8 +953,8 @@ mod tests {
             seed: 42,
             scale: 0.05,
         };
-        let a = build(&cfg, &d).agents.len();
-        let b = build(&cfg, &d).agents.len();
+        let a = build(&cfg, d).agents.len();
+        let b = build(&cfg, d).agents.len();
         assert_eq!(a, b);
     }
 }

@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn zero_leak_excludes_filtered_shapes() {
-        let u = TargetUniverse::from_deployment(&Deployment::standard());
+        let u = TargetUniverse::from_deployment(Deployment::standard());
         let mut rng = SimRng::seed_from_u64(1);
         let c = build(
             &u,
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn builds_service_targets_too() {
-        let u = TargetUniverse::from_deployment(&Deployment::standard());
+        let u = TargetUniverse::from_deployment(Deployment::standard());
         let mut rng = SimRng::seed_from_u64(2);
         let c = build(
             &u,

@@ -55,12 +55,9 @@ impl TargetUniverse {
                 region: v.region.clone(),
             })
             .collect();
-        let telescope = d.telescope.borrow().block().clone();
-        let leak_block = d
-            .topology
-            .block("leak/stanford")
-            .expect("deployment always allocates the leak block")
-            .clone();
+        let block = |name| d.topology.block(name).expect("a layout block").clone();
+        let telescope = block("telescope");
+        let leak_block = block("leak/stanford");
         TargetUniverse {
             services,
             telescope,
@@ -149,7 +146,7 @@ mod tests {
     use cw_honeypot::deployment::Deployment;
 
     fn universe() -> TargetUniverse {
-        TargetUniverse::from_deployment(&Deployment::standard())
+        TargetUniverse::from_deployment(Deployment::standard())
     }
 
     #[test]

@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn fleet_matches_mix_counts() {
-        let u = TargetUniverse::from_deployment(&Deployment::standard());
+        let u = TargetUniverse::from_deployment(Deployment::standard());
         let mut rng = SimRng::seed_from_u64(2);
         let mut next = 0u32;
         let fleet = build(

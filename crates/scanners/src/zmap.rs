@@ -173,7 +173,7 @@ mod tests {
     use cw_netsim::asn::Asn;
 
     fn test_build(profile: &ZmapProfile, seed: u64) -> Vec<Campaign> {
-        let universe = TargetUniverse::from_deployment(&Deployment::standard());
+        let universe = TargetUniverse::from_deployment(Deployment::standard());
         let mut rng = SimRng::seed_from_u64(seed);
         let mut next = 0u32;
         let mut counter = 0u32;
@@ -226,7 +226,7 @@ mod tests {
             telescope_sample: 1000,
             payload_fraction: 0.0,
         };
-        let universe = TargetUniverse::from_deployment(&Deployment::standard());
+        let universe = TargetUniverse::from_deployment(Deployment::standard());
         let n_services = universe.all_service_ips().len();
         let cs = test_build(&p, 2);
         for c in &cs {

@@ -61,13 +61,14 @@ fn main() {
     let targets: Vec<Ipv4Addr> = he.iter().filter(|ip| is_prime(ip.octets()[3])).collect();
     println!("prime-addressed targets in the /24: {}", targets.len());
 
+    let instruments = deployment.instruments();
     let mut engine = Engine::new();
-    deployment.register(&mut engine);
+    instruments.register(&mut engine);
     engine.add_agent(Box::new(PrimeScanner { targets, cursor: 0 }), SimTime::ZERO);
     engine.run(SimTime::ZERO + SimDuration::DAY);
 
     // Measure: do prime and non-prime honeypots see different volumes?
-    let capture = deployment
+    let capture = instruments
         .honeypot("greynoise/he/US-OH")
         .expect("HE honeypot")
         .borrow()

@@ -20,9 +20,10 @@ use std::net::Ipv4Addr;
 
 fn main() {
     let deployment = Deployment::standard();
-    let universe = TargetUniverse::from_deployment(&deployment);
+    let universe = TargetUniverse::from_deployment(deployment);
+    let instruments = deployment.instruments();
     let mut engine = Engine::new();
-    deployment.register(&mut engine);
+    instruments.register(&mut engine);
 
     // A naive brute-forcer and a fingerprinting one, same target universe.
     let mut rng = SimRng::seed_from_u64(4242);
@@ -67,7 +68,7 @@ fn main() {
     let mut creds_naive = 0usize;
     let mut creds_careful = 0usize;
     let mut probes_careful = 0usize;
-    for hp in &deployment.honeypots {
+    for hp in &instruments.honeypots {
         let cap = hp.borrow().capture();
         let cap = cap.borrow();
         for e in cap.events() {

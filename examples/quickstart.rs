@@ -78,7 +78,7 @@ fn main() {
 
     // 5. And the headline: how many SSH scanners also touch the telescope?
     let tel = scenario.telescope.borrow();
-    let cloud_ips = cloud_watching::core::overlap::cloud_ips(&scenario.deployment);
+    let cloud_ips = cloud_watching::core::overlap::cloud_ips(scenario.deployment);
     let srcs = exec
         .run(&Plan::at(&cloud_ips).port(22).distinct_srcs())
         .into_distinct_srcs();

@@ -17,9 +17,9 @@ fn main() {
     let tel = s.telescope.borrow();
     // Tables 8 and 9 read four plans over two fleets; a store of them runs
     // the four scans in one pass per fleet.
-    let store = PlanStore::build(&s.dataset, &overlap::table8_and_9_plans(&s.deployment));
+    let store = PlanStore::build(&s.dataset, &overlap::table8_and_9_plans(s.deployment));
     let exec = ScanExec::with_store(&s.dataset, &store);
-    let (t8, t9) = overlap::table8_and_9(&exec, &s.deployment, &tel);
+    let (t8, t9) = overlap::table8_and_9(&exec, s.deployment, &tel);
 
     println!("— telescope avoidance (Table 8 shape) —");
     for row in t8 {

@@ -7,7 +7,9 @@
 #   registry-completeness ones, plus each member crate's unit tests and
 #   crates/protocols/tests/props.rs), a build of the cwbench/
 #   benchmark package (outside the workspace, so an API change that breaks
-#   it would otherwise pass), doc build (warnings are errors), doctests,
+#   it would otherwise pass) and its own smoke test (every workload timed
+#   and traced at scale 0.02, with the tracer's digest, coverage and
+#   overhead checks), doc build (warnings are errors), doctests,
 #   the determinism check (`cw all` output must be
 #   byte-identical across thread counts (1, 8) AND cache states: cold
 #   cache, warm cache, --no-cache — and one cold --threads 8 row with its
@@ -64,6 +66,9 @@ cargo test --release -q -p cloud-watching --test query --test plans --test snaps
 
 echo "==> cargo build --release cwbench/ (the benchmark builds against this API)"
 cargo build --release --quiet --manifest-path cwbench/Cargo.toml --target-dir target/cwbench
+
+echo "==> python3 -m unittest discover -s cwbench (the benchmark's smoke test: every workload timed and traced at scale 0.02)"
+python3 -m unittest discover -s cwbench -p 'test_*.py'
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

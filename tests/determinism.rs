@@ -62,8 +62,8 @@ fn same_seed_same_tables() {
     let a = run(7);
     let b = run(7);
     let table2 = |s: &Scenario| {
-        let store = PlanStore::build(&s.dataset, &neighborhood::table2_plans(&s.deployment));
-        neighborhood::table2(&ScanExec::with_store(&s.dataset, &store), &s.deployment)
+        let store = PlanStore::build(&s.dataset, &neighborhood::table2_plans(s.deployment));
+        neighborhood::table2(&ScanExec::with_store(&s.dataset, &store), s.deployment)
     };
     let (ra, rb) = (table2(&a), table2(&b));
     for (x, y) in ra.iter().zip(&rb) {

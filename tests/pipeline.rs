@@ -56,9 +56,9 @@ fn headline_telescope_blind_spot() {
         // §5.2: Telnet scanners barely avoid the telescope; SSH scanners and
         // especially SSH *attackers* do.
         let tel = s.telescope.borrow();
-        let store = PlanStore::build(&s.dataset, &overlap::table8_and_9_plans(&s.deployment));
+        let store = PlanStore::build(&s.dataset, &overlap::table8_and_9_plans(s.deployment));
         let exec = ScanExec::with_store(&s.dataset, &store);
-        let (t8, t9) = overlap::table8_and_9(&exec, &s.deployment, &tel);
+        let (t8, t9) = overlap::table8_and_9(&exec, s.deployment, &tel);
         let get = |p: u16| t8.iter().find(|r| r.port == p).unwrap();
         let telnet = get(23).tel_cloud.unwrap();
         let ssh = get(22).tel_cloud.unwrap();
@@ -73,8 +73,8 @@ fn headline_telescope_blind_spot() {
 fn headline_neighbors_differ() {
     scenario(|s| {
         // §4.1: a meaningful share of neighborhoods sees different top ASes.
-        let store = PlanStore::build(&s.dataset, &neighborhood::table2_plans(&s.deployment));
-        let rows = neighborhood::table2(&ScanExec::with_store(&s.dataset, &store), &s.deployment);
+        let store = PlanStore::build(&s.dataset, &neighborhood::table2_plans(s.deployment));
+        let rows = neighborhood::table2(&ScanExec::with_store(&s.dataset, &store), s.deployment);
         let ssh_as = rows
             .iter()
             .find(|r| r.slice == TrafficSlice::SshPort22 && r.characteristic == CharKind::TopAs)
@@ -92,10 +92,10 @@ fn headline_apac_discrimination() {
     scenario(|s| {
         // §5.1: within-US/EU region pairs are more similar than APAC pairs.
         let (slice, kind) = (TrafficSlice::TelnetPort23, CharKind::TopUsername);
-        let plans = geography::table5_plans(&s.deployment, slice, kind);
+        let plans = geography::table5_plans(s.deployment, slice, kind);
         let store = PlanStore::build(&s.dataset, &plans);
         let exec = ScanExec::with_store(&s.dataset, &store);
-        let cells = geography::table5(&exec, &s.deployment, slice, kind);
+        let cells = geography::table5(&exec, s.deployment, slice, kind);
         use cloud_watching::netsim::geo::RegionPairKind;
         let get = |b: RegionPairKind| cells.iter().find(|c| c.bucket == b).map(|c| c.pct_similar);
         if let (Some(us), Some(apac)) = (
@@ -117,7 +117,7 @@ fn headline_unexpected_protocols() {
         // TLS leads the unexpected protocols.
         let exec = ScanExec::unplanned(&s.dataset);
         let (rows, shares) =
-            ports::protocol_breakdown(&exec, &s.deployment, &s.handles.reputation, 80);
+            ports::protocol_breakdown(&exec, s.deployment, &s.handles.reputation, 80);
         let other = rows.iter().find(|r| !r.is_http).unwrap();
         assert!(
             other.pct_of_scanners > 2.0,
@@ -169,7 +169,7 @@ fn network_type_cells_are_computable() {
         let exec = ScanExec::unplanned(&s.dataset);
         let cc = network::cloud_cloud_cell(
             &exec,
-            &s.deployment,
+            s.deployment,
             TrafficSlice::TelnetPort23,
             CharKind::TopAs,
             0.05,
@@ -178,7 +178,7 @@ fn network_type_cells_are_computable() {
         // Honeytrap credential cells must be the paper's ×.
         let ce = network::honeytrap_cell(
             &exec,
-            &s.deployment,
+            s.deployment,
             &network::CLOUD_EDU_PAIRS,
             TrafficSlice::SshPort22,
             CharKind::TopPassword,

@@ -222,7 +222,7 @@ fn spec_pool() -> Vec<Spec> {
     use Pred::*;
     use Term::*;
     let d = Deployment::standard();
-    let (g, e) = (greynoise_ips(&d), edu_ips(&d));
+    let (g, e) = (greynoise_ips(d), edu_ips(d));
     let one = [g[0]];
     let repeat = [g[0], g[1], g[0]];
     let (all, g, e, one, repeat) = (
@@ -437,7 +437,7 @@ fn every_terminal_matches_a_per_row_reference_on_a_real_world() {
     let t = ds.table();
     let exec = ScanExec::unplanned(ds);
     let d = Deployment::standard();
-    let (g, e) = (greynoise_ips(&d), edu_ips(&d));
+    let (g, e) = (greynoise_ips(d), edu_ips(d));
     // A repeated key (22) and a key absent from the data (9).
     let keys = [23, 22, 80, 22, 9];
     assert!(!t.dst_ports().contains(&9));
@@ -570,15 +570,15 @@ fn ported_products_match_unplanned_execution() {
         (TrafficSlice::HttpAllPorts, CharKind::TopPayload),
     ];
     let mut plans = Vec::new();
-    plans.extend(neighborhood::table2_plans(&d));
-    plans.extend(geography::table4_plans(&d));
+    plans.extend(neighborhood::table2_plans(d));
+    plans.extend(geography::table4_plans(d));
     for &(slice, kind) in &cells {
-        plans.extend(geography::table5_plans(&d, slice, kind));
+        plans.extend(geography::table5_plans(d, slice, kind));
     }
-    plans.extend(overlap::table8_and_9_plans(&d));
-    plans.extend(ports::protocol_breakdown_plans(&d, 80));
-    plans.extend(ports::protocol_breakdown_plans(&d, 8080));
-    plans.extend(ports::composition_stats_plans(&d));
+    plans.extend(overlap::table8_and_9_plans(d));
+    plans.extend(ports::protocol_breakdown_plans(d, 80));
+    plans.extend(ports::protocol_breakdown_plans(d, 8080));
+    plans.extend(ports::composition_stats_plans(d));
 
     let store = PlanStore::build(&s.dataset, &plans);
     assert!(
@@ -593,52 +593,52 @@ fn ported_products_match_unplanned_execution() {
     // Row types are Debug-but-not-PartialEq; their debug form carries
     // every field, which is exactly the equality the renders consume.
     assert_eq!(
-        format!("{:?}", neighborhood::table2(&fused, &d)),
-        format!("{:?}", neighborhood::table2(&alone, &d)),
+        format!("{:?}", neighborhood::table2(&fused, d)),
+        format!("{:?}", neighborhood::table2(&alone, d)),
     );
     assert_eq!(
-        format!("{:?}", geography::table4(&fused, &d)),
-        format!("{:?}", geography::table4(&alone, &d)),
+        format!("{:?}", geography::table4(&fused, d)),
+        format!("{:?}", geography::table4(&alone, d)),
     );
     for &(slice, kind) in &cells {
         assert_eq!(
-            format!("{:?}", geography::table5(&fused, &d, slice, kind)),
-            format!("{:?}", geography::table5(&alone, &d, slice, kind)),
+            format!("{:?}", geography::table5(&fused, d, slice, kind)),
+            format!("{:?}", geography::table5(&alone, d, slice, kind)),
             "table5 {slice:?} {kind:?}"
         );
     }
     assert_eq!(
-        format!("{:?}", overlap::table8_and_9(&fused, &d, &s.telescope)),
-        format!("{:?}", overlap::table8_and_9(&alone, &d, &s.telescope)),
+        format!("{:?}", overlap::table8_and_9(&fused, d, &s.telescope)),
+        format!("{:?}", overlap::table8_and_9(&alone, d, &s.telescope)),
     );
     for port in [80u16, 8080] {
         assert_eq!(
             format!(
                 "{:?}",
-                ports::protocol_breakdown(&fused, &d, &s.reputation, port)
+                ports::protocol_breakdown(&fused, d, &s.reputation, port)
             ),
             format!(
                 "{:?}",
-                ports::protocol_breakdown(&alone, &d, &s.reputation, port)
+                ports::protocol_breakdown(&alone, d, &s.reputation, port)
             ),
             "breakdown port {port}"
         );
     }
     assert_eq!(
-        format!("{:?}", ports::composition_stats(&fused, &d)),
-        format!("{:?}", ports::composition_stats(&alone, &d)),
+        format!("{:?}", ports::composition_stats(&fused, d)),
+        format!("{:?}", ports::composition_stats(&alone, d)),
     );
 
     let t5_plans: Vec<Plan> = GRID14
         .iter()
-        .flat_map(|&(slice, kind)| geography::table5_plans(&d, slice, kind))
+        .flat_map(|&(slice, kind)| geography::table5_plans(d, slice, kind))
         .collect();
     let t5_store = PlanStore::build(&s.dataset, &t5_plans);
     let t5 = ScanExec::with_store(&s.dataset, &t5_store);
     let cloud_cloud = |exec: &ScanExec<'_>| -> Vec<_> {
         GRID14
             .iter()
-            .map(|&(slice, kind)| network::cloud_cloud_cell(exec, &d, slice, kind, 0.05))
+            .map(|&(slice, kind)| network::cloud_cloud_cell(exec, d, slice, kind, 0.05))
             .collect()
     };
     let before = scan_counters();
@@ -656,11 +656,11 @@ fn ported_products_match_unplanned_execution() {
             assert_eq!(
                 format!(
                     "{:?}",
-                    network::honeytrap_cell(&t5, &d, pairs, slice, kind, 0.05)
+                    network::honeytrap_cell(&t5, d, pairs, slice, kind, 0.05)
                 ),
                 format!(
                     "{:?}",
-                    network::honeytrap_cell(&alone, &d, pairs, slice, kind, 0.05)
+                    network::honeytrap_cell(&alone, d, pairs, slice, kind, 0.05)
                 ),
                 "honeytrap cell {pairs:?} {slice:?} {kind:?}"
             );
@@ -669,7 +669,7 @@ fn ported_products_match_unplanned_execution() {
     for slice in [TrafficSlice::SshPort22, TrafficSlice::AnyAll] {
         for fleet in ["honeytrap/stanford", "honeytrap/aws-west"] {
             let cmp = |exec: &ScanExec<'_>| {
-                network::telescope_vs_fleet(exec, &d, &s.telescope, fleet, slice, 0.05, 2)
+                network::telescope_vs_fleet(exec, d, &s.telescope, fleet, slice, 0.05, 2)
             };
             assert_eq!(
                 format!("{:?}", cmp(&t5)),
@@ -678,14 +678,14 @@ fn ported_products_match_unplanned_execution() {
             );
         }
     }
-    let t8 = overlap::table8_and_9(&alone, &d, &s.telescope).0;
+    let t8 = overlap::table8_and_9(&alone, d, &s.telescope).0;
     let stability = |exec: ScanExec<'_>| {
         let view = YearView {
             year: 2021,
             exec,
             telescope: &s.telescope,
         };
-        temporal::stability(&d, view, view, &t8, &t8)
+        temporal::stability(d, view, view, &t8, &t8)
     };
     assert_eq!(
         format!("{:?}", stability(t5)),

@@ -83,7 +83,7 @@ fn plant(dir: &Path, bytes: &[u8]) -> PathBuf {
 }
 
 fn loads(dir: &Path) -> bool {
-    load_from(dir, &config(), &Deployment::standard()).is_some()
+    load_from(dir, &config()).is_some()
 }
 
 /// Payload offsets at which each section ends, walking the layout
@@ -177,7 +177,7 @@ fn decode_then_encode_is_byte_identical() {
     let payload = payload();
     assert_eq!(snap::unseal(sealed()), Ok(payload));
     let mut r = SnapReader::new(payload);
-    let bundle = SimBundle::snap_read(&mut r, &Deployment::standard()).expect("decode");
+    let bundle = SimBundle::snap_read(&mut r, Deployment::standard()).expect("decode");
     assert!(r.is_exhausted());
     assert!(bundle.matches(&config()));
     assert!(!bundle.dataset.is_empty());
@@ -194,7 +194,7 @@ fn decode_then_encode_is_byte_identical() {
 /// of `payload` sealed must give.
 fn decoded_in_memory(payload: &[u8]) -> Option<Vec<u8>> {
     let mut r = SnapReader::new(payload);
-    let bundle = SimBundle::snap_read(&mut r, &Deployment::standard()).ok()?;
+    let bundle = SimBundle::snap_read(&mut r, Deployment::standard()).ok()?;
     (r.is_exhausted() && bundle.matches(&config())).then(|| encode(&bundle))
 }
 
@@ -203,7 +203,7 @@ fn decoded_in_memory(payload: &[u8]) -> Option<Vec<u8>> {
 fn loaded(tag: &str, sealed: &[u8]) -> Option<Vec<u8>> {
     let dir = private_dir(tag);
     plant(&dir, sealed);
-    let bundle = load_from(&dir, &config(), &Deployment::standard());
+    let bundle = load_from(&dir, &config());
     let _ = std::fs::remove_dir_all(&dir);
     bundle.as_ref().map(encode)
 }
@@ -231,11 +231,10 @@ fn truncation_at_any_section_boundary_never_loads() {
     let _ = std::fs::remove_dir_all(&dir);
     // The same cuts inside the payload, as if sealed afresh after the
     // truncation: past the digest, only the decoder can refuse them.
-    let deployment = Deployment::standard();
     for &end in section_ends().iter().filter(|&&end| end < payload.len()) {
         let mut r = SnapReader::new(&payload[..end]);
         assert!(
-            SimBundle::snap_read(&mut r, &deployment).is_err(),
+            SimBundle::snap_read(&mut r, Deployment::standard()).is_err(),
             "payload cut at byte {end} decoded"
         );
     }
@@ -269,7 +268,7 @@ proptest! {
             flip(&mut damaged, &regions, pick);
         }
         // Ok and Err are both fine; a panic fails the case.
-        let _ = SimBundle::snap_read(&mut SnapReader::new(&damaged), &Deployment::standard());
+        let _ = SimBundle::snap_read(&mut SnapReader::new(&damaged), Deployment::standard());
     }
 }
 
