@@ -14,11 +14,13 @@
 //! boundary documented in `docs/QUERY.md`. Every axis is counted by ID,
 //! with one core for each step: `axis_id` picks the ID a row adds to an
 //! axis, and `label_counts` turns an axis's ID counts into its labelled
-//! map. An event slice feeds them here (the extractors below, and
-//! [`CharKind::freqs`]); a [`crate::query::Plan::char_freqs`] pass feeds
-//! them the same IDs straight off the dataset's columns, counts them
-//! while it scans, and labels payloads through the dataset's per-payload
-//! memo.
+//! map, a [`Freqs`] whose keys are shared [`Label`]s. An event slice
+//! feeds them here (the extractors below, and [`CharKind::freqs`]), with
+//! labels made fresh per call; a [`crate::query::Plan::char_freqs`] pass
+//! feeds them the same IDs straight off the dataset's columns, counts
+//! them while it scans, and takes every label from the dataset's memos
+//! (`AxisLabels`), so a label is made once per distinct AS, credential
+//! or payload per world and every map after that copies an `Arc`.
 
 use crate::compare::CharKind;
 use crate::dataset::ClassifiedEvent;
@@ -27,20 +29,20 @@ use cw_honeypot::capture::Observed;
 use cw_netsim::asn::Asn;
 use cw_netsim::intern::{CredId, Interner, PayloadId};
 use cw_netsim::rng::fnv1a;
-use std::collections::BTreeMap;
+use cw_stats::topk::{Freqs, Label};
 
 /// Frequency of traffic per source AS ("who").
-pub fn as_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
+pub fn as_freqs(events: &[ClassifiedEvent<'_>]) -> Freqs {
     event_freqs(CharKind::TopAs, events)
 }
 
 /// Frequency of attempted usernames ("what", SSH/Telnet).
-pub fn username_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
+pub fn username_freqs(events: &[ClassifiedEvent<'_>]) -> Freqs {
     event_freqs(CharKind::TopUsername, events)
 }
 
 /// Frequency of attempted passwords ("what", SSH/Telnet).
-pub fn password_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
+pub fn password_freqs(events: &[ClassifiedEvent<'_>]) -> Freqs {
     event_freqs(CharKind::TopPassword, events)
 }
 
@@ -51,13 +53,14 @@ pub fn password_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
 /// and rendered once via [`payload_key`]. Distinct ids whose normalized
 /// form collides fold into one category (their counts add), exactly as
 /// per-event string keying grouped them.
-pub fn payload_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
+pub fn payload_freqs(events: &[ClassifiedEvent<'_>]) -> Freqs {
     event_freqs(CharKind::TopPayload, events)
 }
 
 /// `kind`'s frequency map over an event slice: the axis IDs of its
-/// events, tallied after one sort and labelled by [`label_counts`].
-fn event_freqs(kind: CharKind, events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
+/// events, tallied after one sort and labelled by [`label_counts`] with
+/// fresh labels.
+fn event_freqs(kind: CharKind, events: &[ClassifiedEvent<'_>]) -> Freqs {
     let ids = events
         .iter()
         .filter_map(|e| axis_id(kind, || e.event.src_asn, || e.verdict, || e.event.observed));
@@ -65,9 +68,34 @@ fn event_freqs(kind: CharKind, events: &[ClassifiedEvent<'_>]) -> BTreeMap<Strin
     // An empty slice has no interner, and no ID to resolve through one.
     let empty = Interner::new();
     let interner = events.first().map_or(&empty, |e| e.interner());
-    label_counts(kind, counts, interner, |id| {
-        payload_label(interner.payload(id))
-    })
+    label_counts(kind, counts, interner)
+}
+
+/// Where [`label_counts`] takes the label of an axis ID from. A
+/// [`crate::dataset::Dataset`] serves each from a memo, so a label is
+/// made once per distinct ID per world, from any thread; an
+/// [`Interner`] makes a fresh one per call.
+pub(crate) trait AxisLabels {
+    /// An AS number's label, `AS<n>`.
+    fn asn_label(&self, asn: u32) -> Label;
+    /// A username's or password's label: the credential itself.
+    fn cred_label(&self, id: CredId) -> Label;
+    /// A payload's §3.3 category ([`payload_label`]).
+    fn payload_label(&self, id: PayloadId) -> Label;
+}
+
+impl AxisLabels for Interner {
+    fn asn_label(&self, asn: u32) -> Label {
+        Asn(asn).to_string().into()
+    }
+
+    fn cred_label(&self, id: CredId) -> Label {
+        self.cred(id).into()
+    }
+
+    fn payload_label(&self, id: PayloadId) -> Label {
+        payload_label(self.payload(id)).into()
+    }
 }
 
 /// The ID one row or event adds to `kind`'s counts, if any: its AS
@@ -100,19 +128,18 @@ const ATTACKER: u32 = 0;
 const SCANNER: u32 = 1;
 
 /// The labelling core: `kind`'s per-ID counts (from [`axis_id`], in any
-/// order) → its frequency map. Each distinct ID is labelled once: an AS
-/// as `AS<n>`, a credential through `interner`, a payload through
-/// `payload_label`. Distinct payloads whose labels collide fold into one
+/// order) → its frequency map. Each distinct ID takes its label from
+/// `labels`: an AS as `AS<n>`, a credential as itself, a payload as its
+/// §3.3 category. Distinct payloads whose labels collide fold into one
 /// category, their counts added. The "why" axis always has both of its
 /// categories.
-pub(crate) fn label_counts<L: AsRef<str>>(
+pub(crate) fn label_counts(
     kind: CharKind,
     counts: impl IntoIterator<Item = (u32, u64)>,
-    interner: &Interner,
-    mut payload_label: impl FnMut(PayloadId) -> L,
-) -> BTreeMap<String, u64> {
+    labels: &impl AxisLabels,
+) -> Freqs {
     match kind {
-        CharKind::TopAs => labelled(counts, |asn| Asn(asn).to_string()),
+        CharKind::TopAs => labelled(counts, |asn| labels.asn_label(asn)),
         CharKind::FracMalicious => {
             let (mut attacker, mut scanner) = (0, 0);
             for (id, n) in counts {
@@ -124,26 +151,20 @@ pub(crate) fn label_counts<L: AsRef<str>>(
             malicious_map((attacker, scanner))
         }
         CharKind::TopUsername | CharKind::TopPassword => {
-            labelled(counts, |id| interner.cred(CredId(id)))
+            labelled(counts, |id| labels.cred_label(CredId(id)))
         }
-        CharKind::TopPayload => labelled(counts, |id| payload_label(PayloadId(id))),
+        CharKind::TopPayload => labelled(counts, |id| labels.payload_label(PayloadId(id))),
     }
 }
 
 /// ID counts summed per label.
-fn labelled<L: AsRef<str>>(
+fn labelled(
     counts: impl IntoIterator<Item = (u32, u64)>,
-    mut label: impl FnMut(u32) -> L,
-) -> BTreeMap<String, u64> {
-    let mut m: BTreeMap<String, u64> = BTreeMap::new();
+    mut label: impl FnMut(u32) -> Label,
+) -> Freqs {
+    let mut m = Freqs::new();
     for (id, n) in counts {
-        let label = label(id);
-        match m.get_mut(label.as_ref()) {
-            Some(total) => *total += n,
-            None => {
-                m.insert(label.as_ref().to_owned(), n);
-            }
-        }
+        *m.entry(label(id)).or_insert(0) += n;
     }
     m
 }
@@ -217,15 +238,15 @@ fn count_verdicts(verdicts: impl Iterator<Item = Verdict>) -> (u64, u64) {
 }
 
 /// The "why" axis as a two-category frequency map for chi-squared testing.
-pub fn maliciousness_freqs(events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
+pub fn maliciousness_freqs(events: &[ClassifiedEvent<'_>]) -> Freqs {
     event_freqs(CharKind::FracMalicious, events)
 }
 
-fn malicious_map((attacker, scanner): (u64, u64)) -> BTreeMap<String, u64> {
-    let mut m = BTreeMap::new();
-    m.insert("malicious".to_string(), attacker);
-    m.insert("not-malicious".to_string(), scanner);
-    m
+fn malicious_map((attacker, scanner): (u64, u64)) -> Freqs {
+    Freqs::from([
+        ("malicious".into(), attacker),
+        ("not-malicious".into(), scanner),
+    ])
 }
 
 #[cfg(test)]

@@ -9,11 +9,12 @@
 
 use crate::axes;
 use crate::dataset::ClassifiedEvent;
+use cw_stats::topk::Freqs;
 use cw_stats::{
     bonferroni_alpha, chi_squared_from_table, cramers_v, top_k_union_table, Chi2Result,
     ContingencyTable, EffectSize, TopKSpec,
 };
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
 
 /// The comparable traffic characteristics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,7 +49,7 @@ impl CharKind {
     /// [`crate::query::Plan::char_freqs`], which gathers the group in a
     /// fusable scan over the interned ID columns and resolves strings only
     /// after the scan.
-    pub fn freqs(&self, events: &[ClassifiedEvent<'_>]) -> BTreeMap<String, u64> {
+    pub fn freqs(&self, events: &[ClassifiedEvent<'_>]) -> Freqs {
         match self {
             CharKind::TopAs => axes::as_freqs(events),
             CharKind::FracMalicious => axes::maliciousness_freqs(events),
@@ -76,9 +77,9 @@ pub struct GroupComparison {
 }
 
 /// Build the contingency table for a characteristic across groups.
-pub fn characteristic_table(
+pub fn characteristic_table<M: Borrow<Freqs>>(
     kind: CharKind,
-    group_freqs: &[BTreeMap<String, u64>],
+    group_freqs: &[M],
 ) -> ContingencyTable {
     if kind.uses_top_k() {
         top_k_union_table(group_freqs, TopKSpec::paper())
@@ -87,7 +88,13 @@ pub fn characteristic_table(
         let categories = vec!["malicious".to_string(), "not-malicious".to_string()];
         let counts = group_freqs
             .iter()
-            .map(|g| categories.iter().map(|c| *g.get(c).unwrap_or(&0)).collect())
+            .map(|g| {
+                let g = g.borrow();
+                categories
+                    .iter()
+                    .map(|c| *g.get(c.as_str()).unwrap_or(&0))
+                    .collect()
+            })
             .collect();
         ContingencyTable::new(categories, counts)
     }
@@ -97,9 +104,9 @@ pub fn characteristic_table(
 /// this analysis (Bonferroni `m`); `alpha` is the uncorrected level (0.05 in
 /// the paper). Returns `None` when the table is degenerate (the paper's
 /// "cannot be calculated" ×).
-pub fn compare_freqs(
+pub fn compare_freqs<M: Borrow<Freqs>>(
     kind: CharKind,
-    group_freqs: &[BTreeMap<String, u64>],
+    group_freqs: &[M],
     alpha: f64,
     family_size: usize,
 ) -> Option<GroupComparison> {
@@ -133,7 +140,7 @@ pub fn permuted_label_freqs(
     events: &[ClassifiedEvent<'_>],
     k: usize,
     rng: &mut cw_netsim::rng::SimRng,
-) -> Vec<BTreeMap<String, u64>> {
+) -> Vec<Freqs> {
     assert!(k >= 2, "a comparison needs at least two groups");
     let mut order: Vec<usize> = (0..events.len()).collect();
     rng.shuffle(&mut order);
@@ -148,31 +155,93 @@ pub fn permuted_label_freqs(
 /// region-representative map by taking, per category, the median count
 /// across the region's honeypots. This damps single-honeypot anomalies
 /// (botnet latches, single-IP floods) when comparing *regions*.
-pub fn median_freqs(per_honeypot: &[BTreeMap<String, u64>]) -> BTreeMap<String, u64> {
-    let mut categories: Vec<&String> = per_honeypot.iter().flat_map(|m| m.keys()).collect();
-    categories.sort();
-    categories.dedup();
-    let mut out = BTreeMap::new();
-    for cat in categories {
-        let counts: Vec<f64> = per_honeypot
-            .iter()
-            .map(|m| *m.get(cat).unwrap_or(&0) as f64)
-            .collect();
-        let med = cw_stats::descriptive::median(&counts).unwrap_or(0.0);
+///
+/// A category missing from a map counts 0 there, a median of an even
+/// number of maps averages the middle two counts, and a median that
+/// rounds to 0 leaves its category out. One walk merges the maps' label
+/// orders, so each category's counts are read off the maps' heads into
+/// one reused buffer, and the output shares the input's labels.
+pub fn median_freqs<M: Borrow<Freqs>>(per_honeypot: &[M]) -> Freqs {
+    let mut heads: Vec<_> = per_honeypot
+        .iter()
+        .map(|m| m.borrow().iter().peekable())
+        .collect();
+    let mut counts: Vec<f64> = Vec::with_capacity(heads.len());
+    let mut out = Vec::new();
+    // The least label at any head is the next category in label order.
+    while let Some(cat) = heads
+        .iter_mut()
+        .filter_map(|h| h.peek().map(|&(l, _)| l))
+        .min()
+    {
+        counts.clear();
+        counts.extend(
+            heads
+                .iter_mut()
+                .map(|h| h.next_if(|&(l, _)| l == cat).map_or(0, |(_, &c)| c) as f64),
+        );
+        let med = cw_stats::descriptive::median_in_place(&mut counts).unwrap_or(0.0);
         let med = med.round() as u64;
         if med > 0 {
-            out.insert(cat.clone(), med);
+            out.push((cat.clone(), med));
         }
     }
-    out
+    out.into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cw_stats::topk::Label;
+    use proptest::prelude::*;
 
-    fn freqs(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {
-        pairs.iter().map(|(s, c)| (s.to_string(), *c)).collect()
+    /// The owned `median_freqs` the merging one replaced, kept as its
+    /// reference: sort and dedup every label, then look each up in every
+    /// map and take the median of a fresh count vector.
+    fn owned_median(per_honeypot: &[Freqs]) -> Freqs {
+        let mut categories: Vec<&Label> = per_honeypot.iter().flat_map(|m| m.keys()).collect();
+        categories.sort();
+        categories.dedup();
+        let mut out = Freqs::new();
+        for cat in categories {
+            let counts: Vec<f64> = per_honeypot
+                .iter()
+                .map(|m| *m.get(cat).unwrap_or(&0) as f64)
+                .collect();
+            let med = cw_stats::descriptive::median(&counts).unwrap_or(0.0);
+            let med = med.round() as u64;
+            if med > 0 {
+                out.insert(cat.clone(), med);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn median_freqs_matches_the_owned_reference(
+            groups in 1usize..=6,
+            cells in prop::collection::vec(0u64..9, 48),
+        ) {
+            // Up to 8 labels per map: a cell of 0 leaves its label out of
+            // that map, any other cell `c` holds count `c - 1`, so zero
+            // counts, missing labels and half-way medians of an even
+            // number of maps all occur.
+            let maps: Vec<Freqs> = cells
+                .chunks(8)
+                .take(groups)
+                .map(|row| {
+                    let present = row.iter().enumerate().filter(|&(_, &c)| c > 0);
+                    cw_stats::topk::frequency_map(present.map(|(i, &c)| (format!("AS{i}"), c - 1)))
+                })
+                .collect();
+            let borrowed: Vec<&Freqs> = maps.iter().collect();
+            prop_assert_eq!(median_freqs(&borrowed), owned_median(&maps));
+        }
+    }
+
+    fn freqs(pairs: &[(&str, u64)]) -> Freqs {
+        cw_stats::topk::frequency_map(pairs.iter().copied())
     }
 
     #[test]
@@ -216,7 +285,7 @@ mod tests {
     #[test]
     fn empty_characteristic_cannot_be_calculated() {
         // Honeytrap vantages never observe credentials: × in the tables.
-        let empty = BTreeMap::new();
+        let empty = Freqs::new();
         assert!(compare_freqs(CharKind::TopUsername, &[empty.clone(), empty], 0.05, 1).is_none());
     }
 

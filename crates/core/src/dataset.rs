@@ -18,19 +18,21 @@
 //! Verdicts are pure functions of `(payload bytes, port)`, so memoization
 //! is observationally identical to the per-event path.
 
+use crate::axes::AxisLabels;
 use crate::query::IdHash;
 use cw_detection::{is_malicious_payload, RuleSet, Verdict};
 use cw_honeypot::capture::{Capture, EventTable, Observed, ScanEvent};
 use cw_netsim::flow::LoginService;
-use cw_netsim::intern::{Interner, PayloadId};
+use cw_netsim::intern::{CredId, Interner, PayloadId};
 use cw_netsim::snap::{SnapError, SnapReader, SnapWriter};
 use cw_protocols::ProtocolId;
+use cw_stats::topk::Label;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// The §3.3 traffic slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -137,21 +139,46 @@ pub struct Dataset {
     fingerprints: Vec<Option<ProtocolId>>,
     interner: Interner,
     by_dst: DstIndex,
-    /// One lazily filled §3.3 category label per interned payload (see
-    /// [`Dataset::payload_label`]). Derived, so no snapshot holds it.
-    payload_labels: Box<[OnceLock<Box<str>>]>,
+    /// The axis labels the dataset serves as [`AxisLabels`], each made on
+    /// first use and then shared. Derived, so no snapshot holds them.
+    labels: LabelMemo,
+}
+
+/// A dataset's memo of axis labels: one lazily filled slot per interned
+/// payload and credential, and one entry per AS number asked for.
+#[derive(Debug)]
+struct LabelMemo {
+    payloads: Box<[OnceLock<Label>]>,
+    creds: Box<[OnceLock<Label>]>,
+    asns: RwLock<HashMap<u32, Label, IdHash>>,
+}
+
+impl LabelMemo {
+    /// Empty slots for every payload and credential of `interner`.
+    fn new(interner: &Interner) -> Self {
+        let slots = |n: usize| (0..n).map(|_| OnceLock::new()).collect();
+        LabelMemo {
+            payloads: slots(interner.payload_count()),
+            creds: slots(interner.cred_count()),
+            asns: RwLock::default(),
+        }
+    }
+}
+
+impl Clone for LabelMemo {
+    fn clone(&self) -> Self {
+        let asns = self.asns.read().unwrap_or_else(PoisonError::into_inner);
+        LabelMemo {
+            payloads: self.payloads.clone(),
+            creds: self.creds.clone(),
+            asns: RwLock::new(asns.clone()),
+        }
+    }
 }
 
 /// The fingerprint column's tag for a row with no fingerprint; any other
 /// tag is the fingerprint's index in [`ProtocolId::ALL`].
 const NO_FINGERPRINT: u8 = 0xFF;
-
-/// One empty payload-label slot per payload of `interner`.
-fn label_slots(interner: &Interner) -> Box<[OnceLock<Box<str>>]> {
-    (0..interner.payload_count())
-        .map(|_| OnceLock::new())
-        .collect()
-}
 
 /// Per-distinct classification memo: `(payload id, port)` → verdict +
 /// fingerprint, for ids of one interner.
@@ -282,7 +309,7 @@ impl Dataset {
         }
         Dataset {
             by_dst: index_by_dst(table.dsts()),
-            payload_labels: label_slots(&interner),
+            labels: LabelMemo::new(&interner),
             table,
             verdicts,
             fingerprints,
@@ -324,18 +351,6 @@ impl Dataset {
     /// behind [`crate::query::Plan::at`].
     pub(crate) fn dst_index(&self, ip: Ipv4Addr) -> Option<&[u32]> {
         self.by_dst.get(ip)
-    }
-
-    /// The §3.3 category label of payload `id` (normalized, then
-    /// [`crate::axes::payload_key`]), computed on first use and then
-    /// shared: once per distinct payload per dataset, from any thread.
-    ///
-    /// `id` must be one of this dataset's payload ids, as every id in its
-    /// table is: the build takes the interner the captures recorded into,
-    /// and [`Dataset::snap_read`] rejects a table id outside its interner.
-    pub(crate) fn payload_label(&self, id: PayloadId) -> &str {
-        self.payload_labels[id.index()]
-            .get_or_init(|| crate::axes::payload_label(self.interner.payload(id)).into_boxed_str())
     }
 
     /// Event `i` with its classification.
@@ -426,7 +441,7 @@ impl Dataset {
             .collect();
         Ok(Dataset {
             by_dst: index_by_dst(table.dsts()),
-            payload_labels: label_slots(&interner),
+            labels: LabelMemo::new(&interner),
             table,
             verdicts,
             fingerprints,
@@ -551,6 +566,41 @@ impl Dataset {
             writeln!(w, "{obj}")?;
         }
         Ok(())
+    }
+}
+
+/// Every label is made on first use and then shared: once per distinct ID
+/// per dataset, from any thread. A payload or credential ID must be one of
+/// this dataset's, as every ID in its table is: the build takes the
+/// interner the captures recorded into, and [`Dataset::snap_read`] rejects
+/// a table ID outside its interner.
+impl AxisLabels for Dataset {
+    fn asn_label(&self, asn: u32) -> Label {
+        let memo = &self.labels.asns;
+        if let Some(label) = memo
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&asn)
+        {
+            return label.clone();
+        }
+        memo.write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(asn)
+            .or_insert_with(|| self.interner.asn_label(asn))
+            .clone()
+    }
+
+    fn cred_label(&self, id: CredId) -> Label {
+        self.labels.creds[id.index()]
+            .get_or_init(|| self.interner.cred_label(id))
+            .clone()
+    }
+
+    fn payload_label(&self, id: PayloadId) -> Label {
+        self.labels.payloads[id.index()]
+            .get_or_init(|| self.interner.payload_label(id))
+            .clone()
     }
 }
 

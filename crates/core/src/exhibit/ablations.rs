@@ -11,8 +11,8 @@ use crate::query::Plan;
 use crate::report::{header_str, paper_note_str, TextTable};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
 use cw_scanners::population::ScenarioYear;
+use cw_stats::topk::Freqs;
 use cw_stats::{bonferroni_alpha, chi_squared_from_table, cramers_v, top_k_union_table, TopKSpec};
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 const NEEDS: &[Need] = &[Need::Year(ScenarioYear::Y2021)];
@@ -78,21 +78,20 @@ impl Exhibit for AblationMedian {
         // Group Linode honeypots per region.
         let regions = linode_regions(d);
         let exec = cx.exec(NEEDS[0]);
-        let rep = |ips: &[Ipv4Addr], use_median: bool| -> BTreeMap<String, u64> {
-            let per: Vec<BTreeMap<String, u64>> = ips
+        let rep = |ips: &[Ipv4Addr], use_median: bool| -> Freqs {
+            let per: Vec<_> = ips
                 .iter()
                 .map(|&ip| {
-                    exec.run(&char_plan(ip, TrafficSlice::SshPort22, CharKind::TopAs))
-                        .into_char_freqs()
+                    exec.char_freqs(&char_plan(ip, TrafficSlice::SshPort22, CharKind::TopAs))
                 })
                 .collect();
             if use_median {
                 median_freqs(&per)
             } else {
-                let mut pooled: BTreeMap<String, u64> = BTreeMap::new();
-                for m in per {
-                    for (k, v) in m {
-                        *pooled.entry(k).or_insert(0) += v;
+                let mut pooled = Freqs::new();
+                for m in &per {
+                    for (k, v) in m.iter() {
+                        *pooled.entry(k.clone()).or_insert(0) += v;
                     }
                 }
                 pooled
@@ -113,7 +112,7 @@ impl Exhibit for AblationMedian {
             for use_median in [false, true] {
                 let a = rep(&sg.1, use_median);
                 let b = rep(ips, use_median);
-                match compare_freqs(CharKind::TopAs, &[a, b], 0.05, m) {
+                match compare_freqs(CharKind::TopAs, &[&a, &b], 0.05, m) {
                     Some(cmp) => {
                         row.push(format!("{:.2}", cmp.effect.phi));
                         row.push(if cmp.significant { "yes" } else { "no" }.into());
@@ -132,8 +131,7 @@ impl Exhibit for AblationMedian {
             sg.1.iter()
                 .map(|&ip| {
                     *exec
-                        .run(&char_plan(ip, TrafficSlice::SshPort22, CharKind::TopAs))
-                        .into_char_freqs()
+                        .char_freqs(&char_plan(ip, TrafficSlice::SshPort22, CharKind::TopAs))
                         .get("AS6503")
                         .unwrap_or(&0)
                 })
@@ -209,11 +207,10 @@ impl Exhibit for AblationTopk {
             // First pass for the Bonferroni family size.
             let mut tables = Vec::new();
             for (_name, ips) in &hoods {
-                let groups: Vec<BTreeMap<String, u64>> = ips
+                let groups: Vec<_> = ips
                     .iter()
                     .map(|&ip| {
-                        exec.run(&char_plan(ip, TrafficSlice::SshPort22, CharKind::TopAs))
-                            .into_char_freqs()
+                        exec.char_freqs(&char_plan(ip, TrafficSlice::SshPort22, CharKind::TopAs))
                     })
                     .collect();
                 if groups.iter().any(|g| g.values().sum::<u64>() < 8) {
@@ -312,9 +309,9 @@ impl Exhibit for AblationBonferroni {
             for (_name, ips) in &hoods {
                 // Keep only honeypots that can observe the slice (HTTP ports
                 // live on 2 of the 4 GreyNoise IPs per region).
-                let groups: Vec<BTreeMap<String, u64>> = ips
+                let groups: Vec<_> = ips
                     .iter()
-                    .map(|&ip| exec.run(&char_plan(ip, slice, kind)).into_char_freqs())
+                    .map(|&ip| exec.char_freqs(&char_plan(ip, slice, kind)))
                     .filter(|g| g.values().sum::<u64>() >= 8)
                     .collect();
                 if groups.len() < 2 {

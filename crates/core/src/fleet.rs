@@ -1,9 +1,9 @@
 //! The parallel scenario fleet runner.
 //!
 //! Every `cw` command ultimately runs a handful of *independent* jobs — one
-//! world per (year, seed, fault plan), one bucket of fused scan passes per
-//! worker in the plan prefetch
-//! ([`crate::exhibit::ExhibitCx::prefetch`]), or one render per exhibit.
+//! world per (year, seed, fault plan), one fused scan pass in the plan
+//! prefetch ([`crate::exhibit::ExhibitCx::prefetch`]), or one render per
+//! exhibit.
 //! A world is built on one thread by design (the
 //! event loop wires agents with `Rc<RefCell<…>>`, so a
 //! [`Scenario`](crate::scenario::Scenario) is not
@@ -27,9 +27,11 @@
 //!    executed, and folded to a `Send` summary entirely on one worker
 //!    thread (the `ScenarioFactory` pattern — closures build the non-`Send`
 //!    scenario locally rather than sending it across threads).
-//! 3. **Results in input order.** Workers own static shards (run *i* goes
-//!    to worker *i* mod *workers* — no work stealing), and results are
-//!    reassembled by input index, never in completion order.
+//! 3. **Results by input index.** Workers claim jobs from one shared
+//!    cursor, each taking the next unclaimed input index when it finishes
+//!    its last job, so which worker runs a job depends on timing. A job
+//!    never learns its worker, and results are reassembled by input
+//!    index, never in completion order.
 //!
 //! Together: `threads = 1` and `threads = N` produce byte-identical output,
 //! so `--threads`/`CW_THREADS` is purely a wall-clock knob. That also makes
@@ -51,10 +53,10 @@
 //! [`try_map_timed`] expose the per-job `Result`s; the infallible [`map`]
 //! wrapper runs *every* job first and only then panics with an aggregate
 //! report, so a caller that can't degrade still never loses sibling
-//! diagnostics. The retry happens on the worker that owns the job (static
-//! shards are part of the determinism contract), and isolation is sound
-//! because jobs share nothing mutable — each builds its world locally and
-//! returns owned `Send` data.
+//! diagnostics. The retry happens on the worker that claimed the job,
+//! straight after the failed attempt, and isolation is sound because jobs
+//! share nothing mutable — each builds its world locally and returns
+//! owned `Send` data.
 //!
 //! # Example: thread count never changes results
 //!
@@ -73,6 +75,7 @@
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Decide how many worker threads a fleet should use.
 ///
@@ -107,11 +110,12 @@ pub fn resolve_shards(_explicit: Option<usize>) -> usize {
 /// into scheduling, so recording it cannot perturb results.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerTiming {
-    /// Worker (shard) index.
+    /// Worker index.
     pub worker: usize,
-    /// Number of jobs the worker executed.
+    /// Number of jobs the worker claimed and executed.
     pub jobs: usize,
-    /// Wall time the worker spent on its shard, in seconds.
+    /// Wall time from the worker's start to its finding no job left, in
+    /// seconds.
     pub busy_secs: f64,
 }
 
@@ -153,8 +157,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run one job with panic isolation and a single deterministic retry.
 ///
-/// The retry re-invokes `job` with byte-identical inputs on the same
-/// worker: a reproducible panic fails twice and surfaces as a
+/// The retry re-invokes `job` with byte-identical inputs on the worker
+/// that claimed it: a reproducible panic fails twice and surfaces as a
 /// [`JobError`]; a flaky environmental failure (e.g. a transient
 /// allocation failure) gets exactly one second chance. Two attempts, no
 /// more — retry counts must not depend on runtime conditions.
@@ -184,12 +188,15 @@ where
 /// Run `job` over every spec on up to `threads` workers, returning results
 /// in input order.
 ///
-/// Sharding is static round-robin (spec *i* runs on worker *i* mod
-/// *workers*): there is no work stealing and no shared queue, so the
-/// assignment of runs to threads is a pure function of the input — part of
-/// the determinism contract (although `job` must itself be deterministic
-/// for results to be reproducible). With `threads <= 1` (or a single spec)
-/// the fleet degrades to a plain serial loop on the calling thread with no
+/// Workers pull jobs from one shared cursor: each claims the next
+/// unclaimed spec when it finishes its last, so a long job holds up only
+/// its own worker while the others drain the rest. Which worker runs a
+/// spec depends on timing, which the results cannot observe: `job` is not
+/// told its worker, and results are reassembled by input index — the
+/// determinism contract (although `job` must itself be deterministic for
+/// results to be reproducible). A caller that knows its jobs' sizes can
+/// list the longest first. With `threads <= 1` (or a single spec) the
+/// fleet degrades to a plain serial loop on the calling thread with no
 /// thread machinery at all.
 ///
 /// The worker count is additionally capped at the machine's available
@@ -280,29 +287,25 @@ where
         };
         return (out, vec![timing]);
     }
-    // Static shards: worker w owns specs w, w+workers, w+2*workers, …
-    let mut shards: Vec<Vec<(usize, &S)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, s) in specs.iter().enumerate() {
-        shards[i % workers].push((i, s));
-    }
-    let job = &job;
+    // The shared cursor: the next input index no worker has claimed.
+    let cursor = AtomicUsize::new(0);
+    let (job, specs, cursor) = (&job, &specs, &cursor);
     let mut out: Vec<Option<Result<T, JobError>>> = (0..n).map(|_| None).collect();
     let mut timings = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(w, shard)| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
                 scope.spawn(move || {
                     let start = std::time::Instant::now();
-                    let jobs = shard.len();
-                    let results = shard
-                        .into_iter()
-                        .map(|(i, s)| (i, run_job(job, i, s)))
-                        .collect::<Vec<(usize, Result<T, JobError>)>>();
+                    let mut results: Vec<(usize, Result<T, JobError>)> = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(s) = specs.get(i) else { break };
+                        results.push((i, run_job(job, i, s)));
+                    }
                     let timing = WorkerTiming {
                         worker: w,
-                        jobs,
+                        jobs: results.len(),
                         busy_secs: start.elapsed().as_secs_f64(),
                     };
                     (results, timing)
@@ -311,7 +314,7 @@ where
             .collect();
         for h in handles {
             // Workers cannot panic out of run_job's catch_unwind; a join
-            // error here would mean the shard loop itself is broken.
+            // error here would mean the claim loop itself is broken.
             let (results, timing) = h.join().expect("fleet worker infrastructure panicked");
             timings.push(timing);
             for (i, t) in results {
@@ -321,7 +324,7 @@ where
     });
     let out = out
         .into_iter()
-        .map(|t| t.expect("every shard index produced a result"))
+        .map(|t| t.expect("the cursor hands out every index exactly once"))
         .collect();
     (out, timings)
 }
@@ -345,11 +348,41 @@ mod tests {
         assert_eq!(map(vec![7u8], 8, |i, s| s + i as u8), vec![7]);
     }
 
+    /// One attempt counter per job.
+    fn counters(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
+
+    fn attempts(runs: &[AtomicUsize]) -> Vec<usize> {
+        runs.iter().map(|r| r.load(Ordering::SeqCst)).collect()
+    }
+
+    #[test]
+    fn the_cursor_runs_every_job_once_and_returns_input_order() {
+        for threads in 1..=8 {
+            for n in 0..=40 {
+                let runs = counters(n);
+                let specs: Vec<usize> = (0..n).map(|i| i * 7).collect();
+                let (results, timings) = try_map_timed(specs, threads, |i, s| {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    (i, *s)
+                });
+                let want: Vec<Result<(usize, usize), JobError>> =
+                    (0..n).map(|i| Ok((i, i * 7))).collect();
+                assert_eq!(results, want, "threads {threads}, {n} jobs");
+                assert_eq!(attempts(&runs), vec![1; n], "threads {threads}, {n} jobs");
+                assert_eq!(timings.iter().map(|t| t.jobs).sum::<usize>(), n);
+            }
+        }
+    }
+
     #[test]
     fn try_map_isolates_a_panicking_job_and_keeps_sibling_results() {
-        for threads in [1, 4] {
+        for threads in 1..=8 {
+            let runs = counters(9);
             let specs: Vec<u32> = (0..9).collect();
-            let results = try_map(specs, threads, |_, s| {
+            let results = try_map(specs, threads, |i, s| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
                 if *s == 4 {
                     panic!("injected failure on spec {s}");
                 }
@@ -366,21 +399,26 @@ mod tests {
                     assert_eq!(*r.as_ref().unwrap(), i as u32 * 10);
                 }
             }
+            // The failed job ran twice, every other job once.
+            assert_eq!(attempts(&runs), [1, 1, 1, 1, 2, 1, 1, 1, 1]);
         }
     }
 
     #[test]
     fn flaky_job_succeeds_on_the_single_retry() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let first_calls = AtomicU32::new(0);
-        let results = try_map(vec![0u8], 1, |_, _| {
-            if first_calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
-            42u8
-        });
-        assert_eq!(results, vec![Ok(42)]);
-        assert_eq!(first_calls.load(Ordering::SeqCst), 2);
+        for threads in 1..=8 {
+            let runs = counters(12);
+            let results = try_map(vec![0u8; 12], threads, |i, _| {
+                if runs[i].fetch_add(1, Ordering::SeqCst) == 0 && i == 5 {
+                    panic!("transient");
+                }
+                42u8
+            });
+            assert_eq!(results, vec![Ok(42); 12]);
+            let mut want = vec![1; 12];
+            want[5] = 2;
+            assert_eq!(attempts(&runs), want);
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::dataset::TrafficSlice;
 use crate::query::{Plan, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
 use cw_netsim::geo::{classify_pair, Region, RegionPairKind};
+use cw_stats::topk::Freqs;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -53,16 +54,16 @@ pub(crate) fn region_freq_plans(
 }
 
 /// The §4.4 region-representative frequency map, through a [`ScanExec`]:
-/// median across honeypots.
+/// median across honeypots, whose maps the store lends.
 pub fn region_freqs(
     exec: &ScanExec<'_>,
     ips: &[Ipv4Addr],
     slice: TrafficSlice,
     kind: CharKind,
-) -> BTreeMap<String, u64> {
-    let per_honeypot: Vec<BTreeMap<String, u64>> = region_freq_plans(ips, slice, kind)
+) -> Freqs {
+    let per_honeypot: Vec<_> = region_freq_plans(ips, slice, kind)
         .iter()
-        .map(|p| exec.run(p).into_char_freqs())
+        .map(|p| exec.char_freqs(p))
         .collect();
     median_freqs(&per_honeypot)
 }
@@ -96,28 +97,23 @@ pub fn most_different_region(
     alpha: f64,
 ) -> MostDifferentRegion {
     let regions = provider_region_ips(deployment, provider, slice);
-    let freqs: Vec<(Region, BTreeMap<String, u64>)> = regions
+    let freqs: Vec<Freqs> = regions
         .iter()
-        .map(|(r, ips)| (r.clone(), region_freqs(exec, ips, slice, kind)))
+        .map(|(_, ips)| region_freqs(exec, ips, slice, kind))
         .collect();
     let n = freqs.len();
     let m = n.saturating_sub(1).max(1) * n / 2; // all pairs
     let mut sig_phis: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     for i in 0..n {
         for j in i + 1..n {
-            if let Some(cmp) = compare_freqs(
-                kind,
-                &[freqs[i].1.clone(), freqs[j].1.clone()],
-                alpha,
-                m.max(1),
-            ) {
+            if let Some(cmp) = compare_freqs(kind, &[&freqs[i], &freqs[j]], alpha, m.max(1)) {
                 if cmp.significant {
                     sig_phis
-                        .entry(freqs[i].0.code.clone())
+                        .entry(regions[i].0.code.clone())
                         .or_default()
                         .push(cmp.effect.phi);
                     sig_phis
-                        .entry(freqs[j].0.code.clone())
+                        .entry(regions[j].0.code.clone())
                         .or_default()
                         .push(cmp.effect.phi);
                 }
@@ -238,25 +234,29 @@ pub fn table5(
     kind: CharKind,
 ) -> Vec<SimilarityCell> {
     let providers = TABLE5_PROVIDERS;
-    // Gather all same-provider pairs with their bucket.
+    // Every region's representative map, once, and all same-provider
+    // pairs with their bucket, as indices into `freqs`.
     struct Pair {
         bucket: RegionPairKind,
-        a: BTreeMap<String, u64>,
-        b: BTreeMap<String, u64>,
+        a: usize,
+        b: usize,
     }
+    let mut freqs: Vec<Freqs> = Vec::new();
     let mut pairs: Vec<Pair> = Vec::new();
     for provider in providers {
         let regions = provider_region_ips(deployment, provider, slice);
-        let freqs: Vec<(Region, BTreeMap<String, u64>)> = regions
-            .iter()
-            .map(|(r, ips)| (r.clone(), region_freqs(exec, ips, slice, kind)))
-            .collect();
-        for i in 0..freqs.len() {
-            for j in i + 1..freqs.len() {
+        let first = freqs.len();
+        freqs.extend(
+            regions
+                .iter()
+                .map(|(_, ips)| region_freqs(exec, ips, slice, kind)),
+        );
+        for i in 0..regions.len() {
+            for j in i + 1..regions.len() {
                 pairs.push(Pair {
-                    bucket: classify_pair(&freqs[i].0, &freqs[j].0),
-                    a: freqs[i].1.clone(),
-                    b: freqs[j].1.clone(),
+                    bucket: classify_pair(&regions[i].0, &regions[j].0),
+                    a: first + i,
+                    b: first + j,
                 });
             }
         }
@@ -280,7 +280,7 @@ pub fn table5(
             _ => RegionPairKind::Intercontinental,
         });
         let entry = per_bucket.entry(key).or_insert((0, 0));
-        if let Some(cmp) = compare_freqs(kind, &[p.a.clone(), p.b.clone()], 0.05, m.max(1)) {
+        if let Some(cmp) = compare_freqs(kind, &[&freqs[p.a], &freqs[p.b]], 0.05, m.max(1)) {
             entry.0 += 1;
             if !cmp.significant {
                 entry.1 += 1;

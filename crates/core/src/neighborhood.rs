@@ -134,7 +134,7 @@ pub fn analyze_cell(
         if testable {
             let freqs: Vec<_> = plans
                 .iter()
-                .map(|(_, freqs)| exec.run(freqs).into_char_freqs())
+                .map(|(_, freqs)| exec.char_freqs(freqs))
                 .collect();
             groups_per_hood.push(freqs);
         }

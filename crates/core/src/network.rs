@@ -17,13 +17,13 @@
 //! prefetched plans. A cloud–cloud cell's per-honeypot frequency scans are
 //! a subset of Table 5's plans.
 
+use crate::axes;
 use crate::compare::{compare_freqs, CharKind, GroupComparison};
 use crate::dataset::TrafficSlice;
 use crate::geography::{region_freq_plans, region_freqs};
 use crate::query::{Plan, ScanExec};
 use cw_honeypot::deployment::{CollectorKind, Deployment, Provider};
 use cw_honeypot::telescope::Telescope;
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// A city-matched pair of provider regions (Table 6 rows).
@@ -218,11 +218,10 @@ pub fn honeytrap_pair(
     alpha: f64,
     family: usize,
 ) -> Option<GroupComparison> {
-    let freqs: Vec<BTreeMap<String, u64>> =
-        honeytrap_cell_plans(deployment, &[(fleet_a, fleet_b)], slice, kind)
-            .iter()
-            .map(|plan| exec.run(plan).into_char_freqs())
-            .collect();
+    let freqs: Vec<_> = honeytrap_cell_plans(deployment, &[(fleet_a, fleet_b)], slice, kind)
+        .iter()
+        .map(|plan| exec.char_freqs(plan))
+        .collect();
     if freqs.is_empty() {
         return None;
     }
@@ -299,6 +298,8 @@ pub fn telescope_vs_fleet_plan(deployment: &Deployment, fleet: &str, slice: Traf
 /// Table 10: telescope vs honeypot fleets, top-AS axis per port.
 ///
 /// `slice` determines the port (SSH/22, Telnet/23, HTTP/80) or all ports.
+/// The telescope's counts by AS number take their labels from the
+/// dataset's, as the fleet's do.
 pub fn telescope_vs_fleet(
     exec: &ScanExec<'_>,
     deployment: &Deployment,
@@ -308,15 +309,25 @@ pub fn telescope_vs_fleet(
     alpha: f64,
     family: usize,
 ) -> Option<GroupComparison> {
-    let tel_freqs: BTreeMap<String, u64> = match slice {
+    let tel_counts = match slice {
         TrafficSlice::SshPort22 => telescope.asn_freqs_on_port(22),
         TrafficSlice::TelnetPort23 => telescope.asn_freqs_on_port(23),
         TrafficSlice::HttpPort80 => telescope.asn_freqs_on_port(80),
         TrafficSlice::HttpAllPorts | TrafficSlice::AnyAll => telescope.asn_freqs_all(),
     };
+    let tel_freqs = axes::label_counts(
+        CharKind::TopAs,
+        tel_counts.iter().map(|(&asn, &n)| (asn, n)),
+        exec.dataset(),
+    );
     let plan = telescope_vs_fleet_plan(deployment, fleet, slice);
-    let fleet_freqs = exec.run(&plan).into_char_freqs();
-    compare_freqs(CharKind::TopAs, &[tel_freqs, fleet_freqs], alpha, family)
+    let fleet_freqs = exec.char_freqs(&plan);
+    compare_freqs(
+        CharKind::TopAs,
+        &[&tel_freqs, fleet_freqs.as_ref()],
+        alpha,
+        family,
+    )
 }
 
 #[cfg(test)]

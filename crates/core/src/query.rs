@@ -19,7 +19,8 @@
 //! declared plan so coinciding scans fuse registry-wide, with every
 //! bundle's passes spread over the fleet workers (see `docs/QUERY.md` and
 //! `Exhibit::plans`). [`ScanExec::run`] runs one plan: a store hit, or a
-//! standalone pass.
+//! standalone pass. [`ScanExec::char_freqs`] does the same for a
+//! `char_freqs` plan, but borrows the map on a store hit.
 //!
 //! Every domain, predicate and terminal combines with every other, so
 //! every plan that can be built can run: there is no validation step and
@@ -67,6 +68,9 @@ use crate::fleet;
 use cw_detection::Verdict;
 use cw_honeypot::capture::Observed;
 use cw_protocols::ProtocolId;
+use cw_stats::topk::Freqs;
+use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
@@ -427,7 +431,7 @@ pub enum PlanResult {
     /// [`Terminal::UniqueSrcAndAsn`]: (distinct sources, distinct ASes).
     UniqueSrcAndAsn(usize, usize),
     /// [`Terminal::CharFreqs`].
-    CharFreqs(BTreeMap<String, u64>),
+    CharFreqs(Freqs),
     /// [`Terminal::SrcsByPort`].
     PortSrcs(BTreeMap<u16, BTreeSet<Ipv4Addr>>),
     /// [`Terminal::SrcsByFingerprint`].
@@ -491,7 +495,7 @@ impl PlanResult {
     ///
     /// # Panics
     /// Panics if the result is another variant.
-    pub fn into_char_freqs(self) -> BTreeMap<String, u64> {
+    pub fn into_char_freqs(self) -> Freqs {
         match self {
             PlanResult::CharFreqs(m) => m,
             other => other.mismatch("CharFreqs"),
@@ -648,7 +652,7 @@ impl IdCounts {
 /// integers, AS numbers) into [`Distinct`] sets, which grow with the
 /// distinct keys, and [`Acc::finish`] sorts each set's keys once.
 /// `char_freqs` counts its axis's IDs (see [`axes::axis_id`]) and labels
-/// each distinct ID once, at finish.
+/// each distinct ID at finish, through the dataset's label memos.
 enum Acc {
     Count(usize),
     Rows(Vec<usize>),
@@ -765,13 +769,10 @@ impl Acc {
                 PlanResult::UniqueSrcAndAsn(srcs.keys.len(), asns.keys.len())
             }
             // The one resolution point: IDs → labels per distinct ID,
-            // after the scan, payloads through the dataset's label memo.
-            Acc::CharFreqs(kind, counts) => PlanResult::CharFreqs(axes::label_counts(
-                kind,
-                counts.into_counts(),
-                ds.interner(),
-                |id| ds.payload_label(id),
-            )),
+            // after the scan, each label shared from the dataset's memos.
+            Acc::CharFreqs(kind, counts) => {
+                PlanResult::CharFreqs(axes::label_counts(kind, counts.into_counts(), ds))
+            }
             Acc::PortSrcs(by_port) => PlanResult::PortSrcs(
                 by_port
                     .into_iter()
@@ -975,31 +976,14 @@ impl<'a> Pass<'a> {
     }
 }
 
-/// Longest-first static buckets: jobs in descending cost (ties by index)
-/// each join the least-loaded bucket (ties to the lowest). A pure function
-/// of the costs and the bucket count, so the assignment never depends on
-/// timing.
-fn buckets(costs: &[u64], n: usize) -> Vec<Vec<usize>> {
-    let n = n.clamp(1, costs.len().max(1));
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by_key(|&j| (std::cmp::Reverse(costs[j]), j));
-    let mut load = vec![0u64; n];
-    let mut out = vec![Vec::new(); n];
-    for j in order {
-        // `n` is clamped to at least 1, so there is a least-loaded bucket.
-        let b = (0..n).min_by_key(|&b| (load[b], b)).expect("n >= 1");
-        load[b] += costs[j];
-        out[b].push(j);
-    }
-    out
-}
-
 /// Execute several plan sets, each over its own dataset. Every set's
-/// partitions join one job list; the jobs, costed by [`Pass::cost`], go
-/// into `threads` longest-first buckets on [`fleet::map`], and each
-/// pass's results land by index. Returns, per set, its results in
-/// submission order and its pass count. `threads = 1` runs every pass on
-/// the calling thread.
+/// partitions join one job list of passes. With `threads > 1` the fleet
+/// takes them longest first, by descending [`Pass::cost`] (ties by
+/// index), each worker pulling the next when it finishes one, so passes
+/// whose finish work the cost leaves out (labelling, label-memo fills)
+/// cannot hold one worker back while another idles. Each pass's results
+/// land by index. Returns, per set, its results in submission order and
+/// its pass count. `threads <= 1` runs every pass on the calling thread.
 fn execute_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<(Vec<PlanResult>, usize)> {
     let mut passes: Vec<Pass<'_>> = Vec::new();
     let mut pass_counts = vec![0; sets.len()];
@@ -1013,15 +997,14 @@ fn execute_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<(Vec<PlanRe
                 .map(|members| Pass::new(set, dataset, plans, members)),
         );
     }
-    let costs: Vec<u64> = passes.iter().map(Pass::cost).collect();
-    let run = |bucket: &Vec<usize>| -> Vec<(usize, Vec<PlanResult>)> {
-        bucket.iter().map(|&j| (j, passes[j].run())).collect()
-    };
-    // One bucket runs here, as the fleet would, without its hardware probe
+    // One thread runs here, as the fleet would, without its hardware probe
     // (~20 µs, once per standalone scan).
-    let done = match buckets(&costs, threads) {
-        one if one.len() == 1 => vec![run(&one[0])],
-        many => fleet::map(many, threads, |_, bucket| run(bucket)),
+    let done: Vec<(usize, Vec<PlanResult>)> = if threads <= 1 {
+        passes.iter().map(Pass::run).enumerate().collect()
+    } else {
+        let mut order: Vec<usize> = (0..passes.len()).collect();
+        order.sort_by_key(|&j| (Reverse(passes[j].cost()), j));
+        fleet::map(order, threads, |_, &j| (j, passes[j].run()))
     };
     let mut results: Vec<Vec<Option<PlanResult>>> = sets
         .iter()
@@ -1029,7 +1012,7 @@ fn execute_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<(Vec<PlanRe
         .collect();
     // Every job index came from `passes`, every pass from a set of
     // `sets`, and every member is a plan index of its set.
-    for (j, out) in done.into_iter().flatten() {
+    for (j, out) in done {
         let pass = &passes[j];
         for (&p, r) in pass.members.iter().zip(out) {
             results[pass.set][p] = Some(r);
@@ -1059,7 +1042,8 @@ fn execute_sets(sets: &[(&Dataset, &[Plan])], threads: usize) -> Vec<(Vec<PlanRe
 /// over the interned columns — every plan's accumulator seeing exactly
 /// the rows, in exactly the order, it would have seen running alone — and
 /// memoizes the typed results; [`ScanExec`] then serves repeated requests
-/// as clones without touching the columns again. This is how
+/// as clones, or a `char_freqs` map by reference, without touching the
+/// columns again. This is how
 /// `ExhibitCx::prefetch` turns the registry's declared plans into one
 /// fused execution per bundle.
 #[derive(Debug)]
@@ -1122,11 +1106,12 @@ impl PlanStore {
 }
 
 /// A plan runner over one dataset, with an optional [`PlanStore`] of
-/// prefetched results: a store hit clones the memoized result (no column
-/// pass, no counter bump — the work happened at prefetch); a miss executes
-/// the plan standalone, in one pass of its own. Both paths return
-/// byte-identical results, so modules written against `ScanExec` work
-/// unmodified with or without prefetch.
+/// prefetched results: a store hit clones the memoized result, or lends
+/// it ([`ScanExec::char_freqs`]), with no column pass and no counter bump
+/// (the work happened at prefetch); a miss executes the plan standalone,
+/// in one pass of its own. Both paths return byte-identical results, so
+/// modules written against `ScanExec` work unmodified with or without
+/// prefetch.
 #[derive(Clone, Copy)]
 pub struct ScanExec<'a> {
     dataset: &'a Dataset,
@@ -1160,9 +1145,28 @@ impl<'a> ScanExec<'a> {
     /// Run one plan: store hit → cloned memoized result, miss → standalone
     /// execution (one pass).
     pub fn run(&self, plan: &Plan) -> PlanResult {
-        if let Some(hit) = self.store.and_then(|s| s.get(plan)) {
-            return hit.clone();
+        match self.store.and_then(|s| s.get(plan)) {
+            Some(hit) => hit.clone(),
+            None => self.standalone(plan),
         }
+    }
+
+    /// Run one [`Plan::char_freqs`] plan: store hit → the memoized map,
+    /// borrowed; miss → standalone execution (one pass), owned.
+    ///
+    /// # Panics
+    /// Panics if `plan`'s terminal is not `char_freqs`, as
+    /// [`PlanResult::into_char_freqs`] does.
+    pub fn char_freqs(&self, plan: &Plan) -> Cow<'a, Freqs> {
+        match self.store.and_then(|s| s.get(plan)) {
+            Some(PlanResult::CharFreqs(freqs)) => Cow::Borrowed(freqs),
+            Some(other) => other.mismatch("CharFreqs"),
+            None => Cow::Owned(self.standalone(plan).into_char_freqs()),
+        }
+    }
+
+    /// Execute `plan` in a pass of its own.
+    fn standalone(&self, plan: &Plan) -> PlanResult {
         let mut done = execute_sets(&[(self.dataset, std::slice::from_ref(plan))], 1);
         // `execute_sets` returns one result list per set, one result per
         // plan of the set.
@@ -1387,6 +1391,30 @@ mod tests {
             exec.run(&Plan::at(&[DST]).port(2323).count()).into_count(),
             1
         );
+    }
+
+    #[test]
+    fn char_freqs_lends_store_hits_and_runs_misses_standalone() {
+        let ds = dataset();
+        let stored = Plan::at(&[DST]).char_freqs(CharKind::TopAs);
+        let store = PlanStore::build(&ds, std::slice::from_ref(&stored));
+        let exec = ScanExec::with_store(&ds, &store);
+        let before = thread_passes();
+        let Cow::Borrowed(hit) = exec.char_freqs(&stored) else {
+            panic!("a store hit must lend its map");
+        };
+        let Some(PlanResult::CharFreqs(held)) = store.get(&stored) else {
+            panic!("the plan was stored");
+        };
+        assert!(std::ptr::eq(hit, held), "the store's own map");
+        assert_eq!(thread_passes(), before, "a store hit never scans");
+        let unstored = Plan::at(&[DST]).port(80).char_freqs(CharKind::TopPayload);
+        let Cow::Owned(miss) = exec.char_freqs(&unstored) else {
+            panic!("a miss has no map to lend");
+        };
+        assert_eq!(thread_passes(), before + 1, "a miss runs one pass");
+        assert_eq!(miss, run(&ds, unstored).into_char_freqs());
+        assert_eq!(miss.len(), 2, "the GET and the exploit");
     }
 
     #[test]
@@ -1716,22 +1744,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn buckets_are_longest_first_and_cover_every_job_once() {
-        // Costs 5, 4, 3 go to buckets 0, 1, 1; then 2 to bucket 0 (5 < 7)
-        // and 1 to bucket 0 again (7 = 7, lowest index wins).
-        assert_eq!(
-            buckets(&[5, 1, 4, 2, 3], 2),
-            vec![vec![0, 3, 1], vec![2, 4]]
-        );
-        assert_eq!(buckets(&[2, 2], 8).len(), 2, "no more buckets than jobs");
-        assert_eq!(buckets(&[], 4), vec![Vec::<usize>::new()]);
-        let costs: Vec<u64> = (0..40).map(|j| (j * 7919) % 101).collect();
-        let mut seen: Vec<usize> = buckets(&costs, 3).concat();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..40).collect::<Vec<_>>());
     }
 
     #[test]

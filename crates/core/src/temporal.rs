@@ -84,8 +84,9 @@ pub fn stability(
             .slice(TrafficSlice::TelnetPort23)
             .char_freqs(CharKind::TopAs);
         let tops = |y: &YearView<'_>| -> BTreeSet<String> {
-            top_k_of(&y.exec.run(&plan).into_char_freqs(), 3)
+            top_k_of(&y.exec.char_freqs(&plan), 3)
                 .into_iter()
+                .map(str::to_owned)
                 .collect()
         };
         let ta = tops(&a);

@@ -275,22 +275,16 @@ impl Telescope {
         self.total_packets
     }
 
-    /// Traffic count per source AS on one port (Table 10's "who scans the
-    /// telescope"). Keys are ASN numbers rendered as strings for direct use
-    /// with the top-k union methodology.
-    pub fn asn_freqs_on_port(&self, port: u16) -> std::collections::BTreeMap<String, u64> {
-        self.asn_counts
-            .get(&port)
-            .map(|m| m.iter().map(|(asn, c)| (format!("AS{asn}"), *c)).collect())
-            .unwrap_or_default()
+    /// Traffic count per source AS number on one port (Table 10's "who
+    /// scans the telescope"); empty for a port the telescope never saw.
+    pub fn asn_freqs_on_port(&self, port: u16) -> &BTreeMap<u32, u64> {
+        static NONE: BTreeMap<u32, u64> = BTreeMap::new();
+        self.asn_counts.get(&port).unwrap_or(&NONE)
     }
 
-    /// Traffic count per source AS over all ports.
-    pub fn asn_freqs_all(&self) -> std::collections::BTreeMap<String, u64> {
-        self.asn_counts_all
-            .iter()
-            .map(|(asn, c)| (format!("AS{asn}"), *c))
-            .collect()
+    /// Traffic count per source AS number over all ports.
+    pub fn asn_freqs_all(&self) -> &BTreeMap<u32, u64> {
+        &self.asn_counts_all
     }
 
     /// Encode the analysis-relevant state into a snapshot payload.

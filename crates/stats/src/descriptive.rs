@@ -4,10 +4,15 @@
 /// Median of a sample (average of the two middle elements for even n).
 /// Returns `None` on an empty slice.
 pub fn median(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
+    median_in_place(&mut values.to_vec())
+}
+
+/// [`median`] over a buffer the caller lends, sorted in place instead of
+/// copied.
+pub fn median_in_place(v: &mut [f64]) -> Option<f64> {
+    if v.is_empty() {
         return None;
     }
-    let mut v = values.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
     let n = v.len();
     Some(if n % 2 == 1 {

@@ -10,7 +10,17 @@
 //! category label.
 
 use crate::contingency::ContingencyTable;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// A category label: shared, so a map copies it for the price of a
+/// reference count. It orders and compares as its `str`, so maps keyed by
+/// labels iterate, break ties and print exactly as `String`-keyed ones.
+pub type Label = Arc<str>;
+
+/// One group's frequency map: category label → count.
+pub type Freqs = BTreeMap<Label, u64>;
 
 /// Configuration for top-k union table construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,15 +43,24 @@ impl TopKSpec {
 }
 
 /// The top-`k` categories of a frequency map, by descending count, with
-/// deterministic lexicographic tie-breaking.
-pub fn top_k_of(freqs: &BTreeMap<String, u64>, k: usize) -> Vec<String> {
-    let mut entries: Vec<(&String, &u64)> = freqs.iter().filter(|(_, &c)| c > 0).collect();
-    entries.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
-    entries
-        .into_iter()
-        .take(k)
-        .map(|(s, _)| s.clone())
-        .collect()
+/// deterministic lexicographic tie-breaking. Zero counts never rank.
+///
+/// One pass keeps the best `k` so far: the map iterates in label order,
+/// so an entry tied with a kept one ranks after it, as a sort by
+/// (count descending, label) would place it.
+pub fn top_k_of(freqs: &Freqs, k: usize) -> Vec<&str> {
+    let mut best: Vec<(&str, u64)> = Vec::with_capacity(k);
+    for (label, &count) in freqs {
+        if count == 0 || (best.len() == k && best.last().is_none_or(|&(_, c)| count <= c)) {
+            continue;
+        }
+        if best.len() == k {
+            best.pop();
+        }
+        let at = best.partition_point(|&(_, c)| c >= count);
+        best.insert(at, (label, count));
+    }
+    best.into_iter().map(|(label, _)| label).collect()
 }
 
 /// Build the §3.3 union contingency table from per-group frequency maps.
@@ -62,10 +81,10 @@ pub fn top_k_of(freqs: &BTreeMap<String, u64>, k: usize) -> Vec<String> {
 /// assert!(table.categories.contains(&"AS9".to_string()));
 /// assert!(table.categories.contains(&"AS3".to_string()));
 /// ```
-pub fn top_k_union_table(groups: &[BTreeMap<String, u64>], spec: TopKSpec) -> ContingencyTable {
-    let mut union: Vec<String> = Vec::new();
+pub fn top_k_union_table<M: Borrow<Freqs>>(groups: &[M], spec: TopKSpec) -> ContingencyTable {
+    let mut union: Vec<&str> = Vec::new();
     for g in groups {
-        for cat in top_k_of(g, spec.k) {
+        for cat in top_k_of(g.borrow(), spec.k) {
             if !union.contains(&cat) {
                 union.push(cat);
             }
@@ -74,19 +93,22 @@ pub fn top_k_union_table(groups: &[BTreeMap<String, u64>], spec: TopKSpec) -> Co
     union.sort();
     let counts: Vec<Vec<u64>> = groups
         .iter()
-        .map(|g| union.iter().map(|c| *g.get(c).unwrap_or(&0)).collect())
+        .map(|g| {
+            let g = g.borrow();
+            union.iter().map(|&c| *g.get(c).unwrap_or(&0)).collect()
+        })
         .collect();
-    ContingencyTable::new(union, counts)
+    ContingencyTable::new(union.iter().map(|c| c.to_string()).collect(), counts)
 }
 
 /// Convenience: collect an iterator of `(category, weight)` samples into the
 /// frequency-map shape expected by [`top_k_union_table`].
-pub fn frequency_map<I, S>(items: I) -> BTreeMap<String, u64>
+pub fn frequency_map<I, S>(items: I) -> Freqs
 where
     I: IntoIterator<Item = (S, u64)>,
-    S: Into<String>,
+    S: Into<Label>,
 {
-    let mut map = BTreeMap::new();
+    let mut map = Freqs::new();
     for (cat, w) in items {
         *map.entry(cat.into()).or_insert(0) += w;
     }
@@ -96,9 +118,35 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn freqs(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {
-        pairs.iter().map(|(s, c)| (s.to_string(), *c)).collect()
+    /// The sort-based `top_k_of` the one-pass version replaced, kept as its
+    /// reference: every positive entry sorted by (count descending, label),
+    /// then the first `k`.
+    fn sorted_top_k(freqs: &Freqs, k: usize) -> Vec<&str> {
+        let mut entries: Vec<(&Label, &u64)> = freqs.iter().filter(|(_, &c)| c > 0).collect();
+        entries.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
+        entries.into_iter().take(k).map(|(s, _)| &**s).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_top_k_matches_the_sort(
+            names in prop::collection::vec(0u32..16, 12),
+            counts in prop::collection::vec(0u64..4, 0..=12),
+            k in 0usize..=5,
+        ) {
+            // Counts below 4 make zero counts and ties common; repeated
+            // names fold their counts.
+            let freqs = frequency_map(
+                counts.iter().zip(&names).map(|(&c, n)| (format!("L{n}"), c)),
+            );
+            prop_assert_eq!(top_k_of(&freqs, k), sorted_top_k(&freqs, k));
+        }
+    }
+
+    fn freqs(pairs: &[(&str, u64)]) -> Freqs {
+        pairs.iter().map(|&(s, c)| (s.into(), c)).collect()
     }
 
     #[test]
@@ -143,7 +191,7 @@ mod tests {
 
     #[test]
     fn empty_groups_give_empty_table() {
-        let t = top_k_union_table(&[BTreeMap::new(), BTreeMap::new()], TopKSpec::paper());
+        let t = top_k_union_table(&[Freqs::new(), Freqs::new()], TopKSpec::paper());
         assert_eq!(t.n_cols(), 0);
         assert!(!t.is_testable());
     }

@@ -15,9 +15,9 @@
 use cw_core::compare::{CharKind, GroupComparison};
 use cw_core::dataset::{ClassifiedEvent, Dataset};
 use cw_netsim::rng::SimRng;
+use cw_stats::topk::Freqs;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
-use std::collections::BTreeMap;
 
 /// Deterministically shuffle a copy of `items` (Fisher–Yates under
 /// [`SimRng`]). Seed 0 is valid; equal seeds give equal permutations.
@@ -42,11 +42,7 @@ pub fn comparison_fingerprint(c: &GroupComparison) -> (u64, usize, u64, u64, boo
 
 /// Extract a characteristic's frequency map from an event subset given by
 /// indices — the order of `idx` is the "event order" under test.
-pub fn freqs_at(
-    kind: CharKind,
-    events: &[ClassifiedEvent<'_>],
-    idx: &[usize],
-) -> BTreeMap<String, u64> {
+pub fn freqs_at(kind: CharKind, events: &[ClassifiedEvent<'_>], idx: &[usize]) -> Freqs {
     let subset: Vec<ClassifiedEvent<'_>> = idx.iter().map(|&i| events[i]).collect();
     kind.freqs(&subset)
 }
@@ -54,7 +50,7 @@ pub fn freqs_at(
 /// Does `sub` count at most what `full` counts, category by category?
 /// (The subsample-monotonicity invariant: removing events can only lower
 /// or remove counts, never raise them or invent categories.)
-pub fn counts_subsumed(sub: &BTreeMap<String, u64>, full: &BTreeMap<String, u64>) -> bool {
+pub fn counts_subsumed(sub: &Freqs, full: &Freqs) -> bool {
     sub.iter()
         .all(|(cat, &c)| full.get(cat).copied().unwrap_or(0) >= c)
 }
@@ -90,14 +86,14 @@ impl Default for FreqMap {
 }
 
 impl Strategy for FreqMap {
-    type Value = BTreeMap<String, u64>;
+    type Value = Freqs;
     fn sample(&self, rng: &mut TestRng) -> Self::Value {
         let n = 1 + rng.below(self.max_categories as u64) as usize;
-        let mut out = BTreeMap::new();
+        let mut out = Freqs::new();
         for _ in 0..n {
             let cat = format!("cat{}", rng.below(self.max_categories as u64));
             let count = rng.below(self.max_count);
-            out.insert(cat, count);
+            out.insert(cat.into(), count);
         }
         out
     }
@@ -123,7 +119,7 @@ impl Default for FreqGroups {
 }
 
 impl Strategy for FreqGroups {
-    type Value = Vec<BTreeMap<String, u64>>;
+    type Value = Vec<Freqs>;
     fn sample(&self, rng: &mut TestRng) -> Self::Value {
         let k = 2 + rng.below((self.max_groups - 1) as u64) as usize;
         (0..k).map(|_| self.map.sample(rng)).collect()
@@ -174,7 +170,7 @@ mod tests {
             // BTreeMap input already fixes iteration order; the invariant
             // worth checking here is that *cloning* (fresh allocations,
             // same content) cannot perturb the result.
-            let cloned: Vec<_> = groups.iter().map(|g| g.iter().map(|(k, &v)| (k.clone(), v)).collect()).collect();
+            let cloned: Vec<Freqs> = groups.iter().map(|g| g.iter().map(|(k, &v)| (k.as_ref().into(), v)).collect()).collect();
             let a = compare_freqs(CharKind::TopAs, &groups, 0.05, 5);
             let b = compare_freqs(CharKind::TopAs, &cloned, 0.05, 5);
             match (a, b) {
@@ -196,7 +192,7 @@ mod tests {
         fn counts_subsumed_reflexive_and_prefix(m in FreqMap::default()) {
             prop_assert!(counts_subsumed(&m, &m));
             // Halving every count is a valid subsample shape.
-            let half: BTreeMap<String, u64> = m.iter().map(|(k, &v)| (k.clone(), v / 2)).collect();
+            let half: Freqs = m.iter().map(|(k, &v)| (k.clone(), v / 2)).collect();
             prop_assert!(counts_subsumed(&half, &m));
         }
     }

@@ -43,7 +43,7 @@ fn main() {
         println!(
             "  {:<10} {:>6} connections  ({})",
             asn,
-            who[&asn],
+            who[asn],
             scenario
                 .handles
                 .registry
@@ -59,7 +59,7 @@ fn main() {
         .into_char_freqs();
     println!("\nAWS Singapore SSH/22 — top usernames:");
     for u in top_k_of(&usernames, 3) {
-        println!("  {:<12} {:>6} attempts", u, usernames[&u]);
+        println!("  {:<12} {:>6} attempts", u, usernames[u]);
     }
 
     // 4. How much of the traffic is verifiably malicious (§3.2)?

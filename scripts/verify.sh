@@ -9,7 +9,10 @@
 #   benchmark package (outside the workspace, so an API change that breaks
 #   it would otherwise pass) and its own smoke test (every workload timed
 #   and traced at scale 0.02, with the tracer's digest, coverage and
-#   overhead checks), doc build (warnings are errors), doctests,
+#   overhead checks), the benchmark's traced check at its own scale 1 and
+#   default seed (`python3 cwbench/run.py --workload all --trace 1
+#   --seconds 0`, whose coverage check a faster warm run can trip before
+#   the scale-0.02 one does), doc build (warnings are errors), doctests,
 #   the determinism check (`cw all` output must be
 #   byte-identical across thread counts (1, 8) AND cache states: cold
 #   cache, warm cache, --no-cache — and one cold --threads 8 row with its
@@ -69,6 +72,9 @@ cargo build --release --quiet --manifest-path cwbench/Cargo.toml --target-dir ta
 
 echo "==> python3 -m unittest discover -s cwbench (the benchmark's smoke test: every workload timed and traced at scale 0.02)"
 python3 -m unittest discover -s cwbench -p 'test_*.py'
+
+echo "==> python3 cwbench/run.py --workload all --trace 1 --seconds 0 (the benchmark's traced checks at scale 1, default seed)"
+python3 cwbench/run.py --workload all --trace 1 --seconds 0
 
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

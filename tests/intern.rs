@@ -11,8 +11,8 @@ use cloud_watching::core::scenario::{Scenario, ScenarioConfig};
 use cloud_watching::honeypot::capture::Observed;
 use cloud_watching::netsim::intern::Interner;
 use cloud_watching::scanners::population::ScenarioYear;
+use cloud_watching::stats::topk::Freqs;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -110,27 +110,25 @@ fn id_keyed_axes_match_per_event_string_reference() {
     let interner = s.dataset.interner();
 
     // Reference: resolve strings per event, count in a BTreeMap.
-    let mut ref_as: BTreeMap<String, u64> = BTreeMap::new();
-    let mut ref_user: BTreeMap<String, u64> = BTreeMap::new();
-    let mut ref_pass: BTreeMap<String, u64> = BTreeMap::new();
-    let mut ref_payload: BTreeMap<String, u64> = BTreeMap::new();
+    let mut ref_as = Freqs::new();
+    let mut ref_user = Freqs::new();
+    let mut ref_pass = Freqs::new();
+    let mut ref_payload = Freqs::new();
     for e in &events {
-        *ref_as.entry(e.event.src_asn.to_string()).or_insert(0) += 1;
+        *ref_as
+            .entry(e.event.src_asn.to_string().into())
+            .or_insert(0) += 1;
         match e.event.observed {
             Observed::Credentials {
                 username, password, ..
             } => {
-                *ref_user
-                    .entry(interner.cred(username).to_string())
-                    .or_insert(0) += 1;
-                *ref_pass
-                    .entry(interner.cred(password).to_string())
-                    .or_insert(0) += 1;
+                *ref_user.entry(interner.cred(username).into()).or_insert(0) += 1;
+                *ref_pass.entry(interner.cred(password).into()).or_insert(0) += 1;
             }
             Observed::Payload(p) => {
                 let normalized = cloud_watching::protocols::http::normalize(interner.payload(p));
                 *ref_payload
-                    .entry(axes::payload_key(&normalized))
+                    .entry(axes::payload_key(&normalized).into())
                     .or_insert(0) += 1;
             }
             _ => {}

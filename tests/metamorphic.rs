@@ -11,11 +11,11 @@ use cloud_watching::core::fleet;
 use cloud_watching::core::scenario::{Scenario, ScenarioConfig};
 use cloud_watching::netsim::rng::fork_seed;
 use cloud_watching::scanners::population::ScenarioYear;
+use cloud_watching::stats::topk::Freqs;
 use cw_verify::metamorphic::{
     comparison_fingerprint, counts_subsumed, csv_bytes, freqs_at, shuffled, FreqGroups, FreqMap,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 const KINDS: [CharKind; 5] = [
     CharKind::TopAs,
@@ -90,10 +90,10 @@ fn event_prefix_counts_are_subsumed_and_top_k_is_monotone() {
 }
 
 /// Total count mass of a map's top-3 categories.
-fn top3_total(freqs: &BTreeMap<String, u64>) -> u64 {
+fn top3_total(freqs: &Freqs) -> u64 {
     cloud_watching::stats::topk::top_k_of(freqs, 3)
         .iter()
-        .map(|cat| freqs[cat])
+        .map(|&cat| freqs[cat])
         .sum()
 }
 
@@ -124,13 +124,13 @@ proptest! {
     // must leave the comparison bit-identical.
     #[test]
     fn zero_count_categories_are_invisible(groups in FreqGroups::default()) {
-        let padded: Vec<BTreeMap<String, u64>> = groups
+        let padded: Vec<Freqs> = groups
             .iter()
             .enumerate()
             .map(|(i, g)| {
                 let mut g = g.clone();
-                g.insert(format!("ghost{i}"), 0);
-                g.insert("ghost-shared".to_string(), 0);
+                g.insert(format!("ghost{i}").into(), 0);
+                g.insert("ghost-shared".into(), 0);
                 g
             })
             .collect();
@@ -151,7 +151,7 @@ proptest! {
     // p-value can only move toward significance, never away.
     #[test]
     fn uniform_count_scaling_preserves_effect_and_tightens_p(groups in FreqGroups::default()) {
-        let scaled: Vec<BTreeMap<String, u64>> = groups
+        let scaled: Vec<Freqs> = groups
             .iter()
             .map(|g| g.iter().map(|(k, &v)| (k.clone(), v * 4)).collect())
             .collect();
@@ -173,7 +173,7 @@ proptest! {
     // valid subsample shape, and subsumption survives map-level noise.
     #[test]
     fn counts_subsumed_closed_under_halving(m in FreqMap::default()) {
-        let half: BTreeMap<String, u64> = m.iter().map(|(k, &v)| (k.clone(), v / 2)).collect();
+        let half: Freqs = m.iter().map(|(k, &v)| (k.clone(), v / 2)).collect();
         prop_assert!(counts_subsumed(&half, &m));
         prop_assert!(counts_subsumed(&m, &m));
     }

@@ -25,6 +25,7 @@ use cloud_watching::honeypot::deployment::{CollectorKind, Deployment, NetworkKin
 use cloud_watching::protocols::iana::POPULAR_PORTS;
 use cloud_watching::protocols::ProtocolId;
 use cloud_watching::scanners::population::ScenarioYear;
+use cloud_watching::stats::topk::Freqs;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -399,8 +400,8 @@ fn domain_rows(ds: &Dataset, dsts: Option<&[Ipv4Addr]>) -> Vec<usize> {
 
 /// `kind`'s frequencies over `rows` as a string-keyed fold over
 /// `ds.event(i)`, independent of `cw_core::axes`' ID-keyed counting.
-fn reference_freqs(ds: &Dataset, rows: &[usize], kind: CharKind) -> BTreeMap<String, u64> {
-    let mut m: BTreeMap<String, u64> = BTreeMap::new();
+fn reference_freqs(ds: &Dataset, rows: &[usize], kind: CharKind) -> Freqs {
+    let mut m = Freqs::new();
     if kind == CharKind::FracMalicious {
         m.insert("malicious".into(), 0);
         m.insert("not-malicious".into(), 0);
@@ -420,7 +421,7 @@ fn reference_freqs(ds: &Dataset, rows: &[usize], kind: CharKind) -> BTreeMap<Str
                 .map(|p| axes::payload_key(&cloud_watching::protocols::http::normalize(p))),
         };
         if let Some(key) = key {
-            *m.entry(key).or_insert(0) += 1;
+            *m.entry(key.into()).or_insert(0) += 1;
         }
     }
     m

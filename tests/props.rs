@@ -6,12 +6,12 @@ use cloud_watching::detection::pcre::PcreLite;
 use cloud_watching::netsim::ip::{Cidr, IpExt};
 use cloud_watching::netsim::rng::SimRng;
 use cloud_watching::protocols;
+use cloud_watching::stats::topk::{frequency_map, Freqs};
 use cloud_watching::stats::{
     bonferroni_correct, chi_squared_from_table, cramers_v, ks_two_sample, mann_whitney_u,
     top_k_union_table, Alternative, ContingencyTable, TopKSpec,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Fragments of credential strings outside the plain printable alphabet:
@@ -145,18 +145,13 @@ proptest! {
             1..4,
         )
     ) {
-        let groups: Vec<BTreeMap<String, u64>> = counts
+        let groups: Vec<Freqs> = counts
             .iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(i, &c)| (format!("k{i}"), c))
-                    .collect()
-            })
+            .map(|row| frequency_map(row.iter().enumerate().map(|(i, &c)| (format!("k{i}"), c))))
             .collect();
         let table = top_k_union_table(&groups, TopKSpec::paper());
         for g in &groups {
-            for top in cloud_watching::stats::topk::top_k_of(g, 3) {
+            for top in cloud_watching::stats::topk::top_k_of(g, 3).into_iter().map(String::from) {
                 prop_assert!(table.categories.contains(&top));
             }
         }

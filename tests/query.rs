@@ -15,6 +15,7 @@ use cloud_watching::honeypot::deployment::{CollectorKind, Deployment, NetworkKin
 use cloud_watching::protocols::iana::POPULAR_PORTS;
 use cloud_watching::protocols::ProtocolId;
 use cloud_watching::scanners::population::ScenarioYear;
+use cloud_watching::stats::topk::Freqs;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
@@ -109,7 +110,7 @@ fn table7_char_freqs_match_hand_rolled() {
                 .into_iter()
                 .map(|i| ds.event(i))
                 .collect();
-            let expected: BTreeMap<String, u64> = kind.freqs(&events);
+            let expected: Freqs = kind.freqs(&events);
             let got = run(Plan::at(&ips).slice(slice).char_freqs(kind)).into_char_freqs();
             assert_eq!(got, expected, "{slice:?} {kind:?}");
         }
